@@ -35,13 +35,25 @@
 // the worker count. Output is byte-identical at every setting — the knob
 // trades CPU for wall clock, never determinism.
 //
-// # Stream targets
+// # Stream targets and sources
 //
 // A streaming encode writes into any StreamTarget (random-access writes
-// plus read-back): *os.File, MemTarget, or a destination implementing
-// the optional BlockPlacer seam, which receives the permuted scatter as
-// whole block batches instead of one WriteAt per 16-byte block. The
-// persistent sharded store (internal/store) implements BlockPlacer with
-// a write-combining staged placer, which is how file-backed encodes
-// reach in-memory throughput.
+// plus read-back) and a streaming extract reads from any io.ReaderAt:
+// *os.File, MemTarget, or a type implementing one of the optional seams
+// through which the engine moves the permuted blocks of a whole chunk
+// group in one call instead of one 16-byte WriteAt/ReadAt per block:
+//
+//   - Range (MemTarget): direct access to the backing memory, both
+//     directions.
+//   - BlockPlacer, write side: receives the scatter as block batches. The
+//     persistent sharded store (internal/store.Writer) implements it with
+//     a write-combining staged placer, which is how file-backed encodes
+//     reach in-memory throughput.
+//   - BlockGatherer, read side: fills a group's buffer from a batch of
+//     stored offsets. internal/store.Store implements it (on unix) by
+//     copying out of its mapped shards, which does the same for
+//     store-backed extraction.
+//
+// A source or target with none of them — a flat .geo file — takes the
+// per-block loop; output is byte-identical on every path.
 package por

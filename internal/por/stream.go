@@ -19,9 +19,14 @@ package por
 // Targets that can expose their backing memory (MemTarget) implement an
 // optional Range method; the scatter/gather and tag passes then operate
 // directly on the underlying slice, which keeps the in-memory pipeline
-// free of per-block interface-call and copy overhead. File-backed targets
-// take 16-byte WriteAt/ReadAt calls for the scattered blocks (page-cache
-// friendly; the tag pass runs in large sequential slabs either way).
+// free of per-block interface-call and copy overhead. Targets that cannot
+// are offered two batch seams, one per direction, each called once per
+// chunk group with the group's permuted stored offsets: BlockPlacer for
+// the scatter (the store's write-combining Writer) and BlockGatherer for
+// the gather (the store's mapped shards). A plain io.WriterAt/io.ReaderAt
+// — a flat .geo file, or a store on a platform without the seam — takes
+// one 16-byte WriteAt/ReadAt per scattered block. The tag and verify
+// passes run in large sequential slabs either way.
 
 import (
 	"errors"
@@ -63,6 +68,17 @@ type byteRanger interface {
 // probe it performs for plain file targets.
 type BlockPlacer interface {
 	PlaceBlocks(buf []byte, blockSize int, offs []int64) error
+}
+
+// BlockGatherer is the read-side mirror of BlockPlacer, for sources that
+// can collect the permuted blocks of a chunk group more cheaply than one
+// ReadAt per block — a committed store (internal/store.Store) copies them
+// out of its mapped shards. GatherBlocks fills buf with the len(offs)
+// blocks of blockSize bytes found at the given byte offsets of the
+// encoded file, in order; calls may come concurrently from pipeline
+// workers, and buf and offs are only valid for the duration of the call.
+type BlockGatherer interface {
+	GatherBlocks(buf []byte, blockSize int, offs []int64) error
 }
 
 // placementFlusher is the companion seam to BlockPlacer: after the last
@@ -337,13 +353,19 @@ func (sc *streamCoder) encodeTo(r io.Reader, size int64, w StreamTarget) error {
 // permuted block indices become stored byte offsets in offs (scratch owned
 // by the caller) and the whole batch is placed with a single call.
 func (sc *streamCoder) placeBatch(placer BlockPlacer, offs []int64, buf []byte, dsts []uint64) error {
-	for j, d := range dsts {
-		offs[j] = sc.layout.StoredBlockOffset(int64(d))
-	}
+	sc.storedOffsets(offs, dsts)
 	if err := placer.PlaceBlocks(buf[:len(dsts)*sc.layout.BlockSize], sc.layout.BlockSize, offs); err != nil {
 		return fmt.Errorf("place blocks: %w", err)
 	}
 	return nil
+}
+
+// storedOffsets fills offs with the stored byte offset of each permuted
+// block index — the plan both batch seams take.
+func (sc *streamCoder) storedOffsets(offs []int64, blocks []uint64) {
+	for j, b := range blocks {
+		offs[j] = sc.layout.StoredBlockOffset(int64(b))
+	}
 }
 
 // placeBlocks writes each block of buf to its permuted stored position.
@@ -412,6 +434,7 @@ func (sc *streamCoder) tagPass(w StreamTarget, ranger byteRanger) error {
 func (sc *streamCoder) extractTo(r io.ReaderAt, w io.WriterAt) error {
 	inRanger, _ := r.(byteRanger)
 	outRanger, _ := w.(byteRanger)
+	gatherer, _ := r.(BlockGatherer)
 
 	// Pass 1: verify every segment tag → suspect map. One bool per
 	// segment is ~1.2% of the encoded size with default geometry, the
@@ -428,6 +451,10 @@ func (sc *streamCoder) extractTo(r io.ReaderAt, w io.WriterAt) error {
 	encRing := newRing(sc.ringCap(), func() []byte { return make([]byte, sc.groupChunks*sc.chunkOut) })
 	plainRing := newRing(sc.ringCap(), func() []byte { return make([]byte, sc.chunkIn) })
 	srcRing := newRing(sc.ringCap(), func() []uint64 { return make([]uint64, sc.groupChunks*sc.layout.ChunkTotal) })
+	var offRing *ring[[]int64]
+	if inRanger == nil && gatherer != nil {
+		offRing = newRing(sc.ringCap(), func() []int64 { return make([]int64, sc.groupChunks*sc.layout.ChunkTotal) })
+	}
 	nGroups := int((sc.layout.Chunks + int64(sc.groupChunks) - 1) / int64(sc.groupChunks))
 	return parallel.For(sc.workers, nGroups, func(gi int) error {
 		firstChunk := int64(gi) * int64(sc.groupChunks)
@@ -444,11 +471,20 @@ func (sc *streamCoder) extractTo(r io.ReaderAt, w io.WriterAt) error {
 		sc.perm.IndexBatch(uint64(firstChunk)*uint64(sc.layout.ChunkTotal), srcs)
 
 		// Gather every block of the group from its stored position.
-		if inRanger != nil {
+		switch {
+		case inRanger != nil:
 			for j, s := range srcs {
 				copy(enc[j*bs:(j+1)*bs], inRanger.Range(sc.layout.StoredBlockOffset(int64(s)), int64(bs)))
 			}
-		} else {
+		case offRing != nil:
+			op := offRing.get()
+			sc.storedOffsets(op[:nBlocks], srcs)
+			err := gatherer.GatherBlocks(enc, bs, op[:nBlocks])
+			offRing.put(op)
+			if err != nil {
+				return fmt.Errorf("gather blocks: %w", err)
+			}
+		default:
 			for j, s := range srcs {
 				if err := readFullAt(r, enc[j*bs:(j+1)*bs], sc.layout.StoredBlockOffset(int64(s))); err != nil {
 					return fmt.Errorf("gather block %d: %w", s, err)
@@ -468,16 +504,18 @@ func (sc *streamCoder) extractTo(r io.ReaderAt, w io.WriterAt) error {
 		// damaged but payloads intact.
 		plain := plainRing.get()
 		defer plainRing.put(plain)
+		var hints []int // erasure scratch, reused by every chunk of the group
 		for c := 0; c < nChunks; c++ {
 			ci := firstChunk + int64(c)
-			var erasures []int
+			hints = hints[:0]
 			for b := 0; b < sc.layout.ChunkTotal; b++ {
 				if suspectSeg[int64(srcs[c*sc.layout.ChunkTotal+b])/v] {
-					erasures = append(erasures, b)
+					hints = append(hints, b)
 				}
 			}
-			if len(erasures) > sc.layout.ChunkTotal-sc.layout.ChunkData {
-				erasures = nil // beyond erasure budget: blind decode
+			erasures := hints
+			if len(erasures) == 0 || len(erasures) > sc.layout.ChunkTotal-sc.layout.ChunkData {
+				erasures = nil // no suspects, or beyond erasure budget: blind decode
 			}
 			chunk := enc[c*sc.chunkOut : (c+1)*sc.chunkOut]
 			err := sc.bc.DecodeChunkInto(plain, chunk, erasures)

@@ -2,8 +2,11 @@ package por
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"math/rand"
 	"os"
+	"sync/atomic"
 	"testing"
 )
 
@@ -122,6 +125,85 @@ func TestExtractStreamFailsWhenDestroyed(t *testing.T) {
 	out := NewMemTarget(enc.Layout.OrigBytes)
 	if err := e.ExtractStream("f", enc.Layout, &MemTarget{B: data}, out); err == nil {
 		t.Fatal("extraction of destroyed data succeeded")
+	}
+}
+
+// batchSource is an encoded file that offers the BlockGatherer seam and no
+// direct-memory Range: it records what the extractor hands it, and can be
+// told to fail.
+type batchSource struct {
+	io.ReaderAt
+	b       []byte
+	calls   atomic.Int64
+	blocks  atomic.Int64
+	failure error
+}
+
+func (s *batchSource) GatherBlocks(buf []byte, blockSize int, offs []int64) error {
+	s.calls.Add(1)
+	s.blocks.Add(int64(len(offs)))
+	if s.failure != nil {
+		return s.failure
+	}
+	if len(buf) != len(offs)*blockSize {
+		return errors.New("batch buffer and offsets disagree")
+	}
+	for j, off := range offs {
+		copy(buf[j*blockSize:(j+1)*blockSize], s.b[off:off+int64(blockSize)])
+	}
+	return nil
+}
+
+// TestExtractStreamBatchGatherSeam pins the read-side seam's contract: a
+// source that implements BlockGatherer is asked for each chunk group's
+// blocks in exactly one call (never block by block through ReadAt), clean
+// or damaged the output is what the plain io.ReaderAt loop produces, and
+// a gather failure is the extraction's error.
+func TestExtractStreamBatchGatherSeam(t *testing.T) {
+	// Large enough for several chunk groups of smallParams' 60-byte chunks.
+	file := testFile(95, 3*streamGroupBytes)
+	master := newTestEncoder()
+	enc, err := master.Encode("f", file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layout := enc.Layout
+	groupChunks := int64(streamGroupBytes / layout.ChunkTotalBytes())
+	wantCalls := (layout.Chunks + groupChunks - 1) / groupChunks
+	if wantCalls < 3 {
+		t.Fatalf("only %d chunk groups", wantCalls)
+	}
+	damaged := append([]byte(nil), enc.Data...)
+	rng := rand.New(rand.NewSource(96))
+	segSize := layout.SegmentSize()
+	for _, s := range rng.Perm(int(layout.Segments))[:5] {
+		rng.Read(damaged[s*segSize : (s+1)*segSize])
+	}
+
+	for _, conc := range []int{1, 0, 8} {
+		e := master.WithConcurrency(conc)
+		for name, data := range map[string][]byte{"clean": enc.Data, "damaged": damaged} {
+			want := NewMemTarget(layout.OrigBytes)
+			if err := e.ExtractStream("f", layout, bytes.NewReader(data), want); err != nil {
+				t.Fatalf("conc=%d %s: ReadAt loop: %v", conc, name, err)
+			}
+			src := &batchSource{ReaderAt: bytes.NewReader(data), b: data}
+			got := NewMemTarget(layout.OrigBytes)
+			if err := e.ExtractStream("f", layout, src, got); err != nil {
+				t.Fatalf("conc=%d %s: batch seam: %v", conc, name, err)
+			}
+			if !bytes.Equal(got.B, want.B) || !bytes.Equal(got.B, file) {
+				t.Fatalf("conc=%d %s: batch-gathered extraction differs", conc, name)
+			}
+			if c, b := src.calls.Load(), src.blocks.Load(); c != wantCalls || b != layout.Chunks*int64(layout.ChunkTotal) {
+				t.Fatalf("conc=%d %s: %d gather calls for %d blocks, want %d calls for %d", conc, name, c, b, wantCalls, layout.Chunks*int64(layout.ChunkTotal))
+			}
+		}
+		boom := errors.New("boom")
+		src := &batchSource{ReaderAt: bytes.NewReader(enc.Data), b: enc.Data, failure: boom}
+		if err := e.ExtractStream("f", layout, src, NewMemTarget(layout.OrigBytes)); !errors.Is(err, boom) {
+			t.Fatalf("conc=%d: gather failure surfaced as %v", conc, err)
+		}
 	}
 }
 

@@ -26,9 +26,37 @@
 // a committed store reopens without re-running Setup, which is how
 // cmd/geoproofd -store serves audits across restarts.
 //
-// The read path (Store) opens every shard and serves positioned reads
-// under per-shard read locks: ReadAt for the extractor, ReadSegment /
-// batch ReadSegments for audit challenges. Shards are segment-aligned
-// (blockfile.Layout.AlignToSegments) so a challenged segment is always
-// one pread inside one shard.
+// The read path (Store) opens every shard and serves two kinds of reader
+// under per-shard read locks, so any number proceed concurrently:
+//
+//   - Audits and sequential scans use positioned reads (pread): ReadAt,
+//     ReadSegment and the batch ReadSegments. Shards are segment-aligned
+//     (blockfile.Layout.AlignToSegments), so a challenged segment is
+//     always one pread inside one shard.
+//   - Extraction gathers: recovery has to collect every chunk group's
+//     blocks back from their permuted positions, ~16 k scattered 16-byte
+//     reads per 256 KiB group. Through the por.BlockGatherer seam the
+//     extractor hands GatherBlocks a whole group's offsets in one call,
+//     and the store copies the blocks out of read-only, shared mappings
+//     of its shards (made on the first gather, released by Close) — the
+//     page cache itself, so no system call per block, nothing added to
+//     the Go heap, and a constant cost per block at every file size.
+//     The seam exists on unix; elsewhere the extractor falls back to one
+//     ReadAt per block.
+//
+// Audits stay on pread on purpose: a challenged segment is one small
+// read, the pread is the disk look-up the paper's Δt_max budget times,
+// and an I/O error comes back from the system call as an error. A mapped
+// read reports the same failure as a memory fault, so GatherBlocks
+// carries the contract that makes that safe: every offset is validated
+// (inside the payload, inside one shard, buffer sized to match) before
+// memory is touched; the read locks of the shards a batch touches are
+// held for the whole call, which keeps the exclusion WriteAt (fault
+// injection, per-shard write lock) and Close (every write lock, then
+// unmap) had under pread, while a write that finishes between two
+// gathers is seen by the second; and a shard truncated underneath its
+// mapping by a hostile or failing filesystem is returned as ErrCorrupt
+// (runtime/debug.SetPanicOnFault scoped to the copy, recovered, previous
+// setting restored) instead of a SIGBUS that kills the prover. A gather
+// after Close gets os.ErrClosed.
 package store

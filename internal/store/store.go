@@ -15,7 +15,8 @@ import (
 )
 
 // Read-path observability: one pread per shard touched, byte volume,
-// and checksum mismatches caught by Verify.
+// checksum mismatches caught by Verify, and the blocks and bytes the
+// extractor's mapped gather copied without a pread.
 var (
 	metricStorePreads = telemetry.Default.Counter(
 		"geoproof_store_preads_total",
@@ -26,13 +27,21 @@ var (
 	metricStoreChecksumFailures = telemetry.Default.Counter(
 		"geoproof_store_checksum_failures_total",
 		"Shard CRC-32C mismatches found by Verify.")
+	metricStoreGatherBlocks = telemetry.Default.Counter(
+		"geoproof_store_gather_blocks_total",
+		"Blocks copied out of mapped shards by GatherBlocks.")
+	metricStoreGatherBytes = telemetry.Default.Counter(
+		"geoproof_store_gather_bytes_total",
+		"Bytes copied out of mapped shards by GatherBlocks.")
 )
 
 // Store is a committed store directory opened for serving: the prover's
 // persistent backend. Reads are positioned (pread) against per-shard file
 // handles under per-shard read locks, so any number of audit reads
 // proceed concurrently; the only writers are corruption injection
-// (experiments) which take the shard's write lock.
+// (experiments) which take the shard's write lock. On unix the extractor's
+// block gather (GatherBlocks) copies from read-only shard mappings under
+// the same read locks instead of issuing one pread per block.
 type Store struct {
 	dir      string
 	man      Manifest
@@ -40,6 +49,14 @@ type Store struct {
 	shards   []*os.File
 	locks    []sync.RWMutex
 	readonly bool
+
+	// Shard mappings behind GatherBlocks: made by the first gather,
+	// released (through unmap) by Close, which holds every write lock.
+	mapOnce sync.Once
+	mapErr  error
+	maps    [][]byte
+	unmap   func() error
+	closed  bool
 }
 
 // Open loads the manifest and opens every shard of a committed store. A
@@ -164,7 +181,9 @@ func readShards(man Manifest, shards []*os.File, locks []sync.RWMutex, p []byte,
 }
 
 // ReadAt implements io.ReaderAt over the whole encoded payload; it is
-// what the POR extractor and the disk backend read through.
+// what the disk backend and the POR extractor's sequential verify pass
+// read through (its scattered block gather goes to GatherBlocks where the
+// platform has it).
 func (s *Store) ReadAt(p []byte, off int64) (int, error) {
 	return readShards(s.man, s.shards, s.locks, p, off)
 }
@@ -226,9 +245,24 @@ func (s *Store) ReadSegments(indices []int64, workers int) ([][]byte, error) {
 	return segs, nil
 }
 
-// Close releases the shard handles.
+// Close releases the shard mappings and handles. It takes every shard's
+// write lock first, so it waits out reads and gathers in flight; a gather
+// that arrives later gets an error, never an unmapped page.
 func (s *Store) Close() error {
+	for i := range s.locks {
+		s.locks[i].Lock()
+	}
+	defer func() {
+		for i := range s.locks {
+			s.locks[i].Unlock()
+		}
+	}()
+	s.closed = true
 	var first error
+	if s.unmap != nil {
+		first = s.unmap()
+		s.unmap = nil
+	}
 	for i, f := range s.shards {
 		if f != nil {
 			if err := f.Close(); err != nil && first == nil {
