@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -157,6 +158,39 @@ func TestStoredBlockOffset(t *testing.T) {
 		last := l.StoredBlockOffset(l.TotalBlocks-1) + int64(l.BlockSize) + int64(l.TagSize())
 		if last != l.EncodedBytes {
 			t.Fatalf("size %d: last block ends at %d, encoded bytes %d", size, last, l.EncodedBytes)
+		}
+	}
+}
+
+// TestStoredBlockOffsetSteps states StoredBlockOffset as a walk — it is
+// the reference the batch plan in por is checked against, so it gets a
+// statement of its own: from one permuted position to the next the offset
+// grows by one block, plus one tag when the step leaves a segment, and a
+// segment's first block sits at the segment's offset. Geometries are synthetic (the arithmetic
+// reads only Params), which reaches indices either side of 2³² without a
+// 64 GiB file.
+func TestStoredBlockOffsetSteps(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, v := range []int{1, 2, 5, 255} {
+		for _, bs := range []int{1, 16, 2 << 20} {
+			l := Layout{Params: Params{BlockSize: bs, ChunkData: 223, ChunkTotal: 255, SegmentBlocks: v, TagBits: 8 + rng.Intn(249)}}
+			if err := l.Params.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			for _, around := range []int64{1, int64(v), 1 << 32, 1<<32 - 1<<32%int64(v), rng.Int63n(1 << 40)} {
+				for d := around - min(around, 3); d < around+int64(v)+3; d++ {
+					step := int64(bs)
+					if (d+1)%int64(v) == 0 {
+						step += int64(l.TagSize())
+					}
+					if got := l.StoredBlockOffset(d+1) - l.StoredBlockOffset(d); got != step {
+						t.Fatalf("v=%d bs=%d: offset(%d) - offset(%d) = %d, want %d", v, bs, d+1, d, got, step)
+					}
+					if d%int64(v) == 0 && l.StoredBlockOffset(d) != d/int64(v)*int64(l.SegmentSize()) {
+						t.Fatalf("v=%d bs=%d: first block of segment %d at %d", v, bs, d/int64(v), l.StoredBlockOffset(d))
+					}
+				}
+			}
 		}
 	}
 }

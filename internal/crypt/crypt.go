@@ -139,6 +139,7 @@ type Tagger struct {
 type tagScratch struct {
 	inner, outer hash.Hash
 	idx          [8]byte
+	fid          []byte // fileID bytes, reused across calls
 	isum         [sha256.Size]byte
 	osum         [sha256.Size]byte
 }
@@ -197,7 +198,10 @@ func (t *Tagger) sum(s *tagScratch, segment []byte, index uint64, fileID string)
 	s.inner.Write(segment)
 	binary.BigEndian.PutUint64(s.idx[:], index)
 	s.inner.Write(s.idx[:])
-	io.WriteString(s.inner, fileID)
+	// Through a reused buffer: io.WriteString on a digest converts the
+	// string to a fresh []byte on every call.
+	s.fid = append(s.fid[:0], fileID...)
+	s.inner.Write(s.fid)
 	isum := s.inner.Sum(s.isum[:0])
 	if err := s.outer.(encoding.BinaryUnmarshaler).UnmarshalBinary(t.outer); err != nil {
 		panic(fmt.Sprintf("crypt: restore sha256 state: %v", err))
@@ -218,12 +222,21 @@ func (t *Tagger) truncate(out []byte, full *[sha256.Size]byte) {
 // Tag computes the truncated MAC for a segment: the first Bits bits of
 // HMAC-SHA256(key, segment ‖ index ‖ fileID), zero-padded to whole bytes.
 func (t *Tagger) Tag(segment []byte, index uint64, fileID string) []byte {
+	return t.AppendTag(make([]byte, 0, t.Size()), segment, index, fileID)
+}
+
+// AppendTag appends the segment's truncated MAC (Size bytes, as Tag
+// computes it) to dst and returns the extended slice. With room in dst it
+// allocates nothing, which is what the setup pipeline's per-segment
+// stamping loops need: dst is the segment's own payload slice, whose
+// spare capacity is the tag slot that follows it.
+func (t *Tagger) AppendTag(dst, segment []byte, index uint64, fileID string) []byte {
 	s := t.pool.Get().(*tagScratch)
 	t.sum(s, segment, index, fileID)
-	out := make([]byte, t.Size())
-	t.truncate(out, &s.osum)
+	var tag [sha256.Size]byte
+	t.truncate(tag[:t.Size()], &s.osum)
 	t.pool.Put(s)
-	return out
+	return append(dst, tag[:t.Size()]...)
 }
 
 // VerifyTag reports whether tag matches the segment in constant time. It

@@ -374,8 +374,36 @@ func TestTaggerMatchesPlainHMAC(t *testing.T) {
 				if !tg.VerifyTag(seg, index, fileID, want) {
 					t.Fatalf("keyLen=%d bits=%d: reference tag rejected", keyLen, bits)
 				}
+				// AppendTag stamps the same bytes behind whatever dst
+				// holds — here the segment itself, the way the setup
+				// pipeline fills a segment's tag slot.
+				stamped := tg.AppendTag(append(make([]byte, 0, len(seg)+len(want)), seg...), seg, index, fileID)
+				if !bytes.Equal(stamped[:len(seg)], seg) || !bytes.Equal(stamped[len(seg):], want) {
+					t.Fatalf("keyLen=%d bits=%d: AppendTag=%x, reference=%x", keyLen, bits, stamped[len(seg):], want)
+				}
 			}
 		}
+	}
+}
+
+// TestAppendTagAllocatesNothing: stamping a tag into the slot behind a
+// segment's payload, as the setup pipeline does once per segment, must
+// not touch the heap.
+func TestAppendTagAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	tg, err := NewTagger([]byte("alloc-key"), 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := make([]byte, 80+tg.Size())
+	tg.AppendTag(seg[:80], seg[:80], 0, "file-id") // warm the scratch pool
+	if n := testing.AllocsPerRun(100, func() { tg.AppendTag(seg[:80], seg[:80], 7, "file-id") }); n != 0 {
+		t.Fatalf("AppendTag allocates %v times per call, want 0", n)
+	}
+	if want := tg.Tag(seg[:80], 7, "file-id"); !bytes.Equal(seg[80:], want) {
+		t.Fatalf("in-place stamp %x, Tag %x", seg[80:], want)
 	}
 }
 

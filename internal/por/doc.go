@@ -49,11 +49,19 @@
 //     persistent sharded store (internal/store.Writer) implements it with
 //     a write-combining staged placer, which is how file-backed encodes
 //     reach in-memory throughput.
+//   - FlushPlacements(finish), write side, beside BlockPlacer: a placer
+//     that builds the encoded file in memory one segment-aligned image at
+//     a time hands the engine each complete image before writing it out,
+//     and the engine stamps the image's segment tags in place. Such a
+//     target gets no tag pass: each encoded byte is written once and none
+//     is read back. The store's Writer does this per shard.
 //   - BlockGatherer, read side: fills a group's buffer from a batch of
 //     stored offsets. internal/store.Store implements it (on unix) by
 //     copying out of its mapped shards, which does the same for
 //     store-backed extraction.
 //
 // A source or target with none of them — a flat .geo file — takes the
-// per-block loop; output is byte-identical on every path.
+// per-block loop, and on the write side a tag pass that reads the placed
+// segments back in sequential slabs; output is byte-identical on every
+// path.
 package por

@@ -23,15 +23,21 @@ package por
 // are offered two batch seams, one per direction, each called once per
 // chunk group with the group's permuted stored offsets: BlockPlacer for
 // the scatter (the store's write-combining Writer) and BlockGatherer for
-// the gather (the store's mapped shards). A plain io.WriterAt/io.ReaderAt
-// — a flat .geo file, or a store on a platform without the seam — takes
-// one 16-byte WriteAt/ReadAt per scattered block. The tag and verify
-// passes run in large sequential slabs either way.
+// the gather (the store's mapped shards). A placer that builds the
+// encoded file in memory a piece at a time also takes the tags that way:
+// through the placementFinisher seam the engine stamps every segment of a
+// piece before the placer writes it out, so each encoded byte is written
+// once and never read back. A plain io.WriterAt/io.ReaderAt — a flat .geo
+// file, or a store on a platform without the gather seam — takes one
+// 16-byte WriteAt/ReadAt per scattered block and a tag pass that reads the
+// placed segments back in large sequential slabs; the verify pass runs in
+// such slabs on every source.
 
 import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 
 	"repro/internal/blockfile"
 	"repro/internal/crypt"
@@ -81,11 +87,17 @@ type BlockGatherer interface {
 	GatherBlocks(buf []byte, blockSize int, offs []int64) error
 }
 
-// placementFlusher is the companion seam to BlockPlacer: after the last
-// placement and before the tag pass reads placed blocks back, the engine
-// gives the target one chance to drain its staging state.
-type placementFlusher interface {
-	FlushPlacements() error
+// placementFinisher is the companion seam to BlockPlacer for targets that
+// materialise the encoded file from their staged placements in memory,
+// one segment-aligned image at a time. After the last placement the
+// engine calls FlushPlacements once; the target calls finish on every
+// image — complete but for its tag bytes, at byte offset off of the
+// encoded file, images in ascending order and together covering the file
+// — before it writes the image out, and fails the flush if finish does.
+// The engine's finish stamps the segment tags, so for such a target there
+// is no tag pass and nothing is read back.
+type placementFinisher interface {
+	FlushPlacements(finish func(img []byte, off int64) error) error
 }
 
 // MemTarget adapts a fixed-size byte slice to the StreamTarget interface,
@@ -337,15 +349,14 @@ func (sc *streamCoder) encodeTo(r io.Reader, size int64, w StreamTarget) error {
 		}
 	}
 
-	// Staged placers drain their write-combining windows here, before the
-	// tag pass reads any placed block back.
-	if fl, ok := w.(placementFlusher); ok {
-		if err := fl.FlushPlacements(); err != nil {
+	// F‴ → F̃: compute and embed every segment tag — in the images a staged
+	// placer materialises as it drains, or over the placed output.
+	if fin, ok := w.(placementFinisher); ok && placer != nil {
+		if err := fin.FlushPlacements(sc.tagImage); err != nil {
 			return fmt.Errorf("flush placements: %w", err)
 		}
+		return nil
 	}
-
-	// F‴ → F̃: compute and embed every segment tag.
 	return sc.tagPass(w, ranger)
 }
 
@@ -361,10 +372,29 @@ func (sc *streamCoder) placeBatch(placer BlockPlacer, offs []int64, buf []byte, 
 }
 
 // storedOffsets fills offs with the stored byte offset of each permuted
-// block index — the plan both batch seams take.
+// block index — the plan both batch seams take, and
+// Layout.StoredBlockOffset per index without its hardware divide: the
+// segment of an index below 2³² is the high word of its product with
+// ⌈2⁶⁴/v⌉, which is exact for such operands.
 func (sc *streamCoder) storedOffsets(offs []int64, blocks []uint64) {
+	v := uint64(sc.layout.SegmentBlocks)
+	segSize := uint64(sc.layout.SegmentSize())
+	bs := uint64(sc.layout.BlockSize)
+	if v == 1 { // ⌈2⁶⁴/1⌉ does not fit a word
+		for j, b := range blocks {
+			offs[j] = int64(b * segSize)
+		}
+		return
+	}
+	recip := ^uint64(0)/v + 1
 	for j, b := range blocks {
-		offs[j] = sc.layout.StoredBlockOffset(int64(b))
+		var seg uint64
+		if b < 1<<32 {
+			seg, _ = bits.Mul64(recip, b)
+		} else {
+			seg = b / v
+		}
+		offs[j] = int64(seg*segSize + (b-seg*v)*bs)
 	}
 }
 
@@ -385,26 +415,47 @@ func (sc *streamCoder) placeBlocks(w io.WriterAt, ranger byteRanger, buf []byte,
 	return nil
 }
 
-// tagPass fills in τ_i = MAC(S_i, i, fid) for every segment of the
-// already-placed output. Workers own contiguous segment ranges and
-// process them in slab-sized pieces; file-backed targets read a slab,
-// stamp its tags and write the whole slab back sequentially.
-func (sc *streamCoder) tagPass(w StreamTarget, ranger byteRanger) error {
-	segSize := int64(sc.layout.SegmentSize())
+// stampTags fills in τ_i = MAC(S_i, i, fid) for the run of whole segments
+// in slab, the first of which is segment first of the file.
+func (sc *streamCoder) stampTags(slab []byte, first int64) {
+	segSize := sc.layout.SegmentSize()
 	segBytes := sc.layout.SegmentPayloadBytes()
+	for i := 0; i*segSize < len(slab); i++ {
+		seg := slab[i*segSize : (i+1)*segSize]
+		// Appending to the payload lands in the segment's own tag slot.
+		sc.tagger.AppendTag(seg[:segBytes], seg[:segBytes], uint64(first)+uint64(i), sc.fileID)
+	}
+}
+
+// tagImage stamps every segment tag of img, a segment-aligned piece of
+// the placed output held in memory at byte offset off of the encoded
+// file. Workers own contiguous segment ranges.
+func (sc *streamCoder) tagImage(img []byte, off int64) error {
+	segSize := int64(sc.layout.SegmentSize())
+	if off%segSize != 0 || int64(len(img))%segSize != 0 {
+		return fmt.Errorf("tag image [%d, %d) is not segment-aligned", off, off+int64(len(img)))
+	}
+	return parallel.ForRange(sc.workers, int(int64(len(img))/segSize), func(lo, hi int) error {
+		sc.stampTags(img[int64(lo)*segSize:int64(hi)*segSize], off/segSize+int64(lo))
+		return nil
+	})
+}
+
+// tagPass tags the already-placed output of a target that did not take
+// the tags while materialising. Backing memory is stamped in place;
+// file-backed targets are processed in slab-sized pieces by workers that
+// own contiguous segment ranges: read a slab, stamp its tags, write the
+// whole slab back sequentially.
+func (sc *streamCoder) tagPass(w StreamTarget, ranger byteRanger) error {
+	if ranger != nil {
+		return sc.tagImage(ranger.Range(0, sc.layout.EncodedBytes), 0)
+	}
+	segSize := int64(sc.layout.SegmentSize())
 	slabSegs := int64(streamGroupBytes) / segSize
 	if slabSegs < 1 {
 		slabSegs = 1
 	}
 	return parallel.ForRange(sc.workers, int(sc.layout.Segments), func(lo, hi int) error {
-		if ranger != nil {
-			for s := int64(lo); s < int64(hi); s++ {
-				seg := ranger.Range(s*segSize, segSize)
-				tag := sc.tagger.Tag(seg[:segBytes], uint64(s), sc.fileID)
-				copy(seg[segBytes:], tag)
-			}
-			return nil
-		}
 		buf := make([]byte, slabSegs*segSize)
 		for s0 := int64(lo); s0 < int64(hi); s0 += slabSegs {
 			cnt := slabSegs
@@ -415,11 +466,7 @@ func (sc *streamCoder) tagPass(w StreamTarget, ranger byteRanger) error {
 			if err := readFullAt(w, slab, s0*segSize); err != nil {
 				return fmt.Errorf("tag pass read at segment %d: %w", s0, err)
 			}
-			for i := int64(0); i < cnt; i++ {
-				seg := slab[i*segSize : (i+1)*segSize]
-				tag := sc.tagger.Tag(seg[:segBytes], uint64(s0+i), sc.fileID)
-				copy(seg[segBytes:], tag)
-			}
+			sc.stampTags(slab, s0)
 			if _, err := w.WriteAt(slab, s0*segSize); err != nil {
 				return fmt.Errorf("tag pass write at segment %d: %w", s0, err)
 			}

@@ -8,6 +8,8 @@ import (
 	"os"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/blockfile"
 )
 
 // streamShapes is the shape sweep for the stream/in-memory equivalence
@@ -308,5 +310,44 @@ func TestMemTargetBounds(t *testing.T) {
 	}
 	if _, err := m.ReadAt(buf, 11); err == nil {
 		t.Fatal("ReadAt beyond end accepted")
+	}
+}
+
+// TestStoredOffsetsMatchLayout pins the batch plan's reciprocal
+// arithmetic to Layout.StoredBlockOffset over random geometries —
+// one-block segments (whose reciprocal does not fit a word), the paper's
+// five, 255, giant blocks — at indices around every segment boundary
+// sampled and either side of 2³², where the plan changes from the
+// reciprocal to a plain divide. The layouts are synthetic: the plan reads
+// only the geometry, so no 64 GiB file is needed to reach such indices.
+func TestStoredOffsetsMatchLayout(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 200; trial++ {
+		p := blockfile.Params{
+			BlockSize:     []int{1, 4, 16, 4096, 2 << 20}[rng.Intn(5)],
+			ChunkData:     223,
+			ChunkTotal:    255,
+			SegmentBlocks: []int{1, 2, 5, 255, 1 + rng.Intn(1000)}[rng.Intn(5)],
+			TagBits:       8 + rng.Intn(249),
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		sc := &streamCoder{layout: blockfile.Layout{Params: p}}
+		v := uint64(p.SegmentBlocks)
+		blocks := []uint64{0, 1, v - 1, v, v + 1, 1<<32 - 1, 1 << 32, 1<<32 + 1}
+		for i := 0; i < 64; i++ {
+			// A segment boundary and its neighbours: below 2³², just
+			// above it, and far above it.
+			seg := []uint64{rng.Uint64() % (1 << 32 / v), 1<<32/v + rng.Uint64()%4, rng.Uint64() % (1 << 40)}[i%3]
+			blocks = append(blocks, seg*v-min(seg*v, 1), seg*v, seg*v+1, seg*v+rng.Uint64()%v)
+		}
+		offs := make([]int64, len(blocks))
+		sc.storedOffsets(offs, blocks)
+		for j, b := range blocks {
+			if want := sc.layout.StoredBlockOffset(int64(b)); offs[j] != want {
+				t.Fatalf("%+v: storedOffsets(%d) = %d, StoredBlockOffset = %d", p, b, offs[j], want)
+			}
+		}
 	}
 }

@@ -266,7 +266,8 @@ const feistelTile = 128
 // IndexBatch maps the consecutive positions first..first+len(dst) in one
 // call. When the round table is available (domains up to
 // feistelTableMaxBytes worth of entries — every GeoProof file size in
-// practice) each round is a single table lookup and no AES runs at all.
+// practice) each round is a single table lookup and no AES runs at all,
+// and four positions go through the rounds side by side (indexBatchTable).
 // Larger domains fall back to batching the Feistel rounds across a tile
 // of positions: each round packs all in-flight round-function inputs
 // into one contiguous buffer and encrypts them as independent AES blocks
@@ -286,13 +287,7 @@ func (f *Feistel) IndexBatch(first uint64, dst []uint64) {
 		panic(fmt.Sprintf("prp: index %d outside domain %d", x, f.n))
 	}
 	if tab := f.roundTable(); tab != nil {
-		for i := range dst {
-			y := f.encryptOnceTable(first+uint64(i), tab)
-			for y >= f.n {
-				y = f.encryptOnceTable(y, tab)
-			}
-			dst[i] = y
-		}
+		f.indexBatchTable(first, dst, tab)
 		return
 	}
 	var l, r [feistelTile]uint64
@@ -324,6 +319,52 @@ func (f *Feistel) IndexBatch(first uint64, dst []uint64) {
 			}
 			m = walkers
 		}
+	}
+}
+
+// indexBatchTable is IndexBatch over the memoised rounds. One position's
+// rounds are a chain of dependent table loads (each look-up's index is the
+// previous one's result), so a position at a time the core mostly waits on
+// L1 latency; four consecutive positions carried through every round
+// together are four independent chains the loads of which overlap. A lane
+// whose output lands outside the domain cycle-walks on its own; the
+// len(dst)%4 tail goes through one at a time.
+func (f *Feistel) indexBatchTable(first uint64, dst []uint64, tab [][]uint64) {
+	half, mask, n := f.half, f.mask, f.n
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		x := first + uint64(i)
+		l0, r0 := (x>>half)&mask, x&mask
+		l1, r1 := ((x+1)>>half)&mask, (x+1)&mask
+		l2, r2 := ((x+2)>>half)&mask, (x+2)&mask
+		l3, r3 := ((x+3)>>half)&mask, (x+3)&mask
+		for _, row := range tab {
+			l0, r0 = r0, l0^row[r0]
+			l1, r1 = r1, l1^row[r1]
+			l2, r2 = r2, l2^row[r2]
+			l3, r3 = r3, l3^row[r3]
+		}
+		y0, y1, y2, y3 := l0<<half|r0, l1<<half|r1, l2<<half|r2, l3<<half|r3
+		for y0 >= n {
+			y0 = f.encryptOnceTable(y0, tab)
+		}
+		for y1 >= n {
+			y1 = f.encryptOnceTable(y1, tab)
+		}
+		for y2 >= n {
+			y2 = f.encryptOnceTable(y2, tab)
+		}
+		for y3 >= n {
+			y3 = f.encryptOnceTable(y3, tab)
+		}
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = y0, y1, y2, y3
+	}
+	for ; i < len(dst); i++ {
+		y := f.encryptOnceTable(first+uint64(i), tab)
+		for y >= n {
+			y = f.encryptOnceTable(y, tab)
+		}
+		dst[i] = y
 	}
 }
 

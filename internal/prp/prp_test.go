@@ -206,11 +206,74 @@ func TestIndexBatchMatchesIndexLargeDomain(t *testing.T) {
 func TestIndexBatchOutOfDomainPanics(t *testing.T) {
 	f, _ := NewFeistel(testKey(), 10, 8)
 	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-domain batch did not panic")
+		if got, want := recover(), "prp: index 10 outside domain 10"; got != want {
+			t.Fatalf("out-of-domain batch: panic %v, want %q", got, want)
 		}
 	}()
 	f.IndexBatch(5, make([]uint64, 6))
+}
+
+// TestIndexBatchLanes pins the four-lane table path to Index position by
+// position: every batch length from 0 to 9 and around multiples of four
+// (so the lane groups and the scalar tail both run at every phase), at
+// the start, one past the start and the very end of the domain, on
+// domains just under a power of four (almost no walking), just over half
+// of one (about half the outputs walk) and too small to fill a group. The
+// reference is a twin that never builds the table, so it is the pure-AES
+// Index; the twin's own IndexBatch covers the AES tile path on the same
+// spans. The sweep must have made every lane and the tail cycle-walk.
+func TestIndexBatchLanes(t *testing.T) {
+	var walked [5]bool // lanes 0–3, then the scalar tail
+	for _, n := range []uint64{1<<6 - 1, 1<<5 + 1, 1<<10 - 1, 1<<9 + 1, 5, 17} {
+		tabbed, err := NewFeistel(testKey(), n, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := NewFeistel(testKey(), n, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain.tableMaxByte = 0
+		want := make([]uint64, n)
+		for x := range want {
+			want[x] = plain.Index(uint64(x))
+		}
+		for _, count := range []uint64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 127, 128, 129, 511, 513} {
+			if count > n {
+				continue
+			}
+			for _, first := range []uint64{0, 1, n - count} {
+				if first+count > n {
+					continue
+				}
+				viaTable := make([]uint64, count)
+				tabbed.IndexBatch(first, viaTable)
+				viaAES := make([]uint64, count)
+				plain.IndexBatch(first, viaAES)
+				for i := uint64(0); i < count; i++ {
+					if viaTable[i] != want[first+i] || viaAES[i] != want[first+i] {
+						t.Fatalf("n=%d first=%d len=%d: table IndexBatch[%d]=%d, AES IndexBatch=%d, Index=%d",
+							n, first, count, i, viaTable[i], viaAES[i], want[first+i])
+					}
+					if plain.encryptOnce(first+i) >= n {
+						if i < count&^3 {
+							walked[i%4] = true
+						} else {
+							walked[4] = true
+						}
+					}
+				}
+			}
+		}
+		if tabbed.table.Load() == nil || plain.table.Load() != nil {
+			t.Fatalf("n=%d: table built = %v on the table side, %v on the AES side", n, tabbed.table.Load() != nil, plain.table.Load() != nil)
+		}
+	}
+	for where, did := range walked {
+		if !did {
+			t.Errorf("no batch of the sweep cycle-walked in lane %d (4 = tail)", where)
+		}
+	}
 }
 
 // TestFeistelTablePathMatchesAESPath pins the memoized-round-table fast

@@ -10,14 +10,19 @@
 //
 //   - buckets placements per shard into a bounded in-memory staging
 //     window (Options.WindowBytes across all shards),
-//   - spills each full window to the shard's staging log, sorted by
-//     destination offset, as one large sequential append,
-//   - at FlushPlacements replays each log into a shard-sized buffer and
-//     materialises the shard with a single sequential write.
+//   - spills each full window to the shard's staging log as it stands —
+//     every record carries its destination, so arrival order will do —
+//     as one large sequential append,
+//   - at FlushPlacements replays each log into a shard-sized buffer,
+//     checking that every block slot is filled exactly once, lets the
+//     encoder stamp the segment tags into the complete image, and
+//     materialises the finished shard with a single sequential write.
 //
 // Every byte of encoded payload therefore moves through large sequential
-// I/O only — O(total/window-size) syscalls instead of O(blocks) — while
-// resident memory stays O(window + one shard), independent of file size.
+// I/O only — O(total/window-size) syscalls instead of O(blocks) — and
+// reaches its shard file once, tags included: nothing is read back for a
+// tag pass. Resident memory stays O(window + one shard), independent of
+// file size.
 //
 // Durability is an epoch'd manifest committed by atomic rename: Create
 // publishes an uncommitted manifest (bumped epoch), Commit checksums the

@@ -17,7 +17,6 @@ import (
 	"repro/internal/blockfile"
 	"repro/internal/por"
 	"repro/internal/store"
-	"repro/internal/telemetry"
 )
 
 // openGatherStore encodes size seeded bytes with fastParams into a store
@@ -265,13 +264,6 @@ func TestGatherAfterClose(t *testing.T) {
 // io.ReaderAt the same extraction moves only the pread counters.
 func TestGatherTelemetry(t *testing.T) {
 	st, enc, layout, _, _ := openGatherStore(t, 120000, 4096)
-	counters := func() map[string]float64 {
-		m := map[string]float64{}
-		for _, s := range telemetry.Default.Snapshot() {
-			m[s.Name] = s.Value
-		}
-		return m
-	}
 	blocks := float64(layout.Chunks * int64(layout.ChunkTotal))
 
 	c0 := counters()

@@ -14,9 +14,10 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Read-path observability: one pread per shard touched, byte volume,
+// Observability. Read path: one pread per shard touched, byte volume,
 // checksum mismatches caught by Verify, and the blocks and bytes the
-// extractor's mapped gather copied without a pread.
+// extractor's mapped gather copied without a pread. Write path: the
+// blocks the placer accepted and the staging-log bytes it spilled.
 var (
 	metricStorePreads = telemetry.Default.Counter(
 		"geoproof_store_preads_total",
@@ -33,6 +34,12 @@ var (
 	metricStoreGatherBytes = telemetry.Default.Counter(
 		"geoproof_store_gather_bytes_total",
 		"Bytes copied out of mapped shards by GatherBlocks.")
+	metricStorePlacedBlocks = telemetry.Default.Counter(
+		"geoproof_store_placed_blocks_total",
+		"Blocks staged by the write path's PlaceBlocks.")
+	metricStoreSpillBytes = telemetry.Default.Counter(
+		"geoproof_store_spill_bytes_total",
+		"Placement-record bytes appended to the staging logs.")
 )
 
 // Store is a committed store directory opened for serving: the prover's

@@ -12,6 +12,7 @@ import (
 	"repro/internal/blockfile"
 	"repro/internal/por"
 	"repro/internal/store"
+	"repro/internal/telemetry"
 )
 
 // fastParams keeps test files small while still spanning many chunks and
@@ -49,23 +50,30 @@ func encodeToStore(t *testing.T, dir string, enc *por.Encoder, fileID string, da
 }
 
 // TestStoreByteIdentity pins the central placer property: the bytes a
-// store-backed encode materialises are identical to the in-memory
-// encode's, at sequential and parallel concurrency and under a staging
-// window small enough to force many spills.
+// store-backed encode materialises — blocks placed through the staging
+// logs, tags stamped in each shard image before its one write — are
+// identical to the in-memory encode's, at sequential, NumCPU and parallel
+// concurrency, in the test geometry and the paper's, and under a staging
+// window small enough to force many spills over some fifty shards.
 func TestStoreByteIdentity(t *testing.T) {
 	data := testData(t, 40000)
 	for _, tc := range []struct {
-		name string
-		conc int
-		opts store.Options
+		name   string
+		conc   int
+		params blockfile.Params
+		opts   store.Options
 	}{
-		{"seq-default", 1, store.Options{}},
-		{"par-default", 8, store.Options{}},
-		{"seq-tiny-window", 1, store.Options{WindowBytes: 2048, ShardTargetBytes: 4096}},
-		{"par-tiny-window", 8, store.Options{WindowBytes: 2048, ShardTargetBytes: 4096}},
+		{"seq-default", 1, fastParams, store.Options{}},
+		{"par-default", 8, fastParams, store.Options{}},
+		{"seq-tiny-window", 1, fastParams, store.Options{WindowBytes: 2048, ShardTargetBytes: 4096}},
+		{"par-tiny-window", 8, fastParams, store.Options{WindowBytes: 2048, ShardTargetBytes: 4096}},
+		{"numcpu-50-shards", 0, fastParams, store.Options{WindowBytes: 2048, ShardTargetBytes: 1700}},
+		{"seq-paper-geometry", 1, blockfile.DefaultParams(), store.Options{WindowBytes: 2048, ShardTargetBytes: 1000}},
+		{"numcpu-paper-geometry", 0, blockfile.DefaultParams(), store.Options{}},
+		{"par-paper-geometry", 8, blockfile.DefaultParams(), store.Options{WindowBytes: 2048, ShardTargetBytes: 1000}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			enc := por.NewEncoder([]byte("store-master")).WithParams(fastParams).WithConcurrency(tc.conc)
+			enc := por.NewEncoder([]byte("store-master")).WithParams(tc.params).WithConcurrency(tc.conc)
 			want, err := enc.Encode("f", data)
 			if err != nil {
 				t.Fatal(err)
@@ -332,10 +340,10 @@ func TestStoreFailedFlushCannotCommit(t *testing.T) {
 	if err := w.PlaceBlocks(blocks, layout.BlockSize, offs); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.FlushPlacements(); !errors.Is(err, store.ErrCorrupt) {
+	if err := w.FlushPlacements(nil); !errors.Is(err, store.ErrCorrupt) {
 		t.Fatalf("flush of a duplicate placement: err = %v, want ErrCorrupt", err)
 	}
-	if err := w.FlushPlacements(); !errors.Is(err, store.ErrCorrupt) {
+	if err := w.FlushPlacements(nil); !errors.Is(err, store.ErrCorrupt) {
 		t.Fatalf("second flush call: err = %v, want the latched ErrCorrupt", err)
 	}
 	if _, err := w.Commit(); !errors.Is(err, store.ErrCorrupt) {
@@ -366,5 +374,180 @@ func TestStoreGiantBlockSize(t *testing.T) {
 	}
 	if !bytes.Equal(out.B, data) {
 		t.Fatal("giant-block store does not round-trip")
+	}
+}
+
+// fillStore places every block of the layout through PlaceBlocks, in a
+// shuffled order and several calls; block i carries byte(i) + 1 throughout,
+// so a materialised image says which block sits where and a zero byte can
+// only be a tag byte.
+func fillStore(t *testing.T, w *store.Writer, layout blockfile.Layout) {
+	t.Helper()
+	bs := layout.BlockSize
+	order := rand.New(rand.NewSource(3)).Perm(int(layout.TotalBlocks))
+	for len(order) > 0 {
+		n := min(len(order), 97)
+		blocks := make([]byte, n*bs)
+		offs := make([]int64, n)
+		for j, i := range order[:n] {
+			offs[j] = layout.StoredBlockOffset(int64(i))
+			for k := 0; k < bs; k++ {
+				blocks[j*bs+k] = byte(i) + 1
+			}
+		}
+		if err := w.PlaceBlocks(blocks, bs, offs); err != nil {
+			t.Fatal(err)
+		}
+		order = order[n:]
+	}
+}
+
+// TestStoreFinisherSeesEveryShardOnce is the contract of the flush seam
+// the encoder's tag stamping rides on: finish runs exactly once per
+// shard, in shard order, on the complete segment-aligned image at its
+// byte offset in the encoded file — every placed block at its slot, every
+// tag byte still zero — and what it writes into the image is what the
+// committed shard holds.
+func TestStoreFinisherSeesEveryShardOnce(t *testing.T) {
+	layout, err := blockfile.NewLayout(fastParams, 9000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	w, err := store.Create(dir, "f", layout, store.Options{ShardTargetBytes: 1000, WindowBytes: 2048})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	fillStore(t, w, layout)
+
+	man := w.Manifest()
+	segSize, payload := int64(layout.SegmentSize()), layout.SegmentPayloadBytes()
+	calls := 0
+	finish := func(img []byte, off int64) error {
+		s := calls
+		calls++
+		if s >= len(man.Shards) {
+			t.Fatalf("finish call %d for %d shards", calls, len(man.Shards))
+		}
+		if off != int64(s)*man.ShardBytes || int64(len(img)) != man.Shards[s].Bytes {
+			t.Fatalf("call %d: image [%d, +%d), want shard %d at [%d, +%d)", calls, off, len(img), s, int64(s)*man.ShardBytes, man.Shards[s].Bytes)
+		}
+		if off%segSize != 0 || int64(len(img))%segSize != 0 {
+			t.Fatalf("shard %d image [%d, +%d) is not segment-aligned (%d-byte segments)", s, off, len(img), segSize)
+		}
+		for i := int64(0); i < int64(len(img))/segSize; i++ {
+			seg := img[i*segSize : (i+1)*segSize]
+			for k, b := range seg {
+				want := byte(0) // tag slot
+				if k < payload {
+					want = byte((off/segSize+i)*int64(layout.SegmentBlocks)+int64(k/layout.BlockSize)) + 1
+				}
+				if b != want {
+					t.Fatalf("shard %d segment %d byte %d = %#x, want %#x", s, i, k, b, want)
+				}
+			}
+			for k := payload; k < len(seg); k++ {
+				seg[k] = 0xA0 | byte(s)&0xf
+			}
+		}
+		return nil
+	}
+	if err := w.FlushPlacements(finish); err != nil {
+		t.Fatal(err)
+	}
+	if calls != len(man.Shards) || calls < 10 {
+		t.Fatalf("finish ran %d times over %d shards (want one each, ten shards or more)", calls, len(man.Shards))
+	}
+	if err := w.FlushPlacements(finish); err != nil || calls != len(man.Shards) {
+		t.Fatalf("second flush: err = %v, finish calls %d → want nil and no further call", err, calls)
+	}
+	if _, err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int64{0, layout.Segments / 2, layout.Segments - 1} {
+		seg, err := st.ReadSegment(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := i * segSize / man.ShardBytes
+		if seg[0] != byte(i*int64(layout.SegmentBlocks))+1 || seg[payload] != 0xA0|byte(s)&0xf {
+			t.Fatalf("committed segment %d = %x: not the finished image of shard %d", i, seg, s)
+		}
+	}
+}
+
+// TestStoreFinisherErrorCannotCommit: an error from finish is a flush
+// error like any other — it fails the flush, stays latched (finish is not
+// given a second try), keeps Commit from publishing, and leaves a
+// directory Open reports as an incomplete encode.
+func TestStoreFinisherErrorCannotCommit(t *testing.T) {
+	layout, err := blockfile.NewLayout(fastParams, 9000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	w, err := store.Create(dir, "f", layout, store.Options{ShardTargetBytes: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	fillStore(t, w, layout)
+
+	errTag := errors.New("tagging failed")
+	calls := 0
+	finish := func([]byte, int64) error {
+		calls++
+		if calls == 3 {
+			return errTag
+		}
+		return nil
+	}
+	if err := w.FlushPlacements(finish); !errors.Is(err, errTag) {
+		t.Fatalf("flush with a failing finish: err = %v, want it to wrap %v", err, errTag)
+	}
+	if err := w.FlushPlacements(finish); !errors.Is(err, errTag) || calls != 3 {
+		t.Fatalf("second flush: err = %v after %d finish calls, want the latched error and no further call", err, calls)
+	}
+	if _, err := w.Commit(); !errors.Is(err, errTag) {
+		t.Fatalf("commit after a failed finish: err = %v, want %v", err, errTag)
+	}
+	if _, err := store.Open(dir); !errors.Is(err, store.ErrIncomplete) {
+		t.Fatalf("Open after a failed finish: err = %v, want ErrIncomplete", err)
+	}
+}
+
+// counters snapshots the process-wide metric values by family name.
+func counters() map[string]float64 {
+	m := map[string]float64{}
+	for _, s := range telemetry.Default.Snapshot() {
+		m[s.Name] = s.Value
+	}
+	return m
+}
+
+// TestStoreWriteTelemetry: one encode moves the placer's counters by
+// exactly the layout's block count and, every block being spilled once
+// as a 4-byte destination plus its bytes, by that many staging-log bytes.
+func TestStoreWriteTelemetry(t *testing.T) {
+	data := testData(t, 40000)
+	enc := por.NewEncoder([]byte("count-master")).WithParams(fastParams).WithConcurrency(4)
+	c0 := counters()
+	layout, _ := encodeToStore(t, t.TempDir(), enc, "f", data, store.Options{WindowBytes: 2048, ShardTargetBytes: 4096})
+	c1 := counters()
+	blocks := float64(layout.TotalBlocks)
+	if d := c1["geoproof_store_placed_blocks_total"] - c0["geoproof_store_placed_blocks_total"]; d != blocks {
+		t.Errorf("placed_blocks_total moved by %v, want %v", d, blocks)
+	}
+	if d := c1["geoproof_store_spill_bytes_total"] - c0["geoproof_store_spill_bytes_total"]; d != blocks*float64(4+layout.BlockSize) {
+		t.Errorf("spill_bytes_total moved by %v, want %v", d, blocks*float64(4+layout.BlockSize))
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -64,39 +63,13 @@ func shardSizeFor(layout blockfile.Layout, target int64) int64 {
 }
 
 // stage is one shard's in-memory staging window: fixed-size placement
-// records (4-byte shard-relative destination offset + block bytes)
-// appended in arrival order, sorted by destination at flush time.
+// records (4-byte shard-relative destination offset + block bytes) in
+// arrival order, which is also the order they are spilled and replayed
+// in — every record carries its destination, so no order matters.
 type stage struct {
 	mu  sync.Mutex
 	buf []byte // n complete records
 	n   int
-}
-
-// spillScratch is the reusable sort workspace of one staging spill. The
-// sort key packs (destination offset, record index) into a uint64 so the
-// hot path is slices.Sort over machine words — ~3× the throughput of a
-// sort.Interface over 20-byte records — and the sorted order is realised
-// with a single gather pass into out.
-type spillScratch struct {
-	keys []uint64
-	out  []byte
-}
-
-// sortRecords fills scratch.out with the n records of buf ordered by
-// destination offset and returns it.
-func (sc *spillScratch) sortRecords(buf []byte, rec, n int) []byte {
-	keys := sc.keys[:0]
-	for i := 0; i < n; i++ {
-		keys = append(keys, uint64(binary.LittleEndian.Uint32(buf[i*rec:]))<<32|uint64(i))
-	}
-	slices.Sort(keys)
-	out := sc.out[:n*rec]
-	for j, k := range keys {
-		i := int(k & 0xffffffff)
-		copy(out[j*rec:(j+1)*rec], buf[i*rec:(i+1)*rec])
-	}
-	sc.keys = keys
-	return out
 }
 
 // Writer materialises one encoded file into a store directory. It is the
@@ -107,11 +80,15 @@ func (sc *spillScratch) sortRecords(buf []byte, rec, n int) []byte {
 //     spill full windows to per-shard staging logs as large sequential
 //     appends — never a 16-byte random write;
 //  2. FlushPlacements drains the windows and replays each log into its
-//     shard image, written with one sequential WriteAt per shard;
-//  3. WriteAt/ReadAt then serve the tag pass's big sequential slabs
-//     directly against the shard files;
-//  4. Commit checksums the shards and publishes the manifest by atomic
+//     shard image in memory, hands the complete image to the encoder's
+//     finisher (which stamps the segment tags in place) and writes the
+//     finished shard with one sequential WriteAt — every encoded byte
+//     reaches its shard file once, and none is read back;
+//  3. Commit checksums the shards and publishes the manifest by atomic
 //     rename.
+//
+// WriteAt and ReadAt address the shard files directly, for callers that
+// patch or inspect a materialised store.
 //
 // If the process dies anywhere before Commit, the directory holds an
 // uncommitted manifest and Open reports ErrIncomplete.
@@ -128,7 +105,6 @@ type Writer struct {
 
 	recBytes  int // 4 + blockSize
 	stageCap  int // records per shard window
-	scratch   sync.Pool
 	placeTmps sync.Pool
 	placed    atomic.Int64
 	flushed   bool
@@ -198,12 +174,6 @@ func Create(dir, fileID string, layout blockfile.Layout, opts Options) (*Writer,
 	w.stageCap = window / len(man.Shards) / w.recBytes
 	if w.stageCap < 16 {
 		w.stageCap = 16
-	}
-	w.scratch.New = func() any {
-		return &spillScratch{
-			keys: make([]uint64, 0, w.stageCap),
-			out:  make([]byte, w.stageCap*w.recBytes),
-		}
 	}
 	w.placeTmps.New = func() any { return &placeScratch{} }
 	for s := range man.Shards {
@@ -303,11 +273,20 @@ func (w *Writer) PlaceBlocks(buf []byte, blockSize int, offs []int64) error {
 		counts[i] = 0
 	}
 	// Validate every destination before touching any stage, then count.
+	// Shards stay below 4 GiB (hardMaxShardBytes), so an offset below
+	// 4 GiB finds its shard with a 32-bit divide — a fraction of the
+	// 64-bit one's cost, paid once per 16-byte block.
+	shardBytes32 := uint32(w.man.ShardBytes)
 	for j, off := range offs {
 		if off < 0 || off+int64(blockSize) > w.man.EncodedBytes {
 			return fmt.Errorf("store: placement [%d, %d) outside encoded size %d", off, off+int64(blockSize), w.man.EncodedBytes)
 		}
-		s := int32(off / w.man.ShardBytes)
+		var s int32
+		if off < 1<<32 {
+			s = int32(uint32(off) / shardBytes32)
+		} else {
+			s = int32(off / w.man.ShardBytes)
+		}
 		shard[j] = s
 		counts[s+1]++
 	}
@@ -353,23 +332,19 @@ func (w *Writer) PlaceBlocks(buf []byte, blockSize int, offs []int64) error {
 		start = end
 	}
 	w.placed.Add(int64(len(offs)))
+	metricStorePlacedBlocks.Add(uint64(len(offs)))
 	return nil
 }
 
-// spillLocked sorts the shard's staged records by destination and appends
-// them to its staging log as one sequential write. Caller holds st.mu.
+// spillLocked appends the shard's staged records to its staging log as
+// one sequential write. Caller holds st.mu.
 func (w *Writer) spillLocked(s int, st *stage) error {
 	if st.n == 0 {
 		return nil
 	}
-	sc := w.scratch.Get().(*spillScratch)
-	if cap(sc.out) < st.n*w.recBytes {
-		sc.out = make([]byte, st.n*w.recBytes)
-	}
-	sorted := sc.sortRecords(st.buf, w.recBytes, st.n)
-	_, err := w.logs[s].WriteAt(sorted, w.logOff[s])
-	w.logOff[s] += int64(len(sorted))
-	w.scratch.Put(sc)
+	_, err := w.logs[s].WriteAt(st.buf, w.logOff[s])
+	w.logOff[s] += int64(len(st.buf))
+	metricStoreSpillBytes.Add(uint64(len(st.buf)))
 	if err != nil {
 		return fmt.Errorf("store: spill staging log %d: %w", s, err)
 	}
@@ -379,30 +354,49 @@ func (w *Writer) spillLocked(s int, st *stage) error {
 }
 
 // FlushPlacements drains every staging window and materialises each shard
-// from its log: the log is replayed into a zeroed shard-sized buffer and
-// the whole shard is written with a single sequential WriteAt. After it
-// returns, every placed block is readable at its destination offset (tag
-// bytes are still zero — the tag pass stamps them next) and the staging
-// logs are deleted. It verifies that exactly one block landed on every
-// block position of the layout: the global count must equal TotalBlocks,
-// each destination must be a real block slot (not a tag byte), and a
-// per-shard bitmap rejects duplicates — so count + distinctness together
-// pin the full bijection, and a duplicate-plus-missing pair cannot
-// silently commit a zero-filled block.
-func (w *Writer) FlushPlacements() error {
+// from its log: the log is replayed into a zeroed shard-sized buffer,
+// finish (when not nil) is called on the complete image — every placed
+// block at its destination, tag bytes still zero, at byte offset off of
+// the encoded file; shards are segment-aligned, so both ends are segment
+// boundaries — and the finished shard is written with a single sequential
+// WriteAt. Shards are finished in ascending order, one call each; this is
+// where the streaming encoder stamps the segment tags. Afterwards the
+// staging logs are deleted. The flush verifies that exactly one block
+// landed on every block position of the layout: the global count must
+// equal TotalBlocks, each destination must be a real block slot (not a
+// tag byte), and a per-shard bitmap rejects duplicates — so count +
+// distinctness together pin the full bijection, and a
+// duplicate-plus-missing pair cannot silently commit a zero-filled block.
+// The first call decides: its error, finish's included, is what every
+// later call returns, and neither replay nor finish runs again.
+func (w *Writer) FlushPlacements(finish func(img []byte, off int64) error) error {
 	if w.flushed {
 		// A failed flush stays failed: Commit must never see a nil here
 		// and publish checksums over unmaterialised shards.
 		return w.flushErr
 	}
 	w.flushed = true
-	w.flushErr = w.flushPlacements()
+	w.flushErr = w.flushPlacements(finish)
 	return w.flushErr
 }
 
-func (w *Writer) flushPlacements() error {
+func (w *Writer) flushPlacements(finish func(img []byte, off int64) error) error {
 	if got, want := w.placed.Load(), w.layout.TotalBlocks; got != want {
 		return fmt.Errorf("store: %d blocks placed, layout has %d", got, want)
+	}
+	// Drain and drop every staging window before the shard image is
+	// allocated: the two together would be the encode's largest live set,
+	// held for a moment only — a peak the collector's pacing meets on some
+	// runs and misses on others.
+	for s := range w.stages {
+		st := &w.stages[s]
+		st.mu.Lock()
+		err := w.spillLocked(s, st)
+		st.buf = nil
+		st.mu.Unlock()
+		if err != nil {
+			return err
+		}
 	}
 	shardBuf := make([]byte, w.man.ShardBytes)
 	// Replay in whole records, at least one per read: giant block sizes
@@ -421,14 +415,6 @@ func (w *Writer) flushPlacements() error {
 	v := int64(w.layout.SegmentBlocks)
 	seen := make([]uint64, (w.man.ShardBytes/segSize*v+63)/64)
 	for s := range w.shards {
-		st := &w.stages[s]
-		st.mu.Lock()
-		err := w.spillLocked(s, st)
-		st.buf = nil
-		st.mu.Unlock()
-		if err != nil {
-			return err
-		}
 		size := w.man.Shards[s].Bytes
 		img := shardBuf[:size]
 		clear(img)
@@ -457,6 +443,11 @@ func (w *Writer) flushPlacements() error {
 				copy(img[rel:rel+int64(bs)], readBuf[r+4:r+w.recBytes])
 			}
 			off += n
+		}
+		if finish != nil {
+			if err := finish(img, int64(s)*w.man.ShardBytes); err != nil {
+				return fmt.Errorf("store: finish shard %d: %w", s, err)
+			}
 		}
 		if size > 0 {
 			if _, err := w.shards[s].WriteAt(img, 0); err != nil {
@@ -492,10 +483,8 @@ func forShards(man Manifest, p []byte, off int64, fn func(s int, rel int64, part
 }
 
 // WriteAt writes into the shard files at an absolute encoded-file offset,
-// spanning shard boundaries as needed. The streaming encoder uses it for
-// its pre-extension probe and the tag pass's sequential slab stamping;
-// bytes written before FlushPlacements at block positions are superseded
-// by the materialisation pass.
+// spanning shard boundaries as needed. Bytes written before
+// FlushPlacements are superseded by the materialisation pass.
 func (w *Writer) WriteAt(p []byte, off int64) (int, error) {
 	if off < 0 || off+int64(len(p)) > w.man.EncodedBytes {
 		return 0, fmt.Errorf("store: write [%d, %d) outside encoded size %d", off, off+int64(len(p)), w.man.EncodedBytes)
@@ -524,7 +513,7 @@ func (w *Writer) Commit() (Manifest, error) {
 	if w.done {
 		return Manifest{}, errors.New("store: already committed")
 	}
-	if err := w.FlushPlacements(); err != nil {
+	if err := w.FlushPlacements(nil); err != nil {
 		return Manifest{}, err
 	}
 	buf := make([]byte, compactChunkBytes)
