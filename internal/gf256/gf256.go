@@ -25,7 +25,7 @@ func init() {
 		}
 	}
 	// Full product table for the slab kernels (slab.go): row c holds c·x
-	// for every x. 64 KiB, shared by MulRow, MulSlice and AddMulSlice.
+	// for every x. 64 KiB, shared by MulRow and MulSlice.
 	for c := 1; c < 256; c++ {
 		lc := int(_log[c])
 		row := &mulTable[c]

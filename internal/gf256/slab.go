@@ -5,131 +5,38 @@ import (
 	"fmt"
 )
 
-// This file holds the bulk ("slab") kernels: operations that apply one
-// GF(2^8) coefficient to a whole byte slice at a time instead of one
-// log/exp lookup pair per byte. Two mechanisms are layered:
+// This file holds the bulk ("slab") kernels: operations that apply GF(2^8)
+// coefficients through precomputed tables instead of one log/exp lookup
+// pair per byte.
 //
 //   - A full 256×256 product table (mulTable, 64 KiB, built at init) gives
 //     per-coefficient 256-entry multiplication rows: MulRow(c)[x] = c·x.
-//     Rows are the scalar fallback and feed chained evaluations such as
-//     Horner steps, where each lookup depends on the previous result.
-//   - Bit-sliced 64-bit word batching: multiplication by a constant c is
-//     GF(2)-linear, so for eight input bytes packed in a uint64 the product
-//     is the XOR over input-bit positions b of (lane mask of bit b) AND
-//     (c·x^b replicated into every lane). The inner loop touches 8 bytes
-//     per step with pure ALU ops — no table lookups, no per-byte branches.
-//
-// Reducer combines both: it precomputes, for every field element v, the
-// word-packed row v·(divisor minus its leading term), so one reduction
-// step of polynomial division is a handful of 64-bit XORs.
-
-const lanes = 0x0101010101010101 // one bit set per byte lane
+//     Rows feed chained evaluations such as Horner steps, where each lookup
+//     depends on the previous result.
+//   - Reducer precomputes, for every field element v, the word-packed row
+//     v·(divisor minus its leading term), so one reduction step of
+//     polynomial division is a handful of 64-bit XORs. Reduce runs it over
+//     one contiguous polynomial; ReduceColumnPair runs it down two adjacent
+//     byte columns of a block-interleaved buffer at once.
 
 // mulTable[c][x] = c·x. Built at package init (see gf256.go) right after
-// the log/exp tables; rows are shared via MulRow and the word kernels.
+// the log/exp tables; rows are shared via MulRow and MulSlice.
 var mulTable [256][256]byte
 
 // MulRow returns the 256-entry multiplication row of c: row[x] = c·x.
 // The row aliases a package-level table and must not be modified.
 func MulRow(c byte) *[256]byte { return &mulTable[c] }
 
-// wordTab returns the eight lane-replicated products c·x^b (b = 0..7)
-// used by the bit-sliced word kernels.
-func wordTab(c byte) (t [8]uint64) {
-	row := &mulTable[c]
-	for b := 0; b < 8; b++ {
-		t[b] = uint64(row[1<<b]) * lanes
-	}
-	return t
-}
-
-// mulWord multiplies each of the eight byte lanes of w by the coefficient
-// described by t. For every bit position b, ((w>>b)&lanes)*0xFF expands
-// "bit b of each lane" into a full-byte mask, which selects the replicated
-// partial product c·x^b for exactly the lanes that have that bit set.
-func mulWord(t *[8]uint64, w uint64) uint64 {
-	acc := ((w >> 0) & lanes) * 0xFF & t[0]
-	acc ^= ((w >> 1) & lanes) * 0xFF & t[1]
-	acc ^= ((w >> 2) & lanes) * 0xFF & t[2]
-	acc ^= ((w >> 3) & lanes) * 0xFF & t[3]
-	acc ^= ((w >> 4) & lanes) * 0xFF & t[4]
-	acc ^= ((w >> 5) & lanes) * 0xFF & t[5]
-	acc ^= ((w >> 6) & lanes) * 0xFF & t[6]
-	acc ^= ((w >> 7) & lanes) * 0xFF & t[7]
-	return acc
-}
-
-func checkLen(op string, dst, src []byte) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("gf256: %s length mismatch %d != %d", op, len(dst), len(src)))
-	}
-}
-
-// MulSlice computes dst[i] = c·src[i] for all i, eight bytes per inner
-// step. dst and src must have equal length; they may be the same slice
-// (in-place scaling) but must not otherwise overlap.
+// MulSlice computes dst[i] = c·src[i] for all i through c's row. dst and
+// src must have equal length; they may be the same slice (in-place
+// scaling) but must not otherwise overlap.
 func MulSlice(c byte, dst, src []byte) {
-	checkLen("MulSlice", dst, src)
-	switch c {
-	case 0:
-		for i := range dst {
-			dst[i] = 0
-		}
-		return
-	case 1:
-		copy(dst, src)
-		return
-	}
-	t := wordTab(c)
-	n := len(src) &^ 7
-	for i := 0; i < n; i += 8 {
-		w := binary.LittleEndian.Uint64(src[i:])
-		binary.LittleEndian.PutUint64(dst[i:], mulWord(&t, w))
+	if len(dst) != len(src) {
+		panic(fmt.Sprintf("gf256: MulSlice length mismatch %d != %d", len(dst), len(src)))
 	}
 	row := &mulTable[c]
-	for i := n; i < len(src); i++ {
-		dst[i] = row[src[i]]
-	}
-}
-
-// AddMulSlice computes dst[i] ^= c·src[i] for all i — the multiply-
-// accumulate row operation at the heart of Reed-Solomon encoding — eight
-// bytes per inner step. dst and src must have equal length and must not
-// overlap.
-func AddMulSlice(c byte, dst, src []byte) {
-	checkLen("AddMulSlice", dst, src)
-	switch c {
-	case 0:
-		return
-	case 1:
-		XorSlice(dst, src)
-		return
-	}
-	t := wordTab(c)
-	n := len(src) &^ 7
-	for i := 0; i < n; i += 8 {
-		w := binary.LittleEndian.Uint64(src[i:])
-		o := binary.LittleEndian.Uint64(dst[i:])
-		binary.LittleEndian.PutUint64(dst[i:], o^mulWord(&t, w))
-	}
-	row := &mulTable[c]
-	for i := n; i < len(src); i++ {
-		dst[i] ^= row[src[i]]
-	}
-}
-
-// XorSlice computes dst[i] ^= src[i] (GF(2^8) addition of whole slices),
-// eight bytes per step. dst and src must have equal length and must not
-// overlap.
-func XorSlice(dst, src []byte) {
-	checkLen("XorSlice", dst, src)
-	n := len(src) &^ 7
-	for i := 0; i < n; i += 8 {
-		o := binary.LittleEndian.Uint64(dst[i:])
-		binary.LittleEndian.PutUint64(dst[i:], o^binary.LittleEndian.Uint64(src[i:]))
-	}
-	for i := n; i < len(src); i++ {
-		dst[i] ^= src[i]
+	for i, x := range src {
+		dst[i] = row[x]
 	}
 }
 
@@ -144,10 +51,10 @@ func XorSlice(dst, src []byte) {
 //
 // A Reducer is immutable after construction and safe for concurrent use.
 type Reducer struct {
-	deg   int           // degree of the divisor
-	words int           // row width in 64-bit words: ceil(deg/8)
-	rows  []uint64      // 256 rows of `words` words; row v = v·divisor[1:], zero-padded
-	rows4 *[1024]uint64 // rows viewed as a fixed array when words == 4 (bounds-check-free)
+	deg   int             // degree of the divisor
+	words int             // row width in 64-bit words: ceil(deg/8)
+	rows  []uint64        // 256 rows of `words` words; row v = v·divisor[1:], zero-padded
+	rows4 *[256][4]uint64 // the rows instead, when words == 4: a byte index needs no bounds check and one row is one address
 }
 
 // NewReducer builds a Reducer for the given monic divisor polynomial in
@@ -160,17 +67,23 @@ func NewReducer(divisor []byte) *Reducer {
 	}
 	deg := len(divisor) - 1
 	words := (deg + 7) / 8
-	r := &Reducer{deg: deg, words: words, rows: make([]uint64, 256*words)}
-	rowBytes := make([]byte, words*8)
-	tail := divisor[1:]
-	for v := 1; v < 256; v++ {
-		MulSlice(byte(v), rowBytes[:deg], tail)
-		for w := 0; w < words; w++ {
-			r.rows[v*words+w] = binary.LittleEndian.Uint64(rowBytes[w*8:])
-		}
-	}
+	r := &Reducer{deg: deg, words: words}
 	if words == 4 {
-		r.rows4 = (*[1024]uint64)(r.rows)
+		r.rows4 = new([256][4]uint64)
+	} else {
+		r.rows = make([]uint64, 256*words)
+	}
+	rowBytes := make([]byte, words*8)
+	for v := 1; v < 256; v++ {
+		MulSlice(byte(v), rowBytes[:deg], divisor[1:])
+		for w := 0; w < words; w++ {
+			x := binary.LittleEndian.Uint64(rowBytes[w*8:])
+			if r.rows4 != nil {
+				r.rows4[v][w] = x
+			} else {
+				r.rows[v*words+w] = x
+			}
+		}
 	}
 	return r
 }
@@ -229,15 +142,70 @@ func (r *Reducer) reduce4(buf []byte, steps int) {
 	rows := r.rows4
 	var s0, s1, s2, s3 uint64
 	for i := 0; i < steps; i++ {
-		o := int(buf[i]^byte(s0)) * 4
-		s0 = (s0>>8 | s1<<56) ^ rows[o]
-		s1 = (s1>>8 | s2<<56) ^ rows[o+1]
-		s2 = (s2>>8 | s3<<56) ^ rows[o+2]
-		s3 = s3>>8 ^ rows[o+3]
+		row := &rows[buf[i]^byte(s0)]
+		s0 = (s0>>8 | s1<<56) ^ row[0]
+		s1 = (s1>>8 | s2<<56) ^ row[1]
+		s2 = (s2>>8 | s3<<56) ^ row[2]
+		s3 = s3>>8 ^ row[3]
 	}
 	p := buf[steps : steps+32 : len(buf)]
 	binary.LittleEndian.PutUint64(p[0:], binary.LittleEndian.Uint64(p[0:])^s0)
 	binary.LittleEndian.PutUint64(p[8:], binary.LittleEndian.Uint64(p[8:])^s1)
 	binary.LittleEndian.PutUint64(p[16:], binary.LittleEndian.Uint64(p[16:])^s2)
 	binary.LittleEndian.PutUint64(p[24:], binary.LittleEndian.Uint64(p[24:])^s3)
+}
+
+// CanReduceColumnPair reports whether ReduceColumnPair is available: the
+// divisor's rows must be four words wide (degree 25..32).
+func (r *Reducer) CanReduceColumnPair() bool { return r.rows4 != nil }
+
+// ReduceColumnPair runs `steps` long-division steps down byte columns col
+// and col+1 of a block-interleaved buffer at once: row i of column c is
+// src[i*stride+c], so each column is one polynomial stored with a stride
+// and nothing is gathered. It stores into win[0] and win[1] the two
+// remainder windows — the contributions the cancelled coefficients make to
+// the Degree() positions that follow row steps-1, zero-padded to 32 bytes.
+// With zeros there that window is column(x)·x^Degree() mod divisor (the
+// parity of a systematic encoder); XORed with what is stored there it is
+// the remainder Reduce would have left. src is only read.
+//
+// Both windows live in registers for the whole pass, as in reduce4, and
+// the two columns' chains are independent: each step's row load waits on
+// its own column's previous load only, so the two load-to-use latencies
+// overlap instead of adding.
+//
+// It panics unless CanReduceColumnPair, 0 <= col, col+1 < stride and src
+// holds steps full rows.
+func (r *Reducer) ReduceColumnPair(win *[2][32]byte, src []byte, stride, col, steps int) {
+	rows := r.rows4
+	if rows == nil {
+		panic(fmt.Sprintf("gf256: ReduceColumnPair needs four-word rows, divisor degree is %d", r.deg))
+	}
+	if col < 0 || col+1 >= stride {
+		panic(fmt.Sprintf("gf256: ReduceColumnPair columns %d,%d outside stride %d", col, col+1, stride))
+	}
+	if steps < 0 || len(src) < steps*stride {
+		panic(fmt.Sprintf("gf256: ReduceColumnPair buffer %d shorter than %d rows of %d", len(src), steps, stride))
+	}
+	var a0, a1, a2, a3, b0, b1, b2, b3 uint64
+	for p := col; steps > 0; p, steps = p+stride, steps-1 {
+		ra := &rows[src[p]^byte(a0)]
+		rb := &rows[src[p+1]^byte(b0)]
+		a0 = (a0>>8 | a1<<56) ^ ra[0]
+		b0 = (b0>>8 | b1<<56) ^ rb[0]
+		a1 = (a1>>8 | a2<<56) ^ ra[1]
+		b1 = (b1>>8 | b2<<56) ^ rb[1]
+		a2 = (a2>>8 | a3<<56) ^ ra[2]
+		b2 = (b2>>8 | b3<<56) ^ rb[2]
+		a3 = a3>>8 ^ ra[3]
+		b3 = b3>>8 ^ rb[3]
+	}
+	binary.LittleEndian.PutUint64(win[0][0:], a0)
+	binary.LittleEndian.PutUint64(win[0][8:], a1)
+	binary.LittleEndian.PutUint64(win[0][16:], a2)
+	binary.LittleEndian.PutUint64(win[0][24:], a3)
+	binary.LittleEndian.PutUint64(win[1][0:], b0)
+	binary.LittleEndian.PutUint64(win[1][8:], b1)
+	binary.LittleEndian.PutUint64(win[1][16:], b2)
+	binary.LittleEndian.PutUint64(win[1][24:], b3)
 }

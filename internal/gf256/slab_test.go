@@ -2,6 +2,7 @@ package gf256
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -12,7 +13,7 @@ func randSlab(seed int64, n int) []byte {
 	return b
 }
 
-// slabLens exercises the word loop, the byte tail, and the empty slice.
+// slabLens runs from the empty slice to well past any generator tail.
 var slabLens = []int{0, 1, 7, 8, 9, 15, 16, 31, 64, 255, 1000}
 
 func TestMulRowMatchesMul(t *testing.T) {
@@ -50,46 +51,6 @@ func TestMulSliceInPlace(t *testing.T) {
 	if !bytes.Equal(buf, want) {
 		t.Fatal("in-place MulSlice differs from out-of-place")
 	}
-}
-
-func TestAddMulSliceMatchesMul(t *testing.T) {
-	for _, n := range slabLens {
-		src := randSlab(int64(n)+4, n)
-		base := randSlab(int64(n)+5, n)
-		for _, c := range []byte{0, 1, 2, 0x1B, 0x80, 0xFF} {
-			dst := append([]byte(nil), base...)
-			AddMulSlice(c, dst, src)
-			for i := range src {
-				if want := base[i] ^ Mul(c, src[i]); dst[i] != want {
-					t.Fatalf("c=%#x n=%d: AddMulSlice[%d]=%#x, want %#x", c, n, i, dst[i], want)
-				}
-			}
-		}
-	}
-}
-
-func TestXorSlice(t *testing.T) {
-	for _, n := range slabLens {
-		src := randSlab(int64(n)+6, n)
-		dst := randSlab(int64(n)+7, n)
-		want := make([]byte, n)
-		for i := range want {
-			want[i] = dst[i] ^ src[i]
-		}
-		XorSlice(dst, src)
-		if !bytes.Equal(dst, want) {
-			t.Fatalf("n=%d: XorSlice mismatch", n)
-		}
-	}
-}
-
-func TestAddMulSliceLengthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("length mismatch did not panic")
-		}
-	}()
-	AddMulSlice(1, []byte{1}, []byte{1, 2})
 }
 
 // refReduce is textbook long division: cancel the leading coefficient by
@@ -151,21 +112,93 @@ func TestReduceShortBufferPanics(t *testing.T) {
 	r.Reduce(make([]byte, 5), 10)
 }
 
-func BenchmarkMulSlice4K(b *testing.B) {
-	src := randSlab(1, 4096)
-	dst := make([]byte, 4096)
-	b.SetBytes(4096)
-	for i := 0; i < b.N; i++ {
-		MulSlice(0x8E, dst, src)
+// TestReduceColumnPairMatchesReduce pins the column kernel to Reduce on
+// the gathered column: for every legal column pair of a strided buffer the
+// two windows equal the remainder Reduce leaves after the same steps over
+// that column followed by zeros, with nothing past Degree() bytes set and
+// the source untouched.
+func TestReduceColumnPairMatchesReduce(t *testing.T) {
+	const k = 223
+	for _, deg := range []int{25, 31, 32} {
+		div := randSlab(int64(deg)+100, deg+1)
+		div[0] = 1
+		r := NewReducer(div)
+		if !r.CanReduceColumnPair() {
+			t.Fatalf("deg=%d: four-word reducer cannot pair columns", deg)
+		}
+		for _, stride := range []int{2, 3, 16, 17, 64} {
+			for _, steps := range []int{0, 1, 2, k} {
+				src := randSlab(int64(stride*1000+steps), steps*stride)
+				snapshot := append([]byte(nil), src...)
+				for col := 0; col+1 < stride; col++ {
+					win := [2][32]byte{{0xAA}, {31: 0xBB}} // junk: must be overwritten
+					r.ReduceColumnPair(&win, src, stride, col, steps)
+					for c := 0; c < 2; c++ {
+						buf := make([]byte, r.Scratch(steps))
+						for i := 0; i < steps; i++ {
+							buf[i] = src[i*stride+col+c]
+						}
+						r.Reduce(buf, steps)
+						var want [32]byte
+						copy(want[:], buf[steps:steps+deg])
+						if win[c] != want {
+							t.Fatalf("deg=%d stride=%d steps=%d col=%d: window %x, want %x", deg, stride, steps, col+c, win[c], want)
+						}
+					}
+				}
+				if !bytes.Equal(src, snapshot) {
+					t.Fatalf("deg=%d stride=%d steps=%d: source modified", deg, stride, steps)
+				}
+			}
+		}
 	}
 }
 
-func BenchmarkAddMulSlice4K(b *testing.B) {
-	src := randSlab(1, 4096)
-	dst := make([]byte, 4096)
-	b.SetBytes(4096)
-	for i := 0; i < b.N; i++ {
-		AddMulSlice(0x8E, dst, src)
+// wantPanic runs f and requires it to panic with exactly msg.
+func wantPanic(t *testing.T, msg string, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		if got := recover(); got != msg {
+			t.Fatalf("panic %q, want %q", got, msg)
+		}
+	}()
+	f()
+}
+
+func TestReduceColumnPairPanics(t *testing.T) {
+	div := randSlab(5, 33)
+	div[0] = 1
+	r := NewReducer(div)
+	var win [2][32]byte
+	src := make([]byte, 10*16)
+	wantPanic(t, "gf256: ReduceColumnPair buffer 160 shorter than 11 rows of 16", func() {
+		r.ReduceColumnPair(&win, src, 16, 0, 11)
+	})
+	wantPanic(t, "gf256: ReduceColumnPair buffer 160 shorter than -1 rows of 16", func() {
+		r.ReduceColumnPair(&win, src, 16, 0, -1)
+	})
+	wantPanic(t, "gf256: ReduceColumnPair columns 15,16 outside stride 16", func() {
+		r.ReduceColumnPair(&win, src, 16, 15, 10)
+	})
+	wantPanic(t, "gf256: ReduceColumnPair columns -1,0 outside stride 16", func() {
+		r.ReduceColumnPair(&win, src, 16, -1, 10)
+	})
+	wantPanic(t, "gf256: ReduceColumnPair columns 0,1 outside stride 1", func() {
+		r.ReduceColumnPair(&win, src, 1, 0, 10)
+	})
+	// Rows narrower or wider than four words have no pair kernel; the
+	// method refuses rather than reading rows it does not have.
+	for _, deg := range []int{4, 16, 24, 33} {
+		div := randSlab(int64(deg), deg+1)
+		div[0] = 1
+		r := NewReducer(div)
+		if r.CanReduceColumnPair() {
+			t.Fatalf("deg=%d: CanReduceColumnPair", deg)
+		}
+		wantPanic(t, fmt.Sprintf("gf256: ReduceColumnPair needs four-word rows, divisor degree is %d", deg), func() {
+			r.ReduceColumnPair(&win, src, 16, 0, 10)
+		})
 	}
 }
 
@@ -182,5 +215,22 @@ func BenchmarkReduce255(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		copy(buf, src)
 		r.Reduce(buf, 223)
+	}
+}
+
+// BenchmarkReduceColumnPair measures the same degree-32 reduction run down
+// the sixteen byte columns of a 223-block chunk where it lies, two columns
+// per pass — the whole of a chunk's parity generation or clean check.
+func BenchmarkReduceColumnPair(b *testing.B) {
+	div := randSlab(9, 33)
+	div[0] = 1
+	r := NewReducer(div)
+	src := randSlab(10, 223*16)
+	var win [2][32]byte
+	b.SetBytes(int64(len(src)))
+	for i := 0; i < b.N; i++ {
+		for col := 0; col < 16; col += 2 {
+			r.ReduceColumnPair(&win, src, 16, col, 223)
+		}
 	}
 }

@@ -38,10 +38,10 @@ func (bc *BlockCode) DataBlocks() int { return bc.code.K() }
 func (bc *BlockCode) ChunkBlocks() int { return bc.code.N() }
 
 // EncodeChunk encodes exactly k·blockSize bytes of data into n·blockSize
-// bytes (data blocks followed by parity blocks). Each of the blockSize
-// interleaved stripes is driven through the code's slab reducer with one
-// scratch buffer reused across stripes — no per-codeword allocation and
-// no full column gather/scatter of the data blocks.
+// bytes (data blocks followed by parity blocks). The data blocks are
+// copied once and each pair of adjacent byte columns is driven through the
+// code's column kernel where it lies — no per-codeword allocation and no
+// full column gather/scatter of the data blocks.
 func (bc *BlockCode) EncodeChunk(data []byte) ([]byte, error) {
 	out := make([]byte, bc.code.N()*bc.blockSize)
 	if err := bc.EncodeChunkInto(out, data); err != nil {
@@ -50,10 +50,15 @@ func (bc *BlockCode) EncodeChunk(data []byte) ([]byte, error) {
 	return out, nil
 }
 
+// maxScratch bounds Reducer.Scratch(k) for every shape New accepts
+// (k + (n-k rounded up to a word) ≤ n + 7), so per-call scratch can live
+// on the stack.
+const maxScratch = 255 + 7
+
 // EncodeChunkInto is EncodeChunk writing into a caller-provided buffer of
-// n·blockSize bytes, allocating only the small per-call reduction
-// scratch. It is the entry point the streaming POR pipeline drives with
-// pooled chunk buffers. dst must not overlap data.
+// n·blockSize bytes, allocating nothing. It is the entry point the
+// streaming POR pipeline drives with pooled chunk buffers. dst must not
+// overlap data.
 func (bc *BlockCode) EncodeChunkInto(dst, data []byte) error {
 	k, n, bs := bc.code.K(), bc.code.N(), bc.blockSize
 	if len(data) != k*bs {
@@ -63,20 +68,42 @@ func (bc *BlockCode) EncodeChunkInto(dst, data []byte) error {
 		return fmt.Errorf("%w: dst is %d bytes, want %d", ErrWrongLength, len(dst), n*bs)
 	}
 	copy(dst, data)
-	rem := make([]byte, bc.code.red.Scratch(k))
-	for j := 0; j < bs; j++ {
-		for b := 0; b < k; b++ {
-			rem[b] = data[b*bs+j]
+	red, parity := bc.code.red, dst[k*bs:]
+	j := 0
+	if red.CanReduceColumnPair() {
+		var win [2][32]byte
+		for ; j+1 < bs; j += 2 {
+			red.ReduceColumnPair(&win, data, bs, j, k)
+			for b := 0; b < n-k; b++ {
+				parity[b*bs+j], parity[b*bs+j+1] = win[0][b], win[1][b]
+			}
 		}
-		for i := k; i < len(rem); i++ {
-			rem[i] = 0
-		}
-		bc.code.red.Reduce(rem, k)
-		for b := k; b < n; b++ {
-			dst[b*bs+j] = rem[b]
+	}
+	var buf [maxScratch]byte
+	for ; j < bs; j++ {
+		for b, v := range bc.reduceColumn(buf[:], data, j) {
+			parity[b*bs+j] = v
 		}
 	}
 	return nil
+}
+
+// reduceColumn is the single-column path for what the pair kernel leaves:
+// the odd trailing column, and every column of a generator whose rows are
+// not four words wide. It gathers column j of src's k data blocks into
+// scratch, reduces it there and returns the n-k remainder coefficients of
+// column(x)·x^(n-k) mod g, which alias scratch.
+func (bc *BlockCode) reduceColumn(scratch, src []byte, j int) []byte {
+	k, n, bs := bc.code.K(), bc.code.N(), bc.blockSize
+	scratch = scratch[:bc.code.red.Scratch(k)]
+	for b := 0; b < k; b++ {
+		scratch[b] = src[b*bs+j]
+	}
+	for i := k; i < len(scratch); i++ {
+		scratch[i] = 0
+	}
+	bc.code.red.Reduce(scratch, k)
+	return scratch[k:n]
 }
 
 // DecodeChunk recovers the k·blockSize data bytes from an n·blockSize
@@ -86,10 +113,10 @@ func (bc *BlockCode) EncodeChunkInto(dst, data []byte) error {
 //
 // Each stripe first passes through a cheap all-syndromes-zero parity
 // check (one slab reduction); clean stripes — the honest-prover common
-// case — copy straight out and never touch the Berlekamp-Massey / Chien /
-// Forney machinery. Erasure hints cannot change the result for a stripe
-// that already is a valid codeword, so the fast path is byte-identical to
-// the full decode.
+// case — are the chunk's leading k·blockSize bytes verbatim and never
+// touch the Berlekamp-Massey / Chien / Forney machinery. Erasure hints
+// cannot change the result for a stripe that already is a valid codeword,
+// so the fast path is byte-identical to the full decode.
 func (bc *BlockCode) DecodeChunk(chunk []byte, badBlocks []int) ([]byte, error) {
 	out := make([]byte, bc.code.K()*bc.blockSize)
 	if err := bc.DecodeChunkInto(out, chunk, badBlocks); err != nil {
@@ -99,9 +126,12 @@ func (bc *BlockCode) DecodeChunk(chunk []byte, badBlocks []int) ([]byte, error) 
 }
 
 // DecodeChunkInto is DecodeChunk writing the recovered k·blockSize data
-// bytes into a caller-provided buffer, allocating only small per-call
-// codeword scratch — the streaming extractor's entry point for pooled
-// buffers. dst must not overlap chunk. On error dst contents are
+// bytes into a caller-provided buffer — the streaming extractor's entry
+// point for pooled buffers. The data blocks are copied once and every
+// stripe is tested against the generator where it lies, with no full
+// column gather/scatter; only a stripe that fails the test is gathered,
+// corrected and written back, so a clean chunk allocates nothing. dst must
+// not overlap chunk, which is only read. On error dst contents are
 // unspecified.
 func (bc *BlockCode) DecodeChunkInto(dst, chunk []byte, badBlocks []int) error {
 	k, n, bs := bc.code.K(), bc.code.N(), bc.blockSize
@@ -120,20 +150,48 @@ func (bc *BlockCode) DecodeChunkInto(dst, chunk []byte, badBlocks []int) error {
 		// Same verdict the symbol decoder reaches on its first stripe.
 		return fmt.Errorf("stripe 0: %w", ErrTooManyErrors)
 	}
-	cw := make([]byte, n)
-	scratch := make([]byte, bc.code.red.Scratch(k))
-	for j := 0; j < bs; j++ {
+	copy(dst, chunk[:k*bs])
+	red, parity := bc.code.red, chunk[k*bs:]
+	var cw [255]byte
+	var buf [maxScratch]byte
+	// check takes w = column(x)·x^(n-k) mod g of stripe j's data symbols.
+	// Adding the received parity symbols gives the stripe's remainder mod
+	// g; only when that is nonzero is the stripe gathered, corrected and
+	// written back over its column of dst.
+	check := func(j int, w []byte) error {
+		for b := range w {
+			w[b] ^= parity[b*bs+j]
+		}
+		if allZero(w) {
+			return nil
+		}
+		synd := bc.code.syndromesFromRemainder(w) // w may alias buf, which correct reuses
 		for b := 0; b < n; b++ {
 			cw[b] = chunk[b*bs+j]
 		}
-		if r := bc.code.remainder(scratch, cw); !allZero(r) {
-			synd := bc.code.syndromesFromRemainder(r)
-			if err := bc.code.correct(cw, synd, badBlocks, scratch); err != nil {
-				return fmt.Errorf("stripe %d: %w", j, err)
-			}
+		if err := bc.code.correct(cw[:n], synd, badBlocks, buf[:red.Scratch(k)]); err != nil {
+			return fmt.Errorf("stripe %d: %w", j, err)
 		}
 		for b := 0; b < k; b++ {
 			dst[b*bs+j] = cw[b]
+		}
+		return nil
+	}
+	j := 0
+	if red.CanReduceColumnPair() {
+		var win [2][32]byte
+		for ; j+1 < bs; j += 2 {
+			red.ReduceColumnPair(&win, chunk, bs, j, k)
+			for c := range win {
+				if err := check(j+c, win[c][:n-k]); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	for ; j < bs; j++ {
+		if err := check(j, bc.reduceColumn(buf[:], chunk, j)); err != nil {
+			return err
 		}
 	}
 	return nil

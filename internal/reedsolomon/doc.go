@@ -11,11 +11,20 @@
 // correctable (up to 32 as erasures), exactly matching the per-block
 // correction power the paper relies on.
 //
-// The hot paths run on the gf256 slab engine: Encode/EncodeChunk compute
-// parity as a single table-driven polynomial reduction, Verify and the
-// clean-path Decode are one reduction plus a zero-remainder check (a clean
-// chunk never touches Berlekamp-Massey), and syndromes are evaluated from
-// the 32-byte remainder rather than the full codeword. Byte-at-a-time
-// reference implementations are retained unexported in reference.go as
-// differential-fuzzing oracles.
+// The hot paths run on the gf256 slab engine. A chunk is coded where it
+// lies: EncodeChunkInto copies the data blocks once and runs the generator
+// LFSR down two adjacent byte columns per pass (gf256's column-pair
+// kernel), scattering only the 32 parity bytes of each column;
+// DecodeChunkInto copies the data blocks once, runs the same kernel, adds
+// each column's received parity and tests the remainder for zero, so a
+// clean chunk never gathers a stripe and never touches Berlekamp-Massey.
+// Only a stripe that fails the test is gathered into a codeword, its
+// syndromes evaluated from the 32-byte remainder rather than the full
+// codeword, corrected — without the Chien search when Berlekamp-Massey
+// finds no error outside the erasure list, whose positions are then the
+// locator's roots by construction — re-checked against the generator and
+// written back. The single-codeword API (Encode/Verify/Decode), an odd
+// trailing column and generators that are not four words wide use the
+// one-column Reduce. Byte-at-a-time reference implementations are retained
+// unexported in reference.go as differential-fuzzing oracles.
 package reedsolomon

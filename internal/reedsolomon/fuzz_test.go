@@ -3,6 +3,7 @@ package reedsolomon
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -102,6 +103,99 @@ func FuzzRSRoundTrip(f *testing.F) {
 			}
 		case !errors.Is(err, ErrTooManyErrors):
 			t.Fatalf("n=%d k=%d: beyond-capacity decode gave unexpected error: %v", n, k, err)
+		}
+	})
+}
+
+var fuzzBlockCodes = func() []*Code {
+	out := make([]*Code, len(columnShapes))
+	for i, s := range columnShapes {
+		out[i] = MustNew(s.n, s.k)
+	}
+	return out
+}()
+
+// FuzzBlockCodeRoundTrip drives the chunk codec with the fuzzer's data,
+// block size, damaged blocks and erasure list (which may name clean blocks,
+// miss damaged ones and repeat itself). With v damaged blocks outside a
+// list of e distinct positions, 2v + e ≤ n-k must decode back to the input.
+// A list longer than n-k, or a repeated position in a damaged chunk, must
+// fail with ErrTooManyErrors. Damage beyond 2v + e ≤ n-k can never decode
+// to the input and fails the same way — except that a bounded-distance
+// decoder may land on another codeword with probability ≈ 1/u!, u being
+// the (n-k-e)/2 errors the unspent parity could still locate, so success
+// with different bytes is tolerated there when u < 8.
+func FuzzBlockCodeRoundTrip(f *testing.F) {
+	f.Add([]byte("geoproof"), uint8(0), uint8(16), []byte{}, []byte{})
+	f.Add([]byte{0}, uint8(0), uint8(17), []byte{3, 200}, []byte{3, 200})
+	f.Add([]byte{1, 2, 3}, uint8(0), uint8(3), []byte{9}, []byte{9, 9})
+	f.Add([]byte{7}, uint8(1), uint8(2), []byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{})
+	f.Add([]byte{9}, uint8(2), uint8(32), []byte{0, 14}, []byte{14, 5})
+	f.Add([]byte{5}, uint8(0), uint8(1), []byte{10, 20, 30}, []byte{10, 20})
+	f.Fuzz(func(t *testing.T, seedData []byte, shape, rawBS uint8, damage, hints []byte) {
+		code := fuzzBlockCodes[int(shape)%len(fuzzBlockCodes)]
+		n, k, bs := code.N(), code.K(), 1+int(rawBS)%32
+		bc, err := NewBlockCode(code, bs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := make([]byte, k*bs)
+		if len(seedData) > 0 {
+			for i := range data {
+				data[i] = seedData[i%len(seedData)] + byte(i/len(seedData))
+			}
+		}
+		chunk, err := bc.EncodeChunk(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		damaged := make(map[int]bool)
+		for i, p := range damage {
+			b := int(p) % n
+			if damaged[b] {
+				continue
+			}
+			damaged[b] = true
+			for j := b * bs; j < (b+1)*bs; j++ {
+				chunk[j] ^= byte(1 + (i+j)%255)
+			}
+		}
+		list := make([]int, len(hints))
+		hinted := make(map[int]bool)
+		for i, p := range hints {
+			list[i] = int(p) % n
+			hinted[list[i]] = true
+		}
+		unknown := 0
+		for b := range damaged {
+			if !hinted[b] {
+				unknown++
+			}
+		}
+		dup := len(hinted) < len(list)
+		mustFail := len(list) > n-k || dup && len(damaged) > 0
+		within := !mustFail && (len(damaged) == 0 || 2*unknown+len(hinted) <= n-k)
+
+		snapshot := append([]byte(nil), chunk...)
+		got, err := bc.DecodeChunk(chunk, list)
+		if !bytes.Equal(chunk, snapshot) {
+			t.Fatal("DecodeChunk modified its input")
+		}
+		desc := fmt.Sprintf("n=%d k=%d bs=%d damaged=%d unknown=%d hints=%v", n, k, bs, len(damaged), unknown, list)
+		switch {
+		case err != nil && !errors.Is(err, ErrTooManyErrors):
+			t.Fatalf("%s: unexpected error %v", desc, err)
+		case within && err != nil:
+			t.Fatalf("%s: %v", desc, err)
+		case within && !bytes.Equal(got, data):
+			t.Fatalf("%s: decoded wrong data", desc)
+		case mustFail && err == nil:
+			t.Fatalf("%s: decoded with an unusable erasure list", desc)
+		case !within && err == nil && bytes.Equal(got, data):
+			t.Fatalf("%s: decoded the input from beyond capacity", desc)
+		case !within && err == nil && (n-k-len(hinted))/2 >= 8:
+			t.Fatalf("%s: miscorrected beyond capacity", desc)
 		}
 	})
 }

@@ -173,9 +173,16 @@ func (c *Code) correct(cw, synd []byte, erasures []int, scratch []byte) error {
 	// Full locator = error locator × erasure locator.
 	locator := mulAsc(lambda, gamma)
 
-	positions, err := c.chienSearch(locator)
-	if err != nil {
-		return err
+	// Λ = 1 means no error outside the erasure list: the locator is Γ
+	// itself and its roots are the erasure positions by construction, so
+	// the search over all n positions would only rediscover them. A
+	// repeated position makes Γ's roots fewer than its degree; that case
+	// keeps the search and the ErrTooManyErrors it ends in.
+	positions := erasures
+	if len(lambda) != 1 || !distinct(erasures) {
+		if positions, err = c.chienSearch(locator); err != nil {
+			return err
+		}
 	}
 	if err := c.forney(cw, synd, locator, positions); err != nil {
 		return err
@@ -294,6 +301,19 @@ func (c *Code) forney(cw, synd, locator []byte, positions []int) error {
 		cw[p] ^= gf256.Div(num, den)
 	}
 	return nil
+}
+
+// distinct reports whether no codeword position occurs twice in ps; the
+// caller has already bounded every position to [0, 255).
+func distinct(ps []int) bool {
+	var seen [255]bool
+	for _, p := range ps {
+		if seen[p] {
+			return false
+		}
+		seen[p] = true
+	}
+	return true
 }
 
 func allZero(p []byte) bool {

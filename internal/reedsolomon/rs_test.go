@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/gf256"
 )
 
 func TestNewRejectsBadShapes(t *testing.T) {
@@ -190,6 +193,41 @@ func TestDecodeBadErasurePosition(t *testing.T) {
 	}
 	if _, err := c.Decode(cw, []int{-1}); !errors.Is(err, ErrBadErasurePos) {
 		t.Fatalf("got %v, want ErrBadErasurePos", err)
+	}
+}
+
+// TestErasureLocatorRootsAreTheErasures pins what correct's shortcut past
+// the Chien search rests on: the roots of Γ(x) = Π (1 - x·α^(n-1-p)) over
+// distinct positions p are exactly those positions, so when Λ = 1 the
+// search could only hand the list back; a repeated position leaves fewer
+// roots than Γ's degree, which the search turns into ErrTooManyErrors.
+func TestErasureLocatorRootsAreTheErasures(t *testing.T) {
+	for _, s := range columnShapes {
+		c := MustNew(s.n, s.k)
+		rng := rand.New(rand.NewSource(int64(s.n + s.k)))
+		for e := 0; e <= s.n-s.k; e++ {
+			erasures := rng.Perm(s.n)[:e]
+			gamma := []byte{1}
+			for _, p := range erasures {
+				gamma = mulAsc(gamma, []byte{1, gf256.Exp(s.n - 1 - p)})
+			}
+			got, err := c.chienSearch(gamma)
+			if err != nil {
+				t.Fatalf("(%d,%d) e=%d: %v", s.n, s.k, e, err)
+			}
+			slices.Sort(erasures)
+			if !distinct(erasures) || !slices.Equal(got, erasures) {
+				t.Fatalf("(%d,%d) e=%d: roots %v, erasures %v", s.n, s.k, e, got, erasures)
+			}
+			if e == 0 {
+				continue
+			}
+			twice := append(erasures, erasures[0])
+			gamma = mulAsc(gamma, []byte{1, gf256.Exp(s.n - 1 - erasures[0])})
+			if _, err := c.chienSearch(gamma); distinct(twice) || !errors.Is(err, ErrTooManyErrors) {
+				t.Fatalf("(%d,%d) e=%d repeated: distinct=%v err=%v", s.n, s.k, e, distinct(twice), err)
+			}
+		}
 	}
 }
 

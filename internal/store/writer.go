@@ -43,8 +43,12 @@ const (
 	// shard may never reach 4 GiB (2 GiB keeps ample margin and bounds
 	// the materialisation buffer too).
 	hardMaxShardBytes = 1 << 31
-	// compactChunkBytes sizes the sequential read buffer used when a
-	// staging log is replayed into its shard image.
+	// minReplayBytes is the smallest staging window the flush keeps as
+	// its replay and checksum buffer; below it the reads would be too
+	// short, and a compactChunkBytes buffer is allocated instead.
+	minReplayBytes = 64 << 10
+	// compactChunkBytes sizes the sequential read buffer of Verify, and
+	// of the staging-log replay and Commit when no window serves.
 	compactChunkBytes = 1 << 20
 )
 
@@ -108,6 +112,7 @@ type Writer struct {
 	placeTmps sync.Pool
 	placed    atomic.Int64
 	flushed   bool
+	scratch   []byte // whole records; the replay buffer, then Commit's read buffer
 	flushErr  error
 	done      bool
 }
@@ -384,14 +389,17 @@ func (w *Writer) flushPlacements(finish func(img []byte, off int64) error) error
 	if got, want := w.placed.Load(), w.layout.TotalBlocks; got != want {
 		return fmt.Errorf("store: %d blocks placed, layout has %d", got, want)
 	}
-	// Drain and drop every staging window before the shard image is
-	// allocated: the two together would be the encode's largest live set,
-	// held for a moment only — a peak the collector's pacing meets on some
-	// runs and misses on others.
+	// Drain and drop every staging window (but the one kept as the replay
+	// buffer) before the shard image is allocated: the two together would
+	// be the encode's largest live set, held for a moment only — a peak
+	// the collector's pacing meets on some runs and misses on others.
 	for s := range w.stages {
 		st := &w.stages[s]
 		st.mu.Lock()
 		err := w.spillLocked(s, st)
+		if w.scratch == nil && cap(st.buf) >= minReplayBytes {
+			w.scratch = st.buf[:cap(st.buf)]
+		}
 		st.buf = nil
 		st.mu.Unlock()
 		if err != nil {
@@ -399,14 +407,20 @@ func (w *Writer) flushPlacements(finish func(img []byte, off int64) error) error
 		}
 	}
 	shardBuf := make([]byte, w.man.ShardBytes)
-	// Replay in whole records, at least one per read: giant block sizes
-	// (record > compactChunkBytes) must degrade to one-record reads, not
-	// to a zero-length buffer that would never advance the replay.
-	recsPerRead := compactChunkBytes / w.recBytes
-	if recsPerRead < 1 {
-		recsPerRead = 1
+	// Replay in whole records through one of the drained windows — memory
+	// the encode already holds, so the image is the flush's only large
+	// allocation. Without a window big enough, at least one record per
+	// read: giant block sizes (record > compactChunkBytes) must degrade to
+	// one-record reads, not to a zero-length buffer that would never
+	// advance the replay.
+	if w.scratch == nil {
+		recsPerRead := compactChunkBytes / w.recBytes
+		if recsPerRead < 1 {
+			recsPerRead = 1
+		}
+		w.scratch = make([]byte, recsPerRead*w.recBytes)
 	}
-	readBuf := make([]byte, recsPerRead*w.recBytes)
+	readBuf := w.scratch
 	bs := w.layout.BlockSize
 	// Block positions inside a shard enumerate injectively as
 	// (segment, block-in-segment); shard sizes are segment multiples, so
@@ -516,10 +530,9 @@ func (w *Writer) Commit() (Manifest, error) {
 	if err := w.FlushPlacements(nil); err != nil {
 		return Manifest{}, err
 	}
-	buf := make([]byte, compactChunkBytes)
 	for s, f := range w.shards {
 		crc := crc32.New(castagnoli)
-		if _, err := io.CopyBuffer(crc, io.NewSectionReader(f, 0, w.man.Shards[s].Bytes), buf); err != nil {
+		if _, err := io.CopyBuffer(crc, io.NewSectionReader(f, 0, w.man.Shards[s].Bytes), w.scratch); err != nil {
 			return Manifest{}, fmt.Errorf("store: checksum shard %d: %w", s, err)
 		}
 		w.man.Shards[s].CRC32C = crc.Sum32()
@@ -534,7 +547,7 @@ func (w *Writer) Commit() (Manifest, error) {
 	if err := writeManifest(w.dir, w.man); err != nil {
 		return Manifest{}, err
 	}
-	w.done = true
+	w.done, w.scratch = true, nil
 	return w.man, nil
 }
 
