@@ -1,11 +1,10 @@
 // Command geoproofd is the prover daemon: it serves a prepared file's
 // segments over TCP, optionally simulating a disk technology's look-up
 // latency so timing experiments behave like the paper's data centres.
-// The wire protocol is negotiated per connection: verifiers that send a
-// mux Hello get the multiplexed v2 transport (many concurrent audit
-// streams and pipelined challenge batches on one connection), while
-// legacy v1 verifiers are served serial request/response on the same
-// port with no configuration.
+// Verifiers open each connection with a mux Hello and get the multiplexed
+// v2 transport: many concurrent audits on one connection, every timed
+// round a stream of its own. A connection that opens with anything else
+// is answered with one error frame and closed.
 //
 // Usage:
 //

@@ -23,8 +23,8 @@
 //	geoverifierd -addr :9342 -prover host:9341 [-lat -27.4698 -lon 153.0251]
 //	geoverifierd -audit -meta data.meta.json -provers host:9341,host2:9341 \
 //	    [-tenants 8] [-epochs 3] [-k 20] [-tmax 50ms] [-window 2] \
-//	    [-timeout 5s] [-retries 1] [-j 8] [-transport pooled] [-conns 1] \
-//	    [-retain 8] [-policy host2:9341=window=1,timeout=20s,retries=0]
+//	    [-timeout 5s] [-retries 1] [-j 8] [-retain 8] \
+//	    [-policy host2:9341=window=1,timeout=20s,retries=0]
 //	geoverifierd -controller -meta data.meta.json -provers host:9341,host2:9341 \
 //	    [-status-addr 127.0.0.1:9343] [-period 10s] [-period-jitter 0.2] \
 //	    [-probe-period 2s] [-retain 8] [-tenants 8] [-k 20] [-tmax 50ms]
@@ -33,12 +33,11 @@
 // a slow WAN site can get a wider deadline and narrower window without
 // loosening the LAN fleet's policy.
 //
-// -transport picks how audit rounds reach the provers: "pooled" (the
-// default) keeps persistent multiplexed connections warm in a pool and
-// pipelines each audit's challenge batch in one flush — against an old
-// v1-only prover the pool transparently falls back to exclusive
-// per-audit checkout on the same connections — while "dial" restores the
-// original one-TCP-dial-per-audit behaviour for comparison.
+// Audit rounds reach the provers over one persistent multiplexed
+// connection per prover, kept warm in a pool and shared by every audit in
+// flight. Within an audit the k challenge rounds are serial — the next
+// challenge leaves only after the last response arrived — so each round's
+// time is the paper's per-round distance bound.
 package main
 
 import (
@@ -106,8 +105,6 @@ func run() error {
 	timeout := flag.Duration("timeout", 5*time.Second, "per-attempt audit deadline (audit mode)")
 	retries := flag.Int("retries", 1, "retries after a transport failure or timeout (audit mode)")
 	workers := flag.Int("j", 0, "concurrent audits across all provers, 0 = NumCPU (audit mode)")
-	transport := flag.String("transport", "pooled", "prover transport: pooled (persistent mux conns) or dial (one dial per audit)")
-	conns := flag.Int("conns", 1, "warm pooled connections per prover (audit mode, -transport pooled)")
 	batchSign := flag.Bool("batchsign", false,
 		"amortize transcript signing: Merkle-batch transcript digests and sign one root per batch "+
 			"(daemon mode: offered to TPAs that negotiate it; audit mode: used by the in-process verifier)")
@@ -162,16 +159,12 @@ func run() error {
 		if targets == "" {
 			targets = *prover
 		}
-		if *transport != "pooled" && *transport != "dial" {
-			return fmt.Errorf("-transport %q: want pooled or dial", *transport)
-		}
 		o := schedOpts{
 			verifier: verifier, signerPub: signer, metaPath: *metaPath,
 			provers: strings.Split(targets, ","),
 			tenants: *tenants, epochs: *epochs, k: *k,
 			tmax: *tmax, radiusKm: *radius, lat: *lat, lon: *lon,
 			window: *window, timeout: *timeout, retries: *retries, workers: *workers,
-			transport: *transport, conns: *conns,
 			policies: policies, retain: *retain,
 			statusAddr: *statusAddr, period: *period,
 			periodJitter: *periodJitter, probePeriod: *probePeriod,
@@ -190,11 +183,7 @@ func run() error {
 		hex.EncodeToString(elliptic.MarshalCompressed(pub.Curve, pub.X, pub.Y)))
 	srv := &core.VerifierServer{
 		Verifier: verifier,
-		// DialMuxProver negotiates the multiplexed v2 transport so each
-		// audit's challenge batch goes out in one flush; against an old
-		// v1-only prover it falls back to serial rounds on the same
-		// connection.
-		DialProver: func() (core.ProverConn, error) {
+		Dial: func() (core.ProverConn, error) {
 			return core.DialMuxProver(*prover, 5*time.Second)
 		},
 		// Offered per connection: TPAs that negotiate batch attestation
@@ -226,8 +215,6 @@ type schedOpts struct {
 	timeout   time.Duration
 	retries   int
 	workers   int
-	transport string
-	conns     int
 	policies  map[string]core.ProverPolicy
 	retain    uint64
 
@@ -392,45 +379,24 @@ func runScheduler(o schedOpts) error {
 			})
 		}
 	}
-	// Pooled transport: one shared pool of persistent multiplexed
-	// connections across every prover; each audit borrows a warm conn and
-	// pipelines its whole challenge batch. The scheduler's attempt context
-	// cancels only the borrowed stream, so an abandoned audit never kills
-	// a sibling's in-flight rounds. -transport dial keeps the original
-	// connection-per-audit runner for comparison.
-	var pool *core.ProverPool
-	if o.transport != "dial" {
-		pool = &core.ProverPool{DialTimeout: o.timeout, ConnsPerAddr: o.conns}
-		defer pool.Close()
-	}
+	// One shared pool of persistent multiplexed connections across every
+	// prover; each audit borrows the warm conn and runs its k serial
+	// rounds on it. The scheduler's attempt context cancels only the
+	// borrowed round's stream, so an abandoned audit never kills a
+	// sibling's in-flight rounds.
+	pool := &core.ProverPool{DialTimeout: o.timeout}
+	defer pool.Close()
 	for _, addr := range addrs {
-		addr := addr
 		policy := o.policies[addr]
-		var runner core.AuditRunner
-		if pool != nil {
-			runner = &core.PooledRunner{Verifier: o.verifier, Addr: addr, Pool: pool}
-		} else {
-			runner = &core.DialProverRunner{
-				Verifier: o.verifier,
-				Dial: func() (core.ProverConn, error) {
-					return core.DialProver(addr, o.timeout)
-				},
-				AttemptTimeout: policy.EffectiveTimeout(o.timeout),
-			}
-		}
-		sched.RegisterProverPolicy(addr, runner, policy)
+		sched.RegisterProverPolicy(addr, &core.PooledRunner{Verifier: o.verifier, Addr: addr, Pool: pool}, policy)
 		if policy != (core.ProverPolicy{}) {
 			slog.Info("policy override", "prover", addr, "policy", fmt.Sprintf("%+v", policy))
 		}
 	}
 
-	transport := "pooled mux"
-	if pool == nil {
-		transport = "dial-per-audit"
-	}
 	slog.Info("audit scheduler starting",
 		"tenants", o.tenants, "provers", len(addrs), "rounds", o.k,
-		"window", o.window, "tmax", o.tmax, "transport", transport)
+		"window", o.window, "tmax", o.tmax)
 	for epoch := 1; o.epochs == 0 || epoch <= o.epochs; epoch++ {
 		// Continuous runs stay bounded: fold epochs older than the
 		// retention window into the per-(tenant, prover) archive cells.
@@ -469,7 +435,7 @@ func runController(o schedOpts) error {
 		return fmt.Errorf("-period-jitter %v: want a fraction in [0,1]", o.periodJitter)
 	}
 
-	pool := &core.ProverPool{DialTimeout: o.timeout, ConnsPerAddr: o.conns}
+	pool := &core.ProverPool{DialTimeout: o.timeout}
 	defer pool.Close()
 	// nil clock = wall clock; the tracer's ring feeds /debug/audits.
 	tracer := telemetry.NewAuditTracer(o.traceRetain, nil)

@@ -64,10 +64,6 @@ func run() error {
 	}
 	enc := por.NewEncoder(master).WithParams(m.Params)
 
-	// Negotiate the multiplexed transport where the prover supports it
-	// (the audit's challenge rounds are then pipelined as one batch);
-	// against a pre-mux prover this falls back to the v1 protocol on the
-	// same connection.
 	conn, err := core.DialMuxProver(*addr, 5*time.Second)
 	if err != nil {
 		return err

@@ -1,12 +1,11 @@
 // Muxaudit: the multiplexed audit transport end to end over real TCP —
-// a ProverServer on loopback, a ProverPool keeping one persistent
-// negotiated v2 connection warm, and the core.Scheduler driving a
-// tenant fleet's audits through PooledRunner so every audit's challenge
-// batch is pipelined in a single flush on the shared connection. The
-// demo self-checks the three properties the transport refactor is for:
-// every scheduled audit rides one TCP dial, a cancelled in-flight audit
-// does not poison the connection for its siblings, and the pooled
-// transport beats dial-per-audit on the same prover.
+// a ProverServer on loopback, a ProverPool keeping one persistent mux
+// v2 connection warm, and the core.Scheduler driving a tenant fleet's
+// audits through PooledRunner so concurrent audits share the connection,
+// each running its k serial timed rounds on streams of its own. The
+// demo self-checks the two properties the shared connection is for:
+// every scheduled audit rides one TCP dial, and a cancelled in-flight
+// audit does not poison the connection for its siblings.
 package main
 
 import (
@@ -96,14 +95,12 @@ func run() error {
 	if d := pool.Dials(); d != 1 {
 		return fmt.Errorf("%d audits used %d TCP dials, want 1", len(verdicts), d)
 	}
-	fmt.Printf("epoch: %d audits × %d pipelined rounds over 1 pooled connection in %v (%.0f audits/s)\n",
+	fmt.Printf("epoch: %d audits × %d serial rounds over 1 pooled connection in %v (%.0f audits/s)\n",
 		len(verdicts), rounds, elapsed.Round(time.Millisecond), float64(len(verdicts))/elapsed.Seconds())
 
 	// Cancellation isolation: an audit abandoned mid-flight tombstones
 	// only its own stream. The connection stays healthy, the pool keeps
-	// it, and a sibling audit on the same conn succeeds immediately —
-	// under the v1 serial protocol this was a desync that killed the
-	// connection for everyone.
+	// it, and a sibling audit on the same conn succeeds immediately.
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	req, err := tpa.NewRequest(ef.FileID, ef.Layout, rounds)
@@ -129,62 +126,6 @@ func run() error {
 		return fmt.Errorf("cancellation forced a redial (%d dials), conn was poisoned", d)
 	}
 	fmt.Println("cancelled in-flight audit left the shared connection healthy (no redial)")
-
-	// Per-audit latency, serial vs serial: the warm pooled connection
-	// pipelines all k challenges in one flush, while dial-per-audit pays
-	// a TCP dial plus k serial round trips — the pre-refactor transport.
-	serial := func(audit func() error) (time.Duration, error) {
-		start := time.Now()
-		for i := 0; i < len(tasks); i++ {
-			if err := audit(); err != nil {
-				return 0, err
-			}
-		}
-		return time.Since(start), nil
-	}
-	muxElapsed, err := serial(func() error {
-		r, err := tpa.NewRequest(ef.FileID, ef.Layout, rounds)
-		if err != nil {
-			return err
-		}
-		st, err := runner.RunAudit(context.Background(), r)
-		if err != nil {
-			return err
-		}
-		if rep := tpa.VerifyAudit(r, ef.Layout, st); !rep.Accepted {
-			return fmt.Errorf("pooled audit rejected: %s", rep.Reason())
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	dialElapsed, err := serial(func() error {
-		conn, err := core.DialProver(addr, 5*time.Second)
-		if err != nil {
-			return err
-		}
-		defer conn.Close()
-		r, err := tpa.NewRequest(ef.FileID, ef.Layout, rounds)
-		if err != nil {
-			return err
-		}
-		st, err := verifier.RunAudit(context.Background(), r, conn)
-		if err != nil {
-			return err
-		}
-		if rep := tpa.VerifyAudit(r, ef.Layout, st); !rep.Accepted {
-			return fmt.Errorf("dial audit rejected: %s", rep.Reason())
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("serial per-audit latency: pooled mux %v, dial-per-audit %v — x%.1f on loopback\n",
-		(muxElapsed / time.Duration(len(tasks))).Round(time.Microsecond),
-		(dialElapsed / time.Duration(len(tasks))).Round(time.Microsecond),
-		dialElapsed.Seconds()/muxElapsed.Seconds())
 	fmt.Println("muxaudit: OK")
 	return nil
 }

@@ -263,8 +263,8 @@ func TestVerifierServerBatchNegotiation(t *testing.T) {
 		vs := &VerifierServer{
 			Verifier:    verifier,
 			BatchSigner: bs,
-			DialProver: func() (ProverConn, error) {
-				return DialProver(proverAddr, time.Second)
+			Dial: func() (ProverConn, error) {
+				return DialMuxProver(proverAddr, time.Second)
 			},
 		}
 		lis, err := net.Listen("tcp", "127.0.0.1:0")

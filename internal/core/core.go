@@ -180,36 +180,15 @@ func (st SignedTranscript) Mode() AttestationMode {
 // ProverConn is the verifier's channel to the prover. Implementations
 // carry the request over the simulated network (advancing virtual time)
 // or over a real TCP connection; the verifier times the call with its own
-// clock either way.
+// clock either way. One call is one challenge and one response: the
+// verifier never has two rounds of an audit in flight, because the
+// per-round time is the distance bound (§V-B).
 //
 // GetSegment must honour ctx: return promptly once ctx is cancelled or
-// past its deadline (transports poke an I/O deadline to unblock reads in
-// flight). This is what lets the audit scheduler truly cancel a
-// timed-out attempt instead of abandoning its goroutine.
+// past its deadline. This is what lets the audit scheduler truly cancel
+// a timed-out attempt instead of abandoning its goroutine.
 type ProverConn interface {
 	GetSegment(ctx context.Context, fileID string, index uint64) ([]byte, error)
-}
-
-// BatchSegmentResult is one round's outcome from a pipelined challenge
-// batch: the segment (nil when the prover failed the round), the RTT the
-// transport measured for it, and the failure flag.
-type BatchSegmentResult struct {
-	Data   []byte
-	RTT    time.Duration
-	Failed bool
-}
-
-// BatchProverConn is the optional transport capability for pipelined
-// audits: all challenge indices are written in one flush and every
-// response is timed on arrival by the transport itself. Verifier.RunAudit
-// uses it automatically when the connection offers it, cutting the audit
-// from k serial round trips to one. Implementations must preserve
-// request order (result i answers indices[i]) and report per-round
-// prover failures as Failed results, reserving the error return for
-// whole-batch transport failures.
-type BatchProverConn interface {
-	ProverConn
-	GetSegmentBatch(ctx context.Context, fileID string, indices []uint64) ([]BatchSegmentResult, error)
 }
 
 // Verifier is the tamper-proof device: a signing key, a GPS receiver and
@@ -251,10 +230,11 @@ func (v *Verifier) WithBatchSigner(bs *crypt.BatchSigner) *Verifier {
 }
 
 // RunAudit executes the distance-bounding phase: it derives the challenge
-// indices from the nonce, requests each segment over conn while timing
-// the round trip on its own clock, then signs the transcript together
-// with its GPS fix. Failed rounds are recorded rather than aborting the
-// audit — the TPA decides what failures mean.
+// indices from the nonce, requests each segment over conn — one at a
+// time, the next challenge leaving only after the last response arrived
+// — while timing the round trip on its own clock, then signs the
+// transcript together with its GPS fix. Failed rounds are recorded
+// rather than aborting the audit — the TPA decides what failures mean.
 //
 // ctx cancellation aborts the audit between (and, for ctx-aware
 // transports, inside) rounds with ctx's error: a cancelled audit yields
@@ -276,48 +256,27 @@ func (v *Verifier) RunAudit(ctx context.Context, req AuditRequest, conn ProverCo
 	}
 	tr := telemetry.TraceFrom(ctx)
 	endRounds := tr.Span("rounds")
-	var rounds []AuditRound
-	if bc, ok := conn.(BatchProverConn); ok {
-		// Pipelined path: the transport flushes every challenge at once
-		// and times each response on arrival with its own (wall) clock, so
-		// the audit costs one round trip instead of k.
-		results, err := bc.GetSegmentBatch(ctx, req.FileID, indices)
+	rounds := make([]AuditRound, 0, len(indices))
+	for _, idx := range indices {
+		if err := ctx.Err(); err != nil {
+			return SignedTranscript{}, fmt.Errorf("core: audit cancelled after %d rounds: %w", len(rounds), err)
+		}
+		start := v.clock.Now()
+		seg, err := conn.GetSegment(ctx, req.FileID, idx)
+		rtt := v.clock.Now().Sub(start)
+		if ctx.Err() != nil {
+			// The round lost a race with cancellation: whatever came back is
+			// not evidence about the prover, so drop the audit rather than
+			// record it.
+			return SignedTranscript{}, fmt.Errorf("core: audit cancelled after %d rounds: %w", len(rounds), ctx.Err())
+		}
+		round := AuditRound{Index: idx, RTT: rtt}
 		if err != nil {
-			return SignedTranscript{}, fmt.Errorf("core: batch audit: %w", err)
+			round.Failed = true
+		} else {
+			round.Segment = seg
 		}
-		if len(results) != len(indices) {
-			return SignedTranscript{}, fmt.Errorf("%w: batch returned %d of %d rounds", ErrBadTranscript, len(results), len(indices))
-		}
-		rounds = make([]AuditRound, len(indices))
-		for i, r := range results {
-			rounds[i] = AuditRound{Index: indices[i], RTT: r.RTT, Failed: r.Failed}
-			if !r.Failed {
-				rounds[i].Segment = r.Data
-			}
-		}
-	} else {
-		rounds = make([]AuditRound, 0, len(indices))
-		for _, idx := range indices {
-			if err := ctx.Err(); err != nil {
-				return SignedTranscript{}, fmt.Errorf("core: audit cancelled after %d rounds: %w", len(rounds), err)
-			}
-			start := v.clock.Now()
-			seg, err := conn.GetSegment(ctx, req.FileID, idx)
-			rtt := v.clock.Now().Sub(start)
-			if ctx.Err() != nil {
-				// The round lost a race with cancellation: whatever came back
-				// (usually a poked-deadline I/O error) is not evidence about
-				// the prover, so drop the audit rather than record it.
-				return SignedTranscript{}, fmt.Errorf("core: audit cancelled after %d rounds: %w", len(rounds), ctx.Err())
-			}
-			round := AuditRound{Index: idx, RTT: rtt}
-			if err != nil {
-				round.Failed = true
-			} else {
-				round.Segment = seg
-			}
-			rounds = append(rounds, round)
-		}
+		rounds = append(rounds, round)
 	}
 	endRounds()
 	endAttest := tr.Span("attest")

@@ -18,20 +18,23 @@
 //
 // # Transports
 //
-// The verifier reaches the prover through the ProverConn interface, with
-// three implementations: SimProverConn rides the deterministic simulated
-// network (simnet, virtual clock); TCPProverConn speaks the serial v1
-// wire framing against a live ProverServer (cmd/geoproofd); and
+// The verifier reaches the prover through the ProverConn interface — one
+// call, one challenge, one response, one round trip timed on the
+// verifier's clock — with two implementations: SimProverConn rides the
+// deterministic simulated network (simnet, virtual clock), and
 // MuxProverConn speaks the multiplexed v2 framing (internal/wire/doc.go)
-// negotiated on the same port — many concurrent audit streams per
-// connection, each audit's k challenges pipelined in one flush
-// (BatchProverConn), per-stream cancellation that never poisons sibling
-// streams. ProverPool keeps negotiated connections warm per address
-// (sharing mux conns, falling back to exclusive checkout for v1-only
-// provers), and VerifierServer and RemoteVerifier add the third leg — a
-// TPA talking to a remote verifier daemon (cmd/geoverifierd), with
-// VerifierPool reusing daemon connections — making the deployment fully
-// distributed as in the paper's Fig. 4.
+// against a live ProverServer (cmd/geoproofd): many concurrent audits
+// share one connection, each round on its own stream, with per-stream
+// cancellation that never poisons sibling streams. An audit's k rounds
+// are serial on both: the next challenge leaves only after the last
+// response arrived, so max RTT ≤ Δt_max is the paper's per-round
+// distance bound, and throughput comes from many audits multiplexed
+// across streams, never from pipelining one audit's challenges. A peer
+// that does not speak mux v2 is refused at the Hello. ProverPool keeps
+// one connection warm per address, and VerifierServer and RemoteVerifier
+// add the third leg — a TPA talking to a remote verifier daemon
+// (cmd/geoverifierd), with VerifierPool reusing daemon connections —
+// making the deployment fully distributed as in the paper's Fig. 4.
 //
 // # Multi-tenant audit scheduling
 //
@@ -45,10 +48,9 @@
 // knobs over the fleet defaults. Verdicts aggregate in an AuditLedger
 // keyed by (tenant, prover, epoch). The same scheduler runs over every
 // transport via the AuditRunner implementations: LocalRunner (in-process,
-// simnet or a fixed connection), DialProverRunner (local verifier, TCP
-// dial per audit), PooledRunner (local verifier, warm multiplexed conns
-// from a ProverPool) and RemoteRunner (remote verifier daemon, optionally
-// pooled via VerifierPool).
+// simnet or a fixed connection), PooledRunner (local verifier, the warm
+// multiplexed conn from a ProverPool) and RemoteRunner (remote verifier
+// daemon, optionally pooled via VerifierPool).
 //
 // # Transcript attestation
 //
@@ -119,7 +121,8 @@
 // A context.Context threads the whole audit path — RunEpoch →
 // AuditRunner.RunAudit → Verifier.RunAudit → ProverConn.GetSegment — so
 // a timed-out attempt is cancelled, not abandoned: the scheduler cancels
-// the attempt's context when it frees the window slot, ctx-aware
-// transports poke their I/O deadline to unblock reads in flight, and the
-// attempt's goroutine unwinds instead of leaking against a hung prover.
+// the attempt's context when it frees the window slot, the mux transport
+// abandons just that round's stream (the serial daemon leg pokes its I/O
+// deadline instead), and the attempt's goroutine unwinds instead of
+// leaking against a hung prover.
 package core

@@ -51,28 +51,16 @@ var (
 	metricMuxFramesRead = telemetry.Default.Counter(
 		"geoproof_mux_frames_read_total",
 		"Frames read on multiplexed prover connections.")
-	metricMuxStreamAborts = telemetry.Default.Counter(
-		"geoproof_mux_stream_aborts_total",
-		"Per-stream aborts received on multiplexed prover connections.")
-	metricMuxV1Fallbacks = telemetry.Default.Counter(
-		"geoproof_mux_v1_fallbacks_total",
-		"Negotiations that fell back to the serial v1 transport.")
 
 	// Prover server side (geoproofd).
-	metricProverConns = telemetry.Default.CounterVec(
+	metricProverConns = telemetry.Default.Counter(
 		"geoproof_prover_conns_total",
-		"Accepted verifier connections by negotiated protocol.", "proto")
-	metricProverConnsMux = metricProverConns.With("mux")
-	metricProverConnsV1  = metricProverConns.With("v1")
+		"Verifier connections accepted past the mux v2 handshake.")
 	metricProverRequests = telemetry.Default.CounterVec(
 		"geoproof_prover_requests_total",
 		"Requests served by the prover, by type.", "type")
 	metricProverPings    = metricProverRequests.With("ping")
 	metricProverSegments = metricProverRequests.With("segment")
-	metricProverBatches  = metricProverRequests.With("batch")
-	metricProverAborts   = telemetry.Default.Counter(
-		"geoproof_prover_stream_aborts_total",
-		"Streams the prover aborted with an error frame.")
 
 	// Fleet controller health machine.
 	metricFleetTransitions = telemetry.Default.CounterVec(

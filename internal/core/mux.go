@@ -11,14 +11,25 @@ import (
 	"repro/internal/wire"
 )
 
-// This file is the verifier side of the v2 multiplexed transport: one
-// connection carries many concurrent audit streams, and a whole audit's
-// challenge rounds can be pipelined as a single batch. See
+// This file is the verifier side of the prover transport: one connection
+// carries many concurrent streams, one stream per timed round. See
 // internal/wire/doc.go for the protocol itself.
 
 // ErrConnClosed reports an exchange attempted on a mux connection that
 // is already closed or failed.
 var ErrConnClosed = errors.New("core: mux connection closed")
+
+// ErrMuxRefused reports a peer that does not speak mux v2: it answered
+// the Hello with anything but a HelloAck naming wire.MuxVersion. There
+// is no fallback; the connection is closed.
+var ErrMuxRefused = errors.New("core: peer refused the mux v2 handshake")
+
+// maxTombstones bounds the cancelled streams whose reply a connection
+// may still be waiting to discard. A tombstone is freed only when the
+// prover answers, so a prover that withholds replies would otherwise
+// grow the verifier's memory for the life of the connection; past the
+// bound the connection fails and the pool redials.
+const maxTombstones = 256
 
 // muxMsg is one demultiplexed frame handed to a waiting stream. The
 // payload is an exact-size copy owned by the receiver.
@@ -27,130 +38,99 @@ type muxMsg struct {
 	payload []byte
 }
 
-// muxPending is one in-flight stream: the channel its owner waits on and
-// how many more frames the server owes it.
-type muxPending struct {
-	ch   chan muxMsg
-	want int
-}
-
 // MuxProverConn is a ProverConn carrying many concurrent streams over
-// one negotiated v2 connection. Unlike TCPProverConn it is safe for
-// concurrent use: every exchange gets its own stream ID, a demux loop
-// routes responses, and cancelling one stream's context abandons only
-// that stream — sibling exchanges and the connection itself stay
-// serviceable (there is no whole-connection ErrConnDesynced latch).
-//
-// It also implements BatchProverConn: a whole audit's challenge indices
-// go out as one frame and each response is timed on arrival, which is
-// what removes the per-round write+read syscall pair from the audit hot
-// path.
+// one mux v2 connection. It is safe for concurrent use: every exchange
+// gets its own stream ID, a demux loop routes the one reply each stream
+// is owed, and cancelling one stream's context abandons only that
+// stream — sibling exchanges and the connection itself stay serviceable.
 type MuxProverConn struct {
-	conn     net.Conn
-	features uint32
+	conn net.Conn
 
 	// wmu serializes writers so every frame leaves in one Write call.
 	wmu sync.Mutex
 
 	mu      sync.Mutex
 	nextID  uint32
-	pending map[uint32]*muxPending
-	// tomb counts frames still owed to cancelled streams, so late
-	// responses are recognised and dropped instead of read as replies to
-	// the wrong exchange.
-	tomb map[uint32]int
+	pending map[uint32]chan muxMsg
+	// tomb holds cancelled streams whose reply has not arrived yet, so a
+	// late reply is recognised and dropped instead of read as a protocol
+	// violation.
+	tomb map[uint32]struct{}
 	err  error
 
 	closeOnce sync.Once
 	rdone     chan struct{}
 }
 
-var (
-	_ ProverConn      = (*MuxProverConn)(nil)
-	_ BatchProverConn = (*MuxProverConn)(nil)
-)
+var _ ProverConn = (*MuxProverConn)(nil)
 
-// NewMuxProverConn wraps a connection on which the v2 protocol has
-// already been negotiated (features as acked by the server) and starts
-// its demux loop. Most callers want DialMuxProver or NegotiateProver
-// instead.
-func NewMuxProverConn(conn net.Conn, features uint32) *MuxProverConn {
+// NewMuxProverConn wraps a connection on which the handshake has already
+// been done and starts its demux loop. Most callers want DialMuxProver.
+func NewMuxProverConn(conn net.Conn) *MuxProverConn {
 	c := &MuxProverConn{
-		conn:     conn,
-		features: features,
-		pending:  make(map[uint32]*muxPending),
-		tomb:     make(map[uint32]int),
-		rdone:    make(chan struct{}),
+		conn:    conn,
+		pending: make(map[uint32]chan muxMsg),
+		tomb:    make(map[uint32]struct{}),
+		rdone:   make(chan struct{}),
 	}
 	go c.readLoop()
 	return c
 }
 
-// DialMuxProver connects to a prover and negotiates the multiplexed
-// protocol, falling back to a v1 TCPProverConn against a pre-mux server.
-func DialMuxProver(addr string, timeout time.Duration) (PooledProverConn, error) {
+// DialMuxProver connects to a prover and checks that it speaks mux v2;
+// a peer that does not is refused with ErrMuxRefused. The handshake
+// shares the dial's timeout, so a peer that accepts the connection and
+// then says nothing cannot hang the caller.
+func DialMuxProver(addr string, timeout time.Duration) (*MuxProverConn, error) {
 	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
 		return nil, fmt.Errorf("dial prover: %w", err)
 	}
-	pc, err := NegotiateProver(conn)
+	var deadline time.Time
+	if timeout > 0 {
+		deadline = time.Now().Add(timeout)
+	}
+	err = conn.SetDeadline(deadline)
+	if err == nil {
+		err = muxHandshake(conn)
+	}
+	if err == nil {
+		err = conn.SetDeadline(time.Time{})
+	}
 	if err != nil {
 		conn.Close()
 		return nil, err
 	}
-	return pc, nil
+	return NewMuxProverConn(conn), nil
 }
 
-// PooledProverConn is the capability set a prover connection needs for
-// pooled reuse: the audit exchanges themselves, a health signal deciding
-// reuse-vs-redial, and Close. Both MuxProverConn and TCPProverConn
-// satisfy it.
-type PooledProverConn interface {
-	ProverConn
-	Ping(ctx context.Context) (time.Duration, error)
-	Healthy() bool
-	Close() error
-}
-
-var _ PooledProverConn = (*TCPProverConn)(nil)
-
-// NegotiateProver negotiates the transport protocol on an established
-// connection: it offers v2 with a v1-framed Hello and returns a
-// *MuxProverConn if the server acks, or a v1 *TCPProverConn on the same
-// connection if the server answered with the unknown-frame error a
-// pre-mux server gives (the server is then already in its v1 loop, so
-// the fallback costs one round trip and no reconnect).
-func NegotiateProver(conn net.Conn) (PooledProverConn, error) {
-	hello := wire.Hello{MaxVersion: wire.MuxVersion, Features: wire.FeatureBatch}
+// muxHandshake sends the v1-framed Hello and requires a HelloAck naming
+// wire.MuxVersion in return.
+func muxHandshake(conn net.Conn) error {
+	hello := wire.Hello{MaxVersion: wire.MuxVersion}
 	if err := wire.WriteFrame(conn, wire.TypeHello, hello.Encode()); err != nil {
-		return nil, fmt.Errorf("send hello: %w", err)
+		return fmt.Errorf("send hello: %w", err)
 	}
 	typ, payload, err := wire.ReadFrame(conn)
 	if err != nil {
-		return nil, fmt.Errorf("read hello reply: %w", err)
+		return fmt.Errorf("read hello reply: %w", err)
 	}
 	switch typ {
 	case wire.TypeHelloAck:
 		ack, err := wire.DecodeHelloAck(payload)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if ack.Version != wire.MuxVersion {
-			return nil, fmt.Errorf("core: server negotiated unsupported version %d", ack.Version)
+			return fmt.Errorf("%w: server acked version %d, want %d", ErrMuxRefused, ack.Version, wire.MuxVersion)
 		}
-		return NewMuxProverConn(conn, ack.Features), nil
+		return nil
 	case wire.TypeError:
-		// A pre-mux server rejects the Hello as an unknown frame type and
-		// keeps serving v1 on this connection.
-		metricMuxV1Fallbacks.Inc()
-		return NewTCPProverConn(conn), nil
+		return fmt.Errorf("%w: %v", ErrMuxRefused, wire.DecodeErrorMessage(payload))
 	default:
-		return nil, fmt.Errorf("core: unexpected hello reply type %d", typ)
+		return fmt.Errorf("%w: hello reply of type %d", ErrMuxRefused, typ)
 	}
 }
-
-// Features returns the feature bits both sides agreed on.
-func (c *MuxProverConn) Features() uint32 { return c.features }
 
 // Healthy reports whether the connection can still carry exchanges.
 func (c *MuxProverConn) Healthy() bool {
@@ -173,15 +153,20 @@ func (c *MuxProverConn) Close() error {
 // unblocks the demux loop) and wakes every in-flight stream.
 func (c *MuxProverConn) fail(err error) {
 	c.mu.Lock()
-	if c.err == nil {
-		c.err = err
-		c.conn.Close()
-		for id, p := range c.pending {
-			close(p.ch)
-			delete(c.pending, id)
-		}
-	}
+	c.failLocked(err)
 	c.mu.Unlock()
+}
+
+func (c *MuxProverConn) failLocked(err error) {
+	if c.err != nil {
+		return
+	}
+	c.err = err
+	c.conn.Close()
+	for id, ch := range c.pending {
+		close(ch)
+		delete(c.pending, id)
+	}
 }
 
 // connErr returns the latched terminal error.
@@ -194,38 +179,50 @@ func (c *MuxProverConn) connErr() error {
 	return ErrConnClosed
 }
 
-// issue allocates a stream expecting want reply frames. The channel is
-// buffered for every frame the server can legally send on the stream
-// (want replies, or fewer plus one abort), so the demux loop never
-// blocks on a slow stream owner.
-func (c *MuxProverConn) issue(want int) (uint32, chan muxMsg, error) {
+// issue allocates a stream. IDs increase and wrap; 0 and any ID still
+// pending or tombstoned are skipped, so a reply can never be delivered
+// to the wrong exchange (both sets are small, so the skip loop is
+// short). The channel is buffered for the one reply the stream is owed,
+// so the demux loop never blocks on a slow stream owner.
+func (c *MuxProverConn) issue() (uint32, chan muxMsg, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.err != nil {
 		return 0, nil, c.err
 	}
-	c.nextID++
-	id := c.nextID
-	p := &muxPending{ch: make(chan muxMsg, want+1), want: want}
-	c.pending[id] = p
-	return id, p.ch, nil
+	for {
+		c.nextID++
+		if c.nextID == 0 {
+			continue
+		}
+		if _, live := c.pending[c.nextID]; live {
+			continue
+		}
+		if _, dead := c.tomb[c.nextID]; !dead {
+			break
+		}
+	}
+	ch := make(chan muxMsg, 1)
+	c.pending[c.nextID] = ch
+	return c.nextID, ch, nil
 }
 
-// cancel abandons a stream: any frames the server still owes it are
-// tombstoned so the demux loop drops them on arrival. Only this stream
-// dies — the connection and its sibling streams are untouched, which is
-// the central contrast with v1's whole-connection desync latch.
+// cancel abandons a stream: the reply the server still owes it is
+// tombstoned so the demux loop drops it on arrival. Only this stream
+// dies — unless the prover has left maxTombstones cancelled streams
+// unanswered, which fails the connection.
 func (c *MuxProverConn) cancel(id uint32) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	p, ok := c.pending[id]
-	if !ok {
-		return // every owed frame already arrived; nothing to drop
+	if _, ok := c.pending[id]; !ok {
+		return // the reply already arrived (or the conn failed); nothing to drop
 	}
 	delete(c.pending, id)
-	if p.want > 0 {
-		c.tomb[id] = p.want
+	if len(c.tomb) >= maxTombstones {
+		c.failLocked(fmt.Errorf("%w: prover left %d cancelled streams unanswered", ErrConnClosed, len(c.tomb)))
+		return
 	}
+	c.tomb[id] = struct{}{}
 }
 
 // forget drops a stream that never reached the server (its request
@@ -268,9 +265,6 @@ func (c *MuxProverConn) readLoop() {
 			return
 		}
 		metricMuxFramesRead.Inc()
-		if typ == wire.TypeStreamAbort {
-			metricMuxStreamAborts.Inc()
-		}
 		if !c.dispatch(typ, stream, payload) {
 			return
 		}
@@ -280,76 +274,66 @@ func (c *MuxProverConn) readLoop() {
 // dispatch routes one frame, recycling its pooled payload. It reports
 // whether the loop should keep reading.
 func (c *MuxProverConn) dispatch(typ byte, stream uint32, payload []byte) bool {
+	defer wire.PutBuffer(payload)
 	c.mu.Lock()
-	if left, dead := c.tomb[stream]; dead {
-		// A late frame for a cancelled stream: drop it and retire the
-		// tombstone once the last owed frame (or an abort, which ends the
-		// stream early) has arrived.
-		if typ == wire.TypeStreamAbort || left <= 1 {
-			delete(c.tomb, stream)
-		} else {
-			c.tomb[stream] = left - 1
-		}
-		c.mu.Unlock()
-		wire.PutBuffer(payload)
+	defer c.mu.Unlock()
+	if _, dead := c.tomb[stream]; dead {
+		delete(c.tomb, stream) // the late reply to a cancelled stream
 		return true
 	}
-	p, ok := c.pending[stream]
+	ch, ok := c.pending[stream]
 	if !ok {
-		// A frame for a stream this client never issued (or already fully
-		// received) means the two sides disagree about the framing — that
+		// A frame for a stream this client never issued (or already
+		// answered) means the two sides disagree about the framing — that
 		// is unrecoverable, so kill the connection.
-		c.mu.Unlock()
-		wire.PutBuffer(payload)
-		c.fail(fmt.Errorf("core: mux frame for unknown stream %d", stream))
+		c.failLocked(fmt.Errorf("core: mux frame for unknown stream %d", stream))
 		return false
 	}
-	msg := muxMsg{typ: typ, payload: append(make([]byte, 0, len(payload)), payload...)}
-	if typ == wire.TypeStreamAbort {
-		delete(c.pending, stream)
-	} else {
-		p.want--
-		if p.want <= 0 {
-			delete(c.pending, stream)
-		}
-	}
-	p.ch <- msg // buffered for every legal frame; never blocks
-	c.mu.Unlock()
-	wire.PutBuffer(payload)
+	delete(c.pending, stream)
+	ch <- muxMsg{typ: typ, payload: append(make([]byte, 0, len(payload)), payload...)} // buffered; never blocks
 	return true
 }
 
-// GetSegment performs one single-round exchange on its own stream.
-// Cancelling ctx abandons only this stream.
-func (c *MuxProverConn) GetSegment(ctx context.Context, fileID string, index uint64) ([]byte, error) {
+// exchange sends one request frame on a fresh stream and waits for its
+// one reply. Cancelling ctx abandons only this stream.
+func (c *MuxProverConn) exchange(ctx context.Context, typ byte, payload []byte) (muxMsg, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return muxMsg{}, err
 	}
-	id, ch, err := c.issue(1)
+	id, ch, err := c.issue()
 	if err != nil {
-		return nil, err
+		return muxMsg{}, err
 	}
-	req := wire.SegmentRequest{FileID: fileID, Index: index}
-	if err := c.writeFrame(wire.TypeSegmentRequest, id, req.Encode()); err != nil {
+	if err := c.writeFrame(typ, id, payload); err != nil {
 		c.forget(id)
-		return nil, err
+		return muxMsg{}, err
 	}
 	select {
 	case msg, ok := <-ch:
 		if !ok {
-			return nil, c.connErr()
+			return muxMsg{}, c.connErr()
 		}
-		switch msg.typ {
-		case wire.TypeSegmentResponse:
-			return msg.payload, nil
-		case wire.TypeError:
-			return nil, wire.DecodeErrorMessage(msg.payload)
-		default:
-			return nil, fmt.Errorf("core: unexpected mux frame type %d", msg.typ)
-		}
+		return msg, nil
 	case <-ctx.Done():
 		c.cancel(id)
-		return nil, ctx.Err()
+		return muxMsg{}, ctx.Err()
+	}
+}
+
+// GetSegment performs one challenge round on its own stream. The caller
+// times it: one request, one reply, one round trip.
+func (c *MuxProverConn) GetSegment(ctx context.Context, fileID string, index uint64) ([]byte, error) {
+	msg, err := c.exchange(ctx, wire.TypeSegmentRequest, wire.SegmentRequest{FileID: fileID, Index: index}.Encode())
+	if err != nil {
+		return nil, err
+	}
+	switch msg.typ {
+	case wire.TypeSegmentResponse:
+		return msg.payload, nil
+	case wire.TypeError:
+		return nil, wire.DecodeErrorMessage(msg.payload)
+	default:
+		return nil, fmt.Errorf("core: unexpected mux frame type %d", msg.typ)
 	}
 }
 
@@ -359,114 +343,13 @@ func (c *MuxProverConn) Ping(ctx context.Context) (time.Duration, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	id, ch, err := c.issue(1)
+	start := time.Now()
+	msg, err := c.exchange(ctx, wire.TypePing, nil)
 	if err != nil {
 		return 0, err
 	}
-	start := time.Now()
-	if err := c.writeFrame(wire.TypePing, id, nil); err != nil {
-		c.forget(id)
-		return 0, err
+	if msg.typ != wire.TypePong {
+		return 0, errors.New("core: unexpected ping reply")
 	}
-	select {
-	case msg, ok := <-ch:
-		if !ok {
-			return 0, c.connErr()
-		}
-		if msg.typ != wire.TypePong {
-			return 0, errors.New("core: unexpected ping reply")
-		}
-		return time.Since(start), nil
-	case <-ctx.Done():
-		c.cancel(id)
-		return 0, ctx.Err()
-	}
-}
-
-// GetSegmentBatch pipelines a whole audit's challenge rounds: all
-// indices leave in one frame (one syscall), the server answers with one
-// frame per index in order, and each reply's RTT is taken on arrival.
-// RTTs are cumulative-from-flush — round i's RTT includes the service
-// time of rounds 0..i-1, exactly what a serial verifier would also have
-// charged round i had it waited its turn; round 0's RTT is a pure serial
-// round trip, so min-RTT distance bounds are unchanged by pipelining.
-//
-// Per-round prover failures come back as Failed results; a batch-level
-// abort or connection failure returns an error and no results. When the
-// server did not ack FeatureBatch the rounds fall back to sequential
-// single-stream exchanges, preserving per-round RTT semantics.
-func (c *MuxProverConn) GetSegmentBatch(ctx context.Context, fileID string, indices []uint64) ([]BatchSegmentResult, error) {
-	if len(indices) == 0 {
-		return nil, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if len(indices) > wire.MaxBatch {
-		return nil, fmt.Errorf("core: batch of %d rounds exceeds protocol maximum %d", len(indices), wire.MaxBatch)
-	}
-	if c.features&wire.FeatureBatch == 0 {
-		return c.sequentialBatch(ctx, fileID, indices)
-	}
-	id, ch, err := c.issue(len(indices))
-	if err != nil {
-		return nil, err
-	}
-	req := wire.SegmentBatchRequest{FileID: fileID, Indices: indices}
-	start := time.Now()
-	if err := c.writeFrame(wire.TypeSegmentBatchRequest, id, req.Encode()); err != nil {
-		c.forget(id)
-		return nil, err
-	}
-	results := make([]BatchSegmentResult, 0, len(indices))
-	for len(results) < len(indices) {
-		select {
-		case msg, ok := <-ch:
-			if !ok {
-				return nil, c.connErr()
-			}
-			rtt := time.Since(start)
-			switch msg.typ {
-			case wire.TypeSegmentResponse:
-				results = append(results, BatchSegmentResult{Data: msg.payload, RTT: rtt})
-			case wire.TypeError:
-				results = append(results, BatchSegmentResult{RTT: rtt, Failed: true})
-			case wire.TypeStreamAbort:
-				return nil, fmt.Errorf("core: batch aborted by prover: %w", wire.DecodeErrorMessage(msg.payload))
-			default:
-				c.cancel(id)
-				return nil, fmt.Errorf("core: unexpected mux frame type %d", msg.typ)
-			}
-		case <-ctx.Done():
-			c.cancel(id)
-			return nil, ctx.Err()
-		}
-	}
-	return results, nil
-}
-
-// sequentialBatch runs the rounds one stream at a time for servers
-// without the batch feature, timing each round individually.
-func (c *MuxProverConn) sequentialBatch(ctx context.Context, fileID string, indices []uint64) ([]BatchSegmentResult, error) {
-	results := make([]BatchSegmentResult, 0, len(indices))
-	for _, idx := range indices {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		data, err := c.GetSegment(ctx, fileID, idx)
-		rtt := time.Since(start)
-		if err != nil {
-			if ctx.Err() != nil || !c.Healthy() {
-				return nil, err
-			}
-			results = append(results, BatchSegmentResult{RTT: rtt, Failed: true})
-			continue
-		}
-		results = append(results, BatchSegmentResult{Data: data, RTT: rtt})
-	}
-	return results, nil
+	return time.Since(start), nil
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+	"io"
+	"math"
 	"net"
 	"sync"
 	"testing"
@@ -15,18 +17,12 @@ import (
 	"repro/internal/wire"
 )
 
-// dialMux connects to addr and requires the negotiation to land on the
-// mux transport.
+// dialMux connects to addr over the mux transport.
 func dialMux(t *testing.T, addr string) *MuxProverConn {
 	t.Helper()
-	pc, err := DialMuxProver(addr, time.Second)
+	mc, err := DialMuxProver(addr, time.Second)
 	if err != nil {
 		t.Fatal(err)
-	}
-	mc, ok := pc.(*MuxProverConn)
-	if !ok {
-		pc.Close()
-		t.Fatalf("negotiated %T, want *MuxProverConn", pc)
 	}
 	return mc
 }
@@ -37,9 +33,6 @@ func TestMuxEndToEndAudit(t *testing.T) {
 	defer stop()
 	conn := dialMux(t, addr)
 	defer conn.Close()
-	if conn.Features()&wire.FeatureBatch == 0 {
-		t.Fatal("server did not ack the batch feature")
-	}
 
 	signer, _ := crypt.NewSigner()
 	verifier, err := NewVerifier(signer, &gps.Receiver{True: geo.Brisbane}, nil)
@@ -56,7 +49,6 @@ func TestMuxEndToEndAudit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The verifier must take the pipelined batch path automatically.
 	st, err := verifier.RunAudit(context.Background(), req, conn)
 	if err != nil {
 		t.Fatal(err)
@@ -158,8 +150,7 @@ func TestMuxCancelledStreamDoesNotPoisonConn(t *testing.T) {
 	}
 
 	// The defining mux property: the cancelled stream leaves the
-	// connection and its sibling streams fully serviceable — no
-	// whole-conn ErrConnDesynced latch as in the v1 transport.
+	// connection and its sibling streams fully serviceable.
 	if !conn.Healthy() {
 		t.Fatal("cancelled stream poisoned the connection")
 	}
@@ -174,34 +165,6 @@ func TestMuxCancelledStreamDoesNotPoisonConn(t *testing.T) {
 	}
 	if _, err := conn.GetSegment(context.Background(), ef.FileID, 1); err != nil {
 		t.Fatalf("exchange after late frame: %v", err)
-	}
-}
-
-func TestMuxBatchPerRoundFailure(t *testing.T) {
-	_, ef, site := tcpFixture(t)
-	addr, stop := startServer(t, &cloud.HonestProvider{Site: site}, false)
-	defer stop()
-	conn := dialMux(t, addr)
-	defer conn.Close()
-
-	// An out-of-range index fails its round; the rest of the batch must
-	// still come back in order.
-	indices := []uint64{0, uint64(ef.Layout.Segments) + 10, 1}
-	results, err := conn.GetSegmentBatch(context.Background(), ef.FileID, indices)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 3 {
-		t.Fatalf("%d results", len(results))
-	}
-	if results[0].Failed || results[2].Failed {
-		t.Fatal("healthy rounds marked failed")
-	}
-	if !results[1].Failed {
-		t.Fatal("out-of-range round not marked failed")
-	}
-	if !conn.Healthy() {
-		t.Fatal("per-round failure poisoned the connection")
 	}
 }
 
@@ -223,7 +186,7 @@ func TestMuxPingAndCancel(t *testing.T) {
 	if _, err := conn.Ping(cancelled); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled ping: %v", err)
 	}
-	// Unlike v1, a cancelled mux probe never desyncs the connection.
+	// A cancelled probe never poisons the connection.
 	if !conn.Healthy() {
 		t.Fatal("cancelled ping poisoned mux conn")
 	}
@@ -265,16 +228,52 @@ func TestMuxCloseFailsInflight(t *testing.T) {
 	}
 }
 
-// legacyServer speaks only the v1 protocol, answering any unknown frame
-// type (including Hello) with TypeError — the exact behavior of a pre-mux
-// geoproofd build, used to prove negotiation fallback.
-func legacyServer(t *testing.T, provider cloud.Provider) (string, func()) {
+// TestMuxServerRefusesNonHello: a connection whose first frame is not a
+// well-formed Hello offering at least MuxVersion gets exactly one
+// TypeError and is closed — there is no other protocol to fall back to.
+func TestMuxServerRefusesNonHello(t *testing.T) {
+	_, ef, site := tcpFixture(t)
+	addr, stop := startServer(t, &cloud.HonestProvider{Site: site}, false)
+	defer stop()
+	first := map[string]struct {
+		typ     byte
+		payload []byte
+	}{
+		"segment request": {wire.TypeSegmentRequest, wire.SegmentRequest{FileID: ef.FileID}.Encode()},
+		"ping":            {wire.TypePing, nil},
+		"old hello":       {wire.TypeHello, wire.Hello{MaxVersion: wire.MuxVersion - 1}.Encode()},
+		"malformed hello": {wire.TypeHello, []byte("GPMX")},
+	}
+	for name, f := range first {
+		raw, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := wire.WriteFrame(raw, f.typ, f.payload); err != nil {
+			t.Fatal(err)
+		}
+		raw.SetReadDeadline(time.Now().Add(2 * time.Second))
+		if typ, _, err := wire.ReadFrame(raw); err != nil || typ != wire.TypeError {
+			t.Fatalf("%s: got type %d, %v; want one TypeError", name, typ, err)
+		}
+		if _, _, err := wire.ReadFrame(raw); !errors.Is(err, io.EOF) {
+			t.Fatalf("%s: connection not closed after the refusal: %v", name, err)
+		}
+		raw.Close()
+	}
+}
+
+// refusingPeer accepts connections, reads the Hello and answers with
+// reply (nothing when reply is nil), then holds the connection open.
+func refusingPeer(t *testing.T, replyType byte, reply []byte) string {
 	t.Helper()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	t.Cleanup(func() { close(stop); lis.Close(); wg.Wait() })
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -287,90 +286,55 @@ func legacyServer(t *testing.T, provider cloud.Provider) (string, func()) {
 			go func() {
 				defer wg.Done()
 				defer conn.Close()
-				for {
-					typ, payload, err := wire.ReadFrame(conn)
-					if err != nil {
-						return
-					}
-					switch typ {
-					case wire.TypePing:
-						if wire.WriteFrame(conn, wire.TypePong, nil) != nil {
-							return
-						}
-					case wire.TypeSegmentRequest:
-						req, derr := wire.DecodeSegmentRequest(payload)
-						if derr != nil {
-							if wire.WriteFrame(conn, wire.TypeError, wire.ErrorMessage{Msg: derr.Error()}.Encode()) != nil {
-								return
-							}
-							continue
-						}
-						data, _, ferr := provider.FetchSegment(req.FileID, int64(req.Index))
-						if ferr != nil {
-							if wire.WriteFrame(conn, wire.TypeError, wire.ErrorMessage{Msg: ferr.Error()}.Encode()) != nil {
-								return
-							}
-							continue
-						}
-						if wire.WriteFrame(conn, wire.TypeSegmentResponse, data) != nil {
-							return
-						}
-					default:
-						if wire.WriteFrame(conn, wire.TypeError, wire.ErrorMessage{Msg: "unknown frame type"}.Encode()) != nil {
-							return
-						}
-					}
+				if _, _, err := wire.ReadFrame(conn); err != nil {
+					return
 				}
+				if reply != nil && wire.WriteFrame(conn, replyType, reply) != nil {
+					return
+				}
+				<-stop
 			}()
 		}
 	}()
-	return lis.Addr().String(), func() {
-		lis.Close()
-		wg.Wait()
-	}
+	return lis.Addr().String()
 }
 
-func TestMuxNegotiationFallsBackToV1(t *testing.T) {
-	_, ef, site := tcpFixture(t)
-	addr, stop := legacyServer(t, &cloud.HonestProvider{Site: site})
-	defer stop()
-	pc, err := DialMuxProver(addr, time.Second)
-	if err != nil {
-		t.Fatal(err)
+// TestMuxDialRefusedByPeer: a peer that answers the Hello with anything
+// but a HelloAck naming MuxVersion is refused with ErrMuxRefused, a peer
+// that never answers runs into the dial timeout, and both surface through
+// ProverPool.Get and end a scheduled audit as OutcomeError after its
+// bounded retries — one dial per attempt, no hang.
+func TestMuxDialRefusedByPeer(t *testing.T) {
+	f := newSchedFixture(t)
+	peers := map[string]struct {
+		addr    string
+		refused bool
+	}{
+		"error reply": {refusingPeer(t, wire.TypeError, wire.ErrorMessage{Msg: "unknown frame type"}.Encode()), true},
+		"old version": {refusingPeer(t, wire.TypeHelloAck, wire.HelloAck{Version: 1}.Encode()), true},
+		"silent":      {refusingPeer(t, 0, nil), false},
 	}
-	defer pc.Close()
-	if _, ok := pc.(*TCPProverConn); !ok {
-		t.Fatalf("negotiated %T against legacy server, want *TCPProverConn", pc)
-	}
-	// The fallback connection works on the very same socket.
-	seg, err := pc.GetSegment(context.Background(), ef.FileID, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seg) != ef.Layout.SegmentSize() {
-		t.Fatalf("segment size %d", len(seg))
-	}
-	if _, err := pc.Ping(context.Background()); err != nil {
-		t.Fatalf("ping over fallback conn: %v", err)
-	}
-}
-
-func TestMuxV1ClientAgainstMuxServer(t *testing.T) {
-	// The other interop direction: a v1-only client (plain DialProver, no
-	// Hello) against the current server must be served by the v1 loop.
-	_, ef, site := tcpFixture(t)
-	addr, stop := startServer(t, &cloud.HonestProvider{Site: site}, false)
-	defer stop()
-	conn, err := DialProver(addr, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.GetSegment(context.Background(), ef.FileID, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Ping(context.Background()); err != nil {
-		t.Fatal(err)
+	for name, peer := range peers {
+		if _, err := DialMuxProver(peer.addr, 100*time.Millisecond); err == nil || errors.Is(err, ErrMuxRefused) != peer.refused {
+			t.Fatalf("%s: DialMuxProver returned %v (want ErrMuxRefused: %v)", name, err, peer.refused)
+		}
+		pool := &ProverPool{DialTimeout: 100 * time.Millisecond}
+		defer pool.Close()
+		if _, _, err := pool.Get(peer.addr); err == nil || errors.Is(err, ErrMuxRefused) != peer.refused {
+			t.Fatalf("%s: pool.Get returned %v (want ErrMuxRefused: %v)", name, err, peer.refused)
+		}
+		sched := NewScheduler(SchedulerConfig{Workers: 2, ProverWindow: 2, Timeout: 5 * time.Second, Retries: 1})
+		sched.RegisterTenant("t1", f.tpa)
+		sched.RegisterProver("p", &PooledRunner{Verifier: f.verifier, Addr: peer.addr, Pool: pool})
+		dialsBefore := pool.Dials()
+		for _, v := range sched.RunEpoch(context.Background(), []AuditTask{f.task("t1", "p", 2)}) {
+			if v.Outcome != OutcomeError {
+				t.Fatalf("%s: outcome %v (%s), want error", name, v.Outcome, v.Err)
+			}
+		}
+		if d := pool.Dials() - dialsBefore; d != 2 {
+			t.Fatalf("%s: audit with one retry dialed %d times, want 2", name, d)
+		}
 	}
 }
 
@@ -382,7 +346,7 @@ func rawMuxConn(t *testing.T, addr string) net.Conn {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hello := wire.Hello{MaxVersion: wire.MuxVersion, Features: wire.FeatureBatch}
+	hello := wire.Hello{MaxVersion: wire.MuxVersion}
 	if err := wire.WriteFrame(raw, wire.TypeHello, hello.Encode()); err != nil {
 		t.Fatal(err)
 	}
@@ -397,40 +361,6 @@ func rawMuxConn(t *testing.T, addr string) net.Conn {
 		t.Fatal(err)
 	}
 	return raw
-}
-
-func TestMuxServerMalformedBatchAbortsStream(t *testing.T) {
-	_, ef, site := tcpFixture(t)
-	addr, stop := startServer(t, &cloud.HonestProvider{Site: site}, false)
-	defer stop()
-	raw := rawMuxConn(t, addr)
-	defer raw.Close()
-	// Garbage batch payload: the server cannot know how many reply frames
-	// the stream owes, so it must abort exactly that stream.
-	if err := wire.WriteMuxFrame(raw, wire.TypeSegmentBatchRequest, 7, []byte{0xFF}); err != nil {
-		t.Fatal(err)
-	}
-	typ, stream, payload, err := wire.ReadMuxFrame(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wire.PutBuffer(payload)
-	if typ != wire.TypeStreamAbort || stream != 7 {
-		t.Fatalf("got type %d stream %d, want abort on stream 7", typ, stream)
-	}
-	// The connection survives: a well-formed exchange still works.
-	req := wire.SegmentRequest{FileID: ef.FileID, Index: 0}
-	if err := wire.WriteMuxFrame(raw, wire.TypeSegmentRequest, 8, req.Encode()); err != nil {
-		t.Fatal(err)
-	}
-	typ, stream, payload, err = wire.ReadMuxFrame(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wire.PutBuffer(payload)
-	if typ != wire.TypeSegmentResponse || stream != 8 {
-		t.Fatalf("got type %d stream %d after abort", typ, stream)
-	}
 }
 
 func TestMuxServerUnknownTypePerStreamError(t *testing.T) {
@@ -476,7 +406,7 @@ func TestMuxClientRejectsUnknownStream(t *testing.T) {
 		if _, err := wire.DecodeHello(payload); err != nil {
 			return
 		}
-		ack := wire.HelloAck{Version: wire.MuxVersion, Features: wire.FeatureBatch}
+		ack := wire.HelloAck{Version: wire.MuxVersion}
 		if wire.WriteFrame(conn, wire.TypeHelloAck, ack.Encode()) != nil {
 			return
 		}
@@ -488,12 +418,8 @@ func TestMuxClientRejectsUnknownStream(t *testing.T) {
 		wire.PutBuffer(payload2)
 		_ = wire.WriteMuxFrame(conn, wire.TypeSegmentResponse, stream+1000, []byte("stray"))
 	}()
-	pc, err := DialMuxProver(lis.Addr().String(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pc.Close()
-	mc := pc.(*MuxProverConn)
+	mc := dialMux(t, lis.Addr().String())
+	defer mc.Close()
 	_, err = mc.GetSegment(context.Background(), "f", 0)
 	if err == nil {
 		t.Fatal("exchange against misbehaving server succeeded")
@@ -505,7 +431,7 @@ func TestMuxClientRejectsUnknownStream(t *testing.T) {
 }
 
 func TestMuxConcurrentAudits(t *testing.T) {
-	// Whole audits — batch streams — interleaved on one connection.
+	// Whole audits — k serial rounds each — interleaved on one connection.
 	enc, ef, site := tcpFixture(t)
 	addr, stop := startServer(t, &cloud.HonestProvider{Site: site}, false)
 	defer stop()
@@ -550,5 +476,142 @@ func TestMuxConcurrentAudits(t *testing.T) {
 	case err := <-errs:
 		t.Fatal(err)
 	default:
+	}
+}
+
+// pipeProver is a scripted prover on the far end of a net.Pipe (no
+// handshake: the client side is wrapped with NewMuxProverConn). It
+// answers a segment request with the requested index as payload, so an
+// exchange can tell its own reply from a sibling's; indices at or above
+// withholdFrom are never answered. Every stream ID it sees goes to seen.
+func pipeProver(t *testing.T, withholdFrom uint64) (*MuxProverConn, <-chan uint32) {
+	t.Helper()
+	client, server := net.Pipe()
+	seen := make(chan uint32, 2*maxTombstones)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			_, stream, payload, err := wire.ReadMuxFrame(server)
+			if err != nil {
+				return
+			}
+			req, derr := wire.DecodeSegmentRequest(payload)
+			wire.PutBuffer(payload)
+			seen <- stream
+			if derr != nil || req.Index >= withholdFrom {
+				continue
+			}
+			if wire.WriteMuxFrame(server, wire.TypeSegmentResponse, stream, []byte{byte(req.Index)}) != nil {
+				return
+			}
+		}
+	}()
+	conn := NewMuxProverConn(client)
+	t.Cleanup(func() { conn.Close(); server.Close(); <-done })
+	return conn, seen
+}
+
+// cancelledRound runs one GetSegment the prover withholds, cancelling it
+// once the request is known to have reached the prover.
+func cancelledRound(t *testing.T, conn *MuxProverConn, seen <-chan uint32, index uint64) uint32 {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	errc := make(chan error, 1)
+	go func() {
+		_, err := conn.GetSegment(ctx, "f", index)
+		errc <- err
+	}()
+	id := <-seen
+	cancel()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("withheld round returned %v, want context.Canceled", err)
+	}
+	return id
+}
+
+// TestMuxTombstonesBounded: a prover that never answers cancelled streams
+// cannot grow the verifier's tombstone set past maxTombstones — the
+// connection fails instead (so the pool redials), and only that one.
+func TestMuxTombstonesBounded(t *testing.T) {
+	const withhold = 100
+	flooded, seen := pipeProver(t, withhold)
+	sibling, _ := pipeProver(t, withhold)
+	tombs := func() int {
+		flooded.mu.Lock()
+		defer flooded.mu.Unlock()
+		return len(flooded.tomb)
+	}
+	for i := 0; i < maxTombstones; i++ {
+		cancelledRound(t, flooded, seen, withhold)
+	}
+	if n := tombs(); n != maxTombstones || !flooded.Healthy() {
+		t.Fatalf("at the bound: %d tombstones, healthy=%v", n, flooded.Healthy())
+	}
+	cancelledRound(t, flooded, seen, withhold)
+	if n := tombs(); n > maxTombstones {
+		t.Fatalf("%d tombstones, over the bound %d", n, maxTombstones)
+	}
+	if flooded.Healthy() {
+		t.Fatal("connection still healthy past the tombstone bound")
+	}
+	if _, err := flooded.GetSegment(context.Background(), "f", 0); !errors.Is(err, ErrConnClosed) {
+		t.Fatalf("exchange past the bound returned %v, want ErrConnClosed", err)
+	}
+	if seg, err := sibling.GetSegment(context.Background(), "f", 1); err != nil || seg[0] != 1 {
+		t.Fatalf("sibling connection affected: %v %v", seg, err)
+	}
+}
+
+// TestMuxStreamIDWrap: stream IDs wrap past MaxUint32 without ever
+// handing out 0, an ID whose reply is still pending, or a tombstoned one,
+// and every exchange still receives its own reply.
+func TestMuxStreamIDWrap(t *testing.T) {
+	const withhold = 100
+	conn, seen := pipeProver(t, withhold)
+	seed := func(id uint32) {
+		conn.mu.Lock()
+		conn.nextID = id
+		conn.mu.Unlock()
+	}
+	round := func(index uint64, wantID uint32) {
+		t.Helper()
+		seg, err := conn.GetSegment(context.Background(), "f", index)
+		if err != nil || len(seg) != 1 || seg[0] != byte(index) {
+			t.Fatalf("round %d got %v, %v", index, seg, err)
+		}
+		if id := <-seen; id != wantID {
+			t.Fatalf("round %d rode stream %d, want %d", index, id, wantID)
+		}
+	}
+
+	// A live stream on the last ID before the wrap, its reply withheld.
+	seed(math.MaxUint32 - 1)
+	liveCtx, liveCancel := context.WithCancel(context.Background())
+	defer liveCancel()
+	liveDone := make(chan error, 1)
+	go func() {
+		_, err := conn.GetSegment(liveCtx, "f", withhold)
+		liveDone <- err
+	}()
+	if id := <-seen; id != math.MaxUint32 {
+		t.Fatalf("live stream rode %d, want MaxUint32", id)
+	}
+	round(1, 1) // wraps: 0 is skipped
+	if id := cancelledRound(t, conn, seen, withhold); id != 2 {
+		t.Fatalf("cancelled stream rode %d, want 2", id)
+	}
+	// A full lap later the counter comes around to the same IDs: the live
+	// stream's and the tombstoned one must both be stepped over.
+	seed(math.MaxUint32 - 1)
+	round(3, 1) // skips MaxUint32 (pending) and 0
+	round(4, 3) // skips 2 (tombstoned)
+	if !conn.Healthy() {
+		t.Fatal("wrap killed the connection")
+	}
+	liveCancel()
+	if err := <-liveDone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("live stream ended with %v", err)
 	}
 }

@@ -11,39 +11,22 @@ import (
 	"repro/internal/telemetry"
 )
 
-// This file is the connection-pool layer that turns the dial-per-audit
-// runners into persistent-transport runners: warm prover connections
-// shared (mux) or checked out (v1) per address, health-checked reuse,
-// and redial on failure. The pools sit entirely behind the AuditRunner
-// seam, so core.Scheduler is unchanged.
+// This file is the connection-pool layer: one warm multiplexed prover
+// connection per address, shared by every concurrent audit,
+// health-checked on reuse and redialed on failure. The pools sit entirely
+// behind the AuditRunner seam, so core.Scheduler is unchanged.
 
 // ErrPoolClosed reports a Get on a closed pool.
 var ErrPoolClosed = errors.New("core: connection pool closed")
 
-// ProverPool keeps warm prover connections per address. Connections that
-// are safe for concurrent exchanges — those implementing BatchProverConn,
-// i.e. the negotiated mux transport — are *shared*: up to ConnsPerAddr of
-// them per address, handed out round-robin, each carrying many concurrent
-// audit streams. Addresses whose server only speaks v1 fall back to
-// *exclusive* checkout: an idle-list of single-exchange connections,
-// dialing extras whenever demand exceeds the idle supply.
-//
-// Reuse is health-checked: an unhealthy connection (failed mux conn,
-// desynced v1 conn) is closed and replaced by a fresh dial instead of
+// ProverPool keeps one warm MuxProverConn per prover address. The
+// connection is shared: every Get for an address returns the same one,
+// each audit round riding its own stream. Reuse is health-checked — a
+// failed connection is closed and replaced by a fresh dial instead of
 // poisoning later audits. The pool is safe for concurrent use.
 type ProverPool struct {
-	// Dial opens and negotiates a connection. Nil defaults to
-	// DialMuxProver with DialTimeout, which yields a MuxProverConn
-	// against a current server and a v1 TCPProverConn against a pre-mux
-	// one.
-	Dial func(addr string) (PooledProverConn, error)
-	// DialTimeout bounds the default Dial (0 = 5s).
+	// DialTimeout bounds each dial and its handshake (0 = 5s).
 	DialTimeout time.Duration
-	// ConnsPerAddr is how many shared mux connections to spread an
-	// address's audit streams over (≤ 0 = 1). One is right for almost
-	// everyone; more only helps once a single connection's write path
-	// saturates a core.
-	ConnsPerAddr int
 
 	mu     sync.Mutex
 	addrs  map[string]*poolEntry
@@ -51,36 +34,21 @@ type ProverPool struct {
 	dials  atomic.Int64
 }
 
-// poolEntry is one address's connections. Its mutex also covers dialing,
+// poolEntry is one address's connection. Its mutex also covers dialing,
 // so concurrent Gets against a cold address wait for the first dial
 // instead of stampeding the server.
 type poolEntry struct {
-	mu    sync.Mutex
-	slots []PooledProverConn // shared mux conns, round-robin
-	next  int
-	v1    bool               // negotiation fell back to v1 for this addr
-	idle  []PooledProverConn // exclusive v1 conns awaiting checkout
-	// evicted latches when Evict orphans this entry; a checked-out v1
-	// conn released afterwards is closed instead of re-idled here.
-	evicted bool
+	mu   sync.Mutex
+	conn *MuxProverConn
+	// orphaned latches when Evict or Close drops this entry from the
+	// pool; a Get that raced with it starts over instead of parking a
+	// fresh conn where nothing will ever close it.
+	orphaned bool
 }
 
 // Dials returns how many connections the pool has dialed — the
 // observable that reuse tests and benchmarks assert on.
 func (p *ProverPool) Dials() int64 { return p.dials.Load() }
-
-func (p *ProverPool) dial(addr string) (PooledProverConn, error) {
-	p.dials.Add(1)
-	metricPoolDials.Inc()
-	if p.Dial != nil {
-		return p.Dial(addr)
-	}
-	timeout := p.DialTimeout
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-	return DialMuxProver(addr, timeout)
-}
 
 func (p *ProverPool) entry(addr string) (*poolEntry, error) {
 	p.mu.Lock()
@@ -93,202 +61,111 @@ func (p *ProverPool) entry(addr string) (*poolEntry, error) {
 	}
 	e, ok := p.addrs[addr]
 	if !ok {
-		n := p.ConnsPerAddr
-		if n <= 0 {
-			n = 1
-		}
-		e = &poolEntry{slots: make([]PooledProverConn, n)}
+		e = &poolEntry{}
 		p.addrs[addr] = e
 	}
 	return e, nil
 }
 
-// Get returns a warm connection to addr and the release to call when the
-// audit is done, passing the audit's error so the pool can judge reuse.
-// Shared connections stay pooled across release (release only reaps them
-// once unhealthy); exclusive v1 connections return to the idle list on
-// clean release and are closed otherwise.
-func (p *ProverPool) Get(addr string) (PooledProverConn, func(error), error) {
+// Get returns the warm connection to addr, dialing if there is none or
+// it has failed, and the release to call when the audit is done. A
+// healthy connection stays pooled across release; release only reaps it
+// once it is no longer healthy.
+func (p *ProverPool) Get(addr string) (*MuxProverConn, func(error), error) {
 	metricPoolGets.Inc()
-	e, err := p.entry(addr)
-	if err != nil {
-		return nil, nil, err
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.evicted {
-		// Lost a race with Evict between entry() and here: start over on
-		// the fresh entry rather than parking a conn in the orphaned one.
-		e.mu.Unlock()
-		conn, release, err := p.Get(addr)
-		e.mu.Lock()
-		return conn, release, err
-	}
-	if !e.v1 {
-		// Round-robin over the healthy shared slots.
-		n := len(e.slots)
-		for i := 0; i < n; i++ {
-			j := (e.next + i) % n
-			if c := e.slots[j]; c != nil && c.Healthy() {
-				e.next = j + 1
-				return c, p.sharedRelease(e, j, c), nil
-			}
-		}
-		// No healthy shared conn: dial into the first free slot.
-		conn, err := p.dial(addr)
+	for {
+		e, err := p.entry(addr)
 		if err != nil {
 			return nil, nil, err
 		}
-		if _, shared := conn.(BatchProverConn); shared {
-			for j, c := range e.slots {
-				if c == nil || !c.Healthy() {
-					if c != nil {
-						c.Close()
-					}
-					e.slots[j] = conn
-					e.next = j + 1
-					return conn, p.sharedRelease(e, j, conn), nil
-				}
-			}
-			// Unreachable (a free slot always exists when no slot was
-			// healthy), but hand the conn out unpooled rather than leak it.
-			return conn, func(error) { conn.Close() }, nil
-		}
-		// The server answered v1: this address's conns are exclusive from
-		// here on.
-		e.v1 = true
-		return conn, p.exclusiveRelease(e, conn), nil
-	}
-	for len(e.idle) > 0 {
-		conn := e.idle[len(e.idle)-1]
-		e.idle = e.idle[:len(e.idle)-1]
-		if conn.Healthy() {
-			return conn, p.exclusiveRelease(e, conn), nil
-		}
-		conn.Close()
-	}
-	conn, err := p.dial(addr)
-	if err != nil {
-		return nil, nil, err
-	}
-	return conn, p.exclusiveRelease(e, conn), nil
-}
-
-// sharedRelease reaps a shared connection from its slot once it is no
-// longer healthy; healthy shared conns stay pooled across releases.
-func (p *ProverPool) sharedRelease(e *poolEntry, slot int, conn PooledProverConn) func(error) {
-	return func(error) {
-		if conn.Healthy() {
-			return
-		}
 		e.mu.Lock()
-		if e.slots[slot] == conn {
-			e.slots[slot] = nil
+		if e.orphaned {
+			e.mu.Unlock()
+			continue
 		}
+		if e.conn == nil || !e.conn.Healthy() {
+			if e.conn != nil {
+				e.conn.Close()
+				e.conn = nil
+			}
+			timeout := p.DialTimeout
+			if timeout <= 0 {
+				timeout = 5 * time.Second
+			}
+			p.dials.Add(1)
+			metricPoolDials.Inc()
+			conn, err := DialMuxProver(addr, timeout)
+			if err != nil {
+				e.mu.Unlock()
+				return nil, nil, err
+			}
+			e.conn = conn
+		}
+		conn := e.conn
 		e.mu.Unlock()
+		return conn, func(error) { e.reap(conn) }, nil
+	}
+}
+
+// reap closes and forgets conn once it is no longer healthy.
+func (e *poolEntry) reap(conn *MuxProverConn) {
+	if conn.Healthy() {
+		return
+	}
+	e.mu.Lock()
+	if e.conn == conn {
+		e.conn = nil
+	}
+	e.mu.Unlock()
+	conn.Close()
+}
+
+// orphan detaches the entry from the pool and closes its connection.
+func (e *poolEntry) orphan() {
+	e.mu.Lock()
+	conn := e.conn
+	e.conn = nil
+	e.orphaned = true
+	e.mu.Unlock()
+	if conn != nil {
 		conn.Close()
 	}
 }
 
-// exclusiveRelease returns a checked-out v1 connection to the idle list
-// when the audit finished cleanly, and closes it otherwise (a failed or
-// cancelled audit may have desynced the framing).
-func (p *ProverPool) exclusiveRelease(e *poolEntry, conn PooledProverConn) func(error) {
-	var once sync.Once
-	return func(err error) {
-		once.Do(func() {
-			if err == nil && conn.Healthy() {
-				p.mu.Lock()
-				closed := p.closed
-				p.mu.Unlock()
-				if !closed {
-					e.mu.Lock()
-					if !e.evicted {
-						e.idle = append(e.idle, conn)
-						e.mu.Unlock()
-						return
-					}
-					e.mu.Unlock()
-				}
-			}
-			conn.Close()
-		})
-	}
-}
-
-// Evict closes and forgets every pooled connection to addr — shared mux
-// slots and idle v1 conns alike. The fleet controller calls it when a
-// prover deregisters or is evicted, so stale warm connections to a
-// departed prover are torn down promptly instead of lingering until a
-// health-checked reuse fails mid-audit. Exclusive v1 connections
-// currently checked out are not tracked by the pool; their release finds
-// the address entry gone and closes them instead of re-idling them. A
+// Evict closes and forgets the pooled connection to addr. The fleet
+// controller calls it when a prover deregisters or is evicted, so a
+// stale warm connection to a departed prover is torn down promptly
+// instead of lingering until a health-checked reuse fails mid-audit. A
 // later Get for the same address dials fresh.
 func (p *ProverPool) Evict(addr string) {
 	p.mu.Lock()
-	var e *poolEntry
-	if p.addrs != nil {
-		e = p.addrs[addr]
-		delete(p.addrs, addr)
-	}
+	e := p.addrs[addr]
+	delete(p.addrs, addr)
 	p.mu.Unlock()
 	if e == nil {
 		return
 	}
 	metricPoolEvictions.Inc()
-	e.mu.Lock()
-	slots := e.slots
-	idle := e.idle
-	e.slots = make([]PooledProverConn, len(e.slots))
-	e.idle = nil
-	e.evicted = true
-	e.mu.Unlock()
-	for _, c := range slots {
-		if c != nil {
-			c.Close()
-		}
-	}
-	for _, c := range idle {
-		c.Close()
-	}
+	e.orphan()
 }
 
-// Close closes every pooled connection and fails later Gets. Exclusive
-// connections currently checked out are closed by their release instead.
+// Close closes every pooled connection and fails later Gets.
 func (p *ProverPool) Close() error {
 	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return nil
-	}
 	p.closed = true
 	addrs := p.addrs
 	p.addrs = nil
 	p.mu.Unlock()
 	for _, e := range addrs {
-		e.mu.Lock()
-		for j, c := range e.slots {
-			if c != nil {
-				c.Close()
-				e.slots[j] = nil
-			}
-		}
-		for _, c := range e.idle {
-			c.Close()
-		}
-		e.idle = nil
-		e.mu.Unlock()
+		e.orphan()
 	}
 	return nil
 }
 
-// PooledRunner drives audits through an in-process verifier over pooled
-// prover connections — the persistent-transport replacement for
-// DialProverRunner. Against a mux server, concurrent audits share one
-// warm connection (each audit is its own stream, its challenge rounds
-// pipelined as one batch); against a pre-mux server it degrades to
-// health-checked v1 connection reuse. Either way the dial handshake
-// leaves the audit hot path.
+// PooledRunner drives audits through an in-process verifier over the
+// pool's warm connection to one prover: concurrent audits share it, each
+// of an audit's k serial rounds is its own stream, and the dial
+// handshake stays out of the audit hot path.
 type PooledRunner struct {
 	Verifier *Verifier
 	Addr     string
@@ -297,7 +174,7 @@ type PooledRunner struct {
 
 var _ AuditRunner = (*PooledRunner)(nil)
 
-// RunAudit borrows a pooled connection for one audit.
+// RunAudit borrows the pooled connection for one audit.
 func (r *PooledRunner) RunAudit(ctx context.Context, req AuditRequest) (SignedTranscript, error) {
 	endCheckout := telemetry.TraceFrom(ctx).Span("pool-checkout")
 	conn, release, err := r.Pool.Get(r.Addr)

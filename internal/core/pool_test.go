@@ -87,54 +87,6 @@ func TestProverPoolRedialsAfterConnDeath(t *testing.T) {
 	}
 }
 
-func TestProverPoolV1ExclusiveCheckout(t *testing.T) {
-	// Against a legacy server the pool degrades to exclusive v1
-	// checkout/checkin with reuse.
-	_, ef, site := tcpFixture(t)
-	addr, stop := legacyServer(t, &cloud.HonestProvider{Site: site})
-	defer stop()
-	pool := &ProverPool{DialTimeout: time.Second}
-	defer pool.Close()
-
-	for i := 0; i < 5; i++ {
-		conn, release, err := pool.Get(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := conn.(*TCPProverConn); !ok {
-			t.Fatalf("borrowed %T, want *TCPProverConn", conn)
-		}
-		_, err = conn.GetSegment(context.Background(), ef.FileID, 0)
-		release(err)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Serial borrows reuse the single checked-in conn: one dial total
-	// (negotiation probe included).
-	if d := pool.Dials(); d != 1 {
-		t.Fatalf("pool dialed %d times, want 1", d)
-	}
-
-	// Two simultaneous checkouts need a second conn.
-	c1, r1, err := pool.Get(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, r2, err := pool.Get(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c1 == c2 {
-		t.Fatal("same exclusive conn checked out twice")
-	}
-	r1(nil)
-	r2(nil)
-	if d := pool.Dials(); d != 2 {
-		t.Fatalf("pool dialed %d times, want 2", d)
-	}
-}
-
 func TestProverPoolEvictClosesWarmConns(t *testing.T) {
 	_, ef, site := tcpFixture(t)
 	addr, stop := startServer(t, &cloud.HonestProvider{Site: site}, false)
@@ -176,44 +128,6 @@ func TestProverPoolEvictClosesWarmConns(t *testing.T) {
 	}
 	if d := pool.Dials(); d != 2 {
 		t.Fatalf("pool dialed %d times, want 2 (one before, one after eviction)", d)
-	}
-}
-
-func TestProverPoolEvictV1CheckedOut(t *testing.T) {
-	// A v1 conn checked out across an eviction must be closed on release,
-	// not returned to the orphaned idle list.
-	_, ef, site := tcpFixture(t)
-	addr, stop := legacyServer(t, &cloud.HonestProvider{Site: site})
-	defer stop()
-	pool := &ProverPool{DialTimeout: time.Second}
-	defer pool.Close()
-
-	idleConn, idleRelease, err := pool.Get(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	heldConn, heldRelease, err := pool.Get(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idleRelease(nil) // back on the idle list before the eviction
-
-	pool.Evict(addr)
-	// v1 conns track desync, not closedness, so probe with an exchange:
-	// the idle conn's socket must be gone, the held one's still live.
-	if _, err := idleConn.GetSegment(context.Background(), ef.FileID, 0); err == nil {
-		t.Fatal("idle v1 conn not closed by eviction")
-	}
-	if _, err := heldConn.GetSegment(context.Background(), ef.FileID, 0); err != nil {
-		t.Fatalf("checked-out conn broken before release: %v", err)
-	}
-	heldRelease(nil)
-	// Clean release after eviction closes rather than re-idles.
-	if _, err := heldConn.GetSegment(context.Background(), ef.FileID, 0); err == nil {
-		t.Fatal("conn released after eviction was not closed")
-	}
-	if d := pool.Dials(); d != 2 {
-		t.Fatalf("pool dialed %d times, want 2", d)
 	}
 }
 
@@ -275,8 +189,8 @@ func TestVerifierPoolReusesDaemonConns(t *testing.T) {
 		t.Fatal(err)
 	}
 	vs := &VerifierServer{
-		Verifier:   verifier,
-		DialProver: func() (ProverConn, error) { return DialMuxProver(paddr, time.Second) },
+		Verifier: verifier,
+		Dial:     func() (ProverConn, error) { return DialMuxProver(paddr, time.Second) },
 	}
 	vlis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -35,8 +35,6 @@ var ErrAuditTimeout = errors.New("core: audit attempt timed out")
 //
 //   - LocalRunner: in-process verifier over any ProverConn (simnet or an
 //     established TCP connection),
-//   - DialProverRunner: in-process verifier, fresh TCP prover connection
-//     per audit,
 //   - PooledRunner: in-process verifier over a ProverPool of persistent
 //     multiplexed prover connections — the production transport,
 //   - RemoteRunner: fully distributed — each audit is shipped to a
@@ -482,7 +480,7 @@ type ProverPolicy struct {
 // EffectiveTimeout resolves the per-attempt deadline this policy yields
 // over a fleet default (> 0 overrides, < 0 disables, 0 inherits). It is
 // exported so callers configuring a runner-side I/O backstop (e.g.
-// DialProverRunner.AttemptTimeout) resolve the sentinel exactly as the
+// RemoteRunner.AttemptTimeout) resolve the sentinel exactly as the
 // scheduler will.
 func (p ProverPolicy) EffectiveTimeout(fleet time.Duration) time.Duration {
 	switch {

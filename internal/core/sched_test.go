@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -449,56 +448,9 @@ func ids(tasks []AuditTask) []string {
 	return out
 }
 
-// TestDialProverRunnerAttemptDeadline: against a prover that accepts the
-// connection and then goes silent, the runner's own I/O deadline unblocks
-// the attempt — the abandoned-goroutine path never accumulates hung
-// connections.
-func TestDialProverRunnerAttemptDeadline(t *testing.T) {
-	f := newSchedFixture(t)
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lis.Close()
-	go func() {
-		for {
-			conn, err := lis.Accept()
-			if err != nil {
-				return
-			}
-			defer conn.Close() // accept and never answer
-		}
-	}()
-
-	runner := &DialProverRunner{
-		Verifier: f.verifier,
-		Dial: func() (ProverConn, error) {
-			return DialProver(lis.Addr().String(), time.Second)
-		},
-		AttemptTimeout: 50 * time.Millisecond,
-	}
-	req, err := f.tpa.NewRequest(f.ef.FileID, f.ef.Layout, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	st, err := runner.RunAudit(context.Background(), req)
-	if err != nil {
-		t.Fatalf("RunAudit returned a transport error %v; hung rounds should be recorded as failed", err)
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("attempt took %v; the I/O deadline did not fire", elapsed)
-	}
-	for i, r := range st.Transcript.Rounds {
-		if !r.Failed {
-			t.Fatalf("round %d against a silent prover did not fail", i)
-		}
-	}
-}
-
 // TestSchedulerOverTCP drives the scheduler through the real wire
-// transport: a ProverServer on a loopback listener, fresh connection per
-// audit via DialProverRunner.
+// transport: a ProverServer on a loopback listener, audits sharing the
+// pooled mux connection via PooledRunner.
 func TestSchedulerOverTCP(t *testing.T) {
 	f := newSchedFixture(t)
 	addr, stop := startServer(t, &cloud.HonestProvider{Site: honestSite(t, f.ef)}, false)
@@ -507,12 +459,9 @@ func TestSchedulerOverTCP(t *testing.T) {
 	sched := NewScheduler(SchedulerConfig{Workers: 4, ProverWindow: 2, Timeout: 5 * time.Second})
 	sched.RegisterTenant("t1", f.tpa)
 	sched.RegisterTenant("t2", f.tpa)
-	sched.RegisterProver("tcp", &DialProverRunner{
-		Verifier: f.verifier,
-		Dial: func() (ProverConn, error) {
-			return DialProver(addr, 2*time.Second)
-		},
-	})
+	pool := &ProverPool{DialTimeout: 2 * time.Second}
+	defer pool.Close()
+	sched.RegisterProver("tcp", &PooledRunner{Verifier: f.verifier, Addr: addr, Pool: pool})
 
 	verdicts := sched.RunEpoch(context.Background(), []AuditTask{
 		f.task("t1", "tcp", 3), f.task("t2", "tcp", 3),

@@ -2,9 +2,6 @@ package core
 
 import (
 	"bufio"
-	"context"
-	"errors"
-	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -14,24 +11,19 @@ import (
 	"repro/internal/wire"
 )
 
-// This file is the live-deployment transport: the prover listens on TCP
-// and serves segment requests; the verifier connects and times each
-// round on the wall clock. Two protocols share the listener, negotiated
-// per connection (see internal/wire/doc.go): the original v1
-// request/response framing, and the v2 mux framing that carries many
-// concurrent streams — and whole pipelined challenge batches — over one
-// connection. It is also used by the integration tests over net.Pipe
-// with injected delays.
+// This file is the prover side of the live-deployment transport: the
+// prover listens on TCP and serves segment requests in mux v2 frames
+// (see internal/wire/doc.go); the verifier connects and times each round
+// on the wall clock.
 
 // ProverServer serves segment requests from a cloud.Provider over a
 // listener. SimulateServiceTime controls whether the provider's modelled
 // service latency is actually slept (true for realistic end-to-end timing
 // demos, false to serve at line rate). Concurrency bounds the server two
-// ways (≤ 0 = unlimited): v1 connections served simultaneously — excess
-// connections queue at the accept loop rather than overcommitting the
-// disk — and, on each mux connection, streams served concurrently, so
-// one greedy peer cannot fan a single socket out into unbounded
-// goroutines.
+// ways (≤ 0 = unlimited): connections served simultaneously — excess
+// connections queue at the accept loop — and, on each connection,
+// streams served concurrently, so one greedy peer cannot fan a single
+// socket out into unbounded goroutines.
 type ProverServer struct {
 	Provider            cloud.Provider
 	SimulateServiceTime bool
@@ -88,80 +80,26 @@ func (s *ProverServer) Close() error {
 	return nil
 }
 
-// handle serves one connection. The first frame picks the protocol: a
-// well-formed Hello upgrades to the mux framing; anything else — in
-// particular a v1 client's opening request — is served by the v1
-// request/response loop, first frame included.
+// handle serves one connection. The first frame must be a well-formed
+// Hello offering at least wire.MuxVersion; anything else is answered
+// with one TypeError and the connection is closed.
 func (s *ProverServer) handle(conn net.Conn) {
 	defer conn.Close()
 	typ, payload, err := wire.ReadFramePooled(conn)
 	if err != nil {
 		return // EOF or broken peer: nothing to answer
 	}
-	if typ == wire.TypeHello {
-		hello, herr := wire.DecodeHello(payload)
-		wire.PutBuffer(payload)
-		if herr != nil || hello.MaxVersion < wire.MuxVersion {
-			// A malformed or too-old hello gets the same answer a pre-mux
-			// server gives an unknown frame type, and the peer falls back
-			// to v1 on this connection.
-			if wire.WriteFrame(conn, wire.TypeError, wire.ErrorMessage{Msg: "unsupported hello"}.Encode()) != nil {
-				return
-			}
-			s.serveV1(conn)
-			return
-		}
-		ack := wire.HelloAck{Version: wire.MuxVersion, Features: hello.Features & wire.FeatureBatch}
-		if wire.WriteFrame(conn, wire.TypeHelloAck, ack.Encode()) != nil {
-			return
-		}
-		metricProverConnsMux.Inc()
-		s.serveMux(conn)
+	hello, herr := wire.DecodeHello(payload)
+	wire.PutBuffer(payload)
+	if typ != wire.TypeHello || herr != nil || hello.MaxVersion < wire.MuxVersion {
+		_ = wire.WriteFrame(conn, wire.TypeError, wire.ErrorMessage{Msg: "mux v2 hello required"}.Encode()) // closing either way
 		return
 	}
-	metricProverConnsV1.Inc()
-	if !s.serveV1Frame(conn, typ, payload) {
+	if wire.WriteFrame(conn, wire.TypeHelloAck, wire.HelloAck{Version: wire.MuxVersion}.Encode()) != nil {
 		return
 	}
-	s.serveV1(conn)
-}
-
-// serveV1 runs the v1 request/response loop: one frame in, one frame
-// out, strictly serial per connection.
-func (s *ProverServer) serveV1(conn net.Conn) {
-	for {
-		typ, payload, err := wire.ReadFramePooled(conn)
-		if err != nil {
-			return
-		}
-		if !s.serveV1Frame(conn, typ, payload) {
-			return
-		}
-	}
-}
-
-// serveV1Frame answers one v1 frame, recycling its payload buffer. It
-// reports whether the connection is still worth serving.
-func (s *ProverServer) serveV1Frame(conn net.Conn, typ byte, payload []byte) bool {
-	defer wire.PutBuffer(payload)
-	switch typ {
-	case wire.TypePing:
-		metricProverPings.Inc()
-		return wire.WriteFrame(conn, wire.TypePong, nil) == nil
-	case wire.TypeSegmentRequest:
-		metricProverSegments.Inc()
-		req, err := wire.DecodeSegmentRequest(payload)
-		if err != nil {
-			return wire.WriteFrame(conn, wire.TypeError, wire.ErrorMessage{Msg: err.Error()}.Encode()) == nil
-		}
-		data, err := s.fetch(req.FileID, req.Index)
-		if err != nil {
-			return wire.WriteFrame(conn, wire.TypeError, wire.ErrorMessage{Msg: err.Error()}.Encode()) == nil
-		}
-		return wire.WriteFrame(conn, wire.TypeSegmentResponse, wire.SegmentResponse{Data: data}.Encode()) == nil
-	default:
-		return wire.WriteFrame(conn, wire.TypeError, wire.ErrorMessage{Msg: "unknown frame type"}.Encode()) == nil
-	}
+	metricProverConns.Inc()
+	s.serveMux(conn)
 }
 
 // fetch reads one segment from the provider, sleeping its modelled
@@ -186,13 +124,19 @@ type muxServerConn struct {
 	dead atomic.Bool
 }
 
-// writeFrames writes a pre-encoded run of frames as one syscall. On
-// failure the connection is marked dead and closed, which unblocks the
-// read loop.
-func (m *muxServerConn) writeFrames(buf []byte) bool {
+// writeFrame encodes one mux frame through a pooled buffer and writes it
+// as one syscall. On a write failure the connection is marked dead and
+// closed, which unblocks the read loop.
+func (m *muxServerConn) writeFrame(typ byte, stream uint32, payload []byte) bool {
+	buf, err := wire.AppendMuxFrame(wire.GetBuffer(0)[:0], typ, stream, payload)
+	if err != nil {
+		wire.PutBuffer(buf)
+		return false
+	}
 	m.wmu.Lock()
-	_, err := m.conn.Write(buf)
+	_, err = m.conn.Write(buf)
 	m.wmu.Unlock()
+	wire.PutBuffer(buf)
 	if err != nil {
 		if m.dead.CompareAndSwap(false, true) {
 			m.conn.Close()
@@ -202,20 +146,7 @@ func (m *muxServerConn) writeFrames(buf []byte) bool {
 	return true
 }
 
-// writeFrame encodes and writes a single mux frame through a pooled
-// buffer.
-func (m *muxServerConn) writeFrame(typ byte, stream uint32, payload []byte) bool {
-	buf, err := wire.AppendMuxFrame(wire.GetBuffer(0)[:0], typ, stream, payload)
-	if err != nil {
-		wire.PutBuffer(buf)
-		return false
-	}
-	ok := m.writeFrames(buf)
-	wire.PutBuffer(buf)
-	return ok
-}
-
-// serveMux runs the v2 loop: the read loop only decodes and dispatches,
+// serveMux runs the mux loop: the read loop only decodes and dispatches,
 // stream work runs in bounded goroutines, so one slow fetch cannot
 // head-of-line-block the frames queued behind it.
 func (s *ProverServer) serveMux(conn net.Conn) {
@@ -260,31 +191,6 @@ func (s *ProverServer) serveMux(conn net.Conn) {
 				}
 				s.serveSegmentStream(m, stream, req)
 			}()
-		case wire.TypeSegmentBatchRequest:
-			metricProverBatches.Inc()
-			req, derr := wire.DecodeSegmentBatchRequest(payload)
-			wire.PutBuffer(payload)
-			if derr != nil {
-				// The peer cannot know how many reply frames a batch it
-				// failed to encode would have carried, so the stream is
-				// aborted outright rather than answered per index.
-				metricProverAborts.Inc()
-				if !m.writeFrame(wire.TypeStreamAbort, stream, wire.ErrorMessage{Msg: derr.Error()}.Encode()) {
-					return
-				}
-				continue
-			}
-			if cap(sem) > 0 {
-				sem <- struct{}{}
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if cap(sem) > 0 {
-					defer func() { <-sem }()
-				}
-				s.serveBatchStream(m, stream, req)
-			}()
 		default:
 			wire.PutBuffer(payload)
 			if !m.writeFrame(wire.TypeError, stream, wire.ErrorMessage{Msg: "unknown frame type"}.Encode()) {
@@ -294,7 +200,7 @@ func (s *ProverServer) serveMux(conn net.Conn) {
 	}
 }
 
-// serveSegmentStream answers one single-request stream.
+// serveSegmentStream answers one challenge round.
 func (s *ProverServer) serveSegmentStream(m *muxServerConn, stream uint32, req wire.SegmentRequest) {
 	data, err := s.fetch(req.FileID, req.Index)
 	if err != nil {
@@ -302,201 +208,4 @@ func (s *ProverServer) serveSegmentStream(m *muxServerConn, stream uint32, req w
 		return
 	}
 	m.writeFrame(wire.TypeSegmentResponse, stream, data)
-}
-
-// serveBatchStream answers a pipelined challenge batch: exactly one
-// frame per requested index, in request order. Responses are coalesced
-// into pooled buffers and flushed in large writes at line rate; when
-// service time is simulated, everything produced so far is flushed
-// before each sleep so earlier rounds are never delayed by later ones.
-func (s *ProverServer) serveBatchStream(m *muxServerConn, stream uint32, req wire.SegmentBatchRequest) {
-	buf := wire.GetBuffer(0)[:0]
-	flush := func() bool {
-		if len(buf) == 0 {
-			return true
-		}
-		ok := m.writeFrames(buf)
-		buf = buf[:0]
-		return ok
-	}
-	for _, idx := range req.Indices {
-		data, lookup, err := s.Provider.FetchSegment(req.FileID, int64(idx))
-		if err == nil && s.SimulateServiceTime && lookup > 0 {
-			if !flush() {
-				wire.PutBuffer(buf)
-				return
-			}
-			time.Sleep(lookup)
-		}
-		if err != nil {
-			buf, _ = wire.AppendMuxFrame(buf, wire.TypeError, stream, wire.ErrorMessage{Msg: err.Error()}.Encode())
-		} else {
-			buf, _ = wire.AppendMuxFrame(buf, wire.TypeSegmentResponse, stream, data)
-		}
-		if len(buf) >= 32<<10 {
-			if !flush() {
-				wire.PutBuffer(buf)
-				return
-			}
-		}
-	}
-	flush()
-	wire.PutBuffer(buf)
-}
-
-// TCPProverConn is the verifier side of the v1 TCP transport. It is safe
-// for sequential use only, matching the strictly serial audit rounds;
-// MuxProverConn is the multiplexed replacement that shares one
-// connection between concurrent audits.
-type TCPProverConn struct {
-	conn net.Conn
-	// Delay injects artificial symmetric one-way delay per direction,
-	// for failure-injection and relay experiments on loopback.
-	Delay time.Duration
-	// desynced latches when a cancelled context abandoned an exchange
-	// mid-flight; every later call fails with ErrConnDesynced.
-	desynced atomic.Bool
-}
-
-var _ ProverConn = (*TCPProverConn)(nil)
-
-// NewTCPProverConn wraps an established connection.
-func NewTCPProverConn(conn net.Conn) *TCPProverConn {
-	return &TCPProverConn{conn: conn}
-}
-
-// DialProver connects to a prover server speaking the v1 protocol.
-// DialMuxProver negotiates the multiplexed protocol instead.
-func DialProver(addr string, timeout time.Duration) (*TCPProverConn, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return nil, fmt.Errorf("dial prover: %w", err)
-	}
-	return &TCPProverConn{conn: conn}, nil
-}
-
-// Close closes the underlying connection.
-func (c *TCPProverConn) Close() error { return c.conn.Close() }
-
-// Healthy reports whether the connection can still carry exchanges — it
-// is false once a cancelled exchange desynced the framing. Connection
-// pools use it to decide between reuse and redial.
-func (c *TCPProverConn) Healthy() bool { return !c.desynced.Load() }
-
-// SetDeadline bounds all future reads and writes on the connection. The
-// audit scheduler sets an absolute per-attempt deadline so a hung prover
-// surfaces as an I/O timeout instead of blocking a goroutine forever.
-func (c *TCPProverConn) SetDeadline(t time.Time) error { return c.conn.SetDeadline(t) }
-
-// Ping round-trips an empty frame, for liveness checks and LAN-latency
-// baselining. Cancelling ctx pokes the connection deadline exactly like
-// GetSegment, so a liveness probe against a hung prover returns promptly
-// instead of hanging its caller (the probe then counts as an abandoned
-// exchange: the connection latches ErrConnDesynced).
-func (c *TCPProverConn) Ping(ctx context.Context) (time.Duration, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	if c.desynced.Load() {
-		return 0, ErrConnDesynced
-	}
-	disarm := pokeOnCancel(ctx, c.conn)
-	defer func() {
-		if disarm() {
-			c.desynced.Store(true)
-		}
-	}()
-	start := time.Now()
-	if err := wire.WriteFrame(c.conn, wire.TypePing, nil); err != nil {
-		return 0, err
-	}
-	typ, _, err := wire.ReadFrame(c.conn)
-	if err != nil {
-		return 0, err
-	}
-	if typ != wire.TypePong {
-		return 0, errors.New("core: unexpected ping reply")
-	}
-	return time.Since(start), nil
-}
-
-// ErrConnDesynced reports that a request/response connection was
-// abandoned mid-exchange by a cancelled context: the peer's response may
-// still be in flight, so any further exchange could read a stale frame.
-// The connection must be reconnected, never reused. Only the v1
-// transport can get here — mux streams cancel individually without
-// touching their siblings.
-var ErrConnDesynced = errors.New("core: connection desynced by a cancelled exchange; reconnect")
-
-// pokeOnCancel arms ctx to interrupt conn's blocking I/O by expiring its
-// deadline, and returns the disarm function. Disarm reports whether the
-// poke fired (waiting out an in-flight callback first, so the report is
-// never racy): a fired poke means the exchange was abandoned with the
-// response possibly still in flight, and the caller must mark the
-// connection desynced — handing back stale frames to the next exchange
-// would silently blame a healthy prover.
-func pokeOnCancel(ctx context.Context, conn deadliner) (disarm func() (fired bool)) {
-	if ctx.Done() == nil {
-		return func() bool { return false }
-	}
-	done := make(chan struct{})
-	stop := context.AfterFunc(ctx, func() {
-		conn.SetDeadline(time.Now())
-		close(done)
-	})
-	return func() bool {
-		if stop() {
-			return false // callback never ran and never will
-		}
-		<-done
-		return true
-	}
-}
-
-// GetSegment performs one request/response exchange. Cancelling ctx
-// unblocks an in-flight read by poking the connection deadline, so a
-// scheduler-abandoned attempt releases its goroutine and connection
-// promptly even against a hung prover.
-func (c *TCPProverConn) GetSegment(ctx context.Context, fileID string, index uint64) ([]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if c.desynced.Load() {
-		return nil, ErrConnDesynced
-	}
-	disarm := pokeOnCancel(ctx, c.conn)
-	defer func() {
-		if disarm() {
-			c.desynced.Store(true)
-		}
-	}()
-	if c.Delay > 0 {
-		time.Sleep(c.Delay)
-	}
-	req := wire.SegmentRequest{FileID: fileID, Index: index}
-	if err := wire.WriteFrame(c.conn, wire.TypeSegmentRequest, req.Encode()); err != nil {
-		return nil, fmt.Errorf("send request: %w", err)
-	}
-	typ, payload, err := wire.ReadFrame(c.conn)
-	if err != nil {
-		return nil, fmt.Errorf("read response: %w", err)
-	}
-	if c.Delay > 0 {
-		time.Sleep(c.Delay)
-	}
-	switch typ {
-	case wire.TypeSegmentResponse:
-		resp, err := wire.DecodeSegmentResponse(payload)
-		if err != nil {
-			return nil, err
-		}
-		return resp.Data, nil
-	case wire.TypeError:
-		return nil, wire.DecodeErrorMessage(payload)
-	default:
-		return nil, fmt.Errorf("core: unexpected frame type %d", typ)
-	}
 }

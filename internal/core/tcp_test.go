@@ -52,58 +52,26 @@ func tcpFixture(t *testing.T) (*por.Encoder, *por.EncodedFile, *cloud.Site) {
 	return enc, ef, site
 }
 
-func TestTCPEndToEndAudit(t *testing.T) {
-	enc, ef, site := tcpFixture(t)
-	addr, stop := startServer(t, &cloud.HonestProvider{Site: site}, false)
-	defer stop()
+// delayedConn sleeps before and after every round, the way a longer wire
+// would.
+type delayedConn struct {
+	ProverConn
+	oneWay time.Duration
+}
 
-	conn, err := DialProver(addr, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-
-	signer, _ := crypt.NewSigner()
-	verifier, err := NewVerifier(signer, &gps.Receiver{True: geo.Brisbane}, nil) // wall clock
-	if err != nil {
-		t.Fatal(err)
-	}
-	sla := cloud.SLA{Center: geo.Brisbane, RadiusKm: 100}
-	policy := DefaultPolicy(sla)
-	policy.TMax = 250 * time.Millisecond // generous for loopback-without-simulated-disk
-	tpa, err := NewTPA(enc, signer.Public(), policy)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	req, err := tpa.NewRequest(ef.FileID, ef.Layout, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := verifier.RunAudit(context.Background(), req, conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := tpa.VerifyAudit(req, ef.Layout, st)
-	if !rep.Accepted {
-		t.Fatalf("TCP audit rejected: %s", rep.Reason())
-	}
-	if rep.SegmentsOK != 12 {
-		t.Fatalf("segments ok %d", rep.SegmentsOK)
-	}
+func (c delayedConn) GetSegment(ctx context.Context, fileID string, index uint64) ([]byte, error) {
+	time.Sleep(c.oneWay)
+	seg, err := c.ProverConn.GetSegment(ctx, fileID, index)
+	time.Sleep(c.oneWay)
+	return seg, err
 }
 
 func TestTCPInjectedDelayTripsTiming(t *testing.T) {
 	enc, ef, site := tcpFixture(t)
 	addr, stop := startServer(t, &cloud.HonestProvider{Site: site}, false)
 	defer stop()
-
-	conn, err := DialProver(addr, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn := dialMux(t, addr)
 	defer conn.Close()
-	conn.Delay = 20 * time.Millisecond // 40 ms extra per round trip
 
 	signer, _ := crypt.NewSigner()
 	verifier, _ := NewVerifier(signer, &gps.Receiver{True: geo.Brisbane}, nil)
@@ -112,7 +80,8 @@ func TestTCPInjectedDelayTripsTiming(t *testing.T) {
 	tpa, _ := NewTPA(enc, signer.Public(), policy)
 
 	req, _ := tpa.NewRequest(ef.FileID, ef.Layout, 4)
-	st, err := verifier.RunAudit(context.Background(), req, conn)
+	// 40 ms extra per round trip.
+	st, err := verifier.RunAudit(context.Background(), req, delayedConn{conn, 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,85 +91,11 @@ func TestTCPInjectedDelayTripsTiming(t *testing.T) {
 	}
 }
 
-func TestTCPPing(t *testing.T) {
-	_, _, site := tcpFixture(t)
-	addr, stop := startServer(t, &cloud.HonestProvider{Site: site}, false)
-	defer stop()
-	conn, err := DialProver(addr, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	rtt, err := conn.Ping(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rtt <= 0 || rtt > time.Second {
-		t.Fatalf("ping rtt %v", rtt)
-	}
-	// A cancelled context must short-circuit before touching the wire.
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := conn.Ping(cancelled); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ping with cancelled ctx: %v", err)
-	}
-	// The short-circuit is not an abandoned exchange: the conn stays
-	// healthy and a live ping still works.
-	if !conn.Healthy() {
-		t.Fatal("conn desynced by pre-cancelled ping")
-	}
-	if _, err := conn.Ping(context.Background()); err != nil {
-		t.Fatalf("ping after cancelled ping: %v", err)
-	}
-}
-
-func TestTCPPingCancelUnblocksAndDesyncs(t *testing.T) {
-	// A ping against a server that never answers must return promptly on
-	// ctx cancellation (deadline poke) and latch the desync.
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lis.Close()
-	go func() {
-		for {
-			c, err := lis.Accept()
-			if err != nil {
-				return
-			}
-			defer c.Close() // accept and stay silent
-		}
-	}()
-	conn, err := DialProver(lis.Addr().String(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	if _, err := conn.Ping(ctx); err == nil {
-		t.Fatal("ping against silent server succeeded")
-	}
-	if el := time.Since(start); el > 2*time.Second {
-		t.Fatalf("cancelled ping took %v", el)
-	}
-	if conn.Healthy() {
-		t.Fatal("abandoned ping left conn marked healthy")
-	}
-	if _, err := conn.Ping(context.Background()); !errors.Is(err, ErrConnDesynced) {
-		t.Fatalf("ping on desynced conn: %v", err)
-	}
-}
-
 func TestTCPUnknownFileReturnsRemoteError(t *testing.T) {
 	_, _, site := tcpFixture(t)
 	addr, stop := startServer(t, &cloud.HonestProvider{Site: site}, false)
 	defer stop()
-	conn, err := DialProver(addr, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn := dialMux(t, addr)
 	defer conn.Close()
 	if _, err := conn.GetSegment(context.Background(), "ghost-file", 0); !errors.Is(err, wire.ErrRemote) {
 		t.Fatalf("got %v, want ErrRemote", err)
@@ -212,36 +107,33 @@ func TestTCPUnknownFileReturnsRemoteError(t *testing.T) {
 }
 
 func TestTCPMalformedFrameHandled(t *testing.T) {
-	_, _, site := tcpFixture(t)
+	_, ef, site := tcpFixture(t)
 	addr, stop := startServer(t, &cloud.HonestProvider{Site: site}, false)
 	defer stop()
-	raw, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := rawMuxConn(t, addr)
 	defer raw.Close()
-	// Garbage segment-request payload: server must answer TypeError,
-	// not crash or hang.
-	if err := wire.WriteFrame(raw, wire.TypeSegmentRequest, []byte{0xFF}); err != nil {
-		t.Fatal(err)
+	// Garbage segment-request payload: the server must answer TypeError
+	// on that stream, not crash or hang, and keep serving the connection.
+	exchange := func(stream uint32, payload []byte) byte {
+		t.Helper()
+		if err := wire.WriteMuxFrame(raw, wire.TypeSegmentRequest, stream, payload); err != nil {
+			t.Fatal(err)
+		}
+		typ, got, reply, err := wire.ReadMuxFrame(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire.PutBuffer(reply)
+		if got != stream {
+			t.Fatalf("reply on stream %d, want %d", got, stream)
+		}
+		return typ
 	}
-	typ, _, err := wire.ReadFrame(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if typ != wire.TypeError {
+	if typ := exchange(7, []byte{0xFF}); typ != wire.TypeError {
 		t.Fatalf("frame type %d, want error", typ)
 	}
-	// Unknown frame type.
-	if err := wire.WriteFrame(raw, 99, nil); err != nil {
-		t.Fatal(err)
-	}
-	typ, _, err = wire.ReadFrame(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if typ != wire.TypeError {
-		t.Fatalf("frame type %d, want error", typ)
+	if typ := exchange(8, wire.SegmentRequest{FileID: ef.FileID}.Encode()); typ != wire.TypeSegmentResponse {
+		t.Fatalf("frame type %d after the malformed request, want a segment", typ)
 	}
 }
 
@@ -249,10 +141,7 @@ func TestTCPSimulatedServiceTime(t *testing.T) {
 	_, ef, site := tcpFixture(t)
 	addr, stop := startServer(t, &cloud.HonestProvider{Site: site}, true)
 	defer stop()
-	conn, err := DialProver(addr, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn := dialMux(t, addr)
 	defer conn.Close()
 	start := time.Now()
 	if _, err := conn.GetSegment(context.Background(), ef.FileID, 0); err != nil {
@@ -294,7 +183,7 @@ func TestProverServerConcurrencyCapAndNegative(t *testing.T) {
 		errc := make(chan error, 3)
 		for i := 0; i < 3; i++ {
 			go func() {
-				conn, err := DialProver(lis.Addr().String(), time.Second)
+				conn, err := DialMuxProver(lis.Addr().String(), time.Second)
 				if err != nil {
 					errc <- err
 					return

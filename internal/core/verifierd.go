@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -19,11 +20,11 @@ import (
 // each on their own host), matching the paper's Fig. 4 architecture.
 type VerifierServer struct {
 	Verifier *Verifier
-	// DialProver opens the device's channel to the prover for one audit.
+	// Dial opens the device's channel to the prover for one audit.
 	// Audits run sequentially per connection, so the prover link is
 	// re-established per request — the initialisation phase is not time
 	// critical (§III-A).
-	DialProver func() (ProverConn, error)
+	Dial func() (ProverConn, error)
 	// BatchSigner, when set, offers wire.FeatureBatchSign: TPA
 	// connections that negotiate it receive batch-attested transcripts
 	// (one root signature amortized over many audits) instead of
@@ -133,7 +134,7 @@ func (s *VerifierServer) handle(conn net.Conn) {
 }
 
 func (s *VerifierServer) runOne(v *Verifier, req AuditRequest) (SignedTranscript, error) {
-	pc, err := s.DialProver()
+	pc, err := s.Dial()
 	if err != nil {
 		return SignedTranscript{}, fmt.Errorf("dial prover: %w", err)
 	}
@@ -203,9 +204,43 @@ func (r *RemoteVerifier) Close() error { return r.conn.Close() }
 // decide between reuse and redial.
 func (r *RemoteVerifier) Healthy() bool { return !r.desynced.Load() }
 
-// SetDeadline bounds all future reads and writes on the connection; see
-// TCPProverConn.SetDeadline.
+// SetDeadline bounds all future reads and writes on the connection.
+// RemoteRunner sets an absolute per-attempt deadline so a hung daemon
+// surfaces as an I/O timeout instead of blocking a goroutine forever.
 func (r *RemoteVerifier) SetDeadline(t time.Time) error { return r.conn.SetDeadline(t) }
+
+// ErrConnDesynced reports that a request/response connection was
+// abandoned mid-exchange by a cancelled context: the peer's response may
+// still be in flight, so any further exchange could read a stale frame.
+// The connection must be reconnected, never reused. Only the serial
+// TPA↔verifier-daemon leg can get here — mux streams cancel individually
+// without touching their siblings.
+var ErrConnDesynced = errors.New("core: connection desynced by a cancelled exchange; reconnect")
+
+// pokeOnCancel arms ctx to interrupt conn's blocking I/O by expiring its
+// deadline, and returns the disarm function. Disarm reports whether the
+// poke fired (waiting out an in-flight callback first, so the report is
+// never racy): a fired poke means the exchange was abandoned with the
+// response possibly still in flight, and the caller must mark the
+// connection desynced — handing back stale frames to the next exchange
+// would silently blame a healthy prover.
+func pokeOnCancel(ctx context.Context, conn net.Conn) (disarm func() (fired bool)) {
+	if ctx.Done() == nil {
+		return func() bool { return false }
+	}
+	done := make(chan struct{})
+	stop := context.AfterFunc(ctx, func() {
+		conn.SetDeadline(time.Now())
+		close(done)
+	})
+	return func() bool {
+		if stop() {
+			return false // callback never ran and never will
+		}
+		<-done
+		return true
+	}
+}
 
 // RunAudit submits the request and waits for the signed transcript.
 // Cancelling ctx pokes the connection deadline so a daemon that stops
@@ -241,4 +276,56 @@ func (r *RemoteVerifier) RunAudit(ctx context.Context, req AuditRequest) (Signed
 	default:
 		return SignedTranscript{}, fmt.Errorf("core: unexpected frame type %d", typ)
 	}
+}
+
+// RemoteRunner ships each audit to a verifier daemon. Without a Pool it
+// dials per audit so concurrent audits get independent connections; with
+// a Pool, connections are checked out, health-checked and reused — a
+// desynced or failed connection is replaced by a fresh dial.
+type RemoteRunner struct {
+	Addr        string
+	DialTimeout time.Duration
+	// AttemptTimeout, when positive, bounds the whole remote audit with an
+	// absolute I/O deadline on the daemon connection. Pair it with the
+	// scheduler's Timeout: the scheduler frees the window slot at its
+	// deadline, and this deadline makes the abandoned attempt itself
+	// unblock instead of leaking against a hung daemon. Pooled
+	// connections clear it again on the next checkout.
+	AttemptTimeout time.Duration
+	// Pool, when non-nil, reuses daemon connections across audits.
+	Pool *VerifierPool
+}
+
+var _ AuditRunner = (*RemoteRunner)(nil)
+
+// RunAudit obtains a daemon connection (pooled or freshly dialed),
+// submits the request and waits for the signed transcript.
+func (r *RemoteRunner) RunAudit(ctx context.Context, req AuditRequest) (SignedTranscript, error) {
+	var rv *RemoteVerifier
+	var err error
+	if r.Pool != nil {
+		rv, err = r.Pool.Get(r.Addr)
+	} else {
+		timeout := r.DialTimeout
+		if timeout <= 0 {
+			timeout = 5 * time.Second
+		}
+		rv, err = DialVerifier(r.Addr, timeout)
+	}
+	if err != nil {
+		return SignedTranscript{}, err
+	}
+	if r.AttemptTimeout > 0 {
+		if err := rv.SetDeadline(time.Now().Add(r.AttemptTimeout)); err != nil {
+			rv.Close()
+			return SignedTranscript{}, fmt.Errorf("set attempt deadline: %w", err)
+		}
+	}
+	st, err := rv.RunAudit(ctx, req)
+	if r.Pool != nil {
+		r.Pool.Put(r.Addr, rv, err)
+	} else {
+		rv.Close()
+	}
+	return st, err
 }

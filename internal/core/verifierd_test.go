@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math"
 	"net"
 	"testing"
@@ -127,8 +128,8 @@ func TestThreePartyDistributedAudit(t *testing.T) {
 	}
 	vs := &VerifierServer{
 		Verifier: verifier,
-		DialProver: func() (ProverConn, error) {
-			return DialProver(proverAddr, time.Second)
+		Dial: func() (ProverConn, error) {
+			return DialMuxProver(proverAddr, time.Second)
 		},
 	}
 	vlis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -189,8 +190,8 @@ func TestVerifierServerRejectsBadRequest(t *testing.T) {
 	signer, _ := crypt.NewSigner()
 	verifier, _ := NewVerifier(signer, &gps.Receiver{True: geo.Brisbane}, nil)
 	vs := &VerifierServer{
-		Verifier:   verifier,
-		DialProver: func() (ProverConn, error) { return nil, wire.ErrRemote },
+		Verifier: verifier,
+		Dial:     func() (ProverConn, error) { return nil, wire.ErrRemote },
 	}
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -229,5 +230,46 @@ func TestVerifierServerRejectsBadRequest(t *testing.T) {
 	typ, _, err = wire.ReadFrame(conn)
 	if err != nil || typ != wire.TypeError {
 		t.Fatalf("typ=%d err=%v", typ, err)
+	}
+}
+
+func TestRemoteVerifierCancelUnblocksAndDesyncs(t *testing.T) {
+	// An audit shipped to a daemon that never answers must return promptly
+	// on ctx cancellation (deadline poke) and latch the desync.
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	go func() {
+		for {
+			c, err := lis.Accept()
+			if err != nil {
+				return
+			}
+			defer c.Close() // accept and stay silent
+		}
+	}()
+	raw, err := net.Dial("tcp", lis.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote := &RemoteVerifier{conn: raw}
+	defer remote.Close()
+	req := AuditRequest{FileID: "f", NumSegments: 8, K: 2, Nonce: []byte("nonce")}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if _, err := remote.RunAudit(ctx, req); err == nil {
+		t.Fatal("audit against a silent daemon succeeded")
+	}
+	if el := time.Since(start); el > 2*time.Second {
+		t.Fatalf("cancelled audit took %v", el)
+	}
+	if remote.Healthy() {
+		t.Fatal("abandoned audit left conn marked healthy")
+	}
+	if _, err := remote.RunAudit(context.Background(), req); !errors.Is(err, ErrConnDesynced) {
+		t.Fatalf("audit on desynced conn: %v", err)
 	}
 }

@@ -26,12 +26,11 @@ func TestNoWallClockOrGlobalRand(t *testing.T) {
 	// handlers for the daemons; the metrics and trace cores stay fully
 	// under the contract.
 	excludedFiles := map[string]bool{
-		"tcp.go":        true,
-		"mux.go":        true,
-		"pool.go":       true,
-		"verifierd.go":  true,
-		"liverunner.go": true,
-		"logging.go":    true,
+		"tcp.go":       true,
+		"mux.go":       true,
+		"pool.go":      true,
+		"verifierd.go": true,
+		"logging.go":   true,
 	}
 	// Specific (file, token) allowances, each a deliberate seam:
 	//   vclock.go   — Real is the wall-clock implementation itself;

@@ -1,11 +1,12 @@
 // Package wire defines the binary framing GeoProof peers speak over TCP.
 // Payload encodings are hand-rolled with encoding/binary — no reflection,
 // no allocation surprises — and malformed input surfaces as typed errors
-// rather than panics. Two framings share the same frame-type namespace:
+// rather than panics. Two framings share one frame-type namespace, one
+// per leg of the deployment:
 //
-// # v1: request/response frames
+// # v1: request/response frames (TPA ↔ verifier daemon, and every Hello)
 //
-// The original framing is a fixed 5-byte header followed by the payload:
+// A fixed 5-byte header followed by the payload:
 //
 //	offset  size  field
 //	0       4     payload length (big-endian uint32, ≤ MaxFrame)
@@ -15,9 +16,10 @@
 // A v1 connection is strictly half-duplex per exchange: the client writes
 // one request frame and reads one response frame. Abandoning an exchange
 // mid-flight desynchronises the connection (the response may still be in
-// transit), which is why the v1 transport latches core.ErrConnDesynced.
+// transit), which is why core.RemoteVerifier latches
+// core.ErrConnDesynced.
 //
-// # v2: multiplexed stream frames
+// # v2: multiplexed stream frames (verifier ↔ prover)
 //
 // The v2 framing widens the header with a stream identifier so many
 // exchanges can be in flight on one connection at once:
@@ -28,46 +30,40 @@
 //	5       4     stream id (big-endian uint32)
 //	9       n     payload
 //
-// Stream ids are allocated by the client (monotonically increasing);
-// the server echoes the request's stream id on every frame it sends in
-// reply and never invents ids of its own.
+// Stream ids are allocated by the client (increasing, never 0, never one
+// still in use); the server echoes the request's stream id on the one
+// frame it sends in reply and never invents ids of its own.
 //
-// # Version negotiation
+// # Version check
 //
-// A v2-capable client opens every connection with a v1-framed Hello
-// carrying the magic, its maximum supported version and its feature bits.
-// The server answers with exactly one of:
+// A prover connection opens with a v1-framed Hello carrying the magic and
+// the client's maximum supported version. The server answers with exactly
+// one of:
 //
-//   - a v1-framed HelloAck (the connection speaks v2 mux frames from the
-//     next byte on, with the feature set intersected by the ack), or
-//   - a v1-framed Error — the reply a pre-v2 server gives any frame type
-//     it does not know — after which the client silently falls back to
-//     the v1 request/response protocol on the same connection.
+//   - a v1-framed HelloAck naming MuxVersion: the connection speaks v2
+//     mux frames from the next byte on, or
+//   - a v1-framed Error, after which it closes the connection. That is
+//     the answer to anything that is not a well-formed Hello offering at
+//     least MuxVersion.
 //
-// A v1-only client never sends Hello, and a v2 server serves any
-// connection whose first frame is not a Hello with the v1 protocol, so
-// the two generations interoperate in both directions with no
-// configuration.
+// The client in turn refuses any reply other than a HelloAck naming
+// MuxVersion. There is no fallback in either direction: a peer that does
+// not speak mux v2 is not served.
 //
 // # Stream lifecycle
 //
-//   - A stream is opened implicitly by the first request frame carrying
-//     its id (TypeSegmentRequest, TypeSegmentBatchRequest or TypePing).
-//   - A single request stream receives exactly one reply frame
-//     (TypeSegmentResponse, TypePong, or TypeError for a per-request
-//     failure that leaves the connection itself healthy).
-//   - A batch request stream (TypeSegmentBatchRequest with k indices)
-//     receives exactly k reply frames in challenge order — one
-//     TypeSegmentResponse or TypeError per index — unless the server
-//     aborts the stream with a single TypeStreamAbort (malformed batch
-//     payload), after which that stream id is dead and no further frames
-//     carry it.
+//   - A stream is opened by a request frame carrying its id
+//     (TypeSegmentRequest or TypePing).
+//   - Every stream receives exactly one reply frame: TypeSegmentResponse,
+//     TypePong, or TypeError for a per-request failure that leaves the
+//     connection itself healthy. One challenge, one response, one timed
+//     round trip — the verifier issues an audit's k rounds one after the
+//     other, because the per-round time is the paper's distance bound.
 //   - Cancellation is client-local: a caller that stops waiting on a
-//     stream simply discards late frames for that id. No frame is sent;
-//     sibling streams on the connection are unaffected. This is the v2
-//     replacement for v1's whole-connection desync latch.
+//     stream simply discards the late reply for that id. No frame is
+//     sent; sibling streams on the connection are unaffected.
 //
-// Frames for a stream id the client never issued are a protocol
-// violation and kill the connection, as does any unparseable frame
+// A frame for a stream id the client never issued is a protocol
+// violation and kills the connection, as does any unparseable frame
 // header; per-stream payload errors are confined to their stream.
 package wire

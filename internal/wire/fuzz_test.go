@@ -77,40 +77,25 @@ func FuzzReadMuxFrame(f *testing.F) {
 	})
 }
 
-// FuzzMuxPayloads drives every v2 payload decoder (Hello, HelloAck,
-// batch request) over arbitrary bytes: no panics, and anything accepted
-// must re-encode canonically.
+// FuzzMuxPayloads drives both handshake payload decoders (Hello,
+// HelloAck) over arbitrary bytes: no panics, and anything accepted must
+// re-encode canonically.
 func FuzzMuxPayloads(f *testing.F) {
-	f.Add(uint8(0), Hello{MaxVersion: MuxVersion, Features: FeatureBatch}.Encode())
+	f.Add(uint8(0), Hello{MaxVersion: MuxVersion, Features: FeatureBatchSign}.Encode())
 	f.Add(uint8(1), HelloAck{Version: MuxVersion}.Encode())
-	f.Add(uint8(2), SegmentBatchRequest{FileID: "f", Indices: []uint64{1, 2}}.Encode())
-	f.Add(uint8(2), []byte{0, 0, 0, 0, 0, 200})
+	f.Add(uint8(0), []byte("GPMX"))
+	f.Add(uint8(1), []byte{0, 2, 0})
 	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
-		switch which % 3 {
-		case 0:
+		if which%2 == 0 {
 			h, err := DecodeHello(data)
-			if err != nil {
-				return
-			}
-			if !bytes.Equal(h.Encode(), data) {
+			if err == nil && !bytes.Equal(h.Encode(), data) {
 				t.Fatal("hello decode/encode not canonical")
 			}
-		case 1:
-			a, err := DecodeHelloAck(data)
-			if err != nil {
-				return
-			}
-			if !bytes.Equal(a.Encode(), data) {
-				t.Fatal("hello ack decode/encode not canonical")
-			}
-		case 2:
-			req, err := DecodeSegmentBatchRequest(data)
-			if err != nil {
-				return
-			}
-			if !bytes.Equal(req.Encode(), data) {
-				t.Fatal("batch request decode/encode not canonical")
-			}
+			return
+		}
+		a, err := DecodeHelloAck(data)
+		if err == nil && !bytes.Equal(a.Encode(), data) {
+			t.Fatal("hello ack decode/encode not canonical")
 		}
 	})
 }

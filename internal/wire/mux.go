@@ -13,10 +13,9 @@ import (
 const MuxVersion = 2
 
 // Feature bits exchanged in Hello/HelloAck. A feature is live on a
-// connection only when both sides advertised it.
+// connection only when both sides advertised it. The prover leg
+// negotiates none: every mux v2 peer speaks the whole protocol.
 const (
-	// FeatureBatch: the server understands TypeSegmentBatchRequest.
-	FeatureBatch uint32 = 1 << 0
 	// FeatureBatchSign: on the TPA↔verifier leg, signed transcripts may
 	// carry a Merkle batch attestation (root signature + inclusion
 	// proof) instead of a per-transcript signature. Negotiated with a
@@ -25,11 +24,6 @@ const (
 	// with TypeError and the client falls back to per-transcript mode.
 	FeatureBatchSign uint32 = 1 << 1
 )
-
-// MaxBatch bounds the indices in one batch request — enough for any
-// realistic audit (k is typically tens of rounds), small enough that a
-// hostile count cannot balloon server memory.
-const MaxBatch = 1 << 16
 
 // muxHdrLen is the v2 frame header size: u32 length, u8 type, u32 stream.
 const muxHdrLen = 9
@@ -40,7 +34,7 @@ var helloMagic = [4]byte{'G', 'P', 'M', 'X'}
 
 // AppendMuxFrame appends one encoded v2 frame to dst and returns the
 // extended slice. It is the allocation-free building block the writer
-// paths use to coalesce several frames into a single write.
+// paths use to send a frame in a single write.
 func AppendMuxFrame(dst []byte, typ byte, stream uint32, payload []byte) ([]byte, error) {
 	if len(payload) > MaxFrame {
 		return dst, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(payload))
@@ -141,57 +135,4 @@ func DecodeHelloAck(b []byte) (HelloAck, error) {
 		Version:  binary.BigEndian.Uint16(b),
 		Features: binary.BigEndian.Uint32(b[2:]),
 	}, nil
-}
-
-// SegmentBatchRequest asks for many segments of one file on a single
-// stream: the server answers with exactly len(Indices) frames in order,
-// which is what lets a verifier flush all k round challenges at once and
-// time each response on arrival.
-type SegmentBatchRequest struct {
-	FileID  string
-	Indices []uint64
-}
-
-// Encode serialises the batch request.
-func (m SegmentBatchRequest) Encode() []byte {
-	id := []byte(m.FileID)
-	out := make([]byte, 2+len(id)+4+8*len(m.Indices))
-	binary.BigEndian.PutUint16(out, uint16(len(id)))
-	copy(out[2:], id)
-	off := 2 + len(id)
-	binary.BigEndian.PutUint32(out[off:], uint32(len(m.Indices)))
-	off += 4
-	for _, idx := range m.Indices {
-		binary.BigEndian.PutUint64(out[off:], idx)
-		off += 8
-	}
-	return out
-}
-
-// DecodeSegmentBatchRequest parses a SegmentBatchRequest payload.
-func DecodeSegmentBatchRequest(b []byte) (SegmentBatchRequest, error) {
-	if len(b) < 2 {
-		return SegmentBatchRequest{}, fmt.Errorf("%w: short batch request", ErrMalformed)
-	}
-	n := int(binary.BigEndian.Uint16(b))
-	if len(b) < 2+n+4 {
-		return SegmentBatchRequest{}, fmt.Errorf("%w: batch request length %d for id length %d", ErrMalformed, len(b), n)
-	}
-	count := binary.BigEndian.Uint32(b[2+n:])
-	if count == 0 || count > MaxBatch {
-		return SegmentBatchRequest{}, fmt.Errorf("%w: batch of %d indices", ErrMalformed, count)
-	}
-	if len(b) != 2+n+4+8*int(count) {
-		return SegmentBatchRequest{}, fmt.Errorf("%w: batch request length %d for %d indices", ErrMalformed, len(b), count)
-	}
-	req := SegmentBatchRequest{
-		FileID:  string(b[2 : 2+n]),
-		Indices: make([]uint64, count),
-	}
-	off := 2 + n + 4
-	for i := range req.Indices {
-		req.Indices[i] = binary.BigEndian.Uint64(b[off:])
-		off += 8
-	}
-	return req, nil
 }

@@ -66,7 +66,7 @@ func TestAppendMuxFrameCoalesces(t *testing.T) {
 }
 
 func TestHelloRoundTrip(t *testing.T) {
-	h := Hello{MaxVersion: MuxVersion, Features: FeatureBatch}
+	h := Hello{MaxVersion: MuxVersion, Features: FeatureBatchSign}
 	got, err := DecodeHello(h.Encode())
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestHelloRoundTrip(t *testing.T) {
 }
 
 func TestHelloAckRoundTrip(t *testing.T) {
-	a := HelloAck{Version: MuxVersion, Features: FeatureBatch}
+	a := HelloAck{Version: MuxVersion, Features: FeatureBatchSign}
 	got, err := DecodeHelloAck(a.Encode())
 	if err != nil {
 		t.Fatal(err)
@@ -92,39 +92,6 @@ func TestHelloAckRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeHelloAck([]byte{1, 2, 3}); err == nil {
 		t.Fatal("short ack accepted")
-	}
-}
-
-func TestSegmentBatchRequestRoundTrip(t *testing.T) {
-	req := SegmentBatchRequest{FileID: "file-1", Indices: []uint64{0, 9, 1 << 40}}
-	got, err := DecodeSegmentBatchRequest(req.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.FileID != req.FileID || len(got.Indices) != len(req.Indices) {
-		t.Fatalf("got %+v", got)
-	}
-	for i := range req.Indices {
-		if got.Indices[i] != req.Indices[i] {
-			t.Fatalf("index %d: %d != %d", i, got.Indices[i], req.Indices[i])
-		}
-	}
-}
-
-func TestSegmentBatchRequestRejects(t *testing.T) {
-	cases := map[string][]byte{
-		"empty":       {},
-		"short id":    {0, 5, 'a'},
-		"zero count":  SegmentBatchRequest{FileID: "f"}.Encode(),
-		"trailing":    append(SegmentBatchRequest{FileID: "f", Indices: []uint64{1}}.Encode(), 0),
-		"count lies":  {0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 0, 1},
-		"count huge":  {0, 0, 0xFF, 0xFF, 0xFF, 0xFF},
-		"count zero2": {0, 1, 'f', 0, 0, 0, 0},
-	}
-	for name, b := range cases {
-		if _, err := DecodeSegmentBatchRequest(b); err == nil {
-			t.Fatalf("%s: accepted %v", name, b)
-		}
 	}
 }
 

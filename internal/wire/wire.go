@@ -7,21 +7,21 @@ import (
 	"io"
 )
 
-// Frame types. 1-7 predate the mux protocol and appear in both framings;
-// 8+ were introduced with it (Hello/HelloAck travel v1-framed during
-// negotiation, the rest are mux-only).
+// Frame types, one namespace for both framings. The prover leg carries
+// segment requests/responses, pings and errors in v2 mux frames; the
+// TPA↔verifier-daemon leg carries audit requests, signed transcripts,
+// pings and errors in v1 frames; Hello/HelloAck open either leg and
+// always travel v1-framed.
 const (
-	TypeSegmentRequest      byte = 1
-	TypeSegmentResponse     byte = 2
-	TypeError               byte = 3
-	TypePing                byte = 4
-	TypePong                byte = 5
-	TypeAuditRequest        byte = 6
-	TypeSignedTranscript    byte = 7
-	TypeHello               byte = 8
-	TypeHelloAck            byte = 9
-	TypeSegmentBatchRequest byte = 10
-	TypeStreamAbort         byte = 11
+	TypeSegmentRequest   byte = 1
+	TypeSegmentResponse  byte = 2
+	TypeError            byte = 3
+	TypePing             byte = 4
+	TypePong             byte = 5
+	TypeAuditRequest     byte = 6
+	TypeSignedTranscript byte = 7
+	TypeHello            byte = 8
+	TypeHelloAck         byte = 9
 )
 
 // MaxFrame bounds a frame payload (16 MiB): far beyond any legitimate
