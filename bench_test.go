@@ -387,18 +387,6 @@ func BenchmarkPRPFeistelBatch(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/1024, "ns/index")
 }
 
-func BenchmarkPRPSwapOrNot(b *testing.B) {
-	// Ablation partner of BenchmarkPRPFeistel.
-	p, err := prp.NewSwapOrNot([]byte("bench-key"), 153008209, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Index(uint64(i) % 153008209)
-	}
-}
-
 func BenchmarkPOREncode1MiB(b *testing.B) {
 	enc := por.NewEncoder([]byte("bench-master"))
 	data := benchData(1 << 20)

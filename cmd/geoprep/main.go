@@ -137,6 +137,7 @@ func run() error {
 	}
 
 	m := meta.Meta{
+		Encoding:     blockfile.EncodingVersion,
 		FileID:       *fileID,
 		OrigBytes:    layout.OrigBytes,
 		Params:       blockfile.DefaultParams(),

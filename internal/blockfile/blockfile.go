@@ -16,7 +16,21 @@ package blockfile
 import (
 	"errors"
 	"fmt"
+
+	"repro/internal/crypt"
 )
+
+// EncodingVersion names the byte encoding the POR pipeline lays into a
+// Layout: it changes whenever the same file, key and Params would come
+// out as different stored bytes, as when a keyed stage — cipher,
+// permutation or tag — is replaced. Everything that persists encoded
+// bytes records it beside them (the store manifest, the owner's sidecar)
+// and refuses any other value on the way back in: bytes of another
+// encoding are not damaged, they are unreadable, and would otherwise show
+// up as a prover failing every tag. Version 1 was HMAC-SHA256 tags over a
+// binary Feistel on a power-of-two domain; version 2 is AES-CMAC tags over
+// a Feistel on ⌈√n⌉ × ⌈√n⌉.
+const EncodingVersion = 2
 
 // Default parameters from the paper's worked example.
 const (
@@ -59,7 +73,7 @@ func (p Params) Validate() error {
 		return fmt.Errorf("%w: chunk %d/%d", ErrBadParams, p.ChunkData, p.ChunkTotal)
 	case p.SegmentBlocks <= 0:
 		return fmt.Errorf("%w: segment blocks %d", ErrBadParams, p.SegmentBlocks)
-	case p.TagBits < 8 || p.TagBits > 256:
+	case p.TagBits < 8 || p.TagBits > crypt.MaxTagBits:
 		return fmt.Errorf("%w: tag bits %d", ErrBadParams, p.TagBits)
 	}
 	return nil

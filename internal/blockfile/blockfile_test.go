@@ -35,11 +35,18 @@ func TestValidate(t *testing.T) {
 		{BlockSize: 16, ChunkData: 223, ChunkTotal: 256, SegmentBlocks: 5, TagBits: 20},
 		{BlockSize: 16, ChunkData: 223, ChunkTotal: 255, SegmentBlocks: 0, TagBits: 20},
 		{BlockSize: 16, ChunkData: 223, ChunkTotal: 255, SegmentBlocks: 5, TagBits: 4},
+		{BlockSize: 16, ChunkData: 223, ChunkTotal: 255, SegmentBlocks: 5, TagBits: 129}, // a CMAC has 128
+		{BlockSize: 16, ChunkData: 223, ChunkTotal: 255, SegmentBlocks: 5, TagBits: 256},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); !errors.Is(err, ErrBadParams) {
 			t.Errorf("case %d: got %v, want ErrBadParams", i, err)
 		}
+	}
+	widest := DefaultParams()
+	widest.TagBits = 128
+	if err := widest.Validate(); err != nil {
+		t.Errorf("128-bit tags rejected: %v", err)
 	}
 	if err := DefaultParams().Validate(); err != nil {
 		t.Fatalf("defaults invalid: %v", err)
@@ -173,7 +180,7 @@ func TestStoredBlockOffsetSteps(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, v := range []int{1, 2, 5, 255} {
 		for _, bs := range []int{1, 16, 2 << 20} {
-			l := Layout{Params: Params{BlockSize: bs, ChunkData: 223, ChunkTotal: 255, SegmentBlocks: v, TagBits: 8 + rng.Intn(249)}}
+			l := Layout{Params: Params{BlockSize: bs, ChunkData: 223, ChunkTotal: 255, SegmentBlocks: v, TagBits: 8 + rng.Intn(121)}}
 			if err := l.Params.Validate(); err != nil {
 				t.Fatal(err)
 			}

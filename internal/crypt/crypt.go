@@ -2,23 +2,23 @@ package crypt
 
 import (
 	"crypto/aes"
+	"crypto/cipher"
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
-	"encoding"
+	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 	"io"
 	"sync"
 )
 
 // Errors reported by this package.
 var (
-	ErrBadTagBits   = errors.New("crypt: tag width must be in [8, 256] bits")
+	ErrBadTagBits   = errors.New("crypt: tag width must be in [8, 128] bits")
 	ErrBadSignature = errors.New("crypt: signature verification failed")
 	ErrBadKeyLen    = errors.New("crypt: AES key must be 16, 24 or 32 bytes")
 )
@@ -81,10 +81,11 @@ var ErrBadOffset = errors.New("crypt: CTR offset must be non-negative")
 // aligned shards) and the streaming chunk pipeline (chunk-sized shards,
 // not necessarily 16-byte aligned for custom geometries) rely on.
 //
-// The keystream is generated through the EncryptBlocks batching shim —
-// counter blocks are assembled in bulk and encrypted back to back — and
-// is bit-identical to cipher.NewCTR over the derived IV (pinned by
-// TestEncryptCTRAtMatchesStdlibCTR).
+// The stream is cipher.NewCTR seeked by hand: the counter starts at
+// IV + offset/16 and the first offset%16 keystream bytes are thrown away
+// (TestEncryptCTRAtMatchesStdlibCTR pins the seek against one sequential
+// pass). The standard library's AES-CTR generates several blocks per
+// assembly call, which no loop over cipher.Block.Encrypt can.
 func EncryptCTRAt(key []byte, fileID string, data []byte, offset int64) error {
 	switch len(key) {
 	case 16, 24, 32:
@@ -101,7 +102,12 @@ func EncryptCTRAt(key []byte, fileID string, data []byte, offset int64) error {
 	ivFull := sha256.Sum256([]byte("geoproof/iv/" + fileID))
 	iv := ivFull[:aes.BlockSize]
 	addToCounter(iv, uint64(offset)/aes.BlockSize)
-	ctrXOR(block, iv, data, int(offset%aes.BlockSize))
+	stream := cipher.NewCTR(block, iv)
+	if skip := offset % aes.BlockSize; skip > 0 {
+		var head [aes.BlockSize]byte
+		stream.XORKeyStream(head[:skip], head[:skip])
+	}
+	stream.XORKeyStream(data, data)
 	return nil
 }
 
@@ -115,72 +121,140 @@ func addToCounter(ctr []byte, n uint64) {
 	}
 }
 
-// Tagger computes truncated HMAC-SHA256 segment tags
-// τ_i = MAC_K'(S_i, i, fid) as in §V-A step 5. Tags are truncated to Bits
-// bits; the paper's example uses 20-bit tags, relying on the large number
-// of verified tags per audit for cumulative soundness.
+// MaxTagBits is the widest tag a Tagger can produce: the whole AES-CMAC
+// output. blockfile.Params.Validate rejects layouts that ask for more.
+const MaxTagBits = 8 * aes.BlockSize
+
+// cmac is AES-CMAC (NIST SP 800-38B, RFC 4493) under one key: the block
+// cipher and the two subkeys that mask the final block.
+type cmac struct {
+	block  cipher.Block
+	k1, k2 [aes.BlockSize]byte
+}
+
+func newCMAC(key []byte) (*cmac, error) {
+	block, err := aes.NewCipher(key)
+	if err != nil {
+		return nil, err
+	}
+	c := &cmac{block: block}
+	block.Encrypt(c.k1[:], c.k1[:]) // L = AES_K(0¹²⁸)
+	dbl(&c.k1)
+	c.k2 = c.k1
+	dbl(&c.k2)
+	return c, nil
+}
+
+// dbl multiplies b by x in GF(2¹²⁸) modulo x¹²⁸ + x⁷ + x² + x + 1: a left
+// shift by one bit, with 0x87 folded into the low byte when a bit falls
+// off the top (constant time — the subkeys are secret).
+func dbl(b *[aes.BlockSize]byte) {
+	hi, lo := binary.BigEndian.Uint64(b[:8]), binary.BigEndian.Uint64(b[8:])
+	carry := hi >> 63
+	binary.BigEndian.PutUint64(b[:8], hi<<1|lo>>63)
+	binary.BigEndian.PutUint64(b[8:], lo<<1^carry*0x87)
+}
+
+// xor16 sets x ^= y[:16].
+func xor16(x *[aes.BlockSize]byte, y []byte) {
+	_ = y[aes.BlockSize-1]
+	binary.LittleEndian.PutUint64(x[:8], binary.LittleEndian.Uint64(x[:8])^binary.LittleEndian.Uint64(y))
+	binary.LittleEndian.PutUint64(x[8:], binary.LittleEndian.Uint64(x[8:])^binary.LittleEndian.Uint64(y[8:]))
+}
+
+// tagLanes is how many segments the slab forms carry through the CBC
+// chain side by side. One segment's blocks are a dependency chain — each
+// Encrypt waits for the one before — so a lone chain leaves the AES unit
+// mostly idle; four independent chains overlap in it.
+const tagLanes = 4
+
+// sum finishes lanes ≤ tagLanes CMACs at once. On entry x[l] holds lane
+// l's chain state with everything before msg absorbed; lane l's msg is
+// the n bytes at slab[l*stride:], and includes the message's final block,
+// so n may be 0 only for a message that is empty altogether. On return
+// x[l] is lane l's MAC. Every lane's message has the same length, which
+// is what lets the lanes walk the chain in step.
 //
-// The POR pipeline tags (and the TPA verifies) one MAC per segment over
-// the whole file, so the Tagger precomputes the HMAC inner and outer
-// digest states once at construction and restores snapshots per call
-// instead of rebuilding hmac.New(sha256.New, key): that removes both the
-// two key-block SHA-256 compressions HMAC spends per call re-absorbing
-// the padded key and the allocation churn of a fresh HMAC and two
-// digests per segment. A sync.Pool of scratch digests keeps it safe for
-// concurrent use; output is bit-identical to the plain HMAC formulation
-// (pinned by TestTaggerMatchesPlainHMAC).
+// x lives on the heap with its owner: cipher.Block is an interface, so a
+// stack array handed to Encrypt escapes and costs an allocation a call.
+// Each step writes every lane's block before it encrypts any: Encrypt
+// loads the block as one 16-byte word, which the two 8-byte stores just
+// made cannot forward to, and a lane encrypted straight after its own
+// stores waits for them to retire (measured: twice the time per segment).
+func (c *cmac) sum(x *[tagLanes][aes.BlockSize]byte, lanes int, slab []byte, stride, n int) {
+	body := 0 // bytes ahead of the final block
+	if n > aes.BlockSize {
+		body = (n - 1) / aes.BlockSize * aes.BlockSize
+	}
+	for off := 0; off < body; off += aes.BlockSize {
+		for l := 0; l < lanes; l++ {
+			xor16(&x[l], slab[l*stride+off:])
+		}
+		for l := 0; l < lanes; l++ {
+			c.block.Encrypt(x[l][:], x[l][:])
+		}
+	}
+	for l := 0; l < lanes; l++ {
+		last := slab[l*stride+body : l*stride+n]
+		if len(last) == aes.BlockSize {
+			xor16(&x[l], last)
+			xor16(&x[l], c.k1[:])
+			continue
+		}
+		for i, b := range last {
+			x[l][i] ^= b
+		}
+		x[l][len(last)] ^= 0x80
+		xor16(&x[l], c.k2[:])
+	}
+	for l := 0; l < lanes; l++ {
+		c.block.Encrypt(x[l][:], x[l][:])
+	}
+}
+
+// Tagger computes the segment tags τ_i = MAC_K'(S_i, i, fid) of §V-A
+// step 5 as truncated AES-CMAC: τ_i is the first Bits bits of
+// CMAC_K(H_i ‖ S_i), where K is an AES-128 key derived from the tag key
+// and the header block H_i is the segment index (8 bytes, big-endian)
+// followed by the first 8 bytes of SHA-256(fileID). The paper's example
+// uses 20-bit tags, relying on the large number of verified tags per
+// audit for cumulative soundness.
+//
+// A default segment (five 16-byte blocks) costs seven AES blocks: H_i, the
+// five, and none for padding, as CMAC's subkeys cover any segment length
+// without one. The POR pipeline tags, and the extractor verifies, runs of
+// whole segments; TagSlab and VerifySlab take such a run and carry four
+// segments through the chain at once. Scratch is pooled, so every form
+// but Tag allocates nothing, and a Tagger is safe for concurrent use.
 type Tagger struct {
-	key          []byte
-	bits         int
-	inner, outer []byte // marshaled SHA-256 states after absorbing ipad / opad
-	pool         sync.Pool
+	mac  *cmac
+	bits int
+	pool sync.Pool // of *tagScratch
 }
 
 type tagScratch struct {
-	inner, outer hash.Hash
-	idx          [8]byte
-	fid          []byte // fileID bytes, reused across calls
-	isum         [sha256.Size]byte
-	osum         [sha256.Size]byte
+	x [tagLanes][aes.BlockSize]byte
+	// The file ID half of the header block, for the last file ID seen (if
+	// seen is set): the API takes the ID on every call, one file's worth of
+	// calls in a row.
+	seen   bool
+	fileID string
+	fidSum [8]byte
 }
 
-// NewTagger builds a Tagger producing bits-wide tags.
+// NewTagger builds a Tagger producing bits-wide tags under key, which may
+// have any length.
 func NewTagger(key []byte, bits int) (*Tagger, error) {
-	if bits < 8 || bits > 256 {
+	if bits < 8 || bits > MaxTagBits {
 		return nil, fmt.Errorf("%w: %d", ErrBadTagBits, bits)
 	}
-	k := make([]byte, len(key))
-	copy(k, key)
-	const blockSize = 64 // SHA-256 block size, per RFC 2104
-	hk := k
-	if len(hk) > blockSize {
-		sum := sha256.Sum256(hk)
-		hk = sum[:]
-	}
-	var pad [blockSize]byte
-	marshal := func(x byte) ([]byte, error) {
-		for i := range pad {
-			pad[i] = x
-		}
-		for i, b := range hk {
-			pad[i] ^= b
-		}
-		h := sha256.New()
-		h.Write(pad[:])
-		return h.(encoding.BinaryMarshaler).MarshalBinary()
-	}
-	inner, err := marshal(0x36)
+	kd := sha256.Sum256(append([]byte("geoproof/tag/"), key...))
+	mac, err := newCMAC(kd[:16])
 	if err != nil {
-		return nil, fmt.Errorf("crypt: marshal sha256 state: %w", err)
+		return nil, fmt.Errorf("crypt: tag cipher: %w", err)
 	}
-	outer, err := marshal(0x5c)
-	if err != nil {
-		return nil, fmt.Errorf("crypt: marshal sha256 state: %w", err)
-	}
-	t := &Tagger{key: k, bits: bits, inner: inner, outer: outer}
-	t.pool.New = func() any {
-		return &tagScratch{inner: sha256.New(), outer: sha256.New()}
-	}
+	t := &Tagger{mac: mac, bits: bits}
+	t.pool.New = func() any { return new(tagScratch) }
 	return t, nil
 }
 
@@ -190,65 +264,107 @@ func (t *Tagger) Bits() int { return t.bits }
 // Size returns the serialised tag size in bytes, ⌈bits/8⌉.
 func (t *Tagger) Size() int { return (t.bits + 7) / 8 }
 
-// sum computes the full (untruncated) HMAC into s.osum.
-func (t *Tagger) sum(s *tagScratch, segment []byte, index uint64, fileID string) {
-	if err := s.inner.(encoding.BinaryUnmarshaler).UnmarshalBinary(t.inner); err != nil {
-		panic(fmt.Sprintf("crypt: restore sha256 state: %v", err))
+// scratch checks a scratch out of the pool with fileID's header half in
+// place.
+func (t *Tagger) scratch(fileID string) *tagScratch {
+	s := t.pool.Get().(*tagScratch)
+	if !s.seen || s.fileID != fileID {
+		sum := sha256.Sum256([]byte(fileID))
+		s.seen, s.fileID = true, fileID
+		copy(s.fidSum[:], sum[:])
 	}
-	s.inner.Write(segment)
-	binary.BigEndian.PutUint64(s.idx[:], index)
-	s.inner.Write(s.idx[:])
-	// Through a reused buffer: io.WriteString on a digest converts the
-	// string to a fresh []byte on every call.
-	s.fid = append(s.fid[:0], fileID...)
-	s.inner.Write(s.fid)
-	isum := s.inner.Sum(s.isum[:0])
-	if err := s.outer.(encoding.BinaryUnmarshaler).UnmarshalBinary(t.outer); err != nil {
-		panic(fmt.Sprintf("crypt: restore sha256 state: %v", err))
-	}
-	s.outer.Write(isum)
-	s.outer.Sum(s.osum[:0])
+	return s
 }
 
-// truncate writes the first Bits bits of the full MAC into out,
-// zero-padding the trailing partial byte.
-func (t *Tagger) truncate(out []byte, full *[sha256.Size]byte) {
-	copy(out, full[:t.Size()])
+// tags computes the tags of lanes ≤ tagLanes consecutive segments, the
+// first of them segment index of the file: lane l's payload is the n
+// bytes at slab[l*stride:]. It leaves lane l's tag, truncated and
+// zero-padded to whole bytes, in s.x[l][:t.Size()].
+func (t *Tagger) tags(s *tagScratch, lanes int, slab []byte, stride, n int, index uint64) {
+	for l := 0; l < lanes; l++ {
+		binary.BigEndian.PutUint64(s.x[l][:8], index+uint64(l))
+		copy(s.x[l][8:], s.fidSum[:])
+	}
+	for l := 0; l < lanes; l++ {
+		if n == 0 { // the header is the whole message, so its final block
+			xor16(&s.x[l], t.mac.k1[:])
+		}
+		t.mac.block.Encrypt(s.x[l][:], s.x[l][:])
+	}
+	if n > 0 {
+		t.mac.sum(&s.x, lanes, slab, stride, n)
+	}
 	if rem := t.bits % 8; rem != 0 {
-		out[len(out)-1] &= byte(0xFF << (8 - rem))
+		for l := 0; l < lanes; l++ {
+			s.x[l][t.Size()-1] &= byte(0xFF << (8 - rem))
+		}
 	}
 }
 
-// Tag computes the truncated MAC for a segment: the first Bits bits of
-// HMAC-SHA256(key, segment ‖ index ‖ fileID), zero-padded to whole bytes.
+// Tag computes the truncated MAC for a segment, zero-padded to whole
+// bytes.
 func (t *Tagger) Tag(segment []byte, index uint64, fileID string) []byte {
 	return t.AppendTag(make([]byte, 0, t.Size()), segment, index, fileID)
 }
 
 // AppendTag appends the segment's truncated MAC (Size bytes, as Tag
 // computes it) to dst and returns the extended slice. With room in dst it
-// allocates nothing, which is what the setup pipeline's per-segment
-// stamping loops need: dst is the segment's own payload slice, whose
-// spare capacity is the tag slot that follows it.
+// allocates nothing.
 func (t *Tagger) AppendTag(dst, segment []byte, index uint64, fileID string) []byte {
-	s := t.pool.Get().(*tagScratch)
-	t.sum(s, segment, index, fileID)
-	var tag [sha256.Size]byte
-	t.truncate(tag[:t.Size()], &s.osum)
+	s := t.scratch(fileID)
+	t.tags(s, 1, segment, 0, len(segment), index)
+	dst = append(dst, s.x[0][:t.Size()]...)
 	t.pool.Put(s)
-	return append(dst, tag[:t.Size()]...)
+	return dst
 }
 
 // VerifyTag reports whether tag matches the segment in constant time. It
 // allocates nothing, which matters to the TPA's thousand-tag audit
-// verdicts as much as to the extractor's whole-file verify pass.
+// verdicts.
 func (t *Tagger) VerifyTag(segment []byte, index uint64, fileID string, tag []byte) bool {
-	s := t.pool.Get().(*tagScratch)
-	t.sum(s, segment, index, fileID)
-	var want [sha256.Size]byte
-	t.truncate(want[:t.Size()], &s.osum)
+	s := t.scratch(fileID)
+	t.tags(s, 1, segment, 0, len(segment), index)
+	ok := subtle.ConstantTimeCompare(s.x[0][:t.Size()], tag) == 1
 	t.pool.Put(s)
-	return hmac.Equal(want[:t.Size()], tag)
+	return ok
+}
+
+// eachTag walks slab, a run of whole stored segments — payload bytes of
+// data followed by a Size-byte tag slot — the first of which is segment
+// first of the file, tagLanes segments at a time, and hands do every
+// segment's position in the run, its tag slot and the tag it should hold.
+func (t *Tagger) eachTag(slab []byte, payload int, first uint64, fileID string, do func(i int, slot, tag []byte)) {
+	stride := payload + t.Size()
+	if len(slab)%stride != 0 {
+		panic(fmt.Sprintf("crypt: slab of %d bytes is not a run of %d-byte segments", len(slab), stride))
+	}
+	s := t.scratch(fileID)
+	for i, n := 0, len(slab)/stride; i < n; i += tagLanes {
+		lanes := min(tagLanes, n-i)
+		t.tags(s, lanes, slab[i*stride:], stride, payload, first+uint64(i))
+		for l := 0; l < lanes; l++ {
+			do(i+l, slab[(i+l)*stride+payload:(i+l+1)*stride], s.x[l][:t.Size()])
+		}
+	}
+	t.pool.Put(s)
+}
+
+// TagSlab stamps every segment of slab (a run as eachTag describes) with
+// its tag: the setup pipeline's form of AppendTag. It allocates nothing.
+func (t *Tagger) TagSlab(slab []byte, payload int, first uint64, fileID string) {
+	t.eachTag(slab, payload, first, fileID, func(_ int, slot, tag []byte) { copy(slot, tag) })
+}
+
+// VerifySlab checks every segment of slab (a run as eachTag describes)
+// against the tag stored behind it, in constant time per tag, and sets
+// bad[i] for each segment i of the run that fails; bad holds an entry per
+// segment. It is the extractor's form of VerifyTag and allocates nothing.
+func (t *Tagger) VerifySlab(slab []byte, payload int, first uint64, fileID string, bad []bool) {
+	t.eachTag(slab, payload, first, fileID, func(i int, slot, tag []byte) {
+		if subtle.ConstantTimeCompare(slot, tag) != 1 {
+			bad[i] = true
+		}
+	})
 }
 
 // ForgeryProbability returns the per-segment probability that a random tag

@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
-	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -88,7 +88,7 @@ func TestEncryptCTRBadKey(t *testing.T) {
 }
 
 func TestTaggerWidths(t *testing.T) {
-	for _, bits := range []int{8, 20, 32, 64, 160, 256} {
+	for _, bits := range []int{8, 20, 32, 64, 127, MaxTagBits} {
 		tg, err := NewTagger([]byte("k"), bits)
 		if err != nil {
 			t.Fatalf("bits=%d: %v", bits, err)
@@ -104,7 +104,7 @@ func TestTaggerWidths(t *testing.T) {
 }
 
 func TestTaggerRejectsBadWidths(t *testing.T) {
-	for _, bits := range []int{0, 7, 257, -8} {
+	for _, bits := range []int{0, 7, MaxTagBits + 1, 256, -8} {
 		if _, err := NewTagger([]byte("k"), bits); !errors.Is(err, ErrBadTagBits) {
 			t.Fatalf("bits=%d accepted", bits)
 		}
@@ -285,11 +285,12 @@ func TestEncryptCTRAtRejectsNegativeOffsets(t *testing.T) {
 	}
 }
 
-// TestEncryptCTRAtMatchesStdlibCTR pins the EncryptBlocks-based keystream
-// generator bit-identical to crypto/cipher's CTR stream over the same
-// derived IV, including arbitrary (unaligned) starting offsets — the
-// contract the streaming POR pipeline relies on when it encrypts chunk
-// shards whose byte offsets are not multiples of the AES block size.
+// TestEncryptCTRAtMatchesStdlibCTR pins EncryptCTRAt's seek — counter
+// advanced by offset/16, offset%16 keystream bytes discarded — against one
+// sequential crypto/cipher CTR pass over the same derived IV, including
+// arbitrary (unaligned) starting offsets: the contract the streaming POR
+// pipeline relies on when it encrypts chunk shards whose byte offsets are
+// not multiples of the AES block size.
 func TestEncryptCTRAtMatchesStdlibCTR(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for _, keyLen := range []int{16, 24, 32} {
@@ -334,52 +335,217 @@ func TestEncryptCTRAtMatchesStdlibCTR(t *testing.T) {
 	}
 }
 
-// TestTaggerMatchesPlainHMAC pins the precomputed-state Tagger
-// bit-identical to the straightforward hmac.New-per-call formulation
-// across key lengths (shorter than, equal to and beyond the SHA-256
-// block size), tag widths and inputs.
-func TestTaggerMatchesPlainHMAC(t *testing.T) {
+// referenceCMAC is AES-CMAC written straight from RFC 4493 §2.3–2.4, one
+// allocation per step and no sharing with the Tagger's code: the
+// reference the lane-interleaved core is tested against.
+func referenceCMAC(t *testing.T, key, msg []byte) []byte {
+	t.Helper()
+	block, err := aes.NewCipher(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	double := func(in []byte) []byte {
+		out := make([]byte, 16)
+		for i := 0; i < 16; i++ {
+			out[i] = in[i] << 1
+			if i < 15 {
+				out[i] |= in[i+1] >> 7
+			}
+		}
+		if in[0]&0x80 != 0 {
+			out[15] ^= 0x87
+		}
+		return out
+	}
+	xor := func(dst, src []byte) {
+		for i := range src {
+			dst[i] ^= src[i]
+		}
+	}
+	l := make([]byte, 16)
+	block.Encrypt(l, l)
+	k1 := double(l)
+	k2 := double(k1)
+
+	n := (len(msg) + 15) / 16
+	complete := n > 0 && len(msg)%16 == 0
+	if n == 0 {
+		n = 1
+	}
+	last := make([]byte, 16)
+	tail := copy(last, msg[(n-1)*16:])
+	if complete {
+		xor(last, k1)
+	} else {
+		last[tail] = 0x80
+		xor(last, k2)
+	}
+	x := make([]byte, 16)
+	for i := 0; i < n-1; i++ {
+		xor(x, msg[i*16:(i+1)*16])
+		block.Encrypt(x, x)
+	}
+	xor(x, last)
+	block.Encrypt(x, x)
+	return x
+}
+
+// TestCMACMatchesRFC4493 pins the CMAC core — and the test file's own
+// reference — to the four AES-128 examples of RFC 4493 §4.
+func TestCMACMatchesRFC4493(t *testing.T) {
+	unhex := func(s string) []byte {
+		b, err := hex.DecodeString(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	key := unhex("2b7e151628aed2a6abf7158809cf4f3c")
+	msg := unhex("6bc1bee22e409f96e93d7e117393172a" + "ae2d8a571e03ac9c9eb76fac45af8e51" +
+		"30c81c46a35ce411e5fbc1191a0a52ef" + "f69f2445df4f9b17ad2b417be66c3710")
+	c, err := newCMAC(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := c.k1[:], unhex("fbeed618357133667c85e08f7236a8de"); !bytes.Equal(got, want) {
+		t.Fatalf("K1=%x, want %x", got, want)
+	}
+	if got, want := c.k2[:], unhex("f7ddac306ae266ccf90bc11ee46d513b"); !bytes.Equal(got, want) {
+		t.Fatalf("K2=%x, want %x", got, want)
+	}
+	for _, v := range []struct {
+		n    int
+		want string
+	}{
+		{0, "bb1d6929e95937287fa37d129b756746"},
+		{16, "070a16b46b4d4144f79bdd9dd04a287c"},
+		{40, "dfa66747de9ae63030ca32611497c827"},
+		{64, "51f0bebf7e3b9d92fc49741779363cfe"},
+	} {
+		var x [tagLanes][aes.BlockSize]byte
+		c.sum(&x, 1, msg[:v.n], 0, v.n)
+		if !bytes.Equal(x[0][:], unhex(v.want)) {
+			t.Errorf("len %d: core CMAC=%x, want %s", v.n, x[0], v.want)
+		}
+		if got := referenceCMAC(t, key, msg[:v.n]); !bytes.Equal(got, unhex(v.want)) {
+			t.Errorf("len %d: reference CMAC=%x, want %s", v.n, got, v.want)
+		}
+	}
+}
+
+// referenceTag is the tag construction spelt out over referenceCMAC: the
+// first bits bits of CMAC_K(index ‖ SHA-256(fileID)[:8] ‖ segment), K the
+// first 16 bytes of SHA-256("geoproof/tag/" ‖ key).
+func referenceTag(t *testing.T, key []byte, bits int, seg []byte, index uint64, fileID string) []byte {
+	t.Helper()
+	kd := sha256.Sum256(append([]byte("geoproof/tag/"), key...))
+	fid := sha256.Sum256([]byte(fileID))
+	msg := binary.BigEndian.AppendUint64(nil, index)
+	msg = append(msg, fid[:8]...)
+	msg = append(msg, seg...)
+	tag := referenceCMAC(t, kd[:16], msg)[:(bits+7)/8]
+	if rem := bits % 8; rem != 0 {
+		tag[len(tag)-1] &= byte(0xFF << (8 - rem))
+	}
+	return tag
+}
+
+// TestTaggerMatchesReferenceCMAC is the differential test of the Tagger
+// against the straight-line construction above: key lengths from empty to
+// beyond a SHA-256 block, every tag width from 8 to 128 bits, every
+// segment length from 0 to 97 bytes (whole blocks, ragged tails and the
+// empty segment, whose header block is also the final one), and file IDs
+// that include the empty string, which a fresh scratch must not mistake
+// for one it has already hashed.
+func TestTaggerMatchesReferenceCMAC(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
-	for _, keyLen := range []int{0, 1, 16, 32, 63, 64, 65, 200} {
+	for _, keyLen := range []int{0, 1, 16, 32, 65, 200} {
 		key := make([]byte, keyLen)
 		rng.Read(key)
-		for _, bits := range []int{8, 20, 32, 255, 256} {
+		for bits := 8; bits <= MaxTagBits; bits++ {
 			tg, err := NewTagger(key, bits)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for trial := 0; trial < 10; trial++ {
-				seg := make([]byte, rng.Intn(200))
+			for segLen := 0; segLen <= 97; segLen++ {
+				if (segLen+bits+keyLen)%7 != 0 { // a seventh of the grid, every row and column hit
+					continue
+				}
+				seg := make([]byte, segLen)
 				rng.Read(seg)
 				index := rng.Uint64()
-				fileID := fmt.Sprintf("file-%d", rng.Intn(1000))
-
-				mac := hmac.New(sha256.New, key)
-				mac.Write(seg)
-				var idx [8]byte
-				binary.BigEndian.PutUint64(idx[:], index)
-				mac.Write(idx[:])
-				mac.Write([]byte(fileID))
-				full := mac.Sum(nil)
-				want := make([]byte, (bits+7)/8)
-				copy(want, full[:len(want)])
-				if rem := bits % 8; rem != 0 {
-					want[len(want)-1] &= byte(0xFF << (8 - rem))
+				fileID := ""
+				if rng.Intn(4) > 0 {
+					fileID = fmt.Sprintf("file-%d", rng.Intn(1000))
 				}
+				want := referenceTag(t, key, bits, seg, index, fileID)
 
-				got := tg.Tag(seg, index, fileID)
-				if !bytes.Equal(got, want) {
-					t.Fatalf("keyLen=%d bits=%d: Tag=%x, reference=%x", keyLen, bits, got, want)
+				if got := tg.Tag(seg, index, fileID); !bytes.Equal(got, want) {
+					t.Fatalf("keyLen=%d bits=%d segLen=%d: Tag=%x, reference=%x", keyLen, bits, segLen, got, want)
 				}
 				if !tg.VerifyTag(seg, index, fileID, want) {
-					t.Fatalf("keyLen=%d bits=%d: reference tag rejected", keyLen, bits)
+					t.Fatalf("keyLen=%d bits=%d segLen=%d: reference tag rejected", keyLen, bits, segLen)
 				}
 				// AppendTag stamps the same bytes behind whatever dst
-				// holds — here the segment itself, the way the setup
-				// pipeline fills a segment's tag slot.
+				// holds — here the segment itself.
 				stamped := tg.AppendTag(append(make([]byte, 0, len(seg)+len(want)), seg...), seg, index, fileID)
 				if !bytes.Equal(stamped[:len(seg)], seg) || !bytes.Equal(stamped[len(seg):], want) {
-					t.Fatalf("keyLen=%d bits=%d: AppendTag=%x, reference=%x", keyLen, bits, stamped[len(seg):], want)
+					t.Fatalf("keyLen=%d bits=%d segLen=%d: AppendTag=%x, reference=%x", keyLen, bits, segLen, stamped[len(seg):], want)
+				}
+			}
+		}
+	}
+}
+
+// TestSlabFormsMatchSingleForm: TagSlab must stamp, and VerifySlab accept,
+// exactly the tag Tag computes for every segment of a run, for every run
+// length from 0 to 9 (no lane group, a partial one, whole ones, and every
+// tail behind them), at payload lengths on and off the AES block size and
+// byte-aligned and ragged tag widths; and VerifySlab must flag exactly the
+// segments whose payload or tag changed.
+func TestSlabFormsMatchSingleForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	for _, bits := range []int{8, 20, 64, MaxTagBits} {
+		tg, err := NewTagger([]byte("slab-key"), bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, payload := range []int{0, 1, 15, 16, 17, 80, 97} {
+			stride := payload + tg.Size()
+			for run := 0; run <= 9; run++ {
+				first := rng.Uint64() >> 1
+				slab := make([]byte, run*stride)
+				rng.Read(slab)
+				tg.TagSlab(slab, payload, first, "fid")
+				for i := 0; i < run; i++ {
+					seg := slab[i*stride : (i+1)*stride]
+					if want := tg.Tag(seg[:payload], first+uint64(i), "fid"); !bytes.Equal(seg[payload:], want) {
+						t.Fatalf("bits=%d payload=%d run=%d: TagSlab stamped %x on segment %d, Tag gives %x", bits, payload, run, seg[payload:], i, want)
+					}
+				}
+				bad := make([]bool, run)
+				tg.VerifySlab(slab, payload, first, "fid", bad)
+				for i, b := range bad {
+					if b {
+						t.Fatalf("bits=%d payload=%d run=%d: VerifySlab rejects freshly stamped segment %d", bits, payload, run, i)
+					}
+				}
+				if bits < 20 {
+					continue // a damaged segment keeps an 8-bit tag one time in 256
+				}
+				// Damage a random subset: a payload bit where there is a
+				// payload, else a tag bit that survives truncation.
+				want := make([]bool, run)
+				for i := range want {
+					if want[i] = rng.Intn(2) == 0; want[i] {
+						slab[i*stride+rng.Intn(stride-tg.Size()+1)] ^= 0x80
+					}
+				}
+				tg.VerifySlab(slab, payload, first, "fid", bad)
+				for i := range want {
+					if bad[i] != want[i] {
+						t.Fatalf("bits=%d payload=%d run=%d: VerifySlab bad[%d]=%v, damaged=%v", bits, payload, run, i, bad[i], want[i])
+					}
 				}
 			}
 		}
@@ -387,7 +553,8 @@ func TestTaggerMatchesPlainHMAC(t *testing.T) {
 }
 
 // TestAppendTagAllocatesNothing: stamping a tag into the slot behind a
-// segment's payload, as the setup pipeline does once per segment, must
+// segment's payload and checking one, a segment or a slab at a time — what
+// the setup pipeline, the extractor and the TPA do once per segment — must
 // not touch the heap.
 func TestAppendTagAllocatesNothing(t *testing.T) {
 	if raceEnabled {
@@ -397,40 +564,24 @@ func TestAppendTagAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seg := make([]byte, 80+tg.Size())
-	tg.AppendTag(seg[:80], seg[:80], 0, "file-id") // warm the scratch pool
-	if n := testing.AllocsPerRun(100, func() { tg.AppendTag(seg[:80], seg[:80], 7, "file-id") }); n != 0 {
-		t.Fatalf("AppendTag allocates %v times per call, want 0", n)
-	}
-	if want := tg.Tag(seg[:80], 7, "file-id"); !bytes.Equal(seg[80:], want) {
-		t.Fatalf("in-place stamp %x, Tag %x", seg[80:], want)
-	}
-}
-
-func TestEncryptBlocksMatchesPerBlockEncrypt(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	key := make([]byte, 16)
-	rng.Read(key)
-	block, err := aes.NewCipher(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := make([]byte, 37*16)
-	rng.Read(src)
-	dst := make([]byte, len(src))
-	EncryptBlocks(block, dst, src)
-	want := make([]byte, 16)
-	for off := 0; off < len(src); off += 16 {
-		block.Encrypt(want, src[off:off+16])
-		if !bytes.Equal(dst[off:off+16], want) {
-			t.Fatalf("block at %d differs", off)
+	const payload, run = 80, 9
+	stride := payload + tg.Size()
+	slab := make([]byte, run*stride)
+	seg := slab[:stride]
+	bad := make([]bool, run)
+	tg.AppendTag(seg[:payload], seg[:payload], 0, "file-id") // warm the scratch pool
+	for name, fn := range map[string]func(){
+		"AppendTag":  func() { tg.AppendTag(seg[:payload], seg[:payload], 7, "file-id") },
+		"VerifyTag":  func() { tg.VerifyTag(seg[:payload], 7, "file-id", seg[payload:]) },
+		"TagSlab":    func() { tg.TagSlab(slab, payload, 7, "file-id") },
+		"VerifySlab": func() { tg.VerifySlab(slab, payload, 7, "file-id", bad) },
+	} {
+		if n := testing.AllocsPerRun(100, fn); n != 0 {
+			t.Errorf("%s allocates %v times per call, want 0", name, n)
 		}
 	}
-	// In-place operation must match as well.
-	inPlace := append([]byte(nil), src...)
-	EncryptBlocks(block, inPlace, inPlace)
-	if !bytes.Equal(inPlace, dst) {
-		t.Fatal("in-place EncryptBlocks differs from out-of-place")
+	if want := tg.Tag(seg[:payload], 7, "file-id"); !bytes.Equal(seg[payload:], want) {
+		t.Fatalf("in-place stamp %x, Tag %x", seg[payload:], want)
 	}
 }
 

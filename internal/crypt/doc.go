@@ -1,6 +1,6 @@
 // Package crypt bundles the cryptographic primitives GeoProof builds on:
-// key derivation, AES-CTR bulk encryption, truncated HMAC segment tags and
-// ECDSA transcript signatures.
+// key derivation, AES-CTR bulk encryption, truncated AES-CMAC segment tags
+// and ECDSA transcript signatures.
 //
 // The paper's setup phase (§V-A) encrypts the error-corrected file with a
 // symmetric cipher, permutes it, then MACs v-block segments with short
@@ -8,13 +8,16 @@
 // private key (§V-B). All primitives here are from the Go standard
 // library; only composition is local.
 //
-// The bulk paths are built for the concurrent encoder: EncryptCTRAt seeks
-// the CTR keystream to an arbitrary (even unaligned) byte offset so
-// shards of one stream can be encrypted independently and bit-identically
-// to cipher.NewCTR; EncryptBlocks is the multi-block ECB shim behind both
-// that seeking CTR and prp's batched Feistel rounds; Tagger precomputes
-// its HMAC inner/outer states once per file, making per-segment tagging
-// and VerifyTag allocation-free.
+// The bulk paths are built for the concurrent encoder. EncryptCTRAt seeks
+// the standard library's CTR stream to an arbitrary (even unaligned) byte
+// offset, so shards of one stream are encrypted independently, at the
+// speed of its multi-block assembly, and bit-identically to one
+// sequential pass. Tagger is AES-CMAC (RFC 4493) over a header block
+// binding segment index and file ID followed by the segment — seven AES
+// blocks for the paper's five-block segment — truncated to the tag width
+// (at most MaxTagBits = 128); its slab forms TagSlab and VerifySlab carry
+// four segments of a run through the CBC chain side by side, and every
+// form but Tag is allocation-free.
 //
 // # Amortized transcript signing
 //

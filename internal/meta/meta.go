@@ -7,14 +7,25 @@ package meta
 import (
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 
 	"repro/internal/blockfile"
 )
 
+// ErrEncoding: the sidecar describes a payload written in an encoding this
+// build does not read — or says nothing about it, as sidecars did before
+// the field existed. The payload's tags would all fail; there is no
+// converter, so the fix is to run geoprep on the original file again.
+var ErrEncoding = errors.New("meta: unsupported encoding version")
+
 // Meta describes one prepared file.
 type Meta struct {
+	// Encoding is the blockfile.EncodingVersion the payload was written
+	// in. Load refuses any other, a sidecar from before the field existed
+	// (it decodes as 0) included.
+	Encoding     int              `json:"encoding"`
 	FileID       string           `json:"fileId"`
 	OrigBytes    int64            `json:"origBytes"`
 	Params       blockfile.Params `json:"params"`
@@ -59,6 +70,10 @@ func Load(path string) (Meta, error) {
 	var m Meta
 	if err := json.Unmarshal(b, &m); err != nil {
 		return Meta{}, fmt.Errorf("parse meta: %w", err)
+	}
+	if m.Encoding != blockfile.EncodingVersion {
+		return Meta{}, fmt.Errorf("%w: %s says version %d, this build reads and writes only version %d; re-run geoprep to encode the file again",
+			ErrEncoding, path, m.Encoding, blockfile.EncodingVersion)
 	}
 	if err := m.Params.Validate(); err != nil {
 		return Meta{}, err

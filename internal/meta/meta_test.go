@@ -1,8 +1,11 @@
 package meta
 
 import (
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/blockfile"
@@ -10,6 +13,7 @@ import (
 
 func sample() Meta {
 	return Meta{
+		Encoding:     blockfile.EncodingVersion,
 		FileID:       "file-1",
 		OrigBytes:    12345,
 		Params:       blockfile.DefaultParams(),
@@ -83,17 +87,50 @@ func TestLoadErrors(t *testing.T) {
 	}
 	// Valid JSON, invalid params.
 	noid := filepath.Join(dir, "noid.json")
-	if err := os.WriteFile(noid, []byte(`{"fileId":"","origBytes":1,"params":{"BlockSize":16,"ChunkData":223,"ChunkTotal":255,"SegmentBlocks":5,"TagBits":20},"masterKeyHex":"00"}`), 0o600); err != nil {
+	if err := os.WriteFile(noid, []byte(fmt.Sprintf(`{"encoding":%d,"fileId":"","origBytes":1,"params":{"BlockSize":16,"ChunkData":223,"ChunkTotal":255,"SegmentBlocks":5,"TagBits":20},"masterKeyHex":"00"}`, blockfile.EncodingVersion)), 0o600); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Load(noid); err == nil {
 		t.Fatal("empty file id accepted")
 	}
 	badParams := filepath.Join(dir, "badparams.json")
-	if err := os.WriteFile(badParams, []byte(`{"fileId":"f","origBytes":1,"params":{"BlockSize":0},"masterKeyHex":"00"}`), 0o600); err != nil {
+	if err := os.WriteFile(badParams, []byte(fmt.Sprintf(`{"encoding":%d,"fileId":"f","origBytes":1,"params":{"BlockSize":0},"masterKeyHex":"00"}`, blockfile.EncodingVersion)), 0o600); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Load(badParams); err == nil {
 		t.Fatal("invalid params accepted")
+	}
+}
+
+// TestLoadRefusesOtherEncodings: a sidecar written before the encoding
+// field existed, or for any encoding but this build's, is refused by name
+// — with the versions and the remedy in the message — instead of loading
+// and letting every tag of the payload fail as if the prover had cheated.
+func TestLoadRefusesOtherEncodings(t *testing.T) {
+	dir := t.TempDir()
+	const rest = `"fileId":"f","origBytes":1,"params":{"BlockSize":16,"ChunkData":223,"ChunkTotal":255,"SegmentBlocks":5,"TagBits":20},"masterKeyHex":"00"}`
+	for name, body := range map[string]string{
+		"versionless": "{" + rest,
+		"v1":          `{"encoding":1,` + rest,
+		"future":      fmt.Sprintf(`{"encoding":%d,`, blockfile.EncodingVersion+1) + rest,
+	} {
+		path := filepath.Join(dir, name+".json")
+		if err := os.WriteFile(path, []byte(body), 0o600); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Load(path)
+		if !errors.Is(err, ErrEncoding) {
+			t.Fatalf("%s: got %v, want ErrEncoding", name, err)
+		}
+		if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("only version %d", blockfile.EncodingVersion)) || !strings.Contains(msg, "re-run geoprep") {
+			t.Fatalf("%s: error does not name this build's version and the remedy: %v", name, err)
+		}
+	}
+	current := filepath.Join(dir, "current.json")
+	if err := os.WriteFile(current, []byte(fmt.Sprintf(`{"encoding":%d,`, blockfile.EncodingVersion)+rest), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(current); err != nil {
+		t.Fatalf("current encoding refused: %v", err)
 	}
 }

@@ -415,18 +415,6 @@ func (sc *streamCoder) placeBlocks(w io.WriterAt, ranger byteRanger, buf []byte,
 	return nil
 }
 
-// stampTags fills in τ_i = MAC(S_i, i, fid) for the run of whole segments
-// in slab, the first of which is segment first of the file.
-func (sc *streamCoder) stampTags(slab []byte, first int64) {
-	segSize := sc.layout.SegmentSize()
-	segBytes := sc.layout.SegmentPayloadBytes()
-	for i := 0; i*segSize < len(slab); i++ {
-		seg := slab[i*segSize : (i+1)*segSize]
-		// Appending to the payload lands in the segment's own tag slot.
-		sc.tagger.AppendTag(seg[:segBytes], seg[:segBytes], uint64(first)+uint64(i), sc.fileID)
-	}
-}
-
 // tagImage stamps every segment tag of img, a segment-aligned piece of
 // the placed output held in memory at byte offset off of the encoded
 // file. Workers own contiguous segment ranges.
@@ -436,7 +424,7 @@ func (sc *streamCoder) tagImage(img []byte, off int64) error {
 		return fmt.Errorf("tag image [%d, %d) is not segment-aligned", off, off+int64(len(img)))
 	}
 	return parallel.ForRange(sc.workers, int(int64(len(img))/segSize), func(lo, hi int) error {
-		sc.stampTags(img[int64(lo)*segSize:int64(hi)*segSize], off/segSize+int64(lo))
+		sc.tagger.TagSlab(img[int64(lo)*segSize:int64(hi)*segSize], sc.layout.SegmentPayloadBytes(), uint64(off/segSize)+uint64(lo), sc.fileID)
 		return nil
 	})
 }
@@ -466,7 +454,7 @@ func (sc *streamCoder) tagPass(w StreamTarget, ranger byteRanger) error {
 			if err := readFullAt(w, slab, s0*segSize); err != nil {
 				return fmt.Errorf("tag pass read at segment %d: %w", s0, err)
 			}
-			sc.stampTags(slab, s0)
+			sc.tagger.TagSlab(slab, sc.layout.SegmentPayloadBytes(), uint64(s0), sc.fileID)
 			if _, err := w.WriteAt(slab, s0*segSize); err != nil {
 				return fmt.Errorf("tag pass write at segment %d: %w", s0, err)
 			}
@@ -621,12 +609,7 @@ func (sc *streamCoder) verifyPass(r io.ReaderAt, ranger byteRanger) ([]bool, err
 					return fmt.Errorf("verify pass read at segment %d: %w", s0, err)
 				}
 			}
-			for i := int64(0); i < cnt; i++ {
-				seg := slab[i*segSize : (i+1)*segSize]
-				if !sc.tagger.VerifyTag(seg[:segBytes], uint64(s0+i), sc.fileID, seg[segBytes:]) {
-					suspect[s0+i] = true
-				}
-			}
+			sc.tagger.VerifySlab(slab, segBytes, uint64(s0), sc.fileID, suspect[s0:s0+cnt])
 		}
 		return nil
 	})

@@ -328,7 +328,7 @@ func TestStoredOffsetsMatchLayout(t *testing.T) {
 			ChunkData:     223,
 			ChunkTotal:    255,
 			SegmentBlocks: []int{1, 2, 5, 255, 1 + rng.Intn(1000)}[rng.Intn(5)],
-			TagBits:       8 + rng.Intn(249),
+			TagBits:       8 + rng.Intn(121),
 		}
 		if err := p.Validate(); err != nil {
 			t.Fatal(err)

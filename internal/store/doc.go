@@ -24,6 +24,14 @@
 // tag pass. Resident memory stays O(window + one shard), independent of
 // file size.
 //
+// The manifest carries a format version (2) that covers both its own
+// schema and the encoding of the shard bytes (blockfile.EncodingVersion:
+// which cipher, permutation and tag construction the POR pipeline used).
+// Open refuses any other version with ErrFormatVersion — the shards of a
+// version 1 store are intact but permuted and tagged differently, so they
+// would read as wholesale corruption — and there is no converter: re-run
+// geoprep, which supersedes the old directory in place.
+//
 // Durability is an epoch'd manifest committed by atomic rename: Create
 // publishes an uncommitted manifest (bumped epoch), Commit checksums the
 // shards (CRC-32C) and renames the completed manifest into place. A crash

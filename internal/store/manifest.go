@@ -25,10 +25,16 @@ var (
 	// (bad JSON, impossible geometry, sizes or checksums that do not
 	// match).
 	ErrCorrupt = errors.New("store: corrupt")
+	// ErrFormatVersion: the directory was written by a build with another
+	// on-disk format. The shards are intact but mean nothing to this
+	// build — there is no converter; re-run geoprep on the original file.
+	ErrFormatVersion = errors.New("store: unsupported format version")
 )
 
 const (
-	manifestVersion = 1
+	// manifestVersion is the on-disk format: the manifest's own schema and
+	// the encoding of the shard bytes, which version together.
+	manifestVersion = blockfile.EncodingVersion
 	manifestName    = "manifest.json"
 	shardPattern    = "shard-%05d.bin"
 	logPattern      = "shard-%05d.log"
@@ -95,7 +101,8 @@ func shardLen(s int, encoded, shardBytes int64) int64 {
 // against the shard files by (*Store).Verify, not here.
 func (m Manifest) Validate() error {
 	if m.Version != manifestVersion {
-		return fmt.Errorf("%w: manifest version %d, want %d", ErrCorrupt, m.Version, manifestVersion)
+		return fmt.Errorf("%w: manifest is format version %d, this build reads and writes only version %d; re-run geoprep to encode the file again",
+			ErrFormatVersion, m.Version, manifestVersion)
 	}
 	if m.FileID == "" {
 		return fmt.Errorf("%w: empty file id", ErrCorrupt)

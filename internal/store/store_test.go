@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/blockfile"
@@ -179,7 +180,8 @@ func TestStoreCrashMidEncodeDetectedAndRecovered(t *testing.T) {
 }
 
 // TestStoreOpenFailures covers the non-crash failure modes: no manifest,
-// garbage manifest, shard size mismatch.
+// garbage manifest, shard size mismatch, and a store of another format
+// version — which is stale, not corrupt, and says so.
 func TestStoreOpenFailures(t *testing.T) {
 	if _, err := store.Open(t.TempDir()); !errors.Is(err, store.ErrNoManifest) {
 		t.Fatalf("empty dir: err = %v, want ErrNoManifest", err)
@@ -204,6 +206,39 @@ func TestStoreOpenFailures(t *testing.T) {
 	if _, err := store.Open(dir2); !errors.Is(err, store.ErrCorrupt) {
 		t.Fatalf("truncated shard: err = %v, want ErrCorrupt", err)
 	}
+
+	// A directory the previous format's build committed: intact, and
+	// unreadable. There is no reader for it; encoding into the same
+	// directory again is the way forward and must work.
+	dir3 := t.TempDir()
+	encodeToStore(t, dir3, enc, "f", data, store.Options{ShardTargetBytes: 4096})
+	manPath := filepath.Join(dir3, "manifest.json")
+	man, err := os.ReadFile(manPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := bytes.Replace(man, []byte(`"version": 2`), []byte(`"version": 1`), 1)
+	if bytes.Equal(v1, man) {
+		t.Fatalf("manifest does not say version 2:\n%s", man)
+	}
+	if err := os.WriteFile(manPath, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = store.Open(dir3)
+	if !errors.Is(err, store.ErrFormatVersion) || errors.Is(err, store.ErrCorrupt) {
+		t.Fatalf("v1 store: err = %v, want ErrFormatVersion and not ErrCorrupt", err)
+	}
+	for _, want := range []string{"version 1", "only version 2", "re-run geoprep"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("v1 store: error %q does not say %q", err, want)
+		}
+	}
+	encodeToStore(t, dir3, enc, "f", data, store.Options{ShardTargetBytes: 4096})
+	st, err := store.Open(dir3)
+	if err != nil {
+		t.Fatalf("store re-encoded over a v1 directory: %v", err)
+	}
+	st.Close()
 }
 
 // TestStoreVerifyCatchesBitRot flips one byte of one shard after commit
