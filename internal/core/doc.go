@@ -30,7 +30,18 @@
 // response arrived, so max RTT ≤ Δt_max is the paper's per-round
 // distance bound, and throughput comes from many audits multiplexed
 // across streams, never from pipelining one audit's challenges. A peer
-// that does not speak mux v2 is refused at the Hello. ProverPool keeps
+// that does not speak mux v2 is refused at the Hello. Inside a round the
+// transport adds what the wire costs and little else: both ends write a
+// frame from a per-connection scratch in one call and read through a
+// small buffer, the demux hands the waiting round the very slice the
+// reply was read into, and ProverServer serves streams on resident
+// per-connection workers — a request goes to a parked worker, a new one
+// starts only when none is idle, so a connection holds as many as its
+// peer has had streams open at once and a slow look-up never delays the
+// frame behind it. ProverServer.Concurrency bounds connections served at
+// once and, per connection, streams being served at once (hence its
+// workers); the read loop takes the slot before it dispatches and the
+// worker returns it once the reply is written. ProverPool keeps
 // one connection warm per address, and VerifierServer and RemoteVerifier
 // add the third leg — a TPA talking to a remote verifier daemon
 // (cmd/geoverifierd), with VerifierPool reusing daemon connections —

@@ -536,15 +536,7 @@ func TestFleetChurnUnderRace(t *testing.T) {
 	ctl.Close()
 
 	// Everything drained: no leaked audit/probe goroutines.
-	deadline = time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			t.Fatalf("goroutines leaked: %d -> %d\n%s", before, runtime.NumGoroutine(),
-				buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	settleGoroutines(t, before)
 }
 
 // TestFleetRegisterErrors covers the registry edge cases.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -31,8 +32,60 @@ var ErrMuxRefused = errors.New("core: peer refused the mux v2 handshake")
 // bound the connection fails and the pool redials.
 const maxTombstones = 256
 
+// muxReadBuf sizes the buffered reader each end of a mux connection reads
+// through. Frames are ≈ 100 bytes, so a few KiB holds a burst of them and
+// a whole frame arrives in one read of the socket; every pooled
+// connection carries one, so it is not sized for the rare large frame
+// (bufio reads a payload larger than its buffer straight into the
+// destination).
+const muxReadBuf = 4 << 10
+
+// maxFrameScratch is the largest write scratch a connection keeps between
+// frames: one that a giant frame grew is dropped after the write, so a
+// 16 MiB frame never pins 16 MiB per connection.
+const maxFrameScratch = 64 << 10
+
+// frameWriter is the write half of a mux connection, on either end. It
+// serializes writers, builds each frame in a scratch buffer the
+// connection owns, and sends it in one Write call, so frames never
+// interleave and never straddle two system calls.
+type frameWriter struct {
+	conn net.Conn
+
+	mu      sync.Mutex
+	scratch []byte // guarded by mu
+}
+
+// write sends one frame. Its payload is payload or, when req is non-nil,
+// req's encoding, appended straight into the frame.
+func (w *frameWriter) write(typ byte, stream uint32, payload []byte, req *wire.SegmentRequest) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	n := len(payload)
+	if req != nil {
+		n = req.EncodedLen()
+	}
+	buf, err := wire.AppendMuxHeader(w.scratch[:0], typ, stream, n)
+	if err != nil {
+		return err
+	}
+	if req != nil {
+		buf = req.Append(buf)
+	} else {
+		buf = append(buf, payload...)
+	}
+	_, err = w.conn.Write(buf)
+	if cap(buf) <= maxFrameScratch {
+		w.scratch = buf
+	} else {
+		w.scratch = nil
+	}
+	return err
+}
+
 // muxMsg is one demultiplexed frame handed to a waiting stream. The
-// payload is an exact-size copy owned by the receiver.
+// payload is the exact-size slice the frame was read into; the receiver
+// owns it.
 type muxMsg struct {
 	typ     byte
 	payload []byte
@@ -45,9 +98,7 @@ type muxMsg struct {
 // stream — sibling exchanges and the connection itself stay serviceable.
 type MuxProverConn struct {
 	conn net.Conn
-
-	// wmu serializes writers so every frame leaves in one Write call.
-	wmu sync.Mutex
+	w    frameWriter
 
 	mu      sync.Mutex
 	nextID  uint32
@@ -56,6 +107,10 @@ type MuxProverConn struct {
 	// late reply is recognised and dropped instead of read as a protocol
 	// violation.
 	tomb map[uint32]struct{}
+	// free holds the reply channels of streams that ended with a clean
+	// receive — empty, open, referenced by nobody else — for issue to
+	// hand out again.
+	free []chan muxMsg
 	err  error
 
 	closeOnce sync.Once
@@ -69,6 +124,7 @@ var _ ProverConn = (*MuxProverConn)(nil)
 func NewMuxProverConn(conn net.Conn) *MuxProverConn {
 	c := &MuxProverConn{
 		conn:    conn,
+		w:       frameWriter{conn: conn},
 		pending: make(map[uint32]chan muxMsg),
 		tomb:    make(map[uint32]struct{}),
 		rdone:   make(chan struct{}),
@@ -183,7 +239,8 @@ func (c *MuxProverConn) connErr() error {
 // pending or tombstoned are skipped, so a reply can never be delivered
 // to the wrong exchange (both sets are small, so the skip loop is
 // short). The channel is buffered for the one reply the stream is owed,
-// so the demux loop never blocks on a slow stream owner.
+// so the demux loop never blocks on a slow stream owner; it comes off
+// the free list when an earlier stream left one there.
 func (c *MuxProverConn) issue() (uint32, chan muxMsg, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -202,9 +259,23 @@ func (c *MuxProverConn) issue() (uint32, chan muxMsg, error) {
 			break
 		}
 	}
-	ch := make(chan muxMsg, 1)
+	var ch chan muxMsg
+	if n := len(c.free); n > 0 {
+		ch, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		ch = make(chan muxMsg, 1)
+	}
 	c.pending[c.nextID] = ch
 	return c.nextID, ch, nil
+}
+
+// recycle takes back the reply channel of a stream whose reply was
+// received. Only that path may call it: after a cancel, a failed write or
+// a connection failure, dispatch or failLocked may still hold the channel.
+func (c *MuxProverConn) recycle(ch chan muxMsg) {
+	c.mu.Lock()
+	c.free = append(c.free, ch)
+	c.mu.Unlock()
 }
 
 // cancel abandons a stream: the reply the server still owes it is
@@ -233,22 +304,14 @@ func (c *MuxProverConn) forget(id uint32) {
 	c.mu.Unlock()
 }
 
-// writeFrame encodes and writes one frame as a single Write call. A
-// write failure is terminal for the connection.
-func (c *MuxProverConn) writeFrame(typ byte, stream uint32, payload []byte) error {
-	buf, err := wire.AppendMuxFrame(wire.GetBuffer(0)[:0], typ, stream, payload)
-	if err != nil {
-		wire.PutBuffer(buf)
+// writeFrame sends one request frame: a segment request when req is
+// non-nil, an empty payload otherwise. A write failure is terminal for
+// the connection.
+func (c *MuxProverConn) writeFrame(typ byte, stream uint32, req *wire.SegmentRequest) error {
+	if err := c.w.write(typ, stream, nil, req); err != nil {
+		err = fmt.Errorf("core: mux write: %w", err)
+		c.fail(err)
 		return err
-	}
-	c.wmu.Lock()
-	_, werr := c.conn.Write(buf)
-	c.wmu.Unlock()
-	wire.PutBuffer(buf)
-	if werr != nil {
-		werr = fmt.Errorf("core: mux write: %w", werr)
-		c.fail(werr)
-		return werr
 	}
 	metricMuxFramesWritten.Inc()
 	return nil
@@ -256,25 +319,27 @@ func (c *MuxProverConn) writeFrame(typ byte, stream uint32, payload []byte) erro
 
 // readLoop demultiplexes incoming frames to their streams. It owns the
 // read side of the socket and exits when the connection fails or closes.
+// Reading through a buffer, a reply costs one read of the socket rather
+// than one for its header and one for its payload.
 func (c *MuxProverConn) readLoop() {
 	defer close(c.rdone)
+	br := bufio.NewReaderSize(c.conn, muxReadBuf)
 	for {
-		typ, stream, payload, err := wire.ReadMuxFrame(c.conn)
+		typ, stream, payload, err := wire.ReadMuxFrameOwned(br)
 		if err != nil {
 			c.fail(fmt.Errorf("core: mux read: %w", err))
 			return
 		}
 		metricMuxFramesRead.Inc()
-		if !c.dispatch(typ, stream, payload) {
+		if !c.dispatch(stream, muxMsg{typ: typ, payload: payload}) {
 			return
 		}
 	}
 }
 
-// dispatch routes one frame, recycling its pooled payload. It reports
+// dispatch routes one frame to the stream waiting for it. It reports
 // whether the loop should keep reading.
-func (c *MuxProverConn) dispatch(typ byte, stream uint32, payload []byte) bool {
-	defer wire.PutBuffer(payload)
+func (c *MuxProverConn) dispatch(stream uint32, msg muxMsg) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, dead := c.tomb[stream]; dead {
@@ -290,13 +355,13 @@ func (c *MuxProverConn) dispatch(typ byte, stream uint32, payload []byte) bool {
 		return false
 	}
 	delete(c.pending, stream)
-	ch <- muxMsg{typ: typ, payload: append(make([]byte, 0, len(payload)), payload...)} // buffered; never blocks
+	ch <- msg // buffered; never blocks
 	return true
 }
 
 // exchange sends one request frame on a fresh stream and waits for its
 // one reply. Cancelling ctx abandons only this stream.
-func (c *MuxProverConn) exchange(ctx context.Context, typ byte, payload []byte) (muxMsg, error) {
+func (c *MuxProverConn) exchange(ctx context.Context, typ byte, req *wire.SegmentRequest) (muxMsg, error) {
 	if err := ctx.Err(); err != nil {
 		return muxMsg{}, err
 	}
@@ -304,7 +369,7 @@ func (c *MuxProverConn) exchange(ctx context.Context, typ byte, payload []byte) 
 	if err != nil {
 		return muxMsg{}, err
 	}
-	if err := c.writeFrame(typ, id, payload); err != nil {
+	if err := c.writeFrame(typ, id, req); err != nil {
 		c.forget(id)
 		return muxMsg{}, err
 	}
@@ -313,6 +378,7 @@ func (c *MuxProverConn) exchange(ctx context.Context, typ byte, payload []byte) 
 		if !ok {
 			return muxMsg{}, c.connErr()
 		}
+		c.recycle(ch)
 		return msg, nil
 	case <-ctx.Done():
 		c.cancel(id)
@@ -321,9 +387,10 @@ func (c *MuxProverConn) exchange(ctx context.Context, typ byte, payload []byte) 
 }
 
 // GetSegment performs one challenge round on its own stream. The caller
-// times it: one request, one reply, one round trip.
+// times it: one request, one reply, one round trip. The returned segment
+// is the slice the reply was read into.
 func (c *MuxProverConn) GetSegment(ctx context.Context, fileID string, index uint64) ([]byte, error) {
-	msg, err := c.exchange(ctx, wire.TypeSegmentRequest, wire.SegmentRequest{FileID: fileID, Index: index}.Encode())
+	msg, err := c.exchange(ctx, wire.TypeSegmentRequest, &wire.SegmentRequest{FileID: fileID, Index: index})
 	if err != nil {
 		return nil, err
 	}

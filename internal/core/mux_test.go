@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -613,5 +614,97 @@ func TestMuxStreamIDWrap(t *testing.T) {
 	liveCancel()
 	if err := <-liveDone; !errors.Is(err, context.Canceled) {
 		t.Fatalf("live stream ended with %v", err)
+	}
+}
+
+// TestMuxRequestFrameBytes pins what GetSegment puts on the wire: the v2
+// header and u16 id length ‖ id ‖ u64 index, in one write — the bytes a
+// prover built from any earlier commit parses.
+func TestMuxRequestFrameBytes(t *testing.T) {
+	client, server := net.Pipe()
+	conn := NewMuxProverConn(client)
+	defer func() { conn.Close(); server.Close() }()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go conn.GetSegment(ctx, "tcp-file", 0x0102030405060708) // never answered, cancelled at exit: only the request matters
+	want := []byte{
+		0, 0, 0, 18, wire.TypeSegmentRequest, 0, 0, 0, 1, // length, type, stream 1
+		0, 8, 't', 'c', 'p', '-', 'f', 'i', 'l', 'e', 1, 2, 3, 4, 5, 6, 7, 8,
+	}
+	got := make([]byte, 64)
+	n, err := server.Read(got) // a pipe Read returns one Write's bytes: the frame must arrive whole
+	if err != nil || !bytes.Equal(got[:n], want) {
+		t.Fatalf("request frame %x (%v), want %x", got[:n], err, want)
+	}
+	ref, err := wire.AppendMuxFrame(nil, wire.TypeSegmentRequest, 1, wire.SegmentRequest{FileID: "tcp-file", Index: 0x0102030405060708}.Encode())
+	if err != nil || !bytes.Equal(ref, want) {
+		t.Fatalf("AppendMuxFrame over Encode gives %x (%v), want %x", ref, err, want)
+	}
+}
+
+// TestMuxReplyChannelReuse: serial rounds ride one recycled reply
+// channel, and a stream that ended any other way than by receiving its
+// reply never gives its channel back — the demux may deliver into it as
+// the caller gives up, and the next stream would read that stale reply.
+func TestMuxReplyChannelReuse(t *testing.T) {
+	conn, _ := pipeProver(t, 100)
+	free := func() int {
+		conn.mu.Lock()
+		defer conn.mu.Unlock()
+		return len(conn.free)
+	}
+	for i := 0; i < 5; i++ {
+		if seg, err := conn.GetSegment(context.Background(), "f", uint64(i)); err != nil || seg[0] != byte(i) {
+			t.Fatalf("round %d: %v %v", i, seg, err)
+		}
+	}
+	if n := free(); n != 1 {
+		t.Fatalf("%d free reply channels after serial rounds, want 1", n)
+	}
+	// The losing side of the race: the reply lands, then the caller cancels.
+	id, ch, err := conn.issue()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !conn.dispatch(id, muxMsg{typ: wire.TypeSegmentResponse, payload: []byte("stale")}) {
+		t.Fatal("dispatch to a live stream failed the connection")
+	}
+	conn.cancel(id)
+	if n := free(); n != 0 {
+		t.Fatalf("abandoned stream's channel went back on the free list (%d free)", n)
+	}
+	if seg, err := conn.GetSegment(context.Background(), "f", 7); err != nil || len(seg) != 1 || seg[0] != 7 {
+		t.Fatalf("round after an abandoned stream got %q, %v", seg, err)
+	}
+	if len(ch) != 1 {
+		t.Fatal("the abandoned channel was drained by a later stream")
+	}
+}
+
+// TestMuxRoundAllocationBudget: a steady-state round allocates the
+// segment slice on each side — the prover's fetch, and the verifier's
+// reply read that the transcript keeps — and the framing nothing. Both
+// ends run in this process, so the count covers both.
+func TestMuxRoundAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	_, ef, site := tcpFixture(t)
+	addr, stop := startServer(t, &cloud.HonestProvider{Site: site}, false)
+	defer stop()
+	conn := dialMux(t, addr)
+	defer conn.Close()
+	ctx := context.Background()
+	round := func() {
+		if _, err := conn.GetSegment(ctx, ef.FileID, 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		round() // the worker, the write scratches and the reply channel now exist
+	}
+	const budget = 3 // measured: 2
+	if n := testing.AllocsPerRun(1000, round); n > budget {
+		t.Fatalf("a round allocates %.1f objects, budget %d", n, budget)
 	}
 }

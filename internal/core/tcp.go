@@ -2,6 +2,7 @@ package core
 
 import (
 	"bufio"
+	"errors"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -115,31 +116,35 @@ func (s *ProverServer) fetch(fileID string, index uint64) ([]byte, error) {
 	return data, nil
 }
 
-// muxServerConn is the server's per-connection mux state: a mutex-guarded
-// write path (every frame leaves in one Write call) and a kill switch
-// that stops the read loop once any stream hits a fatal write error.
+// muxServerConn is the server's per-connection mux state: the write half
+// (every frame leaves in one Write call), a kill switch that stops the
+// read loop once any stream hits a fatal write error, and the hand-off
+// between the read loop and the connection's stream workers.
 type muxServerConn struct {
-	conn net.Conn
-	wmu  sync.Mutex
+	w    frameWriter
 	dead atomic.Bool
+
+	// jobs carries a decoded request to a parked worker. It is unbuffered:
+	// the read loop sends only after claiming a worker that has counted
+	// itself into idle, so a send waits at most for that worker's reply
+	// write to return.
+	jobs chan streamJob
+	idle atomic.Int32
 }
 
-// writeFrame encodes one mux frame through a pooled buffer and writes it
-// as one syscall. On a write failure the connection is marked dead and
-// closed, which unblocks the read loop.
+// streamJob is one decoded segment request on its way to a worker.
+type streamJob struct {
+	stream uint32
+	fileID string
+	index  uint64
+}
+
+// writeFrame writes one mux frame. On a write failure the connection is
+// marked dead and closed, which unblocks the read loop.
 func (m *muxServerConn) writeFrame(typ byte, stream uint32, payload []byte) bool {
-	buf, err := wire.AppendMuxFrame(wire.GetBuffer(0)[:0], typ, stream, payload)
-	if err != nil {
-		wire.PutBuffer(buf)
-		return false
-	}
-	m.wmu.Lock()
-	_, err = m.conn.Write(buf)
-	m.wmu.Unlock()
-	wire.PutBuffer(buf)
-	if err != nil {
-		if m.dead.CompareAndSwap(false, true) {
-			m.conn.Close()
+	if err := m.w.write(typ, stream, payload, nil); err != nil {
+		if !errors.Is(err, wire.ErrFrameTooLarge) && m.dead.CompareAndSwap(false, true) {
+			m.w.conn.Close()
 		}
 		return false
 	}
@@ -147,17 +152,24 @@ func (m *muxServerConn) writeFrame(typ byte, stream uint32, payload []byte) bool
 }
 
 // serveMux runs the mux loop: the read loop only decodes and dispatches,
-// stream work runs in bounded goroutines, so one slow fetch cannot
-// head-of-line-block the frames queued behind it.
+// stream work runs on the connection's resident workers, so one slow
+// fetch cannot head-of-line-block the frames queued behind it. A request
+// goes to an idle worker when there is one and starts a new worker when
+// there is not, so a connection holds as many workers as its peer has had
+// streams open at once — which Concurrency bounds when set — and they
+// park between rounds instead of being started, and their stacks regrown,
+// once per frame. All of them are gone when serveMux returns.
 func (s *ProverServer) serveMux(conn net.Conn) {
-	m := &muxServerConn{conn: conn}
+	m := &muxServerConn{w: frameWriter{conn: conn}, jobs: make(chan streamJob)}
 	var sem chan struct{}
 	if s.Concurrency > 0 {
 		sem = make(chan struct{}, s.Concurrency)
 	}
 	var wg sync.WaitGroup
 	defer wg.Wait()
-	br := bufio.NewReaderSize(conn, 64<<10)
+	defer close(m.jobs)
+	br := bufio.NewReaderSize(conn, muxReadBuf)
+	var fileID string // the last ID requested: a connection audits one file for rounds on end
 	for {
 		typ, stream, payload, err := wire.ReadMuxFrame(br)
 		if err != nil || m.dead.Load() {
@@ -172,7 +184,10 @@ func (s *ProverServer) serveMux(conn net.Conn) {
 			}
 		case wire.TypeSegmentRequest:
 			metricProverSegments.Inc()
-			req, derr := wire.DecodeSegmentRequest(payload)
+			id, index, derr := wire.SplitSegmentRequest(payload)
+			if derr == nil && string(id) != fileID { // the comparison does not allocate; the conversion does
+				fileID = string(id)
+			}
 			wire.PutBuffer(payload)
 			if derr != nil {
 				if !m.writeFrame(wire.TypeError, stream, wire.ErrorMessage{Msg: derr.Error()}.Encode()) {
@@ -183,13 +198,16 @@ func (s *ProverServer) serveMux(conn net.Conn) {
 			if cap(sem) > 0 {
 				sem <- struct{}{}
 			}
+			job := streamJob{stream: stream, fileID: fileID, index: index}
+			if m.idle.Load() > 0 {
+				m.idle.Add(-1) // only this loop decrements, so the claim cannot go negative
+				m.jobs <- job
+				continue
+			}
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if cap(sem) > 0 {
-					defer func() { <-sem }()
-				}
-				s.serveSegmentStream(m, stream, req)
+				s.streamWorker(m, sem, job)
 			}()
 		default:
 			wire.PutBuffer(payload)
@@ -200,12 +218,21 @@ func (s *ProverServer) serveMux(conn net.Conn) {
 	}
 }
 
-// serveSegmentStream answers one challenge round.
-func (s *ProverServer) serveSegmentStream(m *muxServerConn, stream uint32, req wire.SegmentRequest) {
-	data, err := s.fetch(req.FileID, req.Index)
-	if err != nil {
-		m.writeFrame(wire.TypeError, stream, wire.ErrorMessage{Msg: err.Error()}.Encode())
-		return
+// streamWorker answers challenge rounds, one at a time, until the
+// connection's job channel closes. It counts itself idle before its reply
+// leaves, not after: the peer's next request can arrive the moment the
+// reply does, and must find this worker rather than start another.
+func (s *ProverServer) streamWorker(m *muxServerConn, sem chan struct{}, job streamJob) {
+	for ok := true; ok; job, ok = <-m.jobs {
+		data, err := s.fetch(job.fileID, job.index)
+		m.idle.Add(1)
+		if err != nil {
+			m.writeFrame(wire.TypeError, job.stream, wire.ErrorMessage{Msg: err.Error()}.Encode())
+		} else {
+			m.writeFrame(wire.TypeSegmentResponse, job.stream, data)
+		}
+		if cap(sem) > 0 {
+			<-sem
+		}
 	}
-	m.writeFrame(wire.TypeSegmentResponse, stream, data)
 }

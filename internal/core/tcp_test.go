@@ -5,6 +5,9 @@ import (
 	"context"
 	"errors"
 	"net"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,11 +24,17 @@ import (
 // a shutdown func.
 func startServer(t *testing.T, provider cloud.Provider, simulate bool) (string, func()) {
 	t.Helper()
+	return serveProver(t, &ProverServer{Provider: provider, SimulateServiceTime: simulate})
+}
+
+// serveProver runs srv on loopback and returns its address and a
+// shutdown func.
+func serveProver(t *testing.T, srv *ProverServer) (string, func()) {
+	t.Helper()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := &ProverServer{Provider: provider, SimulateServiceTime: simulate}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -200,5 +209,167 @@ func TestProverServerConcurrencyCapAndNegative(t *testing.T) {
 		}
 		_ = srv.Close()
 		<-done
+	}
+}
+
+// settleGoroutines polls until the process holds at most want goroutines:
+// a closed connection's server-side goroutines exit on their own time.
+func settleGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines, want at most %d\n%s", runtime.NumGoroutine(), want, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestProverServerWorkersAreResident: serial rounds are served by one
+// parked worker, not a goroutine per frame, and the worker goes when the
+// connection does.
+func TestProverServerWorkersAreResident(t *testing.T) {
+	_, ef, site := tcpFixture(t)
+	addr, stop := startServer(t, &cloud.HonestProvider{Site: site}, false)
+	defer stop()
+	baseline := runtime.NumGoroutine()
+	conn := dialMux(t, addr)
+	defer conn.Close()
+	round := func(i int) {
+		t.Helper()
+		if _, err := conn.GetSegment(context.Background(), ef.FileID, uint64(i)%uint64(ef.Layout.Segments)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round(0)
+	afterFirst := runtime.NumGoroutine()
+	if afterFirst <= baseline {
+		t.Fatalf("%d goroutines with a connection open, %d before", afterFirst, baseline)
+	}
+	for i := 1; i <= 1000; i++ {
+		round(i)
+	}
+	if n := runtime.NumGoroutine(); n > afterFirst {
+		t.Fatalf("%d goroutines after 1000 serial rounds, %d after the first", n, afterFirst)
+	}
+	conn.Close()
+	settleGoroutines(t, baseline)
+}
+
+// rendezvousProvider holds every fetch until `want` of them are in flight
+// at once, so a server that served streams one after the other would
+// never release any.
+type rendezvousProvider struct {
+	cloud.Provider
+	want int
+
+	mu      sync.Mutex
+	waiting int
+	all     chan struct{}
+}
+
+func (p *rendezvousProvider) FetchSegment(fileID string, i int64) ([]byte, time.Duration, error) {
+	p.mu.Lock()
+	if p.all == nil {
+		p.all = make(chan struct{})
+	}
+	all := p.all
+	if p.waiting++; p.waiting == p.want {
+		p.waiting, p.all = 0, nil // re-arm for the next wave
+		close(all)
+	}
+	p.mu.Unlock()
+	select {
+	case <-all:
+		return p.Provider.FetchSegment(fileID, i)
+	case <-time.After(5 * time.Second):
+		return nil, 0, errors.New("fetches were not served concurrently")
+	}
+}
+
+// TestProverServerStreamsServedConcurrently: eight streams opened at once
+// are all being fetched at once — eight 20 ms look-ups cost one look-up
+// time, not eight — on fresh workers and again on the same workers once
+// they are resident, whose number is the peak the peer had open.
+func TestProverServerStreamsServedConcurrently(t *testing.T) {
+	const streams = 8
+	_, ef, site := tcpFixture(t)
+	addr, stop := startServer(t, &rendezvousProvider{Provider: &cloud.HonestProvider{Site: site}, want: streams}, false)
+	defer stop()
+	before := runtime.NumGoroutine()
+	conn := dialMux(t, addr)
+	defer conn.Close()
+	wave := func() {
+		t.Helper()
+		errc := make(chan error, streams)
+		for i := 0; i < streams; i++ {
+			go func(i int) {
+				_, err := conn.GetSegment(context.Background(), ef.FileID, uint64(i))
+				errc <- err
+			}(i)
+		}
+		for i := 0; i < streams; i++ {
+			if err := <-errc; err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 20; i++ {
+		wave()
+	}
+	// The demux loop, the server's read loop and one worker per stream;
+	// the waves' own goroutines are on their way out.
+	settleGoroutines(t, before+2+streams)
+}
+
+// peakProvider records the most fetches it ever had in flight.
+type peakProvider struct {
+	cloud.Provider
+	inflight, peak atomic.Int32
+}
+
+func (p *peakProvider) FetchSegment(fileID string, i int64) ([]byte, time.Duration, error) {
+	n := p.inflight.Add(1)
+	defer p.inflight.Add(-1)
+	for {
+		old := p.peak.Load()
+		if n <= old || p.peak.CompareAndSwap(old, n) {
+			break
+		}
+	}
+	time.Sleep(time.Millisecond) // long enough for every waiting stream to pile up behind the cap
+	return p.Provider.FetchSegment(fileID, i)
+}
+
+// TestProverServerConcurrencyBoundsFetchesInFlight: with Concurrency 2 a
+// connection with eight streams open never has a third fetch in flight.
+func TestProverServerConcurrencyBoundsFetchesInFlight(t *testing.T) {
+	_, ef, site := tcpFixture(t)
+	prov := &peakProvider{Provider: &cloud.HonestProvider{Site: site}}
+	addr, stop := serveProver(t, &ProverServer{Provider: prov, Concurrency: 2})
+	defer stop()
+	conn := dialMux(t, addr)
+	defer conn.Close()
+	const streams = 8
+	errc := make(chan error, streams)
+	for g := 0; g < streams; g++ {
+		go func(g int) {
+			for i := 0; i < 10; i++ {
+				if _, err := conn.GetSegment(context.Background(), ef.FileID, uint64(g)); err != nil {
+					errc <- err
+					return
+				}
+			}
+			errc <- nil
+		}(g)
+	}
+	for g := 0; g < streams; g++ {
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if peak := prov.peak.Load(); peak > 2 {
+		t.Fatalf("%d fetches in flight under Concurrency 2", peak)
 	}
 }

@@ -32,23 +32,34 @@ type KeySet struct {
 	Chal []byte // challenge index derivation key
 }
 
-// DeriveKeys expands a master secret into the POR subkeys using an
-// HKDF-style HMAC-SHA256 expansion bound to the file ID, so per-file keys
-// are independent.
+// Subkey labels: the names DeriveKey binds into each derivation.
+const (
+	LabelEnc  = "enc"
+	LabelMAC  = "mac"
+	LabelPRP  = "prp"
+	LabelChal = "chal"
+)
+
+// DeriveKey expands a master secret into the one subkey named by label,
+// using an HKDF-style HMAC-SHA256 expansion bound to the file ID, so
+// per-file keys are independent. Callers that need a single subkey (the
+// TPA's tag check needs only LabelMAC) pay for one HMAC, not four.
+func DeriveKey(master []byte, label, fileID string) []byte {
+	mac := hmac.New(sha256.New, master)
+	mac.Write([]byte("geoproof/v1/"))
+	mac.Write([]byte(label))
+	mac.Write([]byte{0})
+	mac.Write([]byte(fileID))
+	return mac.Sum(nil)
+}
+
+// DeriveKeys expands a master secret into all four POR subkeys.
 func DeriveKeys(master []byte, fileID string) KeySet {
-	expand := func(label string) []byte {
-		mac := hmac.New(sha256.New, master)
-		mac.Write([]byte("geoproof/v1/"))
-		mac.Write([]byte(label))
-		mac.Write([]byte{0})
-		mac.Write([]byte(fileID))
-		return mac.Sum(nil)
-	}
 	return KeySet{
-		Enc:  expand("enc"),
-		MAC:  expand("mac"),
-		PRP:  expand("prp"),
-		Chal: expand("chal"),
+		Enc:  DeriveKey(master, LabelEnc, fileID),
+		MAC:  DeriveKey(master, LabelMAC, fileID),
+		PRP:  DeriveKey(master, LabelPRP, fileID),
+		Chal: DeriveKey(master, LabelChal, fileID),
 	}
 }
 
@@ -427,14 +438,19 @@ func ChallengeIndices(key, nonce []byte, n uint64, k int) ([]uint64, error) {
 	}
 	out := make([]uint64, 0, k)
 	seen := make(map[uint64]bool, k)
+	// One keyed HMAC for the whole stream: Reset rewinds it to the keyed
+	// state, so a counter block reuses the pads instead of rebuilding (and
+	// reallocating) them.
+	mac := hmac.New(sha256.New, key)
+	var c [8]byte
+	var block [sha256.Size]byte
 	var ctr uint64
 	for len(out) < k {
-		mac := hmac.New(sha256.New, key)
+		mac.Reset()
 		mac.Write(nonce)
-		var c [8]byte
 		binary.BigEndian.PutUint64(c[:], ctr)
 		mac.Write(c[:])
-		sum := mac.Sum(nil)
+		sum := mac.Sum(block[:0])
 		ctr++
 		for off := 0; off+8 <= len(sum) && len(out) < k; off += 8 {
 			v := binary.BigEndian.Uint64(sum[off:]) % n

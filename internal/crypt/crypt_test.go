@@ -36,6 +36,31 @@ func TestDeriveKeysDistinctAndDeterministic(t *testing.T) {
 	}
 }
 
+// TestDeriveKeyMatchesDeriveKeys: the single-label derivation and the
+// four-key set are the same bytes, and those bytes are the ones every
+// stored file was prepared under.
+func TestDeriveKeyMatchesDeriveKeys(t *testing.T) {
+	master := []byte("golden-master")
+	set := DeriveKeys(master, "file-7")
+	for _, c := range []struct {
+		label string
+		got   []byte
+		want  string
+	}{
+		{LabelEnc, set.Enc, "f542df78b6057ee972c6c2e9508517aa28ccbbd3f799caf519586f6c6d2eaa8c"},
+		{LabelMAC, set.MAC, "5ce8b14e4f3ad36e457e768d52eb27ba5f9c85488878bebafe20699de5e466bd"},
+		{LabelPRP, set.PRP, "daa300c6b4db84695f007cdf9dcb123376d3a46f72be1dfd5ca79d1b3915b935"},
+		{LabelChal, set.Chal, "fe0a6aba8bb5aec7d860a320c5462c3e1c1568c4a53edb3863c7d5bf43fd06ac"},
+	} {
+		if got := hex.EncodeToString(c.got); got != c.want {
+			t.Fatalf("DeriveKeys %s = %s, want %s", c.label, got, c.want)
+		}
+		if one := DeriveKey(master, c.label, "file-7"); !bytes.Equal(one, c.got) {
+			t.Fatalf("DeriveKey(%s) = %x, DeriveKeys gave %x", c.label, one, c.got)
+		}
+	}
+}
+
 func TestNewMasterKey(t *testing.T) {
 	k1, err := NewMasterKey()
 	if err != nil {
@@ -220,6 +245,42 @@ func TestChallengeIndicesFullDomain(t *testing.T) {
 	}
 	if len(seen) != 64 {
 		t.Fatalf("full-domain draw covered %d of 64", len(seen))
+	}
+}
+
+// TestChallengeIndicesGoldenVectors pins the derived challenge sets: the
+// verifier and the TPA both derive them and the scenario trace hashes
+// depend on them, so the counter stream, the four-indices-per-block
+// slicing and the rejection rule may not drift. n = k takes every
+// rejection-sampling collision the stream can produce.
+func TestChallengeIndicesGoldenVectors(t *testing.T) {
+	for _, c := range []struct {
+		key, nonce string
+		n          uint64
+		k          int
+		want       []uint64
+	}{
+		{"golden-chal-key", "nonce-0", 1 << 20, 20, []uint64{
+			0x2565c, 0xd0ca6, 0xf7ec4, 0x9222f, 0x32d75, 0x1e33b, 0xbaf13, 0xa9c06, 0x860b1, 0x31d08,
+			0xd4b8d, 0x4852f, 0x65951, 0xae91, 0xa22d1, 0xe7a3f, 0x8d6d6, 0xc145e, 0x9d27a, 0x494fb}},
+		{"\x00\x01\x02\x03", "geoproof/indices", 3449, 24, []uint64{
+			0xa75, 0x115, 0x462, 0x6a4, 0xced, 0x846, 0x22e, 0x9b8, 0xd6e, 0x373, 0x5c9, 0x4fa,
+			0x6cd, 0x3e, 0x261, 0x7ff, 0xd4a, 0xd08, 0x850, 0x85d, 0x976, 0x2a3, 0x1e3, 0x398}},
+		{"k", "n", 16, 16, []uint64{
+			0x3, 0xb, 0x4, 0x9, 0xc, 0x1, 0x5, 0xe, 0x7, 0xa, 0xf, 0x0, 0x6, 0xd, 0x8, 0x2}},
+	} {
+		got, err := ChallengeIndices([]byte(c.key), []byte(c.nonce), c.n, c.k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(c.want) {
+			t.Fatalf("n=%d k=%d: %d indices, want %d", c.n, c.k, len(got), len(c.want))
+		}
+		for i := range got {
+			if got[i] != c.want[i] {
+				t.Fatalf("n=%d k=%d: index %d is %#x, want %#x", c.n, c.k, i, got[i], c.want[i])
+			}
+		}
 	}
 }
 

@@ -21,8 +21,8 @@ type Challenge struct {
 // TPA recompute and cross-check the challenged set from the signed
 // transcript.
 func (e *Encoder) NewChallenge(fileID string, layout blockfile.Layout, nonce []byte, k int) (Challenge, error) {
-	keys := crypt.DeriveKeys(e.master, fileID)
-	idx, err := crypt.ChallengeIndices(keys.Chal, nonce, uint64(layout.Segments), k)
+	chal := crypt.DeriveKey(e.master, crypt.LabelChal, fileID)
+	idx, err := crypt.ChallengeIndices(chal, nonce, uint64(layout.Segments), k)
 	if err != nil {
 		return Challenge{}, fmt.Errorf("derive challenge: %w", err)
 	}

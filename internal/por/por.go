@@ -123,8 +123,7 @@ func (e *Encoder) VerifySegment(fileID string, layout blockfile.Layout, i int64,
 	if len(segWithTag) != layout.SegmentSize() {
 		return fmt.Errorf("%w: segment is %d bytes, want %d", ErrBadEncoding, len(segWithTag), layout.SegmentSize())
 	}
-	keys := crypt.DeriveKeys(e.master, fileID)
-	tagger, err := crypt.NewTagger(keys.MAC, layout.TagBits)
+	tagger, err := crypt.NewTagger(crypt.DeriveKey(e.master, crypt.LabelMAC, fileID), layout.TagBits)
 	if err != nil {
 		return err
 	}
@@ -135,8 +134,8 @@ func (e *Encoder) VerifySegment(fileID string, layout blockfile.Layout, i int64,
 	return nil
 }
 
-// VerifySegments checks many (index, segment‖tag) pairs at once: keys are
-// derived a single time and the MAC checks fan out over the encoder's
+// VerifySegments checks many (index, segment‖tag) pairs at once: the MAC
+// key is derived a single time and the checks fan out over the encoder's
 // workers. The returned slice is parallel to indices — nil for a segment
 // that verifies, otherwise the error VerifySegment would have returned.
 // The second return value reports setup failures only (bad parameters).
@@ -144,8 +143,7 @@ func (e *Encoder) VerifySegments(fileID string, layout blockfile.Layout, indices
 	if len(indices) != len(segs) {
 		return nil, fmt.Errorf("%w: %d indices for %d segments", ErrBadEncoding, len(indices), len(segs))
 	}
-	keys := crypt.DeriveKeys(e.master, fileID)
-	tagger, err := crypt.NewTagger(keys.MAC, layout.TagBits)
+	tagger, err := crypt.NewTagger(crypt.DeriveKey(e.master, crypt.LabelMAC, fileID), layout.TagBits)
 	if err != nil {
 		return nil, err
 	}

@@ -8,14 +8,13 @@ import "sync"
 const poolBufCap = 64 << 10
 
 // bufPool recycles frame payload and scratch buffers across the
-// transport hot paths: reading a frame, encoding a frame for a single
-// write, and staging batched responses. One pool of poolBufCap-capacity
-// buffers covers every frame class the protocol produces.
+// transport hot paths: reading a frame, and encoding one for a single
+// write. One pool of poolBufCap-capacity buffers covers every frame class
+// the protocol produces. It holds array pointers, not slices: a pointer
+// goes into the pool's interface value as is, where a slice would need
+// its header boxed on the heap by every Put.
 var bufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, poolBufCap)
-		return &b
-	},
+	New: func() any { return new([poolBufCap]byte) },
 }
 
 // GetBuffer returns a buffer of length n, drawn from the frame pool when
@@ -25,8 +24,7 @@ func GetBuffer(n int) []byte {
 	if n > poolBufCap {
 		return make([]byte, n)
 	}
-	bp := bufPool.Get().(*[]byte)
-	return (*bp)[:n]
+	return bufPool.Get().(*[poolBufCap]byte)[:n]
 }
 
 // PutBuffer returns a GetBuffer buffer to the pool. Oversized or
@@ -35,6 +33,5 @@ func PutBuffer(b []byte) {
 	if cap(b) != poolBufCap {
 		return
 	}
-	b = b[:0]
-	bufPool.Put(&b)
+	bufPool.Put((*[poolBufCap]byte)(b[:poolBufCap]))
 }

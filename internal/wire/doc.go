@@ -66,4 +66,34 @@
 // A frame for a stream id the client never issued is a protocol
 // violation and kills the connection, as does any unparseable frame
 // header; per-stream payload errors are confined to their stream.
+//
+// # Frames on the socket, and who owns a payload
+//
+// A v2 frame leaves in one write and arrives in one read. Each end builds
+// header and payload in a scratch buffer its connection owns, under the
+// lock that already serialises its writers, and hands the socket the
+// whole frame at once (AppendMuxHeader / AppendMuxFrame; a segment
+// request is appended straight into the frame by SegmentRequest.Append),
+// so frames never interleave and never straddle two system calls. Each
+// end reads through a few KiB of buffer, so a frame that arrived whole
+// costs one read of the socket — not one for its header and one for its
+// payload — and a reply split across reads, or several replies in one,
+// parse the same.
+//
+//   - Prover side, ReadMuxFrame: the request payload is a pooled buffer
+//     (GetBuffer). The read loop decodes it — SplitSegmentRequest aliases
+//     it, so the file ID is compared where it lies and becomes a string
+//     only when it differs from the last one — and hands it back with
+//     PutBuffer before the stream is dispatched. Nobody may retain it.
+//   - Verifier side, ReadMuxFrameOwned: the reply payload is a fresh
+//     slice of exactly the frame's size and belongs to whoever receives
+//     it. The demux passes it to the waiting round as is, and the segment
+//     the transcript keeps is that slice; it is never pooled, because it
+//     outlives the exchange.
+//   - Writers keep what they pass in: a payload is copied into the
+//     connection's scratch before the write and not referenced after it.
+//
+// Get/PutBuffer recycle array pointers, so neither call allocates; a
+// steady-state round allocates the segment slice on each side and
+// nothing for framing.
 package wire

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"testing"
 )
@@ -61,8 +62,16 @@ func FuzzReadMuxFrame(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 10, 0, 0, 0, 7, 'x'})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		typ, stream, payload, err := ReadMuxFrame(bytes.NewReader(data))
+		// The verifier's reader must take and refuse exactly the same bytes.
+		otyp, ostream, owned, oerr := ReadMuxFrameOwned(bufio.NewReader(bytes.NewReader(data)))
+		if (err == nil) != (oerr == nil) {
+			t.Fatalf("ReadMuxFrame: %v, ReadMuxFrameOwned: %v", err, oerr)
+		}
 		if err != nil {
 			return
+		}
+		if otyp != typ || ostream != stream || !bytes.Equal(owned, payload) {
+			t.Fatalf("ReadMuxFrameOwned read type %d stream %d %x, ReadMuxFrame type %d stream %d %x", otyp, ostream, owned, typ, stream, payload)
 		}
 		var out bytes.Buffer
 		if werr := WriteMuxFrame(&out, typ, stream, payload); werr != nil {

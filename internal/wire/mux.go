@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -32,18 +34,29 @@ const muxHdrLen = 9
 // never be mistaken for a negotiation attempt.
 var helloMagic = [4]byte{'G', 'P', 'M', 'X'}
 
+// AppendMuxHeader appends the v2 header of a frame whose payload is n
+// bytes long; the caller appends exactly n payload bytes after it. It lets
+// a writer encode a payload straight into the frame instead of through an
+// intermediate slice.
+func AppendMuxHeader(dst []byte, typ byte, stream uint32, n int) ([]byte, error) {
+	if n > MaxFrame {
+		return dst, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
+	}
+	var hdr [muxHdrLen]byte
+	binary.BigEndian.PutUint32(hdr[:4], uint32(n))
+	hdr[4] = typ
+	binary.BigEndian.PutUint32(hdr[5:], stream)
+	return append(dst, hdr[:]...), nil
+}
+
 // AppendMuxFrame appends one encoded v2 frame to dst and returns the
 // extended slice. It is the allocation-free building block the writer
 // paths use to send a frame in a single write.
 func AppendMuxFrame(dst []byte, typ byte, stream uint32, payload []byte) ([]byte, error) {
-	if len(payload) > MaxFrame {
-		return dst, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(payload))
+	dst, err := AppendMuxHeader(dst, typ, stream, len(payload))
+	if err != nil {
+		return dst, err
 	}
-	var hdr [muxHdrLen]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	hdr[4] = typ
-	binary.BigEndian.PutUint32(hdr[5:], stream)
-	dst = append(dst, hdr[:]...)
 	return append(dst, payload...), nil
 }
 
@@ -64,25 +77,63 @@ func WriteMuxFrame(w io.Writer, typ byte, stream uint32, payload []byte) error {
 	return nil
 }
 
+// parseMuxHeader splits a v2 header and bounds the payload length.
+func parseMuxHeader(hdr []byte) (typ byte, stream uint32, n int, err error) {
+	size := binary.BigEndian.Uint32(hdr[:4])
+	if size > MaxFrame {
+		return 0, 0, 0, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, size)
+	}
+	return hdr[4], binary.BigEndian.Uint32(hdr[5:]), int(size), nil
+}
+
 // ReadMuxFrame reads one v2 frame. The payload is drawn from the frame
 // buffer pool: hand it back with PutBuffer after decoding, and do not
-// retain it (every Decode* helper copies what it keeps).
+// retain it (every Decode* helper copies what it keeps). The header is
+// read through a pooled buffer too, so a frame that fits the pool is read
+// without allocating.
 func ReadMuxFrame(r io.Reader) (typ byte, stream uint32, payload []byte, err error) {
-	var hdr [muxHdrLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, 0, nil, fmt.Errorf("read mux header: %w", err)
+	hdr := GetBuffer(muxHdrLen)
+	var n int
+	if _, err = io.ReadFull(r, hdr); err != nil {
+		err = fmt.Errorf("read mux header: %w", err)
+	} else {
+		typ, stream, n, err = parseMuxHeader(hdr)
 	}
-	n := binary.BigEndian.Uint32(hdr[:4])
-	if n > MaxFrame {
-		return 0, 0, nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
+	PutBuffer(hdr)
+	if err != nil {
+		return 0, 0, nil, err
 	}
-	stream = binary.BigEndian.Uint32(hdr[5:])
-	payload = GetBuffer(int(n))
+	payload = GetBuffer(n)
 	if _, err := io.ReadFull(r, payload); err != nil {
 		PutBuffer(payload)
 		return 0, 0, nil, fmt.Errorf("read mux payload: %w", err)
 	}
-	return hdr[4], stream, payload, nil
+	return typ, stream, payload, nil
+}
+
+// ReadMuxFrameOwned reads one v2 frame into a fresh slice of exactly the
+// payload's size, which the caller owns and may keep: the verifier's
+// demux hands it to the waiting round, whose transcript retains it. The
+// header is parsed where the buffered reader holds it, so a frame that
+// arrived whole costs one read of the connection and one allocation.
+func ReadMuxFrameOwned(br *bufio.Reader) (typ byte, stream uint32, payload []byte, err error) {
+	hdr, err := br.Peek(muxHdrLen)
+	if err != nil {
+		if len(hdr) > 0 && errors.Is(err, io.EOF) { // as io.ReadFull reports a cut header
+			err = io.ErrUnexpectedEOF
+		}
+		return 0, 0, nil, fmt.Errorf("read mux header: %w", err)
+	}
+	typ, stream, n, err := parseMuxHeader(hdr)
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	_, _ = br.Discard(muxHdrLen) // cannot fail: Peek has buffered these bytes
+	payload = make([]byte, n)
+	if _, err := io.ReadFull(br, payload); err != nil {
+		return 0, 0, nil, fmt.Errorf("read mux payload: %w", err)
+	}
+	return typ, stream, payload, nil
 }
 
 // Hello is the client's negotiation opener, always sent v1-framed.

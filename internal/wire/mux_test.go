@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"io"
 	"testing"
 )
@@ -122,4 +124,74 @@ func TestReadFramePooled(t *testing.T) {
 		t.Fatalf("typ=%d p=%q err=%v", typ, p, err)
 	}
 	PutBuffer(p)
+}
+
+// TestBufferPoolRoundTripAllocatesNothing: the pool exists so that a
+// frame costs no allocation, and a Put that boxes the slice header on the
+// heap (as bufPool.Put(&b) did) defeats it on every frame. Covers the
+// bare Get/Put pair and the pooled frame read built on it.
+func TestBufferPoolRoundTripAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	PutBuffer(GetBuffer(100)) // warm the pool
+	if n := testing.AllocsPerRun(200, func() { PutBuffer(GetBuffer(100)) }); n != 0 {
+		t.Fatalf("GetBuffer + PutBuffer allocates %.1f objects per round trip", n)
+	}
+	frame, err := AppendMuxFrame(nil, TypeSegmentResponse, 7, bytes.Repeat([]byte{0xAB}, 83))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rd bytes.Reader
+	if n := testing.AllocsPerRun(200, func() {
+		rd.Reset(frame)
+		_, _, p, err := ReadMuxFrame(&rd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		PutBuffer(p)
+	}); n != 0 {
+		t.Fatalf("ReadMuxFrame + PutBuffer allocates %.1f objects per frame", n)
+	}
+}
+
+// TestReadMuxFrameOwned: the payload is a fresh slice of exactly the
+// frame's size however the frames are packed into the reader's buffer,
+// and a cut or oversized header reports what ReadMuxFrame reports.
+func TestReadMuxFrameOwned(t *testing.T) {
+	var stream []byte
+	payloads := [][]byte{[]byte("first"), {}, bytes.Repeat([]byte{7}, 300)}
+	for i, p := range payloads {
+		var err error
+		if stream, err = AppendMuxFrame(stream, TypeSegmentResponse, uint32(i+1), p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A 16-byte buffer forces the long payload past the buffer, straight
+	// into its destination.
+	br := bufio.NewReaderSize(bytes.NewReader(stream), 16)
+	for i, want := range payloads {
+		typ, id, got, err := ReadMuxFrameOwned(br)
+		if err != nil || typ != TypeSegmentResponse || id != uint32(i+1) || !bytes.Equal(got, want) {
+			t.Fatalf("frame %d: typ=%d stream=%d payload=%q err=%v", i, typ, id, got, err)
+		}
+		if cap(got) != len(want) {
+			t.Fatalf("frame %d: payload cap %d for %d bytes", i, cap(got), len(want))
+		}
+	}
+	if _, _, _, err := ReadMuxFrameOwned(br); !errors.Is(err, io.EOF) {
+		t.Fatalf("end of stream: %v", err)
+	}
+	cut := bufio.NewReader(bytes.NewReader(stream[:4]))
+	if _, _, _, err := ReadMuxFrameOwned(cut); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("cut header: %v", err)
+	}
+	short := bufio.NewReader(bytes.NewReader(stream[:muxHdrLen+2]))
+	if _, _, _, err := ReadMuxFrameOwned(short); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("cut payload: %v", err)
+	}
+	huge := bufio.NewReader(bytes.NewReader([]byte{0xFF, 0xFF, 0xFF, 0xFF, 2, 0, 0, 0, 1}))
+	if _, _, _, err := ReadMuxFrameOwned(huge); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("oversized header: %v", err)
+	}
 }

@@ -99,29 +99,43 @@ type SegmentRequest struct {
 	Index  uint64
 }
 
+// EncodedLen is the size of the request's encoding.
+func (m SegmentRequest) EncodedLen() int { return 2 + len(m.FileID) + 8 }
+
+// Append appends the request's encoding — u16 id length ‖ id ‖ u64 index
+// — to dst, so a writer can encode it straight into a frame.
+func (m SegmentRequest) Append(dst []byte) []byte {
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(m.FileID)))
+	dst = append(dst, m.FileID...)
+	return binary.BigEndian.AppendUint64(dst, m.Index)
+}
+
 // Encode serialises the request.
 func (m SegmentRequest) Encode() []byte {
-	id := []byte(m.FileID)
-	out := make([]byte, 2+len(id)+8)
-	binary.BigEndian.PutUint16(out, uint16(len(id)))
-	copy(out[2:], id)
-	binary.BigEndian.PutUint64(out[2+len(id):], m.Index)
-	return out
+	return m.Append(make([]byte, 0, m.EncodedLen()))
+}
+
+// SplitSegmentRequest parses a SegmentRequest payload without copying:
+// id aliases b, so a server can compare it with the file ID it already
+// holds before paying for a string.
+func SplitSegmentRequest(b []byte) (id []byte, index uint64, err error) {
+	if len(b) < 2 {
+		return nil, 0, fmt.Errorf("%w: short request", ErrMalformed)
+	}
+	n := int(binary.BigEndian.Uint16(b))
+	if len(b) != 2+n+8 {
+		return nil, 0, fmt.Errorf("%w: request length %d for id length %d", ErrMalformed, len(b), n)
+	}
+	return b[2 : 2+n], binary.BigEndian.Uint64(b[2+n:]), nil
 }
 
 // DecodeSegmentRequest parses a SegmentRequest payload.
 func DecodeSegmentRequest(b []byte) (SegmentRequest, error) {
-	if len(b) < 2 {
-		return SegmentRequest{}, fmt.Errorf("%w: short request", ErrMalformed)
+	id, index, err := SplitSegmentRequest(b)
+	if err != nil {
+		return SegmentRequest{}, err
 	}
-	n := int(binary.BigEndian.Uint16(b))
-	if len(b) != 2+n+8 {
-		return SegmentRequest{}, fmt.Errorf("%w: request length %d for id length %d", ErrMalformed, len(b), n)
-	}
-	return SegmentRequest{
-		FileID: string(b[2 : 2+n]),
-		Index:  binary.BigEndian.Uint64(b[2+n:]),
-	}, nil
+	return SegmentRequest{FileID: string(id), Index: index}, nil
 }
 
 // SegmentResponse carries the raw segment bytes (payload ‖ tag).

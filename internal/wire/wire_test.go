@@ -80,6 +80,26 @@ func TestSegmentRequestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSegmentRequestEncodingPinned: u16 id length ‖ id ‖ u64 index, from
+// Encode and from Append alike — the bytes every deployed prover parses.
+func TestSegmentRequestEncodingPinned(t *testing.T) {
+	req := SegmentRequest{FileID: "tcp-file", Index: 0x0102030405060708}
+	want := []byte{0, 8, 't', 'c', 'p', '-', 'f', 'i', 'l', 'e', 1, 2, 3, 4, 5, 6, 7, 8}
+	if got := req.Encode(); !bytes.Equal(got, want) {
+		t.Fatalf("Encode = %x, want %x", got, want)
+	}
+	if got := req.Append([]byte{0xEE}); !bytes.Equal(got[1:], want) || got[0] != 0xEE {
+		t.Fatalf("Append = %x, want ee ‖ %x", got, want)
+	}
+	if req.EncodedLen() != len(want) {
+		t.Fatalf("EncodedLen = %d, want %d", req.EncodedLen(), len(want))
+	}
+	id, index, err := SplitSegmentRequest(want)
+	if err != nil || string(id) != req.FileID || index != req.Index {
+		t.Fatalf("SplitSegmentRequest = %q, %#x, %v", id, index, err)
+	}
+}
+
 func TestSegmentRequestMalformed(t *testing.T) {
 	cases := [][]byte{
 		nil,
