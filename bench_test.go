@@ -658,12 +658,14 @@ func BenchmarkWireFrameRoundTrip(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
-		if err := wire.WriteFrame(&buf, wire.TypeSegmentResponse, payload); err != nil {
+		if err := wire.WriteMuxFrame(&buf, wire.TypeSegmentResponse, 1, payload); err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := wire.ReadFrame(&buf); err != nil {
+		_, _, p, err := wire.ReadMuxFrame(&buf)
+		if err != nil {
 			b.Fatal(err)
 		}
+		wire.PutBuffer(p)
 	}
 }
 

@@ -1,8 +1,12 @@
 // Command geoverifierd runs the verifier device as a daemon (the
 // tamper-proof, GPS-enabled box of paper Fig. 4): it accepts audit
-// requests from remote TPAs, runs timed challenge rounds against the
-// prover, and returns signed transcripts. Its ECDSA public key is printed
-// at startup for registration with the TPA.
+// requests from remote TPAs (geoverify -via), runs timed challenge rounds
+// against the prover, and returns signed transcripts — each TPA
+// connection multiplexed, so its concurrent audits overlap, and an audit
+// whose TPA has gone is cancelled. With -batchsign the transcripts are
+// batch-attested instead of signed one by one; the TPA accepts either
+// form. Its ECDSA public key is printed at startup for registration with
+// the TPA.
 //
 // With -audit it instead plays the TPA side at fleet scale: the built-in
 // scheduler drives continuous audits for many simulated tenants against
@@ -20,7 +24,7 @@
 //
 // Usage:
 //
-//	geoverifierd -addr :9342 -prover host:9341 [-lat -27.4698 -lon 153.0251]
+//	geoverifierd -addr :9342 -prover host:9341 [-lat -27.4698 -lon 153.0251] [-batchsign]
 //	geoverifierd -audit -meta data.meta.json -provers host:9341,host2:9341 \
 //	    [-tenants 8] [-epochs 3] [-k 20] [-tmax 50ms] [-window 2] \
 //	    [-timeout 5s] [-retries 1] [-j 8] [-retain 8] \
@@ -33,11 +37,11 @@
 // a slow WAN site can get a wider deadline and narrower window without
 // loosening the LAN fleet's policy.
 //
-// Audit rounds reach the provers over one persistent multiplexed
-// connection per prover, kept warm in a pool and shared by every audit in
-// flight. Within an audit the k challenge rounds are serial — the next
-// challenge leaves only after the last response arrived — so each round's
-// time is the paper's per-round distance bound.
+// In all three modes audit rounds reach the provers over one persistent
+// multiplexed connection per prover, kept warm in a pool and shared by
+// every audit in flight. Within an audit the k challenge rounds are
+// serial — the next challenge leaves only after the last response
+// arrived — so each round's time is the paper's per-round distance bound.
 package main
 
 import (
@@ -107,7 +111,7 @@ func run() error {
 	workers := flag.Int("j", 0, "concurrent audits across all provers, 0 = NumCPU (audit mode)")
 	batchSign := flag.Bool("batchsign", false,
 		"amortize transcript signing: Merkle-batch transcript digests and sign one root per batch "+
-			"(daemon mode: offered to TPAs that negotiate it; audit mode: used by the in-process verifier)")
+			"(every mode: the device's verifier attests its transcripts this way)")
 	batchMax := flag.Int("batch-max", 64, "transcripts per signed batch (-batchsign)")
 	batchLatency := flag.Duration("batch-latency", 2*time.Millisecond, "max wait before a partial batch is signed (-batchsign)")
 	logLevel := flag.String("log-level", "info", "log verbosity: debug, info, warn, error")
@@ -143,18 +147,15 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	var batcher *crypt.BatchSigner
 	if *batchSign {
-		batcher = crypt.NewBatchSigner(signer, crypt.BatchSignerOptions{
+		batcher := crypt.NewBatchSigner(signer, crypt.BatchSignerOptions{
 			MaxBatch: *batchMax, MaxLatency: *batchLatency,
 		})
 		defer batcher.Close()
+		verifier = verifier.WithBatchSigner(batcher)
 	}
 
 	if *audit || *controller {
-		if batcher != nil {
-			verifier = verifier.WithBatchSigner(batcher)
-		}
 		targets := *provers
 		if targets == "" {
 			targets = *prover
@@ -181,15 +182,12 @@ func run() error {
 	// registration, so it is data output, not a log event.
 	fmt.Printf("verifier public key (register with TPA): %s\n",
 		hex.EncodeToString(elliptic.MarshalCompressed(pub.Curve, pub.X, pub.Y)))
+	// The same warm pooled connection the fleet modes audit over: however
+	// many audits the TPAs send, the prover is dialed once.
+	pool := &core.ProverPool{}
+	defer pool.Close()
 	srv := &core.VerifierServer{
-		Verifier: verifier,
-		Dial: func() (core.ProverConn, error) {
-			return core.DialMuxProver(*prover, 5*time.Second)
-		},
-		// Offered per connection: TPAs that negotiate batch attestation
-		// share one root signature per batch, old TPAs keep getting
-		// per-transcript signatures.
-		BatchSigner: batcher,
+		Runner: &core.PooledRunner{Verifier: verifier, Addr: *prover, Pool: pool},
 	}
 	lis, err := net.Listen("tcp", *addr)
 	if err != nil {

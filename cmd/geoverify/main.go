@@ -3,9 +3,16 @@
 // wall clock, signing the transcript) and the TPA (verifying signature,
 // MACs and the Δt_max bound), then prints the §V-B verification report.
 //
+// With -via it is the TPA alone (the paper's three-party deployment): the
+// audit request goes to a geoverifierd daemon over the same multiplexed
+// transport, the daemon runs the rounds against its prover, and the
+// transcript that comes back is verified against the daemon's public key
+// (-vkey) whether the daemon signed it or batch-attested it.
+//
 // Usage:
 //
 //	geoverify -addr host:9341 -meta data.meta.json [-k 20] [-tmax 50ms]
+//	geoverify -via host:9342 -vkey <hex> -meta data.meta.json [-k 20] [-tmax 50ms]
 package main
 
 import (
@@ -145,7 +152,7 @@ func runRemote(via, vkeyHex, metaPath string, k int, tmax time.Duration, radius 
 	}
 	enc := por.NewEncoder(master).WithParams(m.Params)
 
-	remote, err := core.DialVerifier(via, 5*time.Second)
+	remote, err := core.DialMuxProver(via, 5*time.Second)
 	if err != nil {
 		return err
 	}
@@ -167,8 +174,8 @@ func runRemote(via, vkeyHex, metaPath string, k int, tmax time.Duration, radius 
 	}
 	rep := tpa.VerifyAudit(req, layout, st)
 	fmt.Printf("remote audit of %q via %s:\n", m.FileID, via)
-	fmt.Printf("  sig=%v pos=%v indices=%v macs=%v timing=%v maxRTT=%v implied<=%.0f km\n",
-		rep.SignatureOK, rep.PositionOK, rep.IndicesOK, rep.MACsOK, rep.TimingOK,
+	fmt.Printf("  sig=%v (%s) pos=%v indices=%v macs=%v timing=%v maxRTT=%v implied<=%.0f km\n",
+		rep.SignatureOK, rep.Attestation, rep.PositionOK, rep.IndicesOK, rep.MACsOK, rep.TimingOK,
 		rep.MaxRTT, rep.ImpliedMaxDistanceKm)
 	if rep.Accepted {
 		fmt.Println("VERDICT: ACCEPTED — data is where the SLA says it is")

@@ -3,15 +3,11 @@ package core
 import (
 	"bytes"
 	"context"
-	"net"
 	"testing"
 	"time"
 
 	"repro/internal/cloud"
 	"repro/internal/crypt"
-	"repro/internal/geo"
-	"repro/internal/gps"
-	"repro/internal/wire"
 )
 
 // batchFixture extends the simnet fixture with a batch-signing copy of
@@ -236,164 +232,43 @@ func TestSignedTranscriptCodecBatch(t *testing.T) {
 	}
 }
 
-// TestVerifierServerBatchNegotiation covers all four peer pairings of
-// the feature-negotiated TPA↔daemon leg.
-func TestVerifierServerBatchNegotiation(t *testing.T) {
-	enc, ef, site := tcpFixture(t)
-	proverAddr, stopProver := startServer(t, &cloud.HonestProvider{Site: site}, false)
+// TestVerifierServerAttestationForms: a daemon whose verifier batch-signs
+// and one whose verifier signs each transcript are both accepted by the
+// same TPA, which was told nothing about either — the form is read off
+// the transcript, and the report names it.
+func TestVerifierServerAttestationForms(t *testing.T) {
+	f := newDaemonFixture(t, 250*time.Millisecond)
+	proverAddr, stopProver := startServer(t, &cloud.HonestProvider{Site: f.site}, false)
 	defer stopProver()
+	pool := &ProverPool{DialTimeout: time.Second}
+	defer pool.Close()
+	bs := crypt.NewBatchSigner(f.signer, crypt.BatchSignerOptions{MaxBatch: 1})
+	defer bs.Close()
 
-	signer, err := crypt.NewSigner()
-	if err != nil {
-		t.Fatal(err)
+	daemons := map[string]struct {
+		verifier *Verifier
+		want     AttestationMode
+	}{
+		"batch daemon": {f.verifier.WithBatchSigner(bs), AttestBatch},
+		"solo daemon":  {f.verifier, AttestPerTranscript},
 	}
-	verifier, err := NewVerifier(signer, &gps.Receiver{True: geo.Brisbane}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	policy := DefaultPolicy(cloud.SLA{Center: geo.Brisbane, RadiusKm: 100})
-	policy.TMax = 250 * time.Millisecond
-	tpa, err := NewTPA(enc, signer.Public(), policy)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	startVerifierd := func(bs *crypt.BatchSigner) (string, func()) {
-		t.Helper()
-		vs := &VerifierServer{
-			Verifier:    verifier,
-			BatchSigner: bs,
-			Dial: func() (ProverConn, error) {
-				return DialMuxProver(proverAddr, time.Second)
-			},
-		}
-		lis, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		done := make(chan struct{})
-		go func() { defer close(done); _ = vs.Serve(lis) }()
-		return lis.Addr().String(), func() { _ = vs.Close(); <-done }
-	}
-
-	audit := func(remote *RemoteVerifier) SignedTranscript {
-		t.Helper()
-		req, err := tpa.NewRequest(ef.FileID, ef.Layout, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := remote.RunAudit(context.Background(), req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep := tpa.VerifyAudit(req, ef.Layout, st); !rep.Accepted {
-			t.Fatalf("audit rejected: %s", rep.Reason())
-		}
-		return st
-	}
-
-	t.Run("new TPA, batch daemon", func(t *testing.T) {
-		bs := crypt.NewBatchSigner(signer, crypt.BatchSignerOptions{MaxBatch: 1})
-		defer bs.Close()
-		addr, stop := startVerifierd(bs)
-		defer stop()
-		remote, err := DialVerifier(addr, time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer remote.Close()
-		if !remote.BatchSign() {
-			t.Fatal("batch daemon did not grant FeatureBatchSign")
-		}
-		if st := audit(remote); st.Batch == nil {
-			t.Fatal("negotiated connection returned a per-transcript signature")
-		}
-	})
-
-	t.Run("new TPA, daemon without batcher", func(t *testing.T) {
-		addr, stop := startVerifierd(nil)
-		defer stop()
-		remote, err := DialVerifier(addr, time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer remote.Close()
-		if remote.BatchSign() {
-			t.Fatal("feature granted by a daemon with no batch signer")
-		}
-		if st := audit(remote); st.Batch != nil || len(st.Signature) == 0 {
-			t.Fatal("expected a per-transcript signature")
-		}
-	})
-
-	t.Run("old TPA, batch daemon", func(t *testing.T) {
-		// An old client never sends a Hello: raw v1 frames straight in.
-		bs := crypt.NewBatchSigner(signer, crypt.BatchSignerOptions{MaxBatch: 1})
-		defer bs.Close()
-		addr, stop := startVerifierd(bs)
-		defer stop()
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		req, err := tpa.NewRequest(ef.FileID, ef.Layout, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := wire.WriteFrame(conn, wire.TypeAuditRequest, EncodeAuditRequest(req)); err != nil {
-			t.Fatal(err)
-		}
-		typ, payload, err := wire.ReadFrame(conn)
-		if err != nil || typ != wire.TypeSignedTranscript {
-			t.Fatalf("typ=%d err=%v", typ, err)
-		}
-		st, err := DecodeSignedTranscript(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Batch != nil || len(st.Signature) == 0 {
-			t.Fatal("un-negotiated connection got a batch attestation")
-		}
-		if rep := tpa.VerifyAudit(req, ef.Layout, st); !rep.Accepted {
-			t.Fatalf("audit rejected: %s", rep.Reason())
-		}
-	})
-
-	t.Run("new TPA, old daemon", func(t *testing.T) {
-		// Simulate an old daemon: answers the Hello probe with its
-		// unknown-frame TypeError, then keeps serving v1.
-		lis, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer lis.Close()
-		go func() {
-			conn, err := lis.Accept()
+	for name, d := range daemons {
+		d := d
+		t.Run(name, func(t *testing.T) {
+			addr, stop := startVerifierd(t, &PooledRunner{Verifier: d.verifier, Addr: proverAddr, Pool: pool})
+			defer stop()
+			remote := dialMux(t, addr)
+			defer remote.Close()
+			rep, err := f.audit(context.Background(), remote, 4)
 			if err != nil {
-				return
+				t.Fatal(err)
 			}
-			defer conn.Close()
-			for {
-				typ, _, err := wire.ReadFrame(conn)
-				if err != nil {
-					return
-				}
-				switch typ {
-				case wire.TypePing:
-					_ = wire.WriteFrame(conn, wire.TypePong, nil)
-				default:
-					_ = wire.WriteFrame(conn, wire.TypeError, wire.ErrorMessage{Msg: "unknown frame type"}.Encode())
-				}
+			if !rep.Accepted {
+				t.Fatalf("audit rejected: %s", rep.Reason())
 			}
-		}()
-		remote, err := DialVerifier(lis.Addr().String(), time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer remote.Close()
-		if remote.BatchSign() {
-			t.Fatal("feature granted by an old daemon")
-		}
-	})
+			if rep.Attestation != d.want {
+				t.Fatalf("report names attestation %q, want %q", rep.Attestation, d.want)
+			}
+		})
+	}
 }

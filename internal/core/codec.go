@@ -130,11 +130,9 @@ func UnmarshalTranscript(b []byte) (Transcript, error) {
 
 // EncodeSignedTranscript serialises transcript ‖ signature, followed by
 // an optional length-prefixed batch-attestation section when the
-// transcript is batch-attested. The attestation section is only ever
-// produced for peers that negotiated wire.FeatureBatchSign, so old
-// decoders (which reject trailing bytes) never see it. A transcript
-// that already carries its canonical encoding (finishAudit, decode) is
-// not re-marshaled.
+// transcript is batch-attested; the decoder tells the two forms apart by
+// whether that section is there. A transcript that already carries its
+// canonical encoding (finishAudit, decode) is not re-marshaled.
 func EncodeSignedTranscript(st SignedTranscript) []byte {
 	tb := st.raw
 	if tb == nil {

@@ -81,34 +81,33 @@ type Transcript struct {
 }
 
 // Marshal produces the canonical byte encoding covered by the signature.
+// The buffer is sized from the fields, so the encoding is one allocation
+// of exactly its length.
 func (t Transcript) Marshal() []byte {
-	h := make([]byte, 0, 64+len(t.Rounds)*96)
-	appendBytes := func(b []byte) {
-		var l [4]byte
-		binary.BigEndian.PutUint32(l[:], uint32(len(b)))
-		h = append(h, l[:]...)
-		h = append(h, b...)
+	size := 4 + len(t.FileID) + 4 + len(t.Nonce) + 16 + 4
+	for _, r := range t.Rounds {
+		size += 17 + 4 + len(r.Segment)
 	}
-	appendBytes([]byte(t.FileID))
-	appendBytes(t.Nonce)
+	h := make([]byte, 0, size)
+	h = binary.BigEndian.AppendUint32(h, uint32(len(t.FileID)))
+	h = append(h, t.FileID...)
+	h = binary.BigEndian.AppendUint32(h, uint32(len(t.Nonce)))
+	h = append(h, t.Nonce...)
 	// Fixed-point 1e-7° coordinates; math.Round (not truncation) makes
 	// the encode/decode cycle exact for every valid coordinate.
-	var pos [16]byte
-	binary.BigEndian.PutUint64(pos[:8], uint64(int64(math.Round(t.Position.LatDeg*1e7))))
-	binary.BigEndian.PutUint64(pos[8:], uint64(int64(math.Round(t.Position.LonDeg*1e7))))
-	h = append(h, pos[:]...)
-	var n [4]byte
-	binary.BigEndian.PutUint32(n[:], uint32(len(t.Rounds)))
-	h = append(h, n[:]...)
+	h = binary.BigEndian.AppendUint64(h, uint64(int64(math.Round(t.Position.LatDeg*1e7))))
+	h = binary.BigEndian.AppendUint64(h, uint64(int64(math.Round(t.Position.LonDeg*1e7))))
+	h = binary.BigEndian.AppendUint32(h, uint32(len(t.Rounds)))
 	for _, r := range t.Rounds {
-		var hdr [17]byte
-		binary.BigEndian.PutUint64(hdr[:8], r.Index)
-		binary.BigEndian.PutUint64(hdr[8:16], uint64(r.RTT))
+		h = binary.BigEndian.AppendUint64(h, r.Index)
+		h = binary.BigEndian.AppendUint64(h, uint64(r.RTT))
+		var failed byte
 		if r.Failed {
-			hdr[16] = 1
+			failed = 1
 		}
-		h = append(h, hdr[:]...)
-		appendBytes(r.Segment)
+		h = append(h, failed)
+		h = binary.BigEndian.AppendUint32(h, uint32(len(r.Segment)))
+		h = append(h, r.Segment...)
 	}
 	return h
 }

@@ -383,6 +383,27 @@ func TestTranscriptMarshalStable(t *testing.T) {
 	}
 }
 
+// TestTranscriptMarshalExactSize: the encoding is sized from the fields —
+// one allocation of exactly its length for a default k=20 audit, where a
+// guessed size hint grew the buffer once on every call.
+func TestTranscriptMarshalExactSize(t *testing.T) {
+	tr := Transcript{FileID: "tenant-007/records.db", Nonce: bytes.Repeat([]byte{5}, 16), Position: geo.Brisbane}
+	for i := 0; i < 20; i++ {
+		tr.Rounds = append(tr.Rounds, AuditRound{Index: uint64(i), Segment: bytes.Repeat([]byte{byte(i)}, 83), RTT: 6 * time.Millisecond})
+	}
+	tr.Rounds[3] = AuditRound{Index: 3, Failed: true, RTT: time.Millisecond}
+	out := tr.Marshal()
+	if cap(out) != len(out) {
+		t.Fatalf("Marshal returned %d bytes in a %d-byte buffer", len(out), cap(out))
+	}
+	if got, err := UnmarshalTranscript(out); err != nil || !bytes.Equal(got.Marshal(), out) {
+		t.Fatalf("exact-size encoding does not round-trip: %v", err)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = tr.Marshal() }); n != 1 {
+		t.Fatalf("Marshal allocates %.0f objects, want 1", n)
+	}
+}
+
 func TestNewVerifierValidation(t *testing.T) {
 	signer, _ := crypt.NewSigner()
 	if _, err := NewVerifier(nil, &gps.Receiver{}, nil); err == nil {

@@ -22,7 +22,7 @@
 // call, one challenge, one response, one round trip timed on the
 // verifier's clock — with two implementations: SimProverConn rides the
 // deterministic simulated network (simnet, virtual clock), and
-// MuxProverConn speaks the multiplexed v2 framing (internal/wire/doc.go)
+// MuxProverConn speaks the multiplexed framing (internal/wire/doc.go)
 // against a live ProverServer (cmd/geoproofd): many concurrent audits
 // share one connection, each round on its own stream, with per-stream
 // cancellation that never poisons sibling streams. An audit's k rounds
@@ -30,7 +30,7 @@
 // response arrived, so max RTT ≤ Δt_max is the paper's per-round
 // distance bound, and throughput comes from many audits multiplexed
 // across streams, never from pipelining one audit's challenges. A peer
-// that does not speak mux v2 is refused at the Hello. Inside a round the
+// that does not speak wire.MuxVersion is refused at the Hello. Inside a round the
 // transport adds what the wire costs and little else: both ends write a
 // frame from a per-connection scratch in one call and read through a
 // small buffer, the demux hands the waiting round the very slice the
@@ -42,10 +42,15 @@
 // once and, per connection, streams being served at once (hence its
 // workers); the read loop takes the slot before it dispatches and the
 // worker returns it once the reply is written. ProverPool keeps
-// one connection warm per address, and VerifierServer and RemoteVerifier
-// add the third leg — a TPA talking to a remote verifier daemon
-// (cmd/geoverifierd), with VerifierPool reusing daemon connections —
-// making the deployment fully distributed as in the paper's Fig. 4.
+// one connection warm per address. The third leg — a TPA talking to a
+// remote verifier daemon (cmd/geoverifierd), which makes the deployment
+// fully distributed as in the paper's Fig. 4 — rides the same transport:
+// the TPA dials the daemon with DialMuxProver (or borrows the connection
+// from a ProverPool) and calls MuxProverConn.RunAudit, one stream per
+// audit, so concurrent audits share one connection and cancelling one
+// abandons only its stream; VerifierServer answers each request on its
+// own goroutine through the AuditRunner it was given (a PooledRunner in
+// the daemon) and cancels the audits of a TPA whose connection ends.
 //
 // # Multi-tenant audit scheduling
 //
@@ -60,8 +65,8 @@
 // keyed by (tenant, prover, epoch). The same scheduler runs over every
 // transport via the AuditRunner implementations: LocalRunner (in-process,
 // simnet or a fixed connection), PooledRunner (local verifier, the warm
-// multiplexed conn from a ProverPool) and RemoteRunner (remote verifier
-// daemon, optionally pooled via VerifierPool).
+// multiplexed conn from a ProverPool) and a MuxProverConn dialed to a
+// remote verifier daemon.
 //
 // # Transcript attestation
 //
@@ -81,11 +86,10 @@
 // each Report and LedgerEntry records which attestation mode vouched
 // for the verdict.
 //
-// Batch attestation is feature-negotiated on the TPA→verifier-daemon
-// leg: DialVerifier opens with a Hello advertising FeatureBatchSign,
-// a daemon running a BatchSigner acks it, and anything else (an old
-// daemon, a daemon without -batchsign) falls back to per-transcript
-// signatures — old TPAs and old daemons interoperate unchanged.
+// Nothing about the form is negotiated, on any leg: a verifier daemon
+// started with -batchsign returns batch-attested transcripts, one
+// without returns signed ones, and the TPA tells which it was handed
+// from the transcript itself (verifyAttestation).
 //
 // # Fleet control plane
 //

@@ -55,7 +55,7 @@ var (
 	// Prover server side (geoproofd).
 	metricProverConns = telemetry.Default.Counter(
 		"geoproof_prover_conns_total",
-		"Verifier connections accepted past the mux v2 handshake.")
+		"Verifier connections accepted past the mux handshake.")
 	metricProverRequests = telemetry.Default.CounterVec(
 		"geoproof_prover_requests_total",
 		"Requests served by the prover, by type.", "type")

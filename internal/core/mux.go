@@ -12,18 +12,20 @@ import (
 	"repro/internal/wire"
 )
 
-// This file is the verifier side of the prover transport: one connection
-// carries many concurrent streams, one stream per timed round. See
+// This file is the client side of the transport, on both legs: one
+// connection carries many concurrent streams — one per timed round from a
+// verifier to a prover, one per audit from a TPA to a verifier daemon —
+// plus both halves of the handshake that opens it. See
 // internal/wire/doc.go for the protocol itself.
 
 // ErrConnClosed reports an exchange attempted on a mux connection that
 // is already closed or failed.
 var ErrConnClosed = errors.New("core: mux connection closed")
 
-// ErrMuxRefused reports a peer that does not speak mux v2: it answered
-// the Hello with anything but a HelloAck naming wire.MuxVersion. There
-// is no fallback; the connection is closed.
-var ErrMuxRefused = errors.New("core: peer refused the mux v2 handshake")
+// ErrMuxRefused reports a peer that does not speak this build's protocol
+// version: it answered the Hello with anything but a HelloAck naming
+// wire.MuxVersion. There is no fallback; the connection is closed.
+var ErrMuxRefused = errors.New("core: peer refused the mux handshake")
 
 // maxTombstones bounds the cancelled streams whose reply a connection
 // may still be waiting to discard. A tombstone is freed only when the
@@ -91,11 +93,13 @@ type muxMsg struct {
 	payload []byte
 }
 
-// MuxProverConn is a ProverConn carrying many concurrent streams over
-// one mux v2 connection. It is safe for concurrent use: every exchange
-// gets its own stream ID, a demux loop routes the one reply each stream
-// is owed, and cancelling one stream's context abandons only that
-// stream — sibling exchanges and the connection itself stay serviceable.
+// MuxProverConn carries many concurrent streams over one connection. To
+// a prover it is a ProverConn (GetSegment, one stream per timed round);
+// to a verifier daemon it is an AuditRunner (RunAudit, one stream per
+// audit). It is safe for concurrent use: every exchange gets its own
+// stream ID, a demux loop routes the one reply each stream is owed, and
+// cancelling one stream's context abandons only that stream — sibling
+// exchanges and the connection itself stay serviceable.
 type MuxProverConn struct {
 	conn net.Conn
 	w    frameWriter
@@ -117,7 +121,10 @@ type MuxProverConn struct {
 	rdone     chan struct{}
 }
 
-var _ ProverConn = (*MuxProverConn)(nil)
+var (
+	_ ProverConn  = (*MuxProverConn)(nil)
+	_ AuditRunner = (*MuxProverConn)(nil)
+)
 
 // NewMuxProverConn wraps a connection on which the handshake has already
 // been done and starts its demux loop. Most callers want DialMuxProver.
@@ -133,14 +140,14 @@ func NewMuxProverConn(conn net.Conn) *MuxProverConn {
 	return c
 }
 
-// DialMuxProver connects to a prover and checks that it speaks mux v2;
-// a peer that does not is refused with ErrMuxRefused. The handshake
-// shares the dial's timeout, so a peer that accepts the connection and
-// then says nothing cannot hang the caller.
+// DialMuxProver connects to a prover or a verifier daemon and checks that
+// it speaks wire.MuxVersion; a peer that does not is refused with
+// ErrMuxRefused. The handshake shares the dial's timeout, so a peer that
+// accepts the connection and then says nothing cannot hang the caller.
 func DialMuxProver(addr string, timeout time.Duration) (*MuxProverConn, error) {
 	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
-		return nil, fmt.Errorf("dial prover: %w", err)
+		return nil, fmt.Errorf("dial %s: %w", addr, err)
 	}
 	var deadline time.Time
 	if timeout > 0 {
@@ -160,17 +167,18 @@ func DialMuxProver(addr string, timeout time.Duration) (*MuxProverConn, error) {
 	return NewMuxProverConn(conn), nil
 }
 
-// muxHandshake sends the v1-framed Hello and requires a HelloAck naming
+// muxHandshake sends the Hello on stream 0 and requires a HelloAck naming
 // wire.MuxVersion in return.
 func muxHandshake(conn net.Conn) error {
 	hello := wire.Hello{MaxVersion: wire.MuxVersion}
-	if err := wire.WriteFrame(conn, wire.TypeHello, hello.Encode()); err != nil {
+	if err := wire.WriteMuxFrame(conn, wire.TypeHello, 0, hello.Encode()); err != nil {
 		return fmt.Errorf("send hello: %w", err)
 	}
-	typ, payload, err := wire.ReadFrame(conn)
+	typ, _, payload, err := wire.ReadMuxFrame(conn)
 	if err != nil {
 		return fmt.Errorf("read hello reply: %w", err)
 	}
+	defer wire.PutBuffer(payload)
 	switch typ {
 	case wire.TypeHelloAck:
 		ack, err := wire.DecodeHelloAck(payload)
@@ -186,6 +194,28 @@ func muxHandshake(conn net.Conn) error {
 	default:
 		return fmt.Errorf("%w: hello reply of type %d", ErrMuxRefused, typ)
 	}
+}
+
+// acceptMuxHello is the server half of the handshake, shared by both
+// servers. A connection's first frame must be a well-formed Hello offering
+// at least wire.MuxVersion, which is acked; anything else is answered
+// with one TypeError. It reports whether the connection may go on; the
+// caller closes it either way. It reads conn directly and takes exactly
+// the Hello's bytes, so the caller's buffered reader starts on the next
+// frame.
+func acceptMuxHello(conn net.Conn) bool {
+	typ, _, payload, err := wire.ReadMuxFrame(conn)
+	if err != nil {
+		return false // EOF or broken peer: nothing to answer
+	}
+	hello, herr := wire.DecodeHello(payload)
+	wire.PutBuffer(payload)
+	if typ != wire.TypeHello || herr != nil || hello.MaxVersion < wire.MuxVersion {
+		msg := fmt.Sprintf("mux v%d hello required", wire.MuxVersion)
+		_ = wire.WriteMuxFrame(conn, wire.TypeError, 0, wire.ErrorMessage{Msg: msg}.Encode()) // closing either way
+		return false
+	}
+	return wire.WriteMuxFrame(conn, wire.TypeHelloAck, 0, wire.HelloAck{Version: wire.MuxVersion}.Encode()) == nil
 }
 
 // Healthy reports whether the connection can still carry exchanges.
@@ -305,10 +335,10 @@ func (c *MuxProverConn) forget(id uint32) {
 }
 
 // writeFrame sends one request frame: a segment request when req is
-// non-nil, an empty payload otherwise. A write failure is terminal for
-// the connection.
-func (c *MuxProverConn) writeFrame(typ byte, stream uint32, req *wire.SegmentRequest) error {
-	if err := c.w.write(typ, stream, nil, req); err != nil {
+// non-nil, payload otherwise. A write failure is terminal for the
+// connection.
+func (c *MuxProverConn) writeFrame(typ byte, stream uint32, payload []byte, req *wire.SegmentRequest) error {
+	if err := c.w.write(typ, stream, payload, req); err != nil {
 		err = fmt.Errorf("core: mux write: %w", err)
 		c.fail(err)
 		return err
@@ -361,7 +391,7 @@ func (c *MuxProverConn) dispatch(stream uint32, msg muxMsg) bool {
 
 // exchange sends one request frame on a fresh stream and waits for its
 // one reply. Cancelling ctx abandons only this stream.
-func (c *MuxProverConn) exchange(ctx context.Context, typ byte, req *wire.SegmentRequest) (muxMsg, error) {
+func (c *MuxProverConn) exchange(ctx context.Context, typ byte, payload []byte, req *wire.SegmentRequest) (muxMsg, error) {
 	if err := ctx.Err(); err != nil {
 		return muxMsg{}, err
 	}
@@ -369,7 +399,7 @@ func (c *MuxProverConn) exchange(ctx context.Context, typ byte, req *wire.Segmen
 	if err != nil {
 		return muxMsg{}, err
 	}
-	if err := c.writeFrame(typ, id, req); err != nil {
+	if err := c.writeFrame(typ, id, payload, req); err != nil {
 		c.forget(id)
 		return muxMsg{}, err
 	}
@@ -390,7 +420,7 @@ func (c *MuxProverConn) exchange(ctx context.Context, typ byte, req *wire.Segmen
 // times it: one request, one reply, one round trip. The returned segment
 // is the slice the reply was read into.
 func (c *MuxProverConn) GetSegment(ctx context.Context, fileID string, index uint64) ([]byte, error) {
-	msg, err := c.exchange(ctx, wire.TypeSegmentRequest, &wire.SegmentRequest{FileID: fileID, Index: index})
+	msg, err := c.exchange(ctx, wire.TypeSegmentRequest, nil, &wire.SegmentRequest{FileID: fileID, Index: index})
 	if err != nil {
 		return nil, err
 	}
@@ -404,6 +434,24 @@ func (c *MuxProverConn) GetSegment(ctx context.Context, fileID string, index uin
 	}
 }
 
+// RunAudit ships one audit to a verifier daemon on its own stream and
+// waits for the signed transcript, so concurrent audits share the
+// connection and cancelling ctx abandons only this one.
+func (c *MuxProverConn) RunAudit(ctx context.Context, req AuditRequest) (SignedTranscript, error) {
+	msg, err := c.exchange(ctx, wire.TypeAuditRequest, EncodeAuditRequest(req), nil)
+	if err != nil {
+		return SignedTranscript{}, err
+	}
+	switch msg.typ {
+	case wire.TypeSignedTranscript:
+		return DecodeSignedTranscript(msg.payload)
+	case wire.TypeError:
+		return SignedTranscript{}, wire.DecodeErrorMessage(msg.payload)
+	default:
+		return SignedTranscript{}, fmt.Errorf("core: unexpected mux frame type %d", msg.typ)
+	}
+}
+
 // Ping round-trips an empty frame on its own stream, for liveness checks
 // and pool health probes. Cancelling ctx abandons only the probe.
 func (c *MuxProverConn) Ping(ctx context.Context) (time.Duration, error) {
@@ -411,7 +459,7 @@ func (c *MuxProverConn) Ping(ctx context.Context) (time.Duration, error) {
 		ctx = context.Background()
 	}
 	start := time.Now()
-	msg, err := c.exchange(ctx, wire.TypePing, nil)
+	msg, err := c.exchange(ctx, wire.TypePing, nil, nil)
 	if err != nil {
 		return 0, err
 	}

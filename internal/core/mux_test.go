@@ -232,35 +232,44 @@ func TestMuxCloseFailsInflight(t *testing.T) {
 // TestMuxServerRefusesNonHello: a connection whose first frame is not a
 // well-formed Hello offering at least MuxVersion gets exactly one
 // TypeError and is closed — there is no other protocol to fall back to.
+// The prover and the verifier daemon share the handshake, so both refuse
+// alike.
 func TestMuxServerRefusesNonHello(t *testing.T) {
 	_, ef, site := tcpFixture(t)
-	addr, stop := startServer(t, &cloud.HonestProvider{Site: site}, false)
-	defer stop()
+	proverAddr, stopProver := startServer(t, &cloud.HonestProvider{Site: site}, false)
+	defer stopProver()
+	daemonAddr, stopDaemon := startVerifierd(t, nil) // no connection gets as far as an audit
+	defer stopDaemon()
 	first := map[string]struct {
 		typ     byte
 		payload []byte
 	}{
 		"segment request": {wire.TypeSegmentRequest, wire.SegmentRequest{FileID: ef.FileID}.Encode()},
+		"audit request":   {wire.TypeAuditRequest, EncodeAuditRequest(AuditRequest{FileID: ef.FileID, NumSegments: 8, K: 2, Nonce: []byte{1}})},
 		"ping":            {wire.TypePing, nil},
 		"old hello":       {wire.TypeHello, wire.Hello{MaxVersion: wire.MuxVersion - 1}.Encode()},
 		"malformed hello": {wire.TypeHello, []byte("GPMX")},
 	}
-	for name, f := range first {
-		raw, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
+	for server, addr := range map[string]string{"prover": proverAddr, "daemon": daemonAddr} {
+		for name, f := range first {
+			raw, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := wire.WriteMuxFrame(raw, f.typ, 0, f.payload); err != nil {
+				t.Fatal(err)
+			}
+			raw.SetReadDeadline(time.Now().Add(2 * time.Second))
+			typ, _, payload, err := wire.ReadMuxFrame(raw)
+			if err != nil || typ != wire.TypeError {
+				t.Fatalf("%s, %s: got type %d, %v; want one TypeError", server, name, typ, err)
+			}
+			wire.PutBuffer(payload)
+			if _, _, _, err := wire.ReadMuxFrame(raw); !errors.Is(err, io.EOF) {
+				t.Fatalf("%s, %s: connection not closed after the refusal: %v", server, name, err)
+			}
+			raw.Close()
 		}
-		if err := wire.WriteFrame(raw, f.typ, f.payload); err != nil {
-			t.Fatal(err)
-		}
-		raw.SetReadDeadline(time.Now().Add(2 * time.Second))
-		if typ, _, err := wire.ReadFrame(raw); err != nil || typ != wire.TypeError {
-			t.Fatalf("%s: got type %d, %v; want one TypeError", name, typ, err)
-		}
-		if _, _, err := wire.ReadFrame(raw); !errors.Is(err, io.EOF) {
-			t.Fatalf("%s: connection not closed after the refusal: %v", name, err)
-		}
-		raw.Close()
 	}
 }
 
@@ -287,10 +296,12 @@ func refusingPeer(t *testing.T, replyType byte, reply []byte) string {
 			go func() {
 				defer wg.Done()
 				defer conn.Close()
-				if _, _, err := wire.ReadFrame(conn); err != nil {
+				_, _, hello, err := wire.ReadMuxFrame(conn)
+				if err != nil {
 					return
 				}
-				if reply != nil && wire.WriteFrame(conn, replyType, reply) != nil {
+				wire.PutBuffer(hello)
+				if reply != nil && wire.WriteMuxFrame(conn, replyType, 0, reply) != nil {
 					return
 				}
 				<-stop
@@ -312,7 +323,7 @@ func TestMuxDialRefusedByPeer(t *testing.T) {
 		refused bool
 	}{
 		"error reply": {refusingPeer(t, wire.TypeError, wire.ErrorMessage{Msg: "unknown frame type"}.Encode()), true},
-		"old version": {refusingPeer(t, wire.TypeHelloAck, wire.HelloAck{Version: 1}.Encode()), true},
+		"old version": {refusingPeer(t, wire.TypeHelloAck, wire.HelloAck{Version: wire.MuxVersion - 1}.Encode()), true},
 		"silent":      {refusingPeer(t, 0, nil), false},
 	}
 	for name, peer := range peers {
@@ -348,13 +359,14 @@ func rawMuxConn(t *testing.T, addr string) net.Conn {
 		t.Fatal(err)
 	}
 	hello := wire.Hello{MaxVersion: wire.MuxVersion}
-	if err := wire.WriteFrame(raw, wire.TypeHello, hello.Encode()); err != nil {
+	if err := wire.WriteMuxFrame(raw, wire.TypeHello, 0, hello.Encode()); err != nil {
 		t.Fatal(err)
 	}
-	typ, payload, err := wire.ReadFrame(raw)
+	typ, _, payload, err := wire.ReadMuxFrame(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer wire.PutBuffer(payload)
 	if typ != wire.TypeHelloAck {
 		t.Fatalf("hello reply type %d", typ)
 	}
@@ -400,15 +412,7 @@ func TestMuxClientRejectsUnknownStream(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		typ, payload, err := wire.ReadFrame(conn)
-		if err != nil || typ != wire.TypeHello {
-			return
-		}
-		if _, err := wire.DecodeHello(payload); err != nil {
-			return
-		}
-		ack := wire.HelloAck{Version: wire.MuxVersion}
-		if wire.WriteFrame(conn, wire.TypeHelloAck, ack.Encode()) != nil {
+		if !acceptMuxHello(conn) {
 			return
 		}
 		// Answer whatever arrives on a wildly different stream ID.
@@ -497,13 +501,13 @@ func pipeProver(t *testing.T, withholdFrom uint64) (*MuxProverConn, <-chan uint3
 			if err != nil {
 				return
 			}
-			req, derr := wire.DecodeSegmentRequest(payload)
+			_, index, derr := wire.SplitSegmentRequest(payload)
 			wire.PutBuffer(payload)
 			seen <- stream
-			if derr != nil || req.Index >= withholdFrom {
+			if derr != nil || index >= withholdFrom {
 				continue
 			}
-			if wire.WriteMuxFrame(server, wire.TypeSegmentResponse, stream, []byte{byte(req.Index)}) != nil {
+			if wire.WriteMuxFrame(server, wire.TypeSegmentResponse, stream, []byte{byte(index)}) != nil {
 				return
 			}
 		}

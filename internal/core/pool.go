@@ -11,19 +11,21 @@ import (
 	"repro/internal/telemetry"
 )
 
-// This file is the connection-pool layer: one warm multiplexed prover
-// connection per address, shared by every concurrent audit,
-// health-checked on reuse and redialed on failure. The pools sit entirely
-// behind the AuditRunner seam, so core.Scheduler is unchanged.
+// This file is the connection-pool layer: one warm multiplexed
+// connection per address — a prover's or a verifier daemon's — shared by
+// every concurrent audit, health-checked on reuse and redialed on
+// failure. The pool sits entirely behind the AuditRunner seam, so
+// core.Scheduler is unchanged.
 
 // ErrPoolClosed reports a Get on a closed pool.
 var ErrPoolClosed = errors.New("core: connection pool closed")
 
-// ProverPool keeps one warm MuxProverConn per prover address. The
+// ProverPool keeps one warm MuxProverConn per peer address. The
 // connection is shared: every Get for an address returns the same one,
-// each audit round riding its own stream. Reuse is health-checked — a
-// failed connection is closed and replaced by a fresh dial instead of
-// poisoning later audits. The pool is safe for concurrent use.
+// each audit round (to a prover) or audit (to a verifier daemon) riding
+// its own stream. Reuse is health-checked — a failed connection is
+// closed and replaced by a fresh dial instead of poisoning later audits.
+// The pool is safe for concurrent use.
 type ProverPool struct {
 	// DialTimeout bounds each dial and its handshake (0 = 5s).
 	DialTimeout time.Duration
@@ -185,97 +187,4 @@ func (r *PooledRunner) RunAudit(ctx context.Context, req AuditRequest) (SignedTr
 	st, err := r.Verifier.RunAudit(ctx, req, conn)
 	release(err)
 	return st, err
-}
-
-// VerifierPool keeps warm TPA→verifier-daemon connections per address.
-// A RemoteVerifier carries strictly serial request/response audits, so
-// connections are checked out exclusively and returned on clean release;
-// a connection desynced by a cancelled audit is closed and replaced.
-type VerifierPool struct {
-	// DialTimeout bounds each dial (0 = 5s).
-	DialTimeout time.Duration
-
-	mu     sync.Mutex
-	idle   map[string][]*RemoteVerifier
-	closed bool
-	dials  atomic.Int64
-}
-
-// Dials returns how many daemon connections the pool has dialed.
-func (p *VerifierPool) Dials() int64 { return p.dials.Load() }
-
-// Get checks out a warm connection to the daemon at addr, dialing if no
-// healthy idle connection exists. The caller must hand it back with Put.
-func (p *VerifierPool) Get(addr string) (*RemoteVerifier, error) {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return nil, ErrPoolClosed
-	}
-	for {
-		conns := p.idle[addr]
-		if len(conns) == 0 {
-			break
-		}
-		rv := conns[len(conns)-1]
-		p.idle[addr] = conns[:len(conns)-1]
-		if rv.Healthy() {
-			p.mu.Unlock()
-			// A previous checkout may have armed an attempt deadline.
-			if err := rv.SetDeadline(time.Time{}); err != nil {
-				rv.Close()
-				return p.Get(addr)
-			}
-			return rv, nil
-		}
-		rv.Close()
-	}
-	p.mu.Unlock()
-	timeout := p.DialTimeout
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-	p.dials.Add(1)
-	return DialVerifier(addr, timeout)
-}
-
-// Put returns a checked-out connection, passing the audit's error so the
-// pool can judge reuse: a clean, healthy connection goes back to the
-// idle list, anything else is closed.
-func (p *VerifierPool) Put(addr string, rv *RemoteVerifier, err error) {
-	if rv == nil {
-		return
-	}
-	if err != nil || !rv.Healthy() {
-		rv.Close()
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		rv.Close()
-		return
-	}
-	if p.idle == nil {
-		p.idle = make(map[string][]*RemoteVerifier)
-	}
-	p.idle[addr] = append(p.idle[addr], rv)
-}
-
-// Close closes every idle connection and fails later Gets. Connections
-// currently checked out are closed by their Put.
-func (p *VerifierPool) Close() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return nil
-	}
-	p.closed = true
-	for _, conns := range p.idle {
-		for _, rv := range conns {
-			rv.Close()
-		}
-	}
-	p.idle = nil
-	return nil
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -175,55 +174,5 @@ func TestPooledRunnerWithScheduler(t *testing.T) {
 	}
 	if d := pool.Dials(); d != 1 {
 		t.Fatalf("12 scheduled audits dialed %d times, want 1", d)
-	}
-}
-
-func TestVerifierPoolReusesDaemonConns(t *testing.T) {
-	enc, ef, site := tcpFixture(t)
-	paddr, pstop := startServer(t, &cloud.HonestProvider{Site: site}, false)
-	defer pstop()
-
-	signer, _ := crypt.NewSigner()
-	verifier, err := NewVerifier(signer, &gps.Receiver{True: geo.Brisbane}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vs := &VerifierServer{
-		Verifier: verifier,
-		Dial:     func() (ProverConn, error) { return DialMuxProver(paddr, time.Second) },
-	}
-	vlis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go vs.Serve(vlis)
-	defer vs.Close()
-	vaddr := vlis.Addr().String()
-
-	policy := DefaultPolicy(cloud.SLA{Center: geo.Brisbane, RadiusKm: 100})
-	policy.TMax = time.Second
-	tpa, err := NewTPA(enc, signer.Public(), policy)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	vpool := &VerifierPool{DialTimeout: time.Second}
-	defer vpool.Close()
-	runner := &RemoteRunner{Addr: vaddr, Pool: vpool, AttemptTimeout: 5 * time.Second}
-	for i := 0; i < 5; i++ {
-		req, err := tpa.NewRequest(ef.FileID, ef.Layout, 6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := runner.RunAudit(context.Background(), req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep := tpa.VerifyAudit(req, ef.Layout, st); !rep.Accepted {
-			t.Fatalf("audit %d rejected: %s", i, rep.Reason())
-		}
-	}
-	if d := vpool.Dials(); d != 1 {
-		t.Fatalf("5 serial remote audits dialed %d daemon conns, want 1", d)
 	}
 }

@@ -37,13 +37,10 @@ var ErrAuditTimeout = errors.New("core: audit attempt timed out")
 //     established TCP connection),
 //   - PooledRunner: in-process verifier over a ProverPool of persistent
 //     multiplexed prover connections — the production transport,
-//   - RemoteRunner: fully distributed — each audit is shipped to a
-//     verifier daemon (geoverifierd) which runs the rounds on its side;
-//     give it a VerifierPool to reuse daemon connections across audits.
-//
-// *RemoteVerifier satisfies the interface directly for a single
-// long-lived daemon connection (audits then serialize on that
-// connection).
+//   - *MuxProverConn dialed to a verifier daemon (geoverifierd): fully
+//     distributed — each audit is shipped to the daemon on its own
+//     stream and the daemon runs the rounds on its side; concurrent
+//     audits share the one connection, which a ProverPool keeps warm.
 //
 // RunAudit must honour ctx: when the scheduler abandons a timed-out
 // attempt it cancels the context, and a conforming runner returns
@@ -64,7 +61,7 @@ type LocalRunner struct {
 	// rounds on the simulator's virtual clock. Never share a Lock with a
 	// connection that can hang: an abandoned timed-out attempt would hold
 	// it and stall every runner behind it (give hang-prone provers their
-	// own runner, as examples/multitenant does for its dead prover).
+	// own runner).
 	Lock *sync.Mutex
 }
 
@@ -478,10 +475,7 @@ type ProverPolicy struct {
 }
 
 // EffectiveTimeout resolves the per-attempt deadline this policy yields
-// over a fleet default (> 0 overrides, < 0 disables, 0 inherits). It is
-// exported so callers configuring a runner-side I/O backstop (e.g.
-// RemoteRunner.AttemptTimeout) resolve the sentinel exactly as the
-// scheduler will.
+// over a fleet default (> 0 overrides, < 0 disables, 0 inherits).
 func (p ProverPolicy) EffectiveTimeout(fleet time.Duration) time.Duration {
 	switch {
 	case p.Timeout > 0:

@@ -13,7 +13,7 @@ import (
 )
 
 // This file is the prover side of the live-deployment transport: the
-// prover listens on TCP and serves segment requests in mux v2 frames
+// prover listens on TCP and serves segment requests in mux frames
 // (see internal/wire/doc.go); the verifier connects and times each round
 // on the wall clock.
 
@@ -81,22 +81,10 @@ func (s *ProverServer) Close() error {
 	return nil
 }
 
-// handle serves one connection. The first frame must be a well-formed
-// Hello offering at least wire.MuxVersion; anything else is answered
-// with one TypeError and the connection is closed.
+// handle serves one connection: the handshake, then the mux loop.
 func (s *ProverServer) handle(conn net.Conn) {
 	defer conn.Close()
-	typ, payload, err := wire.ReadFramePooled(conn)
-	if err != nil {
-		return // EOF or broken peer: nothing to answer
-	}
-	hello, herr := wire.DecodeHello(payload)
-	wire.PutBuffer(payload)
-	if typ != wire.TypeHello || herr != nil || hello.MaxVersion < wire.MuxVersion {
-		_ = wire.WriteFrame(conn, wire.TypeError, wire.ErrorMessage{Msg: "mux v2 hello required"}.Encode()) // closing either way
-		return
-	}
-	if wire.WriteFrame(conn, wire.TypeHelloAck, wire.HelloAck{Version: wire.MuxVersion}.Encode()) != nil {
+	if !acceptMuxHello(conn) {
 		return
 	}
 	metricProverConns.Inc()

@@ -8,33 +8,23 @@ import (
 	"io"
 )
 
-// This file is the v2 multiplexed framing and its negotiation payloads;
-// doc.go carries the full protocol spec.
+// This file is the framing and the handshake payloads; doc.go carries the
+// full protocol spec.
 
-// MuxVersion is the protocol version the mux framing negotiates.
-const MuxVersion = 2
+// MuxVersion is the protocol version a connection's Hello must offer and
+// its HelloAck must name. It changes whenever the framing or the
+// handshake does, so a binary built before the change is refused rather
+// than misread.
+const MuxVersion = 3
 
-// Feature bits exchanged in Hello/HelloAck. A feature is live on a
-// connection only when both sides advertised it. The prover leg
-// negotiates none: every mux v2 peer speaks the whole protocol.
-const (
-	// FeatureBatchSign: on the TPA↔verifier leg, signed transcripts may
-	// carry a Merkle batch attestation (root signature + inclusion
-	// proof) instead of a per-transcript signature. Negotiated with a
-	// v1-framed Hello/HelloAck exchange — the framing stays serial v1;
-	// only the attestation form changes. Old daemons answer the probe
-	// with TypeError and the client falls back to per-transcript mode.
-	FeatureBatchSign uint32 = 1 << 1
-)
-
-// muxHdrLen is the v2 frame header size: u32 length, u8 type, u32 stream.
+// muxHdrLen is the frame header size: u32 length, u8 type, u32 stream.
 const muxHdrLen = 9
 
-// helloMagic opens every Hello payload so a stray v1 frame of type 8 can
-// never be mistaken for a negotiation attempt.
+// helloMagic opens every Hello payload, so a peer speaking some other
+// protocol is never mistaken for one offering a version.
 var helloMagic = [4]byte{'G', 'P', 'M', 'X'}
 
-// AppendMuxHeader appends the v2 header of a frame whose payload is n
+// AppendMuxHeader appends the header of a frame whose payload is n
 // bytes long; the caller appends exactly n payload bytes after it. It lets
 // a writer encode a payload straight into the frame instead of through an
 // intermediate slice.
@@ -49,7 +39,7 @@ func AppendMuxHeader(dst []byte, typ byte, stream uint32, n int) ([]byte, error)
 	return append(dst, hdr[:]...), nil
 }
 
-// AppendMuxFrame appends one encoded v2 frame to dst and returns the
+// AppendMuxFrame appends one encoded frame to dst and returns the
 // extended slice. It is the allocation-free building block the writer
 // paths use to send a frame in a single write.
 func AppendMuxFrame(dst []byte, typ byte, stream uint32, payload []byte) ([]byte, error) {
@@ -60,9 +50,9 @@ func AppendMuxFrame(dst []byte, typ byte, stream uint32, payload []byte) ([]byte
 	return append(dst, payload...), nil
 }
 
-// WriteMuxFrame writes one v2 frame as a single Write call (header and
-// payload staged through a pooled buffer, so a frame is never split
-// across two syscalls the way v1 WriteFrame splits header and payload).
+// WriteMuxFrame writes one frame as a single Write call: header and
+// payload are staged through a pooled buffer, so a frame is never split
+// across two system calls.
 func WriteMuxFrame(w io.Writer, typ byte, stream uint32, payload []byte) error {
 	buf, err := AppendMuxFrame(GetBuffer(0)[:0], typ, stream, payload)
 	if err != nil {
@@ -77,7 +67,7 @@ func WriteMuxFrame(w io.Writer, typ byte, stream uint32, payload []byte) error {
 	return nil
 }
 
-// parseMuxHeader splits a v2 header and bounds the payload length.
+// parseMuxHeader splits a header and bounds the payload length.
 func parseMuxHeader(hdr []byte) (typ byte, stream uint32, n int, err error) {
 	size := binary.BigEndian.Uint32(hdr[:4])
 	if size > MaxFrame {
@@ -86,7 +76,7 @@ func parseMuxHeader(hdr []byte) (typ byte, stream uint32, n int, err error) {
 	return hdr[4], binary.BigEndian.Uint32(hdr[5:]), int(size), nil
 }
 
-// ReadMuxFrame reads one v2 frame. The payload is drawn from the frame
+// ReadMuxFrame reads one frame. The payload is drawn from the frame
 // buffer pool: hand it back with PutBuffer after decoding, and do not
 // retain it (every Decode* helper copies what it keeps). The header is
 // read through a pooled buffer too, so a frame that fits the pool is read
@@ -111,7 +101,7 @@ func ReadMuxFrame(r io.Reader) (typ byte, stream uint32, payload []byte, err err
 	return typ, stream, payload, nil
 }
 
-// ReadMuxFrameOwned reads one v2 frame into a fresh slice of exactly the
+// ReadMuxFrameOwned reads one frame into a fresh slice of exactly the
 // payload's size, which the caller owns and may keep: the verifier's
 // demux hands it to the waiting round, whose transcript retains it. The
 // header is parsed where the buffered reader holds it, so a frame that
@@ -136,54 +126,41 @@ func ReadMuxFrameOwned(br *bufio.Reader) (typ byte, stream uint32, payload []byt
 	return typ, stream, payload, nil
 }
 
-// Hello is the client's negotiation opener, always sent v1-framed.
+// Hello opens a connection: the client's first frame, on stream 0.
 type Hello struct {
 	MaxVersion uint16
-	Features   uint32
 }
 
-// Encode serialises the hello.
+// Encode serialises the hello: magic ‖ u16 version.
 func (m Hello) Encode() []byte {
-	out := make([]byte, 4+2+4)
+	out := make([]byte, 4+2)
 	copy(out, helloMagic[:])
 	binary.BigEndian.PutUint16(out[4:], m.MaxVersion)
-	binary.BigEndian.PutUint32(out[6:], m.Features)
 	return out
 }
 
 // DecodeHello parses a Hello payload.
 func DecodeHello(b []byte) (Hello, error) {
-	if len(b) != 10 || string(b[:4]) != string(helloMagic[:]) {
+	if len(b) != 6 || string(b[:4]) != string(helloMagic[:]) {
 		return Hello{}, fmt.Errorf("%w: bad hello", ErrMalformed)
 	}
-	return Hello{
-		MaxVersion: binary.BigEndian.Uint16(b[4:]),
-		Features:   binary.BigEndian.Uint32(b[6:]),
-	}, nil
+	return Hello{MaxVersion: binary.BigEndian.Uint16(b[4:])}, nil
 }
 
-// HelloAck is the server's negotiation answer, also v1-framed; every
-// frame after it uses the mux framing.
+// HelloAck is the server's answer to a Hello it accepts, also on stream 0.
 type HelloAck struct {
-	Version  uint16
-	Features uint32
+	Version uint16
 }
 
-// Encode serialises the ack.
+// Encode serialises the ack: u16 version.
 func (m HelloAck) Encode() []byte {
-	out := make([]byte, 2+4)
-	binary.BigEndian.PutUint16(out, m.Version)
-	binary.BigEndian.PutUint32(out[2:], m.Features)
-	return out
+	return binary.BigEndian.AppendUint16(nil, m.Version)
 }
 
 // DecodeHelloAck parses a HelloAck payload.
 func DecodeHelloAck(b []byte) (HelloAck, error) {
-	if len(b) != 6 {
+	if len(b) != 2 {
 		return HelloAck{}, fmt.Errorf("%w: bad hello ack", ErrMalformed)
 	}
-	return HelloAck{
-		Version:  binary.BigEndian.Uint16(b),
-		Features: binary.BigEndian.Uint32(b[2:]),
-	}, nil
+	return HelloAck{Version: binary.BigEndian.Uint16(b)}, nil
 }

@@ -68,7 +68,7 @@ func TestAppendMuxFrameCoalesces(t *testing.T) {
 }
 
 func TestHelloRoundTrip(t *testing.T) {
-	h := Hello{MaxVersion: MuxVersion, Features: FeatureBatchSign}
+	h := Hello{MaxVersion: MuxVersion}
 	got, err := DecodeHello(h.Encode())
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +76,7 @@ func TestHelloRoundTrip(t *testing.T) {
 	if got != h {
 		t.Fatalf("got %+v want %+v", got, h)
 	}
-	for _, bad := range [][]byte{nil, []byte("GPMX"), []byte("NOPE123456"), append(h.Encode(), 0)} {
+	for _, bad := range [][]byte{nil, []byte("GPMX"), []byte("NOPE12"), append(h.Encode(), 0)} {
 		if _, err := DecodeHello(bad); err == nil {
 			t.Fatalf("bad hello %q accepted", bad)
 		}
@@ -84,7 +84,7 @@ func TestHelloRoundTrip(t *testing.T) {
 }
 
 func TestHelloAckRoundTrip(t *testing.T) {
-	a := HelloAck{Version: MuxVersion, Features: FeatureBatchSign}
+	a := HelloAck{Version: MuxVersion}
 	got, err := DecodeHelloAck(a.Encode())
 	if err != nil {
 		t.Fatal(err)
@@ -114,14 +114,19 @@ func TestBufferPoolRecycles(t *testing.T) {
 	}
 }
 
+// TestReadFramePooled: the payload ReadMuxFrame returns is a pool buffer,
+// which is why its caller must hand it back.
 func TestReadFramePooled(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, TypeSegmentResponse, []byte("payload")); err != nil {
+	if err := WriteMuxFrame(&buf, TypeSegmentResponse, 9, []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
-	typ, p, err := ReadFramePooled(&buf)
+	typ, _, p, err := ReadMuxFrame(&buf)
 	if err != nil || typ != TypeSegmentResponse || string(p) != "payload" {
 		t.Fatalf("typ=%d p=%q err=%v", typ, p, err)
+	}
+	if cap(p) != poolBufCap {
+		t.Fatalf("payload cap %d, want the pool's %d", cap(p), poolBufCap)
 	}
 	PutBuffer(p)
 }

@@ -8,61 +8,81 @@ import (
 	"testing/quick"
 )
 
+// TestFrameRoundTrip: a Hello travels like any other frame — on stream 0,
+// the stream no request ever uses — and reads back as it was written.
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	payload := []byte("hello geoproof")
-	if err := WriteFrame(&buf, TypeSegmentRequest, payload); err != nil {
+	hello := Hello{MaxVersion: MuxVersion}
+	if err := WriteMuxFrame(&buf, TypeHello, 0, hello.Encode()); err != nil {
 		t.Fatal(err)
 	}
-	typ, got, err := ReadFrame(&buf)
+	typ, stream, payload, err := ReadMuxFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if typ != TypeSegmentRequest || !bytes.Equal(got, payload) {
-		t.Fatalf("typ=%d payload=%q", typ, got)
+	defer PutBuffer(payload)
+	if typ != TypeHello || stream != 0 {
+		t.Fatalf("typ=%d stream=%d", typ, stream)
+	}
+	if got, err := DecodeHello(payload); err != nil || got != hello {
+		t.Fatalf("hello %+v, %v", got, err)
 	}
 }
 
+// TestFrameEmptyPayload: a frame with no payload is its header and
+// nothing else.
 func TestFrameEmptyPayload(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, TypePing, nil); err != nil {
+	if err := WriteMuxFrame(&buf, TypePing, 3, nil); err != nil {
 		t.Fatal(err)
 	}
-	typ, got, err := ReadFrame(&buf)
+	if buf.Len() != muxHdrLen {
+		t.Fatalf("empty frame is %d bytes on the wire, want %d", buf.Len(), muxHdrLen)
+	}
+	typ, stream, got, err := ReadMuxFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if typ != TypePing || len(got) != 0 {
-		t.Fatalf("typ=%d len=%d", typ, len(got))
+	PutBuffer(got)
+	if typ != TypePing || stream != 3 || len(got) != 0 {
+		t.Fatalf("typ=%d stream=%d len=%d", typ, stream, len(got))
 	}
 }
 
 func TestFrameTooLargeWrite(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, TypePing, make([]byte, MaxFrame+1)); !errors.Is(err, ErrFrameTooLarge) {
+	if err := WriteMuxFrame(&buf, TypePing, 1, make([]byte, MaxFrame+1)); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("got %v", err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("refused frame still wrote %d bytes", buf.Len())
+	}
+	if _, err := AppendMuxHeader(nil, TypePing, 1, MaxFrame+1); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("AppendMuxHeader: %v", err)
 	}
 }
 
 func TestFrameTooLargeRead(t *testing.T) {
 	// Header claiming a huge payload must be rejected before allocation.
-	buf := bytes.NewBuffer([]byte{0xFF, 0xFF, 0xFF, 0xFF, TypePing})
-	if _, _, err := ReadFrame(buf); !errors.Is(err, ErrFrameTooLarge) {
+	buf := bytes.NewBuffer([]byte{0xFF, 0xFF, 0xFF, 0xFF, TypePing, 0, 0, 0, 1})
+	if _, _, _, err := ReadMuxFrame(buf); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("got %v", err)
 	}
 }
 
 func TestFrameTruncated(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, TypeSegmentResponse, []byte("data")); err != nil {
+	if err := WriteMuxFrame(&buf, TypeSegmentResponse, 1, []byte("data")); err != nil {
 		t.Fatal(err)
 	}
-	trunc := buf.Bytes()[:buf.Len()-2]
-	if _, _, err := ReadFrame(bytes.NewReader(trunc)); !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Fatalf("got %v", err)
+	frame := buf.Bytes()
+	for _, cut := range []int{len(frame) - 2, muxHdrLen - 2} { // mid-payload, mid-header
+		if _, _, _, err := ReadMuxFrame(bytes.NewReader(frame[:cut])); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("frame cut at %d: %v", cut, err)
+		}
 	}
-	if _, _, err := ReadFrame(bytes.NewReader(nil)); err == nil {
-		t.Fatal("empty stream accepted")
+	if _, _, _, err := ReadMuxFrame(bytes.NewReader(nil)); !errors.Is(err, io.EOF) {
+		t.Fatalf("empty stream: %v", err)
 	}
 }
 
@@ -72,8 +92,8 @@ func TestSegmentRequestRoundTrip(t *testing.T) {
 			fileID = fileID[:65535]
 		}
 		m := SegmentRequest{FileID: fileID, Index: index}
-		got, err := DecodeSegmentRequest(m.Encode())
-		return err == nil && got.FileID == m.FileID && got.Index == m.Index
+		id, got, err := SplitSegmentRequest(m.Encode())
+		return err == nil && string(id) == m.FileID && got == m.Index
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -109,17 +129,9 @@ func TestSegmentRequestMalformed(t *testing.T) {
 		{0, 1, 'a', 1, 2, 3, 4}, // id present but short index
 	}
 	for i, b := range cases {
-		if _, err := DecodeSegmentRequest(b); !errors.Is(err, ErrMalformed) {
+		if _, _, err := SplitSegmentRequest(b); !errors.Is(err, ErrMalformed) {
 			t.Errorf("case %d: %v", i, err)
 		}
-	}
-}
-
-func TestSegmentResponseRoundTrip(t *testing.T) {
-	m := SegmentResponse{Data: []byte{1, 2, 3}}
-	got, err := DecodeSegmentResponse(m.Encode())
-	if err != nil || !bytes.Equal(got.Data, m.Data) {
-		t.Fatalf("got %v err %v", got, err)
 	}
 }
 
@@ -136,17 +148,18 @@ func TestErrorMessage(t *testing.T) {
 func TestMultipleFramesSequential(t *testing.T) {
 	var buf bytes.Buffer
 	for i := 0; i < 10; i++ {
-		if err := WriteFrame(&buf, byte(i%3+1), []byte{byte(i)}); err != nil {
+		if err := WriteMuxFrame(&buf, byte(i%3+1), uint32(i+1), []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 10; i++ {
-		typ, payload, err := ReadFrame(&buf)
+		typ, stream, payload, err := ReadMuxFrame(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if typ != byte(i%3+1) || payload[0] != byte(i) {
-			t.Fatalf("frame %d: typ=%d payload=%v", i, typ, payload)
+		if typ != byte(i%3+1) || stream != uint32(i+1) || payload[0] != byte(i) {
+			t.Fatalf("frame %d: typ=%d stream=%d payload=%v", i, typ, stream, payload)
 		}
+		PutBuffer(payload)
 	}
 }
