@@ -30,7 +30,6 @@ import (
 	"repro/internal/merkle"
 	"repro/internal/por"
 	"repro/internal/prp"
-	"repro/internal/reedsolomon"
 	"repro/internal/store"
 	"repro/internal/wire"
 )
@@ -285,77 +284,6 @@ func benchData(n int) []byte {
 	d := make([]byte, n)
 	rand.New(rand.NewSource(1)).Read(d)
 	return d
-}
-
-func BenchmarkRSEncodeChunk(b *testing.B) {
-	bc, err := reedsolomon.NewBlockCode(reedsolomon.MustNew(255, 223), 16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	chunk := benchData(223 * 16)
-	b.SetBytes(int64(len(chunk)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := bc.EncodeChunk(chunk); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRSDecodeClean(b *testing.B) {
-	bc, _ := reedsolomon.NewBlockCode(reedsolomon.MustNew(255, 223), 16)
-	chunk, _ := bc.EncodeChunk(benchData(223 * 16))
-	b.SetBytes(int64(len(chunk)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := bc.DecodeChunk(chunk, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRSDecodeWithErrors(b *testing.B) {
-	// Ablation: blind error decoding of 8 corrupted blocks.
-	bc, _ := reedsolomon.NewBlockCode(reedsolomon.MustNew(255, 223), 16)
-	clean, _ := bc.EncodeChunk(benchData(223 * 16))
-	rng := rand.New(rand.NewSource(2))
-	corrupted := make([]byte, len(clean))
-	copy(corrupted, clean)
-	for _, blk := range rng.Perm(255)[:8] {
-		rng.Read(corrupted[blk*16 : (blk+1)*16])
-	}
-	b.SetBytes(int64(len(corrupted)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf := make([]byte, len(corrupted))
-		copy(buf, corrupted)
-		if _, err := bc.DecodeChunk(buf, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRSDecodeWithErasures(b *testing.B) {
-	// Ablation: the same damage with erasure hints (MAC verdicts) —
-	// compare against BenchmarkRSDecodeWithErrors.
-	bc, _ := reedsolomon.NewBlockCode(reedsolomon.MustNew(255, 223), 16)
-	clean, _ := bc.EncodeChunk(benchData(223 * 16))
-	rng := rand.New(rand.NewSource(2))
-	corrupted := make([]byte, len(clean))
-	copy(corrupted, clean)
-	bad := rng.Perm(255)[:8]
-	for _, blk := range bad {
-		rng.Read(corrupted[blk*16 : (blk+1)*16])
-	}
-	b.SetBytes(int64(len(corrupted)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf := make([]byte, len(corrupted))
-		copy(buf, corrupted)
-		if _, err := bc.DecodeChunk(buf, bad); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 func BenchmarkPRPFeistel(b *testing.B) {

@@ -196,17 +196,27 @@ func muxHandshake(conn net.Conn) error {
 	}
 }
 
+// helloTimeout bounds how long either server spends on a new
+// connection's handshake: reading its Hello and writing the reply. A
+// client sends the Hello as soon as it connects, so only a silent or
+// stalled peer runs into it.
+const helloTimeout = 3 * time.Second
+
 // acceptMuxHello is the server half of the handshake, shared by both
 // servers. A connection's first frame must be a well-formed Hello offering
-// at least wire.MuxVersion, which is acked; anything else is answered
-// with one TypeError. It reports whether the connection may go on; the
-// caller closes it either way. It reads conn directly and takes exactly
-// the Hello's bytes, so the caller's buffered reader starts on the next
+// at least wire.MuxVersion, which is acked; anything else — including no
+// Hello within helloTimeout — is refused, a malformed or old Hello with
+// one TypeError. It reports whether the connection may go on; the caller
+// closes it either way. It reads conn directly and takes exactly the
+// Hello's bytes, so the caller's buffered reader starts on the next
 // frame.
 func acceptMuxHello(conn net.Conn) bool {
+	if conn.SetDeadline(time.Now().Add(helloTimeout)) != nil {
+		return false
+	}
 	typ, _, payload, err := wire.ReadMuxFrame(conn)
 	if err != nil {
-		return false // EOF or broken peer: nothing to answer
+		return false // EOF, silence or broken peer: nothing to answer
 	}
 	hello, herr := wire.DecodeHello(payload)
 	wire.PutBuffer(payload)
@@ -215,7 +225,10 @@ func acceptMuxHello(conn net.Conn) bool {
 		_ = wire.WriteMuxFrame(conn, wire.TypeError, 0, wire.ErrorMessage{Msg: msg}.Encode()) // closing either way
 		return false
 	}
-	return wire.WriteMuxFrame(conn, wire.TypeHelloAck, 0, wire.HelloAck{Version: wire.MuxVersion}.Encode()) == nil
+	if wire.WriteMuxFrame(conn, wire.TypeHelloAck, 0, wire.HelloAck{Version: wire.MuxVersion}.Encode()) != nil {
+		return false
+	}
+	return conn.SetDeadline(time.Time{}) == nil
 }
 
 // Healthy reports whether the connection can still carry exchanges.

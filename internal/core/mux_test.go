@@ -273,6 +273,60 @@ func TestMuxServerRefusesNonHello(t *testing.T) {
 	}
 }
 
+// TestMuxServerDropsSilentClients: a client that connects and never sends
+// its Hello is dropped after helloTimeout by both servers. Without that,
+// Concurrency such clients fill a ProverServer's semaphore and stall its
+// accept loop, and Close never returns because Serve waits for them. A
+// real client dialled behind the silent ones is served once they go.
+func TestMuxServerDropsSilentClients(t *testing.T) {
+	_, ef, site := tcpFixture(t)
+	const conc = 2
+	proverAddr, stopProver := serveProver(t, &ProverServer{Provider: &cloud.HonestProvider{Site: site}, Concurrency: conc})
+	defer stopProver()
+	daemonAddr, stopDaemon := startVerifierd(t, nil) // pings only
+	defer stopDaemon()
+
+	var wg sync.WaitGroup
+	for server, addr := range map[string]string{"prover": proverAddr, "daemon": daemonAddr} {
+		server, addr := server, addr
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			silent := make([]net.Conn, conc)
+			for i := range silent {
+				raw, err := net.Dial("tcp", addr)
+				if err != nil {
+					t.Errorf("%s: %v", server, err)
+					return
+				}
+				defer raw.Close()
+				silent[i] = raw
+			}
+			mc, err := DialMuxProver(addr, 3*helloTimeout)
+			if err != nil {
+				t.Errorf("%s: dial behind %d silent clients: %v", server, conc, err)
+				return
+			}
+			defer mc.Close()
+			if server == "prover" {
+				_, err = mc.GetSegment(context.Background(), ef.FileID, 0)
+			} else {
+				_, err = mc.Ping(context.Background())
+			}
+			if err != nil {
+				t.Errorf("%s: %v", server, err)
+			}
+			for i, raw := range silent {
+				raw.SetReadDeadline(time.Now().Add(2 * helloTimeout))
+				if _, err := raw.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+					t.Errorf("%s: silent client %d not dropped: %v", server, i, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // refusingPeer accepts connections, reads the Hello and answers with
 // reply (nothing when reply is nil), then holds the connection open.
 func refusingPeer(t *testing.T, replyType byte, reply []byte) string {

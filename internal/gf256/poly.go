@@ -13,11 +13,13 @@ func PolyVal(p []byte, x byte) byte {
 
 // PolyValAscending evaluates p with coefficients in ascending-degree order
 // (p[0] is the constant term) at x. Syndrome and locator polynomials in the
-// Reed-Solomon decoder use this layout.
+// Reed-Solomon decoder use this layout. Each Horner step is one lookup in
+// x's multiplication row.
 func PolyValAscending(p []byte, x byte) byte {
+	row := &mulTable[x]
 	var y byte
 	for i := len(p) - 1; i >= 0; i-- {
-		y = Mul(y, x) ^ p[i]
+		y = row[y] ^ p[i]
 	}
 	return y
 }

@@ -13,7 +13,10 @@
 // The verifier challenges random segment indices; the prover returns
 // segment‖tag; anyone holding the MAC key verifies
 // τ_i = MAC_K′(S_i, i, fid). Recovery (Extract) inverts the pipeline and
-// uses the MAC verdicts as erasure hints for the Reed-Solomon decoder.
+// uses the MAC verdicts as erasure hints for the Reed-Solomon decoder; a
+// hinted chunk costs one small matrix inverse plus a table pass per
+// damaged stripe, not a full error search per stripe, and allocates
+// nothing.
 //
 // The Encoder is the data owner's handle on all of it: Encode/Extract for
 // the in-memory round trip, EncodeStream/ExtractStream for the bounded-

@@ -129,10 +129,12 @@ func (bc *BlockCode) DecodeChunk(chunk []byte, badBlocks []int) ([]byte, error) 
 // bytes into a caller-provided buffer — the streaming extractor's entry
 // point for pooled buffers. The data blocks are copied once and every
 // stripe is tested against the generator where it lies, with no full
-// column gather/scatter; only a stripe that fails the test is gathered,
-// corrected and written back, so a clean chunk allocates nothing. dst must
-// not overlap chunk, which is only read. On error dst contents are
-// unspecified.
+// column gather/scatter. A stripe that fails the test is repaired in its
+// column of dst by the chunk's erasure solver when its damage lies on
+// badBlocks, and otherwise gathered, corrected and written back; either
+// way the result is the full decoder's. For the paper's code nothing is
+// allocated, clean or damaged. dst must not overlap chunk, which is only
+// read. On error dst contents are unspecified.
 func (bc *BlockCode) DecodeChunkInto(dst, chunk []byte, badBlocks []int) error {
 	k, n, bs := bc.code.K(), bc.code.N(), bc.blockSize
 	if len(chunk) != n*bs {
@@ -154,10 +156,20 @@ func (bc *BlockCode) DecodeChunkInto(dst, chunk []byte, badBlocks []int) error {
 	red, parity := bc.code.red, chunk[k*bs:]
 	var cw [255]byte
 	var buf [maxScratch]byte
+	var synd [255]byte
+	// The erasure list is solved on the first dirty stripe and reused by
+	// the rest of the chunk.
+	var (
+		solver    erasureSolver
+		solvable  bool
+		solved    bool
+		solverBuf [stackSolver]byte
+	)
 	// check takes w = column(x)·x^(n-k) mod g of stripe j's data symbols.
 	// Adding the received parity symbols gives the stripe's remainder mod
-	// g; only when that is nonzero is the stripe gathered, corrected and
-	// written back over its column of dst.
+	// g; only when that is nonzero is the stripe repaired: through the
+	// chunk's erasure solver when its damage lies on the list, otherwise
+	// gathered, corrected and written back over its column of dst.
 	check := func(j int, w []byte) error {
 		for b := range w {
 			w[b] ^= parity[b*bs+j]
@@ -165,11 +177,25 @@ func (bc *BlockCode) DecodeChunkInto(dst, chunk []byte, badBlocks []int) error {
 		if allZero(w) {
 			return nil
 		}
-		synd := bc.code.syndromesFromRemainder(w) // w may alias buf, which correct reuses
+		if !solved {
+			solver, solvable = newErasureSolver(bc.code, badBlocks, solverBuf[:])
+			solved = true
+		}
+		if solvable {
+			if y, ok := solver.solve(w); ok {
+				for i, p := range badBlocks {
+					if p < k {
+						dst[p*bs+j] ^= y[i]
+					}
+				}
+				return nil
+			}
+		}
+		bc.code.syndromes(synd[:], w) // w may alias buf, which correct reuses
 		for b := 0; b < n; b++ {
 			cw[b] = chunk[b*bs+j]
 		}
-		if err := bc.code.correct(cw[:n], synd, badBlocks, buf[:red.Scratch(k)]); err != nil {
+		if err := bc.code.correct(cw[:n], synd[:n-k], badBlocks, buf[:red.Scratch(k)]); err != nil {
 			return fmt.Errorf("stripe %d: %w", j, err)
 		}
 		for b := 0; b < k; b++ {

@@ -308,8 +308,9 @@ func TestDecodeChunkDamageMatrix(t *testing.T) {
 }
 
 // TestChunkIntoAllocatesNothing: with the paper's code, encoding and
-// decoding a clean chunk run entirely in the caller's buffers and the
-// stack, on the pair kernel and on the odd-column tail alike.
+// decoding run entirely in the caller's buffers and the stack, on the pair
+// kernel and on the odd-column tail alike — for a clean chunk, for
+// erasure-listed damage up to the full budget and for blind damage.
 func TestChunkIntoAllocatesNothing(t *testing.T) {
 	for _, bs := range []int{16, 17} {
 		bc, err := NewBlockCode(MustNew(StdN, StdK), bs)
@@ -336,13 +337,40 @@ func TestChunkIntoAllocatesNothing(t *testing.T) {
 		if !bytes.Equal(out, data) {
 			t.Fatalf("bs%d: round trip mismatch", bs)
 		}
+		// Damaged chunks: erasure lists solved once per chunk, and blind
+		// decoding through Berlekamp-Massey, Chien and Forney.
+		rng := rand.New(rand.NewSource(int64(bs)))
+		for _, c := range []struct {
+			name   string
+			bad    int
+			listed bool
+		}{{"e=1", 1, true}, {"e=3", 3, true}, {"e=32", 32, true}, {"blind 8", 8, false}} {
+			damaged := append([]byte(nil), chunk...)
+			bad := rng.Perm(StdN)[:c.bad]
+			trashBlocks(rng, damaged, bs, bad)
+			var list []int
+			if c.listed {
+				list = bad
+			}
+			if n := testing.AllocsPerRun(20, func() {
+				if err := bc.DecodeChunkInto(out, damaged, list); err != nil {
+					t.Fatal(err)
+				}
+			}); n != 0 {
+				t.Errorf("bs%d %s: DecodeChunkInto allocates %v times per call", bs, c.name, n)
+			}
+			if !bytes.Equal(out, data) {
+				t.Fatalf("bs%d %s: decoded wrong data", bs, c.name)
+			}
+		}
 	}
 }
 
 // TestBlockCodeSharedAcrossGoroutines uses one BlockCode from 8 goroutines
 // at once, as the POR encode and extract worker pools do: the column
 // kernel keeps both remainder windows in locals, never in the shared
-// Reducer. Run under -race -count=10 in CI.
+// Reducer, and each damaged chunk's erasure solver lives in its own call.
+// Run under -race -count=10 in CI.
 func TestBlockCodeSharedAcrossGoroutines(t *testing.T) {
 	bc, err := NewBlockCode(MustNew(StdN, StdK), 17) // pairs and the odd tail
 	if err != nil {
@@ -358,14 +386,21 @@ func TestBlockCodeSharedAcrossGoroutines(t *testing.T) {
 				data := make([]byte, bc.DataBlocks()*bc.BlockSize())
 				chunk := make([]byte, bc.ChunkBlocks()*bc.BlockSize())
 				got := make([]byte, len(data))
-				for round := 0; round < 4; round++ {
+				for round, nBad := range []int{0, 1, 3, 8, 16, 24} {
 					rng.Read(data)
 					if err := bc.EncodeChunkInto(chunk, data); err != nil {
 						return err
 					}
-					bad := rng.Perm(bc.ChunkBlocks())[:round]
+					perm := rng.Perm(bc.ChunkBlocks())
+					bad := perm[:nBad]
 					trashBlocks(rng, chunk, bc.BlockSize(), bad)
-					for _, list := range [][]int{nil, bad} {
+					// Blind within T, exact, and padded with clean blocks
+					// to the full erasure budget.
+					lists := [][]int{bad, perm[:32]}
+					if nBad <= bc.Code().T() {
+						lists = append(lists, nil)
+					}
+					for _, list := range lists {
 						if err := bc.DecodeChunkInto(got, chunk, list); err != nil {
 							return fmt.Errorf("worker %d round %d: %w", w, round, err)
 						}
@@ -381,6 +416,112 @@ func TestBlockCodeSharedAcrossGoroutines(t *testing.T) {
 	for w := 0; w < workers; w++ {
 		if err := <-errs; err != nil {
 			t.Error(err)
+		}
+	}
+}
+
+// decodePerStripe is the chunk decoder's specification: gather every
+// stripe, run the symbol-level Code.Decode on it with the chunk's list,
+// and stop at the first stripe that fails, naming it.
+func decodePerStripe(code *Code, bs int, chunk []byte, list []int) ([]byte, error) {
+	n, k := code.N(), code.K()
+	out := make([]byte, k*bs)
+	cw := make([]byte, n)
+	for j := 0; j < bs; j++ {
+		for b := range cw {
+			cw[b] = chunk[b*bs+j]
+		}
+		data, err := code.Decode(cw, list)
+		if err != nil {
+			return nil, fmt.Errorf("stripe %d: %w", j, err)
+		}
+		for b, v := range data {
+			out[b*bs+j] = v
+		}
+	}
+	return out, nil
+}
+
+// checkMatchesPerStripe fails unless DecodeChunkInto returns exactly what
+// decodePerStripe does: the same bytes on success, the same error text on
+// failure.
+func checkMatchesPerStripe(t *testing.T, bc *BlockCode, chunk []byte, list []int, desc string) error {
+	t.Helper()
+	want, wantErr := decodePerStripe(bc.Code(), bc.BlockSize(), chunk, list)
+	got := make([]byte, bc.DataBlocks()*bc.BlockSize())
+	err := bc.DecodeChunkInto(got, chunk, list)
+	switch {
+	case (err == nil) != (wantErr == nil):
+		t.Fatalf("%s: error %v, per-stripe decode %v", desc, err, wantErr)
+	case err != nil && err.Error() != wantErr.Error():
+		t.Fatalf("%s: error %q, per-stripe decode %q", desc, err, wantErr)
+	case err == nil && !bytes.Equal(got, want):
+		t.Fatalf("%s: bytes differ from the per-stripe decode", desc)
+	}
+	return err
+}
+
+// TestDecodeChunkMatchesPerStripeDecode pins DecodeChunkInto, and with it
+// the per-chunk erasure solve, to a per-stripe Code.Decode of the gathered
+// codewords over the column sweep: e listed blocks with v unlisted damaged
+// ones (2v + e ≤ n-k, so the solver must decline whenever v > 0 and
+// correct must still succeed, and one unlisted block more than that),
+// lists that also name undamaged blocks, lists of parity positions only,
+// and repeated positions.
+func TestDecodeChunkMatchesPerStripeDecode(t *testing.T) {
+	for _, s := range columnShapes {
+		code := MustNew(s.n, s.k)
+		m := s.n - s.k
+		for _, bs := range columnBlockSizes {
+			bc, err := NewBlockCode(code, bs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(int64(s.n*977 + s.k*31 + bs)))
+			data := make([]byte, s.k*bs)
+			rng.Read(data)
+			clean, err := bc.EncodeChunk(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func(desc string, damaged, list []int, mustDecode bool) {
+				chunk := append([]byte(nil), clean...)
+				trashBlocks(rng, chunk, bs, damaged)
+				desc = fmt.Sprintf("(%d,%d,bs%d) %s", s.n, s.k, bs, desc)
+				if err := checkMatchesPerStripe(t, bc, chunk, list, desc); mustDecode && err != nil {
+					t.Fatalf("%s: %v", desc, err)
+				}
+			}
+			for _, e := range []int{1, 2, 3, 8, 16, 31, 32} {
+				if e > m {
+					continue
+				}
+				for _, v := range []int{0, 1, (m - e) / 2, (m-e)/2 + 1} {
+					if e+v > s.n {
+						continue
+					}
+					perm := rng.Perm(s.n)
+					listed, unlisted := perm[:e], perm[e:e+v]
+					run(fmt.Sprintf("e=%d v=%d", e, v), append(append([]int(nil), listed...), unlisted...), listed, 2*v+e <= m)
+				}
+				// Only some listed blocks damaged: the rest are clean.
+				perm := rng.Perm(s.n)
+				run(fmt.Sprintf("e=%d half damaged", e), perm[:(e+1)/2], perm[:e], true)
+				// Parity positions only.
+				if e <= m {
+					parity := make([]int, e)
+					for i, p := range rng.Perm(m)[:e] {
+						parity[i] = s.k + p
+					}
+					run(fmt.Sprintf("e=%d parity only", e), parity, parity, true)
+				}
+				// A repeated position, with the damage on the list.
+				if e >= 2 {
+					perm = rng.Perm(s.n)
+					dup := append(append([]int(nil), perm[:e-1]...), perm[0])
+					run(fmt.Sprintf("e=%d repeated", e), perm[:e-1], dup, false)
+				}
+			}
 		}
 	}
 }

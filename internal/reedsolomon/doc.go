@@ -18,13 +18,24 @@
 // DecodeChunkInto copies the data blocks once, runs the same kernel, adds
 // each column's received parity and tests the remainder for zero, so a
 // clean chunk never gathers a stripe and never touches Berlekamp-Massey.
-// Only a stripe that fails the test is gathered into a codeword, its
-// syndromes evaluated from the 32-byte remainder rather than the full
-// codeword, corrected — without the Chien search when Berlekamp-Massey
-// finds no error outside the erasure list, whose positions are then the
-// locator's roots by construction — re-checked against the generator and
-// written back. The single-codeword API (Encode/Verify/Decode), an odd
-// trailing column and generators that are not four words wide use the
-// one-column Reduce. Byte-at-a-time reference implementations are retained
-// unexported in reference.go as differential-fuzzing oracles.
+// Only a stripe that fails the test is repaired. With an erasure list,
+// the chunk's 16 stripes share it, so the erased symbols' values are one
+// fixed linear function of a stripe's 32-byte remainder: on the chunk's
+// first dirty stripe the list is solved once — x^(n-1-p) mod g for each
+// listed position p, e pivot rows of those columns, one e×e inverse — and
+// every dirty stripe then takes a matrix-vector product, accepted only if
+// the values reproduce the whole remainder, and is written back. The
+// solve declines an empty or repeated list, and a stripe whose remainder
+// the values do not reproduce carries damage off the list; both go to
+// the full decoder. That stripe is gathered into a codeword, its syndromes
+// evaluated from the remainder rather than the full codeword, corrected —
+// without the Chien search when Berlekamp-Massey finds no error outside
+// the erasure list, whose positions are then the locator's roots by
+// construction — re-checked against the generator and written back. Both
+// paths keep their state in fixed-size stack arrays, so for the paper's
+// code no decode allocates. The single-codeword API (Encode/Verify/
+// Decode), an odd trailing column and generators that are not four words
+// wide use the one-column Reduce. Byte-at-a-time reference
+// implementations are retained unexported in reference.go as
+// differential-fuzzing oracles.
 package reedsolomon

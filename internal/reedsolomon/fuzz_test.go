@@ -124,7 +124,9 @@ var fuzzBlockCodes = func() []*Code {
 // to the input and fails the same way — except that a bounded-distance
 // decoder may land on another codeword with probability ≈ 1/u!, u being
 // the (n-k-e)/2 errors the unspent parity could still locate, so success
-// with different bytes is tolerated there when u < 8.
+// with different bytes is tolerated there when u < 8. Every outcome, bytes
+// or error, must also equal a per-stripe Code.Decode of the gathered
+// codewords, so the per-chunk erasure solve can never change a result.
 func FuzzBlockCodeRoundTrip(f *testing.F) {
 	f.Add([]byte("geoproof"), uint8(0), uint8(16), []byte{}, []byte{})
 	f.Add([]byte{0}, uint8(0), uint8(17), []byte{3, 200}, []byte{3, 200})
@@ -132,6 +134,14 @@ func FuzzBlockCodeRoundTrip(f *testing.F) {
 	f.Add([]byte{7}, uint8(1), uint8(2), []byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{})
 	f.Add([]byte{9}, uint8(2), uint8(32), []byte{0, 14}, []byte{14, 5})
 	f.Add([]byte{5}, uint8(0), uint8(1), []byte{10, 20, 30}, []byte{10, 20})
+	// The paper's code at its full erasure budget, and at 30 erasures
+	// plus one unlisted error (2·1 + 30 = n-k).
+	era := make([]byte, 32)
+	for i := range era {
+		era[i] = byte(7*i + 3)
+	}
+	f.Add([]byte{4, 2}, uint8(0), uint8(16), era[:20], era)
+	f.Add([]byte{6}, uint8(0), uint8(17), append(era[:10:10], 250), era[:30])
 	f.Fuzz(func(t *testing.T, seedData []byte, shape, rawBS uint8, damage, hints []byte) {
 		code := fuzzBlockCodes[int(shape)%len(fuzzBlockCodes)]
 		n, k, bs := code.N(), code.K(), 1+int(rawBS)%32
@@ -197,5 +207,6 @@ func FuzzBlockCodeRoundTrip(f *testing.F) {
 		case !within && err == nil && (n-k-len(hinted))/2 >= 8:
 			t.Fatalf("%s: miscorrected beyond capacity", desc)
 		}
+		checkMatchesPerStripe(t, bc, chunk, list, desc)
 	})
 }

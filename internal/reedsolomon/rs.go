@@ -138,12 +138,14 @@ func (c *Code) Decode(cw []byte, erasures []int) ([]byte, error) {
 
 	// Clean fast path: one slab reduction decides whether any error
 	// machinery is needed at all.
-	scratch := make([]byte, c.red.Scratch(c.k))
+	var buf [maxScratch]byte
+	scratch := buf[:c.red.Scratch(c.k)]
 	r := c.remainder(scratch, cw)
 	if allZero(r) {
 		return cw[:c.k], nil
 	}
-	if err := c.correct(cw, c.syndromesFromRemainder(r), erasures, scratch); err != nil {
+	var synd [255]byte
+	if err := c.correct(cw, c.syndromes(synd[:], r), erasures, scratch); err != nil {
 		return nil, err
 	}
 	return cw[:c.k], nil
@@ -152,26 +154,31 @@ func (c *Code) Decode(cw []byte, erasures []int) ([]byte, error) {
 // correct repairs cw in place given its (nonzero) syndromes, treating the
 // listed erasure positions as known-bad. scratch is a Scratch(k)-sized
 // buffer reused for the final parity re-check. The caller has already
-// validated erasure positions and count.
+// validated erasure positions and count. Every polynomial it builds has
+// degree below 256 and lives in a [256]byte on the stack.
 func (c *Code) correct(cw, synd []byte, erasures []int, scratch []byte) error {
 	// Erasure locator Γ(x) = Π (1 - x·α^{pos'}) where pos' is the
 	// power-of-α position index counted from the highest-degree symbol.
-	gamma := []byte{1} // ascending order
+	var gb [256]byte
+	gamma := gb[:1]
+	gamma[0] = 1 // ascending order
 	for _, p := range erasures {
-		xi := gf256.Exp(c.n - 1 - p)
-		gamma = mulAsc(gamma, []byte{1, xi})
+		gamma = mulLinear(gamma, gf256.Exp(c.n-1-p))
 	}
 	// Forney syndromes fold erasure knowledge into the key equation so
 	// Berlekamp-Massey only has to find the unknown errors: take
 	// Γ(x)·S(x) mod x^{2t} and drop the e low-order coefficients.
-	fsynd := mulAscMod(gamma, synd, c.n-c.k)[len(erasures):]
+	var fb [256]byte
+	fsynd := polyMulMod(fb[:c.n-c.k], gamma, synd)[len(erasures):]
 
-	lambda, err := c.berlekampMassey(fsynd)
+	var lb [256]byte
+	lambda, err := berlekampMassey(&lb, fsynd)
 	if err != nil {
 		return err
 	}
 	// Full locator = error locator × erasure locator.
-	locator := mulAsc(lambda, gamma)
+	var locb [256]byte
+	locator := polyMul(locb[:len(lambda)+len(gamma)-1], lambda, gamma)
 
 	// Λ = 1 means no error outside the erasure list: the locator is Γ
 	// itself and its roots are the erasure positions by construction, so
@@ -180,7 +187,8 @@ func (c *Code) correct(cw, synd []byte, erasures []int, scratch []byte) error {
 	// keeps the search and the ErrTooManyErrors it ends in.
 	positions := erasures
 	if len(lambda) != 1 || !distinct(erasures) {
-		if positions, err = c.chienSearch(locator); err != nil {
+		var roots [255]int
+		if positions, err = c.locatorRoots(roots[:0], locator); err != nil {
 			return err
 		}
 	}
@@ -193,29 +201,35 @@ func (c *Code) correct(cw, synd []byte, erasures []int, scratch []byte) error {
 	return nil
 }
 
-// syndromesFromRemainder evaluates S_i = r(α^i) for i = 1..n-k over the
-// n-k remainder coefficients r = cw mod g (descending order). Because
-// g(α^i) = 0 for every root, r(α^i) equals cw(α^i) exactly, so these are
-// the classical syndromes at a fraction of the work: a Horner chain of
-// n-k table-row lookups per syndrome instead of n multiplies.
-func (c *Code) syndromesFromRemainder(r []byte) []byte {
-	out := make([]byte, c.n-c.k)
-	for i := range out {
+// syndromes evaluates S_i = r(α^i) for i = 1..n-k over the n-k remainder
+// coefficients r = cw mod g (descending order) into dst and returns
+// dst[:n-k]. Because g(α^i) = 0 for every root, r(α^i) equals cw(α^i)
+// exactly, so these are the classical syndromes at a fraction of the
+// work: a Horner chain of n-k table-row lookups per syndrome instead of n
+// multiplies.
+func (c *Code) syndromes(dst, r []byte) []byte {
+	dst = dst[:c.n-c.k]
+	for i := range dst {
 		row := c.synRows[i]
 		var y byte
 		for _, v := range r {
 			y = row[y] ^ v
 		}
-		out[i] = y
+		dst[i] = y
 	}
-	return out
+	return dst
 }
 
 // berlekampMassey finds the error-locator polynomial Λ(x) (ascending
-// order, Λ(0)=1) from the given syndrome sequence.
-func (c *Code) berlekampMassey(synd []byte) ([]byte, error) {
-	lambda := []byte{1}
-	prev := []byte{1}
+// order, Λ(0)=1) from the given syndrome sequence, building it in *out.
+// No polynomial it holds outgrows len(synd)+1 ≤ 255 coefficients.
+func berlekampMassey(out *[256]byte, synd []byte) ([]byte, error) {
+	lambda := out[:1]
+	lambda[0] = 1
+	var pb [2][256]byte
+	prev, spare := &pb[0], &pb[1]
+	prev[0] = 1
+	prevLen := 1
 	var l int
 	var m = 1
 	var b byte = 1
@@ -231,18 +245,16 @@ func (c *Code) berlekampMassey(synd []byte) ([]byte, error) {
 			m++
 			continue
 		}
+		coef := gf256.Div(delta, b)
 		if 2*l <= n {
-			t := make([]byte, len(lambda))
-			copy(t, lambda)
-			coef := gf256.Div(delta, b)
-			lambda = ascAdd(lambda, ascShiftScale(prev, m, coef))
+			tLen := copy(spare[:], lambda)
+			lambda = addShiftScaled(lambda, prev[:prevLen], m, coef)
 			l = n + 1 - l
-			prev = t
+			prev, spare, prevLen = spare, prev, tLen
 			b = delta
 			m = 1
 		} else {
-			coef := gf256.Div(delta, b)
-			lambda = ascAdd(lambda, ascShiftScale(prev, m, coef))
+			lambda = addShiftScaled(lambda, prev[:prevLen], m, coef)
 			m++
 		}
 	}
@@ -252,32 +264,33 @@ func (c *Code) berlekampMassey(synd []byte) ([]byte, error) {
 	return trimAsc(lambda), nil
 }
 
-// chienSearch finds the roots of the locator polynomial and converts them
-// to codeword positions.
-func (c *Code) chienSearch(locator []byte) ([]int, error) {
+// locatorRoots finds the roots of the locator polynomial, appends their
+// codeword positions to dst (capacity n keeps it off the heap) and
+// returns them.
+func (c *Code) locatorRoots(dst []int, locator []byte) ([]int, error) {
 	deg := len(locator) - 1
-	var positions []int
 	for i := 0; i < c.n; i++ {
 		// Position i (from the start of the codeword) corresponds to
 		// α^{n-1-i}; it is a root location when Λ(α^{-(n-1-i)}) = 0.
-		x := gf256.Exp(-(c.n - 1 - i))
-		if gf256.PolyValAscending(locator, x) == 0 {
-			positions = append(positions, i)
+		if gf256.PolyValAscending(locator, gf256.Exp(-(c.n-1-i))) == 0 {
+			dst = append(dst, i)
 		}
 	}
-	if len(positions) != deg {
+	if len(dst) != deg {
 		return nil, ErrTooManyErrors
 	}
-	return positions, nil
+	return dst, nil
 }
 
 // forney computes the error magnitudes and corrects cw in place.
 func (c *Code) forney(cw, synd, locator []byte, positions []int) error {
 	// Error evaluator Ω(x) = S(x)·Λ(x) mod x^{n-k}.
-	omega := mulAscMod(locator, synd, c.n-c.k)
+	var ob [256]byte
+	omega := polyMulMod(ob[:c.n-c.k], locator, synd)
 	// Formal derivative Λ'(x): in characteristic 2 the even-degree terms
 	// vanish.
-	deriv := make([]byte, 0, len(locator)/2+1)
+	var db [128]byte
+	deriv := db[:0]
 	for i := 1; i < len(locator); i += 2 {
 		deriv = append(deriv, locator[i])
 	}
@@ -286,13 +299,7 @@ func (c *Code) forney(cw, synd, locator []byte, positions []int) error {
 		num := gf256.PolyValAscending(omega, xInv)
 		// Λ'(x) evaluated at xInv, accounting for the skipped odd
 		// powers: Λ'(x) = Σ_{i odd} Λ_i x^{i-1} = Σ_j deriv[j]·x^{2j}.
-		var den byte
-		x2 := gf256.Mul(xInv, xInv)
-		var pow byte = 1
-		for _, d := range deriv {
-			den ^= gf256.Mul(d, pow)
-			pow = gf256.Mul(pow, x2)
-		}
+		den := gf256.PolyValAscending(deriv, gf256.Mul(xInv, xInv))
 		if den == 0 {
 			return ErrTooManyErrors
 		}
@@ -326,54 +333,66 @@ func allZero(p []byte) bool {
 }
 
 // --- ascending-order polynomial helpers ---
+//
+// Each writes into a caller-provided slice, which the decoder backs with
+// a [256]byte on the stack.
 
-func mulAsc(a, b []byte) []byte {
-	out := make([]byte, len(a)+len(b)-1)
+// polyMul sets dst (length len(a)+len(b)-1) to a·b and returns it.
+func polyMul(dst, a, b []byte) []byte {
+	clear(dst)
 	for i, ca := range a {
 		if ca == 0 {
 			continue
 		}
+		row := gf256.MulRow(ca)
 		for j, cb := range b {
-			out[i+j] ^= gf256.Mul(ca, cb)
+			dst[i+j] ^= row[cb]
 		}
 	}
-	return out
+	return dst
 }
 
-func mulAscMod(a, b []byte, mod int) []byte {
-	out := make([]byte, mod)
+// polyMulMod sets dst to a·b mod x^len(dst) and returns it.
+func polyMulMod(dst, a, b []byte) []byte {
+	clear(dst)
+	mod := len(dst)
 	for i, ca := range a {
 		if ca == 0 || i >= mod {
 			continue
 		}
+		row := gf256.MulRow(ca)
 		for j, cb := range b {
 			if i+j >= mod {
 				break
 			}
-			out[i+j] ^= gf256.Mul(ca, cb)
+			dst[i+j] ^= row[cb]
 		}
 	}
-	return out
+	return dst
 }
 
-func ascAdd(a, b []byte) []byte {
-	if len(a) < len(b) {
-		a, b = b, a
+// mulLinear multiplies p by (1 + a·x) in place, growing it by one
+// coefficient within its capacity.
+func mulLinear(p []byte, a byte) []byte {
+	row := gf256.MulRow(a)
+	p = append(p, 0)
+	for i := len(p) - 1; i > 0; i-- {
+		p[i] ^= row[p[i-1]]
 	}
-	out := make([]byte, len(a))
-	copy(out, a)
-	for i, v := range b {
-		out[i] ^= v
-	}
-	return out
+	return p
 }
 
-func ascShiftScale(p []byte, shift int, c byte) []byte {
-	out := make([]byte, len(p)+shift)
-	for i, v := range p {
-		out[i+shift] = gf256.Mul(v, c)
+// addShiftScaled adds c·x^shift·q to p in place, growing p with zeros to
+// len(q)+shift within its capacity.
+func addShiftScaled(p, q []byte, shift int, c byte) []byte {
+	for len(p) < len(q)+shift {
+		p = append(p, 0)
 	}
-	return out
+	row := gf256.MulRow(c)
+	for i, v := range q {
+		p[i+shift] ^= row[v]
+	}
+	return p
 }
 
 func trimAsc(p []byte) []byte {

@@ -277,3 +277,16 @@ func randBytes(seed int64, n int) []byte {
 	rng.Read(b)
 	return b
 }
+
+// Allocating forms of the repair path's helpers, which the tests above
+// drive directly.
+
+func mulAsc(a, b []byte) []byte { return polyMul(make([]byte, len(a)+len(b)-1), a, b) }
+
+func (c *Code) chienSearch(locator []byte) ([]int, error) {
+	return c.locatorRoots(make([]int, 0, c.n), locator)
+}
+
+func (c *Code) syndromesFromRemainder(r []byte) []byte {
+	return c.syndromes(make([]byte, c.n-c.k), r)
+}
