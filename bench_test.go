@@ -282,97 +282,11 @@ func benchData(n int) []byte {
 	return d
 }
 
-func BenchmarkPOREncode1MiB(b *testing.B) {
-	enc := por.NewEncoder([]byte("bench-master"))
-	data := benchData(1 << 20)
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := enc.Encode(fmt.Sprintf("bench-%d", i), data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPORExtract1MiB(b *testing.B) {
-	enc := por.NewEncoder([]byte("bench-master"))
-	data := benchData(1 << 20)
-	ef, err := enc.Encode("bench", data)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, err := enc.Extract("bench", ef.Layout, ef.Data)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !bytes.Equal(out, data) {
-			b.Fatal("extract mismatch")
-		}
-	}
-}
-
 // benchEncoders returns the same encoder at Concurrency 1 and NumCPU, for
-// the sequential-vs-parallel POR pipeline comparisons.
+// the sequential-vs-parallel comparisons.
 func benchEncoders() (seq, par *por.Encoder) {
 	e := por.NewEncoder([]byte("bench-master"))
 	return e.WithConcurrency(1), e.WithConcurrency(runtime.NumCPU())
-}
-
-// BenchmarkPOREncode4MiB compares the full setup pipeline at Concurrency 1
-// vs NumCPU on a 4 MiB file and asserts the outputs are byte-identical —
-// the headline number for the concurrency layer.
-func BenchmarkPOREncode4MiB(b *testing.B) {
-	seq, par := benchEncoders()
-	data := benchData(4 << 20)
-	want, err := seq.Encode("bench", data)
-	if err != nil {
-		b.Fatal(err)
-	}
-	got, err := par.Encode("bench", data)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if !bytes.Equal(want.Data, got.Data) {
-		b.Fatal("parallel encode is not byte-identical to sequential")
-	}
-	for name, enc := range map[string]*por.Encoder{"seq": seq, "par": par} {
-		b.Run(name, func(b *testing.B) {
-			b.SetBytes(int64(len(data)))
-			for i := 0; i < b.N; i++ {
-				if _, err := enc.Encode("bench", data); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkPORExtract4MiB is the recovery-side counterpart of
-// BenchmarkPOREncode4MiB.
-func BenchmarkPORExtract4MiB(b *testing.B) {
-	seq, par := benchEncoders()
-	data := benchData(4 << 20)
-	ef, err := seq.Encode("bench", data)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for name, enc := range map[string]*por.Encoder{"seq": seq, "par": par} {
-		b.Run(name, func(b *testing.B) {
-			b.SetBytes(int64(len(data)))
-			for i := 0; i < b.N; i++ {
-				out, err := enc.Extract("bench", ef.Layout, ef.Data)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !bytes.Equal(out, data) {
-					b.Fatal("extract mismatch")
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkPORVerifyResponse1000 measures TPA-side batch tag verification

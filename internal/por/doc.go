@@ -60,13 +60,15 @@
 //     and the engine stamps the image's segment tags in place. Such a
 //     target gets no tag pass: each encoded byte is written once and none
 //     is read back. The store's Writer does this per shard.
-//   - BlockGatherer, read side: fills a group's buffer from a batch of
-//     stored byte offsets. internal/store.Store implements it (on unix) by
-//     copying out of its mapped shards, which does the same for
-//     store-backed extraction.
+//   - BlockGatherer, read side, the mirror of BlockPlacer: fills a group's
+//     buffer from the same permuted block indices. internal/store.Store
+//     implements it (on unix) by copying out of its mapped shards, which
+//     does the same for store-backed extraction.
 //
 // A source or target with none of them — a flat .geo file — takes the
 // per-block loop, and on the write side a tag pass that reads the placed
 // segments back in sequential slabs; output is byte-identical on every
-// path.
+// path. On the output side an extraction gathers each chunk group's
+// recovered plaintext in place and writes it with one WriteAt (one copy
+// into a MemTarget), not one write per chunk.
 package por

@@ -21,24 +21,24 @@ package por
 // directly on the underlying slice, which keeps the in-memory pipeline
 // free of per-block interface-call and copy overhead. Targets that cannot
 // are offered two batch seams, one per direction, each called once per
-// chunk group: BlockPlacer for the scatter (the store's write-combining
-// Writer), with the group's permuted block indices, and BlockGatherer for
-// the gather (the store's mapped shards), with their stored offsets. A
-// placer that builds the encoded file in memory a piece at a time also
-// takes the tags that way: through the placementFinisher seam the engine
-// stamps every segment of a piece before the placer writes it out, so each
-// encoded byte is written once and never read back. A plain
-// io.WriterAt/io.ReaderAt — a flat .geo
-// file, or a store on a platform without the gather seam — takes one
-// 16-byte WriteAt/ReadAt per scattered block and a tag pass that reads the
-// placed segments back in large sequential slabs; the verify pass runs in
-// such slabs on every source.
+// chunk group with the group's permuted block indices (block slots):
+// BlockPlacer for the scatter (the store's write-combining Writer), and
+// BlockGatherer for the gather (the store's mapped shards). A placer that
+// builds the encoded file in memory a piece at a time also takes the tags
+// that way: through the placementFinisher seam the engine stamps every
+// segment of a piece before the placer writes it out, so each encoded
+// byte is written once and never read back. A plain
+// io.WriterAt/io.ReaderAt — a flat .geo file, or a store on a platform
+// without the gather seam — takes one 16-byte WriteAt/ReadAt per
+// scattered block and a tag pass that reads the placed segments back in
+// large sequential slabs; the verify pass runs in such slabs on every
+// source. Extraction writes each chunk group's recovered plaintext with
+// one WriteAt (or one copy into a Range target).
 
 import (
 	"errors"
 	"fmt"
 	"io"
-	"math/bits"
 
 	"repro/internal/blockfile"
 	"repro/internal/crypt"
@@ -81,12 +81,13 @@ type BlockPlacer interface {
 // BlockGatherer is the read-side mirror of BlockPlacer, for sources that
 // can collect the permuted blocks of a chunk group more cheaply than one
 // ReadAt per block — a committed store (internal/store.Store) copies them
-// out of its mapped shards. GatherBlocks fills buf with the len(offs)
-// blocks of blockSize bytes found at the given byte offsets of the
-// encoded file, in order; calls may come concurrently from pipeline
-// workers, and buf and offs are only valid for the duration of the call.
+// out of its mapped shards. GatherBlocks fills buf with the len(slots)
+// blocks of blockSize bytes at the given permuted block indices — block b
+// of F‴ lies at blockfile.Layout.StoredBlockOffset(b) — in order; calls
+// may come concurrently from pipeline workers, and buf and slots are only
+// valid for the duration of the call.
 type BlockGatherer interface {
-	GatherBlocks(buf []byte, blockSize int, offs []int64) error
+	GatherBlocks(buf []byte, blockSize int, slots []uint64) error
 }
 
 // placementFinisher is the companion seam to BlockPlacer for targets that
@@ -347,33 +348,6 @@ func (sc *streamCoder) encodeTo(r io.Reader, size int64, w StreamTarget) error {
 	return sc.tagPass(w, ranger)
 }
 
-// storedOffsets fills offs with the stored byte offset of each permuted
-// block index — the plan the gather seam takes, and
-// Layout.StoredBlockOffset per index without its hardware divide: the
-// segment of an index below 2³² is the high word of its product with
-// ⌈2⁶⁴/v⌉, which is exact for such operands.
-func (sc *streamCoder) storedOffsets(offs []int64, blocks []uint64) {
-	v := uint64(sc.layout.SegmentBlocks)
-	segSize := uint64(sc.layout.SegmentSize())
-	bs := uint64(sc.layout.BlockSize)
-	if v == 1 { // ⌈2⁶⁴/1⌉ does not fit a word
-		for j, b := range blocks {
-			offs[j] = int64(b * segSize)
-		}
-		return
-	}
-	recip := ^uint64(0)/v + 1
-	for j, b := range blocks {
-		var seg uint64
-		if b < 1<<32 {
-			seg, _ = bits.Mul64(recip, b)
-		} else {
-			seg = b / v
-		}
-		offs[j] = int64(seg*segSize + (b-seg*v)*bs)
-	}
-}
-
 // placeBlocks writes each block of buf to its permuted stored position: a
 // placer target takes the whole batch and its block indices in one call.
 func (sc *streamCoder) placeBlocks(w io.WriterAt, ranger byteRanger, placer BlockPlacer, buf []byte, dsts []uint64) error {
@@ -448,7 +422,8 @@ func (sc *streamCoder) tagPass(w StreamTarget, ranger byteRanger) error {
 
 // extractTo inverts the pipeline: verify tags, gather and decrypt each
 // chunk, error-correct it with suspect segments as erasures, and write
-// the recovered plaintext (truncated to the original length) into w.
+// the recovered plaintext (truncated to the original length) into w, one
+// write per chunk group.
 func (sc *streamCoder) extractTo(r io.ReaderAt, w io.WriterAt) error {
 	inRanger, _ := r.(byteRanger)
 	outRanger, _ := w.(byteRanger)
@@ -469,10 +444,6 @@ func (sc *streamCoder) extractTo(r io.ReaderAt, w io.WriterAt) error {
 	encRing := newRing(sc.ringCap(), func() []byte { return make([]byte, sc.groupChunks*sc.chunkOut) })
 	plainRing := newRing(sc.ringCap(), func() []byte { return make([]byte, sc.chunkIn) })
 	srcRing := newRing(sc.ringCap(), func() []uint64 { return make([]uint64, sc.groupChunks*sc.layout.ChunkTotal) })
-	var offRing *ring[[]int64]
-	if inRanger == nil && gatherer != nil {
-		offRing = newRing(sc.ringCap(), func() []int64 { return make([]int64, sc.groupChunks*sc.layout.ChunkTotal) })
-	}
 	nGroups := int((sc.layout.Chunks + int64(sc.groupChunks) - 1) / int64(sc.groupChunks))
 	return parallel.For(sc.workers, nGroups, func(gi int) error {
 		firstChunk := int64(gi) * int64(sc.groupChunks)
@@ -494,12 +465,8 @@ func (sc *streamCoder) extractTo(r io.ReaderAt, w io.WriterAt) error {
 			for j, s := range srcs {
 				copy(enc[j*bs:(j+1)*bs], inRanger.Range(sc.layout.StoredBlockOffset(int64(s)), int64(bs)))
 			}
-		case offRing != nil:
-			op := offRing.get()
-			sc.storedOffsets(op[:nBlocks], srcs)
-			err := gatherer.GatherBlocks(enc, bs, op[:nBlocks])
-			offRing.put(op)
-			if err != nil {
+		case gatherer != nil:
+			if err := gatherer.GatherBlocks(enc, bs, srcs); err != nil {
 				return fmt.Errorf("gather blocks: %w", err)
 			}
 		default:
@@ -519,7 +486,9 @@ func (sc *streamCoder) extractTo(r io.ReaderAt, w io.WriterAt) error {
 		// full decoder per stripe. When a chunk has more erasures than
 		// the code can absorb, or the erasure decode fails, fall back to
 		// blind error decoding, which may still succeed if tags were
-		// damaged but payloads intact.
+		// damaged but payloads intact. Chunk c's plaintext then moves to
+		// enc[c·chunkIn:], over chunks already decoded (chunkIn <
+		// chunkOut), so the group's plaintext ends up contiguous.
 		plain := plainRing.get()
 		defer plainRing.put(plain)
 		var hints []int // erasure scratch, reused by every chunk of the group
@@ -543,21 +512,19 @@ func (sc *streamCoder) extractTo(r io.ReaderAt, w io.WriterAt) error {
 			if err != nil {
 				return fmt.Errorf("chunk %d: %w: %v", ci, ErrUnrecoverable, err)
 			}
-			// Place the recovered data bytes, truncated to the original
-			// file length.
-			off := ci * int64(sc.chunkIn)
-			n := int64(sc.chunkIn)
-			if off+n > sc.layout.OrigBytes {
-				n = sc.layout.OrigBytes - off
-			}
-			if n <= 0 {
-				continue
-			}
-			if outRanger != nil {
-				copy(outRanger.Range(off, n), plain[:n])
-			} else if _, err := w.WriteAt(plain[:n], off); err != nil {
-				return fmt.Errorf("write chunk %d: %w", ci, err)
-			}
+			copy(enc[c*sc.chunkIn:], plain)
+		}
+		// Place the group's recovered data bytes, truncated to the
+		// original file length.
+		off := firstChunk * int64(sc.chunkIn)
+		n := min(int64(nChunks*sc.chunkIn), sc.layout.OrigBytes-off)
+		if n <= 0 {
+			return nil
+		}
+		if outRanger != nil {
+			copy(outRanger.Range(off, n), enc[:n])
+		} else if _, err := w.WriteAt(enc[:n], off); err != nil {
+			return fmt.Errorf("write chunks %d–%d: %w", firstChunk, firstChunk+int64(nChunks)-1, err)
 		}
 		return nil
 	})

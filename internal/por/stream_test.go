@@ -2,10 +2,13 @@ package por
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"io"
 	"math/rand"
 	"os"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -136,21 +139,23 @@ func TestExtractStreamFailsWhenDestroyed(t *testing.T) {
 type batchSource struct {
 	io.ReaderAt
 	b       []byte
+	layout  blockfile.Layout
 	calls   atomic.Int64
 	blocks  atomic.Int64
 	failure error
 }
 
-func (s *batchSource) GatherBlocks(buf []byte, blockSize int, offs []int64) error {
+func (s *batchSource) GatherBlocks(buf []byte, blockSize int, slots []uint64) error {
 	s.calls.Add(1)
-	s.blocks.Add(int64(len(offs)))
+	s.blocks.Add(int64(len(slots)))
 	if s.failure != nil {
 		return s.failure
 	}
-	if len(buf) != len(offs)*blockSize {
-		return errors.New("batch buffer and offsets disagree")
+	if len(buf) != len(slots)*blockSize {
+		return errors.New("batch buffer and slots disagree")
 	}
-	for j, off := range offs {
+	for j, b := range slots {
+		off := s.layout.StoredBlockOffset(int64(b))
 		copy(buf[j*blockSize:(j+1)*blockSize], s.b[off:off+int64(blockSize)])
 	}
 	return nil
@@ -189,7 +194,7 @@ func TestExtractStreamBatchGatherSeam(t *testing.T) {
 			if err := e.ExtractStream("f", layout, bytes.NewReader(data), want); err != nil {
 				t.Fatalf("conc=%d %s: ReadAt loop: %v", conc, name, err)
 			}
-			src := &batchSource{ReaderAt: bytes.NewReader(data), b: data}
+			src := &batchSource{ReaderAt: bytes.NewReader(data), b: data, layout: layout}
 			got := NewMemTarget(layout.OrigBytes)
 			if err := e.ExtractStream("f", layout, src, got); err != nil {
 				t.Fatalf("conc=%d %s: batch seam: %v", conc, name, err)
@@ -202,7 +207,7 @@ func TestExtractStreamBatchGatherSeam(t *testing.T) {
 			}
 		}
 		boom := errors.New("boom")
-		src := &batchSource{ReaderAt: bytes.NewReader(enc.Data), b: enc.Data, failure: boom}
+		src := &batchSource{ReaderAt: bytes.NewReader(enc.Data), b: enc.Data, layout: layout, failure: boom}
 		if err := e.ExtractStream("f", layout, src, NewMemTarget(layout.OrigBytes)); !errors.Is(err, boom) {
 			t.Fatalf("conc=%d: gather failure surfaced as %v", conc, err)
 		}
@@ -313,41 +318,78 @@ func TestMemTargetBounds(t *testing.T) {
 	}
 }
 
-// TestStoredOffsetsMatchLayout pins the batch plan's reciprocal
-// arithmetic to Layout.StoredBlockOffset over random geometries —
-// one-block segments (whose reciprocal does not fit a word), the paper's
-// five, 255, giant blocks — at indices around every segment boundary
-// sampled and either side of 2³², where the plan changes from the
-// reciprocal to a plain divide. The layouts are synthetic: the plan reads
-// only the geometry, so no 64 GiB file is needed to reach such indices.
-func TestStoredOffsetsMatchLayout(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 200; trial++ {
-		p := blockfile.Params{
-			BlockSize:     []int{1, 4, 16, 4096, 2 << 20}[rng.Intn(5)],
-			ChunkData:     223,
-			ChunkTotal:    255,
-			SegmentBlocks: []int{1, 2, 5, 255, 1 + rng.Intn(1000)}[rng.Intn(5)],
-			TagBits:       8 + rng.Intn(121),
-		}
-		if err := p.Validate(); err != nil {
+// recordingWriter is an extraction target without the Range fast path: it
+// records every WriteAt's span, and can be told to fail.
+type recordingWriter struct {
+	mu      sync.Mutex
+	b       []byte
+	spans   [][2]int64 // [off, end) per call
+	failure error
+}
+
+func (w *recordingWriter) WriteAt(p []byte, off int64) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.spans = append(w.spans, [2]int64{off, off + int64(len(p))})
+	if w.failure != nil {
+		return 0, w.failure
+	}
+	if off < 0 || off+int64(len(p)) > int64(len(w.b)) {
+		return 0, errors.New("write outside the output")
+	}
+	return copy(w.b[off:], p), nil
+}
+
+// TestExtractStreamWritesPerGroup pins the output side of extraction: a
+// plain io.WriterAt sees one write per chunk group, the writes are
+// disjoint and cover exactly [0, OrigBytes) — the last one truncated
+// inside a chunk — the bytes are those the MemTarget path produces, and a
+// failing writer's error is the extraction's.
+func TestExtractStreamWritesPerGroup(t *testing.T) {
+	file := testFile(98, 3*streamGroupBytes+123)
+	master := newTestEncoder()
+	enc, err := master.Encode("f", file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layout := enc.Layout
+	if layout.OrigBytes%int64(layout.ChunkDataBytes()) == 0 {
+		t.Fatal("the file ends on a chunk boundary: the last write would not be truncated")
+	}
+	groupChunks := int64(streamGroupBytes / layout.ChunkTotalBytes())
+	wantWrites := int((layout.Chunks + groupChunks - 1) / groupChunks)
+	for _, conc := range []int{1, 0, 8} {
+		e := master.WithConcurrency(conc)
+		want := NewMemTarget(layout.OrigBytes)
+		if err := e.ExtractStream("f", layout, &MemTarget{B: enc.Data}, want); err != nil {
 			t.Fatal(err)
 		}
-		sc := &streamCoder{layout: blockfile.Layout{Params: p}}
-		v := uint64(p.SegmentBlocks)
-		blocks := []uint64{0, 1, v - 1, v, v + 1, 1<<32 - 1, 1 << 32, 1<<32 + 1}
-		for i := 0; i < 64; i++ {
-			// A segment boundary and its neighbours: below 2³², just
-			// above it, and far above it.
-			seg := []uint64{rng.Uint64() % (1 << 32 / v), 1<<32/v + rng.Uint64()%4, rng.Uint64() % (1 << 40)}[i%3]
-			blocks = append(blocks, seg*v-min(seg*v, 1), seg*v, seg*v+1, seg*v+rng.Uint64()%v)
+		w := &recordingWriter{b: make([]byte, layout.OrigBytes)}
+		if err := e.ExtractStream("f", layout, bytes.NewReader(enc.Data), w); err != nil {
+			t.Fatalf("conc=%d: %v", conc, err)
 		}
-		offs := make([]int64, len(blocks))
-		sc.storedOffsets(offs, blocks)
-		for j, b := range blocks {
-			if want := sc.layout.StoredBlockOffset(int64(b)); offs[j] != want {
-				t.Fatalf("%+v: storedOffsets(%d) = %d, StoredBlockOffset = %d", p, b, offs[j], want)
+		if len(w.spans) != wantWrites {
+			t.Fatalf("conc=%d: %d writes, want one per chunk group (%d)", conc, len(w.spans), wantWrites)
+		}
+		slices.SortFunc(w.spans, func(a, b [2]int64) int { return cmp.Compare(a[0], b[0]) })
+		var end int64
+		for _, s := range w.spans {
+			if s[0] != end || s[1] <= s[0] {
+				t.Fatalf("conc=%d: write [%d, %d) after the writes covering [0, %d)", conc, s[0], s[1], end)
 			}
+			end = s[1]
+		}
+		if end != layout.OrigBytes {
+			t.Fatalf("conc=%d: writes cover [0, %d), want [0, %d)", conc, end, layout.OrigBytes)
+		}
+		if !bytes.Equal(w.b, want.B) || !bytes.Equal(w.b, file) {
+			t.Fatalf("conc=%d: written bytes differ from the MemTarget extraction", conc)
+		}
+
+		boom := errors.New("boom")
+		failing := &recordingWriter{b: make([]byte, layout.OrigBytes), failure: boom}
+		if err := e.ExtractStream("f", layout, bytes.NewReader(enc.Data), failing); !errors.Is(err, boom) {
+			t.Fatalf("conc=%d: failing writer surfaced as %v", conc, err)
 		}
 	}
 }

@@ -61,27 +61,38 @@
 //   - Extraction gathers: recovery has to collect every chunk group's
 //     blocks back from their permuted positions, ~16 k scattered 16-byte
 //     reads per 256 KiB group. Through the por.BlockGatherer seam the
-//     extractor hands GatherBlocks a whole group's offsets in one call,
-//     and the store copies the blocks out of read-only, shared mappings
-//     of its shards (made on the first gather, released by Close) — the
-//     page cache itself, so no system call per block, nothing added to
-//     the Go heap, and a constant cost per block at every file size.
-//     The seam exists on unix; elsewhere the extractor falls back to one
-//     ReadAt per block.
+//     extractor hands GatherBlocks a whole group's block slots in one
+//     call — the permuted block indices, as PlaceBlocks takes them — and
+//     the store copies the blocks out of read-only, shared mappings of
+//     its shards (made on first use, released by Close) — the page cache
+//     itself, so no system call per block, nothing added to the Go heap,
+//     and a constant cost per block at every file size. A slot's shard
+//     and offset are the placer's 32-bit arithmetic, and a 16-byte block
+//     moves as one load/store pair rather than a memmove call. The seam
+//     exists on unix; elsewhere the extractor falls back to one ReadAt
+//     per block.
+//   - Verify checksums each shard's mapping against the committed
+//     CRC-32C on unix, so the bytes an extraction reads next are already
+//     in the page cache and no buffer is allocated; elsewhere it preads
+//     each shard through one buffer.
 //
 // Audits stay on pread on purpose: a challenged segment is one small
 // read, the pread is the disk look-up the paper's Δt_max budget times,
 // and an I/O error comes back from the system call as an error. A mapped
-// read reports the same failure as a memory fault, so GatherBlocks
-// carries the contract that makes that safe: every offset is validated
-// (inside the payload, inside one shard, buffer sized to match) before
-// memory is touched; the read locks of the shards a batch touches are
-// held for the whole call, which keeps the exclusion WriteAt (fault
-// injection, per-shard write lock) and Close (every write lock, then
-// unmap) had under pread, while a write that finishes between two
-// gathers is seen by the second; and a shard truncated underneath its
-// mapping by a hostile or failing filesystem is returned as ErrCorrupt
-// (runtime/debug.SetPanicOnFault scoped to the copy, recovered, previous
-// setting restored) instead of a SIGBUS that kills the prover. A gather
-// after Close gets os.ErrClosed.
+// read reports the same failure as a memory fault, so GatherBlocks and
+// Verify carry the contract that makes that safe: a gather's batch is
+// validated (the layout's block size, the buffer sized to match, every
+// slot below TotalBlocks — shards being segment-aligned, that puts every
+// block inside its shard's mapping) before memory is touched; every
+// shard's read lock is held for the whole call (a permuted chunk group
+// touches them all), which keeps the exclusion WriteAt (fault injection,
+// per-shard write lock) and Close (every write lock, then unmap) had
+// under pread, while a write that finishes between two calls is seen by
+// the second; and a shard truncated underneath its mapping by a hostile
+// or failing filesystem is returned as ErrCorrupt
+// (runtime/debug.SetPanicOnFault scoped to the read, recovered, previous
+// setting restored) instead of a SIGBUS that kills the prover. After
+// Close both get os.ErrClosed. Manifest validation bounds the shard size
+// (2 GiB, as Create does), which is what lets the 32-bit arithmetic
+// trust a slot in range.
 package store

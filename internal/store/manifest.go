@@ -117,6 +117,11 @@ func (m Manifest) Validate() error {
 	if m.ShardBytes <= 0 || m.ShardBytes%int64(layout.SegmentSize()) != 0 {
 		return fmt.Errorf("%w: shard size %d is not a positive segment multiple", ErrCorrupt, m.ShardBytes)
 	}
+	if m.ShardBytes > hardMaxShardBytes {
+		// No Writer makes such a shard, and the read path addresses a
+		// shard with 32-bit arithmetic (slotGeom).
+		return fmt.Errorf("%w: shard size %d exceeds the %d-byte limit", ErrCorrupt, m.ShardBytes, int64(hardMaxShardBytes))
+	}
 	want := shardCount(m.EncodedBytes, m.ShardBytes)
 	if len(m.Shards) != want {
 		return fmt.Errorf("%w: %d shards listed, geometry needs %d", ErrCorrupt, len(m.Shards), want)

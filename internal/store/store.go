@@ -47,18 +47,20 @@ var (
 // handles under per-shard read locks, so any number of audit reads
 // proceed concurrently; the only writers are corruption injection
 // (experiments) which take the shard's write lock. On unix the extractor's
-// block gather (GatherBlocks) copies from read-only shard mappings under
-// the same read locks instead of issuing one pread per block.
+// block gather (GatherBlocks) and Verify read read-only shard mappings
+// under every shard's read lock instead of issuing preads.
 type Store struct {
 	dir      string
 	man      Manifest
 	layout   blockfile.Layout
+	geom     slotGeom
 	shards   []*os.File
 	locks    []sync.RWMutex
 	readonly bool
 
-	// Shard mappings behind GatherBlocks: made by the first gather,
-	// released (through unmap) by Close, which holds every write lock.
+	// Shard mappings behind GatherBlocks and Verify: made by the first
+	// call, released (through unmap) by Close, which holds every write
+	// lock.
 	mapOnce sync.Once
 	mapErr  error
 	maps    [][]byte
@@ -86,6 +88,7 @@ func Open(dir string) (*Store, error) {
 		dir:    dir,
 		man:    man,
 		layout: layout,
+		geom:   newSlotGeom(layout, man.ShardBytes),
 		shards: make([]*os.File, len(man.Shards)),
 		locks:  make([]sync.RWMutex, len(man.Shards)),
 	}
@@ -132,21 +135,11 @@ func (s *Store) Layout() blockfile.Layout { return s.layout }
 // Size returns the encoded byte length, the disk.Backend size contract.
 func (s *Store) Size() int64 { return s.man.EncodedBytes }
 
-// Verify streams every shard and checks it against the committed CRC-32C,
-// catching silent on-disk damage before the store is served.
-func (s *Store) Verify() error {
-	buf := make([]byte, compactChunkBytes)
-	for i, f := range s.shards {
-		s.locks[i].RLock()
-		got, err := shardCRC(f, s.man.Shards[i].Bytes, buf)
-		s.locks[i].RUnlock()
-		if err != nil {
-			return fmt.Errorf("store: verify shard %d: %w", i, err)
-		}
-		if got != s.man.Shards[i].CRC32C {
-			metricStoreChecksumFailures.Inc()
-			return fmt.Errorf("%w: shard %d checksum %08x, manifest says %08x", ErrCorrupt, i, got, s.man.Shards[i].CRC32C)
-		}
+// checkShardCRC compares shard i's checksum with the committed one.
+func (s *Store) checkShardCRC(i int, got uint32) error {
+	if want := s.man.Shards[i].CRC32C; got != want {
+		metricStoreChecksumFailures.Inc()
+		return fmt.Errorf("%w: shard %d checksum %08x, manifest says %08x", ErrCorrupt, i, got, want)
 	}
 	return nil
 }
@@ -268,8 +261,8 @@ func (s *Store) ReadSegments(indices []int64, workers int) ([][]byte, error) {
 }
 
 // Close releases the shard mappings and handles. It takes every shard's
-// write lock first, so it waits out reads and gathers in flight; a gather
-// that arrives later gets an error, never an unmapped page.
+// write lock first, so it waits out reads, gathers and Verify in flight;
+// one that arrives later gets an error, never an unmapped page.
 func (s *Store) Close() error {
 	for i := range s.locks {
 		s.locks[i].Lock()

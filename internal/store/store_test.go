@@ -22,7 +22,7 @@ import (
 // segments.
 var fastParams = blockfile.Params{BlockSize: 4, ChunkData: 11, ChunkTotal: 15, SegmentBlocks: 2, TagBits: 32}
 
-func testData(t *testing.T, n int) []byte {
+func testData(t testing.TB, n int) []byte {
 	t.Helper()
 	d := make([]byte, n)
 	rand.New(rand.NewSource(int64(n))).Read(d)
@@ -31,7 +31,7 @@ func testData(t *testing.T, n int) []byte {
 
 // encodeToStore runs a full streaming encode into a fresh store writer
 // and commits it.
-func encodeToStore(t *testing.T, dir string, enc *por.Encoder, fileID string, data []byte, opts store.Options) (blockfile.Layout, store.Manifest) {
+func encodeToStore(t testing.TB, dir string, enc *por.Encoder, fileID string, data []byte, opts store.Options) (blockfile.Layout, store.Manifest) {
 	t.Helper()
 	layout, err := blockfile.NewLayout(enc.Params(), int64(len(data)))
 	if err != nil {

@@ -37,21 +37,61 @@ const (
 	defaultWindowBytes = 2 << 20
 	minShardBytes      = 1 << 20
 	maxShardBytes      = 64 << 20
-	// hardMaxShardBytes bounds any caller-supplied ShardTargetBytes:
-	// staging records address within a shard through a uint32 slot and
-	// the replay places them with 32-bit arithmetic, so a shard may never
-	// reach 4 GiB (2 GiB keeps ample margin and bounds the
-	// materialisation buffer too).
+	// hardMaxShardBytes bounds any caller-supplied ShardTargetBytes and
+	// any manifest Open accepts: staging records address within a shard
+	// through a uint32 slot, and the replay and the gather place blocks
+	// with 32-bit arithmetic, so a shard may never reach 4 GiB (2 GiB
+	// keeps ample margin and bounds the materialisation buffer too).
 	hardMaxShardBytes = 1 << 31
 	// minReplayBytes is the smallest staging window the flush keeps as
 	// its replay buffer; below it the reads would be too short, and a
 	// compactChunkBytes buffer is allocated instead.
 	minReplayBytes = 64 << 10
-	// compactChunkBytes sizes the sequential read buffer of Verify and of
-	// Commit's re-checksum, and of the staging-log replay when no window
-	// serves.
+	// compactChunkBytes sizes the sequential read buffer of Commit's
+	// re-checksum (and of Verify where shards are not mapped), and of the
+	// staging-log replay when no window serves.
 	compactChunkBytes = 1 << 20
 )
+
+// slotGeom addresses a block slot — block b of the permuted file F‴, at
+// blockfile.Layout.StoredBlockOffset(b) — inside its shard with 32-bit
+// arithmetic. A shard holds fewer than 2³² bytes (hardMaxShardBytes, which
+// Create and Manifest.Validate both enforce), so a shard-relative slot and
+// its byte offset fit a uint32.
+type slotGeom struct {
+	perShard uint32 // block slots in a full shard
+	v        uint32 // blocks per segment
+	segSize  uint32 // segment bytes, tag included
+	bs       uint32 // block bytes
+}
+
+func newSlotGeom(layout blockfile.Layout, shardBytes int64) slotGeom {
+	segSize := int64(layout.SegmentSize())
+	return slotGeom{
+		perShard: uint32(shardBytes / segSize * int64(layout.SegmentBlocks)),
+		v:        uint32(layout.SegmentBlocks),
+		segSize:  uint32(segSize),
+		bs:       uint32(layout.BlockSize),
+	}
+}
+
+// shard splits slot b into its shard and shard-relative slot: one 32-bit
+// divide below 2³², a 64-bit one above.
+func (g slotGeom) shard(b uint64) (s, rel uint32) {
+	if b < 1<<32 {
+		s = uint32(b) / g.perShard
+		return s, uint32(b) - s*g.perShard
+	}
+	s64 := b / uint64(g.perShard)
+	return uint32(s64), uint32(b - s64*uint64(g.perShard))
+}
+
+// offset is the byte offset of shard-relative slot rel in its shard:
+// segment rel/v, block rel%v of it.
+func (g slotGeom) offset(rel uint32) uint32 {
+	seg := rel / g.v
+	return seg*g.segSize + (rel-seg*g.v)*g.bs
+}
 
 // shardSizeFor picks the adaptive shard size for an encoded length.
 func shardSizeFor(layout blockfile.Layout, target int64) int64 {
@@ -109,13 +149,13 @@ type Writer struct {
 	logOff []int64
 	placed int64
 
-	shardSlots uint32 // block slots in a full shard
-	recBytes   int    // 4 + blockSize
-	stageCap   int    // records per shard window
-	flushed    bool
-	flushErr   error
-	dirty      []bool // shards written through WriteAt after materialisation
-	done       bool
+	geom     slotGeom
+	recBytes int // 4 + blockSize
+	stageCap int // records per shard window
+	flushed  bool
+	flushErr error
+	dirty    []bool // shards written through WriteAt after materialisation
+	done     bool
 }
 
 // Create initialises a store directory for one encoded file and returns
@@ -163,17 +203,17 @@ func Create(dir, fileID string, layout blockfile.Layout, opts Options) (*Writer,
 	}
 
 	w := &Writer{
-		dir:        dir,
-		man:        man,
-		layout:     layout,
-		opts:       opts,
-		shards:     make([]*os.File, len(man.Shards)),
-		logs:       make([]*os.File, len(man.Shards)),
-		stages:     make([][]byte, len(man.Shards)),
-		logOff:     make([]int64, len(man.Shards)),
-		shardSlots: uint32(shardBytes / int64(layout.SegmentSize()) * int64(layout.SegmentBlocks)),
-		recBytes:   4 + layout.BlockSize,
-		dirty:      make([]bool, len(man.Shards)),
+		dir:      dir,
+		man:      man,
+		layout:   layout,
+		opts:     opts,
+		shards:   make([]*os.File, len(man.Shards)),
+		logs:     make([]*os.File, len(man.Shards)),
+		stages:   make([][]byte, len(man.Shards)),
+		logOff:   make([]int64, len(man.Shards)),
+		geom:     newSlotGeom(layout, shardBytes),
+		recBytes: 4 + layout.BlockSize,
+		dirty:    make([]bool, len(man.Shards)),
 	}
 	window := opts.WindowBytes
 	if window <= 0 {
@@ -255,20 +295,11 @@ func (w *Writer) PlaceBlocks(buf []byte, blockSize int, slots []uint64) error {
 			return fmt.Errorf("store: block slot %d outside the layout's %d", b, total)
 		}
 	}
-	// A shard holds fewer than 2³² slots (hardMaxShardBytes), so a slot
-	// below 2³² finds its shard with one 32-bit divide.
-	per := w.shardSlots
+	geom := w.geom
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	for j, b := range slots {
-		var s, rel uint32
-		if b < 1<<32 {
-			s = uint32(b) / per
-			rel = uint32(b) - s*per
-		} else {
-			s64 := b / uint64(per)
-			s, rel = uint32(s64), uint32(b-s64*uint64(per))
-		}
+		s, rel := geom.shard(b)
 		st := w.stages[s]
 		if st == nil {
 			st = make([]byte, 0, w.stageCap*w.recBytes)
@@ -371,18 +402,16 @@ func (w *Writer) flushPlacements(finish func(img []byte, off int64) error) error
 		}
 		readBuf = make([]byte, recsPerRead*w.recBytes)
 	}
-	// Shards are below 4 GiB (hardMaxShardBytes), so a slot's byte offset
-	// in its shard — segment slot/v, block slot%v of it — is 32-bit
-	// arithmetic: one 32-bit divide per record, where byte-offset records
-	// paid five 64-bit divides and mods. Shard sizes are segment
-	// multiples, so the bitmap covers every slot of the largest shard.
-	bs := uint32(w.layout.BlockSize)
-	segSize := uint32(w.layout.SegmentSize())
-	v := uint32(w.layout.SegmentBlocks)
-	seen := make([]uint64, (w.shardSlots+63)/64)
+	// A slot's byte offset in its shard is 32-bit arithmetic (slotGeom):
+	// one 32-bit divide per record, where byte-offset records paid five
+	// 64-bit divides and mods. Shard sizes are segment multiples, so the
+	// bitmap covers every slot of the largest shard.
+	geom := w.geom
+	bs := geom.bs
+	seen := make([]uint64, (geom.perShard+63)/64)
 	for s := range w.shards {
 		size := w.man.Shards[s].Bytes
-		slots := uint32(size) / segSize * v
+		slots := uint32(size) / geom.segSize * geom.v
 		img := shardBuf[:size]
 		clear(img)
 		clear(seen)
@@ -403,8 +432,7 @@ func (w *Writer) flushPlacements(finish func(img []byte, off int64) error) error
 					return fmt.Errorf("%w: block slot %d in shard %d placed twice", ErrCorrupt, slot, s)
 				}
 				seen[slot/64] |= 1 << (slot % 64)
-				seg := slot / v
-				at := seg*segSize + (slot-seg*v)*bs
+				at := geom.offset(slot)
 				copy(img[at:at+bs], readBuf[r+4:r+w.recBytes])
 			}
 			off += n
