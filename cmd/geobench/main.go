@@ -1,9 +1,10 @@
 // Command geobench regenerates every table and worked analysis of the
-// GeoProof paper from the library's own components.
+// GeoProof paper from the library's own components. Its output is a pure
+// function of -seed; performance is measured by bench/run.sh.
 //
 // Usage:
 //
-//	geobench            # print every experiment (E1-E11)
+//	geobench            # print every experiment (E1-E10)
 //	geobench -exp 6     # print one experiment
 //	geobench -seed 7    # change the simulation seed
 package main
@@ -24,17 +25,9 @@ func main() {
 }
 
 func run() error {
-	exp := flag.Int("exp", 0, "experiment number 1-11 (0 = all)")
+	exp := flag.Int("exp", 0, "experiment number 1-10 (0 = all)")
 	seed := flag.Int64("seed", 1, "simulation seed")
-	workers := flag.Int("j", 0, "POR pipeline concurrency (0 = all CPUs, 1 = sequential)")
-	mib := flag.Int("mib", 1, "file size in MiB for the measured E4 encode/extract throughput rows")
-	stream := flag.Bool("stream", false, "measure E4 with the file-to-file streaming pipeline (bounded memory) instead of the in-memory one")
-	storeMode := flag.Bool("store", false, "measure E4 through the persistent sharded store (write-combining placer + committed manifest)")
 	flag.Parse()
-	experiments.Concurrency = *workers
-	experiments.MeasuredMiB = *mib
-	experiments.StreamMode = *stream
-	experiments.StoreMode = *storeMode
 
 	type gen func() (experiments.Table, error)
 	gens := map[int]gen{
@@ -48,9 +41,8 @@ func run() error {
 		8:  func() (experiments.Table, error) { return experiments.E8DistanceBounding(*seed) },
 		9:  func() (experiments.Table, error) { return experiments.E9Geolocation(*seed) },
 		10: func() (experiments.Table, error) { return experiments.E10Ablations(*seed) },
-		11: func() (experiments.Table, error) { return experiments.E11Transport(*seed) },
 	}
-	order := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
+	order := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	if *exp != 0 {
 		g, ok := gens[*exp]
 		if !ok {

@@ -8,36 +8,35 @@
 // form. Its ECDSA public key is printed at startup for registration with
 // the TPA.
 //
-// With -audit it instead plays the TPA side at fleet scale: the built-in
-// scheduler drives continuous audits for many simulated tenants against
-// one or more geoproofd provers — bounded in-flight window per prover,
-// round-robin tenant fairness, per-attempt timeout and retry — and prints
-// a live per-prover/per-tenant verdict ledger after every epoch.
-//
-// With -controller it becomes the self-driving fleet control plane: the
-// core.FleetController continuously re-audits every prover on a jittered
-// period, pings them between full audits, escalates a failing or slow
-// prover's policy (tighter window and timeout, doubled challenge rounds),
-// quarantines repeat offenders with exponential-backoff probation, and
-// serves the fleet's health matrix and verdict ledger as JSON over HTTP
-// (GET /status on -status-addr). The ledger stays bounded via -retain.
+// With -controller it instead plays the TPA side as the self-driving
+// fleet control plane: the core.FleetController audits many simulated
+// tenants' copies on one or more geoproofd provers, re-auditing every
+// prover on a jittered period — bounded in-flight window per prover,
+// round-robin tenant fairness, per-attempt timeout and retry — pings them
+// between full audits, escalates a failing or slow prover's policy
+// (tighter window and timeout, doubled challenge rounds), quarantines
+// repeat offenders with exponential-backoff probation, logs every failed
+// audit, and serves the fleet's health matrix and verdict ledger as JSON
+// over HTTP (GET /status on -status-addr). The ledger stays bounded via
+// -retain. It runs until signalled, or with -epochs N until every prover
+// has run N audit cycles: each such prover leaves gracefully (its cycle
+// in flight finishes) and, once none is left, the per-prover ledger is
+// printed and the command exits.
 //
 // Usage:
 //
 //	geoverifierd -addr :9342 -prover host:9341 [-lat -27.4698 -lon 153.0251] [-batchsign]
-//	geoverifierd -audit -meta data.meta.json -provers host:9341,host2:9341 \
-//	    [-tenants 8] [-epochs 3] [-k 20] [-tmax 50ms] [-window 2] \
-//	    [-timeout 5s] [-retries 1] [-j 8] [-retain 8] \
-//	    [-policy host2:9341=window=1,timeout=20s,retries=0]
 //	geoverifierd -controller -meta data.meta.json -provers host:9341,host2:9341 \
-//	    [-status-addr 127.0.0.1:9343] [-period 10s] [-period-jitter 0.2] \
-//	    [-probe-period 2s] [-retain 8] [-tenants 8] [-k 20] [-tmax 50ms]
+//	    [-epochs 0] [-status-addr 127.0.0.1:9343] [-period 10s] [-period-jitter 0.2] \
+//	    [-probe-period 2s] [-retain 8] [-tenants 8] [-k 20] [-tmax 50ms] \
+//	    [-window 2] [-timeout 5s] [-retries 1] [-j 8] \
+//	    [-policy host2:9341=window=1,timeout=20s,retries=0]
 //
 // -policy (repeatable) layers per-prover overrides over the fleet knobs:
 // a slow WAN site can get a wider deadline and narrower window without
 // loosening the LAN fleet's policy.
 //
-// In all three modes audit rounds reach the provers over one persistent
+// In both modes audit rounds reach the provers over one persistent
 // multiplexed connection per prover, kept warm in a pool and shared by
 // every audit in flight. Within an audit the k challenge rounds are
 // serial — the next challenge leaves only after the last response
@@ -91,24 +90,23 @@ func run() error {
 	lat := flag.Float64("lat", geo.Brisbane.LatDeg, "device GPS latitude")
 	lon := flag.Float64("lon", geo.Brisbane.LonDeg, "device GPS longitude")
 
-	audit := flag.Bool("audit", false, "run the multi-tenant audit scheduler instead of serving TPAs")
 	controller := flag.Bool("controller", false, "run the self-driving fleet controller with an HTTP status API")
 	statusAddr := flag.String("status-addr", "127.0.0.1:9343", "status API listen address (controller mode)")
 	period := flag.Duration("period", 10*time.Second, "base per-prover re-audit period (controller mode)")
 	periodJitter := flag.Float64("period-jitter", 0.2, "fraction of the period to jitter each cycle by, in [0,1] (controller mode)")
 	probePeriod := flag.Duration("probe-period", 2*time.Second, "liveness-probe interval between full audits, 0 = off (controller mode)")
-	retain := flag.Uint64("retain", 8, "epochs of per-epoch ledger detail to keep; older epochs fold into archive cells, 0 = keep all (audit/controller mode)")
-	metaPath := flag.String("meta", "", "metadata sidecar from geoprep (required with -audit)")
+	retain := flag.Uint64("retain", 8, "epochs of per-epoch ledger detail to keep; older epochs fold into archive cells, 0 = keep all (controller mode)")
+	metaPath := flag.String("meta", "", "metadata sidecar from geoprep (required with -controller)")
 	provers := flag.String("provers", "", "comma-separated prover addresses (default: -prover)")
-	tenants := flag.Int("tenants", 8, "simulated tenants sharing the file (audit mode)")
-	epochs := flag.Int("epochs", 3, "audit epochs to run, 0 = until interrupted (audit mode)")
-	k := flag.Int("k", 20, "timed challenge rounds per audit (audit mode)")
-	tmax := flag.Duration("tmax", 50*time.Millisecond, "per-round acceptance bound Δt_max (audit mode)")
-	radius := flag.Float64("radius", 100, "SLA radius in km around the device position (audit mode)")
-	window := flag.Int("window", 2, "max in-flight audits per prover (audit mode)")
-	timeout := flag.Duration("timeout", 5*time.Second, "per-attempt audit deadline (audit mode)")
-	retries := flag.Int("retries", 1, "retries after a transport failure or timeout (audit mode)")
-	workers := flag.Int("j", 0, "concurrent audits across all provers, 0 = NumCPU (audit mode)")
+	tenants := flag.Int("tenants", 8, "simulated tenants sharing the file (controller mode)")
+	epochs := flag.Uint64("epochs", 0, "audit cycles per prover before it leaves and, once none is left, the command exits; 0 = run until signalled (controller mode)")
+	k := flag.Int("k", 20, "timed challenge rounds per audit (controller mode)")
+	tmax := flag.Duration("tmax", 50*time.Millisecond, "per-round acceptance bound Δt_max (controller mode)")
+	radius := flag.Float64("radius", 100, "SLA radius in km around the device position (controller mode)")
+	window := flag.Int("window", 2, "max in-flight audits per prover (controller mode)")
+	timeout := flag.Duration("timeout", 5*time.Second, "per-attempt audit deadline (controller mode)")
+	retries := flag.Int("retries", 1, "retries after a transport failure or timeout (controller mode)")
+	workers := flag.Int("j", 0, "concurrent audits across all provers, 0 = NumCPU (controller mode)")
 	batchSign := flag.Bool("batchsign", false,
 		"amortize transcript signing: Merkle-batch transcript digests and sign one root per batch "+
 			"(every mode: the device's verifier attests its transcripts this way)")
@@ -155,7 +153,7 @@ func run() error {
 		verifier = verifier.WithBatchSigner(batcher)
 	}
 
-	if *audit || *controller {
+	if *controller {
 		targets := *provers
 		if targets == "" {
 			targets = *prover
@@ -171,10 +169,7 @@ func run() error {
 			periodJitter: *periodJitter, probePeriod: *probePeriod,
 			pprofOn: *pprofOn, traceRetain: *traceRetain,
 		}
-		if *controller {
-			return runController(o)
-		}
-		return runScheduler(o)
+		return runController(o)
 	}
 
 	pub := signer.Public()
@@ -182,7 +177,7 @@ func run() error {
 	// registration, so it is data output, not a log event.
 	fmt.Printf("verifier public key (register with TPA): %s\n",
 		hex.EncodeToString(elliptic.MarshalCompressed(pub.Curve, pub.X, pub.Y)))
-	// The same warm pooled connection the fleet modes audit over: however
+	// The same warm pooled connection the controller audits over: however
 	// many audits the TPAs send, the prover is dialed once.
 	pool := &core.ProverPool{}
 	defer pool.Close()
@@ -204,7 +199,7 @@ type schedOpts struct {
 	metaPath  string
 	provers   []string
 	tenants   int
-	epochs    int
+	epochs    uint64
 	k         int
 	tmax      time.Duration
 	radiusKm  float64
@@ -225,8 +220,8 @@ type schedOpts struct {
 	traceRetain  int
 }
 
-// buildTPA loads the geoprep sidecar and constructs the TPA both fleet
-// modes audit with, plus the validated prover address list.
+// buildTPA loads the geoprep sidecar and constructs the TPA the
+// controller audits with, plus the validated prover address list.
 func buildTPA(o schedOpts) (*core.TPA, meta.Meta, blockfile.Layout, []string, error) {
 	var m meta.Meta
 	var layout blockfile.Layout
@@ -337,93 +332,13 @@ func parsePolicy(v string) (string, core.ProverPolicy, error) {
 	return addr, p, nil
 }
 
-// runScheduler is audit mode: this process is both the verifier device and
-// the multi-tenant TPA, continuously auditing every listed prover.
-func runScheduler(o schedOpts) error {
-	tpa, m, layout, addrs, err := buildTPA(o)
-	if err != nil {
-		return err
-	}
-
-	sched := core.NewScheduler(core.SchedulerConfig{
-		Workers:      o.workers,
-		ProverWindow: o.window,
-		Timeout:      o.timeout,
-		Retries:      o.retries,
-		// Live feed: failures log as they land; acceptances stay quiet.
-		OnVerdict: func(v core.Verdict) {
-			if v.Outcome == core.OutcomeAccepted {
-				return
-			}
-			detail := v.Err
-			if v.Outcome == core.OutcomeRejected {
-				detail = v.Report.Reason()
-			}
-			slog.Warn("audit failed",
-				"tenant", v.Task.Tenant, "prover", v.Task.Prover,
-				"outcome", v.Outcome.String(), "detail", detail,
-				"attempts", v.Attempts)
-		},
-	})
-
-	var tasks []core.AuditTask
-	for t := 0; t < o.tenants; t++ {
-		name := fmt.Sprintf("tenant-%03d", t)
-		sched.RegisterTenant(name, tpa)
-		for _, addr := range addrs {
-			tasks = append(tasks, core.AuditTask{
-				Tenant: name, Prover: addr,
-				FileID: m.FileID, Layout: layout, K: o.k,
-			})
-		}
-	}
-	// One shared pool of persistent multiplexed connections across every
-	// prover; each audit borrows the warm conn and runs its k serial
-	// rounds on it. The scheduler's attempt context cancels only the
-	// borrowed round's stream, so an abandoned audit never kills a
-	// sibling's in-flight rounds.
-	pool := &core.ProverPool{DialTimeout: o.timeout}
-	defer pool.Close()
-	for _, addr := range addrs {
-		policy := o.policies[addr]
-		sched.RegisterProverPolicy(addr, &core.PooledRunner{Verifier: o.verifier, Addr: addr, Pool: pool}, policy)
-		if policy != (core.ProverPolicy{}) {
-			slog.Info("policy override", "prover", addr, "policy", fmt.Sprintf("%+v", policy))
-		}
-	}
-
-	slog.Info("audit scheduler starting",
-		"tenants", o.tenants, "provers", len(addrs), "rounds", o.k,
-		"window", o.window, "tmax", o.tmax)
-	for epoch := 1; o.epochs == 0 || epoch <= o.epochs; epoch++ {
-		// Continuous runs stay bounded: fold epochs older than the
-		// retention window into the per-(tenant, prover) archive cells.
-		if o.retain > 0 && uint64(epoch) > o.retain {
-			sched.Ledger().CompactBefore(uint64(epoch) - o.retain)
-		}
-		start := time.Now()
-		verdicts := sched.RunEpoch(context.Background(), tasks)
-		elapsed := time.Since(start)
-		var accepted int
-		for _, v := range verdicts {
-			if v.Outcome == core.OutcomeAccepted {
-				accepted++
-			}
-		}
-		fmt.Printf("epoch %d: %d/%d accepted in %v (%.1f audits/s)\n",
-			epoch, accepted, len(verdicts), elapsed.Round(time.Millisecond),
-			float64(len(verdicts))/elapsed.Seconds())
-		printLedger(sched.Ledger())
-	}
-	return nil
-}
-
 // runController is controller mode: the process becomes the fleet's
 // self-driving control plane. Every prover is continuously re-audited on
 // a jittered period and pinged between audits; failing provers are
 // escalated, quarantined and rehabilitated by the core.FleetController
-// state machine; and the whole health matrix is served as JSON over HTTP
-// for operators and the CI smoke test.
+// state machine; and the whole health matrix is served as JSON over HTTP.
+// With o.epochs > 0 it stops once every prover has run that many cycles
+// and prints the ledger.
 func runController(o schedOpts) error {
 	tpa, m, layout, addrs, err := buildTPA(o)
 	if err != nil {
@@ -444,6 +359,20 @@ func runController(o schedOpts) error {
 			Timeout:      o.timeout,
 			Retries:      o.retries,
 			Tracer:       tracer,
+			// Live feed: failures log as they land; acceptances stay quiet.
+			OnVerdict: func(v core.Verdict) {
+				if v.Outcome == core.OutcomeAccepted {
+					return
+				}
+				detail := v.Err
+				if v.Outcome == core.OutcomeRejected {
+					detail = v.Report.Reason()
+				}
+				slog.Warn("audit failed",
+					"tenant", v.Task.Tenant, "prover", v.Task.Prover,
+					"outcome", v.Outcome.String(), "detail", detail,
+					"attempts", v.Attempts)
+			},
 		},
 		AuditPeriod:  o.period,
 		AuditJitter:  o.periodJitter,
@@ -514,16 +443,66 @@ func runController(o schedOpts) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	slog.Info("fleet controller starting",
-		"provers", len(addrs), "tenants", o.tenants,
+		"provers", len(addrs), "tenants", o.tenants, "epochs", o.epochs,
 		"period", o.period, "jitter", o.periodJitter,
 		"probePeriod", o.probePeriod,
 		"statusAPI", "http://"+lis.Addr().String()+"/status",
 		"pprof", o.pprofOn)
-	if err := ctl.Run(ctx); err != nil && !errors.Is(err, context.Canceled) {
+	if err := runFleet(ctx, ctl, o.epochs); err != nil && !errors.Is(err, context.Canceled) {
 		return err
 	}
 	slog.Info("fleet controller shut down")
+	if o.epochs > 0 {
+		printLedger(ctl.Ledger())
+	}
 	return nil
+}
+
+// runFleet runs ctl until ctx is done or, with epochs > 0, until every
+// prover has retired after that many audit cycles.
+func runFleet(ctx context.Context, ctl *core.FleetController, epochs uint64) error {
+	if epochs == 0 {
+		return ctl.Run(ctx)
+	}
+	ctx, stop := context.WithCancel(ctx)
+	defer stop()
+	retired := make(chan struct{})
+	go func() {
+		defer close(retired)
+		retireAfter(ctx, ctl, epochs)
+		stop()
+	}()
+	err := ctl.Run(ctx)
+	stop()
+	<-retired
+	return err
+}
+
+// retireAfter deregisters each prover gracefully once it has run n audit
+// cycles — a cycle in flight finishes and no new one starts, so nothing
+// cancelled reaches the ledger — and returns when no prover is left or
+// ctx is done. Cycles are at least a fraction of -period apart, so a
+// 10 ms poll sees the n-th one end long before the next could start.
+func retireAfter(ctx context.Context, ctl *core.FleetController, n uint64) {
+	tick := time.NewTicker(10 * time.Millisecond)
+	defer tick.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-tick.C:
+		}
+		provers := ctl.Status().Provers
+		left := len(provers)
+		for _, p := range provers {
+			if p.Cycles >= n && ctl.Deregister(p.Name, true) == nil {
+				left--
+			}
+		}
+		if left == 0 {
+			return
+		}
+	}
 }
 
 // filterStatus narrows a fleet snapshot to one prover's rows.
@@ -544,11 +523,11 @@ func filterStatus(st core.FleetStatus, prover string) core.FleetStatus {
 	return out
 }
 
-// printLedger renders the running per-prover totals.
+// printLedger renders the per-prover totals over every epoch.
 func printLedger(l *core.AuditLedger) {
-	fmt.Println("  prover ledger (all epochs):")
+	fmt.Println("prover ledger (all epochs):")
 	for _, row := range l.TotalsByProver() {
-		line := fmt.Sprintf("    %-24s audits=%d ok=%d rejected=%d timeout=%d error=%d maxRTT=%v",
+		line := fmt.Sprintf("  %-24s audits=%d ok=%d rejected=%d timeout=%d error=%d maxRTT=%v",
 			row.Name, row.Audits, row.Accepted, row.Rejected, row.Timeouts, row.Errors,
 			row.MaxRTT.Round(time.Microsecond))
 		if row.BatchAttested > 0 {

@@ -20,3 +20,14 @@ func BenchmarkSegmentTag(b *testing.B) {
 		tagger.Tag(seg, uint64(i), "bench-file")
 	}
 }
+
+// BenchmarkChallengeDerivation times deriving 1000 challenge indices over
+// the paper's 2 GB example (30 695 574 segments) from one nonce.
+func BenchmarkChallengeDerivation(b *testing.B) {
+	nonce := []byte("bench-nonce-0123")
+	for i := 0; i < b.N; i++ {
+		if _, err := ChallengeIndices(nonce, []byte("ctx"), 30695574, 1000); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

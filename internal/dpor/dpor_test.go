@@ -3,6 +3,7 @@ package dpor
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 
 const bs = 64
 
-func newPair(t *testing.T, size int) (*Client, *Store, []byte) {
+func newPair(t testing.TB, size int) (*Client, *Store, []byte) {
 	t.Helper()
 	c, err := NewClient([]byte("dpor-master"), "file-1", bs)
 	if err != nil {
@@ -238,6 +239,28 @@ func TestEncodeDecodeResponse(t *testing.T) {
 	for _, bad := range [][]byte{nil, {1}, blob[:5], blob[:len(blob)-1]} {
 		if _, _, err := DecodeResponse(bad); !errors.Is(err, ErrBadBlock) {
 			t.Fatalf("bad blob accepted: %v", err)
+		}
+	}
+}
+
+func BenchmarkDPORUpdate(b *testing.B) {
+	c, s, _ := newPair(b, 1<<16)
+	blk := make([]byte, bs)
+	rand.New(rand.NewSource(1)).Read(blk)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := c.Update(s, i%c.NumBlocks(), blk); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkDPORAudit100(b *testing.B) {
+	c, s, _ := newPair(b, 1<<16)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Audit(s, []byte(fmt.Sprintf("n-%d", i)), 100); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

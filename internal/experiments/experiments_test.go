@@ -250,3 +250,39 @@ func TestTableRender(t *testing.T) {
 		t.Fatalf("render:\n%s", out)
 	}
 }
+
+// renderAll renders E1-E10 at one seed, in geobench's order.
+func renderAll(t *testing.T, seed int64) string {
+	t.Helper()
+	var sb strings.Builder
+	for _, gen := range []func() (Table, error){
+		func() (Table, error) { return TableI(), nil },
+		func() (Table, error) { return TableII(seed), nil },
+		func() (Table, error) { return TableIII(seed), nil },
+		E4Setup,
+		func() (Table, error) { return E5Detection(seed) },
+		func() (Table, error) { return E6Relay(seed) },
+		func() (Table, error) { return E7TimingBudget(), nil },
+		func() (Table, error) { return E8DistanceBounding(seed) },
+		func() (Table, error) { return E9Geolocation(seed) },
+		func() (Table, error) { return E10Ablations(seed) },
+	} {
+		tab, err := gen()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tab.Render(&sb)
+	}
+	return sb.String()
+}
+
+// TestTablesDeterministic: the tables are a pure function of the seed —
+// no wall-clock timing, heap sampling or scheduling order reaches a byte
+// of geobench's output.
+func TestTablesDeterministic(t *testing.T) {
+	for _, seed := range []int64{1, 3} {
+		if a, b := renderAll(t, seed), renderAll(t, seed); a != b {
+			t.Fatalf("seed %d: two renders differ:\n%s\n---\n%s", seed, a, b)
+		}
+	}
+}

@@ -32,7 +32,7 @@ type deployment struct {
 // simulated Brisbane installation.
 func newDeployment(provider cloud.Provider, seed int64) (*deployment, error) {
 	params := blockfile.Params{BlockSize: 16, ChunkData: 223, ChunkTotal: 255, SegmentBlocks: 5, TagBits: 20}
-	enc := por.NewEncoder([]byte("experiment-e6-master")).WithParams(params).WithConcurrency(Concurrency)
+	enc := por.NewEncoder([]byte("experiment-e6-master")).WithParams(params)
 	file := bytes.Repeat([]byte("relay-experiment-data-"), 2000)
 	ef, err := enc.Encode("e6-file", file)
 	if err != nil {

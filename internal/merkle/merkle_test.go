@@ -190,3 +190,31 @@ func TestLeafNodeDomainSeparation(t *testing.T) {
 		t.Fatal("leaf/node domains collide")
 	}
 }
+
+func BenchmarkMerkleProve(b *testing.B) {
+	tree, err := New(leaves(1 << 14))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := tree.Prove(i % (1 << 14)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkMerkleUpdate(b *testing.B) {
+	tree, err := New(leaves(1 << 14))
+	if err != nil {
+		b.Fatal(err)
+	}
+	blk := make([]byte, 72)
+	rand.New(rand.NewSource(1)).Read(blk)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := tree.Update(i%(1<<14), blk); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -48,5 +49,35 @@ func BenchmarkPORExtract1MiB(b *testing.B) {
 		if !bytes.Equal(out, data) {
 			b.Fatal("extract mismatch")
 		}
+	}
+}
+
+// BenchmarkPORVerifyResponse1000 times the TPA-side tag check of a
+// 1000-round response, sequential and at NumCPU workers.
+func BenchmarkPORVerifyResponse1000(b *testing.B) {
+	seq := NewEncoder([]byte("bench-master")).WithConcurrency(1)
+	ef, err := seq.Encode("bench", benchFile())
+	if err != nil {
+		b.Fatal(err)
+	}
+	ch, err := seq.NewChallenge("bench", ef.Layout, []byte("bench-nonce"), 1000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	resp, err := NewStore(ef).Respond(ch)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		enc  *Encoder
+	}{{"seq", seq}, {"par", seq.WithConcurrency(runtime.NumCPU())}} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if ok, err := bc.enc.VerifyResponse(ef.Layout, ch, resp); err != nil || ok != 1000 {
+					b.Fatalf("ok=%d err=%v", ok, err)
+				}
+			}
+		})
 	}
 }

@@ -11,9 +11,9 @@
 //
 // Instrumentation sits on the audit fast path (tens of thousands of
 // audits per second over pooled mux connections), so the primitives
-// make the following guarantees, relied on by the repo's
-// BenchmarkAuditThroughput alloc gate (≤ 32 allocs and ≤ 8 KiB per
-// audit round):
+// make the following guarantees, relied on by core's
+// TestMuxRoundAllocationBudget (≤ 3 allocations per mux round, both ends
+// in one process):
 //
 //   - Counter.Inc/Add, Gauge.Inc/Dec/Set and Histogram.Observe are a
 //     single atomic RMW each (two for Observe's count+sum, plus one for

@@ -200,3 +200,23 @@ func TestReadMuxFrameOwned(t *testing.T) {
 		t.Fatalf("oversized header: %v", err)
 	}
 }
+
+// BenchmarkWireFrameRoundTrip writes and reads back one mux frame carrying
+// a default 83-byte segment.
+func BenchmarkWireFrameRoundTrip(b *testing.B) {
+	payload := bytes.Repeat([]byte{0x5a}, 83)
+	var buf bytes.Buffer
+	b.SetBytes(int64(len(payload)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := WriteMuxFrame(&buf, TypeSegmentResponse, 1, payload); err != nil {
+			b.Fatal(err)
+		}
+		_, _, p, err := ReadMuxFrame(&buf)
+		if err != nil {
+			b.Fatal(err)
+		}
+		PutBuffer(p)
+	}
+}

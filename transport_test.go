@@ -3,6 +3,7 @@ package repro
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"net"
 	"os"
 	"testing"
@@ -21,9 +22,10 @@ import (
 )
 
 // transportFixture stands up a loopback prover serving one encoded file
-// and a wall-clock verifier, shared by the transport tests and
-// BenchmarkAuditThroughput. It keeps the tenant encoder, file layout and
-// verifier signing key so tests can also run the TPA side of the path.
+// and a wall-clock verifier, shared by the transport tests. It keeps the
+// tenant encoder, file layout and verifier signing key so tests can also
+// run the TPA side of the path. Throughput on this path is measured by
+// the audit-loopback workload in bench/, not here.
 type transportFixture struct {
 	addr     string
 	fileID   string
@@ -34,6 +36,13 @@ type transportFixture struct {
 	layout   blockfile.Layout
 	verifier *core.Verifier
 	stop     func()
+}
+
+// benchData is n seeded bytes, the fixture's file.
+func benchData(n int) []byte {
+	d := make([]byte, n)
+	rand.New(rand.NewSource(1)).Read(d)
+	return d
 }
 
 func newTransportFixture(tb testing.TB, k int) *transportFixture {
