@@ -56,12 +56,21 @@ func run() error {
 	clk := vclock.NewVirtual(time.Time{})
 	net := simnet.New(clk, 21)
 	provider := &dpor.Provider{Store: store, Position: geo.Brisbane, Disk: disk.WD2500JD}
-	net.AddNode("verifier", geo.Brisbane, nil)
-	net.AddNode("prover", geo.Brisbane, core.ProviderHandler(provider))
+	net.AddNode("verifier", geo.Brisbane)
+	net.AddNode("prover", geo.Brisbane)
 	net.SetLink("verifier", "prover", simnet.LANLink{
 		DistanceKm: 0.5, Switches: 3,
 		PerSwitch: 30 * time.Microsecond, Base: 100 * time.Microsecond,
 	})
+	lis, err := net.Listen("prover")
+	if err != nil {
+		return err
+	}
+	srv := &core.ProverServer{Provider: provider, SimulateServiceTime: true}
+	go srv.Serve(lis)
+	defer srv.Close()
+	pool := &core.ProverPool{Dial: net.Dialer("verifier")}
+	defer pool.Close()
 	signer, err := crypt.NewSigner()
 	if err != nil {
 		return err
@@ -75,7 +84,10 @@ func run() error {
 		Pub:    signer,
 		Policy: core.DefaultPolicy(cloud.SLA{Center: geo.Brisbane, RadiusKm: 100}),
 	}
-	conn := &core.SimProverConn{Net: net, Verifier: "verifier", Prover: "prover"}
+	conn, _, err := pool.Get("prover")
+	if err != nil {
+		return err
+	}
 
 	audit := func(label string) error {
 		nonce := make([]byte, 16)

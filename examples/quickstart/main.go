@@ -58,12 +58,21 @@ func run() error {
 	//    enabled, tamper-proof, holds a signing key).
 	clk := vclock.NewVirtual(time.Time{})
 	net := simnet.New(clk, 42)
-	net.AddNode("verifier", geo.Brisbane, nil)
-	net.AddNode("prover", geo.Brisbane, core.ProviderHandler(&cloud.HonestProvider{Site: site}))
+	net.AddNode("verifier", geo.Brisbane)
+	net.AddNode("prover", geo.Brisbane)
 	net.SetLink("verifier", "prover", simnet.LANLink{
 		DistanceKm: 0.5, Switches: 3,
 		PerSwitch: 30 * time.Microsecond, Base: 100 * time.Microsecond,
 	})
+	lis, err := net.Listen("prover")
+	if err != nil {
+		return err
+	}
+	srv := &core.ProverServer{Provider: &cloud.HonestProvider{Site: site}, SimulateServiceTime: true}
+	go srv.Serve(lis)
+	defer srv.Close()
+	pool := &core.ProverPool{Dial: net.Dialer("verifier")}
+	defer pool.Close()
 	signer, err := crypt.NewSigner()
 	if err != nil {
 		return err
@@ -83,7 +92,10 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	conn := &core.SimProverConn{Net: net, Verifier: "verifier", Prover: "prover"}
+	conn, _, err := pool.Get("prover")
+	if err != nil {
+		return err
+	}
 	st, err := verifier.RunAudit(context.Background(), req, conn)
 	if err != nil {
 		return err

@@ -10,7 +10,6 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/blockfile"
 	"repro/internal/crypt"
 	"repro/internal/geo"
 	"repro/internal/gps"
@@ -176,10 +175,9 @@ func (st SignedTranscript) Mode() AttestationMode {
 	return AttestPerTranscript
 }
 
-// ProverConn is the verifier's channel to the prover. Implementations
-// carry the request over the simulated network (advancing virtual time)
-// or over a real TCP connection; the verifier times the call with its own
-// clock either way. One call is one challenge and one response: the
+// ProverConn is the verifier's channel to the prover; MuxProverConn, over
+// TCP or a simulated network's stream, is the one implementation. The
+// verifier times the call with its own clock. One call is one challenge and one response: the
 // verifier never has two rounds of an audit in flight, because the
 // per-round time is the distance bound (§V-B).
 //
@@ -317,7 +315,3 @@ func (v *Verifier) finishAudit(req AuditRequest, rounds []AuditRound) (SignedTra
 
 // NonceEqual compares nonces in constant time.
 func NonceEqual(a, b []byte) bool { return hmac.Equal(a, b) }
-
-// SegmentSizeFor returns the expected on-wire segment size for a layout —
-// a convenience re-export so transports need not import blockfile.
-func SegmentSizeFor(l blockfile.Layout) int { return l.SegmentSize() }

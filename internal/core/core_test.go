@@ -28,7 +28,7 @@ type fixture struct {
 	net      *simnet.Network
 	verifier *Verifier
 	tpa      *TPA
-	conn     *SimProverConn
+	conn     *MuxProverConn
 }
 
 const testFileID = "tenant-42/records.db"
@@ -42,28 +42,16 @@ func newFixture(t *testing.T, provider cloud.Provider) *fixture {
 		t.Fatal(err)
 	}
 
-	clk := vclock.NewVirtual(time.Time{})
-	net := simnet.New(clk, 42)
-
+	net, conn := simProver(t, geo.Brisbane, provider, 42)
 	signer, err := crypt.NewSigner()
 	if err != nil {
 		t.Fatal(err)
 	}
 	receiver := &gps.Receiver{True: geo.Brisbane}
-	verifier, err := NewVerifier(signer, receiver, clk)
+	verifier, err := NewVerifier(signer, receiver, net.Clock())
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	net.AddNode("verifier", geo.Brisbane, nil)
-	net.AddNode("prover", geo.Brisbane, ProviderHandler(provider))
-	// Verifier sits in the provider's LAN: §V-E says ≈1 ms RTT budget.
-	net.SetLink("verifier", "prover", simnet.LANLink{
-		DistanceKm: 0.5,
-		Switches:   3,
-		PerSwitch:  30 * time.Microsecond,
-		Base:       100 * time.Microsecond,
-	})
 
 	sla := cloud.SLA{Center: geo.Brisbane, RadiusKm: 100}
 	tpa, err := NewTPA(enc, signer.Public(), DefaultPolicy(sla))
@@ -72,9 +60,56 @@ func newFixture(t *testing.T, provider cloud.Provider) *fixture {
 	}
 	return &fixture{
 		enc: enc, file: file, ef: ef,
-		net: net, verifier: verifier, tpa: tpa,
-		conn: &SimProverConn{Net: net, Verifier: "verifier", Prover: "prover"},
+		net: net, verifier: verifier, tpa: tpa, conn: conn,
 	}
+}
+
+// simProver puts provider behind a ProverServer on a fresh simulated
+// network — node "prover" one LAN hop from node "verifier", both at pos —
+// and returns the network and the verifier's pooled mux connection to it.
+func simProver(t *testing.T, pos geo.Position, provider cloud.Provider, seed int64) (*simnet.Network, *MuxProverConn) {
+	t.Helper()
+	net := simnet.New(vclock.NewVirtual(time.Time{}), seed)
+	net.AddNode("verifier", pos)
+	net.AddNode("prover", pos)
+	// Verifier sits in the provider's LAN: §V-E says ≈1 ms RTT budget.
+	net.SetLink("verifier", "prover", simnet.LANLink{
+		DistanceKm: 0.5,
+		Switches:   3,
+		PerSwitch:  30 * time.Microsecond,
+		Base:       100 * time.Microsecond,
+	})
+	lis, err := net.Listen("prover")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := &ProverServer{Provider: provider, SimulateServiceTime: true}
+	go srv.Serve(lis)
+	pool := &ProverPool{Dial: net.Dialer("verifier")}
+	t.Cleanup(func() {
+		pool.Close()
+		srv.Close()
+	})
+	conn, _, err := pool.Get("prover")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return net, conn
+}
+
+// dropProvider fails the rounds a link losing each packet with
+// probability p would lose, with an error frame.
+type dropProvider struct {
+	cloud.Provider
+	p   float64
+	rng *rand.Rand
+}
+
+func (d *dropProvider) FetchSegment(fileID string, i int64) ([]byte, time.Duration, error) {
+	if simnet.RoundLost(d.rng, d.p) {
+		return nil, 0, errors.New("dropped")
+	}
+	return d.Provider.FetchSegment(fileID, i)
 }
 
 func honestSite(t *testing.T, ef *por.EncodedFile) *cloud.Site {
@@ -259,8 +294,7 @@ func TestReplayedTranscriptRejectedByNonce(t *testing.T) {
 func TestDroppedRoundsWithinBudget(t *testing.T) {
 	_, ef := encodeTestFile(t)
 	site := honestSite(t, ef)
-	fx := newFixture(t, &cloud.HonestProvider{Site: site})
-	fx.net.SetLoss("verifier", "prover", 0.15)
+	fx := newFixture(t, &dropProvider{Provider: &cloud.HonestProvider{Site: site}, p: 0.15, rng: rand.New(rand.NewSource(42))})
 
 	policy := fx.tpa.Policy()
 	policy.MaxFailedRounds = 40
@@ -283,8 +317,7 @@ func TestDroppedRoundsWithinBudget(t *testing.T) {
 func TestDroppedRoundsBeyondBudget(t *testing.T) {
 	_, ef := encodeTestFile(t)
 	site := honestSite(t, ef)
-	fx := newFixture(t, &cloud.HonestProvider{Site: site})
-	fx.net.SetLoss("verifier", "prover", 1.0)
+	fx := newFixture(t, &dropProvider{Provider: &cloud.HonestProvider{Site: site}, p: 1, rng: rand.New(rand.NewSource(42))})
 
 	req, _ := fx.tpa.NewRequest(testFileID, fx.ef.Layout, 5)
 	st, err := fx.verifier.RunAudit(context.Background(), req, fx.conn)

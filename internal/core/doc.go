@@ -20,22 +20,27 @@
 //
 // The verifier reaches the prover through the ProverConn interface — one
 // call, one challenge, one response, one round trip timed on the
-// verifier's clock — with two implementations: SimProverConn rides the
-// deterministic simulated network (simnet, virtual clock), and
-// MuxProverConn speaks the multiplexed framing (internal/wire/doc.go)
-// against a live ProverServer (cmd/geoproofd): many concurrent audits
-// share one connection, each round on its own stream, with per-stream
-// cancellation that never poisons sibling streams. An audit's k rounds
-// are serial on both: the next challenge leaves only after the last
-// response arrived, so max RTT ≤ Δt_max is the paper's per-round
-// distance bound, and throughput comes from many audits multiplexed
-// across streams, never from pipelining one audit's challenges. A peer
-// that does not speak wire.MuxVersion is refused at the Hello. Inside a round the
-// transport adds what the wire costs and little else: both ends write a
-// frame from a per-connection scratch in one call and read through a
-// small buffer, the demux hands the waiting round the very slice the
-// reply was read into, and ProverServer serves streams on resident
-// per-connection workers — a request goes to a parked worker, a new one
+// verifier's clock. There is one implementation: MuxProverConn speaks the
+// multiplexed framing (internal/wire/doc.go) against a ProverServer
+// (cmd/geoproofd): many concurrent audits share one connection, each
+// round on its own stream, with per-stream cancellation that never
+// poisons sibling streams. The same transport runs over TCP and over the
+// simulator: a ProverServer serves any net.Listener — a simnet node's
+// among them — and ProverPool.Dial swaps the TCP dial for a simnet
+// stream. The transport reads its clock from the connection (clockOf): a
+// simnet stream carries the network's virtual clock, so the handshake
+// deadlines, Ping and the server's simulated look-up run on virtual time
+// there and on the wall clock on TCP. An audit's k rounds are serial: the
+// next challenge leaves only after the last response arrived, so max RTT
+// ≤ Δt_max is the paper's per-round distance bound, and throughput comes
+// from many audits multiplexed across streams, never from pipelining one
+// audit's challenges. A peer that does not speak wire.MuxVersion is
+// refused at the Hello. Inside a round the transport adds what the wire
+// costs and little else: both ends write a frame from a per-connection
+// scratch in one call and read through a small buffer, the demux hands
+// the waiting round the very slice the reply was read into, and
+// ProverServer serves streams on resident per-connection workers — a
+// request goes to a parked worker, a new one
 // starts only when none is idle, so a connection holds as many as its
 // peer has had streams open at once and a slow look-up never delays the
 // frame behind it. ProverServer.Concurrency bounds connections served at
@@ -62,11 +67,10 @@
 // round-robin (optionally weighted) tenant fairness, per-attempt timeouts
 // and bounded retries; ProverPolicy layers per-prover overrides of those
 // knobs over the fleet defaults. Verdicts aggregate in an AuditLedger
-// keyed by (tenant, prover, epoch). The same scheduler runs over every
-// transport via the AuditRunner implementations: LocalRunner (in-process,
-// simnet or a fixed connection), PooledRunner (local verifier, the warm
-// multiplexed conn from a ProverPool) and a MuxProverConn dialed to a
-// remote verifier daemon.
+// keyed by (tenant, prover, epoch). The scheduler reaches provers through
+// the AuditRunner implementations: PooledRunner (local verifier, the warm
+// multiplexed conn from a ProverPool, over TCP or a simnet network) and a
+// MuxProverConn dialed to a remote verifier daemon.
 //
 // # Transcript attestation
 //
@@ -137,7 +141,7 @@
 // AuditRunner.RunAudit → Verifier.RunAudit → ProverConn.GetSegment — so
 // a timed-out attempt is cancelled, not abandoned: the scheduler cancels
 // the attempt's context when it frees the window slot, the mux transport
-// abandons just that round's stream (the serial daemon leg pokes its I/O
-// deadline instead), and the attempt's goroutine unwinds instead of
+// abandons just that stream — a round's to a prover, an audit's to a
+// verifier daemon — and the attempt's goroutine unwinds instead of
 // leaking against a hung prover.
 package core

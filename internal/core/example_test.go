@@ -18,9 +18,10 @@ import (
 )
 
 // ExampleTPA_VerifyAudit runs one complete GeoProof audit over the
-// simulated network — owner encodes, provider stores, the GPS-enabled
-// verifier device times the challenge rounds on the virtual clock, and
-// the TPA checks signature, position, MACs and the Δt_max bound.
+// simulated network — owner encodes, provider stores and serves, the
+// GPS-enabled verifier device times the challenge rounds over its pooled
+// mux connection on the virtual clock, and the TPA checks signature,
+// position, MACs and the Δt_max bound.
 func ExampleTPA_VerifyAudit() {
 	// Owner prepares the file.
 	owner := por.NewEncoder(bytes.Repeat([]byte{0x42}, 32)).WithConcurrency(1)
@@ -36,15 +37,26 @@ func ExampleTPA_VerifyAudit() {
 	}, 1)
 	site.Store(encoded.FileID, encoded.Layout, encoded.Data)
 
-	// Verifier device in the provider's LAN, on the simulation's clock.
+	// Verifier device in the provider's LAN, on the simulation's clock;
+	// the provider serves its node's listener.
 	clk := vclock.NewVirtual(time.Time{})
 	net := simnet.New(clk, 42)
-	net.AddNode("verifier", geo.Brisbane, nil)
-	net.AddNode("prover", geo.Brisbane, core.ProviderHandler(&cloud.HonestProvider{Site: site}))
+	net.AddNode("verifier", geo.Brisbane)
+	net.AddNode("prover", geo.Brisbane)
 	net.SetLink("verifier", "prover", simnet.LANLink{
 		DistanceKm: 0.5, Switches: 3,
 		PerSwitch: 30 * time.Microsecond, Base: 100 * time.Microsecond,
 	})
+	lis, err := net.Listen("prover")
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	srv := &core.ProverServer{Provider: &cloud.HonestProvider{Site: site}, SimulateServiceTime: true}
+	go srv.Serve(lis)
+	defer srv.Close()
+	pool := &core.ProverPool{Dial: net.Dialer("verifier")}
+	defer pool.Close()
 	signer, err := crypt.NewSigner()
 	if err != nil {
 		fmt.Println(err)
@@ -69,7 +81,8 @@ func ExampleTPA_VerifyAudit() {
 		fmt.Println(err)
 		return
 	}
-	st, err := verifier.RunAudit(context.Background(), req, &core.SimProverConn{Net: net, Verifier: "verifier", Prover: "prover"})
+	runner := &core.PooledRunner{Verifier: verifier, Addr: "prover", Pool: pool}
+	st, err := runner.RunAudit(context.Background(), req)
 	if err != nil {
 		fmt.Println(err)
 		return

@@ -57,7 +57,7 @@ func newFleetFixture(t *testing.T, cfg FleetConfig) *fleetFixture {
 }
 
 func (x *fleetFixture) honestRunner() AuditRunner {
-	return &LocalRunner{Verifier: x.f.verifier, Conn: &memConn{store: x.f.store}}
+	return &localRunner{Verifier: x.f.verifier, Conn: &memConn{store: x.f.store}}
 }
 
 // step runs one reconcile tick and advances the virtual clock by dt.
@@ -452,7 +452,7 @@ func TestFleetChurnUnderRace(t *testing.T) {
 	ctl := NewFleetController(cfg)
 	ctl.RegisterTenant("acme", f.tpa)
 	honest := func() AuditRunner {
-		return &LocalRunner{Verifier: f.verifier, Conn: &memConn{store: f.store}}
+		return &localRunner{Verifier: f.verifier, Conn: &memConn{store: f.store}}
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())

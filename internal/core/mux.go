@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/vclock"
 	"repro/internal/wire"
 )
 
@@ -101,8 +102,9 @@ type muxMsg struct {
 // cancelling one stream's context abandons only that stream — sibling
 // exchanges and the connection itself stay serviceable.
 type MuxProverConn struct {
-	conn net.Conn
-	w    frameWriter
+	conn  net.Conn
+	w     frameWriter
+	clock vclock.Clock // Ping times on it
 
 	mu      sync.Mutex
 	nextID  uint32
@@ -132,12 +134,23 @@ func NewMuxProverConn(conn net.Conn) *MuxProverConn {
 	c := &MuxProverConn{
 		conn:    conn,
 		w:       frameWriter{conn: conn},
+		clock:   clockOf(conn),
 		pending: make(map[uint32]chan muxMsg),
 		tomb:    make(map[uint32]struct{}),
 		rdone:   make(chan struct{}),
 	}
 	go c.readLoop()
 	return c
+}
+
+// clockOf is the transport's one clock seam: a connection that carries
+// its own clock (a simulated stream on virtual time) is timed on it, any
+// other on the wall clock.
+func clockOf(conn net.Conn) vclock.Clock {
+	if c, ok := conn.(interface{ Clock() vclock.Clock }); ok {
+		return c.Clock()
+	}
+	return vclock.Real{}
 }
 
 // DialMuxProver connects to a prover or a verifier daemon and checks that
@@ -149,11 +162,18 @@ func DialMuxProver(addr string, timeout time.Duration) (*MuxProverConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dial %s: %w", addr, err)
 	}
+	return openMux(conn, timeout)
+}
+
+// openMux runs the client half of the handshake on a fresh connection,
+// under timeout on the connection's clock, and starts its demux loop. On
+// failure the connection is closed.
+func openMux(conn net.Conn, timeout time.Duration) (*MuxProverConn, error) {
 	var deadline time.Time
 	if timeout > 0 {
-		deadline = time.Now().Add(timeout)
+		deadline = clockOf(conn).Now().Add(timeout)
 	}
-	err = conn.SetDeadline(deadline)
+	err := conn.SetDeadline(deadline)
 	if err == nil {
 		err = muxHandshake(conn)
 	}
@@ -211,7 +231,7 @@ const helloTimeout = 3 * time.Second
 // Hello's bytes, so the caller's buffered reader starts on the next
 // frame.
 func acceptMuxHello(conn net.Conn) bool {
-	if conn.SetDeadline(time.Now().Add(helloTimeout)) != nil {
+	if conn.SetDeadline(clockOf(conn).Now().Add(helloTimeout)) != nil {
 		return false
 	}
 	typ, _, payload, err := wire.ReadMuxFrame(conn)
@@ -471,7 +491,7 @@ func (c *MuxProverConn) Ping(ctx context.Context) (time.Duration, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	start := time.Now()
+	start := c.clock.Now()
 	msg, err := c.exchange(ctx, wire.TypePing, nil, nil)
 	if err != nil {
 		return 0, err
@@ -479,5 +499,5 @@ func (c *MuxProverConn) Ping(ctx context.Context) (time.Duration, error) {
 	if msg.typ != wire.TypePong {
 		return 0, errors.New("core: unexpected ping reply")
 	}
-	return time.Since(start), nil
+	return c.clock.Now().Sub(start), nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,6 +30,9 @@ var ErrPoolClosed = errors.New("core: connection pool closed")
 type ProverPool struct {
 	// DialTimeout bounds each dial and its handshake (0 = 5s).
 	DialTimeout time.Duration
+	// Dial, when set, replaces the TCP dial (a simnet stream, say); the
+	// handshake then runs on the connection's clock.
+	Dial func(addr string) (net.Conn, error)
 
 	mu     sync.Mutex
 	addrs  map[string]*poolEntry
@@ -96,7 +100,14 @@ func (p *ProverPool) Get(addr string) (*MuxProverConn, func(error), error) {
 			}
 			p.dials.Add(1)
 			metricPoolDials.Inc()
-			conn, err := DialMuxProver(addr, timeout)
+			var conn *MuxProverConn
+			if p.Dial == nil {
+				conn, err = DialMuxProver(addr, timeout)
+			} else if c, derr := p.Dial(addr); derr != nil {
+				err = fmt.Errorf("dial %s: %w", addr, derr)
+			} else {
+				conn, err = openMux(c, timeout)
+			}
 			if err != nil {
 				e.mu.Unlock()
 				return nil, nil, err

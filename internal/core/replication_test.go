@@ -14,7 +14,6 @@ import (
 	"repro/internal/gps"
 	"repro/internal/por"
 	"repro/internal/simnet"
-	"repro/internal/vclock"
 )
 
 // replicaDeployment builds one replica site with its own verifier and
@@ -24,19 +23,12 @@ func replicaDeployment(t *testing.T, enc *por.Encoder, ef *por.EncodedFile, name
 	site := cloud.NewSite(cloud.DataCenter{Name: name, Position: pos, Disk: disk.WD2500JD}, seed)
 	site.Store(ef.FileID, ef.Layout, ef.Data)
 
-	clk := vclock.NewVirtual(time.Time{})
-	net := simnet.New(clk, seed)
-	net.AddNode("verifier", pos, nil)
-	net.AddNode("prover", pos, ProviderHandler(&cloud.HonestProvider{Site: site}))
-	net.SetLink("verifier", "prover", simnet.LANLink{
-		DistanceKm: 0.5, Switches: 3,
-		PerSwitch: 30 * time.Microsecond, Base: 100 * time.Microsecond,
-	})
+	net, conn := simProver(t, pos, &cloud.HonestProvider{Site: site}, seed)
 	signer, err := crypt.NewSigner()
 	if err != nil {
 		t.Fatal(err)
 	}
-	verifier, err := NewVerifier(signer, &gps.Receiver{True: pos}, clk)
+	verifier, err := NewVerifier(signer, &gps.Receiver{True: pos}, net.Clock())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +39,7 @@ func replicaDeployment(t *testing.T, enc *por.Encoder, ef *por.EncodedFile, name
 	return ReplicaTarget{
 		Name:     name,
 		Verifier: verifier,
-		Conn:     &SimProverConn{Net: net, Verifier: "verifier", Prover: "prover"},
+		Conn:     conn,
 		TPA:      tpa,
 	}
 }
@@ -106,15 +98,11 @@ func TestReplicationAuditBadReplicaRejected(t *testing.T) {
 		simnet.InternetLink{DistanceKm: geo.Sydney.DistanceKm(geo.Perth), LastMile: simnet.DefaultLastMile},
 		8,
 	)
-	clk := vclock.NewVirtual(time.Time{})
-	net := simnet.New(clk, 9)
-	net.AddNode("verifier", geo.Sydney, nil)
-	net.AddNode("prover", geo.Sydney, ProviderHandler(relay))
-	net.SetLink("verifier", "prover", simnet.LANLink{DistanceKm: 0.5, Switches: 3, PerSwitch: 30 * time.Microsecond, Base: 100 * time.Microsecond})
+	net, conn := simProver(t, geo.Sydney, relay, 9)
 	signer, _ := crypt.NewSigner()
-	verifier, _ := NewVerifier(signer, &gps.Receiver{True: geo.Sydney}, clk)
+	verifier, _ := NewVerifier(signer, &gps.Receiver{True: geo.Sydney}, net.Clock())
 	tpa, _ := NewTPA(enc, signer.Public(), DefaultPolicy(cloud.SLA{Center: geo.Sydney, RadiusKm: 100}))
-	bad := ReplicaTarget{Name: "syd", Verifier: verifier, Conn: &SimProverConn{Net: net, Verifier: "verifier", Prover: "prover"}, TPA: tpa}
+	bad := ReplicaTarget{Name: "syd", Verifier: verifier, Conn: conn, TPA: tpa}
 
 	rep, err := AuditReplicas(context.Background(), testFileID, ef.Layout, []ReplicaTarget{good, bad}, 8, 500)
 	if err != nil {

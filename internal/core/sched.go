@@ -7,8 +7,8 @@ package core
 // failure policy (per-attempt timeout, bounded retries) and bookkeeping
 // (an AuditLedger of verdicts per tenant × prover × epoch). The actual
 // challenge-response rounds are delegated to an AuditRunner, so the same
-// scheduler drives the in-process simulated network, a local verifier
-// device dialing provers over TCP, and fully remote verifier daemons.
+// scheduler drives a local verifier device dialing provers (over TCP or a
+// simulated network) and fully remote verifier daemons.
 
 import (
 	"context"
@@ -33,10 +33,9 @@ var ErrAuditTimeout = errors.New("core: audit attempt timed out")
 // against a prover, returning the verifier-signed transcript. The
 // scheduler is transport-agnostic through this interface:
 //
-//   - LocalRunner: in-process verifier over any ProverConn (simnet or an
-//     established TCP connection),
 //   - PooledRunner: in-process verifier over a ProverPool of persistent
-//     multiplexed prover connections — the production transport,
+//     multiplexed prover connections, dialed over TCP or, through the
+//     pool's Dial seam, over a simulated network on virtual time,
 //   - *MuxProverConn dialed to a verifier daemon (geoverifierd): fully
 //     distributed — each audit is shipped to the daemon on its own
 //     stream and the daemon runs the rounds on its side; concurrent
@@ -47,38 +46,6 @@ var ErrAuditTimeout = errors.New("core: audit attempt timed out")
 // promptly instead of leaking its goroutine against a hung prover.
 type AuditRunner interface {
 	RunAudit(ctx context.Context, req AuditRequest) (SignedTranscript, error)
-}
-
-// LocalRunner drives audits through an in-process verifier device over a
-// fixed prover connection.
-type LocalRunner struct {
-	Verifier *Verifier
-	Conn     ProverConn
-	// Lock, when non-nil, serializes audits through this runner. It is
-	// required when Conn rides a shared single-threaded transport — pass
-	// the same *sync.Mutex to every LocalRunner whose connections share
-	// one simnet.Network, so concurrent scheduler workers never interleave
-	// rounds on the simulator's virtual clock. Never share a Lock with a
-	// connection that can hang: an abandoned timed-out attempt would hold
-	// it and stall every runner behind it (give hang-prone provers their
-	// own runner).
-	Lock *sync.Mutex
-}
-
-var _ AuditRunner = (*LocalRunner)(nil)
-
-// RunAudit runs the timed rounds on the local verifier.
-func (r *LocalRunner) RunAudit(ctx context.Context, req AuditRequest) (SignedTranscript, error) {
-	if r.Lock != nil {
-		r.Lock.Lock()
-		defer r.Lock.Unlock()
-		// An attempt cancelled while queued on the shared transport lock
-		// must not burn transport time once it finally gets the lock.
-		if err := ctx.Err(); err != nil {
-			return SignedTranscript{}, err
-		}
-	}
-	return r.Verifier.RunAudit(ctx, req, r.Conn)
 }
 
 // AuditTask is one scheduled audit: which tenant wants which file checked

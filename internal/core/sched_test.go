@@ -26,6 +26,17 @@ func (c *memConn) GetSegment(_ context.Context, fileID string, index uint64) ([]
 	return c.store.ReadSegment(int64(index))
 }
 
+// localRunner drives audits through an in-process verifier over a fixed
+// prover connection, such as a memConn.
+type localRunner struct {
+	Verifier *Verifier
+	Conn     ProverConn
+}
+
+func (r *localRunner) RunAudit(ctx context.Context, req AuditRequest) (SignedTranscript, error) {
+	return r.Verifier.RunAudit(ctx, req, r.Conn)
+}
+
 // corruptConn flips a payload byte in every returned segment.
 type corruptConn struct{ store *por.Store }
 
@@ -147,7 +158,7 @@ func TestSchedulerInFlightBoundNeverExceeded(t *testing.T) {
 	runners := make([]*countingRunner, provers)
 	for p := 0; p < provers; p++ {
 		runners[p] = &countingRunner{
-			inner: &LocalRunner{Verifier: f.verifier, Conn: &memConn{store: f.store}},
+			inner: &localRunner{Verifier: f.verifier, Conn: &memConn{store: f.store}},
 			delay: 100 * time.Microsecond,
 		}
 		sched.RegisterProver(fmt.Sprintf("prover-%02d", p), runners[p])
@@ -255,7 +266,7 @@ func TestSchedulerCorruptProverRejectedNotRetried(t *testing.T) {
 		Retries:      3, // must NOT be spent on rejections
 	})
 	sched.RegisterTenant("t1", f.tpa)
-	sched.RegisterProver("corrupt", &LocalRunner{
+	sched.RegisterProver("corrupt", &localRunner{
 		Verifier: f.verifier,
 		Conn:     &corruptConn{store: f.store},
 	})
@@ -293,7 +304,7 @@ func TestSchedulerRetryThenAccept(t *testing.T) {
 	})
 	sched.RegisterTenant("t1", f.tpa)
 	sched.RegisterProver("flaky", &flakyRunner{
-		inner:    &LocalRunner{Verifier: f.verifier, Conn: &memConn{store: f.store}},
+		inner:    &localRunner{Verifier: f.verifier, Conn: &memConn{store: f.store}},
 		failures: 1,
 	})
 
@@ -327,7 +338,7 @@ func TestSchedulerEpochsAccumulate(t *testing.T) {
 	f := newSchedFixture(t)
 	sched := NewScheduler(SchedulerConfig{Workers: 2, ProverWindow: 2})
 	sched.RegisterTenant("t1", f.tpa)
-	sched.RegisterProver("p1", &LocalRunner{Verifier: f.verifier, Conn: &memConn{store: f.store}})
+	sched.RegisterProver("p1", &localRunner{Verifier: f.verifier, Conn: &memConn{store: f.store}})
 
 	for epoch := 1; epoch <= 3; epoch++ {
 		verdicts := sched.RunEpoch(context.Background(), []AuditTask{f.task("t1", "p1", 2)})
@@ -350,7 +361,7 @@ func TestAuditLedgerCompactBefore(t *testing.T) {
 	f := newSchedFixture(t)
 	sched := NewScheduler(SchedulerConfig{Workers: 1})
 	sched.RegisterTenant("t1", f.tpa)
-	sched.RegisterProver("p1", &LocalRunner{Verifier: f.verifier, Conn: &memConn{store: f.store}})
+	sched.RegisterProver("p1", &localRunner{Verifier: f.verifier, Conn: &memConn{store: f.store}})
 	for epoch := 0; epoch < 4; epoch++ {
 		sched.RunEpoch(context.Background(), []AuditTask{f.task("t1", "p1", 2)})
 	}
@@ -393,7 +404,7 @@ func TestSchedulerOnVerdictHook(t *testing.T) {
 		},
 	})
 	sched.RegisterTenant("t1", f.tpa)
-	sched.RegisterProver("p1", &LocalRunner{Verifier: f.verifier, Conn: &memConn{store: f.store}})
+	sched.RegisterProver("p1", &localRunner{Verifier: f.verifier, Conn: &memConn{store: f.store}})
 	tasks := make([]AuditTask, 8)
 	for i := range tasks {
 		tasks[i] = f.task("t1", "p1", 2)
@@ -556,7 +567,7 @@ func TestSchedulerProverPolicyOverrides(t *testing.T) {
 	f := newSchedFixture(t)
 	slow := func() AuditRunner {
 		return &countingRunner{
-			inner: &LocalRunner{Verifier: f.verifier, Conn: &memConn{store: f.store}},
+			inner: &localRunner{Verifier: f.verifier, Conn: &memConn{store: f.store}},
 			delay: 60 * time.Millisecond,
 		}
 	}
@@ -595,11 +606,11 @@ func TestSchedulerProverPolicyOverrides(t *testing.T) {
 	sched2 := NewScheduler(SchedulerConfig{Workers: 1, Retries: 2})
 	sched2.RegisterTenant("t1", f.tpa)
 	sched2.RegisterProverPolicy("flaky-noretry", &flakyRunner{
-		inner:    &LocalRunner{Verifier: f.verifier, Conn: &memConn{store: f.store}},
+		inner:    &localRunner{Verifier: f.verifier, Conn: &memConn{store: f.store}},
 		failures: 1,
 	}, ProverPolicy{Retries: -1})
 	sched2.RegisterProver("flaky-default", &flakyRunner{
-		inner:    &LocalRunner{Verifier: f.verifier, Conn: &memConn{store: f.store}},
+		inner:    &localRunner{Verifier: f.verifier, Conn: &memConn{store: f.store}},
 		failures: 1,
 	})
 	verdicts = sched2.RunEpoch(context.Background(), []AuditTask{
@@ -619,7 +630,7 @@ func TestSchedulerProverPolicyOverrides(t *testing.T) {
 
 	// Window: a per-prover window of 1 beats the fleet default of 4.
 	counting := &countingRunner{
-		inner: &LocalRunner{Verifier: f.verifier, Conn: &memConn{store: f.store}},
+		inner: &localRunner{Verifier: f.verifier, Conn: &memConn{store: f.store}},
 		delay: 2 * time.Millisecond,
 	}
 	sched3 := NewScheduler(SchedulerConfig{Workers: 8, ProverWindow: 4})

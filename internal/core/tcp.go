@@ -6,16 +6,16 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/cloud"
+	"repro/internal/vclock"
 	"repro/internal/wire"
 )
 
-// This file is the prover side of the live-deployment transport: the
-// prover listens on TCP and serves segment requests in mux frames
+// This file is the prover side of the transport: the prover listens — on
+// TCP, or on a simulated node — and serves segment requests in mux frames
 // (see internal/wire/doc.go); the verifier connects and times each round
-// on the wall clock.
+// on its own clock.
 
 // ProverServer serves segment requests from a cloud.Provider over a
 // listener. SimulateServiceTime controls whether the provider's modelled
@@ -30,55 +30,70 @@ type ProverServer struct {
 	SimulateServiceTime bool
 	Concurrency         int
 
+	acceptLoop
+}
+
+// Serve accepts and handles connections until the listener is closed.
+// It always returns a non-nil error (net.ErrClosed after Close).
+func (s *ProverServer) Serve(lis net.Listener) error {
+	return s.serve(lis, s.Concurrency, s.handle)
+}
+
+// acceptLoop is the listener half both servers share: serve hands each
+// accepted connection to its own goroutine, at most limit at once (≤ 0 =
+// unlimited; excess connections queue at the accept loop), and Close
+// stops it.
+type acceptLoop struct {
 	mu     sync.Mutex
 	closed bool
 	lis    net.Listener
 	wg     sync.WaitGroup
 }
 
-// Serve accepts and handles connections until the listener is closed.
-// It always returns a non-nil error (net.ErrClosed after Close).
-func (s *ProverServer) Serve(lis net.Listener) error {
-	s.mu.Lock()
-	s.lis = lis
-	var sem chan struct{}
-	if s.Concurrency > 0 {
-		sem = make(chan struct{}, s.Concurrency)
+// serve accepts until the listener is closed, then waits for the
+// connections being handled; it always returns a non-nil error.
+func (a *acceptLoop) serve(lis net.Listener, limit int, handle func(net.Conn)) error {
+	a.mu.Lock()
+	a.lis = lis
+	if a.closed {
+		lis.Close()
 	}
-	s.mu.Unlock()
+	a.mu.Unlock()
+	var sem chan struct{}
+	if limit > 0 {
+		sem = make(chan struct{}, limit)
+	}
 	for {
 		conn, err := lis.Accept()
 		if err != nil {
-			s.wg.Wait()
+			a.wg.Wait()
 			return err
 		}
-		if cap(sem) > 0 {
+		if sem != nil {
 			sem <- struct{}{}
 		}
-		s.wg.Add(1)
+		a.wg.Add(1)
 		go func() {
-			defer s.wg.Done()
-			if cap(sem) > 0 {
-				defer func() { <-sem }()
+			defer a.wg.Done()
+			handle(conn)
+			if sem != nil {
+				<-sem
 			}
-			s.handle(conn)
 		}()
 	}
 }
 
-// Close stops the listener; in-flight connections finish their current
-// request.
-func (s *ProverServer) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
+// Close stops the listener; connections being served run on until their
+// peers hang up.
+func (a *acceptLoop) Close() error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.closed || a.lis == nil {
+		a.closed = true
 		return nil
 	}
-	s.closed = true
-	if s.lis != nil {
-		return s.lis.Close()
-	}
-	return nil
+	a.closed = true
+	return a.lis.Close()
 }
 
 // handle serves one connection: the handshake, then the mux loop.
@@ -92,14 +107,14 @@ func (s *ProverServer) handle(conn net.Conn) {
 }
 
 // fetch reads one segment from the provider, sleeping its modelled
-// service latency when the server simulates it.
-func (s *ProverServer) fetch(fileID string, index uint64) ([]byte, error) {
+// service latency on the connection's clock when the server simulates it.
+func (s *ProverServer) fetch(clock vclock.Clock, fileID string, index uint64) ([]byte, error) {
 	data, lookup, err := s.Provider.FetchSegment(fileID, int64(index))
 	if err != nil {
 		return nil, err
 	}
 	if s.SimulateServiceTime && lookup > 0 {
-		time.Sleep(lookup)
+		clock.Sleep(lookup)
 	}
 	return data, nil
 }
@@ -109,8 +124,9 @@ func (s *ProverServer) fetch(fileID string, index uint64) ([]byte, error) {
 // read loop once any stream hits a fatal write error, and the hand-off
 // between the read loop and the connection's stream workers.
 type muxServerConn struct {
-	w    frameWriter
-	dead atomic.Bool
+	w     frameWriter
+	dead  atomic.Bool
+	clock vclock.Clock // look-ups sleep on it
 
 	// jobs carries a decoded request to a parked worker. It is unbuffered:
 	// the read loop sends only after claiming a worker that has counted
@@ -148,7 +164,7 @@ func (m *muxServerConn) writeFrame(typ byte, stream uint32, payload []byte) bool
 // park between rounds instead of being started, and their stacks regrown,
 // once per frame. All of them are gone when serveMux returns.
 func (s *ProverServer) serveMux(conn net.Conn) {
-	m := &muxServerConn{w: frameWriter{conn: conn}, jobs: make(chan streamJob)}
+	m := &muxServerConn{w: frameWriter{conn: conn}, clock: clockOf(conn), jobs: make(chan streamJob)}
 	var sem chan struct{}
 	if s.Concurrency > 0 {
 		sem = make(chan struct{}, s.Concurrency)
@@ -212,7 +228,7 @@ func (s *ProverServer) serveMux(conn net.Conn) {
 // reply does, and must find this worker rather than start another.
 func (s *ProverServer) streamWorker(m *muxServerConn, sem chan struct{}, job streamJob) {
 	for ok := true; ok; job, ok = <-m.jobs {
-		data, err := s.fetch(job.fileID, job.index)
+		data, err := s.fetch(m.clock, job.fileID, job.index)
 		m.idle.Add(1)
 		if err != nil {
 			m.writeFrame(wire.TypeError, job.stream, wire.ErrorMessage{Msg: err.Error()}.Encode())

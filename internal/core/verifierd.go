@@ -23,10 +23,7 @@ type VerifierServer struct {
 	// business; the TPA reads the form off the transcript.
 	Runner AuditRunner
 
-	mu     sync.Mutex
-	closed bool
-	lis    net.Listener
-	wg     sync.WaitGroup
+	acceptLoop
 }
 
 // maxConnAudits bounds the audits one TPA connection may have in flight.
@@ -35,37 +32,7 @@ type VerifierServer struct {
 const maxConnAudits = 256
 
 // Serve accepts TPA connections until the listener closes.
-func (s *VerifierServer) Serve(lis net.Listener) error {
-	s.mu.Lock()
-	s.lis = lis
-	s.mu.Unlock()
-	for {
-		conn, err := lis.Accept()
-		if err != nil {
-			s.wg.Wait()
-			return err
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.handle(conn)
-		}()
-	}
-}
-
-// Close stops accepting TPA connections.
-func (s *VerifierServer) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	if s.lis != nil {
-		return s.lis.Close()
-	}
-	return nil
-}
+func (s *VerifierServer) Serve(lis net.Listener) error { return s.serve(lis, 0, s.handle) }
 
 // handle serves one TPA connection: the handshake, then a read loop that
 // answers pings itself and runs every audit request on its own goroutine,

@@ -24,8 +24,7 @@ type dynFixture struct {
 	store    *Store
 	verifier *core.Verifier
 	auditor  *Auditor
-	conn     *core.SimProverConn
-	net      *simnet.Network
+	conn     *core.MuxProverConn
 }
 
 func newDynFixture(t *testing.T, providerDisk disk.Model, lanKm float64) *dynFixture {
@@ -48,12 +47,27 @@ func newDynFixture(t *testing.T, providerDisk disk.Model, lanKm float64) *dynFix
 	clk := vclock.NewVirtual(time.Time{})
 	net := simnet.New(clk, 11)
 	provider := &Provider{Store: store, Position: geo.Brisbane, Disk: providerDisk}
-	net.AddNode("verifier", geo.Brisbane, nil)
-	net.AddNode("prover", geo.Brisbane, core.ProviderHandler(provider))
+	net.AddNode("verifier", geo.Brisbane)
+	net.AddNode("prover", geo.Brisbane)
 	net.SetLink("verifier", "prover", simnet.LANLink{
 		DistanceKm: lanKm, Switches: 3,
 		PerSwitch: 30 * time.Microsecond, Base: 100 * time.Microsecond,
 	})
+	lis, err := net.Listen("prover")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := &core.ProverServer{Provider: provider, SimulateServiceTime: true}
+	go srv.Serve(lis)
+	pool := &core.ProverPool{Dial: net.Dialer("verifier")}
+	t.Cleanup(func() {
+		pool.Close()
+		srv.Close()
+	})
+	conn, _, err := pool.Get("prover")
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	signer, err := crypt.NewSigner()
 	if err != nil {
@@ -69,8 +83,7 @@ func newDynFixture(t *testing.T, providerDisk disk.Model, lanKm float64) *dynFix
 		Policy: core.DefaultPolicy(cloud.SLA{Center: geo.Brisbane, RadiusKm: 100}),
 	}
 	return &dynFixture{
-		client: client, store: store, verifier: verifier, auditor: auditor, net: net,
-		conn: &core.SimProverConn{Net: net, Verifier: "verifier", Prover: "prover"},
+		client: client, store: store, verifier: verifier, auditor: auditor, conn: conn,
 	}
 }
 

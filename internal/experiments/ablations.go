@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/blockfile"
 	"repro/internal/cloud"
-	"repro/internal/core"
 	"repro/internal/crypt"
 	"repro/internal/disk"
 	"repro/internal/geo"
@@ -130,19 +129,18 @@ func E10Ablations(seed int64) (Table, error) {
 
 	// --- Δt_max headroom under disk load ---
 	for _, extra := range []time.Duration{0, time.Millisecond, 3 * time.Millisecond, 5 * time.Millisecond} {
-		dep, err := newDeployment(nil, seed+int64(extra/time.Millisecond)+77)
+		dep, err := newDeployment(seed + int64(extra/time.Millisecond) + 77)
 		if err != nil {
 			return t, err
 		}
+		defer dep.close()
 		site := cloud.NewSite(cloud.DataCenter{Name: "bne", Position: geo.Brisbane, Disk: disk.WD2500JD}, seed)
 		site.Store(dep.ef.FileID, dep.ef.Layout, dep.ef.Data)
 		var provider cloud.Provider = &cloud.HonestProvider{Site: site}
 		if extra > 0 {
 			provider = &cloud.ThrottledProvider{Inner: provider, Extra: extra}
 		}
-		if err := dep.net.SetHandler("prover", core.ProviderHandler(provider)); err != nil {
-			return t, err
-		}
+		dep.srv.Provider = provider
 		rep, err := dep.audit(8)
 		if err != nil {
 			return t, err

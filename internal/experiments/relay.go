@@ -18,19 +18,21 @@ import (
 	"repro/internal/vclock"
 )
 
-// deployment is a ready-to-audit simulated GeoProof installation.
+// deployment is a ready-to-audit simulated GeoProof installation: a
+// ProverServer on the prover's node, and the verifier's pool dialing it.
+// Set srv.Provider before the first audit.
 type deployment struct {
 	enc      *por.Encoder
 	ef       *por.EncodedFile
 	verifier *core.Verifier
 	tpa      *core.TPA
-	conn     *core.SimProverConn
-	net      *simnet.Network
+	srv      *core.ProverServer
+	pool     *core.ProverPool
 }
 
-// newDeployment wires owner, verifier, TPA and the given provider into a
-// simulated Brisbane installation.
-func newDeployment(provider cloud.Provider, seed int64) (*deployment, error) {
+// newDeployment wires owner, verifier, TPA and a prover server into a
+// simulated Brisbane installation; close releases it.
+func newDeployment(seed int64) (*deployment, error) {
 	params := blockfile.Params{BlockSize: 16, ChunkData: 223, ChunkTotal: 255, SegmentBlocks: 5, TagBits: 20}
 	enc := por.NewEncoder([]byte("experiment-e6-master")).WithParams(params)
 	file := bytes.Repeat([]byte("relay-experiment-data-"), 2000)
@@ -48,17 +50,28 @@ func newDeployment(provider cloud.Provider, seed int64) (*deployment, error) {
 	if err != nil {
 		return nil, err
 	}
-	net.AddNode("verifier", geo.Brisbane, nil)
-	net.AddNode("prover", geo.Brisbane, core.ProviderHandler(provider))
+	net.AddNode("verifier", geo.Brisbane)
+	net.AddNode("prover", geo.Brisbane)
 	net.SetLink("verifier", "prover", lanLinkFor(0.5))
+	lis, err := net.Listen("prover")
+	if err != nil {
+		return nil, err
+	}
 	tpa, err := core.NewTPA(enc, signer.Public(), core.DefaultPolicy(cloud.SLA{Center: geo.Brisbane, RadiusKm: 100}))
 	if err != nil {
 		return nil, err
 	}
+	srv := &core.ProverServer{SimulateServiceTime: true}
+	go srv.Serve(lis)
 	return &deployment{
-		enc: enc, ef: ef, verifier: verifier, tpa: tpa, net: net,
-		conn: &core.SimProverConn{Net: net, Verifier: "verifier", Prover: "prover"},
+		enc: enc, ef: ef, verifier: verifier, tpa: tpa, srv: srv,
+		pool: &core.ProverPool{Dial: net.Dialer("verifier")},
 	}, nil
+}
+
+func (d *deployment) close() {
+	d.pool.Close()
+	d.srv.Close()
 }
 
 // storeAt creates a site with the given disk at a position and stores the
@@ -76,7 +89,8 @@ func (d *deployment) audit(k int) (core.Report, error) {
 	if err != nil {
 		return core.Report{}, err
 	}
-	st, err := d.verifier.RunAudit(context.Background(), req, d.conn)
+	runner := core.PooledRunner{Verifier: d.verifier, Addr: "prover", Pool: d.pool}
+	st, err := runner.RunAudit(context.Background(), req)
 	if err != nil {
 		return core.Report{}, err
 	}
@@ -94,14 +108,13 @@ func E6Relay(seed int64) (Table, error) {
 	}
 
 	// Honest baseline: average disk, local.
-	honest, err := newDeployment(nil, seed) // provider installed below
+	honest, err := newDeployment(seed)
 	if err != nil {
 		return t, err
 	}
+	defer honest.close()
 	localSite := storeAt(honest.ef, "bne-dc", geo.Brisbane, disk.WD2500JD, seed+1)
-	if err := honest.net.SetHandler("prover", core.ProviderHandler(&cloud.HonestProvider{Site: localSite})); err != nil {
-		return t, err
-	}
+	honest.srv.Provider = &cloud.HonestProvider{Site: localSite}
 	rep, err := honest.audit(10)
 	if err != nil {
 		return t, err
@@ -117,10 +130,11 @@ func E6Relay(seed int64) (Table, error) {
 	// Relay sweep: remote DC with fast disks at increasing distance.
 	var crossover float64 = -1
 	for _, distKm := range []float64{50, 100, 200, 360, 500, 720, 1000} {
-		dep, err := newDeployment(nil, seed+int64(distKm))
+		dep, err := newDeployment(seed + int64(distKm))
 		if err != nil {
 			return t, err
 		}
+		defer dep.close()
 		remotePos := geo.Position{LatDeg: geo.Brisbane.LatDeg - distKm/111.0, LonDeg: geo.Brisbane.LonDeg}
 		remote := storeAt(dep.ef, "remote-dc", remotePos, disk.IBM36Z15, seed+2)
 		relay := cloud.NewRelayProvider(
@@ -129,9 +143,7 @@ func E6Relay(seed int64) (Table, error) {
 			simnet.InternetLink{DistanceKm: distKm, LastMile: 500 * time.Microsecond, PathStretch: 1.0},
 			seed+3,
 		)
-		if err := dep.net.SetHandler("prover", core.ProviderHandler(relay)); err != nil {
-			return t, err
-		}
+		dep.srv.Provider = relay
 		rep, err := dep.audit(10)
 		if err != nil {
 			return t, err

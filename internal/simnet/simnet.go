@@ -4,15 +4,18 @@
 // Protocol code observes only round-trip times; simnet produces those RTTs
 // from the same physical model the paper reasons with: propagation at
 // 2c/3 in fibre LANs (§V-E) and an effective 4c/9 across Internet paths
-// (§V-F), plus last-mile, switching and service-time terms and optional
-// jitter. Time is virtual (vclock.Virtual), so simulations are fast and
-// perfectly reproducible.
+// (§V-F), plus last-mile and switching terms and optional jitter. Nodes
+// listen and dial streams that implement net.Conn (stream.go), so the
+// shipped transport runs over the simulator unchanged; Ping samples a
+// link alone. Time is virtual (vclock.Virtual), so simulations are fast
+// and perfectly reproducible.
 package simnet
 
 import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"time"
 
 	"repro/internal/geo"
@@ -23,13 +26,7 @@ import (
 var (
 	ErrUnknownNode = errors.New("simnet: unknown node")
 	ErrNoLink      = errors.New("simnet: no link between nodes")
-	ErrDropped     = errors.New("simnet: packet dropped")
 )
-
-// Handler services a request at a node, returning the response and the
-// local service time (e.g. a disk look-up) that elapses before the reply
-// leaves the node.
-type Handler func(req any) (resp any, service time.Duration)
 
 // Latency models the one-way delay of a link.
 type Latency interface {
@@ -96,65 +93,56 @@ func (l InternetLink) OneWay(rng *rand.Rand) time.Duration {
 	return d
 }
 
-// node is a registered endpoint.
-type node struct {
-	name    string
-	pos     geo.Position
-	handler Handler
-}
-
-// Network is a simulated network over a virtual clock. It is not safe for
-// concurrent use: simulations are single-threaded and deterministic by
-// design.
+// Network is a simulated network over a virtual clock. It is safe for
+// concurrent use; it is deterministic while one exchange at a time is in
+// flight, because every jitter draw comes from one seeded stream.
 type Network struct {
 	clock *vclock.Virtual
-	rng   *rand.Rand
-	nodes map[string]*node
-	links map[[2]string]Latency
-	drop  map[[2]string]float64 // loss probability per direction-agnostic pair
+
+	mu        sync.Mutex
+	rng       *rand.Rand
+	nodes     map[string]geo.Position
+	links     map[[2]string]Latency
+	listeners map[string]*listener
+	down      map[string]bool
+	live      []*streamConn // dialed streams, for SetDown to reset
 }
 
-// New creates an empty network with the given seed for jitter and loss
-// draws.
+// New creates an empty network with the given seed for jitter draws.
 func New(clock *vclock.Virtual, seed int64) *Network {
 	if clock == nil {
 		clock = vclock.NewVirtual(time.Time{})
 	}
 	return &Network{
-		clock: clock,
-		rng:   rand.New(rand.NewSource(seed)),
-		nodes: make(map[string]*node),
-		links: make(map[[2]string]Latency),
-		drop:  make(map[[2]string]float64),
+		clock:     clock,
+		rng:       rand.New(rand.NewSource(seed)),
+		nodes:     make(map[string]geo.Position),
+		links:     make(map[[2]string]Latency),
+		listeners: make(map[string]*listener),
+		down:      make(map[string]bool),
 	}
 }
 
 // Clock exposes the network's virtual clock.
 func (n *Network) Clock() *vclock.Virtual { return n.clock }
 
-// AddNode registers a named endpoint with a position and handler. Adding
-// an existing name replaces its handler and position.
-func (n *Network) AddNode(name string, pos geo.Position, h Handler) {
-	n.nodes[name] = &node{name: name, pos: pos, handler: h}
-}
-
-// SetHandler replaces the handler of an existing node.
-func (n *Network) SetHandler(name string, h Handler) error {
-	nd, ok := n.nodes[name]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownNode, name)
-	}
-	nd.handler = h
-	return nil
+// AddNode registers a named endpoint at a position. Adding an existing
+// name moves it.
+func (n *Network) AddNode(name string, pos geo.Position) {
+	n.mu.Lock()
+	n.nodes[name] = pos
+	n.mu.Unlock()
 }
 
 // Position returns a node's registered position.
 func (n *Network) Position(name string) (geo.Position, error) {
-	nd, ok := n.nodes[name]
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	pos, ok := n.nodes[name]
 	if !ok {
 		return geo.Position{}, fmt.Errorf("%w: %s", ErrUnknownNode, name)
 	}
-	return nd.pos, nil
+	return pos, nil
 }
 
 func pairKey(a, b string) [2]string {
@@ -166,15 +154,20 @@ func pairKey(a, b string) [2]string {
 
 // SetLink installs a bidirectional latency model between two nodes.
 func (n *Network) SetLink(a, b string, lat Latency) {
+	n.mu.Lock()
 	n.links[pairKey(a, b)] = lat
+	n.mu.Unlock()
 }
 
-// SetLoss sets the probability that any single packet on the link is lost.
-func (n *Network) SetLoss(a, b string, p float64) {
-	n.drop[pairKey(a, b)] = p
+// oneWay draws one delay on a link from the network's seeded stream.
+func (n *Network) oneWay(lat Latency) time.Duration {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return lat.OneWay(n.rng)
 }
 
 // linkFor resolves the latency model between two registered nodes.
+// Caller holds n.mu.
 func (n *Network) linkFor(a, b string) (Latency, error) {
 	if _, ok := n.nodes[a]; !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownNode, a)
@@ -189,55 +182,23 @@ func (n *Network) linkFor(a, b string) (Latency, error) {
 	return lat, nil
 }
 
-// RoundTrip sends req from node a to node b, runs b's handler and carries
-// the response back. It advances the virtual clock through both
-// propagation legs and the service time and returns the response together
-// with the RTT as node a would measure it on its own clock. Packet loss on
-// either leg surfaces as ErrDropped after the elapsed one-way delay.
-func (n *Network) RoundTrip(a, b string, req any) (resp any, rtt time.Duration, err error) {
-	lat, err := n.linkFor(a, b)
-	if err != nil {
-		return nil, 0, err
-	}
-	dst := n.nodes[b]
-	if dst.handler == nil {
-		return nil, 0, fmt.Errorf("simnet: node %s has no handler", b)
-	}
-	start := n.clock.Now()
-	lossP := n.drop[pairKey(a, b)]
-
-	// Forward leg.
-	d1 := lat.OneWay(n.rng)
-	n.clock.Advance(d1)
-	if lossP > 0 && n.rng.Float64() < lossP {
-		return nil, n.clock.Now().Sub(start), ErrDropped
-	}
-
-	// Service at b.
-	resp, service := dst.handler(req)
-	if service > 0 {
-		n.clock.Advance(service)
-	}
-
-	// Return leg.
-	d2 := lat.OneWay(n.rng)
-	n.clock.Advance(d2)
-	if lossP > 0 && n.rng.Float64() < lossP {
-		return nil, n.clock.Now().Sub(start), ErrDropped
-	}
-	return resp, n.clock.Now().Sub(start), nil
+// RoundLost draws one exchange's fate on a path that loses each packet
+// with probability p: its request and, when that got through, its reply.
+func RoundLost(rng *rand.Rand, p float64) bool {
+	return rng.Float64() < p || rng.Float64() < p
 }
 
-// Ping measures the RTT between a and b with a nil payload handler
-// bypass: it uses the link model only (no service time), like an ICMP
-// echo against the network stack.
+// Ping measures the RTT between a and b from the link model alone (no
+// service time), like an ICMP echo against the network stack, and
+// advances the clock by it.
 func (n *Network) Ping(a, b string) (time.Duration, error) {
+	n.mu.Lock()
 	lat, err := n.linkFor(a, b)
-	if err != nil {
-		return 0, err
+	var rtt time.Duration
+	if err == nil {
+		rtt = lat.OneWay(n.rng) + lat.OneWay(n.rng)
 	}
-	start := n.clock.Now()
-	n.clock.Advance(lat.OneWay(n.rng))
-	n.clock.Advance(lat.OneWay(n.rng))
-	return n.clock.Now().Sub(start), nil
+	n.mu.Unlock()
+	n.clock.Advance(rtt)
+	return rtt, err
 }

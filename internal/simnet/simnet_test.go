@@ -2,6 +2,8 @@ package simnet
 
 import (
 	"errors"
+	"io"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -13,58 +15,90 @@ func newTestNet() *Network {
 	return New(vclock.NewVirtual(time.Time{}), 1)
 }
 
-func TestRoundTripFixedLatency(t *testing.T) {
-	n := newTestNet()
-	n.AddNode("v", geo.Brisbane, nil)
-	n.AddNode("p", geo.Brisbane, func(req any) (any, time.Duration) {
-		return "pong", 2 * time.Millisecond
-	})
-	n.SetLink("v", "p", Fixed(500*time.Microsecond))
-
-	resp, rtt, err := n.RoundTrip("v", "p", "ping")
+// echo serves one stream on node p: it reads one request, spends service
+// on the clock, and writes the request back.
+func echo(t *testing.T, n *Network, service time.Duration) {
+	t.Helper()
+	lis, err := n.Listen("p")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp != "pong" {
-		t.Fatalf("resp=%v", resp)
+	t.Cleanup(func() { lis.Close() })
+	go func() {
+		c, err := lis.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		buf := make([]byte, 4)
+		if _, err := io.ReadFull(c, buf); err != nil {
+			return
+		}
+		n.Clock().Sleep(service)
+		c.Write(buf)
+	}()
+}
+
+// roundTrip writes req on a fresh stream from v to p and reads the echo,
+// returning the round trip on the network's clock.
+func roundTrip(t *testing.T, n *Network) time.Duration {
+	t.Helper()
+	c, err := n.Dial("v", "p")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rtt != 3*time.Millisecond {
+	defer c.Close()
+	start := n.Clock().Now()
+	if _, err := c.Write([]byte("ping")); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 4)
+	if _, err := io.ReadFull(c, buf); err != nil || string(buf) != "ping" {
+		t.Fatalf("echo %q, %v", buf, err)
+	}
+	return n.Clock().Now().Sub(start)
+}
+
+func TestRoundTripFixedLatency(t *testing.T) {
+	n := newTestNet()
+	n.AddNode("v", geo.Brisbane)
+	n.AddNode("p", geo.Brisbane)
+	n.SetLink("v", "p", Fixed(500*time.Microsecond))
+	echo(t, n, 2*time.Millisecond)
+	if rtt := roundTrip(t, n); rtt != 3*time.Millisecond {
 		t.Fatalf("rtt=%v, want 3ms (2×0.5 propagation + 2 service)", rtt)
 	}
 }
 
 func TestRoundTripAdvancesClock(t *testing.T) {
 	n := newTestNet()
-	n.AddNode("a", geo.Brisbane, nil)
-	n.AddNode("b", geo.Brisbane, func(any) (any, time.Duration) { return nil, 0 })
-	n.SetLink("a", "b", Fixed(time.Millisecond))
+	n.AddNode("v", geo.Brisbane)
+	n.AddNode("p", geo.Brisbane)
+	n.SetLink("v", "p", LANLink{Base: time.Millisecond, Jitter: time.Millisecond})
+	echo(t, n, 0)
 	before := n.Clock().Now()
-	_, rtt, err := n.RoundTrip("a", "b", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := n.Clock().Now().Sub(before); got != rtt {
-		t.Fatalf("clock advanced %v but measured rtt %v", got, rtt)
+	rtt := roundTrip(t, n)
+	if got := n.Clock().Now().Sub(before); got != rtt || rtt < 2*time.Millisecond || rtt >= 4*time.Millisecond {
+		t.Fatalf("clock advanced %v, measured rtt %v; want equal, in [2ms, 4ms)", got, rtt)
 	}
 }
 
 func TestRoundTripErrors(t *testing.T) {
 	n := newTestNet()
-	n.AddNode("a", geo.Brisbane, nil)
-	if _, _, err := n.RoundTrip("a", "ghost", nil); !errors.Is(err, ErrUnknownNode) {
+	n.AddNode("a", geo.Brisbane)
+	if _, err := n.Dial("a", "ghost"); !errors.Is(err, ErrUnknownNode) {
 		t.Fatalf("unknown node: %v", err)
 	}
-	n.AddNode("b", geo.Brisbane, func(any) (any, time.Duration) { return nil, 0 })
-	if _, _, err := n.RoundTrip("a", "b", nil); !errors.Is(err, ErrNoLink) {
+	if _, err := n.Listen("ghost"); !errors.Is(err, ErrUnknownNode) {
+		t.Fatalf("listen on unknown node: %v", err)
+	}
+	n.AddNode("b", geo.Brisbane)
+	if _, err := n.Dial("a", "b"); !errors.Is(err, ErrNoLink) {
 		t.Fatalf("no link: %v", err)
 	}
 	n.SetLink("a", "b", Fixed(0))
-	_ = n.SetHandler("b", nil)
-	if _, _, err := n.RoundTrip("a", "b", nil); err == nil {
-		t.Fatal("nil handler accepted")
-	}
-	if err := n.SetHandler("ghost", nil); !errors.Is(err, ErrUnknownNode) {
-		t.Fatalf("SetHandler ghost: %v", err)
+	if _, err := n.Dial("a", "b"); !errors.Is(err, ErrRefused) {
+		t.Fatalf("dial without a listener: %v", err)
 	}
 	if _, err := n.Position("ghost"); !errors.Is(err, ErrUnknownNode) {
 		t.Fatalf("Position ghost: %v", err)
@@ -72,17 +106,18 @@ func TestRoundTripErrors(t *testing.T) {
 }
 
 func TestPacketLoss(t *testing.T) {
-	n := newTestNet()
-	n.AddNode("a", geo.Brisbane, nil)
-	n.AddNode("b", geo.Brisbane, func(any) (any, time.Duration) { return nil, 0 })
-	n.SetLink("a", "b", Fixed(time.Millisecond))
-	n.SetLoss("a", "b", 1.0)
-	if _, _, err := n.RoundTrip("a", "b", nil); !errors.Is(err, ErrDropped) {
-		t.Fatalf("got %v, want ErrDropped", err)
-	}
-	n.SetLoss("a", "b", 0)
-	if _, _, err := n.RoundTrip("a", "b", nil); err != nil {
-		t.Fatalf("lossless link dropped: %v", err)
+	const rounds = 4000
+	for _, tc := range []struct{ p, lo, hi float64 }{{0, 0, 0}, {0.5, 0.72, 0.78}, {1, 1, 1}} {
+		rng := rand.New(rand.NewSource(3))
+		lost := 0
+		for i := 0; i < rounds; i++ {
+			if RoundLost(rng, tc.p) {
+				lost++
+			}
+		}
+		if rate := float64(lost) / rounds; rate < tc.lo || rate > tc.hi {
+			t.Errorf("p=%v: lost %.3f of rounds, want within [%v, %v] (1-(1-p)²)", tc.p, rate, tc.lo, tc.hi)
+		}
 	}
 }
 
@@ -118,8 +153,8 @@ func TestInternetLinkScalesWithDistance(t *testing.T) {
 
 func TestPing(t *testing.T) {
 	n := newTestNet()
-	n.AddNode("a", geo.Brisbane, nil)
-	n.AddNode("b", geo.Sydney, nil)
+	n.AddNode("a", geo.Brisbane)
+	n.AddNode("b", geo.Sydney)
 	n.SetLink("a", "b", Fixed(7*time.Millisecond))
 	rtt, err := n.Ping("a", "b")
 	if err != nil {
@@ -130,83 +165,5 @@ func TestPing(t *testing.T) {
 	}
 	if _, err := n.Ping("a", "ghost"); err == nil {
 		t.Fatal("ping to unknown node accepted")
-	}
-}
-
-func TestSchedulerOrdering(t *testing.T) {
-	clk := vclock.NewVirtual(time.Time{})
-	s := NewScheduler(clk)
-	var order []int
-	base := clk.Now()
-	s.At(base.Add(3*time.Millisecond), func() { order = append(order, 3) })
-	s.At(base.Add(1*time.Millisecond), func() { order = append(order, 1) })
-	s.At(base.Add(2*time.Millisecond), func() { order = append(order, 2) })
-	if ran := s.Run(base.Add(time.Second)); ran != 3 {
-		t.Fatalf("ran %d events", ran)
-	}
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Fatalf("order=%v", order)
-	}
-	if got := clk.Now().Sub(base); got != 3*time.Millisecond {
-		t.Fatalf("clock at %v after run", got)
-	}
-}
-
-func TestSchedulerSameInstantFIFO(t *testing.T) {
-	s := NewScheduler(nil)
-	at := s.Clock().Now().Add(time.Millisecond)
-	var order []int
-	for i := 0; i < 5; i++ {
-		i := i
-		s.At(at, func() { order = append(order, i) })
-	}
-	s.Drain(100)
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("same-instant events ran out of order: %v", order)
-		}
-	}
-}
-
-func TestSchedulerAfterAndCascade(t *testing.T) {
-	s := NewScheduler(nil)
-	var fired int
-	s.After(time.Millisecond, func() {
-		fired++
-		s.After(time.Millisecond, func() { fired++ })
-	})
-	if ran := s.Drain(10); ran != 2 {
-		t.Fatalf("drain ran %d", ran)
-	}
-	if fired != 2 {
-		t.Fatalf("fired=%d", fired)
-	}
-	if s.Pending() != 0 {
-		t.Fatal("queue not empty")
-	}
-}
-
-func TestSchedulerDrainCap(t *testing.T) {
-	s := NewScheduler(nil)
-	var reschedule func()
-	reschedule = func() { s.After(time.Millisecond, reschedule) }
-	s.After(time.Millisecond, reschedule)
-	if ran := s.Drain(50); ran != 50 {
-		t.Fatalf("drain cap ran %d", ran)
-	}
-}
-
-func TestSchedulerRunRespectsUntil(t *testing.T) {
-	s := NewScheduler(nil)
-	base := s.Clock().Now()
-	var fired int
-	s.At(base.Add(time.Millisecond), func() { fired++ })
-	s.At(base.Add(time.Hour), func() { fired++ })
-	s.Run(base.Add(time.Minute))
-	if fired != 1 {
-		t.Fatalf("fired=%d, want 1", fired)
-	}
-	if s.Pending() != 1 {
-		t.Fatal("future event lost")
 	}
 }

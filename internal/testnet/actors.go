@@ -1,10 +1,10 @@
 package testnet
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math/rand"
 	"time"
 
 	"repro/internal/cloud"
@@ -13,8 +13,6 @@ import (
 	"repro/internal/geo"
 	"repro/internal/gps"
 	"repro/internal/simnet"
-
-	"sync/atomic"
 )
 
 // lanLink is the on-site path between a prover and its co-located
@@ -34,23 +32,26 @@ func seedFor(seed int64, name string) int64 {
 	return seed ^ int64(h.Sum64())
 }
 
-// gateConn wraps a simulated prover connection with a kill switch: while
-// down, every exchange fails like an unreachable site.
-type gateConn struct {
-	inner core.ProverConn
-	down  atomic.Bool
+// lossyProvider is a flaky site's packet loss (simnet.RoundLost). A lost
+// round is answered with an error frame, so it fails alone and the
+// connection carries the rest of the audit. Its draws are serial because
+// a scenario has one exchange in flight at a time.
+type lossyProvider struct {
+	cloud.Provider
+	p   float64
+	rng *rand.Rand
 }
 
-func (c *gateConn) GetSegment(ctx context.Context, fileID string, index uint64) ([]byte, error) {
-	if c.down.Load() {
-		return nil, errors.New("site unreachable")
+func (l *lossyProvider) FetchSegment(fileID string, i int64) ([]byte, time.Duration, error) {
+	if simnet.RoundLost(l.rng, l.p) {
+		return nil, 0, errors.New("packet lost")
 	}
-	return c.inner.GetSegment(ctx, fileID, index)
+	return l.Provider.FetchSegment(fileID, i)
 }
 
 // member is one instantiated prover: its group's behavior made concrete
-// as a site, a provider personality, a co-located verifier device and a
-// gated connection.
+// as a site, a provider personality and a co-located verifier device,
+// each on its own node of the simulated network.
 type member struct {
 	name  string
 	group ProverGroup
@@ -63,7 +64,6 @@ type member struct {
 	truePos geo.Position
 
 	site *cloud.Site
-	gate *gateConn
 	spec core.ProverSpec
 	// relayRTT is the extra round trip every timed exchange eats when the
 	// data lives away from the claimed site (relay and colluding fronts).

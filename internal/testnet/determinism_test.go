@@ -20,17 +20,13 @@ func TestNoWallClockOrGlobalRand(t *testing.T) {
 		"../simnet", "../vclock", "../dbound", "../geoloc", "../geo",
 		"../gps", "../cloud", "../core", "../testnet", "../telemetry",
 	}
-	// Files that legitimately touch the wall clock or crypto/rand: the
-	// live-TCP transports and daemons (excluded wholesale) — scenario
-	// runs never construct them. telemetry/logging.go only builds slog
+	// Files excluded wholesale: telemetry/logging.go only builds slog
 	// handlers for the daemons; the metrics and trace cores stay fully
-	// under the contract.
+	// under the contract. The transport (mux.go, tcp.go, pool.go,
+	// verifierd.go) is under it too: scenarios run it, and it reads its
+	// clock from the connection.
 	excludedFiles := map[string]bool{
-		"tcp.go":       true,
-		"mux.go":       true,
-		"pool.go":      true,
-		"verifierd.go": true,
-		"logging.go":   true,
+		"logging.go": true,
 	}
 	// Specific (file, token) allowances, each a deliberate seam:
 	//   vclock.go   — Real is the wall-clock implementation itself;

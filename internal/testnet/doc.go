@@ -14,7 +14,9 @@
 //     device in tow (audits pass; only landmark multilateration —
 //     geoloc.DetectDrift — flags the moved site),
 //   - storage corruption (MAC rejects), added service delay, packet loss
-//     and scripted churn (kill/restore/leave/join).
+//     (a lost round fails alone with an error frame) and scripted churn
+//     (kill takes the member's node down: dials are refused and live
+//     streams reset; restore/leave/join).
 //
 // Each spec also declares the expected outcome: a per-group verdict
 // class over the (tenant, prover) matrix, health-machine paths and final
@@ -24,17 +26,24 @@
 //
 // # Determinism contract
 //
-// A scenario is a pure function of its Spec (including Seed). Everything
-// runs on one virtual clock (vclock.Virtual) starting at a fixed epoch;
-// every random stream — simnet jitter and loss, fleet audit jitter, TPA
-// challenge nonces, dbound sessions, drift probes — is derived from Seed
-// via seedFor. The scheduler runs Workers=1, Timeout=0 and the
-// controller Synchronous=true, so no goroutine interleaving can reorder
-// observations. ECDSA signatures do use crypto/rand, but signature bytes
-// never enter the trace (only SignatureOK verdicts, which are
-// deterministic). Consequently two Runs of the same Spec produce
-// byte-identical traces; TraceHash and AssertReplay enforce this, and
-// determinism_test.go lint-checks the deterministic packages for stray
+// A scenario is a pure function of its Spec (including Seed). Audits and
+// probes run on the shipped transport — each member's ProverServer
+// listens on its simnet node and one ProverPool dials them all, so every
+// round is a mux exchange over a simnet stream — and everything runs on
+// one virtual clock (vclock.Virtual) starting at a fixed epoch: a stream
+// read moves the clock to the bytes' arrival, a look-up sleeps on it.
+// Every random stream — link jitter, packet loss, fleet audit jitter,
+// TPA challenge nonces, dbound sessions, drift probes — is derived from
+// Seed via seedFor. The transport runs on goroutines (demux loops, prover
+// workers), but the scheduler runs Workers=1, Timeout=0 and the
+// controller Synchronous=true, so only one exchange is ever in flight:
+// each clock move and each jitter draw follows from the one before, and
+// no goroutine interleaving can reorder observations. ECDSA signatures
+// do use crypto/rand, but signature bytes never enter the trace (only
+// SignatureOK verdicts, which are deterministic). Consequently two Runs
+// of the same Spec produce byte-identical traces; TraceHash and
+// AssertReplay enforce this, and determinism_test.go lint-checks the
+// deterministic packages — the transport included — for stray
 // wall-clock or global-rand calls that would silently break the
 // contract.
 //

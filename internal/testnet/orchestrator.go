@@ -1,11 +1,10 @@
 package testnet
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math/rand"
+	"net"
 	"sort"
 	"strings"
 	"sync"
@@ -22,22 +21,24 @@ import (
 	"repro/internal/vclock"
 )
 
-// world is the running state of one scenario: the simulated network, the
-// tenant population, the instantiated members and the fleet controller,
-// plus every observation stream that ends up in the trace.
+// world is the running state of one scenario: the simulated network with
+// a ProverServer listening on every member's node and one connection pool
+// dialing them, the tenant population, the instantiated members and the
+// fleet controller, plus every observation stream that ends up in the
+// trace.
 type world struct {
 	spec    Spec
 	clk     *vclock.Virtual
 	net     *simnet.Network
+	pool    *core.ProverPool
+	servers []*core.ProverServer
 	signer  *crypt.Signer
-	simLock sync.Mutex
 
-	members  []*member
-	byName   map[string]*member
-	tenants  []*worldTenant
-	ctl      *core.FleetController
-	tracer   *telemetry.AuditTracer
-	verifier map[string]*core.Verifier
+	members []*member
+	byName  map[string]*member
+	tenants []*worldTenant
+	ctl     *core.FleetController
+	tracer  *telemetry.AuditTracer
 
 	transitions []string
 	churnLog    []string
@@ -103,13 +104,20 @@ func Run(spec Spec) (*Result, error) {
 	spec = spec.withDefaults()
 
 	w := &world{
-		spec:     spec,
-		clk:      vclock.NewVirtual(virtualStart),
-		byName:   map[string]*member{},
-		verifier: map[string]*core.Verifier{},
-		cells:    map[cellKey]*Cell{},
+		spec:   spec,
+		clk:    vclock.NewVirtual(virtualStart),
+		byName: map[string]*member{},
+		cells:  map[cellKey]*Cell{},
 	}
 	w.net = simnet.New(w.clk, spec.Seed)
+	// Each member's verifier device dials its own site: node "v:<name>".
+	w.pool = &core.ProverPool{Dial: func(addr string) (net.Conn, error) { return w.net.Dial("v:"+addr, addr) }}
+	defer func() {
+		w.pool.Close()
+		for _, srv := range w.servers {
+			srv.Close()
+		}
+	}()
 	var err error
 	if w.signer, err = crypt.NewSigner(); err != nil {
 		return nil, err
@@ -233,6 +241,7 @@ func (w *world) setupController() {
 		Clock:        w.clk,
 		Seed:         w.spec.Seed,
 		Synchronous:  true,
+		Pool:         w.pool,
 		OnTransition: func(prover string, from, to core.Health, reason string) {
 			w.transitions = append(w.transitions,
 				fmt.Sprintf("%s %s: %s -> %s (%s)", w.tickStamp(), prover, from, to, reason))
@@ -288,41 +297,41 @@ func (w *world) placeAndRegister() error {
 	return nil
 }
 
-// wireMember puts the member and its verifier device on the simulated
-// network and registers it with the fleet controller.
+// wireMember puts the member's site and its verifier device on the
+// simulated network, starts the site's prover server and registers the
+// member with the fleet controller: audits and probes ride the world's
+// pool to the server, as they would over TCP.
 func (w *world) wireMember(m *member, tasks []core.AuditTask) error {
 	provider, err := m.provider(w.spec.Seed)
 	if err != nil {
 		return err
 	}
+	if m.group.Behavior == BehaviorFlaky && m.group.LossPct > 0 {
+		rng := rand.New(rand.NewSource(seedFor(w.spec.Seed, "loss:"+m.name)))
+		provider = &lossyProvider{Provider: provider, p: m.group.LossPct / 100, rng: rng}
+	}
 	// The verifier device is co-located with the *claimed* site over a
 	// short LAN — for drifting provers it moved with the data, which is
 	// exactly why their timed audits keep passing.
-	w.net.AddNode(m.name, m.claimed, core.ProviderHandler(provider))
-	w.net.AddNode(m.vnode(), m.claimed, nil)
+	w.net.AddNode(m.name, m.claimed)
+	w.net.AddNode(m.vnode(), m.claimed)
 	w.net.SetLink(m.vnode(), m.name, lanLink)
-	if m.group.Behavior == BehaviorFlaky && m.group.LossPct > 0 {
-		w.net.SetLoss(m.vnode(), m.name, m.group.LossPct/100)
+	lis, err := w.net.Listen(m.name)
+	if err != nil {
+		return err
 	}
+	srv := &core.ProverServer{Provider: provider, SimulateServiceTime: true}
+	go srv.Serve(lis)
+	w.servers = append(w.servers, srv)
 	verifier, err := core.NewVerifier(w.signer, m.receiver(), w.clk)
 	if err != nil {
 		return err
 	}
-	w.verifier[m.name] = verifier
-	m.gate = &gateConn{inner: &core.SimProverConn{Net: w.net, Verifier: m.vnode(), Prover: m.name}}
-	gate := m.gate
-	vnode, name := m.vnode(), m.name
 	m.spec = core.ProverSpec{
-		Runner: &core.LocalRunner{Verifier: verifier, Conn: gate, Lock: &w.simLock},
-		Probe: func(ctx context.Context) (time.Duration, error) {
-			if gate.down.Load() {
-				return 0, errors.New("ping: site unreachable")
-			}
-			w.simLock.Lock()
-			defer w.simLock.Unlock()
-			return w.net.Ping(vnode, name)
-		},
-		Tasks: tasks,
+		Runner: &core.PooledRunner{Verifier: verifier, Addr: m.name, Pool: w.pool},
+		Probe:  core.PoolProbe(w.pool, m.name),
+		Addr:   m.name,
+		Tasks:  tasks,
 	}
 	return w.ctl.Register(m.name, m.spec)
 }
@@ -340,9 +349,9 @@ func (w *world) applyChurn(tick int) error {
 		}
 		switch ev.Action {
 		case "kill":
-			m.gate.down.Store(true)
+			w.net.SetDown(m.name, true)
 		case "restore":
-			m.gate.down.Store(false)
+			w.net.SetDown(m.name, false)
 		case "leave":
 			if err := w.ctl.Deregister(m.name, true); err != nil {
 				return err
@@ -352,7 +361,7 @@ func (w *world) applyChurn(tick int) error {
 			if !m.departed {
 				return fmt.Errorf("testnet: churn join of %q which never left", ev.Target)
 			}
-			m.gate.down.Store(false)
+			w.net.SetDown(m.name, false)
 			if err := w.ctl.Register(m.name, m.spec); err != nil {
 				return err
 			}

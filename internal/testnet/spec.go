@@ -101,8 +101,9 @@ type ProverGroup struct {
 type ChurnEvent struct {
 	AtTick int `json:"atTick"`
 	// Action is one of:
-	//   kill    — the prover's network gate drops (probes and audits fail);
-	//   restore — the gate reopens;
+	//   kill    — the prover's node goes down: dials are refused and live
+	//             streams reset, so probes and audits fail;
+	//   restore — the node comes back up;
 	//   leave   — graceful deregistration (in-flight audits drain);
 	//   join    — re-register a previously departed member.
 	Action string `json:"action"`

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net"
 	"os"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,15 +15,19 @@ import (
 	"repro/internal/core"
 	"repro/internal/crypt"
 	"repro/internal/disk"
-	"repro/internal/experiments"
 	"repro/internal/geo"
 	"repro/internal/gps"
 	"repro/internal/por"
+	"repro/internal/simnet"
 	"repro/internal/telemetry"
+	"repro/internal/vclock"
 )
 
-// transportFixture stands up a loopback prover serving one encoded file
-// and a wall-clock verifier, shared by the transport tests. It keeps the
+// transportFixture stands up a prover serving one encoded file and a
+// verifier, shared by the transport tests: on TCP loopback with a
+// wall-clock verifier, or on a simulated network's node "prover" with the
+// look-up slept and every round timed on the network's virtual clock. It
+// keeps the
 // tenant encoder, file layout and verifier signing key so tests can also
 // run the TPA side of the path. Throughput on this path is measured by
 // the audit-loopback workload in bench/, not here.
@@ -46,12 +51,12 @@ func benchData(n int) []byte {
 }
 
 func newTransportFixture(tb testing.TB, k int) *transportFixture {
-	return newTransportFixtureOn(tb, k, disk.WD2500JD, false)
+	return newTransportFixtureOn(tb, k, disk.WD2500JD, nil)
 }
 
-// newTransportFixtureOn picks the prover's disk model and whether the
-// server sleeps its look-up time on every round.
-func newTransportFixtureOn(tb testing.TB, k int, model disk.Model, simulate bool) *transportFixture {
+// newTransportFixtureOn picks the prover's disk model and its network: TCP
+// when sim is nil, sim's node "prover" otherwise.
+func newTransportFixtureOn(tb testing.TB, k int, model disk.Model, sim *simnet.Network) *transportFixture {
 	tb.Helper()
 	enc := por.NewEncoder([]byte("transport-master"))
 	ef, err := enc.Encode("transport-file", benchData(256<<10))
@@ -60,18 +65,25 @@ func newTransportFixtureOn(tb testing.TB, k int, model disk.Model, simulate bool
 	}
 	site := cloud.NewSite(cloud.DataCenter{Name: "bne", Position: geo.Brisbane, Disk: model}, 1)
 	site.Store(ef.FileID, ef.Layout, ef.Data)
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	var lis net.Listener
+	var clock vclock.Clock
+	if sim == nil {
+		lis, err = net.Listen("tcp", "127.0.0.1:0")
+	} else {
+		lis, err = sim.Listen("prover")
+		clock = sim.Clock()
+	}
 	if err != nil {
 		tb.Fatal(err)
 	}
-	srv := &core.ProverServer{Provider: &cloud.HonestProvider{Site: site}, SimulateServiceTime: simulate}
+	srv := &core.ProverServer{Provider: &cloud.HonestProvider{Site: site}, SimulateServiceTime: sim != nil}
 	go srv.Serve(lis)
 
 	signer, err := crypt.NewSigner()
 	if err != nil {
 		tb.Fatal(err)
 	}
-	verifier, err := core.NewVerifier(signer, &gps.Receiver{True: geo.Brisbane}, nil)
+	verifier, err := core.NewVerifier(signer, &gps.Receiver{True: geo.Brisbane}, clock)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -158,9 +170,11 @@ func muxFrames() (n float64) {
 // ships — pool → mux → ProverServer sleeping its disk look-up → TPA — for
 // every Table I disk at k = 20 and Δt_max = 50 ms (the daemons' default):
 // an honest prover is accepted with every round inside one look-up plus
-// scheduling slack (so a round's time is that round's, not a running
-// sum), an audit costs exactly 2k mux frames on one dial, and the same
-// prover 60 ms further away is rejected on timing alone.
+// slack (so a round's time is that round's, not a running sum), an audit
+// costs exactly 2k mux frames on one dial, and the same prover 60 ms
+// further away is rejected on timing alone. It runs on a simulated
+// network, so the look-up is a virtual sleep and every round is timed on
+// the network's clock: the verdicts do not depend on how busy the host is.
 func TestProductionPathVerdicts(t *testing.T) {
 	const (
 		k        = 20
@@ -169,13 +183,20 @@ func TestProductionPathVerdicts(t *testing.T) {
 		relayRTT = 60 * time.Millisecond
 	)
 	for _, model := range disk.TableI() {
-		model := model
-		fx := newTransportFixtureOn(t, k, model, true)
+		// The verifier device sits one LAN hop from the prover; the relay
+		// front sits relayRTT of round trip away from the same data.
+		sim := simnet.New(vclock.NewVirtual(time.Time{}), 1)
+		sim.AddNode("verifier", geo.Brisbane)
+		sim.AddNode("relay", geo.Brisbane)
+		sim.AddNode("prover", geo.Brisbane)
+		sim.SetLink("verifier", "prover", simnet.LANLink{DistanceKm: 0.5, Switches: 3, PerSwitch: 30 * time.Microsecond, Base: 100 * time.Microsecond})
+		sim.SetLink("relay", "prover", simnet.Fixed(relayRTT/2))
+		fx := newTransportFixtureOn(t, k, model, sim)
 		t.Cleanup(fx.stop)
 		tpa := fx.newTPA(t, tmax)
 
 		t.Run(model.Name+"/honest", func(t *testing.T) {
-			pool := &core.ProverPool{DialTimeout: 5 * time.Second}
+			pool := &core.ProverPool{Dial: sim.Dialer("verifier")}
 			defer pool.Close()
 			before := muxFrames()
 			rep, err := pooledAudit(fx, tpa, pool, fx.addr)
@@ -196,18 +217,10 @@ func TestProductionPathVerdicts(t *testing.T) {
 				t.Fatalf("audit dialed %d times, want 1", d)
 			}
 		})
-		// The relayed audits only wait out their proxies' sleeps, so they
-		// run side by side once every frame count above has been taken.
 		t.Run(model.Name+"/relayed", func(t *testing.T) {
-			t.Parallel()
-			relay, stopRelay, err := experiments.DelayProxy(fx.addr, relayRTT)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer stopRelay()
-			pool := &core.ProverPool{DialTimeout: 5 * time.Second}
+			pool := &core.ProverPool{Dial: sim.Dialer("relay")}
 			defer pool.Close()
-			rep, err := pooledAudit(fx, tpa, pool, relay)
+			rep, err := pooledAudit(fx, tpa, pool, fx.addr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -272,7 +285,7 @@ func TestTransportSmoke(t *testing.T) {
 	// Emulated 2 ms WAN RTT: the k round trips are the distance bound, so
 	// no transport may finish an audit in less than k of them.
 	const wanRTT = 2 * time.Millisecond
-	wanAddr, stopProxy, err := experiments.DelayProxy(fx.addr, wanRTT)
+	wanAddr, stopProxy, err := delayProxy(fx.addr, wanRTT)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,4 +418,74 @@ func TestBatchSigningSmoke(t *testing.T) {
 	}
 	checkLedger(solo, core.AttestPerTranscript)
 	checkLedger(batch, core.AttestBatch)
+}
+
+// delayProxy forwards TCP connections to target, delaying every byte by
+// rtt/2 in each direction — a userspace WAN emulator for loopback
+// transport experiments. It models propagation, not serialisation: bytes
+// written together are delivered together one half-RTT later, so every
+// serial challenge/response round pays the RTT once, exactly as on a
+// real link. It returns the proxy's address and a shutdown func.
+func delayProxy(target string, rtt time.Duration) (string, func(), error) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return "", nil, err
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			conn, err := lis.Accept()
+			if err != nil {
+				return
+			}
+			up, err := net.Dial("tcp", target)
+			if err != nil {
+				conn.Close()
+				continue
+			}
+			wg.Add(2)
+			go delayPump(&wg, up, conn, rtt/2)
+			go delayPump(&wg, conn, up, rtt/2)
+		}
+	}()
+	return lis.Addr().String(), func() {
+		lis.Close()
+		wg.Wait()
+	}, nil
+}
+
+// delayPump copies src→dst, delivering each chunk oneWay after it was
+// read. Closing either side tears both down.
+func delayPump(wg *sync.WaitGroup, dst, src net.Conn, oneWay time.Duration) {
+	defer wg.Done()
+	type pkt struct {
+		b   []byte
+		due time.Time
+	}
+	ch := make(chan pkt, 4096)
+	go func() {
+		defer close(ch)
+		for {
+			buf := make([]byte, 32<<10)
+			n, err := src.Read(buf)
+			if n > 0 {
+				ch <- pkt{b: buf[:n], due: time.Now().Add(oneWay)}
+			}
+			if err != nil {
+				return
+			}
+		}
+	}()
+	for p := range ch {
+		time.Sleep(time.Until(p.due))
+		if _, err := dst.Write(p.b); err != nil {
+			break
+		}
+	}
+	dst.Close()
+	src.Close()
+	for range ch { // drain so the reader goroutine exits
+	}
 }
