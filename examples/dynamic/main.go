@@ -56,8 +56,6 @@ func run() error {
 	clk := vclock.NewVirtual(time.Time{})
 	net := simnet.New(clk, 21)
 	provider := &dpor.Provider{Store: store, Position: geo.Brisbane, Disk: disk.WD2500JD}
-	net.AddNode("verifier", geo.Brisbane)
-	net.AddNode("prover", geo.Brisbane)
 	net.SetLink("verifier", "prover", simnet.LANLink{
 		DistanceKm: 0.5, Switches: 3,
 		PerSwitch: 30 * time.Microsecond, Base: 100 * time.Microsecond,

@@ -245,6 +245,25 @@ func (p *ThrottledProvider) FetchSegment(fileID string, i int64) ([]byte, time.D
 	return data, lat + p.Extra, err
 }
 
+// LossyProvider serves a site over a path that loses packets with
+// probability P (simnet.RoundLost draws each round's fate). A lost round
+// fails alone with an error, which a transport answers with an error
+// frame, so the rest of the audit carries on. Rand must not be shared
+// between concurrent rounds.
+type LossyProvider struct {
+	Provider
+	P    float64
+	Rand *rand.Rand
+}
+
+// FetchSegment fails the rounds the path loses.
+func (p *LossyProvider) FetchSegment(fileID string, i int64) ([]byte, time.Duration, error) {
+	if simnet.RoundLost(p.Rand, p.P) {
+		return nil, 0, errors.New("packet lost")
+	}
+	return p.Provider.FetchSegment(fileID, i)
+}
+
 // SLA is the contracted storage location: data must stay within RadiusKm
 // of Center.
 type SLA struct {

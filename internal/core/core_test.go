@@ -42,7 +42,7 @@ func newFixture(t *testing.T, provider cloud.Provider) *fixture {
 		t.Fatal(err)
 	}
 
-	net, conn := simProver(t, geo.Brisbane, provider, 42)
+	net, conn := simProver(t, provider, 42)
 	signer, err := crypt.NewSigner()
 	if err != nil {
 		t.Fatal(err)
@@ -65,13 +65,10 @@ func newFixture(t *testing.T, provider cloud.Provider) *fixture {
 }
 
 // simProver puts provider behind a ProverServer on a fresh simulated
-// network — node "prover" one LAN hop from node "verifier", both at pos —
-// and returns the network and the verifier's pooled mux connection to it.
-func simProver(t *testing.T, pos geo.Position, provider cloud.Provider, seed int64) (*simnet.Network, *MuxProverConn) {
+// network — node "prover" one LAN hop from node "verifier" — and returns the network and the verifier's pooled mux connection to it.
+func simProver(t *testing.T, provider cloud.Provider, seed int64) (*simnet.Network, *MuxProverConn) {
 	t.Helper()
 	net := simnet.New(vclock.NewVirtual(time.Time{}), seed)
-	net.AddNode("verifier", pos)
-	net.AddNode("prover", pos)
 	// Verifier sits in the provider's LAN: §V-E says ≈1 ms RTT budget.
 	net.SetLink("verifier", "prover", simnet.LANLink{
 		DistanceKm: 0.5,
@@ -95,21 +92,6 @@ func simProver(t *testing.T, pos geo.Position, provider cloud.Provider, seed int
 		t.Fatal(err)
 	}
 	return net, conn
-}
-
-// dropProvider fails the rounds a link losing each packet with
-// probability p would lose, with an error frame.
-type dropProvider struct {
-	cloud.Provider
-	p   float64
-	rng *rand.Rand
-}
-
-func (d *dropProvider) FetchSegment(fileID string, i int64) ([]byte, time.Duration, error) {
-	if simnet.RoundLost(d.rng, d.p) {
-		return nil, 0, errors.New("dropped")
-	}
-	return d.Provider.FetchSegment(fileID, i)
 }
 
 func honestSite(t *testing.T, ef *por.EncodedFile) *cloud.Site {
@@ -294,7 +276,7 @@ func TestReplayedTranscriptRejectedByNonce(t *testing.T) {
 func TestDroppedRoundsWithinBudget(t *testing.T) {
 	_, ef := encodeTestFile(t)
 	site := honestSite(t, ef)
-	fx := newFixture(t, &dropProvider{Provider: &cloud.HonestProvider{Site: site}, p: 0.15, rng: rand.New(rand.NewSource(42))})
+	fx := newFixture(t, &cloud.LossyProvider{Provider: &cloud.HonestProvider{Site: site}, P: 0.15, Rand: rand.New(rand.NewSource(42))})
 
 	policy := fx.tpa.Policy()
 	policy.MaxFailedRounds = 40
@@ -317,7 +299,7 @@ func TestDroppedRoundsWithinBudget(t *testing.T) {
 func TestDroppedRoundsBeyondBudget(t *testing.T) {
 	_, ef := encodeTestFile(t)
 	site := honestSite(t, ef)
-	fx := newFixture(t, &dropProvider{Provider: &cloud.HonestProvider{Site: site}, p: 1, rng: rand.New(rand.NewSource(42))})
+	fx := newFixture(t, &cloud.LossyProvider{Provider: &cloud.HonestProvider{Site: site}, P: 1, Rand: rand.New(rand.NewSource(42))})
 
 	req, _ := fx.tpa.NewRequest(testFileID, fx.ef.Layout, 5)
 	st, err := fx.verifier.RunAudit(context.Background(), req, fx.conn)

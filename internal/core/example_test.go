@@ -41,8 +41,6 @@ func ExampleTPA_VerifyAudit() {
 	// the provider serves its node's listener.
 	clk := vclock.NewVirtual(time.Time{})
 	net := simnet.New(clk, 42)
-	net.AddNode("verifier", geo.Brisbane)
-	net.AddNode("prover", geo.Brisbane)
 	net.SetLink("verifier", "prover", simnet.LANLink{
 		DistanceKm: 0.5, Switches: 3,
 		PerSwitch: 30 * time.Microsecond, Base: 100 * time.Microsecond,

@@ -23,7 +23,7 @@ func replicaDeployment(t *testing.T, enc *por.Encoder, ef *por.EncodedFile, name
 	site := cloud.NewSite(cloud.DataCenter{Name: name, Position: pos, Disk: disk.WD2500JD}, seed)
 	site.Store(ef.FileID, ef.Layout, ef.Data)
 
-	net, conn := simProver(t, pos, &cloud.HonestProvider{Site: site}, seed)
+	net, conn := simProver(t, &cloud.HonestProvider{Site: site}, seed)
 	signer, err := crypt.NewSigner()
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +98,7 @@ func TestReplicationAuditBadReplicaRejected(t *testing.T) {
 		simnet.InternetLink{DistanceKm: geo.Sydney.DistanceKm(geo.Perth), LastMile: simnet.DefaultLastMile},
 		8,
 	)
-	net, conn := simProver(t, geo.Sydney, relay, 9)
+	net, conn := simProver(t, relay, 9)
 	signer, _ := crypt.NewSigner()
 	verifier, _ := NewVerifier(signer, &gps.Receiver{True: geo.Sydney}, net.Clock())
 	tpa, _ := NewTPA(enc, signer.Public(), DefaultPolicy(cloud.SLA{Center: geo.Sydney, RadiusKm: 100}))

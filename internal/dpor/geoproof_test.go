@@ -47,8 +47,6 @@ func newDynFixture(t *testing.T, providerDisk disk.Model, lanKm float64) *dynFix
 	clk := vclock.NewVirtual(time.Time{})
 	net := simnet.New(clk, 11)
 	provider := &Provider{Store: store, Position: geo.Brisbane, Disk: providerDisk}
-	net.AddNode("verifier", geo.Brisbane)
-	net.AddNode("prover", geo.Brisbane)
 	net.SetLink("verifier", "prover", simnet.LANLink{
 		DistanceKm: lanKm, Switches: 3,
 		PerSwitch: 30 * time.Microsecond, Base: 100 * time.Microsecond,

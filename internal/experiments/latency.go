@@ -63,11 +63,9 @@ func TableII(seed int64) Table {
 	}
 	clk := vclock.NewVirtual(time.Time{})
 	net := simnet.New(clk, seed)
-	net.AddNode("src", geo.Brisbane)
 	allUnder := true
 	for _, h := range geo.TableIIHosts() {
 		name := fmt.Sprintf("m%d", h.Machine)
-		net.AddNode(name, geo.Brisbane)
 		net.SetLink("src", name, lanLinkFor(h.DistanceKm))
 		rtt, err := net.Ping("src", name)
 		if err != nil {
@@ -104,12 +102,10 @@ func TableIII(seed int64) Table {
 	}
 	clk := vclock.NewVirtual(time.Time{})
 	net := simnet.New(clk, seed)
-	net.AddNode("bne", geo.Brisbane)
 
 	var dists, paperMs, simMs []float64
 	for i, h := range geo.TableIIIHosts() {
 		name := fmt.Sprintf("h%d", i)
-		net.AddNode(name, h.Position)
 		net.SetLink("bne", name, simnet.InternetLink{
 			DistanceKm: h.DistanceKm,
 			LastMile:   simnet.DefaultLastMile,

@@ -50,8 +50,6 @@ func newDeployment(seed int64) (*deployment, error) {
 	if err != nil {
 		return nil, err
 	}
-	net.AddNode("verifier", geo.Brisbane)
-	net.AddNode("prover", geo.Brisbane)
 	net.SetLink("verifier", "prover", lanLinkFor(0.5))
 	lis, err := net.Listen("prover")
 	if err != nil {

@@ -22,11 +22,8 @@ import (
 	"repro/internal/vclock"
 )
 
-// Errors reported by the simulator.
-var (
-	ErrUnknownNode = errors.New("simnet: unknown node")
-	ErrNoLink      = errors.New("simnet: no link between nodes")
-)
+// ErrNoLink reports two nodes that SetLink never joined.
+var ErrNoLink = errors.New("simnet: no link between nodes")
 
 // Latency models the one-way delay of a link.
 type Latency interface {
@@ -101,7 +98,6 @@ type Network struct {
 
 	mu        sync.Mutex
 	rng       *rand.Rand
-	nodes     map[string]geo.Position
 	links     map[[2]string]Latency
 	listeners map[string]*listener
 	down      map[string]bool
@@ -116,7 +112,6 @@ func New(clock *vclock.Virtual, seed int64) *Network {
 	return &Network{
 		clock:     clock,
 		rng:       rand.New(rand.NewSource(seed)),
-		nodes:     make(map[string]geo.Position),
 		links:     make(map[[2]string]Latency),
 		listeners: make(map[string]*listener),
 		down:      make(map[string]bool),
@@ -126,25 +121,6 @@ func New(clock *vclock.Virtual, seed int64) *Network {
 // Clock exposes the network's virtual clock.
 func (n *Network) Clock() *vclock.Virtual { return n.clock }
 
-// AddNode registers a named endpoint at a position. Adding an existing
-// name moves it.
-func (n *Network) AddNode(name string, pos geo.Position) {
-	n.mu.Lock()
-	n.nodes[name] = pos
-	n.mu.Unlock()
-}
-
-// Position returns a node's registered position.
-func (n *Network) Position(name string) (geo.Position, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	pos, ok := n.nodes[name]
-	if !ok {
-		return geo.Position{}, fmt.Errorf("%w: %s", ErrUnknownNode, name)
-	}
-	return pos, nil
-}
-
 func pairKey(a, b string) [2]string {
 	if a > b {
 		a, b = b, a
@@ -152,7 +128,8 @@ func pairKey(a, b string) [2]string {
 	return [2]string{a, b}
 }
 
-// SetLink installs a bidirectional latency model between two nodes.
+// SetLink installs a bidirectional latency model between two nodes. A
+// node is a name: it exists once a link joins it to another.
 func (n *Network) SetLink(a, b string, lat Latency) {
 	n.mu.Lock()
 	n.links[pairKey(a, b)] = lat
@@ -166,15 +143,9 @@ func (n *Network) oneWay(lat Latency) time.Duration {
 	return lat.OneWay(n.rng)
 }
 
-// linkFor resolves the latency model between two registered nodes.
+// linkFor resolves the latency model between two nodes.
 // Caller holds n.mu.
 func (n *Network) linkFor(a, b string) (Latency, error) {
-	if _, ok := n.nodes[a]; !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownNode, a)
-	}
-	if _, ok := n.nodes[b]; !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownNode, b)
-	}
 	lat, ok := n.links[pairKey(a, b)]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s-%s", ErrNoLink, a, b)

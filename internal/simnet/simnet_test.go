@@ -61,8 +61,6 @@ func roundTrip(t *testing.T, n *Network) time.Duration {
 
 func TestRoundTripFixedLatency(t *testing.T) {
 	n := newTestNet()
-	n.AddNode("v", geo.Brisbane)
-	n.AddNode("p", geo.Brisbane)
 	n.SetLink("v", "p", Fixed(500*time.Microsecond))
 	echo(t, n, 2*time.Millisecond)
 	if rtt := roundTrip(t, n); rtt != 3*time.Millisecond {
@@ -72,8 +70,6 @@ func TestRoundTripFixedLatency(t *testing.T) {
 
 func TestRoundTripAdvancesClock(t *testing.T) {
 	n := newTestNet()
-	n.AddNode("v", geo.Brisbane)
-	n.AddNode("p", geo.Brisbane)
 	n.SetLink("v", "p", LANLink{Base: time.Millisecond, Jitter: time.Millisecond})
 	echo(t, n, 0)
 	before := n.Clock().Now()
@@ -85,14 +81,6 @@ func TestRoundTripAdvancesClock(t *testing.T) {
 
 func TestRoundTripErrors(t *testing.T) {
 	n := newTestNet()
-	n.AddNode("a", geo.Brisbane)
-	if _, err := n.Dial("a", "ghost"); !errors.Is(err, ErrUnknownNode) {
-		t.Fatalf("unknown node: %v", err)
-	}
-	if _, err := n.Listen("ghost"); !errors.Is(err, ErrUnknownNode) {
-		t.Fatalf("listen on unknown node: %v", err)
-	}
-	n.AddNode("b", geo.Brisbane)
 	if _, err := n.Dial("a", "b"); !errors.Is(err, ErrNoLink) {
 		t.Fatalf("no link: %v", err)
 	}
@@ -100,8 +88,13 @@ func TestRoundTripErrors(t *testing.T) {
 	if _, err := n.Dial("a", "b"); !errors.Is(err, ErrRefused) {
 		t.Fatalf("dial without a listener: %v", err)
 	}
-	if _, err := n.Position("ghost"); !errors.Is(err, ErrUnknownNode) {
-		t.Fatalf("Position ghost: %v", err)
+	lis, err := n.Listen("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	if _, err := n.Listen("b"); err == nil {
+		t.Fatal("a second listener on one node accepted")
 	}
 }
 
@@ -153,8 +146,6 @@ func TestInternetLinkScalesWithDistance(t *testing.T) {
 
 func TestPing(t *testing.T) {
 	n := newTestNet()
-	n.AddNode("a", geo.Brisbane)
-	n.AddNode("b", geo.Sydney)
 	n.SetLink("a", "b", Fixed(7*time.Millisecond))
 	rtt, err := n.Ping("a", "b")
 	if err != nil {

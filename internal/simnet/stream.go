@@ -197,13 +197,10 @@ func (l *listener) Close() error {
 
 func (l *listener) Addr() net.Addr { return &net.UnixAddr{Name: l.name, Net: "simnet"} }
 
-// Listen opens the registered node's listener; a node has at most one.
+// Listen opens the node's listener; a node has at most one.
 func (n *Network) Listen(name string) (net.Listener, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if _, ok := n.nodes[name]; !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownNode, name)
-	}
 	if n.listeners[name] != nil {
 		return nil, fmt.Errorf("simnet: %s is already listening", name)
 	}
@@ -235,7 +232,13 @@ func (n *Network) Dial(a, b string) (net.Conn, error) {
 	default:
 		return nil, fmt.Errorf("%w: %s -> %s: backlog full", ErrRefused, a, b)
 	}
-	n.live = append(n.live, client)
+	live := n.live[:0] // forget closed streams, so redials do not pile up
+	for _, c := range n.live {
+		if !c.closed.Load() {
+			live = append(live, c)
+		}
+	}
+	n.live = append(live, client)
 	return client, nil
 }
 

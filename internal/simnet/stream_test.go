@@ -21,8 +21,6 @@ import (
 func pair(t *testing.T, lat simnet.Latency) (*simnet.Network, net.Conn, net.Conn) {
 	t.Helper()
 	n := simnet.New(vclock.NewVirtual(time.Time{}), 1)
-	n.AddNode("v", geo.Brisbane)
-	n.AddNode("p", geo.Brisbane)
 	n.SetLink("v", "p", lat)
 	lis, err := n.Listen("p")
 	if err != nil {
@@ -109,13 +107,18 @@ func TestStreamRefusedAndReset(t *testing.T) {
 		}
 	}
 	n.SetDown("p", false)
-	c, err := n.Dial("v", "p")
-	if err != nil {
-		t.Fatalf("dial after restore: %v", err)
+	for i := 0; i < 10; i++ {
+		c, err := n.Dial("v", "p")
+		if err != nil {
+			t.Fatalf("dial after restore: %v", err)
+		}
+		c.Close()
+		if _, err := c.Read(buf); !errors.Is(err, net.ErrClosed) {
+			t.Fatalf("read after close: %v", err)
+		}
 	}
-	c.Close()
-	if _, err := c.Read(buf); !errors.Is(err, net.ErrClosed) {
-		t.Fatalf("read after close: %v", err)
+	if live := simnet.LiveStreams(n); live != 1 {
+		t.Fatalf("%d streams tracked after ten dial-close cycles, want only the latest", live)
 	}
 }
 
@@ -134,8 +137,6 @@ func (d diskProvider) FetchSegment(string, int64) ([]byte, time.Duration, error)
 func muxRounds(t *testing.T, lat simnet.Latency, lookup time.Duration, rounds int) []time.Time {
 	t.Helper()
 	n := simnet.New(vclock.NewVirtual(time.Time{}), 7)
-	n.AddNode("v", geo.Brisbane)
-	n.AddNode("p", geo.Brisbane)
 	n.SetLink("v", "p", lat)
 	lis, err := n.Listen("p")
 	if err != nil {

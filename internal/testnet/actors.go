@@ -1,10 +1,8 @@
 package testnet
 
 import (
-	"errors"
 	"fmt"
 	"hash/fnv"
-	"math/rand"
 	"time"
 
 	"repro/internal/cloud"
@@ -32,23 +30,6 @@ func seedFor(seed int64, name string) int64 {
 	return seed ^ int64(h.Sum64())
 }
 
-// lossyProvider is a flaky site's packet loss (simnet.RoundLost). A lost
-// round is answered with an error frame, so it fails alone and the
-// connection carries the rest of the audit. Its draws are serial because
-// a scenario has one exchange in flight at a time.
-type lossyProvider struct {
-	cloud.Provider
-	p   float64
-	rng *rand.Rand
-}
-
-func (l *lossyProvider) FetchSegment(fileID string, i int64) ([]byte, time.Duration, error) {
-	if simnet.RoundLost(l.rng, l.p) {
-		return nil, 0, errors.New("packet lost")
-	}
-	return l.Provider.FetchSegment(fileID, i)
-}
-
 // member is one instantiated prover: its group's behavior made concrete
 // as a site, a provider personality and a co-located verifier device,
 // each on its own node of the simulated network.
@@ -72,8 +53,8 @@ type member struct {
 	departed bool
 }
 
-// vnode names the member's co-located verifier endpoint.
-func (m *member) vnode() string { return "v:" + m.name }
+// vnode names the co-located verifier endpoint of the named member.
+func vnode(member string) string { return "v:" + member }
 
 // buildMembers expands the spec's prover groups into concrete members,
 // resolving cities and shared collusion stores. Sites are created here;

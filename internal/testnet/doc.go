@@ -15,8 +15,9 @@
 //     geoloc.DetectDrift — flags the moved site),
 //   - storage corruption (MAC rejects), added service delay, packet loss
 //     (a lost round fails alone with an error frame) and scripted churn
-//     (kill takes the member's node down: dials are refused and live
-//     streams reset; restore/leave/join).
+//     (kill takes the member's node down: dials are refused, live
+//     streams reset and the pool drops its warm connection;
+//     restore/leave/join).
 //
 // Each spec also declares the expected outcome: a per-group verdict
 // class over the (tenant, prover) matrix, health-machine paths and final

@@ -110,8 +110,8 @@ func Run(spec Spec) (*Result, error) {
 		cells:  map[cellKey]*Cell{},
 	}
 	w.net = simnet.New(w.clk, spec.Seed)
-	// Each member's verifier device dials its own site: node "v:<name>".
-	w.pool = &core.ProverPool{Dial: func(addr string) (net.Conn, error) { return w.net.Dial("v:"+addr, addr) }}
+	// Each member's verifier device dials its own site.
+	w.pool = &core.ProverPool{Dial: func(addr string) (net.Conn, error) { return w.net.Dial(vnode(addr), addr) }}
 	defer func() {
 		w.pool.Close()
 		for _, srv := range w.servers {
@@ -308,14 +308,12 @@ func (w *world) wireMember(m *member, tasks []core.AuditTask) error {
 	}
 	if m.group.Behavior == BehaviorFlaky && m.group.LossPct > 0 {
 		rng := rand.New(rand.NewSource(seedFor(w.spec.Seed, "loss:"+m.name)))
-		provider = &lossyProvider{Provider: provider, p: m.group.LossPct / 100, rng: rng}
+		provider = &cloud.LossyProvider{Provider: provider, P: m.group.LossPct / 100, Rand: rng}
 	}
 	// The verifier device is co-located with the *claimed* site over a
 	// short LAN — for drifting provers it moved with the data, which is
 	// exactly why their timed audits keep passing.
-	w.net.AddNode(m.name, m.claimed)
-	w.net.AddNode(m.vnode(), m.claimed)
-	w.net.SetLink(m.vnode(), m.name, lanLink)
+	w.net.SetLink(vnode(m.name), m.name, lanLink)
 	lis, err := w.net.Listen(m.name)
 	if err != nil {
 		return err
@@ -349,7 +347,11 @@ func (w *world) applyChurn(tick int) error {
 		}
 		switch ev.Action {
 		case "kill":
+			// The reset reaches the warm connection's reader later, on
+			// its own goroutine; evicting it now makes the next exchange
+			// dial, and be refused, however the goroutines are scheduled.
 			w.net.SetDown(m.name, true)
+			w.pool.Evict(m.name)
 		case "restore":
 			w.net.SetDown(m.name, false)
 		case "leave":

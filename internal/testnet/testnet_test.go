@@ -2,6 +2,7 @@ package testnet
 
 import (
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -138,5 +139,34 @@ func TestAssertReplayPinpointsDivergence(t *testing.T) {
 	}
 	if TraceHash("x") == TraceHash("y") {
 		t.Fatal("distinct traces hash equal")
+	}
+}
+
+// TestKillRefusesNextExchange: the first audit or probe after a kill
+// fails at the refused dial, never on the killed member's stale warm
+// connection, whichever goroutine the scheduler runs first — the reason
+// lands in the trace, so the trace would otherwise depend on timing.
+func TestKillRefusesNextExchange(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	spec := Spec{
+		Name:     "kill-once",
+		Seed:     11,
+		Tenants:  1,
+		Replicas: 1,
+		Ticks:    12,
+		// Audits every 2 s and no probe after the first: the exchange
+		// right after the kill is an audit, whose reason is traced.
+		AuditPeriodSec: 2,
+		AuditJitter:    -1,
+		ProbePeriodSec: 1000,
+		Provers:        []ProverGroup{{Name: "solo", Count: 1, Behavior: BehaviorHonest, City: "Brisbane"}},
+		Churn:          []ChurnEvent{{AtTick: 4, Action: "kill", Target: "solo-00"}},
+	}
+	res, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rejected != 0 || !strings.Contains(res.Trace, "connection refused") {
+		t.Fatalf("a killed member's audits must fail at the refused dial, not as rejects (%d):\n%s", res.Rejected, res.Trace)
 	}
 }

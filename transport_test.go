@@ -186,9 +186,6 @@ func TestProductionPathVerdicts(t *testing.T) {
 		// The verifier device sits one LAN hop from the prover; the relay
 		// front sits relayRTT of round trip away from the same data.
 		sim := simnet.New(vclock.NewVirtual(time.Time{}), 1)
-		sim.AddNode("verifier", geo.Brisbane)
-		sim.AddNode("relay", geo.Brisbane)
-		sim.AddNode("prover", geo.Brisbane)
 		sim.SetLink("verifier", "prover", simnet.LANLink{DistanceKm: 0.5, Switches: 3, PerSwitch: 30 * time.Microsecond, Base: 100 * time.Microsecond})
 		sim.SetLink("relay", "prover", simnet.Fixed(relayRTT/2))
 		fx := newTransportFixtureOn(t, k, model, sim)
