@@ -59,8 +59,11 @@ var (
 	metricProverRequests = telemetry.Default.CounterVec(
 		"geoproof_prover_requests_total",
 		"Requests served by the prover, by type.", "type")
-	metricProverPings    = metricProverRequests.With("ping")
-	metricProverSegments = metricProverRequests.With("segment")
+	metricProverPings       = metricProverRequests.With("ping")
+	metricProverSegments    = metricProverRequests.With("segment")
+	metricProverReplyWrites = telemetry.Default.Counter(
+		"geoproof_prover_reply_writes_total",
+		"Socket writes carrying prover replies; replies ready together share one.")
 
 	// Fleet controller health machine.
 	metricFleetTransitions = telemetry.Default.CounterVec(

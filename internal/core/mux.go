@@ -6,9 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"time"
 
+	"repro/internal/telemetry"
 	"repro/internal/vclock"
 	"repro/internal/wire"
 )
@@ -43,33 +45,79 @@ const maxTombstones = 256
 // destination).
 const muxReadBuf = 4 << 10
 
-// maxFrameScratch is the largest write scratch a connection keeps between
-// frames: one that a giant frame grew is dropped after the write, so a
-// 16 MiB frame never pins 16 MiB per connection.
-const maxFrameScratch = 64 << 10
+// maxWriteBuf bounds a connection's write buffers. It is the largest
+// buffer kept between batches, so a 16 MiB frame never pins 16 MiB per
+// connection, and the most a batching end queues behind a running Write:
+// past it writers wait for the Write, so a peer that stops reading stalls
+// a server's read loop as TCP backpressure should, instead of growing its
+// memory.
+const maxWriteBuf = 64 << 10
 
-// frameWriter is the write half of a mux connection, on either end. It
-// serializes writers, builds each frame in a scratch buffer the
-// connection owns, and sends it in one Write call, so frames never
-// interleave and never straddle two system calls.
+// frameWriter is the write half of a mux connection, on either end.
+// Writers append whole frames to a pending buffer the connection owns;
+// the first to find no flush running becomes the flusher and hands
+// everything pending to one Write. On a batching end (the two servers)
+// it does so again while frames arrived during the call, and every other
+// writer appends and returns; elsewhere (the verifier's challenges)
+// writers take turns and each sends only its own frame, so a challenge
+// never waits for a sibling's Write after its own. Frames never
+// interleave and never straddle two system calls. A failed Write is
+// latched: every later write returns it, and the frames queued behind it
+// are dropped with the connection, which the caller fails.
 type frameWriter struct {
 	conn net.Conn
+	// batch lets a writer that finds a flush running queue its frame for
+	// that flush and return.
+	batch bool
+	// yield, when set (ProverServer), reports whether a flusher should
+	// let other goroutines run once before writing, so a sibling reply
+	// that is already runnable joins the batch.
+	yield func() bool
+	// writes, when set, counts the Write calls.
+	writes *telemetry.Counter
 
-	mu      sync.Mutex
-	scratch []byte // guarded by mu
+	turn sync.Mutex // held across a whole write by an end that does not batch
+
+	mu       sync.Mutex
+	pending  []byte // frames not yet handed to the socket; guarded by mu
+	spare    []byte // the buffer the last batch went out in, for reuse; guarded by mu
+	flushing bool   // guarded by mu
+	err      error  // the latched write failure; guarded by mu
+	// room, made by a writer that finds the batch full, is closed when
+	// the flush takes the batch or ends; guarded by mu.
+	room chan struct{}
 }
 
-// write sends one frame. Its payload is payload or, when req is non-nil,
-// req's encoding, appended straight into the frame.
+// write queues one frame and, unless a flush is already running, sends
+// it. Its payload is payload or, when req is non-nil, req's encoding,
+// appended straight into the frame. A frame too large to send is refused
+// with wire.ErrFrameTooLarge and leaves the connection as it was.
 func (w *frameWriter) write(typ byte, stream uint32, payload []byte, req *wire.SegmentRequest) error {
+	if !w.batch {
+		w.turn.Lock()
+		defer w.turn.Unlock()
+	}
 	w.mu.Lock()
-	defer w.mu.Unlock()
+	for w.flushing && w.err == nil && len(w.pending) >= maxWriteBuf {
+		if w.room == nil {
+			w.room = make(chan struct{})
+		}
+		room := w.room
+		w.mu.Unlock()
+		<-room
+		w.mu.Lock()
+	}
+	if err := w.err; err != nil {
+		w.mu.Unlock()
+		return err
+	}
 	n := len(payload)
 	if req != nil {
 		n = req.EncodedLen()
 	}
-	buf, err := wire.AppendMuxHeader(w.scratch[:0], typ, stream, n)
+	buf, err := wire.AppendMuxHeader(w.pending, typ, stream, n)
 	if err != nil {
+		w.mu.Unlock()
 		return err
 	}
 	if req != nil {
@@ -77,13 +125,82 @@ func (w *frameWriter) write(typ byte, stream uint32, payload []byte, req *wire.S
 	} else {
 		buf = append(buf, payload...)
 	}
-	_, err = w.conn.Write(buf)
-	if cap(buf) <= maxFrameScratch {
-		w.scratch = buf
-	} else {
-		w.scratch = nil
+	w.pending = buf
+	if w.flushing {
+		w.mu.Unlock()
+		return nil // the running flush sends it
 	}
-	return err
+	w.flushing = true
+	w.mu.Unlock()
+	if w.yield != nil && w.yield() {
+		runtime.Gosched()
+	}
+	return w.flush()
+}
+
+// flush sends what is pending, one Write per batch, until nothing is
+// left or a Write fails. Only the writer that set flushing calls it.
+func (w *frameWriter) flush() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for len(w.pending) > 0 {
+		batch := w.pending
+		w.pending, w.spare = w.spare[:0], nil
+		w.wake()
+		w.mu.Unlock()
+		_, err := w.conn.Write(batch)
+		if w.writes != nil {
+			w.writes.Inc()
+		}
+		w.mu.Lock()
+		if cap(batch) <= maxWriteBuf {
+			w.spare = batch
+		}
+		if err != nil {
+			w.err, w.pending = err, nil
+			break
+		}
+	}
+	w.flushing = false
+	w.wake()
+	return w.err
+}
+
+// wake releases the writers waiting on a full batch. The caller holds mu.
+func (w *frameWriter) wake() {
+	if w.room != nil {
+		close(w.room)
+		w.room = nil
+	}
+}
+
+// failed reports whether a Write has failed.
+func (w *frameWriter) failed() bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.err != nil
+}
+
+// reply sends the one frame a server owes a stream. A reply too large for
+// a frame goes as a TypeError naming the limit instead, so the peer's
+// stream ends at once rather than waiting out its context. A failed write
+// closes the connection, which stops the server's read loop; reply
+// reports whether the connection can go on.
+func (w *frameWriter) reply(typ byte, stream uint32, payload []byte) bool {
+	err := w.write(typ, stream, payload, nil)
+	if errors.Is(err, wire.ErrFrameTooLarge) {
+		return w.refuse(stream, err.Error())
+	}
+	if err != nil {
+		w.conn.Close()
+		return false
+	}
+	return true
+}
+
+// refuse answers a stream with a TypeError frame carrying msg.
+func (w *frameWriter) refuse(stream uint32, msg string) bool {
+	return w.reply(wire.TypeError, stream, wire.ErrorMessage{Msg: msg}.Encode())
 }
 
 // muxMsg is one demultiplexed frame handed to a waiting stream. The

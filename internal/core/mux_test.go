@@ -545,6 +545,13 @@ func TestMuxConcurrentAudits(t *testing.T) {
 // withholdFrom are never answered. Every stream ID it sees goes to seen.
 func pipeProver(t *testing.T, withholdFrom uint64) (*MuxProverConn, <-chan uint32) {
 	t.Helper()
+	return pipeProverOn(t, withholdFrom, nil)
+}
+
+// pipeProverOn is pipeProver with the verifier's end of the pipe wrapped
+// by wrap, when set.
+func pipeProverOn(t *testing.T, withholdFrom uint64, wrap func(net.Conn) net.Conn) (*MuxProverConn, <-chan uint32) {
+	t.Helper()
 	client, server := net.Pipe()
 	seen := make(chan uint32, 2*maxTombstones)
 	done := make(chan struct{})
@@ -566,7 +573,11 @@ func pipeProver(t *testing.T, withholdFrom uint64) (*MuxProverConn, <-chan uint3
 			}
 		}
 	}()
-	conn := NewMuxProverConn(client)
+	var cc net.Conn = client
+	if wrap != nil {
+		cc = wrap(client)
+	}
+	conn := NewMuxProverConn(cc)
 	t.Cleanup(func() { conn.Close(); server.Close(); <-done })
 	return conn, seen
 }

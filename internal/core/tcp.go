@@ -2,8 +2,8 @@ package core
 
 import (
 	"bufio"
-	"errors"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -119,19 +119,19 @@ func (s *ProverServer) fetch(clock vclock.Clock, fileID string, index uint64) ([
 	return data, nil
 }
 
-// muxServerConn is the server's per-connection mux state: the write half
-// (every frame leaves in one Write call), a kill switch that stops the
-// read loop once any stream hits a fatal write error, and the hand-off
+// muxServerConn is the server's per-connection mux state: the write half,
+// the count of streams being served (on one P a flushing reply yields
+// once while another is, so sibling replies share its Write), and the hand-off
 // between the read loop and the connection's stream workers.
 type muxServerConn struct {
-	w     frameWriter
-	dead  atomic.Bool
-	clock vclock.Clock // look-ups sleep on it
+	w       frameWriter
+	serving atomic.Int32
+	clock   vclock.Clock // look-ups sleep on it
 
 	// jobs carries a decoded request to a parked worker. It is unbuffered:
 	// the read loop sends only after claiming a worker that has counted
 	// itself into idle, so a send waits at most for that worker's reply
-	// write to return.
+	// to be queued.
 	jobs chan streamJob
 	idle atomic.Int32
 }
@@ -143,18 +143,6 @@ type streamJob struct {
 	index  uint64
 }
 
-// writeFrame writes one mux frame. On a write failure the connection is
-// marked dead and closed, which unblocks the read loop.
-func (m *muxServerConn) writeFrame(typ byte, stream uint32, payload []byte) bool {
-	if err := m.w.write(typ, stream, payload, nil); err != nil {
-		if !errors.Is(err, wire.ErrFrameTooLarge) && m.dead.CompareAndSwap(false, true) {
-			m.w.conn.Close()
-		}
-		return false
-	}
-	return true
-}
-
 // serveMux runs the mux loop: the read loop only decodes and dispatches,
 // stream work runs on the connection's resident workers, so one slow
 // fetch cannot head-of-line-block the frames queued behind it. A request
@@ -164,7 +152,13 @@ func (m *muxServerConn) writeFrame(typ byte, stream uint32, payload []byte) bool
 // park between rounds instead of being started, and their stacks regrown,
 // once per frame. All of them are gone when serveMux returns.
 func (s *ProverServer) serveMux(conn net.Conn) {
-	m := &muxServerConn{w: frameWriter{conn: conn}, clock: clockOf(conn), jobs: make(chan streamJob)}
+	m := &muxServerConn{clock: clockOf(conn), jobs: make(chan streamJob)}
+	// On one P a sibling reply runs only if the flusher yields; with more
+	// it runs beside the Write and joins the next batch, and a yield could
+	// only queue the reply behind unrelated work inside the timed round.
+	oneP := runtime.GOMAXPROCS(0) == 1
+	m.w = frameWriter{conn: conn, batch: true, writes: metricProverReplyWrites,
+		yield: func() bool { return oneP && m.serving.Load() > 1 }}
 	var sem chan struct{}
 	if s.Concurrency > 0 {
 		sem = make(chan struct{}, s.Concurrency)
@@ -176,14 +170,14 @@ func (s *ProverServer) serveMux(conn net.Conn) {
 	var fileID string // the last ID requested: a connection audits one file for rounds on end
 	for {
 		typ, stream, payload, err := wire.ReadMuxFrame(br)
-		if err != nil || m.dead.Load() {
+		if err != nil || m.w.failed() {
 			return
 		}
 		switch typ {
 		case wire.TypePing:
 			metricProverPings.Inc()
 			wire.PutBuffer(payload)
-			if !m.writeFrame(wire.TypePong, stream, nil) {
+			if !m.w.reply(wire.TypePong, stream, nil) {
 				return
 			}
 		case wire.TypeSegmentRequest:
@@ -194,7 +188,7 @@ func (s *ProverServer) serveMux(conn net.Conn) {
 			}
 			wire.PutBuffer(payload)
 			if derr != nil {
-				if !m.writeFrame(wire.TypeError, stream, wire.ErrorMessage{Msg: derr.Error()}.Encode()) {
+				if !m.w.refuse(stream, derr.Error()) {
 					return
 				}
 				continue
@@ -203,6 +197,7 @@ func (s *ProverServer) serveMux(conn net.Conn) {
 				sem <- struct{}{}
 			}
 			job := streamJob{stream: stream, fileID: fileID, index: index}
+			m.serving.Add(1)
 			if m.idle.Load() > 0 {
 				m.idle.Add(-1) // only this loop decrements, so the claim cannot go negative
 				m.jobs <- job
@@ -215,7 +210,7 @@ func (s *ProverServer) serveMux(conn net.Conn) {
 			}()
 		default:
 			wire.PutBuffer(payload)
-			if !m.writeFrame(wire.TypeError, stream, wire.ErrorMessage{Msg: "unknown frame type"}.Encode()) {
+			if !m.w.refuse(stream, "unknown frame type") {
 				return
 			}
 		}
@@ -225,16 +220,19 @@ func (s *ProverServer) serveMux(conn net.Conn) {
 // streamWorker answers challenge rounds, one at a time, until the
 // connection's job channel closes. It counts itself idle before its reply
 // leaves, not after: the peer's next request can arrive the moment the
-// reply does, and must find this worker rather than start another.
+// reply does, and must find this worker rather than start another. Every
+// stream is answered — a failed fetch or a reply too large for a frame
+// with a TypeError — and its slot is freed once the reply is queued.
 func (s *ProverServer) streamWorker(m *muxServerConn, sem chan struct{}, job streamJob) {
 	for ok := true; ok; job, ok = <-m.jobs {
 		data, err := s.fetch(m.clock, job.fileID, job.index)
 		m.idle.Add(1)
 		if err != nil {
-			m.writeFrame(wire.TypeError, job.stream, wire.ErrorMessage{Msg: err.Error()}.Encode())
+			m.w.refuse(job.stream, err.Error())
 		} else {
-			m.writeFrame(wire.TypeSegmentResponse, job.stream, data)
+			m.w.reply(wire.TypeSegmentResponse, job.stream, data)
 		}
+		m.serving.Add(-1)
 		if cap(sem) > 0 {
 			<-sem
 		}

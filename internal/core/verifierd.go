@@ -3,7 +3,6 @@ package core
 import (
 	"bufio"
 	"context"
-	"errors"
 	"net"
 	"sync"
 
@@ -50,22 +49,7 @@ func (s *VerifierServer) handle(conn net.Conn) {
 	defer audits.Wait()
 	defer cancel()
 
-	w := frameWriter{conn: conn}
-	// reply sends the one frame a stream is owed. A failed write ends the
-	// connection: closing it is what stops the read loop.
-	reply := func(typ byte, stream uint32, payload []byte) {
-		err := w.write(typ, stream, payload, nil)
-		if errors.Is(err, wire.ErrFrameTooLarge) {
-			err = w.write(wire.TypeError, stream, wire.ErrorMessage{Msg: err.Error()}.Encode(), nil)
-		}
-		if err != nil {
-			conn.Close()
-		}
-	}
-	refuse := func(stream uint32, msg string) {
-		reply(wire.TypeError, stream, wire.ErrorMessage{Msg: msg}.Encode())
-	}
-
+	w := frameWriter{conn: conn, batch: true}
 	inFlight := make(chan struct{}, maxConnAudits)
 	br := bufio.NewReaderSize(conn, muxReadBuf)
 	for {
@@ -76,18 +60,18 @@ func (s *VerifierServer) handle(conn net.Conn) {
 		switch typ {
 		case wire.TypePing:
 			wire.PutBuffer(payload)
-			reply(wire.TypePong, stream, nil)
+			w.reply(wire.TypePong, stream, nil)
 		case wire.TypeAuditRequest:
 			req, derr := DecodeAuditRequest(payload) // copies what it keeps
 			wire.PutBuffer(payload)
 			if derr != nil {
-				refuse(stream, derr.Error())
+				w.refuse(stream, derr.Error())
 				continue
 			}
 			select {
 			case inFlight <- struct{}{}:
 			default:
-				refuse(stream, "too many audits in flight on this connection")
+				w.refuse(stream, "too many audits in flight on this connection")
 				continue
 			}
 			audits.Add(1)
@@ -96,14 +80,14 @@ func (s *VerifierServer) handle(conn net.Conn) {
 				defer func() { <-inFlight }()
 				st, err := s.Runner.RunAudit(ctx, req)
 				if err != nil {
-					refuse(stream, err.Error())
+					w.refuse(stream, err.Error())
 					return
 				}
-				reply(wire.TypeSignedTranscript, stream, EncodeSignedTranscript(st))
+				w.reply(wire.TypeSignedTranscript, stream, EncodeSignedTranscript(st))
 			}()
 		default:
 			wire.PutBuffer(payload)
-			refuse(stream, "unknown frame type")
+			w.refuse(stream, "unknown frame type")
 		}
 	}
 }

@@ -62,14 +62,19 @@
 //
 // # Frames on the socket, and who owns a payload
 //
-// A frame leaves in one write and arrives in one read. Each end builds
-// header and payload in a scratch buffer its connection owns, under the
-// lock that already serialises its writers, and hands the socket the
-// whole frame at once (AppendMuxHeader / AppendMuxFrame; a segment
-// request is appended straight into the frame by SegmentRequest.Append),
-// so frames never interleave and never straddle two system calls. Each
-// end reads through a few KiB of buffer, so a frame that arrived whole
-// costs one read of the socket — not one for its header and one for its
+// A frame is never split across writes, but a server's write may carry
+// several frames. Each end appends header and payload to a pending
+// buffer its connection owns, under the lock that serialises its writers
+// (AppendMuxHeader / AppendMuxFrame; a segment request is appended
+// straight into the frame by SegmentRequest.Append), and one writer at a
+// time hands the socket everything pending in one write, so frames never
+// interleave and never straddle two system calls. On a server, replies
+// queued while a write is running leave together in the next one, and a
+// one-P prover's first reply also yields once to sibling replies that
+// are ready, so replies to requests that arrived together usually share
+// a write. The verifier sends each challenge in its own write. Each end
+// reads through a few KiB of buffer, so a frame that arrived whole costs
+// one read of the socket — not one for its header and one for its
 // payload — and a reply split across reads, or several replies in one,
 // parse the same.
 //
@@ -85,7 +90,8 @@
 //     the segment a transcript keeps is that slice; it is never pooled,
 //     because it outlives the exchange.
 //   - Writers keep what they pass in: a payload is copied into the
-//     connection's scratch before the write and not referenced after it.
+//     connection's pending buffer before the write call returns and not
+//     referenced after it.
 //
 // Get/PutBuffer recycle array pointers, so neither call allocates; a
 // steady-state round allocates the segment slice on each side and

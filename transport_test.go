@@ -25,11 +25,10 @@ import (
 
 // transportFixture stands up a prover serving one encoded file and a
 // verifier, shared by the transport tests: on TCP loopback with a
-// wall-clock verifier, or on a simulated network's node "prover" with the
-// look-up slept and every round timed on the network's virtual clock. It
-// keeps the
-// tenant encoder, file layout and verifier signing key so tests can also
-// run the TPA side of the path. Throughput on this path is measured by
+// wall-clock verifier, or on a simulated network's node "prover" with
+// every round timed on the network's virtual clock. It keeps the tenant
+// encoder, file layout and verifier signing key so tests can also run the
+// TPA side of the path. Throughput on this path is measured by
 // the audit-loopback workload in bench/, not here.
 type transportFixture struct {
 	addr     string
@@ -51,12 +50,13 @@ func benchData(n int) []byte {
 }
 
 func newTransportFixture(tb testing.TB, k int) *transportFixture {
-	return newTransportFixtureOn(tb, k, disk.WD2500JD, nil)
+	return newTransportFixtureOn(tb, k, disk.WD2500JD, nil, false)
 }
 
-// newTransportFixtureOn picks the prover's disk model and its network: TCP
-// when sim is nil, sim's node "prover" otherwise.
-func newTransportFixtureOn(tb testing.TB, k int, model disk.Model, sim *simnet.Network) *transportFixture {
+// newTransportFixtureOn picks the prover's disk model, its network — TCP
+// when sim is nil, sim's node "prover" otherwise — and whether it sleeps
+// the model's look-up on every round.
+func newTransportFixtureOn(tb testing.TB, k int, model disk.Model, sim *simnet.Network, simulate bool) *transportFixture {
 	tb.Helper()
 	enc := por.NewEncoder([]byte("transport-master"))
 	ef, err := enc.Encode("transport-file", benchData(256<<10))
@@ -76,7 +76,7 @@ func newTransportFixtureOn(tb testing.TB, k int, model disk.Model, sim *simnet.N
 	if err != nil {
 		tb.Fatal(err)
 	}
-	srv := &core.ProverServer{Provider: &cloud.HonestProvider{Site: site}, SimulateServiceTime: sim != nil}
+	srv := &core.ProverServer{Provider: &cloud.HonestProvider{Site: site}, SimulateServiceTime: simulate}
 	go srv.Serve(lis)
 
 	signer, err := crypt.NewSigner()
@@ -188,7 +188,7 @@ func TestProductionPathVerdicts(t *testing.T) {
 		sim := simnet.New(vclock.NewVirtual(time.Time{}), 1)
 		sim.SetLink("verifier", "prover", simnet.LANLink{DistanceKm: 0.5, Switches: 3, PerSwitch: 30 * time.Microsecond, Base: 100 * time.Microsecond})
 		sim.SetLink("relay", "prover", simnet.Fixed(relayRTT/2))
-		fx := newTransportFixtureOn(t, k, model, sim)
+		fx := newTransportFixtureOn(t, k, model, sim, true)
 		t.Cleanup(fx.stop)
 		tpa := fx.newTPA(t, tmax)
 
@@ -296,125 +296,138 @@ func TestTransportSmoke(t *testing.T) {
 	}
 }
 
-// TestBatchSigningSmoke is the CI comparison of per-transcript vs
-// Merkle-batched transcript signing, driven through the scheduler the
-// way a production TPA runs epochs. The functional half always runs:
-// one epoch per signing mode, every verdict checked for the expected
-// attestation mode, and a ledger self-check that every verified verdict
-// landed in exactly one attestation counter. The throughput-ratio
-// assertion is timing-sensitive, so it only arms under
-// GEOPROOF_TRANSPORT_SMOKE=1 (the CI smoke step); k is kept small so
-// the per-audit ECDSA sign/verify pair dominates and amortized signing
-// must show up as ≥2× scheduled audits/s.
-func TestBatchSigningSmoke(t *testing.T) {
-	const (
-		k     = 8
-		width = 16
-		tasks = 64
-	)
-	fx := newTransportFixture(t, k)
-	defer fx.stop()
+// The batch-signing tests' shape: k is small so the per-audit ECDSA
+// sign/verify pair dominates, and width audits are in flight at once on
+// one pooled connection.
+const (
+	signingK     = 8
+	signingWidth = 16
+	signingTasks = 64
+)
 
-	// newSched assembles a scheduler whose single prover is audited over
-	// pooled mux connections, with the verifier either signing each
-	// transcript (solo) or batching digests under one Merkle root.
-	newSched := func(batch bool) (*core.Scheduler, func()) {
-		pool := &core.ProverPool{DialTimeout: 5 * time.Second}
+// signingScheds assembles two schedulers whose single prover is audited
+// over pooled mux connections that dial dials (nil: TCP): solo has the
+// verifier sign each transcript, batch has it batch digests under one
+// Merkle root. Both are stopped when the test ends.
+func signingScheds(t *testing.T, fx *transportFixture, dial func(string) (net.Conn, error)) (solo, batch *core.Scheduler) {
+	newSched := func(batched bool) *core.Scheduler {
+		pool := &core.ProverPool{DialTimeout: 5 * time.Second, Dial: dial}
 		v := fx.verifier
 		var bs *crypt.BatchSigner
-		if batch {
+		if batched {
 			bs = crypt.NewBatchSigner(fx.signer, crypt.BatchSignerOptions{
-				MaxBatch: width, MaxLatency: 2 * time.Millisecond,
+				MaxBatch: signingWidth, MaxLatency: 2 * time.Millisecond,
 			})
 			v = v.WithBatchSigner(bs)
 		}
-		sched := core.NewScheduler(core.SchedulerConfig{Workers: width, ProverWindow: width})
+		sched := core.NewScheduler(core.SchedulerConfig{Workers: signingWidth, ProverWindow: signingWidth})
 		sched.RegisterTenant("tenant", fx.newTPA(t, 0))
 		sched.RegisterProver("prover", &core.PooledRunner{Verifier: v, Addr: fx.addr, Pool: pool})
-		return sched, func() {
+		t.Cleanup(func() {
 			if bs != nil {
 				bs.Close()
 			}
 			pool.Close()
+		})
+		return sched
+	}
+	return newSched(false), newSched(true)
+}
+
+// signingEpoch runs one epoch of signingTasks audits and requires every
+// verdict accepted under wantMode.
+func signingEpoch(t *testing.T, fx *transportFixture, sched *core.Scheduler, wantMode core.AttestationMode) {
+	t.Helper()
+	list := make([]core.AuditTask, signingTasks)
+	for i := range list {
+		list[i] = core.AuditTask{
+			Tenant: "tenant", Prover: "prover",
+			FileID: fx.fileID, Layout: fx.layout, K: signingK,
 		}
 	}
-
-	epoch := func(sched *core.Scheduler, wantMode core.AttestationMode) {
-		t.Helper()
-		list := make([]core.AuditTask, tasks)
-		for i := range list {
-			list[i] = core.AuditTask{
-				Tenant: "tenant", Prover: "prover",
-				FileID: fx.fileID, Layout: fx.layout, K: k,
-			}
+	for i, v := range sched.RunEpoch(context.Background(), list) {
+		if v.Outcome != core.OutcomeAccepted {
+			t.Fatalf("task %d: outcome %v (%s)", i, v.Outcome, v.Report.Reason())
 		}
-		for i, v := range sched.RunEpoch(context.Background(), list) {
-			if v.Outcome != core.OutcomeAccepted {
-				t.Fatalf("task %d: outcome %v (%s)", i, v.Outcome, v.Report.Reason())
-			}
-			if v.Report.Attestation != wantMode {
-				t.Fatalf("task %d: attestation %v, want %v", i, v.Report.Attestation, wantMode)
-			}
+		if v.Report.Attestation != wantMode {
+			t.Fatalf("task %d: attestation %v, want %v", i, v.Report.Attestation, wantMode)
 		}
 	}
+}
 
-	// checkLedger is the attestation-accounting self-check: every
-	// verified verdict (accepted or rejected) must have landed in exactly
-	// one attestation counter, and all of them in the expected one.
-	checkLedger := func(sched *core.Scheduler, wantMode core.AttestationMode) {
-		t.Helper()
-		var accepted, rejected, batchAtt, soloAtt int
-		for _, row := range sched.Ledger().Snapshot() {
-			accepted += row.Accepted
-			rejected += row.Rejected
-			batchAtt += row.BatchAttested
-			soloAtt += row.SoloAttested
-		}
-		if verified := accepted + rejected; verified == 0 || verified != batchAtt+soloAtt {
-			t.Fatalf("ledger self-check: %d verified verdicts but %d+%d attested",
-				accepted+rejected, batchAtt, soloAtt)
-		}
-		if wantMode == core.AttestBatch && soloAtt != 0 {
-			t.Fatalf("batch-signing epoch recorded %d solo-attested verdicts", soloAtt)
-		}
-		if wantMode == core.AttestPerTranscript && batchAtt != 0 {
-			t.Fatalf("per-transcript epoch recorded %d batch-attested verdicts", batchAtt)
-		}
+// checkSigningLedger is the attestation-accounting self-check: every
+// verified verdict (accepted or rejected) must have landed in exactly one
+// attestation counter, and all of them in the expected one.
+func checkSigningLedger(t *testing.T, sched *core.Scheduler, wantMode core.AttestationMode) {
+	t.Helper()
+	var accepted, rejected, batchAtt, soloAtt int
+	for _, row := range sched.Ledger().Snapshot() {
+		accepted += row.Accepted
+		rejected += row.Rejected
+		batchAtt += row.BatchAttested
+		soloAtt += row.SoloAttested
 	}
+	if verified := accepted + rejected; verified == 0 || verified != batchAtt+soloAtt {
+		t.Fatalf("ledger self-check: %d verified verdicts but %d+%d attested",
+			accepted+rejected, batchAtt, soloAtt)
+	}
+	if wantMode == core.AttestBatch && soloAtt != 0 {
+		t.Fatalf("batch-signing epoch recorded %d solo-attested verdicts", soloAtt)
+	}
+	if wantMode == core.AttestPerTranscript && batchAtt != 0 {
+		t.Fatalf("per-transcript epoch recorded %d batch-attested verdicts", batchAtt)
+	}
+}
 
-	solo, stopSolo := newSched(false)
-	defer stopSolo()
-	batch, stopBatch := newSched(true)
-	defer stopBatch()
+// TestBatchSigningSmoke checks per-transcript and Merkle-batched
+// transcript signing, driven through the scheduler the way a production
+// TPA runs epochs: one epoch per signing mode, signingWidth audits in
+// flight on one pooled connection, every verdict accepted in the expected
+// attestation mode, and the ledger self-check after each. It runs on a
+// simulated network with a zero-delay hop and no modelled look-up, so
+// every round trip takes no virtual time and an honest audit can be
+// rejected on timing only through a bug, never through host load.
+func TestBatchSigningSmoke(t *testing.T) {
+	sim := simnet.New(vclock.NewVirtual(time.Time{}), 1)
+	sim.SetLink("verifier", "prover", simnet.Fixed(0))
+	fx := newTransportFixtureOn(t, signingK, disk.WD2500JD, sim, false)
+	t.Cleanup(fx.stop)
+	solo, batch := signingScheds(t, fx, sim.Dialer("verifier"))
+	signingEpoch(t, fx, solo, core.AttestPerTranscript)
+	signingEpoch(t, fx, batch, core.AttestBatch)
+	checkSigningLedger(t, solo, core.AttestPerTranscript)
+	checkSigningLedger(t, batch, core.AttestBatch)
+}
 
-	// Functional pass for both signing modes, always.
-	epoch(solo, core.AttestPerTranscript)
-	epoch(batch, core.AttestBatch)
-	checkLedger(solo, core.AttestPerTranscript)
-	checkLedger(batch, core.AttestBatch)
-
+// TestBatchSigningRate is the CI comparison of the two signing modes'
+// throughput on TCP loopback: amortized signing must show up as ≥2×
+// scheduled audits/s. It is a wall-clock measurement, so it only runs
+// under GEOPROOF_TRANSPORT_SMOKE=1 (the CI smoke step).
+func TestBatchSigningRate(t *testing.T) {
 	if os.Getenv("GEOPROOF_TRANSPORT_SMOKE") == "" {
-		t.Skip("set GEOPROOF_TRANSPORT_SMOKE=1 for the throughput-ratio assertions")
+		t.Skip("set GEOPROOF_TRANSPORT_SMOKE=1 for the throughput-ratio assertion")
 	}
-
+	fx := newTransportFixture(t, signingK)
+	defer fx.stop()
+	solo, batch := signingScheds(t, fx, nil)
 	rate := func(sched *core.Scheduler, mode core.AttestationMode) float64 {
 		start := time.Now()
 		n := 0
-		for time.Since(start) < 400*time.Millisecond || n < 2*tasks {
-			epoch(sched, mode)
-			n += tasks
+		for time.Since(start) < 400*time.Millisecond || n < 2*signingTasks {
+			signingEpoch(t, fx, sched, mode)
+			n += signingTasks
 		}
 		return float64(n) / time.Since(start).Seconds()
 	}
 	soloRate := rate(solo, core.AttestPerTranscript)
 	batchRate := rate(batch, core.AttestBatch)
 	t.Logf("scheduled k=%d: per-transcript %.0f audits/s, batch-signed %.0f audits/s (x%.1f)",
-		k, soloRate, batchRate, batchRate/soloRate)
+		signingK, soloRate, batchRate, batchRate/soloRate)
 	if batchRate < 2*soloRate {
 		t.Errorf("batch signing %.0f audits/s not ≥2x per-transcript %.0f audits/s", batchRate, soloRate)
 	}
-	checkLedger(solo, core.AttestPerTranscript)
-	checkLedger(batch, core.AttestBatch)
+	checkSigningLedger(t, solo, core.AttestPerTranscript)
+	checkSigningLedger(t, batch, core.AttestBatch)
 }
 
 // delayProxy forwards TCP connections to target, delaying every byte by
