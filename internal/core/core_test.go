@@ -146,6 +146,28 @@ func TestHonestAuditAccepted(t *testing.T) {
 	}
 }
 
+// The prover records one lateness sample per simulated look-up, on the
+// connection's clock: on the virtual link every sleep ends exactly on
+// time, so the samples sum to 0.
+func TestSimulatedLookupLatenessOnVirtualLink(t *testing.T) {
+	_, ef := encodeTestFile(t)
+	fx := newFixture(t, &cloud.HonestProvider{Site: honestSite(t, ef)})
+	count, sum := metricProverLookupLate.Count(), metricProverLookupLate.Sum()
+	req, err := fx.tpa.NewRequest(testFileID, fx.ef.Layout, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fx.verifier.RunAudit(context.Background(), req, fx.conn); err != nil {
+		t.Fatal(err)
+	}
+	if got := metricProverLookupLate.Count() - count; got != 20 {
+		t.Fatalf("%d lateness samples for 20 rounds", got)
+	}
+	if got := metricProverLookupLate.Sum() - sum; got != 0 {
+		t.Fatalf("virtual-time look-ups ended %vs late in total", got)
+	}
+}
+
 func TestRelayAttackRejectedOnTiming(t *testing.T) {
 	_, ef := encodeTestFile(t)
 	// Fig. 6: front in Brisbane, data in a Sydney DC with a faster disk.

@@ -69,6 +69,21 @@
 // AuditRunner it was given (a PooledRunner in the daemon) and cancels
 // the audits of a TPA whose connection ends.
 //
+// # The simulated look-up
+//
+// The paper prices an honest round at one disk look-up (§V-C, 5.406 ms
+// for the IBM 36Z15 of Table I) and sizes Δt_max on it. A ProverServer
+// with SimulateServiceTime set models that look-up: each segment request
+// reads its segment, then sleeps the provider's modelled look-up time on
+// the connection's clock before the reply is queued — virtual time on a
+// simnet stream, vclock.Real on TCP (geoproofd -simulate). The real
+// clock's Sleep wakes on a timerfd at its deadline on Linux, not on the
+// runtime's whole-millisecond timer poll, so a round's service time is
+// the model's plus a few tens of µs rather than up to a millisecond
+// more. geoproof_prover_lookup_late_seconds records how far past its
+// look-up each such sleep returned, measured on the same clock: 0 on the
+// virtual link, the host's timer noise on TCP.
+//
 // # Multi-tenant audit scheduling
 //
 // One verified transcript is VerifyAudit; one auditor sweeping a batch of

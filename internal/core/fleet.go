@@ -569,11 +569,11 @@ func (c *FleetController) Tick() int {
 	return len(work)
 }
 
-// Run is the production reconcile loop: tick, sleep until the next due
-// instant (capped so late registrations are noticed), repeat until ctx
-// is done. In-flight work is cancelled and drained before it returns.
-// Run assumes the real clock — deterministic harnesses drive Tick and
-// the virtual clock themselves.
+// Run is the production reconcile loop: tick, sleep on the controller's
+// clock until the next due instant (capped so late registrations are
+// noticed), repeat until ctx is done. In-flight work is cancelled and
+// drained before it returns. Run is meant for the real clock —
+// deterministic harnesses drive Tick and the virtual clock themselves.
 func (c *FleetController) Run(ctx context.Context) error {
 	defer func() {
 		c.stop()
@@ -584,13 +584,8 @@ func (c *FleetController) Run(ctx context.Context) error {
 			return err
 		}
 		c.Tick()
-		d := c.untilNextDue()
-		timer := time.NewTimer(d)
-		select {
-		case <-ctx.Done():
-			timer.Stop()
-			return ctx.Err()
-		case <-timer.C:
+		if err := vclock.SleepContext(c.clock, ctx, c.untilNextDue()); err != nil {
+			return err
 		}
 	}
 }

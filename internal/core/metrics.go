@@ -64,6 +64,9 @@ var (
 	metricProverReplyWrites = telemetry.Default.Counter(
 		"geoproof_prover_reply_writes_total",
 		"Socket writes carrying prover replies; replies ready together share one.")
+	metricProverLookupLate = telemetry.Default.DurationHistogram(
+		"geoproof_prover_lookup_late_seconds",
+		"How far past its modelled disk look-up each simulated look-up sleep returned.")
 
 	// Fleet controller health machine.
 	metricFleetTransitions = telemetry.Default.CounterVec(

@@ -107,14 +107,17 @@ func (s *ProverServer) handle(conn net.Conn) {
 }
 
 // fetch reads one segment from the provider, sleeping its modelled
-// service latency on the connection's clock when the server simulates it.
+// service latency on the connection's clock when the server simulates it,
+// and records how far past the look-up that sleep returned.
 func (s *ProverServer) fetch(clock vclock.Clock, fileID string, index uint64) ([]byte, error) {
 	data, lookup, err := s.Provider.FetchSegment(fileID, int64(index))
 	if err != nil {
 		return nil, err
 	}
 	if s.SimulateServiceTime && lookup > 0 {
+		start := clock.Now()
 		clock.Sleep(lookup)
+		metricProverLookupLate.ObserveDuration(max(clock.Now().Sub(start)-lookup, 0))
 	}
 	return data, nil
 }

@@ -30,14 +30,12 @@ func TestNoWallClockOrGlobalRand(t *testing.T) {
 	}
 	// Specific (file, token) allowances, each a deliberate seam:
 	//   vclock.go   — Real is the wall-clock implementation itself;
-	//   fleet.go    — the production Run loop's timer (Tick mode bypasses it);
 	//   tpa.go      — crypto/rand default nonce source, overridden via
 	//                 WithNonceReader in deterministic scenarios;
 	//   backoff.go  — global-rand default jitter, overridden by the
 	//                 scheduler's seeded RetryRand.
 	allowed := map[string][]string{
 		"vclock.go":  {"time.Now(", "time.Sleep(", "time.NewTimer("},
-		"fleet.go":   {"time.NewTimer("},
 		"tpa.go":     {"rand.Reader"},
 		"backoff.go": {"rand.Float64("},
 	}

@@ -28,8 +28,25 @@ var _ Clock = Real{}
 // Now returns time.Now().
 func (Real) Now() time.Time { return time.Now() }
 
-// Sleep blocks for d.
-func (Real) Sleep(d time.Duration) { time.Sleep(d) }
+// Sleep blocks for at least d and returns at once for d ≤ 0. It is how a
+// prover models a disk look-up, so it must end on time, and time.Sleep
+// does not: when no goroutine is runnable, the Go runtime waits for its
+// next timer in epoll_wait with a timeout in whole milliseconds — 5 ms,
+// then a full 1 ms for the 0.406 ms left — so a 5.406 ms sleep returns
+// 0.6–1.1 ms late. On Linux Sleep therefore waits on a timerfd in
+// the netpoller (sleep_linux.go), which wakes epoll_wait at the deadline
+// itself; the cost is a timerfd_settime and two reads per sleep, a few
+// µs, and up to maxIdleTimers idle descriptors. Where that wait is not
+// available it falls back to time.Sleep. SleepContext keeps the runtime
+// timer: its waits are cancellable and need no sub-ms precision.
+func (Real) Sleep(d time.Duration) {
+	if d <= 0 {
+		return
+	}
+	if !preciseSleep(d) {
+		time.Sleep(d)
+	}
+}
 
 // Virtual is a manually advanced clock. The zero value is not ready; use
 // NewVirtual. Virtual is safe for concurrent use.
