@@ -60,15 +60,25 @@ type Reducer struct {
 	// tables (see reduce4). A byte index needs no bounds check and one row
 	// is one address.
 	rows4 *[4][256][4]uint64
+	// mats holds the GFNI column kernel's matrices (columns.go) when this
+	// host runs the kernel and the degree is at most 32, else nil.
+	mats *[8][64]byte
 }
 
+// maxWords bounds Reducer.words: a row of a divisor of degree ≤ 256 — every
+// degree NewReducer accepts — fits in 32 words, so Reduce keeps its window
+// in a fixed array on the stack.
+const maxWords = 32
+
 // NewReducer builds a Reducer for the given monic divisor polynomial in
-// descending coefficient order (divisor[0] must be 1, degree ≥ 1). The
-// table costs 256·ceil(deg/8) words — and four such tables, 32 KiB, for
-// the degree-32 generator of the paper's (255,223) code.
+// descending coefficient order (divisor[0] must be 1, 1 ≤ degree ≤ 256).
+// The table costs 256·ceil(deg/8) words — and four such tables, 32 KiB,
+// for the degree-32 generator of the paper's (255,223) code — plus, for a
+// degree of at most 32 on a host that runs the GFNI column kernel, the
+// kernel's 512 bytes of matrices.
 func NewReducer(divisor []byte) *Reducer {
-	if len(divisor) < 2 || divisor[0] != 1 {
-		panic(fmt.Sprintf("gf256: NewReducer wants a monic divisor of degree >= 1, got %d coefficients", len(divisor)))
+	if len(divisor) < 2 || len(divisor) > 8*maxWords+1 || divisor[0] != 1 {
+		panic(fmt.Sprintf("gf256: NewReducer wants a monic divisor of degree 1..%d, got %d coefficients", 8*maxWords, len(divisor)))
 	}
 	deg := len(divisor) - 1
 	words := (deg + 7) / 8
@@ -104,6 +114,9 @@ func NewReducer(divisor []byte) *Reducer {
 			}
 		}
 	}
+	if deg <= 32 && kernelMissing == "" {
+		r.mats = newColumnMatrices(divisor)
+	}
 	return r
 }
 
@@ -136,7 +149,8 @@ func (r *Reducer) Reduce(buf []byte, steps int) {
 	// window just past position i, little-endian: byte 0 of state[0] is
 	// the contribution to position i+1. Row 0 is all zeros, so v == 0
 	// steps need no branch.
-	state := make([]uint64, words)
+	var window [maxWords]uint64
+	state := window[:words]
 	for i := 0; i < steps; i++ {
 		v := buf[i] ^ byte(state[0])
 		for w := 0; w < words-1; w++ {

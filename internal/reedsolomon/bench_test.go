@@ -51,21 +51,31 @@ func benchDecode(b *testing.B, bc *BlockCode, chunk []byte, erasures []int) {
 	}
 }
 
+// BenchmarkRSEncodeChunk and BenchmarkRSDecodeClean run once per column
+// kernel the host has (blockCodePaths), so the portable kernels' speed
+// stays visible beside the GFNI kernel's.
 func BenchmarkRSEncodeChunk(b *testing.B) {
 	bc, data, clean := benchChunk(b)
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := bc.EncodeChunkInto(clean, data); err != nil {
-			b.Fatal(err)
-		}
+	for _, path := range blockCodePaths(b, bc.Code(), bc.BlockSize()) {
+		b.Run(path.name, func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := path.bc.EncodeChunkInto(clean, data); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
 func BenchmarkRSDecodeClean(b *testing.B) {
 	bc, _, clean := benchChunk(b)
-	benchDecode(b, bc, clean, nil)
+	for _, path := range blockCodePaths(b, bc.Code(), bc.BlockSize()) {
+		b.Run(path.name, func(b *testing.B) {
+			benchDecode(b, path.bc, clean, nil)
+		})
+	}
 }
 
 // BenchmarkRSDecodeWithErrors is blind decoding of 8 corrupted blocks:

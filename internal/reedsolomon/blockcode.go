@@ -1,6 +1,7 @@
 package reedsolomon
 
 import (
+	"encoding/binary"
 	"fmt"
 )
 
@@ -14,6 +15,11 @@ import (
 type BlockCode struct {
 	code      *Code
 	blockSize int
+	// groups: the chunk's byte columns run sixteen at a time on the GFNI
+	// kernel (gf256.Reducer.ReduceColumns16). It is set from the host's
+	// CPU and the code's degree, and only tests clear it, to run the
+	// portable kernels on the same code.
+	groups bool
 }
 
 // NewBlockCode builds a block-interleaved codec. blockSize is in bytes
@@ -22,7 +28,7 @@ func NewBlockCode(code *Code, blockSize int) (*BlockCode, error) {
 	if code == nil || blockSize <= 0 {
 		return nil, fmt.Errorf("%w: nil code or blockSize=%d", ErrBadShape, blockSize)
 	}
-	return &BlockCode{code: code, blockSize: blockSize}, nil
+	return &BlockCode{code: code, blockSize: blockSize, groups: code.red.CanReduceColumns16()}, nil
 }
 
 // Code returns the underlying symbol-level code.
@@ -39,9 +45,10 @@ func (bc *BlockCode) ChunkBlocks() int { return bc.code.N() }
 
 // EncodeChunk encodes exactly k·blockSize bytes of data into n·blockSize
 // bytes (data blocks followed by parity blocks). The data blocks are
-// copied once and each pair of adjacent byte columns is driven through the
-// code's column kernel where it lies — no per-codeword allocation and no
-// full column gather/scatter of the data blocks.
+// copied once and the byte columns are driven through the code's column
+// kernel where they lie — sixteen at a time on the GFNI kernel, else in
+// adjacent pairs — with no per-codeword allocation and no full column
+// gather/scatter of the data blocks.
 func (bc *BlockCode) EncodeChunk(data []byte) ([]byte, error) {
 	out := make([]byte, bc.code.N()*bc.blockSize)
 	if err := bc.EncodeChunkInto(out, data); err != nil {
@@ -69,6 +76,23 @@ func (bc *BlockCode) EncodeChunkInto(dst, data []byte) error {
 	}
 	copy(dst, data)
 	red, parity := bc.code.red, dst[k*bs:]
+	if bc.groups {
+		// The kernel's remainder rows are the parity rows' bytes j..j+w-1;
+		// a whole row is one 16-byte move rather than a copy call.
+		var rem [32][16]byte
+		for j := 0; j < bs; j += 16 {
+			w := min(16, bs-j)
+			red.ReduceColumns16(&rem, data, bs, j, w, k)
+			for b := 0; b < n-k; b++ {
+				if w == 16 {
+					*(*[16]byte)(parity[b*bs+j:]) = rem[b]
+				} else {
+					copy(parity[b*bs+j:b*bs+j+w], rem[b][:w])
+				}
+			}
+		}
+		return nil
+	}
 	j := 0
 	if red.CanReduceColumnPair() {
 		var win [2][32]byte
@@ -88,11 +112,11 @@ func (bc *BlockCode) EncodeChunkInto(dst, data []byte) error {
 	return nil
 }
 
-// reduceColumn is the single-column path for what the pair kernel leaves:
-// the odd trailing column, and every column of a generator whose rows are
-// not four words wide. It gathers column j of src's k data blocks into
-// scratch, reduces it there and returns the n-k remainder coefficients of
-// column(x)·x^(n-k) mod g, which alias scratch.
+// reduceColumn is the single-column path for what the pair kernel leaves
+// off the GFNI kernel: the odd trailing column, and every column of a
+// generator whose rows are not four words wide. It gathers column j of
+// src's k data blocks into scratch, reduces it there and returns the n-k
+// remainder coefficients of column(x)·x^(n-k) mod g, which alias scratch.
 func (bc *BlockCode) reduceColumn(scratch, src []byte, j int) []byte {
 	k, n, bs := bc.code.K(), bc.code.N(), bc.blockSize
 	scratch = scratch[:bc.code.red.Scratch(k)]
@@ -112,11 +136,13 @@ func (bc *BlockCode) reduceColumn(scratch, src []byte, j int) []byte {
 // every interleaved codeword).
 //
 // Each stripe first passes through a cheap all-syndromes-zero parity
-// check (one slab reduction); clean stripes — the honest-prover common
-// case — are the chunk's leading k·blockSize bytes verbatim and never
-// touch the Berlekamp-Massey / Chien / Forney machinery. Erasure hints
-// cannot change the result for a stripe that already is a valid codeword,
-// so the fast path is byte-identical to the full decode.
+// check (one slab reduction, shared by sixteen stripes on the GFNI
+// kernel, which tests their whole remainder for zero at once); clean
+// stripes — the honest-prover common case — are the chunk's leading
+// k·blockSize bytes verbatim and never touch the Berlekamp-Massey /
+// Chien / Forney machinery. Erasure hints cannot change the result for a
+// stripe that already is a valid codeword, so the fast path is
+// byte-identical to the full decode.
 func (bc *BlockCode) DecodeChunk(chunk []byte, badBlocks []int) ([]byte, error) {
 	out := make([]byte, bc.code.K()*bc.blockSize)
 	if err := bc.DecodeChunkInto(out, chunk, badBlocks); err != nil {
@@ -129,12 +155,15 @@ func (bc *BlockCode) DecodeChunk(chunk []byte, badBlocks []int) ([]byte, error) 
 // bytes into a caller-provided buffer — the streaming extractor's entry
 // point for pooled buffers. The data blocks are copied once and every
 // stripe is tested against the generator where it lies, with no full
-// column gather/scatter. A stripe that fails the test is repaired in its
-// column of dst by the chunk's erasure solver when its damage lies on
-// badBlocks, and otherwise gathered, corrected and written back; either
-// way the result is the full decoder's. For the paper's code nothing is
-// allocated, clean or damaged. dst must not overlap chunk, which is only
-// read. On error dst contents are unspecified.
+// column gather/scatter. On the GFNI kernel sixteen stripes are tested at
+// once: the group's remainder rows, XORed with the received parity rows,
+// are all zero when every stripe is clean, and only a group with a
+// nonzero byte takes the per-stripe test. A stripe that fails that test
+// is repaired in its column of dst by the chunk's erasure solver when its
+// damage lies on badBlocks, and otherwise gathered, corrected and written
+// back; either way the result is the full decoder's. For the paper's code
+// nothing is allocated, clean or damaged. dst must not overlap chunk,
+// which is only read. On error dst contents are unspecified.
 func (bc *BlockCode) DecodeChunkInto(dst, chunk []byte, badBlocks []int) error {
 	k, n, bs := bc.code.K(), bc.code.N(), bc.blockSize
 	if len(chunk) != n*bs {
@@ -203,6 +232,26 @@ func (bc *BlockCode) DecodeChunkInto(dst, chunk []byte, badBlocks []int) error {
 		}
 		return nil
 	}
+	if bc.groups {
+		var rem [32][16]byte
+		var w [32]byte
+		for j := 0; j < bs; j += 16 {
+			width := min(16, bs-j)
+			red.ReduceColumns16(&rem, chunk, bs, j, width, k)
+			if groupClean(&rem, parity, bs, j, width, n-k) {
+				continue
+			}
+			for c := 0; c < width; c++ {
+				for b := range w[:n-k] {
+					w[b] = rem[b][c]
+				}
+				if err := check(j+c, w[:n-k]); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
 	j := 0
 	if red.CanReduceColumnPair() {
 		var win [2][32]byte
@@ -221,6 +270,28 @@ func (bc *BlockCode) DecodeChunkInto(dst, chunk []byte, badBlocks []int) error {
 		}
 	}
 	return nil
+}
+
+// groupClean reports whether the first `rows` remainder rows of a
+// sixteen-column group, XORed with the received parity rows — bytes
+// j..j+width-1 of parity's blocks of bs bytes — are all zero, that is
+// whether every stripe of the group is a codeword.
+func groupClean(rem *[32][16]byte, parity []byte, bs, j, width, rows int) bool {
+	var acc uint64
+	if width == 16 {
+		for b := 0; b < rows; b++ {
+			p := parity[b*bs+j : b*bs+j+16]
+			acc |= binary.LittleEndian.Uint64(rem[b][:8]) ^ binary.LittleEndian.Uint64(p[:8]) |
+				binary.LittleEndian.Uint64(rem[b][8:]) ^ binary.LittleEndian.Uint64(p[8:])
+		}
+		return acc == 0
+	}
+	for b := 0; b < rows; b++ {
+		for c, v := range parity[b*bs+j : b*bs+j+width] {
+			acc |= uint64(rem[b][c] ^ v)
+		}
+	}
+	return acc == 0
 }
 
 // Expansion returns the storage expansion factor n/k of the code (≈1.1435

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"repro/internal/gf256"
 )
 
 func newStdBlockCode(t *testing.T) *BlockCode {
@@ -182,13 +184,42 @@ func TestChunkIntoVariantsMatchAllocating(t *testing.T) {
 }
 
 // columnShapes × columnBlockSizes is the sweep for the column data plane:
-// the paper's degree-32 generator (pair kernel), a degree-16 and a degree-4
-// one (single-column Reduce throughout), each at block sizes that are one
-// column, exactly pairs, pairs plus an odd tail, and two words wide.
+// the paper's degree-32 generator (pair kernel), a degree-16, a degree-13
+// and a degree-4 one (single-column Reduce throughout), each at block
+// sizes that are one column, exactly pairs, pairs plus an odd tail, two
+// words wide and, on the GFNI kernel, a masked tail group after none, one
+// and two full groups of sixteen columns.
 var (
-	columnShapes     = []struct{ n, k int }{{255, 223}, {255, 239}, {15, 11}}
-	columnBlockSizes = []int{1, 2, 3, 15, 16, 17, 32}
+	columnShapes     = []struct{ n, k int }{{255, 223}, {255, 239}, {43, 30}, {15, 11}}
+	columnBlockSizes = []int{1, 2, 3, 15, 16, 17, 32, 47}
 )
+
+// codePath is a block code on one of its column kernels.
+type codePath struct {
+	name string
+	bc   *BlockCode
+}
+
+// blockCodePaths returns the paths the chunk tests run code on at block
+// size bs: the GFNI kernel where NewBlockCode chose it, and the portable
+// kernels on every host. A host without the kernel says in the test log
+// what it lacks.
+func blockCodePaths(t testing.TB, code *Code, bs int) []codePath {
+	t.Helper()
+	bc, err := NewBlockCode(code, bs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bc.groups {
+		if m := gf256.KernelMissing(); m != "" {
+			t.Logf("GFNI column kernel not run: host lacks %s", m)
+		}
+		return []codePath{{"portable", bc}}
+	}
+	portable := *bc
+	portable.groups = false
+	return []codePath{{"gfni", bc}, {"portable", &portable}}
+}
 
 // trashBlocks changes every byte of the listed blocks, so each of the
 // chunk's stripes carries the same damage pattern.
@@ -207,27 +238,25 @@ func TestEncodeChunkMatchesReferencePerStripe(t *testing.T) {
 	for _, s := range columnShapes {
 		code := MustNew(s.n, s.k)
 		for _, bs := range columnBlockSizes {
-			bc, err := NewBlockCode(code, bs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			data := randBytes(int64(s.n*100+bs), s.k*bs)
-			got := randBytes(1, s.n*bs) // junk: must be overwritten
-			if err := bc.EncodeChunkInto(got, data); err != nil {
-				t.Fatal(err)
-			}
-			stripe := make([]byte, s.k)
-			for j := 0; j < bs; j++ {
-				for b := range stripe {
-					stripe[b] = data[b*bs+j]
-				}
-				want, err := code.encodeRef(stripe)
-				if err != nil {
+			for _, path := range blockCodePaths(t, code, bs) {
+				data := randBytes(int64(s.n*100+bs), s.k*bs)
+				got := randBytes(1, s.n*bs) // junk: must be overwritten
+				if err := path.bc.EncodeChunkInto(got, data); err != nil {
 					t.Fatal(err)
 				}
-				for b, w := range want {
-					if got[b*bs+j] != w {
-						t.Fatalf("(%d,%d,bs%d) stripe %d block %d: %#x, want %#x", s.n, s.k, bs, j, b, got[b*bs+j], w)
+				stripe := make([]byte, s.k)
+				for j := 0; j < bs; j++ {
+					for b := range stripe {
+						stripe[b] = data[b*bs+j]
+					}
+					want, err := code.encodeRef(stripe)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for b, w := range want {
+						if got[b*bs+j] != w {
+							t.Fatalf("(%d,%d,bs%d) %s stripe %d block %d: %#x, want %#x", s.n, s.k, bs, path.name, j, b, got[b*bs+j], w)
+						}
 					}
 				}
 			}
@@ -247,59 +276,58 @@ func TestDecodeChunkDamageMatrix(t *testing.T) {
 		code := MustNew(s.n, s.k)
 		tcap, budget := code.T(), s.n-s.k
 		for _, bs := range columnBlockSizes {
-			bc, err := NewBlockCode(code, bs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(int64(s.n*1000 + s.k*10 + bs)))
-			data := make([]byte, s.k*bs)
-			rng.Read(data)
-			clean, err := bc.EncodeChunk(data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, d := range []int{0, 1, tcap, tcap + 1} {
-				perm := rng.Perm(s.n)
-				bad, spare := perm[:d], perm[d:]
-				chunk := append([]byte(nil), clean...)
-				trashBlocks(rng, chunk, bs, bad)
-				snapshot := append([]byte(nil), chunk...)
-
-				lists := map[string][]int{"blind": nil, "exact": bad}
-				lists["wide"] = append(append([]int(nil), bad...), spare[:min(2, budget-d)]...)
-				if d > 0 {
-					lists["short"] = bad[1:]
-					lists["dup"] = append([]int{bad[0]}, bad...)
-				} else {
-					lists["dup"] = []int{spare[0], spare[0]}
+			for _, path := range blockCodePaths(t, code, bs) {
+				bc := path.bc
+				rng := rand.New(rand.NewSource(int64(s.n*1000 + s.k*10 + bs)))
+				data := make([]byte, s.k*bs)
+				rng.Read(data)
+				clean, err := bc.EncodeChunk(data)
+				if err != nil {
+					t.Fatal(err)
 				}
-				got := make([]byte, len(data))
-				for name, list := range lists {
-					err := bc.DecodeChunkInto(got, chunk, list)
-					// A repeated position in a damaged stripe is a locator
-					// with fewer roots than its degree; unhinted damage
-					// past T is beyond the code.
-					wantFail := d > 0 && name == "dup" || d > tcap && name == "blind"
-					switch {
-					case wantFail && !errors.Is(err, ErrTooManyErrors):
-						// Past T a bounded-distance decoder may land on
-						// another codeword; for T = 2 that is likely, for
-						// T ≥ 8 it is not (≈ 1/T! per stripe).
-						if name == "blind" && tcap < 8 && err == nil && !bytes.Equal(got, data) {
-							break
-						}
-						t.Fatalf("(%d,%d,bs%d) d=%d %s: err %v, want ErrTooManyErrors", s.n, s.k, bs, d, name, err)
-					case wantFail:
-						if want := "stripe 0: " + ErrTooManyErrors.Error(); err.Error() != want {
-							t.Fatalf("(%d,%d,bs%d) d=%d %s: error text %q, want %q", s.n, s.k, bs, d, name, err, want)
-						}
-					case err != nil:
-						t.Fatalf("(%d,%d,bs%d) d=%d %s: %v", s.n, s.k, bs, d, name, err)
-					case !bytes.Equal(got, data):
-						t.Fatalf("(%d,%d,bs%d) d=%d %s: decoded wrong data", s.n, s.k, bs, d, name)
+				for _, d := range []int{0, 1, tcap, tcap + 1} {
+					perm := rng.Perm(s.n)
+					bad, spare := perm[:d], perm[d:]
+					chunk := append([]byte(nil), clean...)
+					trashBlocks(rng, chunk, bs, bad)
+					snapshot := append([]byte(nil), chunk...)
+
+					lists := map[string][]int{"blind": nil, "exact": bad}
+					lists["wide"] = append(append([]int(nil), bad...), spare[:min(2, budget-d)]...)
+					if d > 0 {
+						lists["short"] = bad[1:]
+						lists["dup"] = append([]int{bad[0]}, bad...)
+					} else {
+						lists["dup"] = []int{spare[0], spare[0]}
 					}
-					if !bytes.Equal(chunk, snapshot) {
-						t.Fatalf("(%d,%d,bs%d) d=%d %s: input chunk modified", s.n, s.k, bs, d, name)
+					got := make([]byte, len(data))
+					for name, list := range lists {
+						err := bc.DecodeChunkInto(got, chunk, list)
+						// A repeated position in a damaged stripe is a locator
+						// with fewer roots than its degree; unhinted damage
+						// past T is beyond the code.
+						wantFail := d > 0 && name == "dup" || d > tcap && name == "blind"
+						switch {
+						case wantFail && !errors.Is(err, ErrTooManyErrors):
+							// Past T a bounded-distance decoder may land on
+							// another codeword; for T = 2 that is likely, for
+							// T ≥ 8 it is not (≈ 1/T! per stripe).
+							if name == "blind" && tcap < 8 && err == nil && !bytes.Equal(got, data) {
+								break
+							}
+							t.Fatalf("(%d,%d,bs%d) %s d=%d %s: err %v, want ErrTooManyErrors", s.n, s.k, bs, path.name, d, name, err)
+						case wantFail:
+							if want := "stripe 0: " + ErrTooManyErrors.Error(); err.Error() != want {
+								t.Fatalf("(%d,%d,bs%d) %s d=%d %s: error text %q, want %q", s.n, s.k, bs, path.name, d, name, err, want)
+							}
+						case err != nil:
+							t.Fatalf("(%d,%d,bs%d) %s d=%d %s: %v", s.n, s.k, bs, path.name, d, name, err)
+						case !bytes.Equal(got, data):
+							t.Fatalf("(%d,%d,bs%d) %s d=%d %s: decoded wrong data", s.n, s.k, bs, path.name, d, name)
+						}
+						if !bytes.Equal(chunk, snapshot) {
+							t.Fatalf("(%d,%d,bs%d) %s d=%d %s: input chunk modified", s.n, s.k, bs, path.name, d, name)
+						}
 					}
 				}
 			}
@@ -307,115 +335,121 @@ func TestDecodeChunkDamageMatrix(t *testing.T) {
 	}
 }
 
-// TestChunkIntoAllocatesNothing: with the paper's code, encoding and
-// decoding run entirely in the caller's buffers and the stack, on the pair
-// kernel and on the odd-column tail alike — for a clean chunk, for
-// erasure-listed damage up to the full budget and for blind damage.
+// TestChunkIntoAllocatesNothing: encoding and decoding run entirely in
+// the caller's buffers and the stack — for the paper's code on the GFNI
+// kernel, the pair kernel and the odd-column tail, and for RS(255,239),
+// whose two-word rows take the single-column Reduce off the GFNI kernel —
+// for a clean chunk, for erasure-listed damage up to the full budget and
+// for blind damage.
 func TestChunkIntoAllocatesNothing(t *testing.T) {
-	for _, bs := range []int{16, 17} {
-		bc, err := NewBlockCode(MustNew(StdN, StdK), bs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data := randBytes(3, StdK*bs)
-		chunk := make([]byte, StdN*bs)
-		out := make([]byte, len(data))
-		if n := testing.AllocsPerRun(20, func() {
-			if err := bc.EncodeChunkInto(chunk, data); err != nil {
-				t.Fatal(err)
-			}
-		}); n != 0 {
-			t.Errorf("bs%d: EncodeChunkInto allocates %v times per call", bs, n)
-		}
-		if n := testing.AllocsPerRun(20, func() {
-			if err := bc.DecodeChunkInto(out, chunk, nil); err != nil {
-				t.Fatal(err)
-			}
-		}); n != 0 {
-			t.Errorf("bs%d: clean DecodeChunkInto allocates %v times per call", bs, n)
-		}
-		if !bytes.Equal(out, data) {
-			t.Fatalf("bs%d: round trip mismatch", bs)
-		}
-		// Damaged chunks: erasure lists solved once per chunk, and blind
-		// decoding through Berlekamp-Massey, Chien and Forney.
-		rng := rand.New(rand.NewSource(int64(bs)))
-		for _, c := range []struct {
-			name   string
-			bad    int
-			listed bool
-		}{{"e=1", 1, true}, {"e=3", 3, true}, {"e=32", 32, true}, {"blind 8", 8, false}} {
-			damaged := append([]byte(nil), chunk...)
-			bad := rng.Perm(StdN)[:c.bad]
-			trashBlocks(rng, damaged, bs, bad)
-			var list []int
-			if c.listed {
-				list = bad
-			}
-			if n := testing.AllocsPerRun(20, func() {
-				if err := bc.DecodeChunkInto(out, damaged, list); err != nil {
-					t.Fatal(err)
+	for _, shape := range []struct{ n, k int }{{StdN, StdK}, {255, 239}} {
+		code := MustNew(shape.n, shape.k)
+		budget := shape.n - shape.k
+		for _, bs := range []int{16, 17} {
+			for _, path := range blockCodePaths(t, code, bs) {
+				bc, desc := path.bc, fmt.Sprintf("(%d,%d,bs%d) %s", shape.n, shape.k, bs, path.name)
+				data := randBytes(3, shape.k*bs)
+				chunk := make([]byte, shape.n*bs)
+				out := make([]byte, len(data))
+				if n := testing.AllocsPerRun(20, func() {
+					if err := bc.EncodeChunkInto(chunk, data); err != nil {
+						t.Fatal(err)
+					}
+				}); n != 0 {
+					t.Errorf("%s: EncodeChunkInto allocates %v times per call", desc, n)
 				}
-			}); n != 0 {
-				t.Errorf("bs%d %s: DecodeChunkInto allocates %v times per call", bs, c.name, n)
-			}
-			if !bytes.Equal(out, data) {
-				t.Fatalf("bs%d %s: decoded wrong data", bs, c.name)
+				if n := testing.AllocsPerRun(20, func() {
+					if err := bc.DecodeChunkInto(out, chunk, nil); err != nil {
+						t.Fatal(err)
+					}
+				}); n != 0 {
+					t.Errorf("%s: clean DecodeChunkInto allocates %v times per call", desc, n)
+				}
+				if !bytes.Equal(out, data) {
+					t.Fatalf("%s: round trip mismatch", desc)
+				}
+				// Damaged chunks: erasure lists solved once per chunk, and
+				// blind decoding through Berlekamp-Massey, Chien and Forney.
+				rng := rand.New(rand.NewSource(int64(bs)))
+				for _, c := range []struct {
+					name   string
+					bad    int
+					listed bool
+				}{{"e=1", 1, true}, {"e=3", 3, true}, {fmt.Sprintf("e=%d", budget), budget, true}, {"blind 8", 8, false}} {
+					damaged := append([]byte(nil), chunk...)
+					bad := rng.Perm(shape.n)[:c.bad]
+					trashBlocks(rng, damaged, bs, bad)
+					var list []int
+					if c.listed {
+						list = bad
+					}
+					if n := testing.AllocsPerRun(20, func() {
+						if err := bc.DecodeChunkInto(out, damaged, list); err != nil {
+							t.Fatal(err)
+						}
+					}); n != 0 {
+						t.Errorf("%s %s: DecodeChunkInto allocates %v times per call", desc, c.name, n)
+					}
+					if !bytes.Equal(out, data) {
+						t.Fatalf("%s %s: decoded wrong data", desc, c.name)
+					}
+				}
 			}
 		}
 	}
 }
 
 // TestBlockCodeSharedAcrossGoroutines uses one BlockCode from 8 goroutines
-// at once, as the POR encode and extract worker pools do: the column
-// kernel keeps both remainder windows in locals, never in the shared
-// Reducer, and each damaged chunk's erasure solver lives in its own call.
-// Run under -race -count=10 in CI.
+// at once, as the POR encode and extract worker pools do, on each column
+// kernel: the kernels keep their remainder windows in locals or the
+// caller's stack, never in the shared Reducer, and each damaged chunk's
+// erasure solver lives in its own call. Run under -race -count=10 in CI.
 func TestBlockCodeSharedAcrossGoroutines(t *testing.T) {
-	bc, err := NewBlockCode(MustNew(StdN, StdK), 17) // pairs and the odd tail
-	if err != nil {
-		t.Fatal(err)
-	}
-	const workers = 8
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		w := w
-		go func() {
-			errs <- func() error {
-				rng := rand.New(rand.NewSource(int64(w)))
-				data := make([]byte, bc.DataBlocks()*bc.BlockSize())
-				chunk := make([]byte, bc.ChunkBlocks()*bc.BlockSize())
-				got := make([]byte, len(data))
-				for round, nBad := range []int{0, 1, 3, 8, 16, 24} {
-					rng.Read(data)
-					if err := bc.EncodeChunkInto(chunk, data); err != nil {
-						return err
-					}
-					perm := rng.Perm(bc.ChunkBlocks())
-					bad := perm[:nBad]
-					trashBlocks(rng, chunk, bc.BlockSize(), bad)
-					// Blind within T, exact, and padded with clean blocks
-					// to the full erasure budget.
-					lists := [][]int{bad, perm[:32]}
-					if nBad <= bc.Code().T() {
-						lists = append(lists, nil)
-					}
-					for _, list := range lists {
-						if err := bc.DecodeChunkInto(got, chunk, list); err != nil {
-							return fmt.Errorf("worker %d round %d: %w", w, round, err)
+	// Block size 17: sixteen-column groups and a masked tail, or pairs
+	// and the odd tail.
+	for _, path := range blockCodePaths(t, MustNew(StdN, StdK), 17) {
+		bc := path.bc
+		const workers = 8
+		errs := make(chan error, workers)
+		for w := 0; w < workers; w++ {
+			w := w
+			go func() {
+				errs <- func() error {
+					rng := rand.New(rand.NewSource(int64(w)))
+					data := make([]byte, bc.DataBlocks()*bc.BlockSize())
+					chunk := make([]byte, bc.ChunkBlocks()*bc.BlockSize())
+					got := make([]byte, len(data))
+					for round, nBad := range []int{0, 1, 3, 8, 16, 24} {
+						rng.Read(data)
+						if err := bc.EncodeChunkInto(chunk, data); err != nil {
+							return err
 						}
-						if !bytes.Equal(got, data) {
-							return fmt.Errorf("worker %d round %d: decoded wrong data", w, round)
+						perm := rng.Perm(bc.ChunkBlocks())
+						bad := perm[:nBad]
+						trashBlocks(rng, chunk, bc.BlockSize(), bad)
+						// Blind within T, exact, and padded with clean
+						// blocks to the full erasure budget.
+						lists := [][]int{bad, perm[:32]}
+						if nBad <= bc.Code().T() {
+							lists = append(lists, nil)
+						}
+						for _, list := range lists {
+							if err := bc.DecodeChunkInto(got, chunk, list); err != nil {
+								return fmt.Errorf("%s worker %d round %d: %w", path.name, w, round, err)
+							}
+							if !bytes.Equal(got, data) {
+								return fmt.Errorf("%s worker %d round %d: decoded wrong data", path.name, w, round)
+							}
 						}
 					}
-				}
-				return nil
+					return nil
+				}()
 			}()
-		}()
-	}
-	for w := 0; w < workers; w++ {
-		if err := <-errs; err != nil {
-			t.Error(err)
+		}
+		for w := 0; w < workers; w++ {
+			if err := <-errs; err != nil {
+				t.Error(err)
+			}
 		}
 	}
 }
@@ -473,53 +507,52 @@ func TestDecodeChunkMatchesPerStripeDecode(t *testing.T) {
 		code := MustNew(s.n, s.k)
 		m := s.n - s.k
 		for _, bs := range columnBlockSizes {
-			bc, err := NewBlockCode(code, bs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(int64(s.n*977 + s.k*31 + bs)))
-			data := make([]byte, s.k*bs)
-			rng.Read(data)
-			clean, err := bc.EncodeChunk(data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			run := func(desc string, damaged, list []int, mustDecode bool) {
-				chunk := append([]byte(nil), clean...)
-				trashBlocks(rng, chunk, bs, damaged)
-				desc = fmt.Sprintf("(%d,%d,bs%d) %s", s.n, s.k, bs, desc)
-				if err := checkMatchesPerStripe(t, bc, chunk, list, desc); mustDecode && err != nil {
-					t.Fatalf("%s: %v", desc, err)
+			for _, path := range blockCodePaths(t, code, bs) {
+				bc := path.bc
+				rng := rand.New(rand.NewSource(int64(s.n*977 + s.k*31 + bs)))
+				data := make([]byte, s.k*bs)
+				rng.Read(data)
+				clean, err := bc.EncodeChunk(data)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			for _, e := range []int{1, 2, 3, 8, 16, 31, 32} {
-				if e > m {
-					continue
+				run := func(desc string, damaged, list []int, mustDecode bool) {
+					chunk := append([]byte(nil), clean...)
+					trashBlocks(rng, chunk, bs, damaged)
+					desc = fmt.Sprintf("(%d,%d,bs%d) %s %s", s.n, s.k, bs, path.name, desc)
+					if err := checkMatchesPerStripe(t, bc, chunk, list, desc); mustDecode && err != nil {
+						t.Fatalf("%s: %v", desc, err)
+					}
 				}
-				for _, v := range []int{0, 1, (m - e) / 2, (m-e)/2 + 1} {
-					if e+v > s.n {
+				for _, e := range []int{1, 2, 3, 8, 16, 31, 32} {
+					if e > m {
 						continue
 					}
-					perm := rng.Perm(s.n)
-					listed, unlisted := perm[:e], perm[e:e+v]
-					run(fmt.Sprintf("e=%d v=%d", e, v), append(append([]int(nil), listed...), unlisted...), listed, 2*v+e <= m)
-				}
-				// Only some listed blocks damaged: the rest are clean.
-				perm := rng.Perm(s.n)
-				run(fmt.Sprintf("e=%d half damaged", e), perm[:(e+1)/2], perm[:e], true)
-				// Parity positions only.
-				if e <= m {
-					parity := make([]int, e)
-					for i, p := range rng.Perm(m)[:e] {
-						parity[i] = s.k + p
+					for _, v := range []int{0, 1, (m - e) / 2, (m-e)/2 + 1} {
+						if e+v > s.n {
+							continue
+						}
+						perm := rng.Perm(s.n)
+						listed, unlisted := perm[:e], perm[e:e+v]
+						run(fmt.Sprintf("e=%d v=%d", e, v), append(append([]int(nil), listed...), unlisted...), listed, 2*v+e <= m)
 					}
-					run(fmt.Sprintf("e=%d parity only", e), parity, parity, true)
-				}
-				// A repeated position, with the damage on the list.
-				if e >= 2 {
-					perm = rng.Perm(s.n)
-					dup := append(append([]int(nil), perm[:e-1]...), perm[0])
-					run(fmt.Sprintf("e=%d repeated", e), perm[:e-1], dup, false)
+					// Only some listed blocks damaged: the rest are clean.
+					perm := rng.Perm(s.n)
+					run(fmt.Sprintf("e=%d half damaged", e), perm[:(e+1)/2], perm[:e], true)
+					// Parity positions only.
+					if e <= m {
+						parity := make([]int, e)
+						for i, p := range rng.Perm(m)[:e] {
+							parity[i] = s.k + p
+						}
+						run(fmt.Sprintf("e=%d parity only", e), parity, parity, true)
+					}
+					// A repeated position, with the damage on the list.
+					if e >= 2 {
+						perm = rng.Perm(s.n)
+						dup := append(append([]int(nil), perm[:e-1]...), perm[0])
+						run(fmt.Sprintf("e=%d repeated", e), perm[:e-1], dup, false)
+					}
 				}
 			}
 		}

@@ -12,13 +12,23 @@
 // correction power the paper relies on.
 //
 // The hot paths run on the gf256 slab engine. A chunk is coded where it
-// lies: EncodeChunkInto copies the data blocks once and runs the generator
-// LFSR down two adjacent byte columns per pass (gf256's column-pair
-// kernel), scattering only the 32 parity bytes of each column;
-// DecodeChunkInto copies the data blocks once, runs the same kernel, adds
-// each column's received parity and tests the remainder for zero, so a
-// clean chunk never gathers a stripe and never touches Berlekamp-Massey.
-// Only a stripe that fails the test is repaired. With an erasure list,
+// lies. On an amd64 CPU with GFNI and AVX-512 (gf256.KernelMissing), and
+// for generators of degree ≤ 32, EncodeChunkInto copies the data blocks
+// once and runs the generator LFSR down sixteen byte columns per pass
+// (gf256's GFNI column kernel), whose remainder rows are the parity
+// blocks' bytes and are stored as they are; a block size that is not a
+// multiple of 16 runs its last columns under a byte mask. DecodeChunkInto
+// copies the data blocks once, runs the same kernel, XORs its rows with
+// the received parity rows and tests the whole sixteen-column remainder
+// for zero at once, so a clean chunk never gathers a stripe and never
+// touches Berlekamp-Massey; only a group with a nonzero byte takes the
+// per-stripe test below. Elsewhere — other CPUs, other architectures and
+// generators of degree above 32 — the portable kernels do the same work:
+// the LFSR runs down two adjacent byte columns per pass (gf256's
+// slicing-by-4 column-pair kernel), only the parity bytes of each column
+// are scattered, and each column's remainder plus its received parity is
+// tested for zero. The stored bytes are the same on every path. Only a
+// stripe that fails the test is repaired. With an erasure list,
 // the chunk's 16 stripes share it, so the erased symbols' values are one
 // fixed linear function of a stripe's 32-byte remainder: on the chunk's
 // first dirty stripe the list is solved once — x^(n-1-p) mod g for each
@@ -34,8 +44,8 @@
 // construction — re-checked against the generator and written back. Both
 // paths keep their state in fixed-size stack arrays, so for the paper's
 // code no decode allocates. The single-codeword API (Encode/Verify/
-// Decode), an odd trailing column and generators that are not four words
-// wide use the one-column Reduce. Byte-at-a-time reference
+// Decode) and, off the GFNI kernel, an odd trailing column and generators
+// that are not four words wide use the one-column Reduce. Byte-at-a-time reference
 // implementations are retained unexported in reference.go as
 // differential-fuzzing oracles.
 package reedsolomon

@@ -107,57 +107,80 @@ func FuzzRSRoundTrip(f *testing.F) {
 	})
 }
 
-var fuzzBlockCodes = func() []*Code {
-	out := make([]*Code, len(columnShapes))
-	for i, s := range columnShapes {
-		out[i] = MustNew(s.n, s.k)
-	}
-	return out
-}()
-
 // FuzzBlockCodeRoundTrip drives the chunk codec with the fuzzer's data,
-// block size, damaged blocks and erasure list (which may name clean blocks,
-// miss damaged ones and repeat itself). With v damaged blocks outside a
-// list of e distinct positions, 2v + e ≤ n-k must decode back to the input.
-// A list longer than n-k, or a repeated position in a damaged chunk, must
-// fail with ErrTooManyErrors. Damage beyond 2v + e ≤ n-k can never decode
-// to the input and fails the same way — except that a bounded-distance
+// generator degree (1..32), k (from 1 up), block size (1..48), damaged
+// blocks and erasure list (which may name clean blocks, miss damaged ones
+// and repeat itself), on every column kernel the host runs: the GFNI
+// kernel's chunk must equal the portable kernels' and, stripe by stripe,
+// the byte-at-a-time encoder's. With v damaged blocks outside a list of e
+// distinct positions, 2v + e ≤ n-k must decode back to the input. A list
+// longer than n-k, or a repeated position in a damaged chunk, must fail
+// with ErrTooManyErrors. Damage beyond 2v + e ≤ n-k can never decode to
+// the input and fails the same way — except that a bounded-distance
 // decoder may land on another codeword with probability ≈ 1/u!, u being
 // the (n-k-e)/2 errors the unspent parity could still locate, so success
 // with different bytes is tolerated there when u < 8. Every outcome, bytes
-// or error, must also equal a per-stripe Code.Decode of the gathered
-// codewords, so the per-chunk erasure solve can never change a result.
+// or error, on every kernel, must also equal a per-stripe Code.Decode of
+// the gathered codewords, so neither the kernel nor the per-chunk erasure
+// solve can change a result.
 func FuzzBlockCodeRoundTrip(f *testing.F) {
-	f.Add([]byte("geoproof"), uint8(0), uint8(16), []byte{}, []byte{})
-	f.Add([]byte{0}, uint8(0), uint8(17), []byte{3, 200}, []byte{3, 200})
-	f.Add([]byte{1, 2, 3}, uint8(0), uint8(3), []byte{9}, []byte{9, 9})
-	f.Add([]byte{7}, uint8(1), uint8(2), []byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{})
-	f.Add([]byte{9}, uint8(2), uint8(32), []byte{0, 14}, []byte{14, 5})
-	f.Add([]byte{5}, uint8(0), uint8(1), []byte{10, 20, 30}, []byte{10, 20})
+	// deg 31, k 222 is the paper's (255,223); 15, 238 is (255,239); 3, 10
+	// is (15,11); 12, 29 is (43,30).
+	f.Add([]byte("geoproof"), uint8(31), uint8(222), uint8(16), []byte{}, []byte{})
+	f.Add([]byte{0}, uint8(31), uint8(222), uint8(17), []byte{3, 200}, []byte{3, 200})
+	f.Add([]byte{1, 2, 3}, uint8(31), uint8(222), uint8(3), []byte{9}, []byte{9, 9})
+	f.Add([]byte{7}, uint8(15), uint8(238), uint8(2), []byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{})
+	f.Add([]byte{9}, uint8(3), uint8(10), uint8(31), []byte{0, 14}, []byte{14, 5})
+	f.Add([]byte{5}, uint8(31), uint8(222), uint8(0), []byte{10, 20, 30}, []byte{10, 20})
+	f.Add([]byte{3}, uint8(12), uint8(29), uint8(46), []byte{1, 40}, []byte{40})
+	f.Add([]byte{8}, uint8(5), uint8(0), uint8(20), []byte{0, 3}, []byte{3})
 	// The paper's code at its full erasure budget, and at 30 erasures
 	// plus one unlisted error (2·1 + 30 = n-k).
 	era := make([]byte, 32)
 	for i := range era {
 		era[i] = byte(7*i + 3)
 	}
-	f.Add([]byte{4, 2}, uint8(0), uint8(16), era[:20], era)
-	f.Add([]byte{6}, uint8(0), uint8(17), append(era[:10:10], 250), era[:30])
-	f.Fuzz(func(t *testing.T, seedData []byte, shape, rawBS uint8, damage, hints []byte) {
-		code := fuzzBlockCodes[int(shape)%len(fuzzBlockCodes)]
-		n, k, bs := code.N(), code.K(), 1+int(rawBS)%32
-		bc, err := NewBlockCode(code, bs)
-		if err != nil {
-			t.Fatal(err)
-		}
+	f.Add([]byte{4, 2}, uint8(31), uint8(222), uint8(16), era[:20], era)
+	f.Add([]byte{6}, uint8(31), uint8(222), uint8(17), append(era[:10:10], 250), era[:30])
+	f.Fuzz(func(t *testing.T, seedData []byte, rawDeg, rawK, rawBS uint8, damage, hints []byte) {
+		deg := 1 + int(rawDeg)%32
+		k := 1 + int(rawK)%(255-deg)
+		n, bs := k+deg, 1+int(rawBS)%48
+		code := MustNew(n, k)
+		paths := blockCodePaths(t, code, bs)
 		data := make([]byte, k*bs)
 		if len(seedData) > 0 {
 			for i := range data {
 				data[i] = seedData[i%len(seedData)] + byte(i/len(seedData))
 			}
 		}
-		chunk, err := bc.EncodeChunk(data)
+		chunk, err := paths[0].bc.EncodeChunk(data)
 		if err != nil {
 			t.Fatal(err)
+		}
+		for _, path := range paths[1:] {
+			other, err := path.bc.EncodeChunk(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(other, chunk) {
+				t.Fatalf("n=%d k=%d bs=%d: %s chunk differs from %s", n, k, bs, path.name, paths[0].name)
+			}
+		}
+		stripe := make([]byte, k)
+		for j := 0; j < bs; j++ {
+			for b := range stripe {
+				stripe[b] = data[b*bs+j]
+			}
+			want, err := code.encodeRef(stripe)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for b, w := range want {
+				if chunk[b*bs+j] != w {
+					t.Fatalf("n=%d k=%d bs=%d: stripe %d block %d is %#x, byte-at-a-time encoder says %#x", n, k, bs, j, b, chunk[b*bs+j], w)
+				}
+			}
 		}
 
 		damaged := make(map[int]bool)
@@ -188,25 +211,28 @@ func FuzzBlockCodeRoundTrip(f *testing.F) {
 		within := !mustFail && (len(damaged) == 0 || 2*unknown+len(hinted) <= n-k)
 
 		snapshot := append([]byte(nil), chunk...)
-		got, err := bc.DecodeChunk(chunk, list)
-		if !bytes.Equal(chunk, snapshot) {
-			t.Fatal("DecodeChunk modified its input")
+		for _, path := range paths {
+			bc := path.bc
+			got, err := bc.DecodeChunk(chunk, list)
+			if !bytes.Equal(chunk, snapshot) {
+				t.Fatalf("%s: DecodeChunk modified its input", path.name)
+			}
+			desc := fmt.Sprintf("%s n=%d k=%d bs=%d damaged=%d unknown=%d hints=%v", path.name, n, k, bs, len(damaged), unknown, list)
+			switch {
+			case err != nil && !errors.Is(err, ErrTooManyErrors):
+				t.Fatalf("%s: unexpected error %v", desc, err)
+			case within && err != nil:
+				t.Fatalf("%s: %v", desc, err)
+			case within && !bytes.Equal(got, data):
+				t.Fatalf("%s: decoded wrong data", desc)
+			case mustFail && err == nil:
+				t.Fatalf("%s: decoded with an unusable erasure list", desc)
+			case !within && err == nil && bytes.Equal(got, data):
+				t.Fatalf("%s: decoded the input from beyond capacity", desc)
+			case !within && err == nil && (n-k-len(hinted))/2 >= 8:
+				t.Fatalf("%s: miscorrected beyond capacity", desc)
+			}
+			checkMatchesPerStripe(t, bc, chunk, list, desc)
 		}
-		desc := fmt.Sprintf("n=%d k=%d bs=%d damaged=%d unknown=%d hints=%v", n, k, bs, len(damaged), unknown, list)
-		switch {
-		case err != nil && !errors.Is(err, ErrTooManyErrors):
-			t.Fatalf("%s: unexpected error %v", desc, err)
-		case within && err != nil:
-			t.Fatalf("%s: %v", desc, err)
-		case within && !bytes.Equal(got, data):
-			t.Fatalf("%s: decoded wrong data", desc)
-		case mustFail && err == nil:
-			t.Fatalf("%s: decoded with an unusable erasure list", desc)
-		case !within && err == nil && bytes.Equal(got, data):
-			t.Fatalf("%s: decoded the input from beyond capacity", desc)
-		case !within && err == nil && (n-k-len(hinted))/2 >= 8:
-			t.Fatalf("%s: miscorrected beyond capacity", desc)
-		}
-		checkMatchesPerStripe(t, bc, chunk, list, desc)
 	})
 }
