@@ -39,6 +39,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/blockfile"
 	"repro/internal/crypt"
@@ -436,11 +437,14 @@ func (sc *streamCoder) extractTo(r io.ReaderAt, w io.WriterAt) error {
 	if err != nil {
 		return err
 	}
+	// A clean store — every store of an honest prover — has no suspect
+	// segment, and then no chunk has an erasure hint to look for.
+	anySuspect := slices.Contains(suspectSeg, true)
 
 	// Pass 2: per chunk group — gather blocks from their permuted stored
 	// positions, decrypt, decode with erasure hints, place plaintext.
 	bs := sc.layout.BlockSize
-	v := int64(sc.layout.SegmentBlocks)
+	v := uint64(sc.layout.SegmentBlocks)
 	encRing := newRing(sc.ringCap(), func() []byte { return make([]byte, sc.groupChunks*sc.chunkOut) })
 	plainRing := newRing(sc.ringCap(), func() []byte { return make([]byte, sc.chunkIn) })
 	srcRing := newRing(sc.ringCap(), func() []uint64 { return make([]uint64, sc.groupChunks*sc.layout.ChunkTotal) })
@@ -491,13 +495,15 @@ func (sc *streamCoder) extractTo(r io.ReaderAt, w io.WriterAt) error {
 		// chunkOut), so the group's plaintext ends up contiguous.
 		plain := plainRing.get()
 		defer plainRing.put(plain)
-		var hints []int // erasure scratch, reused by every chunk of the group
+		var hintBuf [255]int // erasure scratch: a chunk has at most 255 blocks
 		for c := 0; c < nChunks; c++ {
 			ci := firstChunk + int64(c)
-			hints = hints[:0]
-			for b := 0; b < sc.layout.ChunkTotal; b++ {
-				if suspectSeg[int64(srcs[c*sc.layout.ChunkTotal+b])/v] {
-					hints = append(hints, b)
+			hints := hintBuf[:0]
+			if anySuspect {
+				for b, s := range srcs[c*sc.layout.ChunkTotal : (c+1)*sc.layout.ChunkTotal] {
+					if suspectSeg[s/v] {
+						hints = append(hints, b)
+					}
 				}
 			}
 			erasures := hints

@@ -1,0 +1,7 @@
+//go:build unix
+
+package store
+
+// GatherStrip exports the 16-byte gather's strip length, so the tests can
+// place batch lengths and faults on the seams between strips.
+const GatherStrip = gatherStrip

@@ -101,3 +101,32 @@ func TestExtractStreamSeamEquivalence(t *testing.T) {
 		})
 	}
 }
+
+// discardAt is an io.WriterAt that drops what it is handed.
+type discardAt struct{}
+
+func (discardAt) WriteAt(p []byte, _ int64) (int, error) { return len(p), nil }
+
+// BenchmarkStoreExtract is the end-to-end extraction line outside the
+// bench harness: ExtractStream of an 8 MiB clean store of the paper's
+// geometry — the verify pass, the gather (mapped where the platform has
+// it), CTR, Reed–Solomon — into a writer that discards the plaintext, so
+// no output I/O is timed. BenchmarkStoreGather is the gather alone.
+func BenchmarkStoreExtract(b *testing.B) {
+	data := testData(b, 8<<20)
+	enc := por.NewEncoder([]byte("extract-master"))
+	dir := b.TempDir()
+	layout, _ := encodeToStore(b, dir, enc, "f", data, store.Options{})
+	st, err := store.Open(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	b.SetBytes(layout.OrigBytes)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := enc.ExtractStream("f", layout, st, discardAt{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

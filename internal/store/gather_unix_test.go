@@ -73,21 +73,31 @@ func shardEdges(layout blockfile.Layout, man store.Manifest) []uint64 {
 	return edges
 }
 
-// TestGatherBlocksMatchesReadAt is the seam's defining property, for the
-// paper's 16-byte blocks (the load/store fast path) and fastParams' 4-byte
-// ones (copy): whatever slots a batch names — in any order, with repeats,
-// the first and last of every shard, the short last shard's — GatherBlocks
-// returns the bytes per-block ReadAt returns at StoredBlockOffset; and a
-// batch with a slot past the layout, the wrong block size or a wrongly
-// sized buffer is refused whole, before buf is written.
+// gatherParams are the two gather paths: the paper's 16-byte blocks (two
+// passes per strip of store.GatherStrip slots) and fastParams' 4-byte ones
+// (copy).
+var gatherParams = []struct {
+	name   string
+	params blockfile.Params
+}{
+	{"paper-16-byte-blocks", blockfile.DefaultParams()},
+	{"fast-4-byte-blocks", fastParams},
+}
+
+// groupSlots is one chunk group of the paper's geometry: 64 chunks of 255
+// blocks, the batch the extractor hands GatherBlocks.
+const groupSlots = 64 * 255
+
+// TestGatherBlocksMatchesReadAt is the seam's defining property, on both
+// gather paths: whatever slots a batch names — in any order, with
+// repeats, the first and last of every shard, the short last shard's, in
+// batches that end on either side of a strip seam or span a whole chunk
+// group — GatherBlocks returns the bytes per-block ReadAt returns at
+// StoredBlockOffset; and a batch with a slot past the layout, the wrong
+// block size or a wrongly sized buffer is refused whole, before buf is
+// written.
 func TestGatherBlocksMatchesReadAt(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		params blockfile.Params
-	}{
-		{"paper-16-byte-blocks", blockfile.DefaultParams()},
-		{"fast-4-byte-blocks", fastParams},
-	} {
+	for _, tc := range gatherParams {
 		t.Run(tc.name, func(t *testing.T) {
 			st, _, layout, _, _ := openGatherStore(t, tc.params, 61000, 4096)
 			man := st.Manifest()
@@ -107,6 +117,10 @@ func TestGatherBlocksMatchesReadAt(t *testing.T) {
 			}
 			edges := shardEdges(layout, man)
 			check("shard edges", edges)
+			const S = store.GatherStrip
+			for _, n := range []int{1, S - 1, S, S + 1, 3*S + 7, groupSlots} {
+				check(fmt.Sprintf("%d slots", n), randomSlots(layout, int64(n), n))
+			}
 			rng := rand.New(rand.NewSource(5))
 			for round := 0; round < 200; round++ {
 				slots := make([]uint64, rng.Intn(300))
@@ -205,13 +219,13 @@ func TestGatherSeesWriteAt(t *testing.T) {
 	extract() // suspect segments → erasure decoding → the same plaintext
 }
 
-// truncatedStore opens a store of 64 KiB shards and returns it with the
-// path of shard 1 and that shard's first and last block slot; it skips
-// when a page is too large for a cut inside the shard to leave a backed
-// page and an unbacked one.
-func truncatedStore(t *testing.T) (*store.Store, blockfile.Layout, string, uint64, uint64) {
+// truncatedStore opens a store of params' blocks in 64 KiB shards and
+// returns it with the path of shard 1 and that shard's first and last
+// block slot; it skips when a page is too large for a cut inside the
+// shard to leave a backed page and an unbacked one.
+func truncatedStore(t *testing.T, params blockfile.Params) (*store.Store, blockfile.Layout, string, uint64, uint64) {
 	t.Helper()
-	st, _, layout, _, dir := openGatherStore(t, fastParams, 200000, 64<<10)
+	st, _, layout, _, dir := openGatherStore(t, params, 200000, 64<<10)
 	man := st.Manifest()
 	if man.ShardBytes < 3*int64(os.Getpagesize()) {
 		t.Skipf("shards of %d bytes are too small for a %d-byte page", man.ShardBytes, os.Getpagesize())
@@ -222,13 +236,15 @@ func truncatedStore(t *testing.T) (*store.Store, blockfile.Layout, string, uint6
 
 // TestGatherSurvivesTruncatedShard plays the hostile filesystem: a shard
 // cut short underneath an open store must come back from GatherBlocks as
-// ErrCorrupt — with the mapping made before the cut and after it — while
-// the process lives on, the goroutine's fault setting is put back, and
-// blocks that are still backed keep being served.
+// ErrCorrupt — with the mapping made before the cut and after it, and
+// with the faulting block in a strip after the first, once earlier
+// strips have been copied — while the process lives on, the goroutine's
+// fault setting is put back, and blocks that are still backed keep being
+// served.
 func TestGatherSurvivesTruncatedShard(t *testing.T) {
 	for _, mapFirst := range []bool{true, false} {
 		t.Run(fmt.Sprintf("mapped-before-cut=%v", mapFirst), func(t *testing.T) {
-			st, layout, shard1, first, last := truncatedStore(t)
+			st, layout, shard1, first, last := truncatedStore(t, fastParams)
 			bs := layout.BlockSize
 			buf := make([]byte, 2*bs)
 			if mapFirst {
@@ -255,6 +271,40 @@ func TestGatherSurvivesTruncatedShard(t *testing.T) {
 			}
 		})
 	}
+	for _, tc := range gatherParams {
+		t.Run("fault-in-third-strip/"+tc.name, func(t *testing.T) {
+			st, layout, shard1, first, last := truncatedStore(t, tc.params)
+			// Two strips and some of the third from still-backed blocks,
+			// then the block past the cut.
+			slots := make([]uint64, 2*store.GatherStrip+5)
+			for j := range slots {
+				slots[j] = first
+				if j%2 == 0 {
+					slots[j] = 0
+				}
+			}
+			want := readSlots(t, st, layout, slots)
+			slots = append(slots, last)
+			if err := os.Truncate(shard1, int64(os.Getpagesize())); err != nil {
+				t.Fatal(err)
+			}
+
+			prev := debug.SetPanicOnFault(false)
+			defer debug.SetPanicOnFault(prev)
+			buf := make([]byte, len(slots)*layout.BlockSize)
+			if err := st.GatherBlocks(buf, layout.BlockSize, slots); !errors.Is(err, store.ErrCorrupt) {
+				t.Fatalf("gather faulting in its third strip: %v, want ErrCorrupt", err)
+			}
+			if debug.SetPanicOnFault(false) {
+				t.Error("GatherBlocks left SetPanicOnFault on")
+			}
+			// The strips before the fault were copied: the fault was
+			// taken mid-batch, not before the first move.
+			if !bytes.Equal(buf[:2*store.GatherStrip*layout.BlockSize], want[:2*store.GatherStrip*layout.BlockSize]) {
+				t.Error("the strips before the fault were not copied")
+			}
+		})
+	}
 }
 
 // TestVerifySurvivesTruncatedShard: Verify checksums the shard mappings,
@@ -265,7 +315,7 @@ func TestGatherSurvivesTruncatedShard(t *testing.T) {
 func TestVerifySurvivesTruncatedShard(t *testing.T) {
 	for _, mapFirst := range []bool{true, false} {
 		t.Run(fmt.Sprintf("mapped-before-cut=%v", mapFirst), func(t *testing.T) {
-			st, _, shard1, _, _ := truncatedStore(t)
+			st, _, shard1, _, _ := truncatedStore(t, fastParams)
 			if mapFirst {
 				if err := st.Verify(); err != nil {
 					t.Fatalf("Verify of the clean store: %v", err)
@@ -288,6 +338,26 @@ func TestVerifySurvivesTruncatedShard(t *testing.T) {
 			}
 			if err := st.Verify(); !errors.Is(err, os.ErrClosed) {
 				t.Fatalf("Verify after Close: %v, want os.ErrClosed", err)
+			}
+		})
+	}
+}
+
+// TestGatherAllocatesNothing: a whole chunk group's gather allocates
+// nothing on either path — the 16-byte path's resolved addresses stay in
+// the call's stack frame.
+func TestGatherAllocatesNothing(t *testing.T) {
+	for _, tc := range gatherParams {
+		t.Run(tc.name, func(t *testing.T) {
+			st, _, layout, _, _ := openGatherStore(t, tc.params, 61000, 4096)
+			slots := randomSlots(layout, 7, groupSlots)
+			buf := make([]byte, len(slots)*layout.BlockSize)
+			if n := testing.AllocsPerRun(20, func() {
+				if err := st.GatherBlocks(buf, layout.BlockSize, slots); err != nil {
+					t.Fatal(err)
+				}
+			}); n != 0 {
+				t.Fatalf("%v allocations per %d-slot gather, want 0", n, len(slots))
 			}
 		})
 	}
@@ -378,8 +448,9 @@ func TestGatherTelemetry(t *testing.T) {
 }
 
 // FuzzGatherBlocks drives the gather with slots from the fuzzer — in
-// range, on shard edges and at or past TotalBlocks — against a store of
-// the paper's 16-byte blocks and one of fastParams' 4-byte blocks. Every
+// range, on shard edges and at or past TotalBlocks, up to a whole chunk
+// group of them, so batches span many strips — against a store of the
+// paper's 16-byte blocks and one of fastParams' 4-byte blocks. Every
 // batch must come back equal to per-block ReadAt, or, when a slot is out
 // of range, be refused with buf untouched.
 func FuzzGatherBlocks(f *testing.F) {
@@ -397,6 +468,13 @@ func FuzzGatherBlocks(f *testing.F) {
 	f.Add(true, []byte{2, 7, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff})
 	f.Add(false, []byte{3, 0, 0, 0, 0})
 	f.Add(true, []byte{0x7f, 1, 0, 0, 0, 2, 1, 0, 0, 0})
+	// Three strips and a bit of in-range and shard-edge slots.
+	long := make([]byte, 5*(3*store.GatherStrip+7))
+	for i := 0; i < len(long); i += 5 {
+		long[i] = byte(i / 5 % 3)
+		binary.LittleEndian.PutUint32(long[i+1:], uint32(i)*2654435761)
+	}
+	f.Add(false, long)
 	f.Fuzz(func(t *testing.T, fast bool, data []byte) {
 		x := fx[0]
 		if fast {
@@ -406,7 +484,7 @@ func FuzzGatherBlocks(f *testing.F) {
 		var slots []uint64
 		bad := false
 		// Five bytes per slot: a selector, then a 32-bit value.
-		for i := 0; i+5 <= len(data) && len(slots) < 1024; i += 5 {
+		for i := 0; i+5 <= len(data) && len(slots) < groupSlots; i += 5 {
 			v := uint64(binary.LittleEndian.Uint32(data[i+1:]))
 			switch data[i] & 3 {
 			case 0, 1:
