@@ -21,6 +21,42 @@ func BenchmarkSegmentTag(b *testing.B) {
 	}
 }
 
+// benchSlabSegments is the slab the slab-form benchmarks run on: 4096
+// default segments, 80-byte payloads behind 20-bit tags.
+const benchSlabSegments = 4096
+
+// benchSlab times fn on a freshly stamped default slab on each slab path
+// the host has (taggerPaths): /aesni, the eight-lane kernel, and
+// /portable, the four lanes through cipher.Block.
+func benchSlab(b *testing.B, fn func(tg *Tagger, slab []byte, bad []bool)) {
+	for _, path := range taggerPaths(b, []byte("bench-key"), 20) {
+		b.Run(path.name, func(b *testing.B) {
+			const payload = 80
+			slab := make([]byte, benchSlabSegments*(payload+path.tg.Size()))
+			rand.New(rand.NewSource(1)).Read(slab)
+			path.tg.TagSlab(slab, payload, 0, "bench-file")
+			bad := make([]bool, benchSlabSegments)
+			b.SetBytes(int64(len(slab)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fn(path.tg, slab, bad)
+			}
+		})
+	}
+}
+
+// BenchmarkTagSlab times stamping the tags of one default slab, the setup
+// pipeline's form.
+func BenchmarkTagSlab(b *testing.B) {
+	benchSlab(b, func(tg *Tagger, slab []byte, _ []bool) { tg.TagSlab(slab, 80, 0, "bench-file") })
+}
+
+// BenchmarkVerifySlab times checking every tag of one default slab, the
+// extractor's form.
+func BenchmarkVerifySlab(b *testing.B) {
+	benchSlab(b, func(tg *Tagger, slab []byte, bad []bool) { tg.VerifySlab(slab, 80, 0, "bench-file", bad) })
+}
+
 // BenchmarkChallengeDerivation times deriving 1000 challenge indices over
 // the paper's 2 GB example (30 695 574 segments) from one nonce.
 func BenchmarkChallengeDerivation(b *testing.B) {

@@ -173,13 +173,27 @@ func xor16(x *[aes.BlockSize]byte, y []byte) {
 	binary.LittleEndian.PutUint64(x[8:], binary.LittleEndian.Uint64(x[8:])^binary.LittleEndian.Uint64(y[8:]))
 }
 
-// tagLanes is how many segments the slab forms carry through the CBC
-// chain side by side. One segment's blocks are a dependency chain — each
-// Encrypt waits for the one before — so a lone chain leaves the AES unit
-// mostly idle; four independent chains overlap in it.
+// tagLanes is how many segments the portable slab path carries through
+// the CBC chain side by side. One segment's blocks are a dependency chain
+// — each Encrypt waits for the one before — so a lone chain leaves the AES
+// unit mostly idle; four independent chains overlap in it.
 const tagLanes = 4
 
-// sum finishes lanes ≤ tagLanes CMACs at once. On entry x[l] holds lane
+// kernelLanes is how many segments the amd64 kernel, cbcmac8, carries at
+// once, one chain per XMM register X0–X7: eight AESENCs in flight cover
+// the instruction's latency, and no interface call sits between rounds.
+const kernelLanes = 8
+
+// bodyLen is how many bytes of an n-byte message CMAC absorbs ahead of its
+// final block: all but the last 1..16 bytes, in whole blocks.
+func bodyLen(n int) int {
+	if n <= aes.BlockSize {
+		return 0
+	}
+	return (n - 1) / aes.BlockSize * aes.BlockSize
+}
+
+// sum finishes len(x) ≤ tagLanes CMACs at once. On entry x[l] holds lane
 // l's chain state with everything before msg absorbed; lane l's msg is
 // the n bytes at slab[l*stride:], and includes the message's final block,
 // so n may be 0 only for a message that is empty altogether. On return
@@ -192,20 +206,27 @@ const tagLanes = 4
 // loads the block as one 16-byte word, which the two 8-byte stores just
 // made cannot forward to, and a lane encrypted straight after its own
 // stores waits for them to retire (measured: twice the time per segment).
-func (c *cmac) sum(x *[tagLanes][aes.BlockSize]byte, lanes int, slab []byte, stride, n int) {
-	body := 0 // bytes ahead of the final block
-	if n > aes.BlockSize {
-		body = (n - 1) / aes.BlockSize * aes.BlockSize
-	}
+func (c *cmac) sum(x [][aes.BlockSize]byte, slab []byte, stride, n int) {
+	body := bodyLen(n)
 	for off := 0; off < body; off += aes.BlockSize {
-		for l := 0; l < lanes; l++ {
+		for l := range x {
 			xor16(&x[l], slab[l*stride+off:])
 		}
-		for l := 0; l < lanes; l++ {
+		for l := range x {
 			c.block.Encrypt(x[l][:], x[l][:])
 		}
 	}
-	for l := 0; l < lanes; l++ {
+	c.last(x, slab, stride, body, n)
+	for l := range x {
+		c.block.Encrypt(x[l][:], x[l][:])
+	}
+}
+
+// last XORs each lane's final block — bytes body..n of its message at
+// slab[l*stride:] — into its chain state: masked by K1 when it is a whole
+// block, padded with 10* and masked by K2 when it is not.
+func (c *cmac) last(x [][aes.BlockSize]byte, slab []byte, stride, body, n int) {
+	for l := range x {
 		last := slab[l*stride+body : l*stride+n]
 		if len(last) == aes.BlockSize {
 			xor16(&x[l], last)
@@ -218,9 +239,6 @@ func (c *cmac) sum(x *[tagLanes][aes.BlockSize]byte, lanes int, slab []byte, str
 		x[l][len(last)] ^= 0x80
 		xor16(&x[l], c.k2[:])
 	}
-	for l := 0; l < lanes; l++ {
-		c.block.Encrypt(x[l][:], x[l][:])
-	}
 }
 
 // Tagger computes the segment tags τ_i = MAC_K'(S_i, i, fid) of §V-A
@@ -231,20 +249,27 @@ func (c *cmac) sum(x *[tagLanes][aes.BlockSize]byte, lanes int, slab []byte, str
 // uses 20-bit tags, relying on the large number of verified tags per
 // audit for cumulative soundness.
 //
-// A default segment (five 16-byte blocks) costs seven AES blocks: H_i, the
-// five, and none for padding, as CMAC's subkeys cover any segment length
-// without one. The POR pipeline tags, and the extractor verifies, runs of
-// whole segments; TagSlab and VerifySlab take such a run and carry four
-// segments through the chain at once. Scratch is pooled, so every form
-// but Tag allocates nothing, and a Tagger is safe for concurrent use.
+// A default segment (five 16-byte blocks) costs six AES blocks: H_i and
+// the five, and none for padding, as CMAC's subkeys cover any segment
+// length without one. The POR pipeline tags, and the extractor verifies,
+// runs of whole segments; TagSlab and VerifySlab take such a run and carry
+// eight segments through the chain at once on an amd64 host with AES-NI
+// (cbcmac8), and four through cipher.Block elsewhere and for a run's last
+// run mod 8. Tag, AppendTag and VerifyTag take the one-lane path. Scratch
+// is pooled, so every form but Tag allocates nothing, and a Tagger is safe
+// for concurrent use.
 type Tagger struct {
 	mac  *cmac
 	bits int
-	pool sync.Pool // of *tagScratch
+	// kernel is set when the slab forms run cbcmac8, under the round keys
+	// rk: the host has AES-NI (aesniMissing is empty).
+	kernel bool
+	rk     [176]byte
+	pool   sync.Pool // of *tagScratch
 }
 
 type tagScratch struct {
-	x [tagLanes][aes.BlockSize]byte
+	x [kernelLanes][aes.BlockSize]byte
 	// The file ID half of the header block, for the last file ID seen (if
 	// seen is set): the API takes the ID on every call, one file's worth of
 	// calls in a row.
@@ -264,7 +289,10 @@ func NewTagger(key []byte, bits int) (*Tagger, error) {
 	if err != nil {
 		return nil, fmt.Errorf("crypt: tag cipher: %w", err)
 	}
-	t := &Tagger{mac: mac, bits: bits}
+	t := &Tagger{mac: mac, bits: bits, kernel: aesniMissing == ""}
+	if t.kernel {
+		expandKey128((*[16]byte)(kd[:16]), &t.rk)
+	}
 	t.pool.New = func() any { return new(tagScratch) }
 	return t, nil
 }
@@ -287,27 +315,41 @@ func (t *Tagger) scratch(fileID string) *tagScratch {
 	return s
 }
 
-// tags computes the tags of lanes ≤ tagLanes consecutive segments, the
-// first of them segment index of the file: lane l's payload is the n
-// bytes at slab[l*stride:]. It leaves lane l's tag, truncated and
-// zero-padded to whole bytes, in s.x[l][:t.Size()].
+// tags computes the tags of lanes consecutive segments, the first of them
+// segment index of the file: lane l's payload is the n bytes at
+// slab[l*stride:]. It leaves lane l's tag, truncated and zero-padded to
+// whole bytes, in s.x[l][:t.Size()]. lanes is at most tagLanes, or
+// exactly kernelLanes on a Tagger whose kernel is set; then cbcmac8 runs
+// the header and body blocks, Go XORs in the final block, and one more
+// call with no blocks to absorb encrypts it.
 func (t *Tagger) tags(s *tagScratch, lanes int, slab []byte, stride, n int, index uint64) {
-	for l := 0; l < lanes; l++ {
-		binary.BigEndian.PutUint64(s.x[l][:8], index+uint64(l))
-		copy(s.x[l][8:], s.fidSum[:])
-	}
-	for l := 0; l < lanes; l++ {
+	x := s.x[:lanes]
+	for l := range x {
+		binary.BigEndian.PutUint64(x[l][:8], index+uint64(l))
+		copy(x[l][8:], s.fidSum[:])
 		if n == 0 { // the header is the whole message, so its final block
-			xor16(&s.x[l], t.mac.k1[:])
+			xor16(&x[l], t.mac.k1[:])
 		}
-		t.mac.block.Encrypt(s.x[l][:], s.x[l][:])
 	}
-	if n > 0 {
-		t.mac.sum(&s.x, lanes, slab, stride, n)
+	if lanes == kernelLanes {
+		body := bodyLen(n)
+		_ = slab[(kernelLanes-1)*stride+n-1] // every byte the kernel reads
+		cbcmac8(&t.rk, &s.x, &slab[0], stride, body/aes.BlockSize)
+		if n > 0 {
+			t.mac.last(x, slab, stride, body, n)
+			cbcmac8(&t.rk, &s.x, &slab[0], stride, 0)
+		}
+	} else {
+		for l := range x {
+			t.mac.block.Encrypt(x[l][:], x[l][:])
+		}
+		if n > 0 {
+			t.mac.sum(x, slab, stride, n)
+		}
 	}
 	if rem := t.bits % 8; rem != 0 {
-		for l := 0; l < lanes; l++ {
-			s.x[l][t.Size()-1] &= byte(0xFF << (8 - rem))
+		for l := range x {
+			x[l][t.Size()-1] &= byte(0xFF << (8 - rem))
 		}
 	}
 }
@@ -342,20 +384,26 @@ func (t *Tagger) VerifyTag(segment []byte, index uint64, fileID string, tag []by
 
 // eachTag walks slab, a run of whole stored segments — payload bytes of
 // data followed by a Size-byte tag slot — the first of which is segment
-// first of the file, tagLanes segments at a time, and hands do every
-// segment's position in the run, its tag slot and the tag it should hold.
+// first of the file, kernelLanes segments at a time while the kernel runs
+// and a full group remains, tagLanes at a time otherwise, and hands do
+// every segment's position in the run, its tag slot and the tag it should
+// hold.
 func (t *Tagger) eachTag(slab []byte, payload int, first uint64, fileID string, do func(i int, slot, tag []byte)) {
 	stride := payload + t.Size()
 	if len(slab)%stride != 0 {
 		panic(fmt.Sprintf("crypt: slab of %d bytes is not a run of %d-byte segments", len(slab), stride))
 	}
 	s := t.scratch(fileID)
-	for i, n := 0, len(slab)/stride; i < n; i += tagLanes {
+	for i, n := 0, len(slab)/stride; i < n; {
 		lanes := min(tagLanes, n-i)
+		if t.kernel && n-i >= kernelLanes {
+			lanes = kernelLanes
+		}
 		t.tags(s, lanes, slab[i*stride:], stride, payload, first+uint64(i))
 		for l := 0; l < lanes; l++ {
 			do(i+l, slab[(i+l)*stride+payload:(i+l+1)*stride], s.x[l][:t.Size()])
 		}
+		i += lanes
 	}
 	t.pool.Put(s)
 }

@@ -483,8 +483,8 @@ func TestCMACMatchesRFC4493(t *testing.T) {
 		{40, "dfa66747de9ae63030ca32611497c827"},
 		{64, "51f0bebf7e3b9d92fc49741779363cfe"},
 	} {
-		var x [tagLanes][aes.BlockSize]byte
-		c.sum(&x, 1, msg[:v.n], 0, v.n)
+		x := make([][aes.BlockSize]byte, 1)
+		c.sum(x, msg[:v.n], 0, v.n)
 		if !bytes.Equal(x[0][:], unhex(v.want)) {
 			t.Errorf("len %d: core CMAC=%x, want %s", v.n, x[0], v.want)
 		}
@@ -558,54 +558,61 @@ func TestTaggerMatchesReferenceCMAC(t *testing.T) {
 	}
 }
 
-// TestSlabFormsMatchSingleForm: TagSlab must stamp, and VerifySlab accept,
-// exactly the tag Tag computes for every segment of a run, for every run
-// length from 0 to 9 (no lane group, a partial one, whole ones, and every
-// tail behind them), at payload lengths on and off the AES block size and
-// byte-aligned and ragged tag widths; and VerifySlab must flag exactly the
-// segments whose payload or tag changed.
+// TestSlabFormsMatchSingleForm: on every slab path, TagSlab must stamp,
+// and VerifySlab accept, exactly the tag Tag computes for every segment of
+// a run, for run lengths 0 to 17 (no lane group, partial ones, one and two
+// eight-lane groups, and every tail behind them), 64 and 1000, from a
+// random first segment and from one that wraps past 2⁶⁴ − 1 inside the
+// run, at payload lengths on and off the AES block size and byte-aligned
+// and ragged tag widths; and VerifySlab must flag exactly the segments
+// whose payload or tag changed.
 func TestSlabFormsMatchSingleForm(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
+	runs := []int{64, 1000}
+	for run := 17; run >= 0; run-- {
+		runs = append([]int{run}, runs...)
+	}
 	for _, bits := range []int{8, 20, 64, MaxTagBits} {
-		tg, err := NewTagger([]byte("slab-key"), bits)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, payload := range []int{0, 1, 15, 16, 17, 80, 97} {
-			stride := payload + tg.Size()
-			for run := 0; run <= 9; run++ {
-				first := rng.Uint64() >> 1
-				slab := make([]byte, run*stride)
-				rng.Read(slab)
-				tg.TagSlab(slab, payload, first, "fid")
-				for i := 0; i < run; i++ {
-					seg := slab[i*stride : (i+1)*stride]
-					if want := tg.Tag(seg[:payload], first+uint64(i), "fid"); !bytes.Equal(seg[payload:], want) {
-						t.Fatalf("bits=%d payload=%d run=%d: TagSlab stamped %x on segment %d, Tag gives %x", bits, payload, run, seg[payload:], i, want)
-					}
-				}
-				bad := make([]bool, run)
-				tg.VerifySlab(slab, payload, first, "fid", bad)
-				for i, b := range bad {
-					if b {
-						t.Fatalf("bits=%d payload=%d run=%d: VerifySlab rejects freshly stamped segment %d", bits, payload, run, i)
-					}
-				}
-				if bits < 20 {
-					continue // a damaged segment keeps an 8-bit tag one time in 256
-				}
-				// Damage a random subset: a payload bit where there is a
-				// payload, else a tag bit that survives truncation.
-				want := make([]bool, run)
-				for i := range want {
-					if want[i] = rng.Intn(2) == 0; want[i] {
-						slab[i*stride+rng.Intn(stride-tg.Size()+1)] ^= 0x80
-					}
-				}
-				tg.VerifySlab(slab, payload, first, "fid", bad)
-				for i := range want {
-					if bad[i] != want[i] {
-						t.Fatalf("bits=%d payload=%d run=%d: VerifySlab bad[%d]=%v, damaged=%v", bits, payload, run, i, bad[i], want[i])
+		for _, path := range taggerPaths(t, []byte("slab-key"), bits) {
+			tg := path.tg
+			for _, payload := range []int{0, 1, 15, 16, 17, 80, 97} {
+				stride := payload + tg.Size()
+				for _, run := range runs {
+					for _, first := range []uint64{rng.Uint64() >> 1, -uint64(1 + rng.Intn(run+1))} {
+						where := fmt.Sprintf("%s: bits=%d payload=%d run=%d first=%#x", path.name, bits, payload, run, first)
+						slab := make([]byte, run*stride)
+						rng.Read(slab)
+						tg.TagSlab(slab, payload, first, "fid")
+						for i := 0; i < run; i++ {
+							seg := slab[i*stride : (i+1)*stride]
+							if want := tg.Tag(seg[:payload], first+uint64(i), "fid"); !bytes.Equal(seg[payload:], want) {
+								t.Fatalf("%s: TagSlab stamped %x on segment %d, Tag gives %x", where, seg[payload:], i, want)
+							}
+						}
+						bad := make([]bool, run)
+						tg.VerifySlab(slab, payload, first, "fid", bad)
+						for i, b := range bad {
+							if b {
+								t.Fatalf("%s: VerifySlab rejects freshly stamped segment %d", where, i)
+							}
+						}
+						if bits < 20 {
+							continue // a damaged segment keeps an 8-bit tag one time in 256
+						}
+						// Damage a random subset: a payload bit where there is
+						// a payload, else a tag bit that survives truncation.
+						want := make([]bool, run)
+						for i := range want {
+							if want[i] = rng.Intn(2) == 0; want[i] {
+								slab[i*stride+rng.Intn(stride-tg.Size()+1)] ^= 0x80
+							}
+						}
+						tg.VerifySlab(slab, payload, first, "fid", bad)
+						for i := range want {
+							if bad[i] != want[i] {
+								t.Fatalf("%s: VerifySlab bad[%d]=%v, damaged=%v", where, i, bad[i], want[i])
+							}
+						}
 					}
 				}
 			}
@@ -616,33 +623,32 @@ func TestSlabFormsMatchSingleForm(t *testing.T) {
 // TestAppendTagAllocatesNothing: stamping a tag into the slot behind a
 // segment's payload and checking one, a segment or a slab at a time — what
 // the setup pipeline, the extractor and the TPA do once per segment — must
-// not touch the heap.
+// not touch the heap, on either slab path.
 func TestAppendTagAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")
 	}
-	tg, err := NewTagger([]byte("alloc-key"), 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const payload, run = 80, 9
-	stride := payload + tg.Size()
-	slab := make([]byte, run*stride)
-	seg := slab[:stride]
-	bad := make([]bool, run)
-	tg.AppendTag(seg[:payload], seg[:payload], 0, "file-id") // warm the scratch pool
-	for name, fn := range map[string]func(){
-		"AppendTag":  func() { tg.AppendTag(seg[:payload], seg[:payload], 7, "file-id") },
-		"VerifyTag":  func() { tg.VerifyTag(seg[:payload], 7, "file-id", seg[payload:]) },
-		"TagSlab":    func() { tg.TagSlab(slab, payload, 7, "file-id") },
-		"VerifySlab": func() { tg.VerifySlab(slab, payload, 7, "file-id", bad) },
-	} {
-		if n := testing.AllocsPerRun(100, fn); n != 0 {
-			t.Errorf("%s allocates %v times per call, want 0", name, n)
+	for _, path := range taggerPaths(t, []byte("alloc-key"), 20) {
+		tg := path.tg
+		const payload, run = 80, 17 // two eight-lane groups and a tail
+		stride := payload + tg.Size()
+		slab := make([]byte, run*stride)
+		seg := slab[:stride]
+		bad := make([]bool, run)
+		tg.AppendTag(seg[:payload], seg[:payload], 0, "file-id") // warm the scratch pool
+		for name, fn := range map[string]func(){
+			"AppendTag":  func() { tg.AppendTag(seg[:payload], seg[:payload], 7, "file-id") },
+			"VerifyTag":  func() { tg.VerifyTag(seg[:payload], 7, "file-id", seg[payload:]) },
+			"TagSlab":    func() { tg.TagSlab(slab, payload, 7, "file-id") },
+			"VerifySlab": func() { tg.VerifySlab(slab, payload, 7, "file-id", bad) },
+		} {
+			if n := testing.AllocsPerRun(100, fn); n != 0 {
+				t.Errorf("%s: %s allocates %v times per call, want 0", path.name, name, n)
+			}
 		}
-	}
-	if want := tg.Tag(seg[:payload], 7, "file-id"); !bytes.Equal(seg[payload:], want) {
-		t.Fatalf("in-place stamp %x, Tag %x", seg[payload:], want)
+		if want := tg.Tag(seg[:payload], 7, "file-id"); !bytes.Equal(seg[payload:], want) {
+			t.Fatalf("%s: in-place stamp %x, Tag %x", path.name, seg[payload:], want)
+		}
 	}
 }
 
