@@ -4,7 +4,7 @@
 //
 // with Δt_transfer derived from the media transfer rate. The catalog holds
 // the five drives of the paper's Table I, and SimDisk turns the parametric
-// model into a simulated storage device with optional queueing and jitter —
+// model into a simulated storage device with optional jitter —
 // the substitute for the physical drives the authors reasoned about.
 package disk
 
@@ -136,21 +136,19 @@ func (m *memBackend) Size() int64 {
 }
 
 // SimDisk is a simulated storage device: a Backend whose reads cost
-// LookupLatency plus optional uniform jitter and a simple queueing penalty
-// proportional to outstanding load. It substitutes for the physical drives
-// in the paper's data-centre scenarios. All methods are safe for
-// concurrent use: one disk may serve many prover connections at once, and
-// only the latency bookkeeping serialises — data reads run concurrently
-// against the backend (pread-per-shard for a store-backed disk).
+// LookupLatency plus optional uniform jitter. It substitutes for the
+// physical drives in the paper's data-centre scenarios. All methods are
+// safe for concurrent use: one disk may serve many prover connections at
+// once, and only the latency bookkeeping serialises — data reads run
+// concurrently against the backend (pread-per-shard for a store-backed
+// disk).
 type SimDisk struct {
 	model   Model
 	backend Backend
 
-	mu      sync.Mutex
-	jitter  time.Duration
-	queue   time.Duration // extra delay per read under load
-	pending int
-	rng     *rand.Rand
+	mu     sync.Mutex
+	jitter time.Duration
+	rng    *rand.Rand
 }
 
 // NewSimDisk creates a simulated disk holding data (the slice is copied).
@@ -180,24 +178,6 @@ func (d *SimDisk) Model() Model { return d.model }
 // Size returns the stored byte count.
 func (d *SimDisk) Size() int { return int(d.backend.Size()) }
 
-// SetQueuePenalty sets the additional latency charged per outstanding
-// request; used by the load-sensitivity ablation.
-func (d *SimDisk) SetQueuePenalty(perRequest time.Duration) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.queue = perRequest
-}
-
-// AddPending registers load for the queueing model.
-func (d *SimDisk) AddPending(n int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.pending += n
-	if d.pending < 0 {
-		d.pending = 0
-	}
-}
-
 // ReadAt returns length bytes from offset together with the simulated
 // look-up latency for the access. Latency bookkeeping takes the disk's
 // lock; the data read itself runs concurrently against the backend.
@@ -211,7 +191,6 @@ func (d *SimDisk) ReadAt(offset, length int) ([]byte, time.Duration, error) {
 	if d.jitter > 0 {
 		lat += time.Duration(d.rng.Int63n(int64(d.jitter)))
 	}
-	lat += time.Duration(d.pending) * d.queue
 	d.mu.Unlock()
 	out := make([]byte, length)
 	if length > 0 {

@@ -118,22 +118,6 @@ func TestSimDiskJitterBounded(t *testing.T) {
 	}
 }
 
-func TestSimDiskQueuePenalty(t *testing.T) {
-	d := NewSimDisk(WD2500JD, make([]byte, 64), 0, 3)
-	d.SetQueuePenalty(time.Millisecond)
-	_, unloaded, _ := d.ReadAt(0, 8)
-	d.AddPending(5)
-	_, loaded, _ := d.ReadAt(0, 8)
-	if loaded-unloaded != 5*time.Millisecond {
-		t.Fatalf("queue penalty %v, want 5ms", loaded-unloaded)
-	}
-	d.AddPending(-100) // clamps at zero
-	_, again, _ := d.ReadAt(0, 8)
-	if again != unloaded {
-		t.Fatal("pending did not clamp to zero")
-	}
-}
-
 func TestSimDiskCorrupt(t *testing.T) {
 	d := NewSimDisk(WD2500JD, bytes.Repeat([]byte{0xAA}, 64), 0, 9)
 	if err := d.Corrupt(0, 32); err != nil {

@@ -1,18 +1,17 @@
-// Package merkle implements the binary Merkle hash tree that backs the
-// dynamic proof-of-retrievability extension (paper §IV: GeoProof "could
-// be modified to encompass other POS schemes that support verifying
-// dynamic data such as [Wang et al.'s DPOR]", which authenticates blocks
-// with a Merkle tree instead of embedded MACs).
+// Package merkle implements the static binary Merkle hash tree behind
+// batch transcript attestation: a verifier device that signs a window of
+// audit transcripts at once signs only the tree's root, and hands each
+// transcript its inclusion proof (crypt/batch.go), so one ECDSA
+// signature covers the whole batch and the TPA checks any transcript
+// alone against the signed root.
 //
 // The tree hashes leaves with a domain-separated SHA-256 (leaf vs node
 // prefixes prevent second-preimage splices). Odd nodes are promoted to
 // the next level unchanged, so trees of any size are well-defined.
-// Update and Append are O(log n); proofs carry the sibling path plus
-// left/right orientation bits.
+// Proofs carry the sibling path plus left/right orientation bits.
 package merkle
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -48,7 +47,8 @@ func nodeHash(l, r Hash) Hash {
 	return out
 }
 
-// Tree is a mutable Merkle tree. It is not safe for concurrent use.
+// Tree is a Merkle tree over a fixed leaf set; nothing modifies it
+// after New returns.
 type Tree struct {
 	// levels[0] is the leaf level; levels[len-1] has exactly one node.
 	levels [][]Hash
@@ -64,25 +64,19 @@ func New(leaves [][]byte) (*Tree, error) {
 		level[i] = LeafHash(l)
 	}
 	t := &Tree{levels: [][]Hash{level}}
-	t.rebuildFrom(0)
-	return t, nil
-}
-
-// rebuildFrom recomputes all levels above the given one.
-func (t *Tree) rebuildFrom(level int) {
-	t.levels = t.levels[:level+1]
-	for len(t.levels[len(t.levels)-1]) > 1 {
-		cur := t.levels[len(t.levels)-1]
-		next := make([]Hash, 0, (len(cur)+1)/2)
-		for i := 0; i < len(cur); i += 2 {
-			if i+1 < len(cur) {
-				next = append(next, nodeHash(cur[i], cur[i+1]))
+	for len(level) > 1 {
+		next := make([]Hash, 0, (len(level)+1)/2)
+		for i := 0; i < len(level); i += 2 {
+			if i+1 < len(level) {
+				next = append(next, nodeHash(level[i], level[i+1]))
 			} else {
-				next = append(next, cur[i]) // promote odd node
+				next = append(next, level[i]) // promote odd node
 			}
 		}
 		t.levels = append(t.levels, next)
+		level = next
 	}
+	return t, nil
 }
 
 // Len returns the number of leaves.
@@ -144,52 +138,3 @@ func Verify(root Hash, leafData []byte, p Proof) error {
 	}
 	return nil
 }
-
-// RootAfterUpdate computes the root that would result from replacing the
-// proven leaf with newData, without touching a tree — this is how a
-// stateless client derives its next root from a verified proof.
-func RootAfterUpdate(newData []byte, p Proof) Hash {
-	h := LeafHash(newData)
-	for _, s := range p.Steps {
-		if s.Left {
-			h = nodeHash(s.Sibling, h)
-		} else {
-			h = nodeHash(h, s.Sibling)
-		}
-	}
-	return h
-}
-
-// Update replaces leaf i and recomputes the path to the root in
-// O(log n).
-func (t *Tree) Update(i int, newData []byte) error {
-	if i < 0 || i >= t.Len() {
-		return fmt.Errorf("%w: %d of %d", ErrOutOfRange, i, t.Len())
-	}
-	t.levels[0][i] = LeafHash(newData)
-	idx := i
-	for level := 0; level < len(t.levels)-1; level++ {
-		cur := t.levels[level]
-		parent := idx / 2
-		l := cur[parent*2]
-		if parent*2+1 < len(cur) {
-			t.levels[level+1][parent] = nodeHash(l, cur[parent*2+1])
-		} else {
-			t.levels[level+1][parent] = l
-		}
-		idx = parent
-	}
-	return nil
-}
-
-// Append adds a leaf at the end. For simplicity it rebuilds the levels
-// above the leaves; leaf-level work is O(1) and rebuilds are O(n) hashes,
-// acceptable for the simulation-scale dynamic workloads this backs.
-func (t *Tree) Append(data []byte) {
-	t.levels[0] = append(t.levels[0], LeafHash(data))
-	t.rebuildFrom(0)
-}
-
-// Equal reports whether two hashes match (constant-time not required:
-// roots are public).
-func Equal(a, b Hash) bool { return bytes.Equal(a[:], b[:]) }
