@@ -1,12 +1,14 @@
 package crypt
 
+import "repro/internal/cpu"
+
 // aesniMissing is "" when the eight-lane tag kernel (tag_amd64.s) may run
 // on this host, else the CPU feature that stops it. It is read from the
 // CPU once, at package initialisation, before any Tagger is built.
 var aesniMissing = detectAESNI()
 
 func detectAESNI() string {
-	_, _, ecx1, _ := cpuid(1, 0)
+	_, _, ecx1, _ := cpu.CPUID(1, 0)
 	return aesniMissingFrom(ecx1)
 }
 
@@ -23,9 +25,6 @@ func aesniMissingFrom(ecx1 uint32) string {
 	}
 	return ""
 }
-
-// cpuid executes CPUID with EAX=leaf and ECX=subleaf.
-func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 
 // expandKey128 writes key's eleven AES-128 round keys to rk, by
 // AESKEYGENASSIST: no table is indexed by key bytes.

@@ -1,16 +1,5 @@
 #include "textflag.h"
 
-// func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
-TEXT ·cpuid(SB), NOSPLIT, $0-24
-	MOVL leaf+0(FP), AX
-	MOVL subleaf+4(FP), CX
-	CPUID
-	MOVL AX, eax+8(FP)
-	MOVL BX, ebx+12(FP)
-	MOVL CX, ecx+16(FP)
-	MOVL DX, edx+20(FP)
-	RET
-
 // EXPAND128 derives the next AES-128 round key in X0 from the one in X0
 // and KEYGEN, AESKEYGENASSIST's output for it, and stores it at (BX),
 // advancing BX. X4 must start at zero. The four SHUFPS/PXOR steps fold

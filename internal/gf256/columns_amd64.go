@@ -1,34 +1,27 @@
 package gf256
 
+import "repro/internal/cpu"
+
 // kernelMissing is "" when the GFNI column kernel may run on this host,
 // else the feature that stops it. It is read from the CPU once, at package
 // initialisation, before any Reducer is built.
 var kernelMissing = detectKernel()
 
 func detectKernel() string {
-	maxLeaf, _, _, _ := cpuid(0, 0)
-	_, _, ecx1, _ := cpuid(1, 0)
+	maxLeaf, _, _, _ := cpu.CPUID(0, 0)
+	_, _, ecx1, _ := cpu.CPUID(1, 0)
 	var ebx7, ecx7 uint32
 	if maxLeaf >= 7 {
-		_, ebx7, ecx7, _ = cpuid(7, 0)
+		_, ebx7, ecx7, _ = cpu.CPUID(7, 0)
 	}
-	var xcr0 uint64
-	if ecx1&cpuidOSXSAVE != 0 { // XGETBV faults unless the OS enabled it
-		lo, hi := xgetbv()
-		xcr0 = uint64(hi)<<32 | uint64(lo)
-	}
-	return kernelMissingFrom(maxLeaf, ecx1, ebx7, ecx7, xcr0)
+	return kernelMissingFrom(maxLeaf, ecx1, ebx7, ecx7, cpu.XCR0())
 }
 
-// CPUID and XCR0 bits the kernel needs.
+// CPUID bits the kernel needs beyond cpu.OSXSAVE and XCR0's cpu.XCR0ZMM.
 const (
-	cpuidOSXSAVE  = 1 << 27 // leaf 1 ECX: the OS enabled XSAVE and XGETBV
 	cpuidAVX512F  = 1 << 16 // leaf 7 EBX
 	cpuidAVX512BW = 1 << 30 // leaf 7 EBX
 	cpuidGFNI     = 1 << 8  // leaf 7 ECX
-	// XCR0 bits 1, 2, 5, 6, 7: the OS saves XMM, YMM, opmask, ZMM0-15
-	// upper halves and ZMM16-31 across context switches.
-	xcr0ZMM = 0xE6
 )
 
 // kernelMissingFrom decides, from CPUID leaf 0 EAX (maxLeaf), leaf 1 ECX,
@@ -37,9 +30,9 @@ const (
 // GFNI affine products, byte-masked loads and 32 ZMM registers.
 func kernelMissingFrom(maxLeaf, ecx1, ebx7, ecx7 uint32, xcr0 uint64) string {
 	switch {
-	case ecx1&cpuidOSXSAVE == 0:
+	case ecx1&cpu.OSXSAVE == 0:
 		return "OSXSAVE"
-	case xcr0&xcr0ZMM != xcr0ZMM:
+	case xcr0&cpu.XCR0ZMM != cpu.XCR0ZMM:
 		// macOS enables AVX-512 state lazily, on a thread's first use.
 		return "ZMM state in XCR0"
 	case maxLeaf < 7:
@@ -53,12 +46,6 @@ func kernelMissingFrom(maxLeaf, ecx1, ebx7, ecx7 uint32, xcr0 uint64) string {
 	}
 	return ""
 }
-
-// cpuid executes CPUID with EAX=leaf and ECX=subleaf.
-func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
-
-// xgetbv reads XCR0; callers check OSXSAVE first.
-func xgetbv() (eax, edx uint32)
 
 // reduceColumns16 is ReduceColumns16's pass, after its checks: src points
 // at column col of row 0, and mask has one bit per column run.

@@ -71,7 +71,7 @@ func (e *Encoder) Concurrency() int { return parallel.Resolve(e.conc) }
 // Params returns the layout parameters in use.
 func (e *Encoder) Params() blockfile.Params { return e.params }
 
-func (e *Encoder) pipeline(fileID string, layout blockfile.Layout) (crypt.KeySet, *reedsolomon.BlockCode, *crypt.Tagger, prp.Permutation, error) {
+func (e *Encoder) pipeline(fileID string, layout blockfile.Layout) (crypt.KeySet, *reedsolomon.BlockCode, *crypt.Tagger, *prp.Feistel, error) {
 	keys := crypt.DeriveKeys(e.master, fileID)
 	code, err := reedsolomon.New(layout.ChunkTotal, layout.ChunkData)
 	if err != nil {

@@ -160,7 +160,7 @@ type streamCoder struct {
 	keys    crypt.KeySet
 	bc      *reedsolomon.BlockCode
 	tagger  *crypt.Tagger
-	perm    prp.Permutation
+	perm    *prp.Feistel
 	workers int
 
 	chunkIn     int // bytes of data blocks per chunk

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -17,21 +18,6 @@ var ErrBadDomain = errors.New("prp: domain size must be in [1, 2^62]")
 
 // MaxDomain bounds supported domain sizes.
 const MaxDomain = uint64(1) << 62
-
-// Permutation is a keyed bijection on [0, Domain()).
-type Permutation interface {
-	// Domain returns the size n of the permuted set.
-	Domain() uint64
-	// Index maps a plaintext position to its permuted position.
-	Index(x uint64) uint64
-	// Inverse maps a permuted position back to the plaintext position.
-	Inverse(y uint64) uint64
-	// IndexBatch fills dst[i] = Index(first + i) for every i, the bulk
-	// form used when permuting a contiguous run of file blocks: one
-	// dynamic dispatch per shard instead of per block, and a natural
-	// unit for the POR engine's worker pool to fan out.
-	IndexBatch(first uint64, dst []uint64)
-}
 
 // Feistel is a Feistel network on Z_a × Z_a, a = ⌈√n⌉, combined with
 // cycle walking to act on [0, n) (Black and Rogaway, "Ciphers with
@@ -53,15 +39,17 @@ type Feistel struct {
 	// paper's 153M-block scale) the whole round function fits in a small
 	// table — rounds rows of a uint32s in one array, row i at [i·a, (i+1)·a)
 	// — built once on first bulk use. tableMaxBytes caps the memory; larger
-	// domains evaluate AES per round. The atomic pointer lets Index and
-	// Inverse pick the table up race-free once a concurrent IndexBatch has
-	// built it.
+	// domains evaluate AES per round. The atomic pointer lets Index pick
+	// the table up race-free once a concurrent IndexBatch has built it.
 	tableOnce     sync.Once
 	table         atomic.Pointer[[]uint32]
 	tableMaxBytes uint64
-}
 
-var _ Permutation = (*Feistel)(nil)
+	// kernel: IndexBatch runs whole 64-position blocks of the table path
+	// through the AVX-512 kernel — the host has it (kernelMissing) and
+	// a ≥ 64. Tests clear it to reach the portable four-lane loop.
+	kernel bool
+}
 
 // NewFeistel builds a Feistel permutation over [0, n) with the given number
 // of rounds (values below 4 are raised to 4, the Luby-Rackoff minimum for
@@ -79,12 +67,14 @@ func NewFeistel(key []byte, n uint64, rounds int) (*Feistel, error) {
 	if err != nil {
 		return nil, fmt.Errorf("prp: round cipher: %w", err)
 	}
+	a := max(ceilSqrt(n), 2) // a one-point side would leave the rounds nothing to mix
 	return &Feistel{
 		block:         block,
 		n:             n,
-		a:             max(ceilSqrt(n), 2), // a one-point side would leave the rounds nothing to mix
+		a:             a,
 		rounds:        rounds,
 		tableMaxBytes: feistelTableMaxBytes,
+		kernel:        kernelMissing == "" && a >= 64,
 	}, nil
 }
 
@@ -146,9 +136,6 @@ func (f *Feistel) roundFn(buf *[aes.BlockSize]byte, i int, r uint64) uint64 {
 	return binary.BigEndian.Uint64(buf[:8]) % f.a
 }
 
-// Domain returns the permutation's domain size.
-func (f *Feistel) Domain() uint64 { return f.n }
-
 // Index maps x to its permuted position. Cycle walking re-encrypts until
 // the output lands inside the domain; summed over the whole domain the
 // walks visit each of the fewer than 2a points of [n, a²) at most once.
@@ -163,25 +150,27 @@ func (f *Feistel) Index(x uint64) uint64 {
 	return y
 }
 
-// IndexBatch maps the consecutive positions first..first+len(dst) in one
-// call. When the round table is available (domains up to
-// feistelTableMaxBytes worth of entries — every GeoProof file size in
-// practice) each round is a single table lookup and no AES runs at all,
-// and four positions go through the rounds side by side (indexBatchTable).
-// Larger domains take Index per position. Output is identical either way.
+// IndexBatch fills dst[i] = Index(first + i) for every i: the bulk form
+// the POR pipeline permutes a shard of consecutive file blocks with. When
+// the round table is available (domains up to feistelTableMaxBytes worth
+// of entries — every GeoProof file size in practice) each round is a
+// single table lookup and no AES runs at all; whole 64-position blocks go
+// through the AVX-512 kernel where the host has it (indexBlocks), the
+// rest four positions side by side (indexBatchTable). Larger domains take
+// Index per position. Output is identical on every path.
 func (f *Feistel) IndexBatch(first uint64, dst []uint64) {
 	if len(dst) == 0 {
 		return
 	}
-	if last := first + uint64(len(dst)) - 1; last >= f.n {
-		x := first
-		if x < f.n {
-			x = f.n
-		}
-		panic(fmt.Sprintf("prp: index %d outside domain %d", x, f.n))
+	if first >= f.n || uint64(len(dst)) > f.n-first {
+		panic(fmt.Sprintf("prp: index %d outside domain %d", max(first, f.n), f.n))
 	}
 	if tab := f.roundTable(); tab != nil {
-		f.indexBatchTable(first, dst, tab)
+		i := 0
+		if f.kernel {
+			i = f.indexBlocks(first, dst, tab)
+		}
+		f.indexBatchTable(first+uint64(i), dst[i:], tab)
 		return
 	}
 	for i := range dst {
@@ -189,7 +178,35 @@ func (f *Feistel) IndexBatch(first uint64, dst []uint64) {
 	}
 }
 
-// indexBatchTable is IndexBatch over the memoised rounds. One position's
+// indexBlocks runs dst's whole 64-position blocks through the kernel and
+// returns how many positions it filled. The kernel steps its lanes from
+// the block's first (l, r) with at most one carry into l, which a ≥ 64
+// guarantees; from one block to the next the pair advances by 64 the same
+// way, so a batch pays one divide. The table cap keeps a ≤ 2²⁰, so no
+// lane's dword sum wraps. A block's returned mask names the lanes that
+// landed in [n, a²); only those cycle-walk, in Go.
+func (f *Feistel) indexBlocks(first uint64, dst []uint64, tab []uint32) int {
+	a := uint32(f.a)
+	l, r := uint32(first/f.a), uint32(first%f.a)
+	i := 0
+	for ; i+64 <= len(dst); i += 64 {
+		walk := indexBlock64(&tab[0], a, f.rounds, l, r, f.n, (*[64]uint64)(dst[i:i+64]))
+		for ; walk != 0; walk &= walk - 1 {
+			y := &dst[i+bits.TrailingZeros64(walk)]
+			for *y >= f.n {
+				*y = f.encryptOnceTable(*y, tab)
+			}
+		}
+		if r += 64; r >= a {
+			l, r = l+1, r-a
+		}
+	}
+	return i
+}
+
+// indexBatchTable is the portable table path: all of IndexBatch's
+// positions on hosts without the kernel or when a < 64, and the ones past
+// the kernel's last whole block otherwise. One position's
 // rounds are a chain of dependent table loads (each look-up's index is the
 // previous one's result), so a position at a time the core mostly waits on
 // L1 latency; four consecutive positions carried through every round
@@ -262,18 +279,6 @@ func (f *Feistel) encryptOnceTable(x uint64, tab []uint32) uint64 {
 	return uint64(l)*f.a + uint64(r)
 }
 
-// Inverse maps a permuted position back to the original position.
-func (f *Feistel) Inverse(y uint64) uint64 {
-	if y >= f.n {
-		panic(fmt.Sprintf("prp: index %d outside domain %d", y, f.n))
-	}
-	x := f.decryptOnce(y)
-	for x >= f.n {
-		x = f.decryptOnce(x)
-	}
-	return x
-}
-
 // encryptOnce is one pass of the rounds over [0, a²), through AES unless
 // a bulk caller has already paid to build the table: a lone Index never
 // triggers the build itself.
@@ -285,24 +290,6 @@ func (f *Feistel) encryptOnce(x uint64) uint64 {
 	l, r := x/f.a, x%f.a
 	for i := 0; i < f.rounds; i++ {
 		l, r = r, (l+f.roundFn(&buf, i, r))%f.a
-	}
-	return l*f.a + r
-}
-
-// decryptOnce undoes encryptOnce: the rounds in reverse, each subtracting
-// what its forward twin added.
-func (f *Feistel) decryptOnce(y uint64) uint64 {
-	l, r := y/f.a, y%f.a
-	if p := f.table.Load(); p != nil {
-		tab := *p
-		for i := f.rounds - 1; i >= 0; i-- {
-			l, r = (r+f.a-uint64(tab[uint64(i)*f.a+l]))%f.a, l
-		}
-		return l*f.a + r
-	}
-	var buf [aes.BlockSize]byte
-	for i := f.rounds - 1; i >= 0; i-- {
-		l, r = (r+f.a-f.roundFn(&buf, i, l))%f.a, l
 	}
 	return l*f.a + r
 }

@@ -2,10 +2,11 @@ package prp
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
-	"testing/quick"
 )
 
 func testKey() []byte { return []byte("geoproof-prp-test-key-0123456789") }
@@ -20,13 +21,48 @@ func newFeistel(t testing.TB, n uint64) *Feistel {
 }
 
 // newTablelessFeistel is the reference twin: with the table cap forced to
-// zero every path of it — Index, Inverse and IndexBatch, which then loops
-// Index — evaluates AES per round.
+// zero every path of it — Index, and IndexBatch, which then loops Index —
+// evaluates AES per round.
 func newTablelessFeistel(t testing.TB, n uint64) *Feistel {
 	t.Helper()
 	f := newFeistel(t, n)
 	f.tableMaxBytes = 0
 	return f
+}
+
+// feistelPath is one way IndexBatch's table path can run.
+type feistelPath struct {
+	name string
+	f    *Feistel
+}
+
+// feistelPaths returns the table paths the batch tests run on, each a
+// fresh Feistel under key over n: the AVX-512 kernel where NewFeistel
+// chose it (the host has it and a ≥ 64), and the portable four-lane loop
+// always — a second Feistel with the kernel cleared. Tests that call it log, through
+// logKernel, what a host without the kernel lacks.
+func feistelPaths(t testing.TB, key []byte, n uint64, rounds int) []feistelPath {
+	t.Helper()
+	kernel, err := NewFeistel(key, n, rounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	portable, err := NewFeistel(key, n, rounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	portable.kernel = false
+	if !kernel.kernel {
+		return []feistelPath{{"portable", portable}}
+	}
+	return []feistelPath{{"avx512", kernel}, {"portable", portable}}
+}
+
+func logKernel(t testing.TB) {
+	t.Helper()
+	if kernelMissing != "" {
+		t.Logf("AVX-512 table kernel not run: host lacks %s", kernelMissing)
+	}
 }
 
 // squaresAround returns k² − 1, k² and k² + 1 for every k: the domain
@@ -40,48 +76,55 @@ func squaresAround(ks ...uint64) []uint64 {
 	return ns
 }
 
-// TestBijectivitySmallDomains checks, on the shipped (table, four-lane)
-// path, that the permutation of every domain size from 1 to 4 096 — and of
-// the sizes around 1 549² (a 32 MiB file's block count sits just under it)
-// and 2 048² — hits every point of the domain exactly once, and that Index
-// and Inverse agree with the batch: on every point of the smaller domains
-// and of every 64th size, on a sample elsewhere.
+// TestBijectivitySmallDomains checks, on every table path, that the
+// permutation of every domain size from 1 to 4 096 — and of the sizes
+// around 1 549² (a 32 MiB file's block count sits just under it) and
+// 2 048² — hits every point of the domain exactly once, that the paths
+// agree, and that Index agrees with the batch: on every point of the
+// smaller domains and of every 64th size, on a sample elsewhere.
 func TestBijectivitySmallDomains(t *testing.T) {
+	logKernel(t)
 	ns := squaresAround(1549, 2048)
 	for n := uint64(1); n <= 4096; n++ {
 		ns = append(ns, n)
 	}
 	rng := rand.New(rand.NewSource(20))
-	var ys []uint64
+	var ys, first []uint64
 	var seen []bool
 	for _, n := range ns {
-		f := newFeistel(t, n)
-		if f.a*f.a < n || (f.a > 2 && (f.a-1)*(f.a-1) >= n) {
-			t.Fatalf("n=%d: side a=%d is not ⌈√n⌉", n, f.a)
+		paths := feistelPaths(t, testKey(), n, 8)
+		if a := paths[0].f.a; a*a < n || (a > 2 && (a-1)*(a-1) >= n) {
+			t.Fatalf("n=%d: side a=%d is not ⌈√n⌉", n, a)
 		}
 		if uint64(cap(ys)) < n {
-			ys, seen = make([]uint64, n), make([]bool, n)
+			ys, first, seen = make([]uint64, n), make([]uint64, n), make([]bool, n)
 		}
-		ys, seen = ys[:n], seen[:n]
-		for i := range seen {
-			seen[i] = false
-		}
-		f.IndexBatch(0, ys)
-		for x, y := range ys {
-			if y >= n {
-				t.Fatalf("n=%d: Index(%d)=%d outside domain", n, x, y)
+		ys, first, seen = ys[:n], first[:n], seen[:n]
+		for pi, p := range paths {
+			for i := range seen {
+				seen[i] = false
 			}
-			if seen[y] {
-				t.Fatalf("n=%d: collision at output %d", n, y)
+			p.f.IndexBatch(0, ys)
+			for x, y := range ys {
+				if y >= n {
+					t.Fatalf("%s n=%d: Index(%d)=%d outside domain", p.name, n, x, y)
+				}
+				if seen[y] {
+					t.Fatalf("%s n=%d: collision at output %d", p.name, n, y)
+				}
+				seen[y] = true
+				if pi > 0 && y != first[x] {
+					t.Fatalf("n=%d: %s gives Index(%d)=%d, %s %d", n, p.name, x, y, paths[0].name, first[x])
+				}
 			}
-			seen[y] = true
+			if pi == 0 {
+				copy(first, ys)
+			}
 		}
+		f := paths[0].f
 		check := func(x uint64) {
 			if got := f.Index(x); got != ys[x] {
 				t.Fatalf("n=%d: Index(%d)=%d, IndexBatch gave %d", n, x, got, ys[x])
-			}
-			if got := f.Inverse(ys[x]); got != x {
-				t.Fatalf("n=%d: Inverse(Index(%d))=%d", n, x, got)
 			}
 		}
 		if n <= 512 || n%64 == 0 {
@@ -96,34 +139,24 @@ func TestBijectivitySmallDomains(t *testing.T) {
 	}
 }
 
-// TestInverseRoundTrip runs both compositions over whole small domains on
-// a Feistel no batch has touched, i.e. on the table-less AES path.
-func TestInverseRoundTrip(t *testing.T) {
+// TestIndexBijectiveWithoutTable runs Index over whole small domains on a
+// Feistel no batch has touched, i.e. on the table-less AES path: every
+// output lies in the domain and none repeats, and a lone Index never
+// builds the table.
+func TestIndexBijectiveWithoutTable(t *testing.T) {
 	for _, n := range []uint64{1, 2, 7, 64, 65, 1023} {
 		p := newFeistel(t, n)
+		seen := make([]bool, n)
 		for x := uint64(0); x < n; x++ {
-			if got := p.Inverse(p.Index(x)); got != x {
-				t.Fatalf("n=%d: Inverse(Index(%d))=%d", n, x, got)
+			y := p.Index(x)
+			if y >= n || seen[y] {
+				t.Fatalf("n=%d: Index(%d)=%d is outside the domain or a repeat", n, x, y)
 			}
-			if got := p.Index(p.Inverse(x)); got != x {
-				t.Fatalf("n=%d: Index(Inverse(%d))=%d", n, x, got)
-			}
+			seen[y] = true
 		}
 		if p.table.Load() != nil {
 			t.Fatalf("n=%d: a lone Index built the round table", n)
 		}
-	}
-}
-
-func TestInverseRoundTripPropertyLargeDomain(t *testing.T) {
-	const n = uint64(153008209) // ECC'd block count from the paper's example
-	p := newFeistel(t, n)
-	f := func(raw uint64) bool {
-		x := raw % n
-		return p.Inverse(p.Index(x)) == x
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -180,19 +213,12 @@ func TestBadDomains(t *testing.T) {
 
 func TestOutOfDomainPanics(t *testing.T) {
 	p, _ := NewFeistel(testKey(), 10, 8)
-	for _, f := range []func(){
-		func() { p.Index(10) },
-		func() { p.Inverse(10) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("out-of-domain access did not panic")
-				}
-			}()
-			f()
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("out-of-domain access did not panic")
+		}
+	}()
+	p.Index(10)
 }
 
 func TestFeistelMinimumRounds(t *testing.T) {
@@ -234,49 +260,80 @@ func TestCeilSqrt(t *testing.T) {
 	}
 }
 
-// TestIndexBatchMatchesIndexLargeDomain runs the four-lane table path at
-// the paper's 153M-block scale against the table-less twin.
+// TestIndexBatchMatchesIndexLargeDomain runs every table path at the
+// paper's 153M-block scale, whose 396 KiB round table does not fit in L1,
+// against the table-less twin: batches of up to a few thousand positions
+// (so many whole kernel blocks) anywhere in the domain, and one that ends
+// on its last position.
 func TestIndexBatchMatchesIndexLargeDomain(t *testing.T) {
+	logKernel(t)
 	const n = uint64(153008209)
-	f, plain := newFeistel(t, n), newTablelessFeistel(t, n)
+	plain := newTablelessFeistel(t, n)
 	rng := rand.New(rand.NewSource(22))
-	for trial := 0; trial < 4; trial++ {
-		count := uint64(1 + rng.Intn(300))
-		first := rng.Uint64() % (n - count)
-		dst := make([]uint64, count)
-		f.IndexBatch(first, dst)
-		for i, got := range dst {
-			if want := plain.Index(first + uint64(i)); got != want {
-				t.Fatalf("trial %d: IndexBatch[%d]=%d, Index=%d", trial, i, got, want)
+	for _, p := range feistelPaths(t, testKey(), n, 8) {
+		for trial := 0; trial < 6; trial++ {
+			count := uint64(1 + rng.Intn(3000))
+			first := rng.Uint64() % (n - count)
+			if trial == 0 {
+				first = n - count
+			}
+			dst := make([]uint64, count)
+			p.f.IndexBatch(first, dst)
+			for i, got := range dst {
+				if want := plain.Index(first + uint64(i)); got != want {
+					t.Fatalf("%s trial %d: IndexBatch(%d)[%d]=%d, Index=%d", p.name, trial, first, i, got, want)
+				}
 			}
 		}
 	}
 }
 
+// TestIndexBatchOutOfDomainPanics: a batch that runs past the domain
+// panics naming the first position outside it — including one whose
+// first + len wraps past 2⁶⁴ and so ends, modulo 2⁶⁴, inside the domain.
 func TestIndexBatchOutOfDomainPanics(t *testing.T) {
 	f, _ := NewFeistel(testKey(), 10, 8)
-	defer func() {
-		if got, want := recover(), "prp: index 10 outside domain 10"; got != want {
-			t.Fatalf("out-of-domain batch: panic %v, want %q", got, want)
-		}
-	}()
-	f.IndexBatch(5, make([]uint64, 6))
+	for _, c := range []struct {
+		first uint64
+		count int
+		want  uint64
+	}{
+		{5, 6, 10},
+		{10, 1, 10},
+		{11, 1, 11},
+		{1<<64 - 1, 2, 1<<64 - 1},
+		{1<<64 - 5, 10, 1<<64 - 5},
+	} {
+		func() {
+			defer func() {
+				if got, want := recover(), fmt.Sprintf("prp: index %d outside domain 10", c.want); got != want {
+					t.Errorf("IndexBatch(%d, len %d): panic %v, want %q", c.first, c.count, got, want)
+				}
+			}()
+			f.IndexBatch(c.first, make([]uint64, c.count))
+		}()
+	}
 }
 
-// TestIndexBatchLanes pins the four-lane table path to Index position by
-// position: every batch length from 0 to 9 and around multiples of four
-// (so the lane groups and the scalar tail both run at every phase) from
-// every starting position of the domain — so every lane in turn steps
-// across every r == a − 1 carry, and batches end on the last position of
-// the domain — on domains one past a perfect square (the excess a² − n at
-// its largest, so the most walking there can be), on a perfect square
-// (none) and too small to fill a group. The reference is a twin that never
-// builds the table, so it is the pure-AES Index. The sweep must have made
-// every lane and the tail cycle-walk.
+// TestIndexBatchLanes pins every table path to Index position by
+// position. Batch lengths run from 0 to 9, around multiples of four (the
+// four-lane groups and the scalar tail at every phase) and of 64 (the
+// kernel's blocks and the four-lane remainder after them), and to 16 320,
+// the pipeline's shard. The domains are one past a perfect square (the
+// excess a² − n at its largest, so the most walking there can be), a
+// perfect square (none) and too small to fill a group. Those up to
+// 32² + 1 are swept from every starting position; the larger ones, at
+// a = 63, 64 and 65 (the kernel runs from a = 64) and 131, from the a + 1
+// starts at either end, which put a block's first r at every phase — so
+// every lane of a kernel block in turn carries into l as it is set up —
+// and end batches on the domain's last position. The reference is a twin that never builds the table, so
+// it is the pure-AES Index. The sweep must have made the kernel's blocks,
+// every portable lane and the scalar tail cycle-walk.
 func TestIndexBatchLanes(t *testing.T) {
-	var walked [5]bool // lanes 0–3, then the scalar tail
-	for _, n := range []uint64{1, 2, 3, 5, 17, 37, 64, 32*32 + 1} {
-		tabbed, plain := newFeistel(t, n), newTablelessFeistel(t, n)
+	logKernel(t)
+	walked := map[string]bool{}
+	for _, n := range []uint64{1, 2, 3, 5, 17, 37, 64, 32*32 + 1, 62*62 + 1, 63*63 + 1, 64 * 64, 64*64 + 1, 130*130 + 1} {
+		plain := newTablelessFeistel(t, n)
 		want := make([]uint64, n)
 		firstPassOut := make([]bool, n)
 		for x := range want {
@@ -284,39 +341,66 @@ func TestIndexBatchLanes(t *testing.T) {
 			firstPassOut[x] = plain.encryptOnce(uint64(x)) >= n
 		}
 		got := make([]uint64, n)
-		for _, count := range []uint64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 127, 128, 129, 511, 513} {
-			for first := uint64(0); first+count <= n; first++ {
-				tabbed.IndexBatch(first, got[:count])
-				for i := uint64(0); i < count; i++ {
-					if got[i] != want[first+i] {
-						t.Fatalf("n=%d first=%d len=%d: IndexBatch[%d]=%d, Index=%d", n, first, count, i, got[i], want[first+i])
+		for _, p := range feistelPaths(t, testKey(), n, 8) {
+			a := p.f.a
+			for _, count := range []uint64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 128, 129, 511, 513, 16320} {
+				if count > n {
+					continue
+				}
+				var starts []uint64
+				for first := uint64(0); first+count <= n; first++ {
+					if n <= 32*32+1 || first <= a || first+count+a >= n {
+						starts = append(starts, first)
 					}
-					if firstPassOut[first+i] {
-						if i < count&^3 {
-							walked[i%4] = true
-						} else {
-							walked[4] = true
+				}
+				blocks := uint64(0)
+				if p.f.kernel {
+					blocks = count &^ 63
+				}
+				lanes := blocks + (count-blocks)&^3
+				for _, first := range starts {
+					p.f.IndexBatch(first, got[:count])
+					for i := uint64(0); i < count; i++ {
+						if got[i] != want[first+i] {
+							t.Fatalf("%s n=%d first=%d len=%d: IndexBatch[%d]=%d, Index=%d", p.name, n, first, count, i, got[i], want[first+i])
+						}
+						if !firstPassOut[first+i] {
+							continue
+						}
+						switch {
+						case i < blocks:
+							walked["kernel block"] = true
+						case i < lanes:
+							walked[fmt.Sprintf("%s lane %d", p.name, (i-blocks)%4)] = true
+						default:
+							walked["scalar tail"] = true
 						}
 					}
 				}
 			}
-		}
-		if tabbed.table.Load() == nil || plain.table.Load() != nil {
-			t.Fatalf("n=%d: table built = %v on the table side, %v on the AES side", n, tabbed.table.Load() != nil, plain.table.Load() != nil)
+			if p.f.table.Load() == nil || plain.table.Load() != nil {
+				t.Fatalf("%s n=%d: table built = %v on the table side, %v on the AES side", p.name, n, p.f.table.Load() != nil, plain.table.Load() != nil)
+			}
 		}
 	}
-	for where, did := range walked {
-		if !did {
-			t.Errorf("no batch of the sweep cycle-walked in lane %d (4 = tail)", where)
+	where := []string{"portable lane 0", "portable lane 1", "portable lane 2", "portable lane 3", "scalar tail"}
+	if kernelMissing == "" {
+		where = append(where, "kernel block", "avx512 lane 0", "avx512 lane 3")
+	}
+	for _, w := range where {
+		if !walked[w] {
+			t.Errorf("no batch of the sweep cycle-walked in the %s", w)
 		}
 	}
 }
 
-// TestFeistelTablePathMatchesAESPath pins the memoized-round-table paths —
-// the four-lane IndexBatch, and Index and Inverse once the table exists —
-// to the table-less twin on sampled spans of domains from two points to
-// 2⁴⁰ (the last at four rounds: eight would put its table over the cap).
+// TestFeistelTablePathMatchesAESPath pins every table path — and Index
+// once the table exists — to the table-less twin on sampled spans of
+// domains from two points to 2⁴⁰ (the last at four rounds: eight would
+// put its table over the cap). Past 2³² the side a exceeds 2¹⁶, so the
+// kernel's l·a + r no longer fits the 32-bit lanes it is computed from.
 func TestFeistelTablePathMatchesAESPath(t *testing.T) {
+	logKernel(t)
 	rng := rand.New(rand.NewSource(31))
 	for _, tc := range []struct {
 		n      uint64
@@ -324,38 +408,34 @@ func TestFeistelTablePathMatchesAESPath(t *testing.T) {
 	}{
 		{2, 8}, {3, 8}, {1000, 8}, {2398275, 8}, {153008209, 8}, {1<<32 + 12345, 8}, {1 << 40, 4},
 	} {
-		tabbed, err := NewFeistel(testKey(), tc.n, tc.rounds)
-		if err != nil {
-			t.Fatal(err)
-		}
 		plain, err := NewFeistel(testKey(), tc.n, tc.rounds)
 		if err != nil {
 			t.Fatal(err)
 		}
 		plain.tableMaxBytes = 0
-		for trial := 0; trial < 3; trial++ {
-			count := min(uint64(1+rng.Intn(400)), tc.n)
-			first := rng.Uint64() % (tc.n - count + 1)
-			viaTable := make([]uint64, count)
-			tabbed.IndexBatch(first, viaTable)
-			for i, got := range viaTable {
-				x := first + uint64(i)
-				if want := plain.Index(x); got != want || tabbed.Index(x) != want {
-					t.Fatalf("n=%d: table IndexBatch[%d]=%d, table Index=%d, AES Index=%d", tc.n, i, got, tabbed.Index(x), want)
-				}
-				if back := tabbed.Inverse(got); back != x || plain.Inverse(got) != x {
-					t.Fatalf("n=%d: table Inverse(%d)=%d, AES Inverse=%d, want %d", tc.n, got, back, plain.Inverse(got), x)
+		for _, p := range feistelPaths(t, testKey(), tc.n, tc.rounds) {
+			for trial := 0; trial < 3; trial++ {
+				count := min(uint64(1+rng.Intn(1000)), tc.n)
+				first := rng.Uint64() % (tc.n - count + 1)
+				viaTable := make([]uint64, count)
+				p.f.IndexBatch(first, viaTable)
+				for i, got := range viaTable {
+					x := first + uint64(i)
+					if want := plain.Index(x); got != want || p.f.Index(x) != want {
+						t.Fatalf("%s n=%d: table IndexBatch[%d]=%d, table Index=%d, AES Index=%d", p.name, tc.n, i, got, p.f.Index(x), want)
+					}
 				}
 			}
-		}
-		if tabbed.table.Load() == nil || plain.table.Load() != nil {
-			t.Fatalf("n=%d: table built = %v on the table side, %v on the AES side", tc.n, tabbed.table.Load() != nil, plain.table.Load() != nil)
+			if p.f.table.Load() == nil || plain.table.Load() != nil {
+				t.Fatalf("%s n=%d: table built = %v on the table side, %v on the AES side", p.name, tc.n, p.f.table.Load() != nil, plain.table.Load() != nil)
+			}
 		}
 	}
 }
 
 // TestFeistelLargeDomainSkipsTable: a domain too large to tabulate
-// (a = 2²⁰ → a 32 MiB table at eight rounds) is served by Index.
+// (a = 2²⁰ → a 32 MiB table at eight rounds) is served by Index, and the
+// batch stays inside the domain without a repeat.
 func TestFeistelLargeDomainSkipsTable(t *testing.T) {
 	const n = uint64(1) << 40
 	f := newFeistel(t, n)
@@ -365,29 +445,93 @@ func TestFeistelLargeDomainSkipsTable(t *testing.T) {
 	if f.table.Load() != nil {
 		t.Fatal("table built for an oversized domain")
 	}
+	seen := make(map[uint64]bool, len(dst))
 	for i, got := range dst {
 		if want := f.Index(first + uint64(i)); got != want {
 			t.Fatalf("IndexBatch[%d]=%d, Index=%d", i, got, want)
 		}
-		if back := f.Inverse(got); back != first+uint64(i) {
-			t.Fatalf("Inverse(%d)=%d, want %d", got, back, first+uint64(i))
+		if got >= n || seen[got] {
+			t.Fatalf("IndexBatch[%d]=%d is outside the domain or a repeat", i, got)
 		}
+		seen[got] = true
 	}
 }
 
 func TestIndexBatchMatchesIndex(t *testing.T) {
-	for _, n := range []uint64{1, 5, 97, 1000} {
-		p := newFeistel(t, n)
-		for _, span := range []struct{ first, count uint64 }{
-			{0, n}, {n / 2, n - n/2}, {n - 1, 1}, {0, 0},
-		} {
-			dst := make([]uint64, span.count)
-			p.IndexBatch(span.first, dst)
-			for i, got := range dst {
-				if want := p.Index(span.first + uint64(i)); got != want {
-					t.Fatalf("n=%d: IndexBatch[%d]=%d, Index=%d", n, i, got, want)
+	logKernel(t)
+	for _, n := range []uint64{1, 5, 97, 1000, 4097} {
+		for _, p := range feistelPaths(t, testKey(), n, 8) {
+			for _, span := range []struct{ first, count uint64 }{
+				{0, n}, {n / 2, n - n/2}, {n - 1, 1}, {0, 0},
+			} {
+				dst := make([]uint64, span.count)
+				p.f.IndexBatch(span.first, dst)
+				for i, got := range dst {
+					if want := p.f.Index(span.first + uint64(i)); got != want {
+						t.Fatalf("%s n=%d: IndexBatch[%d]=%d, Index=%d", p.name, n, i, got, want)
+					}
 				}
 			}
+		}
+	}
+}
+
+// TestFeistelSharedAcrossGoroutines shares one Feistel per table path
+// between eight goroutines from its first use, so the round table is built
+// under contention, each batching overlapping spans of ragged lengths;
+// every batch must equal a sequential pass of a twin.
+func TestFeistelSharedAcrossGoroutines(t *testing.T) {
+	logKernel(t)
+	const n, workers = uint64(1548*1548 + 1), 8
+	for pi := range feistelPaths(t, testKey(), n, 8) {
+		ref := feistelPaths(t, testKey(), n, 8)[pi]
+		want := make([]uint64, n)
+		ref.f.IndexBatch(0, want)
+		shared := feistelPaths(t, testKey(), n, 8)[pi]
+		var wg sync.WaitGroup
+		errs := make(chan error, workers)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(w)))
+				dst := make([]uint64, 4096)
+				for b := 0; b < 8; b++ {
+					count := uint64(1 + rng.Intn(len(dst)))
+					first := rng.Uint64() % (n - count + 1)
+					shared.f.IndexBatch(first, dst[:count])
+					for i, y := range dst[:count] {
+						if y != want[first+uint64(i)] {
+							errs <- fmt.Errorf("%s worker %d: IndexBatch(%d)[%d]=%d, sequential %d", shared.name, w, first, i, y, want[first+uint64(i)])
+							return
+						}
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
+	}
+}
+
+// TestIndexBatchAllocatesNothing: once the table exists, a batch on
+// either table path allocates nothing — the kernel's lanes live in
+// registers and the portable loop's on the stack.
+func TestIndexBatchAllocatesNothing(t *testing.T) {
+	logKernel(t)
+	const n = uint64(1548*1548 + 1)
+	dst := make([]uint64, 16320+37)
+	for _, p := range feistelPaths(t, testKey(), n, 8) {
+		p.f.IndexBatch(0, dst)
+		first := uint64(0)
+		if allocs := testing.AllocsPerRun(20, func() {
+			p.f.IndexBatch(first, dst)
+			first += 12345
+		}); allocs != 0 {
+			t.Errorf("%s: %v allocations per batch", p.name, allocs)
 		}
 	}
 }
@@ -417,11 +561,11 @@ func TestWalksPerIndex(t *testing.T) {
 }
 
 // FuzzFeistelBijection: for any key and domain size, a batch anywhere in
-// the domain lands inside it without collision, agrees with the
-// table-less twin, and inverts; domains small enough to enumerate are
+// the domain on every table path lands inside it without collision and
+// agrees with the table-less twin; domains small enough to enumerate are
 // checked whole. The table cap is lowered to 1 MiB so that a fuzz
 // execution never spends its time filling a 16 MiB table; domains beyond
-// it run table-less on both sides.
+// it run table-less on every side.
 func FuzzFeistelBijection(f *testing.F) {
 	f.Add([]byte("k"), uint64(1), uint64(0), uint16(1))
 	f.Add([]byte("key"), uint64(17), uint64(9), uint16(8))
@@ -429,39 +573,36 @@ func FuzzFeistelBijection(f *testing.F) {
 	f.Add([]byte("geoproof"), uint64(2398275), uint64(2398270), uint16(5))
 	f.Add([]byte("big"), uint64(1)<<40, uint64(1)<<39, uint16(40))
 	f.Add([]byte("max"), MaxDomain-1, MaxDomain-7, uint16(6))
+	f.Add([]byte("blocks"), uint64(130*130+1), uint64(130*129), uint16(200))
 	f.Fuzz(func(t *testing.T, key []byte, n, first uint64, length uint16) {
 		n = n%MaxDomain + 1
-		tabbed, err := NewFeistel(key, n, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tabbed.tableMaxBytes = 1 << 20
 		plain, err := NewFeistel(key, n, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
 		plain.tableMaxBytes = 0
 
-		count := uint64(length % 64)
+		count := uint64(length % 512)
 		if n <= 2048 {
 			first, count = 0, n
 		}
 		count = min(count, n)
 		first %= n - count + 1
 		dst := make([]uint64, count)
-		tabbed.IndexBatch(first, dst)
 		seen := make(map[uint64]bool, count)
-		for i, y := range dst {
-			x := first + uint64(i)
-			if y >= n || seen[y] {
-				t.Fatalf("n=%d: Index(%d)=%d is outside the domain or a repeat", n, x, y)
-			}
-			seen[y] = true
-			if want := plain.Index(x); y != want {
-				t.Fatalf("n=%d: IndexBatch gives Index(%d)=%d, table-less Index %d", n, x, y, want)
-			}
-			if back := tabbed.Inverse(y); back != x {
-				t.Fatalf("n=%d: Inverse(Index(%d))=%d", n, x, back)
+		for _, p := range feistelPaths(t, key, n, 8) {
+			p.f.tableMaxBytes = 1 << 20
+			p.f.IndexBatch(first, dst)
+			clear(seen)
+			for i, y := range dst {
+				x := first + uint64(i)
+				if y >= n || seen[y] {
+					t.Fatalf("%s n=%d: Index(%d)=%d is outside the domain or a repeat", p.name, n, x, y)
+				}
+				seen[y] = true
+				if want := plain.Index(x); y != want {
+					t.Fatalf("%s n=%d: IndexBatch gives Index(%d)=%d, table-less Index %d", p.name, n, x, y, want)
+				}
 			}
 		}
 	})
