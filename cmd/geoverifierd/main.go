@@ -13,15 +13,18 @@
 // tenants' copies on one or more geoproofd provers, re-auditing every
 // prover on a jittered period — bounded in-flight window per prover,
 // round-robin tenant fairness, per-attempt timeout and retry — pings them
-// between full audits, escalates a failing or slow prover's policy
-// (tighter window and timeout, doubled challenge rounds), quarantines
-// repeat offenders with exponential-backoff probation, logs every failed
-// audit, and serves the fleet's health matrix and verdict ledger as JSON
-// over HTTP (GET /status on -status-addr). The ledger stays bounded via
-// -retain. It runs until signalled, or with -epochs N until every prover
-// has run N audit cycles: each such prover leaves gracefully (its cycle
-// in flight finishes) and, once none is left, the per-prover ledger is
-// printed and the command exits.
+// between full audits, escalates a prover after one failed cycle or three
+// failed pings (window 1, half the timeout, doubled challenge rounds, two
+// retries backing off from 10 ms), quarantines it after two more failed
+// cycles for a delay that starts at -period and doubles up to 8×,
+// readmits it after two clean probation audits, logs every failed audit,
+// and serves the fleet's health matrix and verdict ledger as JSON over
+// HTTP (GET /status on -status-addr). These thresholds are fixed; the
+// flags set the periods, the window, the timeout and the retries. The
+// ledger stays bounded via -retain. It runs until signalled, or with
+// -epochs N until every prover has run N audit cycles: each such prover
+// leaves gracefully (its cycle in flight finishes) and, once none is
+// left, the per-prover ledger is printed and the command exits.
 //
 // Usage:
 //
@@ -29,12 +32,7 @@
 //	geoverifierd -controller -meta data.meta.json -provers host:9341,host2:9341 \
 //	    [-epochs 0] [-status-addr 127.0.0.1:9343] [-period 10s] [-period-jitter 0.2] \
 //	    [-probe-period 2s] [-retain 8] [-tenants 8] [-k 20] [-tmax 50ms] \
-//	    [-window 2] [-timeout 5s] [-retries 1] [-j 8] \
-//	    [-policy host2:9341=window=1,timeout=20s,retries=0]
-//
-// -policy (repeatable) layers per-prover overrides over the fleet knobs:
-// a slow WAN site can get a wider deadline and narrower window without
-// loosening the LAN fleet's policy.
+//	    [-window 2] [-timeout 5s] [-retries 1] [-j 8]
 //
 // In both modes audit rounds reach the provers over one persistent
 // multiplexed connection per prover, kept warm in a pool and shared by
@@ -56,7 +54,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -116,18 +113,6 @@ func run() error {
 	logJSON := flag.Bool("log-json", false, "emit logs as JSON instead of text")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the status API (controller mode)")
 	traceRetain := flag.Int("trace-retain", 256, "completed audit traces retained for /debug/audits (controller mode)")
-	policies := map[string]core.ProverPolicy{}
-	flag.Func("policy",
-		"per-prover policy override, repeatable: addr=window=N,timeout=D,retries=N,backoff=D "+
-			"(timeout=0 disables the deadline, retries=0 disables retries for that prover)",
-		func(v string) error {
-			addr, p, err := parsePolicy(v)
-			if err != nil {
-				return err
-			}
-			policies[addr] = p
-			return nil
-		})
 	flag.Parse()
 
 	logger, err := telemetry.NewLogger(os.Stderr, *logLevel, *logJSON)
@@ -164,8 +149,7 @@ func run() error {
 			tenants: *tenants, epochs: *epochs, k: *k,
 			tmax: *tmax, radiusKm: *radius, lat: *lat, lon: *lon,
 			window: *window, timeout: *timeout, retries: *retries, workers: *workers,
-			policies: policies, retain: *retain,
-			statusAddr: *statusAddr, period: *period,
+			retain: *retain, statusAddr: *statusAddr, period: *period,
 			periodJitter: *periodJitter, probePeriod: *probePeriod,
 			pprofOn: *pprofOn, traceRetain: *traceRetain,
 		}
@@ -208,7 +192,6 @@ type schedOpts struct {
 	timeout   time.Duration
 	retries   int
 	workers   int
-	policies  map[string]core.ProverPolicy
 	retain    uint64
 
 	// Controller mode.
@@ -259,77 +242,7 @@ func buildTPA(o schedOpts) (*core.TPA, meta.Meta, blockfile.Layout, []string, er
 	if len(addrs) == 0 {
 		return nil, m, layout, nil, fmt.Errorf("no prover addresses given")
 	}
-	// A policy that matches no prover is an operator typo; silently
-	// running without the override would be worse than refusing.
-	known := make(map[string]bool, len(addrs))
-	for _, a := range addrs {
-		known[a] = true
-	}
-	for a := range o.policies {
-		if !known[a] {
-			return nil, m, layout, nil, fmt.Errorf("-policy for %q matches no -provers address (have %s)", a, strings.Join(addrs, ", "))
-		}
-	}
 	return tpa, m, layout, addrs, nil
-}
-
-// parsePolicy parses one -policy value: "addr=knob=value,knob=value,...".
-// A knob explicitly set to zero means "off" for that prover (mapped to
-// the ProverPolicy negative sentinel); an omitted knob inherits the
-// fleet default.
-func parsePolicy(v string) (string, core.ProverPolicy, error) {
-	addr, spec, ok := strings.Cut(v, "=")
-	if !ok || addr == "" {
-		return "", core.ProverPolicy{}, fmt.Errorf("policy %q: want addr=knob=value,...", v)
-	}
-	var p core.ProverPolicy
-	for _, kv := range strings.Split(spec, ",") {
-		key, val, ok := strings.Cut(kv, "=")
-		if !ok {
-			return "", core.ProverPolicy{}, fmt.Errorf("policy %q: bad knob %q", v, kv)
-		}
-		switch key {
-		case "window":
-			n, err := strconv.Atoi(val)
-			if err != nil || n <= 0 {
-				return "", core.ProverPolicy{}, fmt.Errorf("policy %q: window %q must be a positive integer", v, val)
-			}
-			p.Window = n
-		case "timeout":
-			d, err := time.ParseDuration(val)
-			if err != nil || d < 0 {
-				return "", core.ProverPolicy{}, fmt.Errorf("policy %q: bad timeout %q", v, val)
-			}
-			if d == 0 {
-				p.Timeout = -1
-			} else {
-				p.Timeout = d
-			}
-		case "retries":
-			n, err := strconv.Atoi(val)
-			if err != nil || n < 0 {
-				return "", core.ProverPolicy{}, fmt.Errorf("policy %q: bad retries %q", v, val)
-			}
-			if n == 0 {
-				p.Retries = -1
-			} else {
-				p.Retries = n
-			}
-		case "backoff":
-			d, err := time.ParseDuration(val)
-			if err != nil || d < 0 {
-				return "", core.ProverPolicy{}, fmt.Errorf("policy %q: bad backoff %q", v, val)
-			}
-			if d == 0 {
-				p.RetryBackoff = -1
-			} else {
-				p.RetryBackoff = d
-			}
-		default:
-			return "", core.ProverPolicy{}, fmt.Errorf("policy %q: unknown knob %q (window, timeout, retries, backoff)", v, key)
-		}
-	}
-	return addr, p, nil
 }
 
 // runController is controller mode: the process becomes the fleet's
@@ -401,7 +314,6 @@ func runController(o schedOpts) error {
 		err := ctl.Register(addr, core.ProverSpec{
 			Runner: &core.PooledRunner{Verifier: o.verifier, Addr: addr, Pool: pool},
 			Probe:  core.PoolProbe(pool, addr),
-			Policy: o.policies[addr],
 			Addr:   addr,
 			Tasks:  tasks,
 		})

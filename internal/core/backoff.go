@@ -1,42 +1,24 @@
 package core
 
 import (
-	"math/rand"
+	"math"
 	"time"
 )
 
-// Backoff computes exponential retry delays with optional jitter. It is
-// the one retry-timing policy shared by the scheduler's attempt retries
-// and the fleet controller's probe/escalation timing, so "how fast do we
-// hammer a struggling prover" is decided in exactly one place.
+// Backoff computes doubling retry delays. It is the one retry-timing
+// policy shared by the scheduler's attempt retries and the fleet
+// controller's quarantine delay, so "how fast do we hammer a struggling
+// prover" is decided in exactly one place:
 //
-// Delay(attempt) grows geometrically from Base by Factor per attempt,
-// saturates at Max, then subtracts up to Jitter of itself, drawn from
-// Rand — the classic "decorrelated enough" spread that keeps a fleet of
-// retriers from stampeding a recovering prover in lockstep:
+//	d = min(Base·2^attempt, Max)
 //
-//	d = min(Base·Factor^attempt, Max) · (1 − Jitter·Rand())
-//
-// The zero value is inert (every delay is 0); a Backoff with only Base
-// set degrades to plain doubling with no jitter and no cap. Backoff is a
-// value type and safe to copy; concurrent use is safe exactly when Rand
-// is (the default global source is).
+// The zero value is inert (every delay is 0); Max 0 leaves the delay
+// uncapped. Backoff is a value type, safe to copy and to share.
 type Backoff struct {
-	// Base is the attempt-0 delay. Non-positive means no delay at all,
-	// whatever the other knobs say.
+	// Base is the attempt-0 delay. Non-positive means no delay at all.
 	Base time.Duration
-	// Max caps the pre-jitter delay (0 = uncapped).
+	// Max caps the delay (0 = uncapped).
 	Max time.Duration
-	// Factor is the per-attempt growth rate; values below 1 (including
-	// the zero value) mean the default of 2.
-	Factor float64
-	// Jitter in [0, 1] is the fraction of the delay that may be shaved
-	// off: 0 is deterministic, 0.5 spreads delays over [d/2, d].
-	Jitter float64
-	// Rand supplies the jitter draws in [0, 1). Nil uses the global
-	// math/rand source; deterministic callers (the fleet controller, the
-	// tests) inject a seeded source here.
-	Rand func() float64
 }
 
 // Delay returns the sleep before retry number attempt (0-based).
@@ -44,35 +26,16 @@ func (b Backoff) Delay(attempt int) time.Duration {
 	if b.Base <= 0 {
 		return 0
 	}
-	factor := b.Factor
-	if factor < 1 {
-		factor = 2
+	limit := b.Max
+	if limit <= 0 {
+		limit = math.MaxInt64
 	}
-	d := float64(b.Base)
-	max := float64(b.Max)
-	for i := 0; i < attempt; i++ {
-		d *= factor
-		if max > 0 && d >= max {
-			d = max
-			break
+	d := b.Base
+	for i := 0; i < attempt && d < limit; i++ {
+		if d > limit/2 {
+			return limit
 		}
+		d *= 2
 	}
-	if max > 0 && d > max {
-		d = max
-	}
-	if b.Jitter > 0 {
-		j := b.Jitter
-		if j > 1 {
-			j = 1
-		}
-		r := rand.Float64
-		if b.Rand != nil {
-			r = b.Rand
-		}
-		d -= d * j * r()
-	}
-	if d < 0 {
-		return 0
-	}
-	return time.Duration(d)
+	return min(d, limit)
 }

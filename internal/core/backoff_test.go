@@ -1,7 +1,7 @@
 package core
 
 import (
-	"math/rand"
+	"math"
 	"testing"
 	"time"
 )
@@ -29,66 +29,17 @@ func TestBackoffDeterministicGrowthAndCap(t *testing.T) {
 			t.Fatalf("Delay(%d) = %v, want %v", attempt, d, w)
 		}
 	}
-	// A custom factor shifts the curve but respects the same cap.
-	b.Factor = 3
-	if d := b.Delay(1); d != 30*time.Millisecond {
-		t.Fatalf("factor-3 Delay(1) = %v, want 30ms", d)
-	}
 	// Huge attempt counts must not overflow past the cap.
 	if d := b.Delay(200); d != 60*time.Millisecond {
 		t.Fatalf("Delay(200) = %v, want cap 60ms", d)
 	}
-}
-
-// TestBackoffJitterBounds pins the jittered distribution: every draw lands
-// in [d·(1−Jitter), d], the bounds are actually approached over many
-// draws, and a seeded source replays the identical sequence.
-func TestBackoffJitterBounds(t *testing.T) {
-	const draws = 2000
-	base := 100 * time.Millisecond
-	rng := rand.New(rand.NewSource(42))
-	b := Backoff{Base: base, Jitter: 0.5, Rand: rng.Float64}
-	lo, hi := base, time.Duration(0)
-	for i := 0; i < draws; i++ {
-		d := b.Delay(0)
-		if d < base/2 || d > base {
-			t.Fatalf("draw %d: Delay(0) = %v outside [%v, %v]", i, d, base/2, base)
-		}
-		if d < lo {
-			lo = d
-		}
-		if d > hi {
-			hi = d
-		}
+	// Uncapped, the delay keeps doubling and saturates instead of
+	// wrapping negative.
+	b.Max = 0
+	if d := b.Delay(3); d != 80*time.Millisecond {
+		t.Fatalf("uncapped Delay(3) = %v, want 80ms", d)
 	}
-	// The spread must cover most of the allowed range, or the jitter is
-	// decorative: with 2000 uniform draws the observed extremes sit within
-	// 5% of each bound with overwhelming probability.
-	if lo > base/2+base/20 {
-		t.Fatalf("min draw %v never came near lower bound %v", lo, base/2)
-	}
-	if hi < base-base/20 {
-		t.Fatalf("max draw %v never came near upper bound %v", hi, base)
-	}
-	// Same seed, same sequence: the deterministic-rand seam is what lets
-	// controller runs replay bit-identically.
-	a := Backoff{Base: base, Jitter: 0.5, Rand: rand.New(rand.NewSource(7)).Float64}
-	c := Backoff{Base: base, Jitter: 0.5, Rand: rand.New(rand.NewSource(7)).Float64}
-	for i := 0; i < 100; i++ {
-		if da, dc := a.Delay(i%4), c.Delay(i%4); da != dc {
-			t.Fatalf("seeded sequences diverge at draw %d: %v vs %v", i, da, dc)
-		}
-	}
-}
-
-func TestBackoffJitterClamped(t *testing.T) {
-	// Jitter > 1 behaves as 1: delays land in [0, d], never negative.
-	rng := rand.New(rand.NewSource(1))
-	b := Backoff{Base: time.Millisecond, Jitter: 5, Rand: rng.Float64}
-	for i := 0; i < 100; i++ {
-		d := b.Delay(0)
-		if d < 0 || d > time.Millisecond {
-			t.Fatalf("over-jittered delay %v outside [0, 1ms]", d)
-		}
+	if d := b.Delay(200); d != math.MaxInt64 {
+		t.Fatalf("uncapped Delay(200) = %v, want saturation", d)
 	}
 }

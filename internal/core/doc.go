@@ -91,9 +91,9 @@
 // above both: it continuously drives whole audits — fresh nonce, timed
 // rounds via an AuditRunner, verification, verdict — for many tenants
 // against many provers, with a bounded in-flight window per prover,
-// round-robin (optionally weighted) tenant fairness, per-attempt timeouts
-// and bounded retries; ProverPolicy layers per-prover overrides of those
-// knobs over the fleet defaults. Verdicts aggregate in an AuditLedger
+// round-robin tenant fairness, per-attempt timeouts and bounded retries;
+// the fleet controller tightens those knobs for one prover with a
+// ProverPolicy while it escalates it. Verdicts aggregate in an AuditLedger
 // keyed by (tenant, prover, epoch). The scheduler reaches provers through
 // the AuditRunner implementations: PooledRunner (local verifier, the warm
 // multiplexed conn from a ProverPool, over TCP or a simnet network) and a
@@ -134,26 +134,29 @@
 // continuously on a per-prover jittered period. Each prover walks a
 // health state machine:
 //
-//	          cycle failures ≥ SuspectAfter,
-//	          or probe failures ≥ ProbeSuspectAfter
+//	          1 failed cycle,
+//	          or 3 failed probes in a row
 //	Healthy ────────────────────────────────────▶ Suspect
 //	  ▲                                             │
-//	  │ cycle passes                                │ failures while
-//	  │ (policy restored)                           │ suspect ≥ QuarantineAfter
+//	  │ cycle passes                                │ 2 failed cycles
+//	  │ (base policy restored)                      │ while suspect
 //	  │                                             ▼
-//	  │      ProbationAudits consecutive      Quarantined ──▶ Evicted
-//	  │      probation passes                       │   (quarantine entries
+//	  │      2 probation passes in a row      Quarantined ──▶ Evicted
+//	  │      (AuditPeriod/4 apart)                  │   (quarantine entries
 //	Probation ◀─────────────────────────────────────┘    ≥ EvictAfter)
 //	  │              quarantine backoff expired
 //	  └──▶ back to Quarantined on any probation failure
 //
-// A suspect prover is audited under an escalated ProverPolicy (serial
-// window, scaled-down timeout, bounded retries) with more rounds per
-// audit; a quarantined prover receives no audits at all until an
-// exponential backoff with jitter re-admits it to probation, where
-// single rotating-task audits decide between full recovery and
-// re-quarantine. Every decision runs on the vclock.Clock seam with
-// per-prover seeded randomness, so a controller scenario on the
+// A suspect prover is audited under an escalated ProverPolicy (window
+// 1, half the per-attempt timeout with a 1 ms floor, 2 retries backing
+// off from 10 ms) with twice the rounds per audit; a quarantined prover
+// receives no audits at all until its quarantine delay — AuditPeriod,
+// doubling with each quarantine, capped at 8·AuditPeriod — re-admits it
+// to probation, where single rotating-task audits decide between full
+// recovery and re-quarantine. These thresholds are constants
+// (fleet.go), not FleetConfig knobs.
+// Every decision runs on the vclock.Clock seam with per-prover seeded
+// AuditJitter draws, so a controller scenario on the
 // virtual clock replays bit-identically — the Synchronous mode runs
 // due work inline on Tick in deterministic order for exactly that.
 // Status() snapshots the whole fleet (health, policies, counters,

@@ -9,28 +9,31 @@ package core
 // runs cheap liveness probes between full audits, and drives a
 // per-prover health state machine with automatic policy escalation:
 //
-//	            cycle failures ≥ SuspectAfter,
-//	            or probe failures ≥ ProbeSuspectAfter
+//	            1 failed cycle,
+//	            or 3 failed probes in a row
 //	  Healthy ────────────────────────────────────▶ Suspect
 //	    ▲                                             │
-//	    │ cycle passes                                │ failures while
-//	    │ (policy restored)                           │ suspect ≥ QuarantineAfter
+//	    │ cycle passes                                │ 2 failed cycles
+//	    │ (base policy restored)                      │ while suspect
 //	    │                                             ▼
-//	    │      ProbationAudits consecutive      Quarantined ──▶ Evicted
-//	    │      probation passes                       │   (quarantine entries
+//	    │      2 probation passes in a row      Quarantined ──▶ Evicted
+//	    │      (AuditPeriod/4 apart)                  │   (quarantine entries
 //	  Probation ◀─────────────────────────────────────┘    ≥ EvictAfter)
 //	    │              quarantine backoff expired
 //	    └──▶ back to Quarantined on any probation failure
 //
-// A Suspect prover is audited under an escalated ProverPolicy — tighter
-// per-attempt timing window, more challenge rounds, serialized in-flight
-// window, exponential-backoff retries with jitter — so the controller
-// reaches a confident verdict quickly instead of letting a degraded
-// prover linger at the fleet defaults. A Quarantined prover receives no
-// full audits at all; after an exponentially growing (jittered) backoff
-// it earns probation audits, and only a clean probation streak restores
-// it to Healthy with its base policy. Repeat offenders are evicted:
-// deregistered from the scheduler, their warm pooled connections closed.
+// A Suspect prover is audited under an escalated ProverPolicy — window
+// 1, half the per-attempt timeout (at least 1 ms; a prover with no
+// deadline keeps none), twice the challenge rounds, and 2 retries
+// backing off from 10 ms — so the controller reaches a confident verdict
+// quickly instead of letting a degraded prover linger at the fleet
+// defaults. A Quarantined prover receives no full audits at all; after a
+// delay that starts at AuditPeriod, doubles with each quarantine and is
+// capped at 8·AuditPeriod, it earns probation audits, and only a clean
+// probation streak restores it to Healthy with the fleet's base policy.
+// Repeat offenders are evicted: deregistered from the scheduler, their
+// warm pooled connections closed. These thresholds are the constants
+// below, not FleetConfig knobs.
 //
 // Determinism: the controller never calls time.Now or the global rand —
 // it is handed a vclock.Clock and derives one seeded rand.Rand per
@@ -106,9 +109,6 @@ type ProverSpec struct {
 	// Probe, when non-nil, is the cheap liveness check run between full
 	// audits — typically PoolProbe (a pooled conn's Ping) for TCP fleets.
 	Probe func(ctx context.Context) (time.Duration, error)
-	// Policy is the prover's base scheduler policy, layered over the
-	// fleet defaults; escalation tightens it further while suspect.
-	Policy ProverPolicy
 	// Addr, when set together with FleetConfig.Pool, has the prover's
 	// warm pooled connections evicted on leave/eviction.
 	Addr string
@@ -117,26 +117,30 @@ type ProverSpec struct {
 	Tasks []AuditTask
 }
 
-// Escalation controls the policy applied to a Suspect/Probation prover.
-// Zero fields take the documented defaults.
-type Escalation struct {
-	// TimeoutScale multiplies the prover's effective per-attempt timeout
-	// (default 0.5 — half the window), floored at MinTimeout. A prover
-	// with no deadline at all keeps none.
-	TimeoutScale float64
-	// MinTimeout floors the tightened timeout (default 1ms).
-	MinTimeout time.Duration
-	// RoundsFactor multiplies each task's challenge rounds K while
-	// escalated (default 2 — more rounds, higher-confidence verdicts).
-	RoundsFactor int
-	// Retries replaces the prover's retry budget while escalated
-	// (default 2), paired with RetryBackoff under the scheduler's
-	// exponential+jitter core.Backoff.
-	Retries int
-	// RetryBackoff is the attempt-0 retry delay while escalated
-	// (default: the fleet scheduler's RetryBackoff, or 10ms if unset).
-	RetryBackoff time.Duration
-}
+// The health machine's thresholds and the escalated policy. Periods are
+// fractions or multiples of FleetConfig.AuditPeriod.
+const (
+	// suspectAfter failed cycles, or probeSuspectAfter failed probes in a
+	// row, demote Healthy to Suspect.
+	suspectAfter      = 1
+	probeSuspectAfter = 3
+	// quarantineAfter failed cycles while Suspect enter Quarantine.
+	quarantineAfter = 2
+	// probationAudits clean probation audits in a row, spaced
+	// AuditPeriod/probationDivisor, restore Healthy.
+	probationAudits  = 2
+	probationDivisor = 4
+	// The quarantine delay starts at AuditPeriod and doubles with each
+	// quarantine, capped at quarantineCap·AuditPeriod.
+	quarantineCap = 8
+	// While escalated: window 1, the per-attempt timeout halved and
+	// floored at escalatedMinTimeout, escalatedRounds× challenge rounds,
+	// and escalatedRetries retries backing off from escalatedRetryBackoff.
+	escalatedMinTimeout   = time.Millisecond
+	escalatedRounds       = 2
+	escalatedRetries      = 2
+	escalatedRetryBackoff = 10 * time.Millisecond
+)
 
 // FleetConfig carries the controller's knobs. The zero value of every
 // field is usable; defaults are noted per field.
@@ -156,36 +160,17 @@ type FleetConfig struct {
 	ProbePeriod time.Duration
 	// ProbeTimeout bounds each probe via context deadline (0 = none).
 	ProbeTimeout time.Duration
-	// ProbationPeriod spaces probation audits (default AuditPeriod/4).
-	ProbationPeriod time.Duration
-	// SuspectAfter is how many consecutive failed cycles demote Healthy
-	// to Suspect (default 1).
-	SuspectAfter int
-	// QuarantineAfter is how many consecutive failed cycles while
-	// Suspect enter Quarantine (default 2).
-	QuarantineAfter int
-	// ProbeSuspectAfter is how many consecutive probe failures demote
-	// Healthy to Suspect (default 3).
-	ProbeSuspectAfter int
-	// ProbationAudits is the clean streak restoring Healthy (default 2).
-	ProbationAudits int
 	// EvictAfter evicts a prover entering quarantine for the N-th time
 	// (0 = never evict).
 	EvictAfter int
-	// QuarantineBackoff shapes the no-audit delay per quarantine entry.
-	// Zero defaults to Base=AuditPeriod, Factor=2, Max=8·AuditPeriod.
-	// Its Rand is ignored: draws come from the prover's seeded rand.
-	QuarantineBackoff Backoff
-	// Escalation derives the Suspect/Probation policy.
-	Escalation Escalation
 	// RetainEpochs bounds ledger memory: after each tick, epochs older
 	// than the newest RetainEpochs are folded into per-(tenant, prover)
 	// archive cells via AuditLedger.CompactBefore (0 = keep all).
 	RetainEpochs uint64
 	// Clock is the controller's time source (nil = wall clock).
 	Clock vclock.Clock
-	// Seed derives each prover's private jitter rand (Seed ⊕ FNV(name)),
-	// so scenario runs replay identically.
+	// Seed derives each prover's private AuditJitter rand (Seed ⊕
+	// FNV(name)), so scenario runs replay identically.
 	Seed int64
 	// Synchronous runs due cycles and probes inline on Tick, in sorted
 	// prover order — the deterministic-replay mode. Production leaves it
@@ -252,6 +237,9 @@ type FleetController struct {
 	cfg   FleetConfig
 	sched *Scheduler
 	clock vclock.Clock
+	// escalated is the policy a Suspect or Probation prover is audited
+	// under; Healthy provers run the scheduler's fleet defaults.
+	escalated ProverPolicy
 
 	baseCtx context.Context
 	stop    context.CancelFunc
@@ -269,46 +257,6 @@ func NewFleetController(cfg FleetConfig) *FleetController {
 	if cfg.AuditPeriod <= 0 {
 		cfg.AuditPeriod = 30 * time.Second
 	}
-	if cfg.ProbationPeriod <= 0 {
-		cfg.ProbationPeriod = cfg.AuditPeriod / 4
-	}
-	if cfg.SuspectAfter <= 0 {
-		cfg.SuspectAfter = 1
-	}
-	if cfg.QuarantineAfter <= 0 {
-		cfg.QuarantineAfter = 2
-	}
-	if cfg.ProbeSuspectAfter <= 0 {
-		cfg.ProbeSuspectAfter = 3
-	}
-	if cfg.ProbationAudits <= 0 {
-		cfg.ProbationAudits = 2
-	}
-	if cfg.QuarantineBackoff.Base <= 0 {
-		cfg.QuarantineBackoff = Backoff{
-			Base: cfg.AuditPeriod,
-			Max:  8 * cfg.AuditPeriod,
-		}
-	}
-	if cfg.Escalation.TimeoutScale <= 0 {
-		cfg.Escalation.TimeoutScale = 0.5
-	}
-	if cfg.Escalation.MinTimeout <= 0 {
-		cfg.Escalation.MinTimeout = time.Millisecond
-	}
-	if cfg.Escalation.RoundsFactor <= 0 {
-		cfg.Escalation.RoundsFactor = 2
-	}
-	if cfg.Escalation.Retries <= 0 {
-		cfg.Escalation.Retries = 2
-	}
-	if cfg.Escalation.RetryBackoff <= 0 {
-		if cfg.Scheduler.RetryBackoff > 0 {
-			cfg.Escalation.RetryBackoff = cfg.Scheduler.RetryBackoff
-		} else {
-			cfg.Escalation.RetryBackoff = 10 * time.Millisecond
-		}
-	}
 	clock := cfg.Clock
 	if clock == nil {
 		clock = vclock.Real{}
@@ -319,14 +267,23 @@ func NewFleetController(cfg FleetConfig) *FleetController {
 	if cfg.Scheduler.Clock == nil {
 		cfg.Scheduler.Clock = clock
 	}
+	escalated := ProverPolicy{
+		Window:       1,
+		Retries:      escalatedRetries,
+		RetryBackoff: escalatedRetryBackoff,
+	}
+	if t := cfg.Scheduler.Timeout; t > 0 {
+		escalated.Timeout = max(t/2, escalatedMinTimeout)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	return &FleetController{
-		cfg:     cfg,
-		sched:   NewScheduler(cfg.Scheduler),
-		clock:   clock,
-		baseCtx: ctx,
-		stop:    cancel,
-		provers: make(map[string]*fleetProver),
+		cfg:       cfg,
+		sched:     NewScheduler(cfg.Scheduler),
+		clock:     clock,
+		escalated: escalated,
+		baseCtx:   ctx,
+		stop:      cancel,
+		provers:   make(map[string]*fleetProver),
 	}
 }
 
@@ -380,7 +337,7 @@ func (c *FleetController) Register(name string, spec ProverSpec) error {
 		nextAudit: now,
 	}
 	p.nextProbe = now.Add(c.jittered(p, c.cfg.ProbePeriod))
-	c.sched.RegisterProverPolicy(name, spec.Runner, spec.Policy)
+	c.sched.RegisterProver(name, spec.Runner)
 	c.provers[name] = p
 	return nil
 }
@@ -456,29 +413,9 @@ func (c *FleetController) jittered(p *fleetProver, d time.Duration) time.Duratio
 	return time.Duration(float64(d) * (1 + j*(2*p.rng.Float64()-1)))
 }
 
-// escalatedPolicy derives the Suspect policy from a prover's base: the
-// in-flight window collapses to 1, the effective per-attempt timeout is
-// scaled down (floored, never tightened onto a no-deadline prover), and
-// the retry budget switches to Escalation's count and backoff base.
-func (c *FleetController) escalatedPolicy(base ProverPolicy) ProverPolicy {
-	e := c.cfg.Escalation
-	p := base
-	p.Window = 1
-	if t := base.EffectiveTimeout(c.cfg.Scheduler.Timeout); t > 0 {
-		nt := time.Duration(float64(t) * e.TimeoutScale)
-		if nt < e.MinTimeout {
-			nt = e.MinTimeout
-		}
-		p.Timeout = nt
-	}
-	p.Retries = e.Retries
-	p.RetryBackoff = e.RetryBackoff
-	return p
-}
-
 // cycleTasks returns the audit batch for the prover's current state: the
-// full task list when Healthy, the full list at RoundsFactor× rounds
-// when Suspect, and a single rotating RoundsFactor× task in Probation.
+// full task list when Healthy, the full list at escalatedRounds× rounds
+// when Suspect, and a single rotating escalatedRounds× task in Probation.
 func (c *FleetController) cycleTasks(p *fleetProver) []AuditTask {
 	if len(p.spec.Tasks) == 0 {
 		return nil
@@ -489,13 +426,13 @@ func (c *FleetController) cycleTasks(p *fleetProver) []AuditTask {
 	case HealthProbation:
 		t := p.spec.Tasks[p.probationSeq%len(p.spec.Tasks)]
 		p.probationSeq++
-		t.K *= c.cfg.Escalation.RoundsFactor
+		t.K *= escalatedRounds
 		return []AuditTask{t}
 	default: // Suspect
 		tasks := make([]AuditTask, len(p.spec.Tasks))
 		copy(tasks, p.spec.Tasks)
 		for i := range tasks {
-			tasks[i].K *= c.cfg.Escalation.RoundsFactor
+			tasks[i].K *= escalatedRounds
 		}
 		return tasks
 	}
@@ -506,7 +443,7 @@ func (c *FleetController) cycleTasks(p *fleetProver) []AuditTask {
 // dispatched (inline in sorted order when Synchronous, on goroutines
 // otherwise), and the ledger is compacted to the retention window. It
 // returns how many pieces of work were dispatched. Quarantined provers
-// whose backoff has expired transition to Probation here.
+// whose quarantine delay has expired transition to Probation here.
 func (c *FleetController) Tick() int {
 	c.mu.Lock()
 	if c.closed {
@@ -626,7 +563,7 @@ func (c *FleetController) untilNextDue() time.Duration {
 
 // runProbe executes one liveness probe and folds the result into the
 // health model: successes reset the failure streak and record the RTT;
-// ProbeSuspectAfter consecutive failures demote a Healthy prover to
+// probeSuspectAfter consecutive failures demote a Healthy prover to
 // Suspect with an immediate full audit.
 func (c *FleetController) runProbe(p *fleetProver) {
 	defer c.wg.Done()
@@ -653,7 +590,7 @@ func (c *FleetController) runProbe(p *fleetProver) {
 	} else if !p.draining {
 		p.consecProbeFail++
 		p.lastReason = fmt.Sprintf("probe: %v", err)
-		if p.health == HealthHealthy && p.consecProbeFail >= c.cfg.ProbeSuspectAfter {
+		if p.health == HealthHealthy && p.consecProbeFail >= probeSuspectAfter {
 			events = append(events, c.transition(p, HealthSuspect,
 				fmt.Sprintf("%d consecutive probe failures", p.consecProbeFail), now))
 			c.escalate(p)
@@ -720,7 +657,7 @@ func (c *FleetController) applyCycle(p *fleetProver, pass bool, reason string, n
 			break
 		}
 		p.consecFail++
-		if p.consecFail >= c.cfg.SuspectAfter {
+		if p.consecFail >= suspectAfter {
 			events = append(events, c.transition(p, HealthSuspect, reason, now))
 			c.escalate(p)
 			p.consecFail = 0
@@ -735,7 +672,7 @@ func (c *FleetController) applyCycle(p *fleetProver, pass bool, reason string, n
 			break
 		}
 		p.consecFail++
-		if p.consecFail >= c.cfg.QuarantineAfter {
+		if p.consecFail >= quarantineAfter {
 			events = append(events, c.quarantine(p, reason, now)...)
 		} else {
 			p.nextAudit = now.Add(c.jittered(p, c.cfg.AuditPeriod/2))
@@ -743,7 +680,7 @@ func (c *FleetController) applyCycle(p *fleetProver, pass bool, reason string, n
 	case HealthProbation:
 		if pass {
 			p.probationPass++
-			if p.probationPass >= c.cfg.ProbationAudits {
+			if p.probationPass >= probationAudits {
 				events = append(events, c.transition(p, HealthHealthy,
 					fmt.Sprintf("%d probation audits passed", p.probationPass), now))
 				c.restore(p)
@@ -751,7 +688,7 @@ func (c *FleetController) applyCycle(p *fleetProver, pass bool, reason string, n
 				p.probationPass = 0
 				p.nextAudit = now.Add(c.jittered(p, c.cfg.AuditPeriod))
 			} else {
-				p.nextAudit = now.Add(c.jittered(p, c.cfg.ProbationPeriod))
+				p.nextAudit = now.Add(c.jittered(p, c.cfg.AuditPeriod/probationDivisor))
 			}
 			break
 		}
@@ -762,8 +699,7 @@ func (c *FleetController) applyCycle(p *fleetProver, pass bool, reason string, n
 
 // quarantine moves a prover into Quarantined (or Evicted once its
 // quarantine count reaches EvictAfter) and schedules the probation
-// wake-up after the exponentially growing jittered backoff. Caller
-// holds c.mu.
+// wake-up after the doubling quarantine delay. Caller holds c.mu.
 func (c *FleetController) quarantine(p *fleetProver, reason string, now time.Time) []transitionEvent {
 	p.quarantines++
 	p.consecFail = 0
@@ -778,8 +714,7 @@ func (c *FleetController) quarantine(p *fleetProver, reason string, now time.Tim
 		return []transitionEvent{ev}
 	}
 	ev := c.transition(p, HealthQuarantined, reason, now)
-	b := c.cfg.QuarantineBackoff
-	b.Rand = p.rng.Float64
+	b := Backoff{Base: c.cfg.AuditPeriod, Max: quarantineCap * c.cfg.AuditPeriod}
 	p.nextAudit = now.Add(b.Delay(p.quarantines - 1))
 	return []transitionEvent{ev}
 }
@@ -787,12 +722,12 @@ func (c *FleetController) quarantine(p *fleetProver, reason string, now time.Tim
 // escalate swaps the prover's scheduler policy for the tightened one.
 // Caller holds c.mu.
 func (c *FleetController) escalate(p *fleetProver) {
-	c.sched.RegisterProverPolicy(p.name, p.spec.Runner, c.escalatedPolicy(p.spec.Policy))
+	c.sched.RegisterProverPolicy(p.name, p.spec.Runner, c.escalated)
 }
 
-// restore reinstates the prover's base policy. Caller holds c.mu.
+// restore reinstates the fleet's base policy. Caller holds c.mu.
 func (c *FleetController) restore(p *fleetProver) {
-	c.sched.RegisterProverPolicy(p.name, p.spec.Runner, p.spec.Policy)
+	c.sched.RegisterProver(p.name, p.spec.Runner)
 }
 
 // transition records a state change; the returned event is fired via
@@ -840,8 +775,8 @@ type ProverStatus struct {
 	Since  time.Time `json:"since"`
 	// Escalated reports whether the tightened policy is in force.
 	Escalated bool `json:"escalated"`
-	// Policy is the scheduler policy currently applied (base or
-	// escalated), knobs resolved as registered.
+	// Policy is the scheduler policy currently applied: zero (the fleet
+	// defaults) or the escalated one.
 	Policy ProverPolicy `json:"policy"`
 	// Rounds is the challenge-round multiplier the next cycle will use.
 	Rounds              int           `json:"roundsFactor"`
@@ -878,11 +813,11 @@ func (c *FleetController) Status() FleetStatus {
 	st := FleetStatus{Now: c.clock.Now(), Epoch: c.epoch}
 	for _, p := range c.provers {
 		escalated := p.health == HealthSuspect || p.health == HealthProbation
-		policy := p.spec.Policy
+		var policy ProverPolicy
 		rounds := 1
 		if escalated {
-			policy = c.escalatedPolicy(p.spec.Policy)
-			rounds = c.cfg.Escalation.RoundsFactor
+			policy = c.escalated
+			rounds = escalatedRounds
 		}
 		st.Provers = append(st.Provers, ProverStatus{
 			Name:                p.name,

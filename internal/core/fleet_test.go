@@ -41,10 +41,13 @@ type fleetFixture struct {
 	ctl   *FleetController
 }
 
+// fleetStart is the fleet fixture's virtual clock at construction.
+var fleetStart = time.Unix(1700000000, 0)
+
 func newFleetFixture(t *testing.T, cfg FleetConfig) *fleetFixture {
 	t.Helper()
 	f := newSchedFixture(t)
-	clock := vclock.NewVirtual(time.Unix(1700000000, 0))
+	clock := vclock.NewVirtual(fleetStart)
 	cfg.Clock = clock
 	cfg.Synchronous = true
 	if cfg.Scheduler.Workers == 0 {
@@ -118,19 +121,10 @@ func runEscalationScenario(t *testing.T, seed int64) string {
 	t.Helper()
 	var trace []string
 	cfg := FleetConfig{
-		Scheduler:       SchedulerConfig{Workers: 1, Timeout: 2 * time.Second},
-		AuditPeriod:     10 * time.Second,
-		AuditJitter:     0.2,
-		ProbationPeriod: 4 * time.Second,
-		SuspectAfter:    1,
-		QuarantineAfter: 2,
-		ProbationAudits: 2,
-		QuarantineBackoff: Backoff{
-			Base:   20 * time.Second,
-			Max:    80 * time.Second,
-			Jitter: 0.3,
-		},
-		Seed: seed,
+		Scheduler:   SchedulerConfig{Workers: 1, Timeout: 2 * time.Second},
+		AuditPeriod: 10 * time.Second,
+		AuditJitter: 0.2,
+		Seed:        seed,
 		OnTransition: func(prover string, from, to Health, reason string) {
 			trace = append(trace, fmt.Sprintf("%s: %s -> %s (%s)", prover, from, to, reason))
 		},
@@ -185,8 +179,8 @@ func runEscalationScenario(t *testing.T, seed int64) string {
 	if row.Policy.Timeout != time.Second {
 		t.Fatalf("escalated timeout %v, want 1s (half the fleet 2s)", row.Policy.Timeout)
 	}
-	if row.Policy.Retries != 2 {
-		t.Fatalf("escalated retries %d, want 2", row.Policy.Retries)
+	if row.Policy.Retries != 2 || row.Policy.RetryBackoff != 10*time.Millisecond {
+		t.Fatalf("escalated retries %d from %v, want 2 from 10ms", row.Policy.Retries, row.Policy.RetryBackoff)
 	}
 	if row.Rounds != 2 {
 		t.Fatalf("escalated rounds factor %d, want 2", row.Rounds)
@@ -291,10 +285,9 @@ func TestFleetEscalationScenarioDeterministic(t *testing.T) {
 func TestFleetProbeFailuresDemote(t *testing.T) {
 	var probeFail atomic.Bool
 	cfg := FleetConfig{
-		Scheduler:         SchedulerConfig{Workers: 1, Timeout: 2 * time.Second},
-		AuditPeriod:       time.Hour, // audits far apart: probes drive this test
-		ProbePeriod:       time.Second,
-		ProbeSuspectAfter: 3,
+		Scheduler:   SchedulerConfig{Workers: 1, Timeout: 2 * time.Second},
+		AuditPeriod: time.Hour, // audits far apart: probes drive this test
+		ProbePeriod: time.Second,
 	}
 	x := newFleetFixture(t, cfg)
 	err := x.ctl.Register("p", ProverSpec{
@@ -342,15 +335,19 @@ func TestFleetProbeFailuresDemote(t *testing.T) {
 
 // TestFleetEviction: a prover that keeps failing through repeated
 // quarantines is evicted — deregistered from the scheduler, never
-// audited again — while staying visible in the status API.
+// audited again — while staying visible in the status API. It runs at
+// the shipped thresholds: one failed cycle demotes, two more quarantine,
+// and a failed probation audit re-quarantines, here for the second and
+// evicting time.
 func TestFleetEviction(t *testing.T) {
+	var changes []Health
 	cfg := FleetConfig{
-		Scheduler:         SchedulerConfig{Workers: 1, Timeout: 2 * time.Second},
-		AuditPeriod:       10 * time.Second,
-		SuspectAfter:      1,
-		QuarantineAfter:   1,
-		EvictAfter:        2,
-		QuarantineBackoff: Backoff{Base: 5 * time.Second, Max: 5 * time.Second},
+		Scheduler:   SchedulerConfig{Workers: 1, Timeout: 2 * time.Second},
+		AuditPeriod: 10 * time.Second,
+		EvictAfter:  2,
+		OnTransition: func(_ string, _, to Health, _ string) {
+			changes = append(changes, to)
+		},
 	}
 	x := newFleetFixture(t, cfg)
 	bad := &switchRunner{inner: x.honestRunner()}
@@ -364,8 +361,17 @@ func TestFleetEviction(t *testing.T) {
 	st := x.stepUntil(t, time.Second, 120, "evicted", func(st FleetStatus) bool {
 		return health(st, "bad") == "evicted"
 	})
-	if q := proverRow(t, st, "bad").Quarantines; q != 2 {
-		t.Fatalf("evicted after %d quarantines, want 2", q)
+	row := proverRow(t, st, "bad")
+	if row.Quarantines != 2 {
+		t.Fatalf("evicted after %d quarantines, want 2", row.Quarantines)
+	}
+	// 1 healthy + 2 suspect + 1 probation cycle, every one failed.
+	if row.Cycles != 4 || row.CycleFailures != 4 {
+		t.Fatalf("evicted after %d cycles (%d failed), want 4 (4)", row.Cycles, row.CycleFailures)
+	}
+	want := fmt.Sprint([]Health{HealthSuspect, HealthQuarantined, HealthProbation, HealthEvicted})
+	if got := fmt.Sprint(changes); got != want {
+		t.Fatalf("transitions %s, want %s", got, want)
 	}
 	// Post-eviction: no more audits ever, status row retained.
 	frozen := auditsOf(x.ctl.Ledger(), "bad")
@@ -384,6 +390,48 @@ func TestFleetEviction(t *testing.T) {
 	}
 	if len(x.ctl.Status().Provers) != 0 {
 		t.Fatal("deregistered prover still in status")
+	}
+}
+
+// TestFleetQuarantineDelayDoubles pins the quarantine delay: a prover
+// that fails every probation audit waits AuditPeriod before its first
+// probation, then twice as long after each quarantine, up to
+// 8·AuditPeriod.
+func TestFleetQuarantineDelayDoubles(t *testing.T) {
+	var quarantined, probation []time.Duration
+	var x *fleetFixture
+	cfg := FleetConfig{
+		Scheduler:   SchedulerConfig{Workers: 1, Timeout: 2 * time.Second},
+		AuditPeriod: 10 * time.Second,
+		OnTransition: func(_ string, _, to Health, _ string) {
+			switch to {
+			case HealthQuarantined:
+				quarantined = append(quarantined, x.clock.Now().Sub(fleetStart))
+			case HealthProbation:
+				probation = append(probation, x.clock.Now().Sub(fleetStart))
+			}
+		},
+	}
+	x = newFleetFixture(t, cfg)
+	bad := &switchRunner{inner: x.honestRunner()}
+	bad.mode.Store(1)
+	if err := x.ctl.Register("bad", ProverSpec{
+		Runner: bad,
+		Tasks:  []AuditTask{x.f.task("acme", "bad", 4)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want := []time.Duration{10, 20, 40, 80, 80}
+	x.stepUntil(t, time.Second, 400, "five probations", func(FleetStatus) bool {
+		return len(probation) == len(want)
+	})
+	for i, w := range want {
+		// Ticks land on whole seconds, so a probation starts within a
+		// second after its delay ends.
+		w *= time.Second
+		if d := probation[i] - quarantined[i]; d < w || d >= w+time.Second {
+			t.Fatalf("quarantine %d lasted %v, want [%v, %v)", i+1, d, w, w+time.Second)
+		}
 	}
 }
 

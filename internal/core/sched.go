@@ -324,19 +324,12 @@ func (l *AuditLedger) TotalsByProver() []LedgerTotals {
 	return l.totalsBy(func(k LedgerKey) string { return k.Prover })
 }
 
-// TotalsByTenant aggregates across provers and epochs, one line per
-// tenant.
-func (l *AuditLedger) TotalsByTenant() []LedgerTotals {
-	return l.totalsBy(func(k LedgerKey) string { return k.Tenant })
-}
-
 // FairOrder interleaves tasks round-robin across tenants: each round every
-// tenant contributes up to weight[tenant] of its remaining tasks (missing
-// or non-positive weight = 1) before any tenant gets another turn.
-// Relative order within a tenant is preserved, tenants take turns in order
-// of first appearance, and the result is deterministic — so a burst of
-// 10 000 tasks from one tenant cannot starve the tenant that queued 10.
-func FairOrder(tasks []AuditTask, weights map[string]int) []AuditTask {
+// tenant with tasks left contributes its next one. Relative order within
+// a tenant is preserved, tenants take turns in order of first appearance,
+// and the result is deterministic — so a burst of 10 000 tasks from one
+// tenant cannot starve the tenant that queued 10.
+func FairOrder(tasks []AuditTask) []AuditTask {
 	queues := make(map[string][]AuditTask)
 	var tenants []string
 	for _, t := range tasks {
@@ -348,19 +341,10 @@ func FairOrder(tasks []AuditTask, weights map[string]int) []AuditTask {
 	out := make([]AuditTask, 0, len(tasks))
 	for len(out) < len(tasks) {
 		for _, tenant := range tenants {
-			q := queues[tenant]
-			if len(q) == 0 {
-				continue
+			if q := queues[tenant]; len(q) > 0 {
+				out = append(out, q[0])
+				queues[tenant] = q[1:]
 			}
-			take := 1
-			if w := weights[tenant]; w > 1 {
-				take = w
-			}
-			if take > len(q) {
-				take = len(q)
-			}
-			out = append(out, q[:take]...)
-			queues[tenant] = q[take:]
 		}
 	}
 	return out
@@ -377,8 +361,8 @@ type SchedulerConfig struct {
 	// is held only while the prover is actually being driven — not during
 	// retry backoff or TPA-side verification — so a slow prover throttles
 	// its own queue without idling the rest of the fleet. Individual
-	// provers can override this (and Timeout/Retries/RetryBackoff) via
-	// RegisterProverPolicy.
+	// provers can override this (and Timeout/Retries, and add a retry
+	// backoff) via RegisterProverPolicy.
 	ProverWindow int
 	// Timeout is the per-attempt deadline (0 = wait forever). A timed-out
 	// attempt frees the prover slot immediately, has its context
@@ -387,33 +371,19 @@ type SchedulerConfig struct {
 	// runner-side AttemptTimeout remains useful as an absolute I/O
 	// backstop for transports the context cannot reach.
 	Timeout time.Duration
-	// Retries is how many times a transport failure or timeout is retried
-	// (rejected transcripts are verdicts and are never retried).
+	// Retries is how many times a transport failure or timeout is retried,
+	// at once (rejected transcripts are verdicts and are never retried).
 	Retries int
-	// RetryBackoff is the attempt-0 delay slept between attempts, outside
-	// the prover window; later attempts back off exponentially from it
-	// (core.Backoff with the default factor of 2).
-	RetryBackoff time.Duration
-	// RetryJitter in [0, 1] spreads each retry delay over
-	// [d·(1−RetryJitter), d] so a fleet of retriers does not hammer a
-	// recovering prover in lockstep. 0 keeps retries deterministic.
-	RetryJitter float64
-	// RetryRand supplies the jitter draws (nil = global math/rand). The
-	// fleet controller injects its seeded source here so scheduler
-	// retries replay deterministically.
-	RetryRand func() float64
-	// Weights are per-tenant fairness weights for FairOrder.
-	Weights map[string]int
 	// OnVerdict, when set, observes every verdict as it lands — the live
 	// summary hook. It is called concurrently from scheduler workers and
 	// must be safe for concurrent use.
 	OnVerdict func(Verdict)
-	// Clock supplies verdict timing (Verdict.Elapsed) and paces retry
-	// backoff sleeps (nil = wall clock). The fleet controller and the
-	// scenario testnet inject their virtual clock here so Elapsed values
-	// and retry pacing replay bit-identically; per-attempt Timeout
-	// deadlines still ride the wall clock (see Timeout above), so fully
-	// deterministic scenarios run with Timeout = 0.
+	// Clock supplies verdict timing (Verdict.Elapsed) and paces a
+	// ProverPolicy's retry backoff sleeps (nil = wall clock). The fleet
+	// controller and the scenario testnet inject their virtual clock here
+	// so Elapsed values and retry pacing replay bit-identically;
+	// per-attempt Timeout deadlines still ride the wall clock (see Timeout
+	// above), so fully deterministic scenarios run with Timeout = 0.
 	Clock vclock.Clock
 	// Tracer, when set, records every audit's span timeline (window
 	// wait, pool checkout, challenge rounds, attestation, transcript
@@ -424,57 +394,21 @@ type SchedulerConfig struct {
 	Tracer *telemetry.AuditTracer
 }
 
-// ProverPolicy overrides the fleet-wide scheduler knobs for one prover:
-// a slow WAN site gets a wider deadline and a narrower window than the
-// LAN fleet without loosening anyone else's policy. The zero value
-// inherits every fleet default. For the knobs where zero is itself a
-// meaningful setting, a negative value selects it explicitly:
+// ProverPolicy overrides the fleet-wide scheduler knobs for one prover.
+// The fleet controller registers one while it escalates a prover, and
+// its status API reports the policy in force. A zero field inherits the
+// fleet default:
 //
 //   - Window  > 0 overrides SchedulerConfig.ProverWindow;
-//   - Timeout > 0 overrides Timeout, < 0 means no per-attempt deadline;
-//   - Retries > 0 overrides Retries, < 0 means never retry;
-//   - RetryBackoff > 0 overrides RetryBackoff, < 0 means none.
+//   - Timeout > 0 overrides Timeout;
+//   - Retries > 0 overrides Retries;
+//   - RetryBackoff > 0 spaces the retries by a doubling Backoff from it
+//     (the fleet default retries at once).
 type ProverPolicy struct {
 	Window       int
 	Timeout      time.Duration
 	Retries      int
 	RetryBackoff time.Duration
-}
-
-// EffectiveTimeout resolves the per-attempt deadline this policy yields
-// over a fleet default (> 0 overrides, < 0 disables, 0 inherits).
-func (p ProverPolicy) EffectiveTimeout(fleet time.Duration) time.Duration {
-	switch {
-	case p.Timeout > 0:
-		return p.Timeout
-	case p.Timeout < 0:
-		return 0
-	}
-	return fleet
-}
-
-// layer resolves the effective per-prover knobs over the fleet defaults.
-func (p ProverPolicy) layer(cfg SchedulerConfig) (window int, timeout time.Duration, retries int, backoff time.Duration) {
-	window = cfg.ProverWindow
-	if p.Window > 0 {
-		window = p.Window
-	}
-	timeout = p.EffectiveTimeout(cfg.Timeout)
-	retries = cfg.Retries
-	switch {
-	case p.Retries > 0:
-		retries = p.Retries
-	case p.Retries < 0:
-		retries = 0
-	}
-	backoff = cfg.RetryBackoff
-	switch {
-	case p.RetryBackoff > 0:
-		backoff = p.RetryBackoff
-	case p.RetryBackoff < 0:
-		backoff = 0
-	}
-	return window, timeout, retries, backoff
 }
 
 // proverState is the per-prover dispatch state: the runner, the in-flight
@@ -544,7 +478,16 @@ func (s *Scheduler) RegisterProver(name string, r AuditRunner) {
 // flight finish under the state they started with. Safe concurrently
 // with RunEpoch.
 func (s *Scheduler) RegisterProverPolicy(name string, r AuditRunner, p ProverPolicy) {
-	window, timeout, retries, backoff := p.layer(s.cfg)
+	window, timeout, retries := s.cfg.ProverWindow, s.cfg.Timeout, s.cfg.Retries
+	if p.Window > 0 {
+		window = p.Window
+	}
+	if p.Timeout > 0 {
+		timeout = p.Timeout
+	}
+	if p.Retries > 0 {
+		retries = p.Retries
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.provers[name] = &proverState{
@@ -552,11 +495,7 @@ func (s *Scheduler) RegisterProverPolicy(name string, r AuditRunner, p ProverPol
 		window:  make(chan struct{}, window),
 		timeout: timeout,
 		retries: retries,
-		backoff: Backoff{
-			Base:   backoff,
-			Jitter: s.cfg.RetryJitter,
-			Rand:   s.cfg.RetryRand,
-		},
+		backoff: Backoff{Base: p.RetryBackoff},
 	}
 }
 
@@ -605,7 +544,7 @@ func (s *Scheduler) RunEpochNumbered(ctx context.Context, epoch uint64, tasks []
 			break
 		}
 	}
-	order := FairOrder(tasks, s.cfg.Weights)
+	order := FairOrder(tasks)
 	verdicts := make([]Verdict, len(order))
 	workers := parallel.Resolve(s.cfg.Workers)
 	type job struct {

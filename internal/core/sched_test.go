@@ -15,6 +15,7 @@ import (
 	"repro/internal/geo"
 	"repro/internal/gps"
 	"repro/internal/por"
+	"repro/internal/vclock"
 )
 
 // memConn serves segments straight from an encoded file in memory — the
@@ -201,13 +202,16 @@ func TestSchedulerInFlightBoundNeverExceeded(t *testing.T) {
 			t.Fatalf("ledger cell %v: %+v", row.LedgerKey, row.LedgerEntry)
 		}
 	}
-	byTenant := sched.Ledger().TotalsByTenant()
-	if len(byTenant) != tenants {
-		t.Fatalf("TotalsByTenant has %d rows, want %d", len(byTenant), tenants)
+	byTenant := make(map[string]int)
+	for _, row := range rows {
+		byTenant[row.Tenant] += row.Accepted
 	}
-	for _, row := range byTenant {
-		if row.Audits != provers || row.Accepted != provers {
-			t.Fatalf("tenant %s totals: %+v", row.Name, row.LedgerEntry)
+	if len(byTenant) != tenants {
+		t.Fatalf("ledger covers %d tenants, want %d", len(byTenant), tenants)
+	}
+	for name, accepted := range byTenant {
+		if accepted != provers {
+			t.Fatalf("tenant %s: %d accepted audits, want %d", name, accepted, provers)
 		}
 	}
 }
@@ -300,7 +304,6 @@ func TestSchedulerRetryThenAccept(t *testing.T) {
 		Workers:      1,
 		ProverWindow: 1,
 		Retries:      2,
-		RetryBackoff: time.Millisecond,
 	})
 	sched.RegisterTenant("t1", f.tpa)
 	sched.RegisterProver("flaky", &flakyRunner{
@@ -416,7 +419,7 @@ func TestSchedulerOnVerdictHook(t *testing.T) {
 }
 
 // TestFairOrder: round-robin interleave across tenants, first-appearance
-// tenant order, per-tenant order preserved, weights honoured.
+// tenant order, per-tenant order preserved.
 func TestFairOrder(t *testing.T) {
 	mk := func(tenant string, n int) []AuditTask {
 		out := make([]AuditTask, n)
@@ -430,7 +433,7 @@ func TestFairOrder(t *testing.T) {
 	tasks = append(tasks, mk("b", 1)...)
 	tasks = append(tasks, mk("c", 2)...)
 
-	got := FairOrder(tasks, nil)
+	got := FairOrder(tasks)
 	want := []string{"a/0", "b/0", "c/0", "a/1", "c/1", "a/2"}
 	for i, w := range want {
 		if got[i].FileID != w {
@@ -438,15 +441,7 @@ func TestFairOrder(t *testing.T) {
 		}
 	}
 
-	weighted := FairOrder(tasks, map[string]int{"a": 2})
-	wantW := []string{"a/0", "a/1", "b/0", "c/0", "a/2", "c/1"}
-	for i, w := range wantW {
-		if weighted[i].FileID != w {
-			t.Fatalf("weighted FairOrder[%d] = %s, want %s (full: %v)", i, weighted[i].FileID, w, ids(weighted))
-		}
-	}
-
-	if out := FairOrder(nil, nil); len(out) != 0 {
+	if out := FairOrder(nil); len(out) != 0 {
 		t.Fatalf("FairOrder(nil) = %v", out)
 	}
 }
@@ -483,9 +478,9 @@ func TestSchedulerOverTCP(t *testing.T) {
 			t.Fatalf("TCP verdict %d: %v (%s; %s)", i, v.Outcome, v.Err, v.Report.Reason())
 		}
 	}
-	byTenant := sched.Ledger().TotalsByTenant()
-	if len(byTenant) != 2 || byTenant[0].Accepted != 2 || byTenant[1].Accepted != 2 {
-		t.Fatalf("TotalsByTenant = %+v", byTenant)
+	rows := sched.Ledger().Snapshot()
+	if len(rows) != 2 || rows[0].Tenant != "t1" || rows[0].Accepted != 2 || rows[1].Accepted != 2 {
+		t.Fatalf("ledger = %+v, want 2 accepted audits for each of t1 and t2", rows)
 	}
 }
 
@@ -562,7 +557,8 @@ func TestSchedulerEpochContextCancel(t *testing.T) {
 // TestSchedulerProverPolicyOverrides: per-prover knobs layer over the
 // fleet defaults — a slow prover with a widened per-prover timeout is
 // accepted while an identical prover on the fleet deadline times out,
-// and a policy can turn retries off for one prover only.
+// a policy can give one prover retries the fleet does not have, spaced
+// by its doubling retry backoff, and a window can narrow one prover.
 func TestSchedulerProverPolicyOverrides(t *testing.T) {
 	f := newSchedFixture(t)
 	slow := func() AuditRunner {
@@ -580,12 +576,10 @@ func TestSchedulerProverPolicyOverrides(t *testing.T) {
 	sched.RegisterTenant("t1", f.tpa)
 	sched.RegisterProver("slow-default", slow())
 	sched.RegisterProverPolicy("slow-wide", slow(), ProverPolicy{Timeout: 5 * time.Second})
-	sched.RegisterProverPolicy("slow-nodeadline", slow(), ProverPolicy{Timeout: -1})
 
 	verdicts := sched.RunEpoch(context.Background(), []AuditTask{
 		f.task("t1", "slow-default", 2),
 		f.task("t1", "slow-wide", 2),
-		f.task("t1", "slow-nodeadline", 2),
 	})
 	byProver := map[string]Verdict{}
 	for _, v := range verdicts {
@@ -597,35 +591,35 @@ func TestSchedulerProverPolicyOverrides(t *testing.T) {
 	if v := byProver["slow-wide"]; v.Outcome != OutcomeAccepted {
 		t.Fatalf("slow-wide: outcome %v (%s), want accepted under its widened deadline", v.Outcome, v.Err)
 	}
-	if v := byProver["slow-nodeadline"]; v.Outcome != OutcomeAccepted {
-		t.Fatalf("slow-nodeadline: outcome %v (%s), want accepted with no deadline", v.Outcome, v.Err)
-	}
 
-	// Retries: fleet default retries twice; a per-prover policy of -1
-	// must fail a flaky prover on the first transport error.
-	sched2 := NewScheduler(SchedulerConfig{Workers: 1, Retries: 2})
+	// Retries: the fleet default never retries; a per-prover policy of 2
+	// retries from a 10ms backoff rides out two transport errors. On the
+	// virtual clock the backoff sleeps are the only time that passes, so
+	// the verdict's Elapsed is exactly 10ms + 20ms.
+	clock := vclock.NewVirtual(time.Unix(1700000000, 0))
+	sched2 := NewScheduler(SchedulerConfig{Workers: 1, Clock: clock})
 	sched2.RegisterTenant("t1", f.tpa)
-	sched2.RegisterProverPolicy("flaky-noretry", &flakyRunner{
+	sched2.RegisterProverPolicy("flaky-retry", &flakyRunner{
 		inner:    &localRunner{Verifier: f.verifier, Conn: &memConn{store: f.store}},
-		failures: 1,
-	}, ProverPolicy{Retries: -1})
+		failures: 2,
+	}, ProverPolicy{Retries: 2, RetryBackoff: 10 * time.Millisecond})
 	sched2.RegisterProver("flaky-default", &flakyRunner{
 		inner:    &localRunner{Verifier: f.verifier, Conn: &memConn{store: f.store}},
 		failures: 1,
 	})
 	verdicts = sched2.RunEpoch(context.Background(), []AuditTask{
-		f.task("t1", "flaky-noretry", 2),
+		f.task("t1", "flaky-retry", 2),
 		f.task("t1", "flaky-default", 2),
 	})
 	byProver = map[string]Verdict{}
 	for _, v := range verdicts {
 		byProver[v.Task.Prover] = v
 	}
-	if v := byProver["flaky-noretry"]; v.Outcome != OutcomeError || v.Attempts != 1 {
-		t.Fatalf("flaky-noretry: %+v, want 1 attempt ending in error", v)
+	if v := byProver["flaky-retry"]; v.Outcome != OutcomeAccepted || v.Attempts != 3 || v.Elapsed != 30*time.Millisecond {
+		t.Fatalf("flaky-retry: %+v, want acceptance on attempt 3 after 30ms of backoff", v)
 	}
-	if v := byProver["flaky-default"]; v.Outcome != OutcomeAccepted || v.Attempts != 2 {
-		t.Fatalf("flaky-default: %+v, want acceptance on attempt 2", v)
+	if v := byProver["flaky-default"]; v.Outcome != OutcomeError || v.Attempts != 1 {
+		t.Fatalf("flaky-default: %+v, want 1 attempt ending in error", v)
 	}
 
 	// Window: a per-prover window of 1 beats the fleet default of 4.

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"testing"
-	"time"
 
 	"repro/internal/telemetry"
 )
@@ -39,7 +38,6 @@ func TestSchedulerAuditTracing(t *testing.T) {
 		Workers:      1,
 		ProverWindow: 1,
 		Retries:      2,
-		RetryBackoff: time.Millisecond,
 		Tracer:       tracer,
 	})
 	sched.RegisterTenant("t1", f.tpa)

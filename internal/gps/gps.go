@@ -1,23 +1,15 @@
 // Package gps simulates the GPS receiver in GeoProof's tamper-proof
-// verifier device and the §V-C countermeasures around it: GPS signals can
-// be spoofed by satellite simulators, so the TPA may cross-check the
-// verifier's claimed fix by triangulating it from multiple landmark
-// auditors using RTT consistency.
+// verifier device. GPS signals can be spoofed by satellite simulators
+// (§V-C), so a receiver can report a spoofed fix in place of its true
+// one; the TPA checks whatever fix the transcript carries against the
+// SLA region.
 package gps
 
 import (
-	"errors"
-	"fmt"
 	"math/rand"
-	"time"
 
 	"repro/internal/geo"
-	"repro/internal/simnet"
 )
-
-// ErrNoAuditors is returned when a triangulation check has no reference
-// measurements.
-var ErrNoAuditors = errors.New("gps: need at least one auditor measurement")
 
 // Receiver is a simulated GPS unit. NoiseKm models ordinary fix error;
 // Spoof, when set, replaces the fix entirely (a satellite-simulator
@@ -41,88 +33,4 @@ func (r *Receiver) Fix() geo.Position {
 	dLat := (r.Rng.Float64()*2 - 1) * r.NoiseKm / 111.0
 	dLon := (r.Rng.Float64()*2 - 1) * r.NoiseKm / 111.0
 	return geo.Position{LatDeg: r.True.LatDeg + dLat, LonDeg: r.True.LonDeg + dLon}
-}
-
-// Spoofed reports whether the receiver is currently being spoofed.
-func (r *Receiver) Spoofed() bool { return r.Spoof != nil }
-
-// AuditorMeasurement is one landmark auditor's RTT to the verifier
-// device.
-type AuditorMeasurement struct {
-	Auditor  geo.Position
-	RTT      time.Duration
-	LastMile time.Duration // access overhead to subtract
-}
-
-// MeasureFromAuditor simulates an auditor at pos probing a verifier whose
-// true position is truth, over the standard Internet model. extraDelay
-// models path interference by the hosting provider (§V-C: "the attacker
-// may introduce delays to the communication paths").
-func MeasureFromAuditor(pos, truth geo.Position, lastMile, extraDelay time.Duration, rng *rand.Rand) AuditorMeasurement {
-	link := simnet.InternetLink{DistanceKm: pos.DistanceKm(truth), LastMile: lastMile}
-	rtt := link.OneWay(rng) + link.OneWay(rng) + extraDelay
-	return AuditorMeasurement{Auditor: pos, RTT: rtt, LastMile: lastMile}
-}
-
-// CheckResult is the outcome of a triangulation consistency check.
-type CheckResult struct {
-	Consistent bool
-	// WorstViolationKm is how far the most inconsistent measurement
-	// places the device inside its physical lower bound (0 when
-	// consistent).
-	WorstViolationKm float64
-	// Details records the per-auditor verdicts.
-	Details []AuditorVerdict
-}
-
-// AuditorVerdict explains one measurement's contribution.
-type AuditorVerdict struct {
-	ClaimedKm  float64 // distance auditor → claimed position
-	MaxKm      float64 // distance bound implied by the RTT
-	Consistent bool
-}
-
-// VerifyClaim checks a claimed verifier position against auditor RTTs.
-// The physics is one-sided, exactly like GeoProof's main bound: an RTT
-// gives a *maximum* possible distance; if the claimed position is farther
-// from an auditor than its RTT permits, the claim is a lie. (A spoofed
-// position closer than the truth cannot be caught by a single maximum
-// bound, but with auditors spread around the claim the impossible-side
-// violations expose it.) slackKm absorbs model error.
-func VerifyClaim(claimed geo.Position, ms []AuditorMeasurement, slackKm float64) (CheckResult, error) {
-	if len(ms) == 0 {
-		return CheckResult{}, ErrNoAuditors
-	}
-	res := CheckResult{Consistent: true, Details: make([]AuditorVerdict, 0, len(ms))}
-	for _, m := range ms {
-		adj := m.RTT - 2*m.LastMile
-		if adj < 0 {
-			adj = 0
-		}
-		// The Internet path is stretched; the straight-line bound uses
-		// the same stretch factor the link model applies.
-		maxKm := geo.MaxDistanceKm(adj, geo.SpeedInternetKmPerMs) / simnet.DefaultPathStretch
-		claimedKm := claimed.DistanceKm(m.Auditor)
-		ok := claimedKm <= maxKm+slackKm
-		res.Details = append(res.Details, AuditorVerdict{
-			ClaimedKm:  claimedKm,
-			MaxKm:      maxKm,
-			Consistent: ok,
-		})
-		if !ok {
-			res.Consistent = false
-			if v := claimedKm - maxKm; v > res.WorstViolationKm {
-				res.WorstViolationKm = v
-			}
-		}
-	}
-	return res, nil
-}
-
-// String summarises the check.
-func (r CheckResult) String() string {
-	if r.Consistent {
-		return fmt.Sprintf("consistent (%d auditors)", len(r.Details))
-	}
-	return fmt.Sprintf("INCONSISTENT: claim violates RTT bound by %.0f km", r.WorstViolationKm)
 }

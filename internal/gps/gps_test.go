@@ -1,22 +1,16 @@
 package gps
 
 import (
-	"errors"
 	"math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/geo"
-	"repro/internal/simnet"
 )
 
 func TestFixHonest(t *testing.T) {
 	r := &Receiver{True: geo.Brisbane}
 	if got := r.Fix(); got != geo.Brisbane {
 		t.Fatalf("fix %v", got)
-	}
-	if r.Spoofed() {
-		t.Fatal("honest receiver reports spoofed")
 	}
 }
 
@@ -32,102 +26,8 @@ func TestFixNoiseBounded(t *testing.T) {
 
 func TestFixSpoofed(t *testing.T) {
 	spoof := geo.Perth
-	r := &Receiver{True: geo.Brisbane, Spoof: &spoof}
+	r := &Receiver{True: geo.Brisbane, NoiseKm: 1, Spoof: &spoof, Rng: rand.New(rand.NewSource(1))}
 	if got := r.Fix(); got != geo.Perth {
 		t.Fatalf("spoofed fix %v", got)
-	}
-	if !r.Spoofed() {
-		t.Fatal("Spoofed() false")
-	}
-}
-
-func auditorSet() []geo.Position {
-	return []geo.Position{geo.Sydney, geo.Melbourne, geo.Townsville, geo.Adelaide}
-}
-
-func measureAll(truth geo.Position, extra time.Duration, seed int64) []AuditorMeasurement {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]AuditorMeasurement, 0, 4)
-	for _, a := range auditorSet() {
-		out = append(out, MeasureFromAuditor(a, truth, simnet.DefaultLastMile, extra, rng))
-	}
-	return out
-}
-
-func TestVerifyClaimHonest(t *testing.T) {
-	truth := geo.Brisbane
-	ms := measureAll(truth, 0, 2)
-	res, err := VerifyClaim(truth, ms, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Consistent {
-		t.Fatalf("honest claim inconsistent: %v", res)
-	}
-	if len(res.Details) != 4 {
-		t.Fatalf("%d verdicts", len(res.Details))
-	}
-}
-
-func TestVerifyClaimCatchesFarSpoof(t *testing.T) {
-	// Device really in Brisbane, claims Perth: Townsville and Sydney
-	// RTTs are physically too short for a Perth device.
-	truth := geo.Brisbane
-	ms := measureAll(truth, 0, 3)
-	res, err := VerifyClaim(geo.Perth, ms, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Consistent {
-		t.Fatal("Perth spoof passed triangulation")
-	}
-	if res.WorstViolationKm < 500 {
-		t.Fatalf("violation only %.0f km", res.WorstViolationKm)
-	}
-}
-
-func TestVerifyClaimDelayCannotHideSpoof(t *testing.T) {
-	// §V-C: the provider can delay auditor traffic, which only *raises*
-	// RTT bounds. Delay can make a liar look honest? No — delay makes
-	// the device look FARTHER from auditors, so claiming Perth while
-	// sitting in Brisbane still fails auditors close to the claim...
-	// but passes auditors far from it. With added delay the Perth claim
-	// becomes consistent (bounds balloon) — demonstrating exactly why
-	// the paper calls multi-auditor triangulation challenging when the
-	// prover controls the network.
-	truth := geo.Brisbane
-	honest := measureAll(truth, 0, 4)
-	delayed := measureAll(truth, 80*time.Millisecond, 4)
-
-	resHonest, err := VerifyClaim(geo.Perth, honest, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resDelayed, err := VerifyClaim(geo.Perth, delayed, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resHonest.Consistent {
-		t.Fatal("undelayed spoof should fail")
-	}
-	if !resDelayed.Consistent {
-		t.Fatal("with large injected delays the bound-only check is expected to pass (documented limitation)")
-	}
-}
-
-func TestVerifyClaimNoAuditors(t *testing.T) {
-	if _, err := VerifyClaim(geo.Brisbane, nil, 0); !errors.Is(err, ErrNoAuditors) {
-		t.Fatalf("got %v", err)
-	}
-}
-
-func TestCheckResultString(t *testing.T) {
-	ok := CheckResult{Consistent: true, Details: make([]AuditorVerdict, 2)}
-	if ok.String() == "" {
-		t.Fatal("empty string")
-	}
-	bad := CheckResult{Consistent: false, WorstViolationKm: 123}
-	if bad.String() == ok.String() {
-		t.Fatal("verdicts indistinguishable")
 	}
 }

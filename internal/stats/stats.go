@@ -52,20 +52,6 @@ func Min(xs []float64) (float64, error) {
 	return m, nil
 }
 
-// StdDev returns the population standard deviation.
-func StdDev(xs []float64) (float64, error) {
-	mu, err := Mean(xs)
-	if err != nil {
-		return 0, err
-	}
-	var s float64
-	for _, x := range xs {
-		d := x - mu
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs))), nil
-}
-
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) using linear
 // interpolation between order statistics.
 func Percentile(xs []float64, p float64) (float64, error) {
@@ -205,14 +191,4 @@ func DetectionProbability(corruptFraction float64, k int) float64 {
 		return 1
 	}
 	return 1 - math.Pow(1-corruptFraction, float64(k))
-}
-
-// DurationsToMs converts a slice of nanosecond durations (as float64
-// convenience) — helper for experiment tables.
-func DurationsToMs(ns []float64) []float64 {
-	out := make([]float64, len(ns))
-	for i, v := range ns {
-		out[i] = v / 1e6
-	}
-	return out
 }

@@ -20,17 +20,10 @@ func TestMeanMaxMin(t *testing.T) {
 	if m, _ := Min(xs); m != 1 {
 		t.Errorf("Min=%v", m)
 	}
-	for _, f := range []func([]float64) (float64, error){Mean, Max, Min, StdDev} {
+	for _, f := range []func([]float64) (float64, error){Mean, Max, Min} {
 		if _, err := f(nil); !errors.Is(err, ErrEmpty) {
 			t.Error("empty input did not error")
 		}
-	}
-}
-
-func TestStdDev(t *testing.T) {
-	got, _ := StdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if !almost(got, 2, 1e-12) {
-		t.Fatalf("StdDev=%v, want 2", got)
 	}
 }
 
@@ -181,12 +174,5 @@ func TestDetectionProbabilityMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDurationsToMs(t *testing.T) {
-	got := DurationsToMs([]float64{1e6, 2.5e6})
-	if got[0] != 1 || got[1] != 2.5 {
-		t.Fatalf("DurationsToMs=%v", got)
 	}
 }

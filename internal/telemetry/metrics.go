@@ -221,18 +221,6 @@ type CounterVec struct{ f *family }
 // first use. Resolve once and keep the result — With takes a lock.
 func (v *CounterVec) With(labelValues ...string) *Counter { return v.f.with(labelValues).c }
 
-// GaugeVec is a gauge family with labels.
-type GaugeVec struct{ f *family }
-
-// With returns the gauge for the given label values.
-func (v *GaugeVec) With(labelValues ...string) *Gauge { return v.f.with(labelValues).g }
-
-// HistogramVec is a histogram family with labels.
-type HistogramVec struct{ f *family }
-
-// With returns the histogram for the given label values.
-func (v *HistogramVec) With(labelValues ...string) *Histogram { return v.f.with(labelValues).h }
-
 // Registry holds metric families by name. Registration is idempotent:
 // asking again for the same name with the same kind and label schema
 // returns the existing family, while a conflicting re-registration
@@ -340,11 +328,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return r.register(name, help, kindGauge, 1, nil).with(nil).g
 }
 
-// GaugeVec registers (or returns) a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	return &GaugeVec{f: r.register(name, help, kindGauge, 1, labels)}
-}
-
 // Histogram registers (or returns) an unlabeled histogram over raw
 // values (batch sizes, byte counts); bucket bounds expose as integers.
 func (r *Registry) Histogram(name, help string) *Histogram {
@@ -356,18 +339,6 @@ func (r *Registry) Histogram(name, help string) *Histogram {
 // Prometheus convention (name it *_seconds).
 func (r *Registry) DurationHistogram(name, help string) *Histogram {
 	return r.register(name, help, kindHistogram, 1e9, nil).with(nil).h
-}
-
-// HistogramVec registers (or returns) a labeled raw-value histogram
-// family.
-func (r *Registry) HistogramVec(name, help string, labels ...string) *HistogramVec {
-	return &HistogramVec{f: r.register(name, help, kindHistogram, 1, labels)}
-}
-
-// DurationHistogramVec registers (or returns) a labeled duration
-// histogram family (seconds exposition).
-func (r *Registry) DurationHistogramVec(name, help string, labels ...string) *HistogramVec {
-	return &HistogramVec{f: r.register(name, help, kindHistogram, 1e9, labels)}
 }
 
 // Series is one exposed time series in a Snapshot.

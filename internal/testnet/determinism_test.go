@@ -31,13 +31,10 @@ func TestNoWallClockOrGlobalRand(t *testing.T) {
 	// Specific (file, token) allowances, each a deliberate seam:
 	//   vclock.go   — Real is the wall-clock implementation itself;
 	//   tpa.go      — crypto/rand default nonce source, overridden via
-	//                 WithNonceReader in deterministic scenarios;
-	//   backoff.go  — global-rand default jitter, overridden by the
-	//                 scheduler's seeded RetryRand.
+	//                 WithNonceReader in deterministic scenarios.
 	allowed := map[string][]string{
-		"vclock.go":  {"time.Now(", "time.Sleep(", "time.NewTimer("},
-		"tpa.go":     {"rand.Reader"},
-		"backoff.go": {"rand.Float64("},
+		"vclock.go": {"time.Now(", "time.Sleep(", "time.NewTimer("},
+		"tpa.go":    {"rand.Reader"},
 	}
 	forbidden := []string{
 		"time.Now(", "time.Sleep(", "time.After(", "time.NewTimer(",

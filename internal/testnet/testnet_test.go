@@ -32,6 +32,52 @@ func TestLibraryScenarios(t *testing.T) {
 	}
 }
 
+// pinnedTraceHashes are the library scenarios' trace hashes (the first
+// 12 hex digits, as geonet replay prints them). Replay only compares two
+// runs of one build; these pin the trace across builds, so a change to
+// when the fleet controller demotes, quarantines, readmits or evicts a
+// prover — relay-attack walks healthy → suspect → quarantined → evicted,
+// churn-storm runs probation and recovery — fails here. A change that
+// moves a hash on purpose updates it and says why.
+var pinnedTraceHashes = map[string]string{
+	"baseline-honest":  "90595813e1be",
+	"relay-attack":     "66282f33f7a0",
+	"collusion":        "f66ba1f9a4c5",
+	"region-drift":     "d263937881bf",
+	"churn-storm":      "97a19340b428",
+	"loss-degradation": "82d64be92b49",
+	"scale-fleet":      "ed6a5b1de331",
+}
+
+// TestLibraryTraceHashesPinned runs every library scenario once (the
+// scale scenario outside -short only) and compares its trace hash with
+// the pinned value.
+func TestLibraryTraceHashesPinned(t *testing.T) {
+	lib := Library()
+	if len(lib) != len(pinnedTraceHashes) {
+		t.Fatalf("library has %d scenarios, %d hashes pinned", len(lib), len(pinnedTraceHashes))
+	}
+	for _, spec := range lib {
+		spec := spec
+		t.Run(spec.Name, func(t *testing.T) {
+			if spec.Name == "scale-fleet" && testing.Short() {
+				t.Skip("scale scenario skipped in -short mode")
+			}
+			want, ok := pinnedTraceHashes[spec.Name]
+			if !ok {
+				t.Fatalf("no pinned trace hash for %q", spec.Name)
+			}
+			res, err := Run(spec)
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if got := res.Hash[:12]; got != want {
+				t.Fatalf("trace hash %s, pinned %s", got, want)
+			}
+		})
+	}
+}
+
 // TestReplayBitIdentical replays representative scenarios — including
 // every adversarial phase — and requires byte-identical traces.
 func TestReplayBitIdentical(t *testing.T) {
