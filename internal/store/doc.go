@@ -2,35 +2,36 @@
 // block store holding one encoded (error-corrected, encrypted, permuted,
 // tagged) GeoProof file, durable across prover restarts.
 //
-// The write path is a write-combining staged placer. The POR setup
-// pipeline emits permuted block placements whose destinations are a
-// pseudorandom permutation of the whole file — the worst possible write
-// pattern, one 16-byte random write per block if applied naively (the
-// ~2× stream-encode overhead PR 3 measured). The placer instead:
+// The write path stores each block straight into its shard's page cache.
+// The POR setup pipeline emits permuted block placements whose
+// destinations are a pseudorandom permutation of the whole file — the
+// worst possible write pattern, one 16-byte random write per block if
+// each went through a system call. On unix the placer instead has Create
+// fill each shard's page cache with 1 MiB sequential zero writes (from a
+// read-only anonymous mapping, not the Go heap) and map the shard
+// writable and shared; the fill is what makes the scattered stores cheap,
+// about one write fault per large folio where an unfilled file faults in
+// page by page. PlaceBlocks checks every slot of a chunk group's batch
+// against the layout, then, under the Writer's one lock, tests and sets
+// each slot's bit in a placement bitmap (a slot placed twice is
+// ErrCorrupt and latches the writer failed) and stores the block through
+// the mapping at an offset given by 32-bit arithmetic — one 16-byte store
+// for the paper's blocks. FlushPlacements checks the global count, which
+// with the bitmap pins every slot filled exactly once; then, shard by
+// shard, the encoder stamps the segment tags into the mapping in place,
+// the CRC-32C is taken over it, and the shard is unmapped. Every encoded
+// byte reaches the page cache once, with no system call per block and
+// nothing read back.
 //
-//   - takes each chunk group's blocks with their block slots (permuted
-//     block indices, as the encoder computed them), checks every slot
-//     against the layout, and appends one record per block — its 4-byte
-//     shard-relative slot, then the block — to its shard's bounded
-//     in-memory staging window (Options.WindowBytes across all shards),
-//     all under the Writer's one lock;
-//   - spills each full window to the shard's staging log as it stands —
-//     every record carries its slot, so arrival order will do — as one
-//     large sequential append;
-//   - at FlushPlacements replays each log into a shard-sized buffer. A
-//     record's slot must lie inside its shard (by construction it names a
-//     block, never a tag byte) and must not repeat (a per-shard bitmap);
-//     with the global count that pins every slot filled exactly once. The
-//     slot's byte offset is 32-bit arithmetic. The encoder then stamps the
-//     segment tags into the complete image, the image's CRC-32C is taken,
-//     and the finished shard is materialised with a single sequential
-//     write.
-//
-// Every byte of encoded payload therefore moves through large sequential
-// I/O only — O(total/window-size) syscalls instead of O(blocks) — and
-// reaches its shard file once, tags included: nothing is read back, for a
-// tag pass or for the checksums. Resident memory stays O(window + one
-// shard), independent of file size.
+// The trade-off is the working set. The encode writes the whole encoded
+// store at random through its mappings, so the process's resident set
+// grows to the encoded size — page cache, not Go heap, which holds only
+// the pipeline's buffers and the bitmap (one bit per block) — and the
+// encode needs page cache for 1× the encoded size. An encode larger than
+// the free page cache would page at random, where a sequential staging
+// design would not; no command default comes near that size. Off unix
+// the Writer has no placer: the encode writes each block through WriteAt,
+// tags in a read-back pass, and Commit checksums every shard.
 //
 // The manifest carries a format version (2) that covers both its own
 // schema and the encoding of the shard bytes (blockfile.EncodingVersion:
@@ -42,8 +43,8 @@
 //
 // Durability is an epoch'd manifest committed by atomic rename: Create
 // publishes an uncommitted manifest (bumped epoch), the flush records each
-// shard's CRC-32C as it materialises it (Commit re-reads only a shard
-// patched through Writer.WriteAt since), and Commit renames the completed
+// shard's CRC-32C as it seals it (Commit re-reads only a shard patched
+// through Writer.WriteAt since), and Commit renames the completed
 // manifest into place. A crash
 // anywhere mid-encode leaves a directory Open reports as ErrIncomplete;
 // a committed store reopens without re-running Setup, which is how
@@ -102,5 +103,8 @@
 // setting restored) instead of a SIGBUS that kills the prover. After
 // Close both get os.ErrClosed. Manifest validation bounds the shard size
 // (2 GiB, as Create does), which is what lets the 32-bit arithmetic
-// trust a slot in range.
+// trust a slot in range. The writer's stores, and the tag stamping and
+// checksum on the flushing goroutine, run under the same containment; the
+// flush also refuses a shard already cut short before the encoder's tag
+// workers, whose goroutines nothing guards, touch it.
 package store

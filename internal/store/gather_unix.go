@@ -115,12 +115,9 @@ func (s *Store) Verify() error {
 }
 
 // withMappings runs fn over the shard mappings under every shard's read
-// lock, mapping the shards on first use. Reading a mapped page whose file
-// no longer backs it raises SIGBUS; for the length of fn the runtime
-// panics on this goroutine instead of crashing, and the fault is reported
-// as corruption, the goroutine's previous setting restored. After Close
-// it returns os.ErrClosed.
-func (s *Store) withMappings(op string, fn func(maps [][]byte) error) (err error) {
+// lock, mapping the shards on first use, with memory faults reported as
+// corruption (faultsAsCorrupt). After Close it returns os.ErrClosed.
+func (s *Store) withMappings(op string, fn func(maps [][]byte) error) error {
 	for i := range s.locks {
 		s.locks[i].RLock()
 	}
@@ -138,7 +135,15 @@ func (s *Store) withMappings(op string, fn func(maps [][]byte) error) (err error
 	if s.mapErr != nil {
 		return s.mapErr
 	}
+	return faultsAsCorrupt(func() error { return fn(s.maps) })
+}
 
+// faultsAsCorrupt runs fn, reporting a memory fault on this goroutine as
+// an error wrapping ErrCorrupt instead of crashing the process. Touching
+// a mapped page whose file no longer backs it raises SIGBUS; for the
+// length of fn the runtime panics on this goroutine instead, and the
+// goroutine's previous setting is restored.
+func faultsAsCorrupt(fn func() error) (err error) {
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	defer func() {
 		r := recover()
@@ -151,7 +156,7 @@ func (s *Store) withMappings(op string, fn func(maps [][]byte) error) (err error
 		}
 		err = fmt.Errorf("%w: shard no longer backs its mapping (fault at %#x)", ErrCorrupt, fault.Addr())
 	}()
-	return fn(s.maps)
+	return fn()
 }
 
 // mapShards maps every shard read-only and shared, so the mappings are

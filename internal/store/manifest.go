@@ -37,7 +37,6 @@ const (
 	manifestVersion = blockfile.EncodingVersion
 	manifestName    = "manifest.json"
 	shardPattern    = "shard-%05d.bin"
-	logPattern      = "shard-%05d.log"
 )
 
 // ShardInfo describes one committed shard file.

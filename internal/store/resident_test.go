@@ -13,11 +13,15 @@ import (
 )
 
 // TestStoreEncodeResidentMemory is the store-backed allocation gate: a
-// 64 MiB file encoded into a store and committed must hold no more than a
-// quarter of the file's size in heap — the encode pipeline's chunk-group
-// buffers, the placer's staging window and one shard image, none of which
-// grows with the file. Concurrency is pinned to 4 so the budget is
-// machine-independent; the input lives on disk, not in the heap.
+// 64 MiB file encoded into a store and committed must hold no more than an
+// eighth of the file's size in heap — the encode pipeline's chunk-group
+// buffers and the placer's one-bit-per-block bitmap (≈ 4 MiB, the Go
+// runtime's minimum heap goal, so a sixteenth would leave no margin). The
+// shards themselves are mapped page cache, not heap: the placer stores
+// blocks and the tags are stamped through the mappings, so the process's
+// resident set grows to the encoded size while the heap does not.
+// Concurrency is pinned to 4 so the budget is machine-independent; the
+// input lives on disk, not in the heap.
 func TestStoreEncodeResidentMemory(t *testing.T) {
 	const size = 64 << 20
 	dir := t.TempDir()
@@ -54,51 +58,7 @@ func TestStoreEncodeResidentMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("peak heap growth %.2f MiB for a %d MiB file", float64(growth)/(1<<20), size>>20)
-	if growth > size/4 {
-		t.Fatalf("store-backed encode held %.1f MiB resident, over the %d MiB bound (file/4)", float64(growth)/(1<<20), size/4>>20)
+	if growth > size/8 {
+		t.Fatalf("store-backed encode grew the heap by %.1f MiB, over the %d MiB bound (file/8)", float64(growth)/(1<<20), size/8>>20)
 	}
-}
-
-// BenchmarkStorePlace is the placer's own budget line: PlaceBlocks of an
-// 8 MiB file's permuted blocks in chunk-group batches, as the encode
-// pipeline hands them over, then FlushPlacements — staging, spills, replay
-// and the shard writes, without the encode's RS, CTR, PRP and tags.
-// Reported per block placed.
-func BenchmarkStorePlace(b *testing.B) {
-	layout, err := blockfile.NewLayout(blockfile.DefaultParams(), 8<<20)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bs, n := layout.BlockSize, int(layout.TotalBlocks)
-	rng := rand.New(rand.NewSource(1))
-	slots := make([]uint64, n)
-	for j, i := range rng.Perm(n) {
-		slots[j] = uint64(i)
-	}
-	blocks := make([]byte, n*bs)
-	rng.Read(blocks)
-	group := 64 * layout.ChunkTotal // one 256 KiB chunk group
-	dir := b.TempDir()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		w, err := store.Create(dir, "f", layout, store.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		for lo := 0; lo < n; lo += group {
-			hi := min(lo+group, n)
-			if err := w.PlaceBlocks(blocks[lo*bs:hi*bs], bs, slots[lo:hi]); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := w.FlushPlacements(nil); err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		w.Close()
-		b.StartTimer()
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/block")
 }

@@ -17,7 +17,7 @@ import (
 // Observability. Read path: one pread per shard touched, byte volume,
 // checksum mismatches caught by Verify, and the blocks and bytes the
 // extractor's mapped gather copied without a pread. Write path: the
-// blocks the placer accepted and the staging-log bytes it spilled.
+// blocks the placer accepted.
 var (
 	metricStorePreads = telemetry.Default.Counter(
 		"geoproof_store_preads_total",
@@ -36,10 +36,7 @@ var (
 		"Bytes copied out of mapped shards by GatherBlocks.")
 	metricStorePlacedBlocks = telemetry.Default.Counter(
 		"geoproof_store_placed_blocks_total",
-		"Blocks staged by the write path's PlaceBlocks.")
-	metricStoreSpillBytes = telemetry.Default.Counter(
-		"geoproof_store_spill_bytes_total",
-		"Placement-record bytes appended to the staging logs.")
+		"Blocks stored by the write path's PlaceBlocks.")
 )
 
 // Store is a committed store directory opened for serving: the prover's
