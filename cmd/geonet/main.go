@@ -97,9 +97,6 @@ func report(res *testnet.Result, verbose, trace bool) error {
 	}
 	fmt.Printf("%s: audits accepted=%d rejected=%d timeouts=%d errors=%d",
 		res.Spec.Name, res.Accepted, res.Rejected, res.Timeouts, res.Errors)
-	if res.DBoundSessions > 0 {
-		fmt.Printf(" dbound=%d/%d", res.DBoundAccepted, res.DBoundSessions)
-	}
 	if len(res.Drifted) > 0 {
 		fmt.Printf(" drifted=%d", len(res.Drifted))
 	}

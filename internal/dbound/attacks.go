@@ -230,28 +230,6 @@ func (a *DistanceFraud) Respond(i int, c byte) (byte, time.Duration, bool) {
 // Finalize delegates to the honest prover.
 func (a *DistanceFraud) Finalize() ([]byte, error) { return a.real.Finalize() }
 
-// DelayedProver wraps an honest prover behind extra network distance; it
-// answers correctly but late. Used to validate that timing enforcement
-// alone rejects remote honest parties.
-type DelayedProver struct {
-	Real  Prover
-	Extra time.Duration
-}
-
-var _ Prover = (*DelayedProver)(nil)
-
-// Init relays initialisation (untimed, delay irrelevant).
-func (d *DelayedProver) Init(nonceV []byte) ([]byte, error) { return d.Real.Init(nonceV) }
-
-// Respond relays and adds the extra round-trip distance.
-func (d *DelayedProver) Respond(i int, c byte) (byte, time.Duration, bool) {
-	bit, extra, early := d.Real.Respond(i, c)
-	return bit, extra + d.Extra, early
-}
-
-// Finalize relays the closing.
-func (d *DelayedProver) Finalize() ([]byte, error) { return d.Real.Finalize() }
-
 // Analytic success probabilities for n-round sessions.
 
 // GuessSuccess is (1/2)^n: every response guessed.

@@ -1,6 +1,8 @@
 package dbound
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -174,49 +176,83 @@ func TestAttacksCaughtAtRealisticBudget(t *testing.T) {
 	}
 }
 
+// delayedProver wraps an honest prover behind extra network distance; it
+// answers correctly but late.
+type delayedProver struct {
+	real  Prover
+	extra time.Duration
+}
+
+// Init relays initialisation (untimed, delay irrelevant).
+func (d *delayedProver) Init(nonceV []byte) ([]byte, error) { return d.real.Init(nonceV) }
+
+// Respond relays and adds the extra round-trip distance.
+func (d *delayedProver) Respond(i int, c byte) (byte, time.Duration, bool) {
+	bit, extra, early := d.real.Respond(i, c)
+	return bit, extra + d.extra, early
+}
+
+// Finalize relays the closing.
+func (d *delayedProver) Finalize() ([]byte, error) { return d.real.Finalize() }
+
 // TestRelayCaughtByTimingOnly: a pure relay of an *honest* far prover
 // produces perfectly correct bits, so a verifier without a realistic RTT
 // bound accepts it outright; the 2 ms bound rejects it on timing in every
 // round. This is the check GeoProof inherits: distance shows up as time.
 func TestRelayCaughtByTimingOnly(t *testing.T) {
+	checkCaughtByTimingOnly(t, tableIIISydneyRTT, 303)
+}
+
+// TestDelayedHonestProverRejectedOnTiming: a few milliseconds of extra
+// distance are caught as surely as a Table III Sydney leg.
+func TestDelayedHonestProverRejectedOnTiming(t *testing.T) {
+	checkCaughtByTimingOnly(t, 5*time.Millisecond, 2)
+}
+
+// checkCaughtByTimingOnly runs every protocol behind an honest prover
+// delayed by delay: a 100 ms bound accepts it, the 2 ms bound rejects
+// every round on timing.
+func checkCaughtByTimingOnly(t *testing.T, delay time.Duration, seed int64) {
+	t.Helper()
 	for _, proto := range allProtocols() {
-		rng := rand.New(rand.NewSource(303))
+		name := fmt.Sprintf("%s+%v", proto.Name(), delay)
+		rng := rand.New(rand.NewSource(seed))
 		p, c, err := proto.Pair([]byte("secret"), 16, rng)
 		if err != nil {
-			t.Fatalf("%s: %v", proto.Name(), err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		relayed := &DelayedProver{Real: p, Extra: tableIIISydneyRTT}
 
 		// Naive verifier: generous 100 ms bound — the relay walks in.
 		naive := testConfig(rng, 16)
 		naive.TMax = 100 * time.Millisecond
-		res, _, err := Run(naive, relayed, c)
+		res, _, err := Run(naive, &delayedProver{real: p, extra: delay}, c)
 		if err != nil {
-			t.Fatalf("%s: %v", proto.Name(), err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		if !res.Accepted {
-			t.Errorf("%s: honest relay should defeat a verifier without an RTT bound: %v",
-				proto.Name(), res.Reason)
+			t.Errorf("%s: honest relay should defeat a verifier without an RTT bound: %v", name, res.Reason)
 		}
 
 		// Realistic bound: every round busts Δt_max.
-		p2, c2, err := proto.Pair([]byte("secret"), 16, rng)
+		p, c, err = proto.Pair([]byte("secret"), 16, rng)
 		if err != nil {
-			t.Fatalf("%s: %v", proto.Name(), err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		res, _, err = Run(testConfig(rng, 16), &DelayedProver{Real: p2, Extra: tableIIISydneyRTT}, c2)
+		res, _, err = Run(testConfig(rng, 16), &delayedProver{real: p, extra: delay}, c)
 		if err != nil {
-			t.Fatalf("%s: %v", proto.Name(), err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		if res.Accepted {
-			t.Errorf("%s: relayed prover accepted under the 2 ms bound", proto.Name())
+			t.Errorf("%s: delayed prover accepted under the 2 ms bound", name)
 		}
 		if res.TimingViolations != 16 {
-			t.Errorf("%s: %d/16 timing violations, want all rounds over bound",
-				proto.Name(), res.TimingViolations)
+			t.Errorf("%s: %d/16 timing violations, want all rounds over bound", name, res.TimingViolations)
 		}
-		if res.MaxRTT < tableIIISydneyRTT {
-			t.Errorf("%s: MaxRTT %v below the relay leg %v", proto.Name(), res.MaxRTT, tableIIISydneyRTT)
+		if !errors.Is(res.Reason, ErrTiming) {
+			t.Errorf("%s: reason %v, want ErrTiming", name, res.Reason)
+		}
+		if res.MaxRTT < delay {
+			t.Errorf("%s: MaxRTT %v below the relay leg %v", name, res.MaxRTT, delay)
 		}
 	}
 }

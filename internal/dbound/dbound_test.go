@@ -48,27 +48,6 @@ func TestHonestSessionsAccept(t *testing.T) {
 	}
 }
 
-func TestDelayedHonestProverRejectedOnTiming(t *testing.T) {
-	for _, proto := range allProtocols() {
-		rng := rand.New(rand.NewSource(2))
-		p, c, _ := proto.Pair([]byte("secret"), 16, rng)
-		delayed := &DelayedProver{Real: p, Extra: 5 * time.Millisecond}
-		res, _, err := Run(testConfig(rng, 16), delayed, c)
-		if err != nil {
-			t.Fatalf("%s: %v", proto.Name(), err)
-		}
-		if res.Accepted {
-			t.Fatalf("%s: delayed prover accepted", proto.Name())
-		}
-		if res.TimingViolations != 16 {
-			t.Fatalf("%s: %d timing violations, want 16", proto.Name(), res.TimingViolations)
-		}
-		if !errors.Is(res.Reason, ErrTiming) {
-			t.Fatalf("%s: reason %v", proto.Name(), res.Reason)
-		}
-	}
-}
-
 func TestGuessingProverMostlyRejected(t *testing.T) {
 	// With n=16 a guesser passes with probability 2^-16; over 200
 	// trials we expect ~0 acceptances (allow 1 for slack).

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
+	"runtime/metrics"
 	"time"
 
 	"repro/internal/blockfile"
@@ -12,32 +14,40 @@ import (
 )
 
 // MeasurePeakAlloc runs fn while sampling the Go heap, returning the wall
-// time and the peak HeapAlloc growth over a post-GC baseline — the figure
-// the resident-memory gates assert against: por's
+// time and the peak growth of the live heap over a post-GC baseline — the
+// figure the resident-memory gates assert against: por's
 // TestEncodeStreamResidentMemory and store's
-// TestStoreEncodeResidentMemory. Sampling every few milliseconds is
-// coarse but enough to tell an O(fileSize) pipeline from the bounded
-// streaming one.
+// TestStoreEncodeResidentMemory. The live heap (runtime/metrics
+// /gc/heap/live:bytes) is what the last GC found reachable, so garbage
+// not yet collected does not count and the reading is what fn retains,
+// not the runtime's heap goal. It only moves when a GC ends, so fn runs
+// at GOGC 10: a cycle then follows every tenth of growth, with a 0.4 MiB
+// minimum heap goal instead of 4 MiB, and the reading stays current.
+// Sampling every millisecond is coarse but enough to tell an
+// O(fileSize) pipeline from the bounded streaming one.
 func MeasurePeakAlloc(fn func() error) (time.Duration, uint64, error) {
+	defer debug.SetGCPercent(debug.SetGCPercent(10))
 	runtime.GC()
-	var st runtime.MemStats
-	runtime.ReadMemStats(&st)
-	base := st.HeapAlloc
+	sample := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	live := func() uint64 {
+		metrics.Read(sample)
+		return sample[0].Value.Uint64()
+	}
+	base := live()
 	peak := base
 	done := make(chan struct{})
 	sampled := make(chan struct{})
 	go func() {
 		defer close(sampled)
-		tick := time.NewTicker(5 * time.Millisecond)
+		tick := time.NewTicker(time.Millisecond)
 		defer tick.Stop()
 		for {
 			select {
 			case <-done:
 				return
 			case <-tick.C:
-				runtime.ReadMemStats(&st)
-				if st.HeapAlloc > peak {
-					peak = st.HeapAlloc
+				if v := live(); v > peak {
+					peak = v
 				}
 			}
 		}
@@ -47,12 +57,8 @@ func MeasurePeakAlloc(fn func() error) (time.Duration, uint64, error) {
 	elapsed := time.Since(start)
 	close(done)
 	<-sampled
-	runtime.ReadMemStats(&st)
-	if st.HeapAlloc > peak {
-		peak = st.HeapAlloc
-	}
-	if peak < base {
-		peak = base
+	if v := live(); v > peak {
+		peak = v
 	}
 	return elapsed, peak - base, err
 }

@@ -7,10 +7,16 @@ import (
 	"repro/internal/simnet"
 )
 
+// DriftThresholdKm is the deviation beyond which DetectDrift flags a
+// prover: 500 km, the worst-case localization error the paper cites for
+// delay-based schemes — deviations beyond it cannot be explained by
+// scheme error alone.
+const DriftThresholdKm = 500
+
 // DriftReport is the verdict of a multilateration cross-check on a
 // prover's claimed position: where the landmarks think the prover
 // actually is, how far that is from the claim, and whether the deviation
-// exceeds the policy threshold.
+// exceeds DriftThresholdKm.
 //
 // This is the geoloc-side complement of GeoProof's timing bound. A prover
 // that drifts out of its claimed region while keeping its verifier device
@@ -23,7 +29,6 @@ type DriftReport struct {
 	Estimate    Estimate
 	Claimed     geo.Position
 	DeviationKm float64
-	ThresholdKm float64
 	Drifted     bool
 }
 
@@ -33,38 +38,23 @@ func (r DriftReport) String() string {
 	if r.Drifted {
 		state = "DRIFTED"
 	}
-	return fmt.Sprintf("%s: est (%.2f,%.2f) deviates %.0f km from claim (%.2f,%.2f), threshold %.0f km",
+	return fmt.Sprintf("%s: est (%.2f,%.2f) deviates %.0f km from claim (%.2f,%.2f), threshold %d km",
 		state, r.Estimate.Position.LatDeg, r.Estimate.Position.LonDeg,
-		r.DeviationKm, r.Claimed.LatDeg, r.Claimed.LonDeg, r.ThresholdKm)
+		r.DeviationKm, r.Claimed.LatDeg, r.Claimed.LonDeg, DriftThresholdKm)
 }
 
-// DefaultDriftScheme returns the multilateration scheme the drift
-// detector uses when the caller passes nil: TBG least-squares calibrated
-// to the Internet model (two last-mile overheads, default path stretch),
-// the most accurate of the §III-B schemes over the continental landmark
-// set.
-func DefaultDriftScheme() Scheme {
-	return &TBG{
+// DetectDrift multilaterates the target from landmark probes and flags it
+// when the estimate lands more than DriftThresholdKm from the claimed
+// position. The scheme is TBG least-squares calibrated to the Internet
+// model (two last-mile overheads, default path stretch), the most
+// accurate of the §III-B schemes over the continental landmark set.
+func DetectDrift(claimed geo.Position, probes []Probe) (DriftReport, error) {
+	tbg := &TBG{
 		Overhead:    2 * simnet.DefaultLastMile,
 		PathStretch: simnet.DefaultPathStretch,
 		GridStepKm:  20,
 	}
-}
-
-// DetectDrift multilaterates the target from landmark probes and flags it
-// when the estimate lands more than thresholdKm from the claimed
-// position. A nil scheme selects DefaultDriftScheme; a non-positive
-// threshold defaults to 500 km, the worst-case localization error the
-// paper cites for delay-based schemes — deviations beyond it cannot be
-// explained by scheme error alone.
-func DetectDrift(claimed geo.Position, probes []Probe, s Scheme, thresholdKm float64) (DriftReport, error) {
-	if s == nil {
-		s = DefaultDriftScheme()
-	}
-	if thresholdKm <= 0 {
-		thresholdKm = 500
-	}
-	est, err := s.Locate(probes)
+	est, err := tbg.Locate(probes)
 	if err != nil {
 		return DriftReport{}, fmt.Errorf("geoloc: drift multilateration: %w", err)
 	}
@@ -73,7 +63,6 @@ func DetectDrift(claimed geo.Position, probes []Probe, s Scheme, thresholdKm flo
 		Estimate:    est,
 		Claimed:     claimed,
 		DeviationKm: dev,
-		ThresholdKm: thresholdKm,
-		Drifted:     dev > thresholdKm,
+		Drifted:     dev > DriftThresholdKm,
 	}, nil
 }

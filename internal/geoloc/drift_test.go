@@ -38,17 +38,16 @@ func driftProbes(truth geo.Position, jitter time.Duration, rng *rand.Rand) []Pro
 // than to the cover story.
 func TestDriftDetectionProperty(t *testing.T) {
 	const (
-		trials      = 25
-		jitter      = 2 * time.Millisecond
-		thresholdKm = 500.0
-		minDriftKm  = 1200.0
+		trials     = 25
+		jitter     = 2 * time.Millisecond
+		minDriftKm = 1200.0
 	)
 	for seed := int64(1); seed <= trials; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		claimed := randAustralianPos(rng)
 
 		// Honest: the site is where it says it is.
-		honest, err := DetectDrift(claimed, driftProbes(claimed, jitter, rng), nil, thresholdKm)
+		honest, err := DetectDrift(claimed, driftProbes(claimed, jitter, rng))
 		if err != nil {
 			t.Fatalf("seed %d: honest DetectDrift: %v", seed, err)
 		}
@@ -65,7 +64,7 @@ func TestDriftDetectionProperty(t *testing.T) {
 				break
 			}
 		}
-		drifted, err := DetectDrift(claimed, driftProbes(truth, jitter, rng), nil, thresholdKm)
+		drifted, err := DetectDrift(claimed, driftProbes(truth, jitter, rng))
 		if err != nil {
 			t.Fatalf("seed %d: drifted DetectDrift: %v", seed, err)
 		}
@@ -81,15 +80,15 @@ func TestDriftDetectionProperty(t *testing.T) {
 	}
 }
 
-// TestDetectDriftDefaults pins the nil-scheme / zero-threshold defaults.
+// TestDetectDriftDefaults pins the scheme and threshold DetectDrift uses.
 func TestDetectDriftDefaults(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	rep, err := DetectDrift(geo.Adelaide, driftProbes(geo.Adelaide, 0, rng), nil, 0)
+	rep, err := DetectDrift(geo.Adelaide, driftProbes(geo.Adelaide, 0, rng))
 	if err != nil {
 		t.Fatalf("DetectDrift: %v", err)
 	}
-	if rep.ThresholdKm != 500 {
-		t.Fatalf("default threshold = %.0f, want 500", rep.ThresholdKm)
+	if DriftThresholdKm != 500 {
+		t.Fatalf("threshold = %d km, want 500", DriftThresholdKm)
 	}
 	if rep.Estimate.Scheme != "TBG" {
 		t.Fatalf("default scheme = %q, want TBG", rep.Estimate.Scheme)
@@ -97,7 +96,7 @@ func TestDetectDriftDefaults(t *testing.T) {
 	if rep.Drifted {
 		t.Fatalf("noise-free honest Adelaide flagged: %v", rep)
 	}
-	if _, err := DetectDrift(geo.Adelaide, nil, nil, 0); err == nil {
+	if _, err := DetectDrift(geo.Adelaide, nil); err == nil {
 		t.Fatal("DetectDrift with no probes should error")
 	}
 }

@@ -32,9 +32,6 @@ type Landmark struct {
 type Probe struct {
 	Landmark Landmark
 	RTT      time.Duration
-	// Hops is the traceroute path length, used by TBG's per-hop
-	// correction.
-	Hops int
 }
 
 // Estimate is a scheme's answer: a position, an uncertainty radius and
@@ -198,11 +195,10 @@ func (o *Octant) Locate(probes []Probe) (Estimate, error) {
 }
 
 // TBG approximates topology-based geolocation (§III-B, [23]): per-probe
-// distance estimates corrected by a per-hop cost, then a grid-refined
-// least-squares multilateration over landmark positions.
+// distance estimates, then a grid-refined least-squares multilateration
+// over landmark positions.
 type TBG struct {
 	Overhead time.Duration
-	PerHop   time.Duration // subtracted per traceroute hop
 	// PathStretch, when > 1, divides each delay-derived distance to undo
 	// routing inflation: real routes are not geodesics, so a calibrated
 	// scheme that knows the typical stretch factor (e.g.
@@ -224,8 +220,7 @@ func (t *TBG) Locate(probes []Probe) (Estimate, error) {
 	}
 	dists := make([]float64, len(probes))
 	for i, p := range probes {
-		over := t.Overhead + time.Duration(p.Hops)*t.PerHop
-		dists[i] = rttToDistanceKm(p.RTT, over)
+		dists[i] = rttToDistanceKm(p.RTT, t.Overhead)
 		if t.PathStretch > 1 {
 			dists[i] /= t.PathStretch
 		}

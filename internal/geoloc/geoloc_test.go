@@ -156,12 +156,12 @@ func TestIPMapping(t *testing.T) {
 	}
 }
 
-func TestProbeHopsGrowWithDistance(t *testing.T) {
+func TestProbeRTTGrowsWithDistance(t *testing.T) {
 	m := ProbeModel{Target: geo.Perth, LastMile: simnet.DefaultLastMile, Rng: rand.New(rand.NewSource(9))}
 	near := m.Measure(Landmark{Name: "adl", Position: geo.Adelaide})
 	far := m.Measure(Landmark{Name: "bne", Position: geo.Brisbane})
-	if far.Hops <= near.Hops {
-		t.Fatalf("hops: far=%d near=%d", far.Hops, near.Hops)
+	if far.RTT <= near.RTT {
+		t.Fatalf("RTT: far=%v near=%v", far.RTT, near.RTT)
 	}
 }
 

@@ -20,26 +20,18 @@ type ProbeModel struct {
 	// LastMile and jitter configure the underlying link model.
 	LastMile time.Duration
 	Jitter   time.Duration
-	// HopsPer1000Km approximates traceroute path growth (default 4).
-	HopsPer1000Km float64
-	Rng           *rand.Rand
+	Rng      *rand.Rand
 }
 
 // Measure produces one probe from the landmark to the target.
 func (m *ProbeModel) Measure(l Landmark) Probe {
-	dist := l.Position.DistanceKm(m.Target)
 	link := simnet.InternetLink{
-		DistanceKm: dist,
+		DistanceKm: l.Position.DistanceKm(m.Target),
 		LastMile:   m.LastMile,
 		Jitter:     m.Jitter,
 	}
 	rtt := link.OneWay(m.Rng) + link.OneWay(m.Rng) + m.AddedDelay
-	hp := m.HopsPer1000Km
-	if hp <= 0 {
-		hp = 4
-	}
-	hops := 2 + int(dist/1000*hp)
-	return Probe{Landmark: l, RTT: rtt, Hops: hops}
+	return Probe{Landmark: l, RTT: rtt}
 }
 
 // MeasureAll probes the target from every landmark.

@@ -13,15 +13,15 @@ import (
 )
 
 // TestStoreEncodeResidentMemory is the store-backed allocation gate: a
-// 64 MiB file encoded into a store and committed must hold no more than an
-// eighth of the file's size in heap — the encode pipeline's chunk-group
-// buffers and the placer's one-bit-per-block bitmap (≈ 4 MiB, the Go
-// runtime's minimum heap goal, so a sixteenth would leave no margin). The
-// shards themselves are mapped page cache, not heap: the placer stores
-// blocks and the tags are stamped through the mappings, so the process's
-// resident set grows to the encoded size while the heap does not.
-// Concurrency is pinned to 4 so the budget is machine-independent; the
-// input lives on disk, not in the heap.
+// 64 MiB file encoded into a store and committed must keep no more than a
+// ninth of the file's size live in the heap — the encode pipeline's
+// chunk-group buffers and the placer's one-bit-per-block bitmap. Ten
+// runs read 3.14–3.76 MiB of live-heap growth; the bound (≈ 7.1 MiB) is
+// about twice the highest. The shards themselves are mapped page cache,
+// not heap: the placer stores blocks and the tags are stamped through
+// the mappings, so the process's resident set grows to the encoded size
+// while the heap does not. Concurrency is pinned to 4 so the budget is
+// machine-independent; the input lives on disk, not in the heap.
 func TestStoreEncodeResidentMemory(t *testing.T) {
 	const size = 64 << 20
 	dir := t.TempDir()
@@ -58,7 +58,7 @@ func TestStoreEncodeResidentMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("peak heap growth %.2f MiB for a %d MiB file", float64(growth)/(1<<20), size>>20)
-	if growth > size/8 {
-		t.Fatalf("store-backed encode grew the heap by %.1f MiB, over the %d MiB bound (file/8)", float64(growth)/(1<<20), size/8>>20)
+	if growth > size/9 {
+		t.Fatalf("store-backed encode grew the live heap by %.2f MiB, over the %.2f MiB bound (file/9)", float64(growth)/(1<<20), float64(size/9)/(1<<20))
 	}
 }

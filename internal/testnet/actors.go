@@ -46,9 +46,6 @@ type member struct {
 
 	site *cloud.Site
 	spec core.ProverSpec
-	// relayRTT is the extra round trip every timed exchange eats when the
-	// data lives away from the claimed site (relay and colluding fronts).
-	relayRTT time.Duration
 
 	departed bool
 }
@@ -120,13 +117,11 @@ func (m *member) isRelayFront() bool {
 // provider builds the member's serving personality.
 func (m *member) provider(seed int64) (cloud.Provider, error) {
 	if m.isRelayFront() {
+		// Jitter-free link: the relay penalty is deterministic.
 		link := simnet.InternetLink{
 			DistanceKm: m.claimed.DistanceKm(m.truePos),
 			LastMile:   simnet.DefaultLastMile,
 		}
-		// Jitter-free link: the relay penalty is deterministic and the
-		// dbound phase reuses it as the accomplice's back-haul RTT.
-		m.relayRTT = 2 * link.OneWay(nil)
 		front := cloud.DataCenter{
 			Name:     m.name + "-front",
 			Position: m.claimed,
@@ -134,13 +129,9 @@ func (m *member) provider(seed int64) (cloud.Provider, error) {
 		}
 		return cloud.NewRelayProvider(front, m.site, link, seedFor(seed, "relay:"+m.name)), nil
 	}
-	honest := &cloud.HonestProvider{Site: m.site}
 	switch m.group.Behavior {
 	case BehaviorHonest, BehaviorCollude, BehaviorDrift, BehaviorCorrupt, BehaviorFlaky:
-		return honest, nil
-	case BehaviorDelay:
-		extra := time.Duration(m.group.ExtraDelayMs * float64(time.Millisecond))
-		return &cloud.ThrottledProvider{Inner: honest, Extra: extra}, nil
+		return &cloud.HonestProvider{Site: m.site}, nil
 	}
 	return nil, fmt.Errorf("testnet: member %s: unhandled behavior %q", m.name, m.group.Behavior)
 }

@@ -13,17 +13,21 @@
 //   - provers drifting out of their claimed region with the verifier
 //     device in tow (audits pass; only landmark multilateration —
 //     geoloc.DetectDrift — flags the moved site),
-//   - storage corruption (MAC rejects), added service delay, packet loss
-//     (a lost round fails alone with an error frame) and scripted churn
+//   - storage corruption (MAC rejects), packet loss (a lost round fails
+//     alone with an error frame) and scripted churn
 //     (kill takes the member's node down: dials are refused, live
 //     streams reset and the pool drops its warm connection;
 //     restore/leave/join).
 //
 // Each spec also declares the expected outcome: a per-group verdict
 // class over the (tenant, prover) matrix, health-machine paths and final
-// states, drift flags and distance-bounding acceptance bounds. Run
-// executes the scenario and returns the diff between declared and actual
-// — an empty diff is a passing scenario.
+// states, and drift flags. Run executes the scenario and returns the
+// diff between declared and actual — an empty diff is a passing
+// scenario.
+//
+// The simulated network's link model is the one source of network delay
+// in a scenario: timed audit rounds, probes and the drift phase's
+// landmark pings all cross its links.
 //
 // # Determinism contract
 //
@@ -33,9 +37,8 @@
 // round is a mux exchange over a simnet stream — and everything runs on
 // one virtual clock (vclock.Virtual) starting at a fixed epoch: a stream
 // read moves the clock to the bytes' arrival, a look-up sleeps on it.
-// Every random stream — link jitter, packet loss, fleet audit jitter,
-// TPA challenge nonces, dbound sessions, drift probes — is derived from
-// Seed via seedFor. The transport runs on goroutines (demux loops, prover
+// Every random stream — link jitter (drift pings included), packet
+// loss, fleet audit jitter, TPA challenge nonces — is derived from Seed. The transport runs on goroutines (demux loops, prover
 // workers), but the scheduler runs Workers=1, Timeout=0 and the
 // controller Synchronous=true, so only one exchange is ever in flight:
 // each clock move and each jitter draw follows from the one before, and

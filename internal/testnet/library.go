@@ -58,17 +58,16 @@ func baselineHonest() Spec {
 // relayAttack: provers claim Brisbane while serving from Singapore. Every
 // timed round eats the relay round trip, so every audit is a timing
 // reject; the health machine escalates, quarantines and finally evicts
-// them, and the dbound phase shows the bit-level analogue.
+// them.
 func relayAttack() Spec {
 	return Spec{
 		Name:        "relay-attack",
-		Description: "Singapore relays behind Brisbane fronts: timing rejects, eviction, dbound cross-check",
+		Description: "Singapore relays behind Brisbane fronts: timing rejects, eviction",
 		Seed:        2002,
 		Tenants:     8,
 		Replicas:    3,
 		Ticks:       50,
 		EvictAfter:  2,
-		DBound:      &DBoundSpec{},
 		Provers: []ProverGroup{
 			{Name: "honest", Count: 4, Behavior: BehaviorHonest, City: "Brisbane"},
 			{Name: "relay", Count: 2, Behavior: BehaviorRelay, City: "Brisbane", TrueCity: "Singapore"},
@@ -98,7 +97,6 @@ func collusion() Spec {
 		Tenants:     9,
 		Replicas:    3,
 		Ticks:       40,
-		DBound:      &DBoundSpec{},
 		Provers: []ProverGroup{
 			{Name: "honest", Count: 3, Behavior: BehaviorHonest, City: "Brisbane"},
 			{Name: "ring", Count: 3, Behavior: BehaviorCollude,
@@ -125,7 +123,7 @@ func regionDrift() Spec {
 		Tenants:     8,
 		Replicas:    3,
 		Ticks:       40,
-		Drift:       &DriftSpec{},
+		Drift:       true,
 		Provers: []ProverGroup{
 			{Name: "honest", Count: 3, Behavior: BehaviorHonest, City: "Brisbane"},
 			{Name: "drift", Count: 2, Behavior: BehaviorDrift, City: "Brisbane", TrueCity: "Perth"},
@@ -209,7 +207,7 @@ func scaleFleet() Spec {
 		Rounds:       2,
 		Ticks:        12,
 		RetainEpochs: 4,
-		Drift:        &DriftSpec{},
+		Drift:        true,
 		Provers: []ProverGroup{
 			{Name: "bne", Count: 80, Behavior: BehaviorHonest, City: "Brisbane"},
 			{Name: "syd", Count: 60, Behavior: BehaviorHonest, City: "Sydney"},

@@ -13,7 +13,6 @@ import (
 	"repro/internal/cloud"
 	"repro/internal/core"
 	"repro/internal/crypt"
-	"repro/internal/dbound"
 	"repro/internal/geoloc"
 	"repro/internal/por"
 	"repro/internal/simnet"
@@ -94,8 +93,8 @@ func classify(v core.Verdict) func(*Cell) {
 
 // Run executes one scenario deterministically and diffs the outcome
 // against the spec's expectations. Everything observable — health
-// transitions, the verdict matrix, dbound and drift phase results, the
-// final fleet status and ledger — lands in Result.Trace; two calls with
+// transitions, the verdict matrix, the drift phase's results, the final
+// fleet status and ledger — lands in Result.Trace; two calls with
 // the same spec produce byte-identical traces.
 func Run(spec Spec) (*Result, error) {
 	if err := spec.Validate(); err != nil {
@@ -150,12 +149,11 @@ func Run(spec Spec) (*Result, error) {
 	}
 
 	res := &Result{Spec: spec}
-	dboundTrace := w.runDBoundPhase(res)
 	driftTrace, flagged, err := w.runDriftPhase(res)
 	if err != nil {
 		return nil, err
 	}
-	w.buildTrace(res, dboundTrace, driftTrace)
+	w.buildTrace(res, driftTrace)
 	w.checkExpectations(res, flagged)
 	return res, nil
 }
@@ -374,90 +372,42 @@ func (w *world) applyChurn(tick int) error {
 	return nil
 }
 
-// runDBoundPhase pits every relay-class adversary against the bit-level
-// distance-bounding protocols: pre-ask mafia-fraud sessions answered by a
-// local accomplice, and honest-relay sessions where the real prover's
-// answers eat the member's back-haul RTT. Returns trace lines.
-func (w *world) runDBoundPhase(res *Result) []string {
-	if w.spec.DBound == nil {
-		return nil
-	}
-	cfg := w.spec.DBound
-	protocols := []dbound.Protocol{
-		dbound.HanckeKuhn{},
-		dbound.BrandsChaum{},
-		dbound.Reid{IDVerifier: "V", IDProver: "P"},
-	}
-	var lines []string
-	for _, m := range w.members {
-		if m.relayRTT == 0 || m.departed {
-			continue
-		}
-		rng := rand.New(rand.NewSource(seedFor(w.spec.Seed, "dbound:"+m.name)))
-		dcfg := dbound.Config{
-			Rounds:   cfg.Rounds,
-			TMax:     2 * time.Millisecond,
-			Clock:    w.clk,
-			RTT:      func() time.Duration { return time.Millisecond },
-			EarlyRTT: time.Millisecond,
-			Rand:     rng,
-		}
-		for _, proto := range protocols {
-			preAccepted := 0
-			for s := 0; s < cfg.Sessions; s++ {
-				p, c, err := proto.Pair([]byte("geoproof-"+m.name), cfg.Rounds, rng)
-				if err != nil {
-					continue
-				}
-				r, _, err := dbound.Run(dcfg, dbound.NewPreAskRelay(p, cfg.Rounds, rng), c)
-				if err != nil {
-					continue // protocol abort = failed attack
-				}
-				if r.Accepted {
-					preAccepted++
-				}
-			}
-			res.DBoundSessions += cfg.Sessions
-			res.DBoundAccepted += preAccepted
+// driftJitter is the per-probe jitter on every landmark link.
+const driftJitter = time.Millisecond
 
-			relayAccepted := false
-			p, c, err := proto.Pair([]byte("geoproof-"+m.name), cfg.Rounds, rng)
-			if err == nil {
-				r, _, err := dbound.Run(dcfg, &dbound.DelayedProver{Real: p, Extra: m.relayRTT}, c)
-				if err == nil && r.Accepted {
-					relayAccepted = true
-					res.DBoundRelayAccepted++
-				}
-			}
-			lines = append(lines, fmt.Sprintf("  %s %s: pre-ask %d/%d accepted; relayed(+%v) accepted=%v",
-				m.name, proto.Name(), preAccepted, cfg.Sessions, m.relayRTT.Round(time.Millisecond), relayAccepted))
-		}
-	}
-	return lines
-}
-
-// runDriftPhase multilaterates every still-registered prover's true site
-// position from the continental landmarks and flags deviations from the
-// claim. Returns trace lines and the per-prover flags.
+// runDriftPhase pings every still-registered prover's site from the
+// continental landmarks over the scenario's own network, multilaterates
+// the site from those round trips and flags deviations from the claim.
+// Each landmark is a node joined to the member's node by an Internet
+// link as long as the landmark's distance to where the site really is;
+// the pings draw their jitter from the network's seeded stream and
+// advance its clock. Returns trace lines and the per-prover flags.
 func (w *world) runDriftPhase(res *Result) ([]string, map[string]bool, error) {
-	if w.spec.Drift == nil {
+	if !w.spec.Drift {
 		return nil, nil, nil
 	}
-	cfg := w.spec.Drift
+	landmarks := geoloc.AustralianLandmarks()
 	var lines []string
 	flagged := map[string]bool{}
 	for _, m := range w.members {
 		if m.departed {
 			continue
 		}
-		rng := rand.New(rand.NewSource(seedFor(w.spec.Seed, "drift:"+m.name)))
-		model := &geoloc.ProbeModel{
-			Target:   m.truePos,
-			LastMile: simnet.DefaultLastMile,
-			Jitter:   time.Duration(cfg.JitterMs * float64(time.Millisecond)),
-			Rng:      rng,
+		probes := make([]geoloc.Probe, len(landmarks))
+		for i, l := range landmarks {
+			node := "lm:" + l.Name
+			w.net.SetLink(node, m.name, simnet.InternetLink{
+				DistanceKm: l.Position.DistanceKm(m.truePos),
+				LastMile:   simnet.DefaultLastMile,
+				Jitter:     driftJitter,
+			})
+			rtt, err := w.net.Ping(node, m.name)
+			if err != nil {
+				return nil, nil, err
+			}
+			probes[i] = geoloc.Probe{Landmark: l, RTT: rtt}
 		}
-		rep, err := geoloc.DetectDrift(m.claimed, model.MeasureAll(geoloc.AustralianLandmarks()), nil, cfg.ThresholdKm)
+		rep, err := geoloc.DetectDrift(m.claimed, probes)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -484,7 +434,7 @@ func (w *world) aggCell(prover string) Cell {
 }
 
 // buildTrace assembles the full deterministic observable record.
-func (w *world) buildTrace(res *Result, dboundTrace, driftTrace []string) {
+func (w *world) buildTrace(res *Result, driftTrace []string) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "scenario %s seed=%d provers=%d tenants=%d ticks=%d\n",
 		w.spec.Name, w.spec.Seed, len(w.members), len(w.tenants), w.spec.Ticks)
@@ -525,12 +475,6 @@ func (w *world) buildTrace(res *Result, dboundTrace, driftTrace []string) {
 		fmt.Fprintf(&b, "  %s: %s\n", m.name, w.aggCell(m.name))
 	}
 
-	if len(dboundTrace) > 0 {
-		b.WriteString("dbound:\n")
-		for _, l := range dboundTrace {
-			b.WriteString(l + "\n")
-		}
-	}
 	if len(driftTrace) > 0 {
 		b.WriteString("drift:\n")
 		for _, l := range driftTrace {
@@ -624,7 +568,7 @@ func (w *world) checkExpectations(res *Result, flagged map[string]bool) {
 					}
 				}
 			}
-			if w.spec.Drift != nil {
+			if w.spec.Drift {
 				if got, want := flagged[m.name], ge.Drift; !m.departed && got != want {
 					fail("group %s: %s drift flag %v, want %v", gname, m.name, got, want)
 				}
@@ -641,17 +585,6 @@ func (w *world) checkExpectations(res *Result, flagged map[string]bool) {
 			if ge.MaxAcceptRate > 0 && rate > ge.MaxAcceptRate {
 				fail("group %s: accept rate %.3f above %.3f", gname, rate, ge.MaxAcceptRate)
 			}
-		}
-	}
-
-	if w.spec.DBound != nil && res.DBoundSessions > 0 {
-		rate := float64(res.DBoundAccepted) / float64(res.DBoundSessions)
-		if rate > w.spec.Expect.MaxDBoundAcceptRate {
-			fail("dbound: pre-ask accept rate %.3f above %.3f (%d/%d)",
-				rate, w.spec.Expect.MaxDBoundAcceptRate, res.DBoundAccepted, res.DBoundSessions)
-		}
-		if res.DBoundRelayAccepted > 0 {
-			fail("dbound: %d relayed sessions accepted under the timing bound", res.DBoundRelayAccepted)
 		}
 	}
 }

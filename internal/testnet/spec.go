@@ -12,16 +12,17 @@ import (
 
 // Spec is a declarative scenario: the fleet to spin up (prover groups
 // with behaviors and cities), the tenant population, the churn script,
-// optional bit-level distance-bounding and geolocation-drift phases, and
-// the expected outcome the orchestrator diffs the run against. A Spec is
+// an optional geolocation-drift phase, and the expected outcome the
+// orchestrator diffs the run against. A Spec is
 // plain data — build it in Go or load it from a JSON fixture with
 // ParseSpec — and together with Seed it fully determines the run.
 type Spec struct {
 	Name        string `json:"name"`
 	Description string `json:"description,omitempty"`
 	// Seed drives every random stream in the scenario: the simnet's
-	// jitter/loss draws, the fleet controller's per-prover jitter, each
-	// tenant TPA's challenge nonces, and the dbound/drift phases.
+	// jitter draws (drift probes included), the provers' packet loss, the
+	// fleet controller's per-prover jitter and each tenant TPA's
+	// challenge nonces.
 	Seed int64 `json:"seed"`
 
 	// Tenants is the tenant population; each tenant encodes one private
@@ -61,9 +62,11 @@ type Spec struct {
 
 	Provers []ProverGroup `json:"provers"`
 	Churn   []ChurnEvent  `json:"churn,omitempty"`
-	DBound  *DBoundSpec   `json:"dbound,omitempty"`
-	Drift   *DriftSpec    `json:"drift,omitempty"`
-	Expect  Expect        `json:"expect"`
+	// Drift enables the post-run geolocation phase: every live prover's
+	// site is pinged from the continental landmarks over the scenario's
+	// network, multilaterated and compared against its claimed city.
+	Drift  bool   `json:"drift,omitempty"`
+	Expect Expect `json:"expect"`
 }
 
 // ProverGroup declares Count provers sharing one behavior. Member i is
@@ -85,7 +88,6 @@ type ProverGroup struct {
 	//              geolocation drift phase can flag it;
 	//   corrupt  — honest site with CorruptFraction of every file's
 	//              segments bit-rotted at setup;
-	//   delay    — honest site adding ExtraDelayMs of service time;
 	//   flaky    — honest site behind a link losing LossPct% of packets.
 	Behavior string   `json:"behavior"`
 	City     string   `json:"city,omitempty"`
@@ -93,7 +95,6 @@ type ProverGroup struct {
 	TrueCity string   `json:"trueCity,omitempty"`
 
 	CorruptFraction float64 `json:"corruptFraction,omitempty"`
-	ExtraDelayMs    float64 `json:"extraDelayMs,omitempty"`
 	LossPct         float64 `json:"lossPct,omitempty"`
 }
 
@@ -110,28 +111,6 @@ type ChurnEvent struct {
 	Target string `json:"target"`
 }
 
-// DBoundSpec enables the post-run bit-level distance-bounding phase: for
-// every relay-class adversary in the fleet, run pre-ask mafia-fraud
-// sessions (the attacker answers locally) and honest-relay sessions (the
-// real prover answers over the relay leg) against each §III-A protocol.
-type DBoundSpec struct {
-	// Rounds per session (default 24: pre-ask success (3/4)^24 ≈ 1e-3).
-	Rounds int `json:"rounds,omitempty"`
-	// Sessions per (adversary, protocol) pair (default 20).
-	Sessions int `json:"sessions,omitempty"`
-}
-
-// DriftSpec enables the post-run geolocation phase: every live prover's
-// true site position is multilaterated from the continental landmark set
-// and compared against its claimed city.
-type DriftSpec struct {
-	// ThresholdKm flags a prover whose estimate deviates farther than
-	// this from its claim (default 500).
-	ThresholdKm float64 `json:"thresholdKm,omitempty"`
-	// JitterMs adds seeded per-probe noise (default 1).
-	JitterMs float64 `json:"jitterMs,omitempty"`
-}
-
 // Expect declares the verdict matrix and fleet outcome the run must
 // produce; every violation becomes one line of Result.Diff.
 type Expect struct {
@@ -140,9 +119,6 @@ type Expect struct {
 	// MinAudits requires at least this many recorded audits per
 	// still-registered prover (default 1).
 	MinAudits int `json:"minAudits,omitempty"`
-	// MaxDBoundAcceptRate bounds the pre-ask acceptance rate across the
-	// whole dbound phase (default 0.1).
-	MaxDBoundAcceptRate float64 `json:"maxDBoundAcceptRate,omitempty"`
 }
 
 // GroupExpect pins one group's outcome.
@@ -170,8 +146,9 @@ type GroupExpect struct {
 	HealthPath []string `json:"healthPath,omitempty"`
 	// Stable requires zero health transitions on every member.
 	Stable bool `json:"stable,omitempty"`
-	// Drift, with a DriftSpec, is whether every member must be flagged
-	// by the drift detector (false = no member may be flagged).
+	// Drift, when the spec runs the drift phase, is whether every member
+	// must be flagged by the drift detector (false = no member may be
+	// flagged).
 	Drift bool `json:"drift,omitempty"`
 }
 
@@ -203,7 +180,6 @@ const (
 	BehaviorCollude = "collude"
 	BehaviorDrift   = "drift"
 	BehaviorCorrupt = "corrupt"
-	BehaviorDelay   = "delay"
 	BehaviorFlaky   = "flaky"
 )
 
@@ -261,32 +237,6 @@ func (s Spec) withDefaults() Spec {
 	if s.Expect.MinAudits <= 0 {
 		s.Expect.MinAudits = 1
 	}
-	if s.Expect.MaxDBoundAcceptRate <= 0 {
-		s.Expect.MaxDBoundAcceptRate = 0.1
-	}
-	if s.DBound != nil {
-		d := *s.DBound
-		if d.Rounds <= 0 {
-			d.Rounds = 24
-		}
-		if d.Sessions <= 0 {
-			d.Sessions = 20
-		}
-		s.DBound = &d
-	}
-	if s.Drift != nil {
-		d := *s.Drift
-		if d.ThresholdKm <= 0 {
-			d.ThresholdKm = 500
-		}
-		if d.JitterMs == 0 {
-			d.JitterMs = 1
-		}
-		if d.JitterMs < 0 {
-			d.JitterMs = 0
-		}
-		s.Drift = &d
-	}
 	return s
 }
 
@@ -316,7 +266,7 @@ func (s Spec) Validate() error {
 		}
 		seen[g.Name] = true
 		switch g.Behavior {
-		case BehaviorHonest, BehaviorCorrupt, BehaviorDelay, BehaviorFlaky:
+		case BehaviorHonest, BehaviorCorrupt, BehaviorFlaky:
 		case BehaviorRelay, BehaviorCollude, BehaviorDrift:
 			if g.TrueCity == "" {
 				return fmt.Errorf("testnet: spec %q: group %q behavior %q needs trueCity", s.Name, g.Name, g.Behavior)

@@ -9,8 +9,7 @@ import (
 
 // TestLibraryScenarios runs every library scenario (the scale scenario is
 // skipped under -short) and requires an empty expectation diff: the
-// declared verdict matrix, health paths, drift flags and dbound bounds
-// all hold.
+// declared verdict matrix, health paths and drift flags all hold.
 func TestLibraryScenarios(t *testing.T) {
 	for _, spec := range Library() {
 		spec := spec
@@ -41,12 +40,12 @@ func TestLibraryScenarios(t *testing.T) {
 // moves a hash on purpose updates it and says why.
 var pinnedTraceHashes = map[string]string{
 	"baseline-honest":  "90595813e1be",
-	"relay-attack":     "66282f33f7a0",
-	"collusion":        "f66ba1f9a4c5",
-	"region-drift":     "d263937881bf",
+	"relay-attack":     "cf3010c70f33",
+	"collusion":        "2a503acc557a",
+	"region-drift":     "a6b937526b48",
 	"churn-storm":      "97a19340b428",
 	"loss-degradation": "82d64be92b49",
-	"scale-fleet":      "ed6a5b1de331",
+	"scale-fleet":      "7b41a8b0455c",
 }
 
 // TestLibraryTraceHashesPinned runs every library scenario once (the
@@ -126,11 +125,30 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 	if parsed.Name != orig.Name || parsed.Seed != orig.Seed || len(parsed.Provers) != len(orig.Provers) {
 		t.Fatalf("round trip mangled the spec: %+v", parsed)
 	}
+	drift := regionDrift()
+	if data, err = json.Marshal(drift); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), `"drift":true`) {
+		t.Fatalf("drift phase not encoded as \"drift\": true: %s", data)
+	}
+	if parsed, err = ParseSpec(data); err != nil || !parsed.Drift {
+		t.Fatalf("\"drift\": true did not round-trip: %+v, %v", parsed, err)
+	}
 	if _, err := ParseSpec([]byte(`{"name":"x","tenants":1,"provers":[{"name":"p","count":1,"behavior":"honest"}],"bogus":1}`)); err == nil {
 		t.Fatal("unknown field silently accepted")
 	}
-	if _, err := ParseSpec([]byte(`{"name":"x","tenants":1,"provers":[{"name":"p","count":1,"behavior":"teleport"}]}`)); err == nil {
-		t.Fatal("unknown behavior silently accepted")
+	for _, bad := range []string{
+		`{"name":"x","tenants":1,"provers":[{"name":"p","count":1,"behavior":"teleport"}]}`,
+		// The bit-level distance-bounding phase, the delay behaviour and
+		// the drift phase's settings object are gone; old fixtures fail.
+		`{"name":"x","tenants":1,"provers":[{"name":"p","count":1,"behavior":"honest"}],"dbound":{}}`,
+		`{"name":"x","tenants":1,"provers":[{"name":"p","count":1,"behavior":"delay"}]}`,
+		`{"name":"x","tenants":1,"provers":[{"name":"p","count":1,"behavior":"honest"}],"drift":{}}`,
+	} {
+		if _, err := ParseSpec([]byte(bad)); err == nil {
+			t.Errorf("ParseSpec accepted %s", bad)
+		}
 	}
 }
 
@@ -150,6 +168,7 @@ func TestValidateRejectsBrokenSpecs(t *testing.T) {
 		{"no tenants", func(s *Spec) { s.Tenants = 0 }},
 		{"no provers", func(s *Spec) { s.Provers = nil }},
 		{"relay without trueCity", func(s *Spec) { s.Provers[0].Behavior = BehaviorRelay }},
+		{"removed delay behavior", func(s *Spec) { s.Provers[0].Behavior = "delay" }},
 		{"unknown city", func(s *Spec) { s.Provers[0].City = "Atlantis" }},
 		{"duplicate group", func(s *Spec) { s.Provers = append(s.Provers, s.Provers[0]) }},
 		{"bad churn action", func(s *Spec) { s.Churn = []ChurnEvent{{Action: "explode", Target: "p-00"}} }},

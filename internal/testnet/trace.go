@@ -48,8 +48,6 @@ type Result struct {
 
 	// Fleet-phase totals across all audits.
 	Accepted, Rejected, Timeouts, Errors int
-	// DBound-phase totals (zero unless the spec enables the phase).
-	DBoundSessions, DBoundAccepted, DBoundRelayAccepted int
 	// Drifted lists provers flagged by the drift phase, in fleet order.
 	Drifted []string
 }
