@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"strconv"
 	"strings"
@@ -251,10 +253,11 @@ func TestTableRender(t *testing.T) {
 	}
 }
 
-// renderAll renders E1-E10 at one seed, in geobench's order.
-func renderAll(t *testing.T, seed int64) string {
+// renderAll renders E1-E10 at one seed, in geobench's order, one string
+// per table.
+func renderAll(t *testing.T, seed int64) []string {
 	t.Helper()
-	var sb strings.Builder
+	var out []string
 	for _, gen := range []func() (Table, error){
 		func() (Table, error) { return TableI(), nil },
 		func() (Table, error) { return TableII(seed), nil },
@@ -271,9 +274,11 @@ func renderAll(t *testing.T, seed int64) string {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var sb strings.Builder
 		tab.Render(&sb)
+		out = append(out, sb.String())
 	}
-	return sb.String()
+	return out
 }
 
 // TestTablesDeterministic: the tables are a pure function of the seed —
@@ -281,8 +286,44 @@ func renderAll(t *testing.T, seed int64) string {
 // of geobench's output.
 func TestTablesDeterministic(t *testing.T) {
 	for _, seed := range []int64{1, 3} {
-		if a, b := renderAll(t, seed), renderAll(t, seed); a != b {
-			t.Fatalf("seed %d: two renders differ:\n%s\n---\n%s", seed, a, b)
+		a, b := renderAll(t, seed), renderAll(t, seed)
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("seed %d: two renders differ:\n%s\n---\n%s", seed, a[i], b[i])
+			}
+		}
+	}
+}
+
+// tablePins holds the first 16 hex digits of the SHA-256 of each
+// rendered table, E1-E10 in geobench's order, per seed. A change that
+// moves a table's bytes must say which pin it moved and why.
+var tablePins = map[int64][]string{
+	1: {
+		"338a3f0d63ccb624", "3cd768bb50ea51e9", "62c2b39b776c87c5", "22cad70a92123716", "ccbd1cfb7ff02de5",
+		"5ab53dba26c51100", "2d0895a350abd74f", "a200059e10447049", "95782c65618bce9f", "8eb95d3390962aa9",
+	},
+	3: {
+		"338a3f0d63ccb624", "706853a69269e7da", "62c2b39b776c87c5", "22cad70a92123716", "e46f4c489dc8b58c",
+		"52a7acc981e52687", "2d0895a350abd74f", "daf6fe1b30d18196", "95782c65618bce9f", "6f20ee7b36ab72c9",
+	},
+}
+
+// TestTablesPinned: each table renders to the bytes committed above, so
+// a table that moves is caught, not only one that stops being
+// reproducible.
+func TestTablesPinned(t *testing.T) {
+	for seed, pins := range tablePins {
+		for i, got := range renderAll(t, seed) {
+			sum := sha256.Sum256([]byte(got))
+			h := hex.EncodeToString(sum[:8])
+			if i >= len(pins) || pins[i] != h {
+				want := "(none)"
+				if i < len(pins) {
+					want = pins[i]
+				}
+				t.Errorf("seed %d table %d: sha256 prefix %s, pinned %s:\n%s", seed, i+1, h, want, got)
+			}
 		}
 	}
 }
