@@ -14,7 +14,6 @@ import (
 	"repro/internal/blockfile"
 	"repro/internal/disk"
 	"repro/internal/geo"
-	"repro/internal/parallel"
 	"repro/internal/simnet"
 )
 
@@ -133,28 +132,6 @@ func (s *Site) ReadSegment(fileID string, i int64) ([]byte, time.Duration, error
 		return nil, 0, fmt.Errorf("%w: %d", ErrBadIndex, i)
 	}
 	return f.disk.ReadAt(int(off), f.layout.SegmentSize())
-}
-
-// ReadSegments fetches a batch of segments with up to workers concurrent
-// disk reads (workers ≤ 0 selects runtime.NumCPU()). Results are in index
-// order; the per-segment latencies are reported individually so callers
-// can model overlapped or serial scheduling as they see fit. The first
-// failing read (lowest position in indices) aborts the batch.
-func (s *Site) ReadSegments(fileID string, indices []int64, workers int) ([][]byte, []time.Duration, error) {
-	segs := make([][]byte, len(indices))
-	lats := make([]time.Duration, len(indices))
-	err := parallel.For(parallel.Resolve(workers), len(indices), func(j int) error {
-		seg, lat, err := s.ReadSegment(fileID, indices[j])
-		if err != nil {
-			return err
-		}
-		segs[j], lats[j] = seg, lat
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return segs, lats, nil
 }
 
 // Layout returns the layout of a stored file.

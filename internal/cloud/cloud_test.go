@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/blockfile"
 	"repro/internal/disk"
 	"repro/internal/geo"
 	"repro/internal/por"
@@ -30,6 +31,16 @@ func prepared(t *testing.T) (*por.Encoder, *por.EncodedFile) {
 		t.Fatal(err)
 	}
 	return enc, ef
+}
+
+// verifySegment checks one segment's tag the way the TPA does.
+func verifySegment(t *testing.T, enc *por.Encoder, fileID string, layout blockfile.Layout, i int64, seg []byte) error {
+	t.Helper()
+	verdicts, err := enc.VerifySegments(fileID, layout, []int64{i}, [][]byte{seg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return verdicts[0]
 }
 
 func TestSiteStoreAndRead(t *testing.T) {
@@ -87,7 +98,7 @@ func TestHonestProviderServesVerifiableSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := enc.VerifySegment(ef.FileID, ef.Layout, 3, seg); err != nil {
+	if err := verifySegment(t, enc, ef.FileID, ef.Layout, 3, seg); err != nil {
 		t.Fatalf("segment from honest provider fails MAC: %v", err)
 	}
 }
@@ -109,7 +120,7 @@ func TestCorruptRandomSegmentsDetectable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := enc.VerifySegment(ef.FileID, ef.Layout, i, seg); err != nil {
+		if err := verifySegment(t, enc, ef.FileID, ef.Layout, i, seg); err != nil {
 			bad++
 		}
 	}
@@ -139,7 +150,7 @@ func TestRelayProviderAddsLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Content is still genuine — the relay lies about place, not data.
-	if err := enc.VerifySegment(ef.FileID, ef.Layout, 0, seg); err != nil {
+	if err := verifySegment(t, enc, ef.FileID, ef.Layout, 0, seg); err != nil {
 		t.Fatalf("relayed segment fails MAC: %v", err)
 	}
 	// Latency must include the Brisbane-Perth round trip: ≥ 2·dist/(4c/9).
@@ -190,41 +201,5 @@ func TestSLA(t *testing.T) {
 	}
 	if sla.Permits(geo.Perth) {
 		t.Fatal("Perth is 3600 km outside a 100 km Brisbane SLA")
-	}
-}
-
-func TestReadSegmentsBatch(t *testing.T) {
-	_, ef := prepared(t)
-	site := NewSite(brisbaneDC(), 1)
-	site.Store(ef.FileID, ef.Layout, ef.Data)
-
-	indices := []int64{0, 5, 1, ef.Layout.Segments - 1, 5}
-	for _, workers := range []int{1, 0, 4} {
-		segs, lats, err := site.ReadSegments(ef.FileID, indices, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if len(segs) != len(indices) || len(lats) != len(indices) {
-			t.Fatalf("workers=%d: got %d segs, %d lats", workers, len(segs), len(lats))
-		}
-		for j, i := range indices {
-			want, wantLat, err := site.ReadSegment(ef.FileID, i)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(segs[j], want) {
-				t.Fatalf("workers=%d: segment %d content mismatch", workers, i)
-			}
-			if lats[j] != wantLat {
-				t.Fatalf("workers=%d: segment %d latency %v, want %v", workers, i, lats[j], wantLat)
-			}
-		}
-	}
-
-	if _, _, err := site.ReadSegments(ef.FileID, []int64{0, ef.Layout.Segments}, 4); !errors.Is(err, ErrBadIndex) {
-		t.Fatalf("out-of-range batch: %v", err)
-	}
-	if _, _, err := site.ReadSegments("nope", []int64{0}, 4); !errors.Is(err, ErrNoSuchFile) {
-		t.Fatalf("missing file batch: %v", err)
 	}
 }

@@ -34,7 +34,7 @@ func TestBatchAttestedAuditAccepted(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st.Batch == nil || len(st.Signature) != 0 {
-		t.Fatalf("batch verifier produced mode %v", st.Mode())
+		t.Fatalf("batch verifier produced batch=%v, %d signature bytes", st.Batch != nil, len(st.Signature))
 	}
 	rep := fx.tpa.VerifyAudit(req, fx.ef.Layout, st)
 	if !rep.Accepted {
@@ -149,53 +149,60 @@ func TestBatchAttestationAdversarial(t *testing.T) {
 	})
 }
 
-// TestVerifyAuditsMixedModes checks one sweep holding batch-attested,
-// per-transcript and tampered transcripts: every report must match its
-// sequential VerifyAudit verdict and carry the right attestation mode.
-func TestVerifyAuditsMixedModes(t *testing.T) {
+// TestVerifyAuditMixedModes verifies, one after another, batch-attested,
+// per-transcript and tampered transcripts through one TPA: each report
+// names its attestation mode, a tampered transcript of either mode is
+// rejected, and a batch root whose signature verified once is served
+// from the verified-root cache the next time.
+func TestVerifyAuditMixedModes(t *testing.T) {
 	fx, bv := batchFixture(t)
 	const nAudits = 9
-	jobs := make([]AuditJob, 0, nAudits)
 	for i := 0; i < nAudits; i++ {
 		req, err := fx.tpa.NewRequest(testFileID, fx.ef.Layout, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
-		v := fx.verifier
+		v, wantMode := fx.verifier, AttestPerTranscript
 		if i%2 == 0 {
-			v = bv
+			v, wantMode = bv, AttestBatch
 		}
 		st, err := v.RunAudit(context.Background(), req, fx.conn)
 		if err != nil {
 			t.Fatal(err)
 		}
-		jobs = append(jobs, AuditJob{Req: req, Layout: fx.ef.Layout, Signed: st})
-	}
-	// One tampered transcript of each mode.
-	jobs[2].Signed.Transcript.Rounds[0].Segment[0] ^= 0xFF
-	jobs[3].Signed.Transcript.Rounds[0].Segment[0] ^= 0xFF
-
-	reports := fx.tpa.VerifyAudits(jobs)
-	for i, job := range jobs {
-		want := fx.tpa.VerifyAudit(job.Req, job.Layout, job.Signed)
-		got := reports[i]
-		if got.Accepted != want.Accepted || got.SignatureOK != want.SignatureOK ||
-			got.Attestation != want.Attestation || got.SegmentsBad != want.SegmentsBad {
-			t.Fatalf("job %d: sweep report %+v differs from sequential %+v", i, got, want)
+		tampered := i == 2 || i == 3 // one of each mode
+		if tampered {
+			st.Transcript.Rounds[0].Segment[0] ^= 0xFF
 		}
-		wantMode := AttestPerTranscript
-		if i%2 == 0 {
-			wantMode = AttestBatch
+		hits, misses := fx.tpa.roots.hits.Load(), fx.tpa.roots.misses.Load()
+		rep := fx.tpa.VerifyAudit(req, fx.ef.Layout, st)
+		if rep.Attestation != wantMode {
+			t.Fatalf("audit %d: attestation %v, want %v", i, rep.Attestation, wantMode)
 		}
-		if got.Attestation != wantMode {
-			t.Fatalf("job %d: attestation %v, want %v", i, got.Attestation, wantMode)
-		}
-		if i == 2 || i == 3 {
-			if got.Accepted {
-				t.Fatalf("tampered job %d accepted", i)
+		if tampered {
+			if rep.Accepted || rep.SignatureOK || rep.SegmentsBad != 1 {
+				t.Fatalf("tampered audit %d: %+v", i, rep)
 			}
-		} else if !got.Accepted {
-			t.Fatalf("honest job %d rejected: %s", i, got.Reason())
+		} else if !rep.Accepted || rep.SegmentsOK != 8 {
+			t.Fatalf("honest audit %d rejected: %s", i, rep.Reason())
+		}
+		if wantMode != AttestBatch {
+			if fx.tpa.roots.hits.Load() != hits || fx.tpa.roots.misses.Load() != misses {
+				t.Fatalf("audit %d: a per-transcript signature touched the root cache", i)
+			}
+			continue
+		}
+		// MaxBatch 1: every batch audit brings a new root, checked once...
+		if got := fx.tpa.roots.misses.Load() - misses; got != 1 {
+			t.Fatalf("audit %d: %d root-cache misses for a new root, want 1", i, got)
+		}
+		// ...and cached for the next transcript under it.
+		again := fx.tpa.VerifyAudit(req, fx.ef.Layout, st)
+		if got := fx.tpa.roots.hits.Load() - hits; got != 1 {
+			t.Fatalf("audit %d: %d root-cache hits on a verified root, want 1", i, got)
+		}
+		if again.Accepted != rep.Accepted || again.SignatureOK != rep.SignatureOK {
+			t.Fatalf("audit %d: cached-root verdict %+v differs from first %+v", i, again, rep)
 		}
 	}
 }

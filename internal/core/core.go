@@ -111,15 +111,11 @@ func (t Transcript) Marshal() []byte {
 	return h
 }
 
-// Digest returns the SHA-256 digest of the canonical encoding; useful for
-// logging and deduplication. In batch-signing mode this digest is also
-// the Merkle leaf the verifier commits to.
-func (t Transcript) Digest() [32]byte { return sha256.Sum256(t.Marshal()) }
-
 // BatchAttestation authenticates a transcript through a batch-signed
 // Merkle root instead of a per-transcript signature: the verifier signed
 // Root (domain-separated, crypt.SignBatchRoot) and Proof ties the
-// transcript's digest to Root at leaf Proof.Index. The TPA verifies the
+// SHA-256 of the transcript's canonical encoding to Root at leaf
+// Proof.Index. The TPA verifies the
 // root signature once per batch and one SHA-256 path per transcript.
 type BatchAttestation struct {
 	Root    merkle.Hash
@@ -165,14 +161,6 @@ func (m AttestationMode) String() string {
 	default:
 		return "none"
 	}
-}
-
-// Mode reports the transcript's attestation form.
-func (st SignedTranscript) Mode() AttestationMode {
-	if st.Batch != nil {
-		return AttestBatch
-	}
-	return AttestPerTranscript
 }
 
 // ProverConn is the verifier's channel to the prover; MuxProverConn, over

@@ -14,7 +14,10 @@
 //   - Prover P: the cloud provider serving segments (cloud.Provider behind
 //     a ProverConn transport).
 //   - TPA A (TPA): drives audits through V, verifies signature, GPS
-//     position, segment MACs and the per-round time bound Δt_max.
+//     position, segment MACs and the per-round time bound Δt_max. The
+//     request-to-verifier leg is not authenticated, so it also checks that
+//     the transcript names the file and nonce it asked for, and checks the
+//     MACs under the requested file's key.
 //
 // # Transports
 //
@@ -86,10 +89,9 @@
 //
 // # Multi-tenant audit scheduling
 //
-// One verified transcript is VerifyAudit; one auditor sweeping a batch of
-// transcripts is VerifyAudits. The Scheduler (sched.go) is the layer
-// above both: it continuously drives whole audits — fresh nonce, timed
-// rounds via an AuditRunner, verification, verdict — for many tenants
+// One verified transcript is VerifyAudit. The Scheduler (sched.go) is
+// the layer above it: it continuously drives whole audits — fresh nonce,
+// timed rounds via an AuditRunner, verification, verdict — for many tenants
 // against many provers, with a bounded in-flight window per prover,
 // round-robin tenant fairness, per-attempt timeouts and bounded retries;
 // the fleet controller tightens those knobs for one prover with a
@@ -101,7 +103,7 @@
 //
 // # Transcript attestation
 //
-// A SignedTranscript carries one of two attestation forms (Mode). The
+// A SignedTranscript carries one of two attestation forms. The
 // classic form is a per-transcript ECDSA signature over the canonical
 // transcript bytes. The amortized form (BatchAttestation, produced by a
 // Verifier configured WithBatchSigner) replaces it with a signature
@@ -110,9 +112,8 @@
 // asymmetric signature per window instead of per audit (see
 // crypt/doc.go). Verification mirrors that split: the TPA verifies each
 // distinct root's signature once (a small LRU of verified roots makes
-// the rest of the window cache hits, and VerifyAudits groups jobs by
-// root even past the cache) and then checks one SHA-256 inclusion path
-// per transcript. Everything downstream of step 1 — position, MACs,
+// the rest of the window cache hits) and then checks one SHA-256
+// inclusion path per transcript. Everything downstream of step 1 — position, MACs,
 // min-RTT timing, rejection semantics — is identical in both modes, and
 // each Report and LedgerEntry records which attestation mode vouched
 // for the verdict.

@@ -60,7 +60,7 @@ func newFleetFixture(t *testing.T, cfg FleetConfig) *fleetFixture {
 }
 
 func (x *fleetFixture) honestRunner() AuditRunner {
-	return &localRunner{Verifier: x.f.verifier, Conn: &memConn{store: x.f.store}}
+	return &localRunner{Verifier: x.f.verifier, Conn: &memConn{ef: x.f.ef}}
 }
 
 // step runs one reconcile tick and advances the virtual clock by dt.
@@ -500,7 +500,7 @@ func TestFleetChurnUnderRace(t *testing.T) {
 	ctl := NewFleetController(cfg)
 	ctl.RegisterTenant("acme", f.tpa)
 	honest := func() AuditRunner {
-		return &localRunner{Verifier: f.verifier, Conn: &memConn{store: f.store}}
+		return &localRunner{Verifier: f.verifier, Conn: &memConn{ef: f.ef}}
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())

@@ -215,17 +215,6 @@ func (l *AuditLedger) Record(v Verdict) {
 	e.add(v)
 }
 
-// Entry returns a copy of one cell.
-func (l *AuditLedger) Entry(tenant, prover string, epoch uint64) (LedgerEntry, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	e, ok := l.entries[LedgerKey{Tenant: tenant, Prover: prover, Epoch: epoch}]
-	if !ok {
-		return LedgerEntry{}, false
-	}
-	return *e, true
-}
-
 // Snapshot returns every cell sorted by (epoch, tenant, prover).
 func (l *AuditLedger) Snapshot() []LedgerRow {
 	l.mu.Lock()

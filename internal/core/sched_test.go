@@ -21,10 +21,24 @@ import (
 // memConn serves segments straight from an encoded file in memory — the
 // fastest possible honest prover, used to exercise scheduler mechanics
 // without a network model.
-type memConn struct{ store *por.Store }
+type memConn struct{ ef *por.EncodedFile }
 
 func (c *memConn) GetSegment(_ context.Context, fileID string, index uint64) ([]byte, error) {
-	return c.store.ReadSegment(int64(index))
+	off, err := c.ef.Layout.SegmentOffset(int64(index))
+	if err != nil {
+		return nil, err
+	}
+	return append([]byte(nil), c.ef.Data[off:off+int64(c.ef.Layout.SegmentSize())]...), nil
+}
+
+// ledgerEntry returns one cell of a ledger snapshot.
+func ledgerEntry(l *AuditLedger, tenant, prover string, epoch uint64) (LedgerEntry, bool) {
+	for _, row := range l.Snapshot() {
+		if row.Tenant == tenant && row.Prover == prover && row.Epoch == epoch {
+			return row.LedgerEntry, true
+		}
+	}
+	return LedgerEntry{}, false
 }
 
 // localRunner drives audits through an in-process verifier over a fixed
@@ -39,16 +53,15 @@ func (r *localRunner) RunAudit(ctx context.Context, req AuditRequest) (SignedTra
 }
 
 // corruptConn flips a payload byte in every returned segment.
-type corruptConn struct{ store *por.Store }
+type corruptConn struct{ memConn }
 
-func (c *corruptConn) GetSegment(_ context.Context, fileID string, index uint64) ([]byte, error) {
-	seg, err := c.store.ReadSegment(int64(index))
+func (c *corruptConn) GetSegment(ctx context.Context, fileID string, index uint64) ([]byte, error) {
+	seg, err := c.memConn.GetSegment(ctx, fileID, index)
 	if err != nil {
 		return nil, err
 	}
-	bad := append([]byte(nil), seg...)
-	bad[0] ^= 0xFF
-	return bad, nil
+	seg[0] ^= 0xFF
+	return seg, nil
 }
 
 // countingRunner tracks the concurrent RunAudit calls passing through it.
@@ -116,7 +129,6 @@ func (r *flakyRunner) RunAudit(ctx context.Context, req AuditRequest) (SignedTra
 // tests robust on loaded single-core CI runners).
 type schedFixture struct {
 	ef       *por.EncodedFile
-	store    *por.Store
 	verifier *Verifier
 	tpa      *TPA
 }
@@ -138,7 +150,7 @@ func newSchedFixture(t *testing.T) *schedFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &schedFixture{ef: ef, store: por.NewStore(ef), verifier: verifier, tpa: tpa}
+	return &schedFixture{ef: ef, verifier: verifier, tpa: tpa}
 }
 
 func (f *schedFixture) task(tenant, prover string, k int) AuditTask {
@@ -159,7 +171,7 @@ func TestSchedulerInFlightBoundNeverExceeded(t *testing.T) {
 	runners := make([]*countingRunner, provers)
 	for p := 0; p < provers; p++ {
 		runners[p] = &countingRunner{
-			inner: &localRunner{Verifier: f.verifier, Conn: &memConn{store: f.store}},
+			inner: &localRunner{Verifier: f.verifier, Conn: &memConn{ef: f.ef}},
 			delay: 100 * time.Microsecond,
 		}
 		sched.RegisterProver(fmt.Sprintf("prover-%02d", p), runners[p])
@@ -253,7 +265,7 @@ func TestSchedulerTimeoutReleasesWindow(t *testing.T) {
 			t.Errorf("verdict %d: err %q does not mention the timeout", i, v.Err)
 		}
 	}
-	entry, ok := sched.Ledger().Entry("t1", "dead", 1)
+	entry, ok := ledgerEntry(sched.Ledger(), "t1", "dead", 1)
 	if !ok || entry.Timeouts != 2 || entry.Audits != 2 {
 		t.Fatalf("ledger entry = %+v, ok=%v; want 2 timeouts", entry, ok)
 	}
@@ -272,7 +284,7 @@ func TestSchedulerCorruptProverRejectedNotRetried(t *testing.T) {
 	sched.RegisterTenant("t1", f.tpa)
 	sched.RegisterProver("corrupt", &localRunner{
 		Verifier: f.verifier,
-		Conn:     &corruptConn{store: f.store},
+		Conn:     &corruptConn{memConn{ef: f.ef}},
 	})
 
 	verdicts := sched.RunEpoch(context.Background(), []AuditTask{
@@ -290,7 +302,7 @@ func TestSchedulerCorruptProverRejectedNotRetried(t *testing.T) {
 			t.Errorf("verdict %d: report %+v, want 3 bad segments", i, v.Report)
 		}
 	}
-	entry, _ := sched.Ledger().Entry("t1", "corrupt", 1)
+	entry, _ := ledgerEntry(sched.Ledger(), "t1", "corrupt", 1)
 	if entry.Rejected != 2 || entry.LastReason == "" {
 		t.Fatalf("ledger entry = %+v; want 2 rejections with a reason", entry)
 	}
@@ -307,7 +319,7 @@ func TestSchedulerRetryThenAccept(t *testing.T) {
 	})
 	sched.RegisterTenant("t1", f.tpa)
 	sched.RegisterProver("flaky", &flakyRunner{
-		inner:    &localRunner{Verifier: f.verifier, Conn: &memConn{store: f.store}},
+		inner:    &localRunner{Verifier: f.verifier, Conn: &memConn{ef: f.ef}},
 		failures: 1,
 	})
 
@@ -341,7 +353,7 @@ func TestSchedulerEpochsAccumulate(t *testing.T) {
 	f := newSchedFixture(t)
 	sched := NewScheduler(SchedulerConfig{Workers: 2, ProverWindow: 2})
 	sched.RegisterTenant("t1", f.tpa)
-	sched.RegisterProver("p1", &localRunner{Verifier: f.verifier, Conn: &memConn{store: f.store}})
+	sched.RegisterProver("p1", &localRunner{Verifier: f.verifier, Conn: &memConn{ef: f.ef}})
 
 	for epoch := 1; epoch <= 3; epoch++ {
 		verdicts := sched.RunEpoch(context.Background(), []AuditTask{f.task("t1", "p1", 2)})
@@ -364,7 +376,7 @@ func TestAuditLedgerCompactBefore(t *testing.T) {
 	f := newSchedFixture(t)
 	sched := NewScheduler(SchedulerConfig{Workers: 1})
 	sched.RegisterTenant("t1", f.tpa)
-	sched.RegisterProver("p1", &localRunner{Verifier: f.verifier, Conn: &memConn{store: f.store}})
+	sched.RegisterProver("p1", &localRunner{Verifier: f.verifier, Conn: &memConn{ef: f.ef}})
 	for epoch := 0; epoch < 4; epoch++ {
 		sched.RunEpoch(context.Background(), []AuditTask{f.task("t1", "p1", 2)})
 	}
@@ -407,7 +419,7 @@ func TestSchedulerOnVerdictHook(t *testing.T) {
 		},
 	})
 	sched.RegisterTenant("t1", f.tpa)
-	sched.RegisterProver("p1", &localRunner{Verifier: f.verifier, Conn: &memConn{store: f.store}})
+	sched.RegisterProver("p1", &localRunner{Verifier: f.verifier, Conn: &memConn{ef: f.ef}})
 	tasks := make([]AuditTask, 8)
 	for i := range tasks {
 		tasks[i] = f.task("t1", "p1", 2)
@@ -563,7 +575,7 @@ func TestSchedulerProverPolicyOverrides(t *testing.T) {
 	f := newSchedFixture(t)
 	slow := func() AuditRunner {
 		return &countingRunner{
-			inner: &localRunner{Verifier: f.verifier, Conn: &memConn{store: f.store}},
+			inner: &localRunner{Verifier: f.verifier, Conn: &memConn{ef: f.ef}},
 			delay: 60 * time.Millisecond,
 		}
 	}
@@ -600,11 +612,11 @@ func TestSchedulerProverPolicyOverrides(t *testing.T) {
 	sched2 := NewScheduler(SchedulerConfig{Workers: 1, Clock: clock})
 	sched2.RegisterTenant("t1", f.tpa)
 	sched2.RegisterProverPolicy("flaky-retry", &flakyRunner{
-		inner:    &localRunner{Verifier: f.verifier, Conn: &memConn{store: f.store}},
+		inner:    &localRunner{Verifier: f.verifier, Conn: &memConn{ef: f.ef}},
 		failures: 2,
 	}, ProverPolicy{Retries: 2, RetryBackoff: 10 * time.Millisecond})
 	sched2.RegisterProver("flaky-default", &flakyRunner{
-		inner:    &localRunner{Verifier: f.verifier, Conn: &memConn{store: f.store}},
+		inner:    &localRunner{Verifier: f.verifier, Conn: &memConn{ef: f.ef}},
 		failures: 1,
 	})
 	verdicts = sched2.RunEpoch(context.Background(), []AuditTask{
@@ -624,7 +636,7 @@ func TestSchedulerProverPolicyOverrides(t *testing.T) {
 
 	// Window: a per-prover window of 1 beats the fleet default of 4.
 	counting := &countingRunner{
-		inner: &localRunner{Verifier: f.verifier, Conn: &memConn{store: f.store}},
+		inner: &localRunner{Verifier: f.verifier, Conn: &memConn{ef: f.ef}},
 		delay: 2 * time.Millisecond,
 	}
 	sched3 := NewScheduler(SchedulerConfig{Workers: 8, ProverWindow: 4})
@@ -650,7 +662,7 @@ func TestVerifierRunAuditCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := f.verifier.RunAudit(ctx, req, &memConn{store: f.store}); !errors.Is(err, context.Canceled) {
+	if _, err := f.verifier.RunAudit(ctx, req, &memConn{ef: f.ef}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunAudit on a cancelled ctx: err = %v, want context.Canceled", err)
 	}
 }
@@ -684,7 +696,7 @@ func TestSchedulerEpochDeadlineNotBlamedOnProver(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("epoch with an expired deadline did not drain")
 	}
-	entry, ok := sched.Ledger().Entry("t1", "dead", 1)
+	entry, ok := ledgerEntry(sched.Ledger(), "t1", "dead", 1)
 	if !ok || entry.Timeouts != 0 || entry.Errors != 2 {
 		t.Fatalf("ledger entry = %+v, ok=%v; epoch deadline must not count as prover timeouts", entry, ok)
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"container/list"
 	"crypto/ecdsa"
 	"crypto/rand"
@@ -9,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -20,7 +18,6 @@ import (
 	"repro/internal/crypt"
 	"repro/internal/geo"
 	"repro/internal/merkle"
-	"repro/internal/parallel"
 	"repro/internal/por"
 )
 
@@ -96,8 +93,8 @@ type TPA struct {
 	nonce io.Reader
 	// roots caches batch roots whose signature already verified, so a
 	// batch of transcripts costs one ECDSA verify plus cheap SHA-256
-	// inclusion checks. Pointer field: VerifyAudits copies the TPA and
-	// the copy must share (and lock) the same cache.
+	// inclusion checks. Pointer field: WithNonceReader copies the TPA
+	// and the copy must share (and lock) the same cache.
 	roots *rootCache
 }
 
@@ -232,7 +229,10 @@ func (a *TPA) NewRequest(fileID string, layout blockfile.Layout, k int) (AuditRe
 //  3. verify τ_cj = MAC_K(S_cj, c_j, fid) for every round,
 //  4. find Δt' = max Δt_j and check Δt' ≤ Δt_max,
 //
-// plus nonce/index consistency between the request and the transcript.
+// plus file, nonce and index consistency between the request and the
+// transcript. The MACs are checked under the requested file's key: a
+// transcript naming another file of the same owner is rejected, not
+// checked against that file.
 func (a *TPA) VerifyAudit(req AuditRequest, layout blockfile.Layout, st SignedTranscript) Report {
 	rep := Report{}
 	tr := st.Transcript
@@ -246,7 +246,12 @@ func (a *TPA) VerifyAudit(req AuditRequest, layout blockfile.Layout, st SignedTr
 		rep.Reasons = append(rep.Reasons, "transcript signature invalid")
 	}
 
-	// Nonce binding.
+	// File and nonce binding: the TPA→verifier leg is not authenticated,
+	// so the transcript must answer the request this TPA issued.
+	if tr.FileID != req.FileID {
+		rep.Reasons = append(rep.Reasons,
+			fmt.Sprintf("transcript names file %q, request %q", tr.FileID, req.FileID))
+	}
 	if !NonceEqual(tr.Nonce, req.Nonce) {
 		rep.Reasons = append(rep.Reasons, "nonce mismatch (replayed transcript?)")
 	}
@@ -295,7 +300,7 @@ func (a *TPA) VerifyAudit(req AuditRequest, layout blockfile.Layout, st SignedTr
 		sumRTT += r.RTT
 		timed++
 	}
-	verdicts, verr := a.enc.VerifySegments(tr.FileID, layout, indices, segs)
+	verdicts, verr := a.enc.VerifySegments(req.FileID, layout, indices, segs)
 	if verr != nil {
 		rep.SegmentsBad = timed // setup failure: no tag can be trusted
 		rep.Reasons = append(rep.Reasons, fmt.Sprintf("segment verification unavailable: %v", verr))
@@ -338,54 +343,9 @@ func (a *TPA) VerifyAudit(req AuditRequest, layout blockfile.Layout, st SignedTr
 
 	rep.Accepted = rep.SignatureOK && rep.PositionOK && rep.IndicesOK &&
 		rep.MACsOK && rep.TimingOK &&
-		NonceEqual(tr.Nonce, req.Nonce) &&
+		tr.FileID == req.FileID && NonceEqual(tr.Nonce, req.Nonce) &&
 		rep.FailedRounds <= a.policy.MaxFailedRounds
 	return rep
-}
-
-// AuditJob bundles one audit's request, layout and signed transcript for
-// batch verification.
-type AuditJob struct {
-	Req    AuditRequest
-	Layout blockfile.Layout
-	Signed SignedTranscript
-}
-
-// VerifyAudits verifies many transcripts concurrently — one TPA auditing
-// many files or provers in a single sweep. Reports are returned in job
-// order. The fan-out width follows the encoder's Concurrency setting and
-// is spent entirely at the job level: each job's segment checks run
-// sequentially so the total worker count stays ≈ Concurrency instead of
-// squaring it.
-//
-// Batch-attested jobs are processed grouped by root (reports still land
-// at their original indices), so each distinct root's ECDSA verify
-// happens once and the rest hit the verified-root cache even when the
-// sweep spans more roots than the cache holds.
-func (a *TPA) VerifyAudits(jobs []AuditJob) []Report {
-	inner := *a
-	inner.enc = a.enc.WithConcurrency(1)
-	order := make([]int, len(jobs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(x, y int) bool {
-		jx, jy := jobs[order[x]].Signed.Batch, jobs[order[y]].Signed.Batch
-		switch {
-		case jx == nil || jy == nil:
-			// Per-transcript jobs keep their relative order at the end.
-			return jy == nil && jx != nil
-		default:
-			return bytes.Compare(jx.Root[:], jy.Root[:]) < 0
-		}
-	})
-	reports := make([]Report, len(jobs))
-	parallel.For(a.enc.Concurrency(), len(jobs), func(i int) error {
-		j := order[i]
-		reports[j] = inner.VerifyAudit(jobs[j].Req, jobs[j].Layout, jobs[j].Signed)
-		return nil
-	})
-	return reports
 }
 
 // MaxUndetectableRelayKm answers the paper's relay-attack question

@@ -42,7 +42,7 @@ func TestSchedulerAuditTracing(t *testing.T) {
 	})
 	sched.RegisterTenant("t1", f.tpa)
 	sched.RegisterProver("flaky", &flakyRunner{
-		inner:    &localRunner{Verifier: f.verifier, Conn: &memConn{store: f.store}},
+		inner:    &localRunner{Verifier: f.verifier, Conn: &memConn{ef: f.ef}},
 		failures: 1,
 	})
 
@@ -90,7 +90,7 @@ func TestSchedulerNilTracer(t *testing.T) {
 	f := newSchedFixture(t)
 	sched := NewScheduler(SchedulerConfig{Workers: 1, ProverWindow: 1})
 	sched.RegisterTenant("t1", f.tpa)
-	sched.RegisterProver("mem", &localRunner{Verifier: f.verifier, Conn: &memConn{store: f.store}})
+	sched.RegisterProver("mem", &localRunner{Verifier: f.verifier, Conn: &memConn{ef: f.ef}})
 	verdicts := sched.RunEpoch(context.Background(), []AuditTask{f.task("t1", "mem", 2)})
 	if v := verdicts[0]; v.Outcome != OutcomeAccepted {
 		t.Fatalf("verdict = %+v, want accepted", v)

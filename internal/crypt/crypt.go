@@ -26,24 +26,22 @@ var (
 // KeySet holds the independent subkeys used by the POR setup pipeline, all
 // derived from one master key so a client only stores a single secret.
 type KeySet struct {
-	Enc  []byte // AES-256 file encryption key (step 3)
-	MAC  []byte // segment tag key K' (step 5)
-	PRP  []byte // block permutation key (step 4)
-	Chal []byte // challenge index derivation key
+	Enc []byte // AES-256 file encryption key (step 3)
+	MAC []byte // segment tag key K' (step 5)
+	PRP []byte // block permutation key (step 4)
 }
 
 // Subkey labels: the names DeriveKey binds into each derivation.
 const (
-	LabelEnc  = "enc"
-	LabelMAC  = "mac"
-	LabelPRP  = "prp"
-	LabelChal = "chal"
+	LabelEnc = "enc"
+	LabelMAC = "mac"
+	LabelPRP = "prp"
 )
 
 // DeriveKey expands a master secret into the one subkey named by label,
 // using an HKDF-style HMAC-SHA256 expansion bound to the file ID, so
 // per-file keys are independent. Callers that need a single subkey (the
-// TPA's tag check needs only LabelMAC) pay for one HMAC, not four.
+// TPA's tag check needs only LabelMAC) pay for one HMAC, not three.
 func DeriveKey(master []byte, label, fileID string) []byte {
 	mac := hmac.New(sha256.New, master)
 	mac.Write([]byte("geoproof/v1/"))
@@ -53,13 +51,12 @@ func DeriveKey(master []byte, label, fileID string) []byte {
 	return mac.Sum(nil)
 }
 
-// DeriveKeys expands a master secret into all four POR subkeys.
+// DeriveKeys expands a master secret into all three POR subkeys.
 func DeriveKeys(master []byte, fileID string) KeySet {
 	return KeySet{
-		Enc:  DeriveKey(master, LabelEnc, fileID),
-		MAC:  DeriveKey(master, LabelMAC, fileID),
-		PRP:  DeriveKey(master, LabelPRP, fileID),
-		Chal: DeriveKey(master, LabelChal, fileID),
+		Enc: DeriveKey(master, LabelEnc, fileID),
+		MAC: DeriveKey(master, LabelMAC, fileID),
+		PRP: DeriveKey(master, LabelPRP, fileID),
 	}
 }
 
@@ -475,12 +472,13 @@ func Verify(pub *ecdsa.PublicKey, msg, sig []byte) error {
 }
 
 // ChallengeIndices derives k pseudorandom distinct segment indices in
-// [0, n) from the challenge key and a nonce, using rejection sampling over
+// [0, n) from a key and a label, using rejection sampling over
 // an HMAC-SHA256 counter stream. It reproduces the verifier's random
 // challenge set c = {c_1..c_k} ⊆ {1..n} (§V-B) deterministically for a
-// given (key, nonce), which lets the TPA re-derive and cross-check the
-// challenged set.
-func ChallengeIndices(key, nonce []byte, n uint64, k int) ([]uint64, error) {
+// given (key, label), which lets the TPA re-derive and cross-check the
+// challenged set. Its one caller, core.DeriveIndices, keys it with the
+// audit nonce.
+func ChallengeIndices(key, label []byte, n uint64, k int) ([]uint64, error) {
 	if n == 0 || k < 0 || uint64(k) > n {
 		return nil, fmt.Errorf("crypt: cannot pick %d distinct indices from %d", k, n)
 	}
@@ -495,7 +493,7 @@ func ChallengeIndices(key, nonce []byte, n uint64, k int) ([]uint64, error) {
 	var ctr uint64
 	for len(out) < k {
 		mac.Reset()
-		mac.Write(nonce)
+		mac.Write(label)
 		binary.BigEndian.PutUint64(c[:], ctr)
 		mac.Write(c[:])
 		sum := mac.Sum(block[:0])

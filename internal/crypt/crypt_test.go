@@ -23,7 +23,7 @@ func TestDeriveKeysDistinctAndDeterministic(t *testing.T) {
 	if !bytes.Equal(a.Enc, b.Enc) || !bytes.Equal(a.MAC, b.MAC) {
 		t.Fatal("derivation not deterministic")
 	}
-	sub := [][]byte{a.Enc, a.MAC, a.PRP, a.Chal}
+	sub := [][]byte{a.Enc, a.MAC, a.PRP}
 	for i := range sub {
 		for j := i + 1; j < len(sub); j++ {
 			if bytes.Equal(sub[i], sub[j]) {
@@ -37,7 +37,7 @@ func TestDeriveKeysDistinctAndDeterministic(t *testing.T) {
 }
 
 // TestDeriveKeyMatchesDeriveKeys: the single-label derivation and the
-// four-key set are the same bytes, and those bytes are the ones every
+// three-key set are the same bytes, and those bytes are the ones every
 // stored file was prepared under.
 func TestDeriveKeyMatchesDeriveKeys(t *testing.T) {
 	master := []byte("golden-master")
@@ -50,7 +50,6 @@ func TestDeriveKeyMatchesDeriveKeys(t *testing.T) {
 		{LabelEnc, set.Enc, "f542df78b6057ee972c6c2e9508517aa28ccbbd3f799caf519586f6c6d2eaa8c"},
 		{LabelMAC, set.MAC, "5ce8b14e4f3ad36e457e768d52eb27ba5f9c85488878bebafe20699de5e466bd"},
 		{LabelPRP, set.PRP, "daa300c6b4db84695f007cdf9dcb123376d3a46f72be1dfd5ca79d1b3915b935"},
-		{LabelChal, set.Chal, "fe0a6aba8bb5aec7d860a320c5462c3e1c1568c4a53edb3863c7d5bf43fd06ac"},
 	} {
 		if got := hex.EncodeToString(c.got); got != c.want {
 			t.Fatalf("DeriveKeys %s = %s, want %s", c.label, got, c.want)

@@ -13,9 +13,12 @@ import (
 	"repro/internal/reedsolomon"
 )
 
-// E10Ablations measures the design choices DESIGN.md §5 calls out:
-// tag width, MAC-verdict erasure hints, the per-round timing policy and
-// Δt_max headroom under disk load.
+// E10Ablations measures the four design choices the protocol rests on —
+// the tag width (forgery probability against storage overhead), MAC
+// verdicts as Reed-Solomon erasure hints, the max-of-rounds timing rule
+// against mean-of-rounds, and Δt_max headroom under extra disk load —
+// plus, analytically, the MAC POR's audit lifetime against the sentinel
+// POR's.
 func E10Ablations(seed int64) (Table, error) {
 	t := Table{
 		ID:     "E10 / ablations",

@@ -1,12 +1,20 @@
 package experiments
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"math"
+	"math/rand"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/cloud"
+	"repro/internal/core"
+	"repro/internal/disk"
+	"repro/internal/geo"
+	"repro/internal/por"
 )
 
 func TestTableIValuesMatchPaper(t *testing.T) {
@@ -108,6 +116,63 @@ func TestE5DetectionMonteCarloMatchesAnalytic(t *testing.T) {
 		if math.Abs(analytic-mc) > 0.08 {
 			t.Fatalf("Monte-Carlo %v deviates from analytic %v", mc, analytic)
 		}
+	}
+}
+
+// TestE5CheckAgreesWithTPA: E5's per-trial check and the shipped TPA
+// reach the same MAC verdict on one damaged copy for the same nonce — the
+// TPA through full audits over the simulated network, E5 by slicing the
+// copy itself.
+func TestE5CheckAgreesWithTPA(t *testing.T) {
+	dep, err := newDeployment(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dep.close()
+	ef := dep.ef
+	damaged := append([]byte(nil), ef.Data...)
+	rng := rand.New(rand.NewSource(5))
+	nSeg := int(ef.Layout.Segments)
+	for _, s := range rng.Perm(nSeg)[:nSeg/30] {
+		off, err := ef.Layout.SegmentOffset(int64(s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		damaged[off] ^= 0xFF
+	}
+	copyEF := &por.EncodedFile{FileID: ef.FileID, Layout: ef.Layout, Data: damaged}
+	dep.srv.Provider = &cloud.HonestProvider{Site: storeAt(copyEF, "bne-dc", geo.Brisbane, disk.WD2500JD, 6)}
+	tpa := dep.tpa.WithNonceReader(rand.New(rand.NewSource(7)))
+	runner := core.PooledRunner{Verifier: dep.verifier, Addr: "prover", Pool: dep.pool}
+
+	const k, nonces = 20, 60
+	caught := 0
+	for n := 0; n < nonces; n++ {
+		req, err := tpa.NewRequest(ef.FileID, ef.Layout, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := runner.RunAudit(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := tpa.VerifyAudit(req, ef.Layout, st)
+		if rep.FailedRounds != 0 {
+			t.Fatalf("nonce %d: %d rounds failed", n, rep.FailedRounds)
+		}
+		hit, err := auditDetects(dep.enc, ef.FileID, ef.Layout, damaged, req.Nonce, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hit != !rep.MACsOK {
+			t.Fatalf("nonce %x: E5 detects %v, TPA MACsOK %v (%s)", req.Nonce, hit, rep.MACsOK, rep.Reason())
+		}
+		if hit {
+			caught++
+		}
+	}
+	if caught == 0 || caught == nonces {
+		t.Fatalf("%d of %d audits caught the damage: the damage level tests only one outcome", caught, nonces)
 	}
 }
 
@@ -300,11 +365,11 @@ func TestTablesDeterministic(t *testing.T) {
 // moves a table's bytes must say which pin it moved and why.
 var tablePins = map[int64][]string{
 	1: {
-		"338a3f0d63ccb624", "3cd768bb50ea51e9", "62c2b39b776c87c5", "22cad70a92123716", "ccbd1cfb7ff02de5",
+		"338a3f0d63ccb624", "3cd768bb50ea51e9", "62c2b39b776c87c5", "22cad70a92123716", "06ac52f7dde6e8e1",
 		"5ab53dba26c51100", "2d0895a350abd74f", "a200059e10447049", "95782c65618bce9f", "8eb95d3390962aa9",
 	},
 	3: {
-		"338a3f0d63ccb624", "706853a69269e7da", "62c2b39b776c87c5", "22cad70a92123716", "e46f4c489dc8b58c",
+		"338a3f0d63ccb624", "706853a69269e7da", "62c2b39b776c87c5", "22cad70a92123716", "1b0d0f6a40154a58",
 		"52a7acc981e52687", "2d0895a350abd74f", "daf6fe1b30d18196", "95782c65618bce9f", "6f20ee7b36ab72c9",
 	},
 }

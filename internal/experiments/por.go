@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/blockfile"
+	"repro/internal/core"
 	"repro/internal/por"
 	"repro/internal/stats"
 )
@@ -108,9 +109,41 @@ func E4Setup() (Table, error) {
 	return t, nil
 }
 
+// auditDetects reports whether a k-round audit under nonce catches the
+// damage in data, a copy of the encoded file: the challenge indices come
+// from core.DeriveIndices, each challenged segment is sliced from data at
+// Layout.SegmentOffset, and Encoder.VerifySegments checks the tags — the
+// MAC step of TPA.VerifyAudit on the segments an honest-but-damaged
+// prover would return.
+func auditDetects(enc *por.Encoder, fileID string, layout blockfile.Layout, data, nonce []byte, k int) (bool, error) {
+	idx, err := core.DeriveIndices(nonce, layout.Segments, k)
+	if err != nil {
+		return false, err
+	}
+	indices := make([]int64, len(idx))
+	segs := make([][]byte, len(idx))
+	for j, i := range idx {
+		off, err := layout.SegmentOffset(int64(i))
+		if err != nil {
+			return false, err
+		}
+		indices[j], segs[j] = int64(i), data[off:off+int64(layout.SegmentSize())]
+	}
+	verdicts, err := enc.VerifySegments(fileID, layout, indices, segs)
+	if err != nil {
+		return false, err
+	}
+	for _, v := range verdicts {
+		if v != nil {
+			return true, nil
+		}
+	}
+	return false, nil
+}
+
 // E5Detection reproduces §V-C(a): per-challenge detection probability and
 // the irretrievability bound, analytically and by Monte-Carlo audits of a
-// real encoded file.
+// real encoded file, each checked as the TPA checks an audit's segments.
 func E5Detection(seed int64) (Table, error) {
 	t := Table{
 		ID:     "E5 / §V-C(a)",
@@ -128,7 +161,7 @@ func E5Detection(seed int64) (Table, error) {
 		return t, err
 	}
 	nSeg := int(ef.Layout.Segments)
-	segSize := ef.Layout.SegmentSize()
+	segSize := int64(ef.Layout.SegmentSize())
 
 	cases := []struct {
 		fraction float64
@@ -140,6 +173,7 @@ func E5Detection(seed int64) (Table, error) {
 		{0.05, 50},
 	}
 	const trials = 400
+	damaged := make([]byte, len(ef.Data))
 	for _, c := range cases {
 		k := c.k
 		if k > nSeg {
@@ -153,23 +187,21 @@ func E5Detection(seed int64) (Table, error) {
 		effFraction := float64(nCorrupt) / float64(nSeg)
 		analyticEff := stats.DetectionProbability(effFraction, k)
 		for trial := 0; trial < trials; trial++ {
-			corrupted := make([]byte, len(ef.Data))
-			copy(corrupted, ef.Data)
+			copy(damaged, ef.Data)
 			for _, s := range rng.Perm(nSeg)[:nCorrupt] {
-				rng.Read(corrupted[s*segSize : (s+1)*segSize])
+				off, err := ef.Layout.SegmentOffset(int64(s))
+				if err != nil {
+					return t, err
+				}
+				rng.Read(damaged[off : off+segSize])
 			}
-			store := por.NewStore(&por.EncodedFile{FileID: ef.FileID, Layout: ef.Layout, Data: corrupted})
 			nonce := make([]byte, 8)
 			rng.Read(nonce)
-			ch, err := enc.NewChallenge(ef.FileID, ef.Layout, nonce, k)
+			hit, err := auditDetects(enc, ef.FileID, ef.Layout, damaged, nonce, k)
 			if err != nil {
 				return t, err
 			}
-			resp, err := store.Respond(ch)
-			if err != nil {
-				return t, err
-			}
-			if _, verr := enc.VerifyResponse(ef.Layout, ch, resp); verr != nil {
+			if hit {
 				detected++
 			}
 		}

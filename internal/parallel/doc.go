@@ -1,13 +1,12 @@
 // Package parallel is the shared fan-out helper behind GeoProof's
-// concurrency knob: a tiny errgroup-style worker pool used by the POR
-// setup/extract pipeline, the TPA-side batch verification and audit
-// scheduler, and the simulated cloud's segment reads.
+// concurrency knob: a tiny errgroup-style worker pool with two users, the
+// POR pipeline (setup, extraction and the TPA-side segment checks) and
+// the audit scheduler.
 //
 // # Concurrency semantics (canonical definition)
 //
 // Every concurrency knob in this repository — por.Encoder.WithConcurrency,
-// core.SchedulerConfig.Workers, cloud.Site.ReadSegments' workers argument,
-// the -j flag on the CLIs — resolves through this package and therefore
+// core.SchedulerConfig.Workers, the -j flag on the CLIs — resolves through this package and therefore
 // shares one contract:
 //
 //   - 0 (or any value ≤ 0) resolves to runtime.NumCPU() workers;

@@ -5,38 +5,6 @@ import (
 	"repro/internal/stats"
 )
 
-// DetectionProbability returns the probability that a k-segment challenge
-// detects an adversary who corrupted corruptFraction of the segments:
-// 1-(1-f)^k. With the paper's example (f = 0.125%, k = 1000) this is
-// ≈71.3% per challenge (§V-C a).
-func DetectionProbability(corruptFraction float64, k int) float64 {
-	return stats.DetectionProbability(corruptFraction, k)
-}
-
-// ChallengesForConfidence returns the smallest number of consecutive
-// challenges (k segments each) needed to push cumulative detection above
-// the target probability. Detection is cumulative across audits (§V-C a).
-func ChallengesForConfidence(corruptFraction float64, k int, target float64) int {
-	if target <= 0 {
-		return 0
-	}
-	if corruptFraction <= 0 || k <= 0 || target >= 1 {
-		return -1 // unreachable
-	}
-	per := DetectionProbability(corruptFraction, k)
-	if per <= 0 {
-		return -1
-	}
-	miss := 1.0
-	for i := 1; i <= 1_000_000; i++ {
-		miss *= 1 - per
-		if 1-miss >= target {
-			return i
-		}
-	}
-	return -1
-}
-
 // IrretrievabilityBound bounds the probability that corrupting a fraction
 // of blocks uniformly at random destroys the file despite error
 // correction. A chunk is lost when more than t = (n-k)/2 of its n blocks

@@ -7,43 +7,6 @@ import (
 	"repro/internal/blockfile"
 )
 
-func TestDetectionProbabilityPaperExample(t *testing.T) {
-	// §V-C a: 1,000,000 segments, 1,000 queried, "about 71.3%".
-	got := DetectionProbability(0.00125, 1000)
-	if math.Abs(got-0.713) > 0.002 {
-		t.Fatalf("detection %.4f, want ≈0.713", got)
-	}
-}
-
-func TestChallengesForConfidence(t *testing.T) {
-	// One challenge detects with p≈0.713; three challenges push
-	// cumulative detection above 97%.
-	n := ChallengesForConfidence(0.00125, 1000, 0.97)
-	if n != 3 {
-		t.Fatalf("challenges=%d, want 3", n)
-	}
-	if got := ChallengesForConfidence(0.00125, 1000, 0); got != 0 {
-		t.Fatalf("zero target wants 0 challenges, got %d", got)
-	}
-	if got := ChallengesForConfidence(0, 1000, 0.9); got != -1 {
-		t.Fatalf("no corruption should be undetectable, got %d", got)
-	}
-	if got := ChallengesForConfidence(0.5, 100, 1); got != -1 {
-		t.Fatalf("certainty unreachable, got %d", got)
-	}
-}
-
-func TestChallengesForConfidenceMonotone(t *testing.T) {
-	prev := 0
-	for _, target := range []float64{0.5, 0.9, 0.99, 0.999} {
-		n := ChallengesForConfidence(0.00125, 1000, target)
-		if n < prev {
-			t.Fatalf("challenges not monotone in target: %d then %d", prev, n)
-		}
-		prev = n
-	}
-}
-
 func TestIrretrievabilityBoundPaperClaim(t *testing.T) {
 	// §V-C a: 0.5% block corruption on the 2 GB example must make the
 	// file irretrievable with probability below 1/200,000.

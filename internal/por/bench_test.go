@@ -52,21 +52,18 @@ func BenchmarkPORExtract1MiB(b *testing.B) {
 	}
 }
 
-// BenchmarkPORVerifyResponse1000 times the TPA-side tag check of a
-// 1000-round response, sequential and at NumCPU workers.
-func BenchmarkPORVerifyResponse1000(b *testing.B) {
+// BenchmarkPORVerifySegments1000 times the TPA-side tag check of a
+// 1000-round audit, sequential and at NumCPU workers.
+func BenchmarkPORVerifySegments1000(b *testing.B) {
 	seq := NewEncoder([]byte("bench-master")).WithConcurrency(1)
 	ef, err := seq.Encode("bench", benchFile())
 	if err != nil {
 		b.Fatal(err)
 	}
-	ch, err := seq.NewChallenge("bench", ef.Layout, []byte("bench-nonce"), 1000)
-	if err != nil {
-		b.Fatal(err)
-	}
-	resp, err := NewStore(ef).Respond(ch)
-	if err != nil {
-		b.Fatal(err)
+	indices := make([]int64, 1000)
+	segs := make([][]byte, len(indices))
+	for j, i := range rand.New(rand.NewSource(2)).Perm(int(ef.Layout.Segments))[:len(indices)] {
+		indices[j], segs[j] = int64(i), segmentAt(b, ef, int64(i))
 	}
 	for _, bc := range []struct {
 		name string
@@ -74,8 +71,14 @@ func BenchmarkPORVerifyResponse1000(b *testing.B) {
 	}{{"seq", seq}, {"par", seq.WithConcurrency(runtime.NumCPU())}} {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if ok, err := bc.enc.VerifyResponse(ef.Layout, ch, resp); err != nil || ok != 1000 {
-					b.Fatalf("ok=%d err=%v", ok, err)
+				verdicts, err := bc.enc.VerifySegments(ef.FileID, ef.Layout, indices, segs)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, v := range verdicts {
+					if v != nil {
+						b.Fatal(v)
+					}
 				}
 			}
 		})

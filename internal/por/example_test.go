@@ -26,16 +26,21 @@ func ExampleEncoder() {
 
 	// A prover returns segment‖tag; anyone holding the master secret can
 	// check the embedded MAC.
-	seg, err := por.NewStore(encoded).ReadSegment(3)
+	off, err := encoded.Layout.SegmentOffset(3)
 	if err != nil {
-		fmt.Println("read:", err)
+		fmt.Println("offset:", err)
 		return
 	}
-	fmt.Println("segment 3 verifies:", owner.VerifySegment(encoded.FileID, encoded.Layout, 3, seg) == nil)
+	seg := append([]byte(nil), encoded.Data[off:off+int64(encoded.Layout.SegmentSize())]...)
+	verifies := func() bool {
+		verdicts, err := owner.VerifySegments(encoded.FileID, encoded.Layout, []int64{3}, [][]byte{seg})
+		return err == nil && verdicts[0] == nil
+	}
+	fmt.Println("segment 3 verifies:", verifies())
 
 	// Tamper with one byte and the tag catches it.
 	seg[0] ^= 0xFF
-	fmt.Println("tampered segment verifies:", owner.VerifySegment(encoded.FileID, encoded.Layout, 3, seg) == nil)
+	fmt.Println("tampered segment verifies:", verifies())
 
 	// The original file comes back from the encoded form alone.
 	back, err := owner.Extract(encoded.FileID, encoded.Layout, encoded.Data)

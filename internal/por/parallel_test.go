@@ -84,43 +84,44 @@ func TestParallelExtractMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestVerifySegmentsMatchesVerifySegment(t *testing.T) {
+// TestVerifySegmentsVerdictsAtEveryConcurrency: one batch holding
+// genuine, tampered, out-of-range and short segments gets the same
+// per-segment verdict at every worker count.
+func TestVerifySegmentsVerdictsAtEveryConcurrency(t *testing.T) {
 	e := newTestEncoder()
 	enc, err := e.Encode("f", testFile(55, 8000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	segSize := enc.Layout.SegmentSize()
 	nSeg := enc.Layout.Segments
 
 	indices := make([]int64, 0, nSeg+2)
 	segs := make([][]byte, 0, nSeg+2)
+	want := make([]error, 0, nSeg+2)
 	for s := int64(0); s < nSeg; s++ {
-		seg := append([]byte(nil), enc.Data[s*int64(segSize):(s+1)*int64(segSize)]...)
+		seg := segmentAt(t, enc, s)
+		var w error
 		if s%5 == 1 {
 			seg[0] ^= 0xFF // tamper
+			w = ErrTagMismatch
 		}
 		indices = append(indices, s)
 		segs = append(segs, seg)
+		want = append(want, w)
 	}
 	// Out-of-range index and short segment.
 	indices = append(indices, nSeg, 0)
 	segs = append(segs, segs[0], segs[0][:3])
+	want = append(want, ErrBadSegment, ErrBadEncoding)
 
 	for _, conc := range []int{1, 0, 4} {
-		ec := e.WithConcurrency(conc)
-		verdicts, err := ec.VerifySegments("f", enc.Layout, indices, segs)
+		verdicts, err := e.WithConcurrency(conc).VerifySegments("f", enc.Layout, indices, segs)
 		if err != nil {
 			t.Fatalf("conc=%d: %v", conc, err)
 		}
-		for j := range indices {
-			want := ec.VerifySegment("f", enc.Layout, indices[j], segs[j])
-			got := verdicts[j]
-			if (want == nil) != (got == nil) {
-				t.Fatalf("conc=%d j=%d: batch %v, single %v", conc, j, got, want)
-			}
-			if want != nil && !errors.Is(got, errors.Unwrap(want)) && got.Error() != want.Error() {
-				t.Fatalf("conc=%d j=%d: batch error %v, single %v", conc, j, got, want)
+		for j, got := range verdicts {
+			if (want[j] == nil) != (got == nil) || (got != nil && !errors.Is(got, want[j])) {
+				t.Fatalf("conc=%d j=%d: verdict %v, want %v", conc, j, got, want[j])
 			}
 		}
 	}

@@ -113,32 +113,14 @@ func (e *Encoder) Encode(fileID string, file []byte) (*EncodedFile, error) {
 	return &EncodedFile{FileID: fileID, Layout: layout, Data: out.B}, nil
 }
 
-// VerifySegment checks the embedded tag of raw segment bytes (segment
-// payload followed by tag) against index i. It is the TPA-side check
-// applied to every audited segment.
-func (e *Encoder) VerifySegment(fileID string, layout blockfile.Layout, i int64, segWithTag []byte) error {
-	if i < 0 || i >= layout.Segments {
-		return fmt.Errorf("%w: %d of %d", ErrBadSegment, i, layout.Segments)
-	}
-	if len(segWithTag) != layout.SegmentSize() {
-		return fmt.Errorf("%w: segment is %d bytes, want %d", ErrBadEncoding, len(segWithTag), layout.SegmentSize())
-	}
-	tagger, err := crypt.NewTagger(crypt.DeriveKey(e.master, crypt.LabelMAC, fileID), layout.TagBits)
-	if err != nil {
-		return err
-	}
-	segBytes := layout.SegmentBlocks * layout.BlockSize
-	if !tagger.VerifyTag(segWithTag[:segBytes], uint64(i), fileID, segWithTag[segBytes:]) {
-		return ErrTagMismatch
-	}
-	return nil
-}
-
-// VerifySegments checks many (index, segment‖tag) pairs at once: the MAC
-// key is derived a single time and the checks fan out over the encoder's
-// workers. The returned slice is parallel to indices — nil for a segment
-// that verifies, otherwise the error VerifySegment would have returned.
-// The second return value reports setup failures only (bad parameters).
+// VerifySegments is the TPA-side check of audited segments: it checks
+// the embedded tag of each (index, segment‖tag) pair against
+// τ_i = MAC_K′(S_i, i, fid). The MAC key is derived a single time and the
+// checks fan out over the encoder's workers. The returned slice is
+// parallel to indices — nil for a segment that verifies, otherwise
+// ErrBadSegment (index out of range), ErrBadEncoding (wrong length) or
+// ErrTagMismatch. The second return value reports setup failures only
+// (bad parameters).
 func (e *Encoder) VerifySegments(fileID string, layout blockfile.Layout, indices []int64, segs [][]byte) ([]error, error) {
 	if len(indices) != len(segs) {
 		return nil, fmt.Errorf("%w: %d indices for %d segments", ErrBadEncoding, len(indices), len(segs))

@@ -182,124 +182,51 @@ func TestExtractWrongLength(t *testing.T) {
 	}
 }
 
-func TestVerifySegment(t *testing.T) {
-	e := newTestEncoder()
-	enc, _ := e.Encode("f", testFile(7, 1000))
-	store := NewStore(enc)
-
-	seg, err := store.ReadSegment(0)
+// segmentAt copies segment i (payload‖tag) out of an encoded file.
+func segmentAt(t testing.TB, ef *EncodedFile, i int64) []byte {
+	t.Helper()
+	off, err := ef.Layout.SegmentOffset(i)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.VerifySegment("f", enc.Layout, 0, seg); err != nil {
+	return append([]byte(nil), ef.Data[off:off+int64(ef.Layout.SegmentSize())]...)
+}
+
+// verifyOne checks a single (index, segment‖tag) pair.
+func verifyOne(t *testing.T, e *Encoder, ef *EncodedFile, i int64, seg []byte) error {
+	t.Helper()
+	verdicts, err := e.VerifySegments(ef.FileID, ef.Layout, []int64{i}, [][]byte{seg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return verdicts[0]
+}
+
+func TestVerifySegment(t *testing.T) {
+	e := newTestEncoder()
+	enc, _ := e.Encode("f", testFile(7, 1000))
+
+	seg := segmentAt(t, enc, 0)
+	if err := verifyOne(t, e, enc, 0, seg); err != nil {
 		t.Fatalf("genuine segment rejected: %v", err)
 	}
 	// Wrong index.
-	if err := e.VerifySegment("f", enc.Layout, 1, seg); !errors.Is(err, ErrTagMismatch) {
+	if err := verifyOne(t, e, enc, 1, seg); !errors.Is(err, ErrTagMismatch) {
 		t.Fatalf("wrong index: got %v", err)
 	}
 	// Tampered payload.
 	seg[0] ^= 0xFF
-	if err := e.VerifySegment("f", enc.Layout, 0, seg); !errors.Is(err, ErrTagMismatch) {
+	if err := verifyOne(t, e, enc, 0, seg); !errors.Is(err, ErrTagMismatch) {
 		t.Fatalf("tampered: got %v", err)
 	}
 	// Out of range / wrong size.
-	if err := e.VerifySegment("f", enc.Layout, -1, seg); !errors.Is(err, ErrBadSegment) {
-		t.Fatalf("negative index: got %v", err)
-	}
-	if err := e.VerifySegment("f", enc.Layout, 0, seg[:5]); !errors.Is(err, ErrBadEncoding) {
-		t.Fatalf("short segment: got %v", err)
-	}
-}
-
-func TestChallengeRespondVerify(t *testing.T) {
-	e := newTestEncoder()
-	enc, _ := e.Encode("f", testFile(8, 3000))
-	store := NewStore(enc)
-
-	ch, err := e.NewChallenge("f", enc.Layout, []byte("nonce-1"), 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ch.Indices) != 10 {
-		t.Fatalf("challenge has %d indices", len(ch.Indices))
-	}
-	resp, err := store.Respond(ch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ok, err := e.VerifyResponse(enc.Layout, ch, resp)
-	if err != nil || ok != 10 {
-		t.Fatalf("verify: ok=%d err=%v", ok, err)
-	}
-}
-
-func TestChallengeDeterministicPerNonce(t *testing.T) {
-	e := newTestEncoder()
-	enc, _ := e.Encode("f", testFile(12, 3000))
-	a, _ := e.NewChallenge("f", enc.Layout, []byte("n"), 5)
-	b, _ := e.NewChallenge("f", enc.Layout, []byte("n"), 5)
-	for i := range a.Indices {
-		if a.Indices[i] != b.Indices[i] {
-			t.Fatal("challenge not reproducible from nonce")
+	for _, i := range []int64{-1, enc.Layout.Segments} {
+		if err := verifyOne(t, e, enc, i, seg); !errors.Is(err, ErrBadSegment) {
+			t.Fatalf("index %d: got %v", i, err)
 		}
 	}
-}
-
-func TestVerifyResponseDetectsCorruption(t *testing.T) {
-	e := newTestEncoder()
-	enc, _ := e.Encode("f", testFile(13, 3000))
-	store := NewStore(enc)
-	ch, _ := e.NewChallenge("f", enc.Layout, []byte("n"), 8)
-	resp, _ := store.Respond(ch)
-	resp.Segments[3][1] ^= 0x01
-	ok, err := e.VerifyResponse(enc.Layout, ch, resp)
-	if ok != 7 {
-		t.Fatalf("ok=%d, want 7", ok)
-	}
-	if !errors.Is(err, ErrTagMismatch) {
-		t.Fatalf("got %v, want ErrTagMismatch", err)
-	}
-}
-
-func TestVerifyResponseShapeErrors(t *testing.T) {
-	e := newTestEncoder()
-	enc, _ := e.Encode("f", testFile(14, 1000))
-	store := NewStore(enc)
-	ch, _ := e.NewChallenge("f", enc.Layout, []byte("n"), 3)
-	resp, _ := store.Respond(ch)
-
-	bad := resp
-	bad.FileID = "other"
-	if _, err := e.VerifyResponse(enc.Layout, ch, bad); err == nil {
-		t.Error("mismatched file id accepted")
-	}
-	short := Response{FileID: "f", Segments: resp.Segments[:2]}
-	if _, err := e.VerifyResponse(enc.Layout, ch, short); !errors.Is(err, ErrBadEncoding) {
-		t.Errorf("short response: got %v", err)
-	}
-}
-
-func TestStoreRespondWrongFile(t *testing.T) {
-	e := newTestEncoder()
-	enc, _ := e.Encode("f", testFile(15, 1000))
-	store := NewStore(enc)
-	ch, _ := e.NewChallenge("f", enc.Layout, []byte("n"), 3)
-	ch.FileID = "other"
-	if _, err := store.Respond(ch); err == nil {
-		t.Fatal("wrong-file challenge accepted")
-	}
-}
-
-func TestStoreReadSegmentBounds(t *testing.T) {
-	e := newTestEncoder()
-	enc, _ := e.Encode("f", testFile(16, 1000))
-	store := NewStore(enc)
-	if _, err := store.ReadSegment(-1); !errors.Is(err, ErrBadSegment) {
-		t.Fatalf("got %v", err)
-	}
-	if _, err := store.ReadSegment(enc.Layout.Segments); !errors.Is(err, ErrBadSegment) {
-		t.Fatalf("got %v", err)
+	if err := verifyOne(t, e, enc, 0, seg[:5]); !errors.Is(err, ErrBadEncoding) {
+		t.Fatalf("short segment: got %v", err)
 	}
 }
 
@@ -307,12 +234,10 @@ func TestDifferentMastersCannotVerify(t *testing.T) {
 	e1 := newTestEncoder()
 	e2 := NewEncoder([]byte("another-master")).WithParams(smallParams())
 	enc, _ := e1.Encode("f", testFile(17, 1000))
-	store := NewStore(enc)
-	ch, _ := e2.NewChallenge("f", enc.Layout, []byte("n"), 4)
-	resp, _ := store.Respond(ch)
-	ok, err := e2.VerifyResponse(enc.Layout, ch, resp)
-	if ok != 0 || err == nil {
-		t.Fatalf("foreign master verified %d segments", ok)
+	for i := int64(0); i < 4; i++ {
+		if err := verifyOne(t, e2, enc, i, segmentAt(t, enc, i)); !errors.Is(err, ErrTagMismatch) {
+			t.Fatalf("foreign master on segment %d: got %v", i, err)
+		}
 	}
 }
 

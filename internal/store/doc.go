@@ -54,7 +54,7 @@
 // under per-shard read locks, so any number proceed concurrently:
 //
 //   - Audits and sequential scans use positioned reads (pread): ReadAt,
-//     ReadSegment and the batch ReadSegments. Shards are segment-aligned
+//     and ReadSegment. Shards are segment-aligned
 //     (blockfile.Layout.AlignToSegments), so a challenged segment is
 //     always one pread inside one shard. A shard that ends short of its
 //     manifest length (cut after Open) reads as ErrCorrupt, never as

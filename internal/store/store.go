@@ -10,7 +10,6 @@ import (
 	"sync"
 
 	"repro/internal/blockfile"
-	"repro/internal/parallel"
 	"repro/internal/telemetry"
 )
 
@@ -236,25 +235,6 @@ func (s *Store) ReadSegment(i int64) ([]byte, error) {
 		return nil, err
 	}
 	return seg, nil
-}
-
-// ReadSegments fetches a batch of segments with up to workers concurrent
-// preads (workers ≤ 0 selects NumCPU), in index order — the prover-side
-// batch read seam, mirroring cloud.Site.ReadSegments.
-func (s *Store) ReadSegments(indices []int64, workers int) ([][]byte, error) {
-	segs := make([][]byte, len(indices))
-	err := parallel.For(parallel.Resolve(workers), len(indices), func(j int) error {
-		seg, rerr := s.ReadSegment(indices[j])
-		if rerr != nil {
-			return rerr
-		}
-		segs[j] = seg
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return segs, nil
 }
 
 // Close releases the shard mappings and handles. It takes every shard's

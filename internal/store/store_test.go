@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/blockfile"
@@ -217,7 +218,7 @@ func TestStoreVerifyCatchesBitRot(t *testing.T) {
 
 // TestStoreReadsRefuseTruncatedShard: a shard cut short after Open must
 // read as corruption, not as a zero-filled segment with a nil error —
-// through ReadSegment, ReadSegments and ReadAt alike — while segments
+// through ReadSegment and ReadAt alike — while segments
 // before the cut are still served intact.
 func TestStoreReadsRefuseTruncatedShard(t *testing.T) {
 	data := testData(t, 9000)
@@ -244,9 +245,6 @@ func TestStoreReadsRefuseTruncatedShard(t *testing.T) {
 			t.Fatalf("ReadSegment(%d) past the cut: %x, err = %v, want ErrCorrupt", i, seg, err)
 		}
 	}
-	if _, err := st.ReadSegments([]int64{0, first}, 2); !errors.Is(err, store.ErrCorrupt) {
-		t.Fatalf("ReadSegments across the cut: err = %v, want ErrCorrupt", err)
-	}
 	p := make([]byte, 2*segSize)
 	if _, err := st.ReadAt(p, first*segSize-segSize); !errors.Is(err, store.ErrCorrupt) {
 		t.Fatalf("ReadAt across the cut: err = %v, want ErrCorrupt", err)
@@ -266,7 +264,7 @@ func TestStoreReadsRefuseTruncatedShard(t *testing.T) {
 	}
 }
 
-// TestStoreConcurrentReads hammers ReadSegments from many goroutines so
+// TestStoreConcurrentReads hammers ReadSegment from many goroutines so
 // the per-shard lock discipline runs under -race.
 func TestStoreConcurrentReads(t *testing.T) {
 	data := testData(t, 30000)
@@ -289,11 +287,23 @@ func TestStoreConcurrentReads(t *testing.T) {
 	for i := range indices {
 		indices[i] = rng.Int63n(layout.Segments)
 	}
-	segs, err := st.ReadSegments(indices, 8)
-	if err != nil {
-		t.Fatal(err)
+	segs := make([][]byte, len(indices))
+	errs := make([]error, len(indices))
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for j := w; j < len(indices); j += 8 {
+				segs[j], errs[j] = st.ReadSegment(indices[j])
+			}
+		}(w)
 	}
+	wg.Wait()
 	for j, i := range indices {
+		if errs[j] != nil {
+			t.Fatalf("concurrent segment read %d (index %d): %v", j, i, errs[j])
+		}
 		if !bytes.Equal(segs[j], want.Data[i*segSize:(i+1)*segSize]) {
 			t.Fatalf("concurrent segment read %d (index %d) differs", j, i)
 		}
