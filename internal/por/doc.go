@@ -21,10 +21,9 @@
 // The Encoder is the data owner's handle on all of it: Encode/Extract for
 // the in-memory round trip, EncodeStream/ExtractStream for the bounded-
 // memory chunk-pipelined engine (both produce byte-identical output), and
-// VerifySegments for the TPA-side MAC checks. There is no standalone POR
-// audit here: the challenge indices, the timed rounds and the verdict
-// belong to core (core.DeriveIndices, TPA.VerifyAudit), which calls
-// VerifySegments for the MAC step.
+// VerifySegments for the TPA-side MAC checks. The challenge indices, the
+// timed rounds and the verdict belong to core (core.DeriveIndices,
+// TPA.VerifyAudit), which calls VerifySegments for the MAC step.
 //
 // # Concurrency
 //
