@@ -149,12 +149,12 @@ func TestBatchAttestationAdversarial(t *testing.T) {
 	})
 }
 
-// TestVerifyAuditMixedModes verifies, one after another, batch-attested,
+// TestVerifyAuditsMixedModes verifies, one after another, batch-attested,
 // per-transcript and tampered transcripts through one TPA: each report
 // names its attestation mode, a tampered transcript of either mode is
 // rejected, and a batch root whose signature verified once is served
 // from the verified-root cache the next time.
-func TestVerifyAuditMixedModes(t *testing.T) {
+func TestVerifyAuditsMixedModes(t *testing.T) {
 	fx, bv := batchFixture(t)
 	const nAudits = 9
 	for i := 0; i < nAudits; i++ {

@@ -337,6 +337,57 @@ func TestVerifyAuditBindsFileID(t *testing.T) {
 	}
 }
 
+// TestVerifyAuditsBatch drives several independent audits of the same
+// deployment through one TPA, one tampered among them: each verdict
+// stands on its own transcript, and verifying the batch a second time
+// gives every report field for field again.
+func TestVerifyAuditsBatch(t *testing.T) {
+	_, ef := encodeTestFile(t)
+	site := honestSite(t, ef)
+	fx := newFixture(t, &cloud.HonestProvider{Site: site})
+
+	const nAudits = 8
+	reqs := make([]AuditRequest, 0, nAudits)
+	sts := make([]SignedTranscript, 0, nAudits)
+	for i := 0; i < nAudits; i++ {
+		req, err := fx.tpa.NewRequest(testFileID, fx.ef.Layout, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := fx.verifier.RunAudit(context.Background(), req, fx.conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs, sts = append(reqs, req), append(sts, st)
+	}
+	// Corrupt one transcript's segment so the batch holds mixed verdicts.
+	sts[3].Transcript.Rounds[0].Segment[0] ^= 0xFF
+
+	reports := make([]Report, nAudits)
+	for i := range reqs {
+		reports[i] = fx.tpa.VerifyAudit(reqs[i], fx.ef.Layout, sts[i])
+	}
+	for i := range reqs {
+		want := reports[i]
+		got := fx.tpa.VerifyAudit(reqs[i], fx.ef.Layout, sts[i])
+		if got.Accepted != want.Accepted ||
+			got.SegmentsOK != want.SegmentsOK ||
+			got.SegmentsBad != want.SegmentsBad ||
+			got.SignatureOK != want.SignatureOK ||
+			got.MACsOK != want.MACsOK {
+			t.Fatalf("audit %d: second report %+v differs from first %+v", i, got, want)
+		}
+	}
+	if reports[3].Accepted || reports[3].SegmentsBad != 1 {
+		t.Fatalf("tampered transcript: %+v", reports[3])
+	}
+	for i, rep := range reports {
+		if i != 3 && (!rep.Accepted || rep.SegmentsOK != 10) {
+			t.Fatalf("honest audit %d rejected: %s", i, rep.Reason())
+		}
+	}
+}
+
 func TestDroppedRoundsWithinBudget(t *testing.T) {
 	_, ef := encodeTestFile(t)
 	site := honestSite(t, ef)
