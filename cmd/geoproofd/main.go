@@ -1,22 +1,22 @@
-// Command geoproofd is the prover daemon: it serves a prepared file's
-// segments over TCP, optionally simulating a disk technology's look-up
-// latency so timing experiments behave like the paper's data centres.
-// Verifiers open each connection with a mux Hello and get the multiplexed
-// v2 transport: many concurrent audits on one connection, every timed
-// round a stream of its own. A connection that opens with anything else
-// is answered with one error frame and closed.
+// Command geoproofd is the prover daemon: it serves the segments of a
+// committed sharded store (written by geoprep) over TCP, optionally
+// simulating a disk technology's look-up latency so timing experiments
+// behave like the paper's data centres. Verifiers open each connection
+// with a mux Hello and get the multiplexed v2 transport: many concurrent
+// audits on one connection, every timed round a stream of its own. A
+// connection that opens with anything else is answered with one error
+// frame and closed.
 //
 // Usage:
 //
-//	geoproofd -file data.geo -meta data.meta.json -addr :9341 [-disk wd2500jd] [-simulate]
-//	geoproofd -store data.store -addr :9341
+//	geoproofd -store data.store -addr :9341 [-disk wd2500jd] [-simulate]
 //
-// With -store the daemon reopens a committed sharded store directory
-// (written by geoprep -store): no -file/-meta needed — the manifest
-// carries the layout — nothing is re-encoded or loaded into memory, and
+// The store's manifest carries the layout and file identity, so the
+// daemon takes no sidecar and never holds the owner's key: it cannot tag
+// bytes of its own. Nothing is re-encoded or loaded into memory; every
+// shard's CRC is checked against the manifest before serving, and
 // challenged segments are served by concurrent positioned reads straight
-// from the shard files. -store-verify (default true) checks every
-// shard's CRC against the manifest before serving.
+// from the shard files.
 package main
 
 import (
@@ -33,7 +33,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/disk"
 	"repro/internal/geo"
-	"repro/internal/meta"
 	"repro/internal/store"
 	"repro/internal/telemetry"
 )
@@ -55,10 +54,7 @@ func diskByName(name string) (disk.Model, error) {
 }
 
 func run() error {
-	file := flag.String("file", "", "encoded .geo file to serve")
-	metaPath := flag.String("meta", "", "metadata sidecar (only layout fields are used)")
-	storeDir := flag.String("store", "", "serve from a committed store directory (geoprep -store); replaces -file/-meta")
-	storeVerify := flag.Bool("store-verify", true, "check shard checksums against the manifest before serving")
+	storeDir := flag.String("store", "", "committed store directory to serve (written by geoprep)")
 	addr := flag.String("addr", ":9341", "listen address")
 	diskName := flag.String("disk", "wd2500jd", "disk model for simulated look-up latency")
 	simulate := flag.Bool("simulate", false, "sleep the modelled look-up latency per request")
@@ -68,6 +64,10 @@ func run() error {
 	logLevel := flag.String("log-level", "info", "log verbosity: debug, info, warn, error")
 	logJSON := flag.Bool("log-json", false, "emit logs as JSON instead of text")
 	flag.Parse()
+
+	if *storeDir == "" {
+		return fmt.Errorf("-store is required")
+	}
 
 	logger, err := telemetry.NewLogger(os.Stderr, *logLevel, *logJSON)
 	if err != nil {
@@ -85,51 +85,17 @@ func run() error {
 		Disk:     model,
 	}, 1)
 
-	var fileID string
-	var segments int64
-	if *storeDir != "" {
-		// Persistent mode: reopen the committed store — layout and file
-		// identity come from the manifest, nothing is re-encoded and the
-		// payload never loads into memory.
-		st, err := store.Open(*storeDir)
-		if err != nil {
-			return err
-		}
-		defer st.Close()
-		if *storeVerify {
-			if err := st.Verify(); err != nil {
-				return err
-			}
-		}
-		fileID = st.FileID()
-		segments = st.Layout().Segments
-		site.StoreOn(fileID, st.Layout(), st)
-		slog.Info("reopened store",
-			"dir", *storeDir, "epoch", st.Manifest().Epoch,
-			"shards", len(st.Manifest().Shards), "verified", *storeVerify)
-	} else {
-		if *file == "" || *metaPath == "" {
-			return fmt.Errorf("either -store or both -file and -meta are required")
-		}
-		m, err := meta.Load(*metaPath)
-		if err != nil {
-			return err
-		}
-		layout, err := m.Layout()
-		if err != nil {
-			return err
-		}
-		data, err := os.ReadFile(*file)
-		if err != nil {
-			return fmt.Errorf("read encoded file: %w", err)
-		}
-		if int64(len(data)) != layout.EncodedBytes {
-			return fmt.Errorf("encoded file is %d bytes, layout expects %d", len(data), layout.EncodedBytes)
-		}
-		fileID = m.FileID
-		segments = layout.Segments
-		site.Store(m.FileID, layout, data)
+	st, err := store.Open(*storeDir)
+	if err != nil {
+		return err
 	}
+	defer st.Close()
+	if err := st.Verify(); err != nil {
+		return err
+	}
+	site.StoreOn(st.FileID(), st.Layout(), st)
+	slog.Info("reopened store",
+		"dir", *storeDir, "epoch", st.Manifest().Epoch, "shards", len(st.Manifest().Shards))
 
 	lis, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -156,7 +122,7 @@ func run() error {
 		slog.Info("status API serving", "addr", slis.Addr().String(), "pprof", *pprofOn)
 	}
 	slog.Info("serving",
-		"fileID", fileID, "segments", segments, "disk", model.Name,
+		"fileID", st.FileID(), "segments", st.Layout().Segments, "disk", model.Name,
 		"simulate", *simulate, "concurrency", *workers, "addr", lis.Addr().String())
 	srv := &core.ProverServer{
 		Provider:            &cloud.HonestProvider{Site: site},

@@ -199,19 +199,3 @@ func (l Layout) SegmentOffset(i int64) (int64, error) {
 	}
 	return i * int64(l.SegmentSize()), nil
 }
-
-// Pad appends the zero padding that takes a raw file to PaddedBlocks whole
-// blocks; the original length is tracked in the layout, not in-band.
-func (l Layout) Pad(file []byte) []byte {
-	out := make([]byte, l.PaddedBlocks*int64(l.BlockSize))
-	copy(out, file)
-	return out
-}
-
-// Unpad truncates decoded plaintext back to the original byte length.
-func (l Layout) Unpad(padded []byte) ([]byte, error) {
-	if int64(len(padded)) < l.OrigBytes {
-		return nil, fmt.Errorf("blockfile: decoded %d bytes, need %d", len(padded), l.OrigBytes)
-	}
-	return padded[:l.OrigBytes], nil
-}

@@ -1,12 +1,10 @@
 package blockfile
 
 import (
-	"bytes"
 	"errors"
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestDefaultParamsMatchPaper(t *testing.T) {
@@ -212,30 +210,5 @@ func TestChunkAndSegmentByteHelpers(t *testing.T) {
 	}
 	if got, want := l.SegmentPayloadBytes(), l.SegmentBlocks*l.BlockSize; got != want {
 		t.Fatalf("SegmentPayloadBytes=%d want %d", got, want)
-	}
-}
-
-func TestPadUnpadRoundTrip(t *testing.T) {
-	f := func(data []byte) bool {
-		l, err := NewLayout(DefaultParams(), int64(len(data)))
-		if err != nil {
-			return false
-		}
-		padded := l.Pad(data)
-		if int64(len(padded)) != l.PaddedBlocks*int64(l.BlockSize) {
-			return false
-		}
-		out, err := l.Unpad(padded)
-		return err == nil && bytes.Equal(out, data)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestUnpadTooShort(t *testing.T) {
-	l, _ := NewLayout(DefaultParams(), 100)
-	if _, err := l.Unpad(make([]byte, 10)); err == nil {
-		t.Fatal("short unpad accepted")
 	}
 }

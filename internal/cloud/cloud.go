@@ -23,16 +23,14 @@ var (
 	ErrBadIndex   = errors.New("cloud: segment index out of range")
 )
 
-// Provider is what the verifier device talks to: something that claims a
-// location and serves file segments with some service latency. The
-// latency is the provider's *local cost* (disk look-up, and for cheats any
-// internal relaying); network propagation between verifier and provider is
-// modelled separately by the caller's link.
+// Provider is what the verifier device talks to: something that serves
+// file segments with some service latency. The latency is the provider's
+// *local cost* (disk look-up, and for cheats any internal relaying);
+// network propagation between verifier and provider is modelled
+// separately by the caller's link.
 type Provider interface {
 	// Name identifies the provider configuration in experiment output.
 	Name() string
-	// ClaimedPosition is the location written into the SLA.
-	ClaimedPosition() geo.Position
 	// FetchSegment returns segment i of the named file (payload‖tag)
 	// and the service time spent producing it.
 	FetchSegment(fileID string, i int64) ([]byte, time.Duration, error)
@@ -153,9 +151,6 @@ var _ Provider = (*HonestProvider)(nil)
 // Name labels the configuration.
 func (p *HonestProvider) Name() string { return "honest@" + p.Site.dc.Name }
 
-// ClaimedPosition is the real position — honesty.
-func (p *HonestProvider) ClaimedPosition() geo.Position { return p.Site.dc.Position }
-
 // FetchSegment reads from the local disk.
 func (p *HonestProvider) FetchSegment(fileID string, i int64) ([]byte, time.Duration, error) {
 	return p.Site.ReadSegment(fileID, i)
@@ -186,9 +181,6 @@ func (p *RelayProvider) Name() string {
 	return fmt.Sprintf("relay@%s->%s", p.Front.Name, p.Remote.dc.Name)
 }
 
-// ClaimedPosition is the front site: the lie.
-func (p *RelayProvider) ClaimedPosition() geo.Position { return p.Front.Position }
-
 // FetchSegment forwards to the remote site; the verifier sees relay RTT
 // plus the remote disk's look-up as "service time".
 func (p *RelayProvider) FetchSegment(fileID string, i int64) ([]byte, time.Duration, error) {
@@ -212,9 +204,6 @@ var _ Provider = (*ThrottledProvider)(nil)
 
 // Name labels the configuration.
 func (p *ThrottledProvider) Name() string { return p.Inner.Name() + "+throttle" }
-
-// ClaimedPosition passes through.
-func (p *ThrottledProvider) ClaimedPosition() geo.Position { return p.Inner.ClaimedPosition() }
 
 // FetchSegment passes through, slower.
 func (p *ThrottledProvider) FetchSegment(fileID string, i int64) ([]byte, time.Duration, error) {

@@ -18,7 +18,7 @@ func batchFixture(t *testing.T) (*fixture, *Verifier) {
 	_, ef := encodeTestFile(t)
 	site := honestSite(t, ef)
 	fx := newFixture(t, &cloud.HonestProvider{Site: site})
-	bs := crypt.NewBatchSigner(fx.verifier.Public(), crypt.BatchSignerOptions{MaxBatch: 1})
+	bs := crypt.NewBatchSigner(fx.signer, crypt.BatchSignerOptions{MaxBatch: 1})
 	t.Cleanup(bs.Close)
 	return fx, fx.verifier.WithBatchSigner(bs)
 }
@@ -97,7 +97,7 @@ func TestBatchAttestationAdversarial(t *testing.T) {
 		// A fresh TPA so the genuine root is not already in the
 		// verified-root cache (cache hits are sound only because entry
 		// requires a valid signature).
-		tpa, err := NewTPA(fx.enc, fx.verifier.Public().Public(), fx.tpa.Policy())
+		tpa, err := NewTPA(fx.enc, fx.signer.Public(), fx.tpa.Policy())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +139,7 @@ func TestBatchAttestationAdversarial(t *testing.T) {
 		forged := *st.Batch
 		forged.RootSig = plain.Signature
 		st.Batch = &forged
-		tpa, err := NewTPA(fx.enc, fx.verifier.Public().Public(), fx.tpa.Policy())
+		tpa, err := NewTPA(fx.enc, fx.signer.Public(), fx.tpa.Policy())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -197,10 +197,6 @@ func NewVerifier(signer *crypt.Signer, receiver *gps.Receiver, clock vclock.Cloc
 	return &Verifier{signer: signer, gps: receiver, clock: clock}, nil
 }
 
-// Public returns the verifier's verification key, registered with the TPA
-// at installation time.
-func (v *Verifier) Public() *crypt.Signer { return v.signer }
-
 // WithBatchSigner returns a copy of the verifier whose finishAudit
 // enqueues transcript digests into bs instead of signing each
 // transcript inline — the batch amortizes one P-256 signature over

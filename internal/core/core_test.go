@@ -27,6 +27,7 @@ type fixture struct {
 	ef       *por.EncodedFile
 	site     *cloud.Site
 	net      *simnet.Network
+	signer   *crypt.Signer // the verifier device's key
 	verifier *Verifier
 	tpa      *TPA
 	conn     *MuxProverConn
@@ -61,7 +62,7 @@ func newFixture(t *testing.T, provider cloud.Provider) *fixture {
 	}
 	return &fixture{
 		enc: enc, file: file, ef: ef,
-		net: net, verifier: verifier, tpa: tpa, conn: conn,
+		net: net, signer: signer, verifier: verifier, tpa: tpa, conn: conn,
 	}
 }
 
@@ -395,7 +396,7 @@ func TestDroppedRoundsWithinBudget(t *testing.T) {
 
 	policy := fx.tpa.Policy()
 	policy.MaxFailedRounds = 40
-	tpa, _ := NewTPA(fx.enc, fx.verifier.Public().Public(), policy)
+	tpa, _ := NewTPA(fx.enc, fx.signer.Public(), policy)
 
 	req, _ := tpa.NewRequest(testFileID, fx.ef.Layout, 60)
 	st, err := fx.verifier.RunAudit(context.Background(), req, fx.conn)
@@ -539,12 +540,8 @@ func TestNewVerifierValidation(t *testing.T) {
 	if _, err := NewVerifier(signer, nil, nil); err == nil {
 		t.Error("nil receiver accepted")
 	}
-	v, err := NewVerifier(signer, &gps.Receiver{True: geo.Brisbane}, nil)
-	if err != nil {
+	if _, err := NewVerifier(signer, &gps.Receiver{True: geo.Brisbane}, nil); err != nil {
 		t.Fatal(err)
-	}
-	if v.Public() == nil {
-		t.Fatal("no public key")
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/geo"
 	"repro/internal/wire"
 )
 
@@ -76,8 +75,7 @@ func (c *writeLog) writes() []int {
 // whose segment is one byte larger than a frame may carry.
 type indexProvider struct{ oversized int64 }
 
-func (indexProvider) Name() string                  { return "index" }
-func (indexProvider) ClaimedPosition() geo.Position { return geo.Brisbane }
+func (indexProvider) Name() string { return "index" }
 func (p indexProvider) FetchSegment(_ string, i int64) ([]byte, time.Duration, error) {
 	if p.oversized > 0 && i == p.oversized {
 		return make([]byte, wire.MaxFrame+1), 0, nil

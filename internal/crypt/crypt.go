@@ -69,25 +69,20 @@ func NewMasterKey() ([]byte, error) {
 	return key, nil
 }
 
-// EncryptCTR encrypts (or, being a stream cipher, decrypts) data in place
-// with AES-CTR. The 16-byte IV is derived deterministically from the key
-// and fileID; each (key, fileID) pair must encrypt only one plaintext,
-// which the POR setup flow guarantees because DeriveKeys binds the key to
-// the file ID.
-func EncryptCTR(key []byte, fileID string, data []byte) error {
-	return EncryptCTRAt(key, fileID, data, 0)
-}
-
 // ErrBadOffset reports a negative keystream offset.
 var ErrBadOffset = errors.New("crypt: CTR offset must be non-negative")
 
-// EncryptCTRAt applies the same keystream as EncryptCTR but starting at
-// an arbitrary non-negative byte position offset of the logical
-// plaintext. Processing shard data[lo:hi] with offset lo for every shard
-// of a buffer yields bytes identical to one EncryptCTR pass over the
-// whole buffer — the property both the parallel POR pipeline (AES-block
-// aligned shards) and the streaming chunk pipeline (chunk-sized shards,
-// not necessarily 16-byte aligned for custom geometries) rely on.
+// EncryptCTRAt encrypts (or, being a stream cipher, decrypts) data in
+// place with AES-CTR, starting at byte position offset (non-negative) of
+// the logical plaintext. The 16-byte IV is derived deterministically from
+// the key and fileID; each (key, fileID) pair must encrypt only one
+// plaintext, which the POR setup flow guarantees because DeriveKeys binds
+// the key to the file ID. Processing shard data[lo:hi] with offset lo for
+// every shard of a buffer yields bytes identical to one pass over the
+// whole buffer at offset 0 — the property both the parallel POR pipeline
+// (AES-block aligned shards) and the streaming chunk pipeline
+// (chunk-sized shards, not necessarily 16-byte aligned for custom
+// geometries) rely on.
 //
 // The stream is cipher.NewCTR seeked by hand: the counter starts at
 // IV + offset/16 and the first offset%16 keystream bytes are thrown away
@@ -293,9 +288,6 @@ func NewTagger(key []byte, bits int) (*Tagger, error) {
 	t.pool.New = func() any { return new(tagScratch) }
 	return t, nil
 }
-
-// Bits returns the tag width in bits.
-func (t *Tagger) Bits() int { return t.bits }
 
 // Size returns the serialised tag size in bytes, ⌈bits/8⌉.
 func (t *Tagger) Size() int { return (t.bits + 7) / 8 }

@@ -80,13 +80,13 @@ func TestEncryptCTRRoundTrip(t *testing.T) {
 	data := make([]byte, len(plain))
 	copy(data, plain)
 
-	if err := EncryptCTR(key, "fid", data); err != nil {
+	if err := EncryptCTRAt(key, "fid", data, 0); err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Equal(data, plain) {
 		t.Fatal("ciphertext equals plaintext")
 	}
-	if err := EncryptCTR(key, "fid", data); err != nil {
+	if err := EncryptCTRAt(key, "fid", data, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(data, plain) {
@@ -98,15 +98,15 @@ func TestEncryptCTRDifferentFileIDs(t *testing.T) {
 	key := bytes.Repeat([]byte{7}, 32)
 	a := make([]byte, 32)
 	b := make([]byte, 32)
-	_ = EncryptCTR(key, "file-a", a)
-	_ = EncryptCTR(key, "file-b", b)
+	_ = EncryptCTRAt(key, "file-a", a, 0)
+	_ = EncryptCTRAt(key, "file-b", b, 0)
 	if bytes.Equal(a, b) {
 		t.Fatal("different file IDs produced the same keystream")
 	}
 }
 
 func TestEncryptCTRBadKey(t *testing.T) {
-	if err := EncryptCTR([]byte("short"), "fid", []byte("x")); !errors.Is(err, ErrBadKeyLen) {
+	if err := EncryptCTRAt([]byte("short"), "fid", []byte("x"), 0); !errors.Is(err, ErrBadKeyLen) {
 		t.Fatalf("got %v, want ErrBadKeyLen", err)
 	}
 }
@@ -314,7 +314,7 @@ func TestEncryptCTRAtMatchesWholeBuffer(t *testing.T) {
 		plain := make([]byte, n)
 		rng.Read(plain)
 		whole := append([]byte(nil), plain...)
-		if err := EncryptCTR(key, "f", whole); err != nil {
+		if err := EncryptCTRAt(key, "f", whole, 0); err != nil {
 			t.Fatal(err)
 		}
 		// Re-encrypt the same plaintext in irregular block-aligned shards.
@@ -370,11 +370,11 @@ func TestEncryptCTRAtMatchesStdlibCTR(t *testing.T) {
 
 		// Whole-buffer equivalence.
 		whole := append([]byte(nil), plain...)
-		if err := EncryptCTR(key, "f", whole); err != nil {
+		if err := EncryptCTRAt(key, "f", whole, 0); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(whole, want) {
-			t.Fatalf("keyLen=%d: EncryptCTR differs from stdlib CTR", keyLen)
+			t.Fatalf("keyLen=%d: whole-buffer EncryptCTRAt differs from stdlib CTR", keyLen)
 		}
 
 		// Random unaligned shards, including offsets mod 16 != 0.

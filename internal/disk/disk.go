@@ -172,9 +172,6 @@ func NewSimDiskOn(model Model, backend Backend, jitter time.Duration, seed int64
 	}
 }
 
-// Model returns the drive model backing this disk.
-func (d *SimDisk) Model() Model { return d.model }
-
 // Size returns the stored byte count.
 func (d *SimDisk) Size() int { return int(d.backend.Size()) }
 

@@ -1,7 +1,9 @@
-// Package meta defines the sidecar metadata file the CLI tools share: the
-// owner's encoding parameters and master key for a prepared file. The
-// encoded payload itself lives in a separate .geo file; this sidecar stays
-// with the owner/TPA and never travels to the cloud.
+// Package meta defines the sidecar metadata file the owner-side commands
+// share (geoprep writes it, geoverify and geoverifierd -controller read
+// it): the owner's encoding parameters and master key for a prepared
+// file. The encoded payload lives in a sharded store directory that
+// carries its own layout; this sidecar stays with the owner/TPA and never
+// travels to the cloud — the prover daemon does not link this package.
 package meta
 
 import (

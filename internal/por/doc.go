@@ -41,10 +41,11 @@
 // # Stream targets and sources
 //
 // A streaming encode writes into any StreamTarget (random-access writes
-// plus read-back) and a streaming extract reads from any io.ReaderAt:
-// *os.File, MemTarget, or a type implementing one of the optional seams
-// through which the engine moves the permuted blocks of a whole chunk
-// group in one call instead of one 16-byte WriteAt/ReadAt per block:
+// plus read-back, sized to the whole encoded file before the encode
+// starts) and a streaming extract reads from any io.ReaderAt: *os.File,
+// MemTarget, or a type implementing one of the optional seams through
+// which the engine moves the permuted blocks of a whole chunk group in
+// one call instead of one 16-byte WriteAt/ReadAt per block:
 //
 //   - Range (MemTarget): direct access to the backing memory, both
 //     directions.
@@ -65,10 +66,10 @@
 //     implements it (on unix) by copying out of its mapped shards, which
 //     does the same for store-backed extraction.
 //
-// A source or target with none of them — a flat .geo file — takes the
-// per-block loop, and on the write side a tag pass that reads the placed
-// segments back in sequential slabs; output is byte-identical on every
-// path. On the output side an extraction gathers each chunk group's
+// A source or target with none of them — a store on a platform without
+// the placer — takes the per-block loop, and on the write side a tag pass
+// that reads the placed segments back in sequential slabs; output is
+// byte-identical on every path. On the output side an extraction gathers each chunk group's
 // recovered plaintext in place and writes it with one WriteAt (one copy
 // into a MemTarget), not one write per chunk.
 package por

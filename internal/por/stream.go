@@ -28,12 +28,12 @@ package por
 // that way: through the placementFinisher seam the engine stamps every
 // segment of a piece before the placer writes it out, so each encoded
 // byte is written once and never read back. A plain
-// io.WriterAt/io.ReaderAt — a flat .geo file, or a store on a platform
-// without the gather seam — takes one 16-byte WriteAt/ReadAt per
-// scattered block and a tag pass that reads the placed segments back in
-// large sequential slabs; the verify pass runs in such slabs on every
-// source. Extraction writes each chunk group's recovered plaintext with
-// one WriteAt (or one copy into a Range target).
+// io.WriterAt/io.ReaderAt — a store on a platform without the placer and
+// the gather seam — takes one 16-byte WriteAt/ReadAt per scattered block
+// and a tag pass that reads the placed segments back in large sequential
+// slabs; the verify pass runs in such slabs on every source. Extraction
+// writes each chunk group's recovered plaintext with one WriteAt (or one
+// copy into a Range target).
 
 import (
 	"errors"
@@ -49,8 +49,12 @@ import (
 )
 
 // StreamTarget is the random-access destination of a streaming encode:
-// scattered block writes plus the tag pass's read-back. *os.File and
-// *MemTarget both satisfy it.
+// scattered block writes plus the tag pass's read-back. The target must
+// already span the whole encoded file (Layout.EncodedBytes) when the
+// encode starts: the engine never extends it, and the tag pass reads
+// back slabs up to the last, not yet written, tag byte. A store Writer
+// sizes its shards in Create and a MemTarget is sized at creation; an
+// *os.File must be truncated to that size first.
 type StreamTarget interface {
 	io.ReaderAt
 	io.WriterAt
@@ -72,9 +76,7 @@ type byteRanger interface {
 // and their permuted block indices — block b of F‴ belongs at
 // blockfile.Layout.StoredBlockOffset(b); calls may come concurrently from
 // pipeline workers, and buf and slots are only valid for the duration of
-// the call. A BlockPlacer target is expected to pre-size its backing
-// storage itself: the engine skips the WriteAt pre-extension probe it
-// performs for plain file targets.
+// the call.
 type BlockPlacer interface {
 	PlaceBlocks(buf []byte, blockSize int, slots []uint64) error
 }
@@ -254,14 +256,6 @@ func readFullAt(r io.ReaderAt, p []byte, off int64) error {
 func (sc *streamCoder) encodeTo(r io.Reader, size int64, w StreamTarget) error {
 	ranger, _ := w.(byteRanger)
 	placer, _ := w.(BlockPlacer)
-	if ranger == nil && placer == nil && sc.layout.EncodedBytes > 0 {
-		// Pre-extend file-like targets to their final size so the tag
-		// pass can read back every slab without hitting EOF on the
-		// not-yet-written trailing tag bytes.
-		if _, err := w.WriteAt([]byte{0}, sc.layout.EncodedBytes-1); err != nil {
-			return fmt.Errorf("extend target: %w", err)
-		}
-	}
 
 	inRing := newRing(sc.ringCap(), func() []byte { return make([]byte, sc.groupChunks*sc.chunkIn) })
 	outRing := newRing(sc.ringCap(), func() []byte { return make([]byte, sc.groupChunks*sc.chunkOut) })

@@ -214,10 +214,10 @@ func TestExtractStreamBatchGatherSeam(t *testing.T) {
 	}
 }
 
-// TestStreamFileToFile runs the advertised production shape: encode from
-// a plain file into an *os.File target, then extract back file-to-file,
-// comparing both the encoded bytes and the recovered plaintext against
-// the in-memory pipeline.
+// TestStreamFileToFile runs the plain-file shape: encode from a plain
+// file into an *os.File target sized to the encoded file, then extract
+// back file-to-file, comparing both the encoded bytes and the recovered
+// plaintext against the in-memory pipeline.
 func TestStreamFileToFile(t *testing.T) {
 	e := newTestEncoder().WithConcurrency(2)
 	file := testFile(95, 5000)
@@ -231,6 +231,9 @@ func TestStreamFileToFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer encF.Close()
+	if err := encF.Truncate(want.Layout.EncodedBytes); err != nil {
+		t.Fatal(err)
+	}
 	layout, err := e.EncodeStream("f", bytes.NewReader(file), int64(len(file)), encF)
 	if err != nil {
 		t.Fatal(err)

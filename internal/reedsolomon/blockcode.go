@@ -293,9 +293,3 @@ func groupClean(rem *[32][16]byte, parity []byte, bs, j, width, rows int) bool {
 	}
 	return acc == 0
 }
-
-// Expansion returns the storage expansion factor n/k of the code (≈1.1435
-// for the paper's (255,223) code, i.e. "about 14%").
-func (bc *BlockCode) Expansion() float64 {
-	return float64(bc.code.N()) / float64(bc.code.K())
-}

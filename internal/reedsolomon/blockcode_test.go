@@ -24,10 +24,6 @@ func TestBlockCodeShape(t *testing.T) {
 	if bc.DataBlocks() != 223 || bc.ChunkBlocks() != 255 || bc.BlockSize() != 16 {
 		t.Fatalf("unexpected shape: k=%d n=%d bs=%d", bc.DataBlocks(), bc.ChunkBlocks(), bc.BlockSize())
 	}
-	exp := bc.Expansion()
-	if exp < 1.14 || exp > 1.15 {
-		t.Fatalf("expansion %.4f, want ≈1.1435 (paper: about 14%%)", exp)
-	}
 }
 
 func TestNewBlockCodeRejectsBadArgs(t *testing.T) {

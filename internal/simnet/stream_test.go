@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/geo"
 	"repro/internal/simnet"
 	"repro/internal/vclock"
 )
@@ -125,8 +124,7 @@ func TestStreamRefusedAndReset(t *testing.T) {
 // diskProvider serves a fixed segment after a fixed look-up.
 type diskProvider struct{ lookup time.Duration }
 
-func (diskProvider) Name() string                  { return "disk" }
-func (diskProvider) ClaimedPosition() geo.Position { return geo.Brisbane }
+func (diskProvider) Name() string { return "disk" }
 func (d diskProvider) FetchSegment(string, int64) ([]byte, time.Duration, error) {
 	return []byte("segment"), d.lookup, nil
 }

@@ -24,34 +24,6 @@ func Mean(xs []float64) (float64, error) {
 	return s / float64(len(xs)), nil
 }
 
-// Max returns the maximum value.
-func Max(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// Min returns the minimum value.
-func Min(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) using linear
 // interpolation between order statistics.
 func Percentile(xs []float64, p float64) (float64, error) {
