@@ -62,10 +62,10 @@
 // loop takes the slot before it dispatches and the worker returns it
 // once the reply is queued, which may be before it reaches the socket.
 // ProverPool keeps one connection warm per address. The third leg — a
-// TPA talking to a remote verifier daemon (cmd/geoverifierd), which
-// makes the deployment fully distributed as in the paper's Fig. 4 —
-// rides the same transport: the TPA dials the daemon with DialMuxProver
-// (or borrows the connection from a ProverPool) and calls
+// TPA (cmd/geoverify) talking to the verifier device beside each prover
+// (cmd/geoverifierd), which makes the deployment fully distributed as
+// in the paper's Fig. 4 — rides the same transport: the TPA borrows the
+// device's connection from a ProverPool and calls
 // MuxProverConn.RunAudit, one stream per audit, so concurrent audits
 // share one connection and cancelling one abandons only its stream;
 // VerifierServer answers each request on its own goroutine through the
@@ -161,8 +161,8 @@
 // virtual clock replays bit-identically — the Synchronous mode runs
 // due work inline on Tick in deterministic order for exactly that.
 // Status() snapshots the whole fleet (health, policies, counters,
-// ledger totals) for the JSON status API served by geoverifierd
-// -controller, and RetainEpochs bounds ledger memory by folding old
+// ledger totals) for the JSON status API served by geoverify, and
+// RetainEpochs bounds ledger memory by folding old
 // epochs into per-pair archive cells (AuditLedger.CompactBefore) as
 // the controller ticks.
 //

@@ -796,8 +796,8 @@ type ProverStatus struct {
 }
 
 // FleetStatus is the controller's full observable state: the health
-// matrix plus the ledger's per-prover totals — what geoverifierd
-// -controller serves as JSON.
+// matrix plus the ledger's per-prover totals — what geoverify serves as
+// JSON.
 type FleetStatus struct {
 	Now     time.Time      `json:"now"`
 	Epoch   uint64         `json:"epoch"`

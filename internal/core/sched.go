@@ -35,11 +35,12 @@ var ErrAuditTimeout = errors.New("core: audit attempt timed out")
 //
 //   - PooledRunner: in-process verifier over a ProverPool of persistent
 //     multiplexed prover connections, dialed over TCP or, through the
-//     pool's Dial seam, over a simulated network on virtual time,
-//   - *MuxProverConn dialed to a verifier daemon (geoverifierd): fully
-//     distributed — each audit is shipped to the daemon on its own
-//     stream and the daemon runs the rounds on its side; concurrent
-//     audits share the one connection, which a ProverPool keeps warm.
+//     pool's Dial seam, over a simulated network on virtual time — what
+//     a verifier device (geoverifierd's VerifierServer) runs,
+//   - a MuxProverConn to a verifier device, borrowed from a ProverPool
+//     per audit (geoverify): fully distributed — each audit is shipped to
+//     the device on its own stream and the device runs the rounds beside
+//     its prover; concurrent audits share the one warm connection.
 //
 // RunAudit must honour ctx: when the scheduler abandons a timed-out
 // attempt it cancels the context, and a conforming runner returns

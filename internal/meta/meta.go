@@ -1,9 +1,9 @@
 // Package meta defines the sidecar metadata file the owner-side commands
-// share (geoprep writes it, geoverify and geoverifierd -controller read
-// it): the owner's encoding parameters and master key for a prepared
-// file. The encoded payload lives in a sharded store directory that
-// carries its own layout; this sidecar stays with the owner/TPA and never
-// travels to the cloud — the prover daemon does not link this package.
+// share (geoprep writes it, geoverify reads it): the owner's encoding
+// parameters and master key for a prepared file. The encoded payload
+// lives in a sharded store directory that carries its own layout; this
+// sidecar stays with the owner/TPA and never travels to the cloud —
+// neither the prover daemon nor the verifier device links this package.
 package meta
 
 import (
