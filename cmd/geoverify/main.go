@@ -8,20 +8,21 @@
 //
 // The core.FleetController re-audits every device on a jittered period
 // for many simulated tenants — bounded in-flight window per device,
-// round-robin tenant fairness, per-attempt timeout and retry — pings the
-// devices between audits, escalates, quarantines and readmits failing
-// ones on fixed thresholds, logs every failed audit with its reasons, and
-// serves the health matrix and verdict ledger as JSON over HTTP (GET
-// /status on -status-addr). It runs until signalled, or with -epochs N
-// until every device has run N audit cycles; it then prints the
-// per-device ledger and exits, with status 1 if any audit was not
-// accepted. A one-shot audit is -epochs 1 -tenants 1.
+// round-robin tenant fairness, per-attempt timeout and retry — sees each
+// device, and the prover behind it, only through those audits,
+// escalates, quarantines and readmits failing ones on fixed thresholds,
+// logs every failed audit with its reasons, and serves the health matrix
+// and verdict ledger as JSON over HTTP (GET /status on -status-addr). It
+// runs until signalled, or with -epochs N until every device has run N
+// audit cycles; it then prints the per-device ledger and exits, with
+// status 1 if any audit was not accepted. A one-shot audit is -epochs 1
+// -tenants 1.
 //
 // Usage:
 //
 //	geoverify -meta data.meta.json -devices host:9342=<hex>,host2:9342=<hex> \
 //	    [-sla -27.4698,153.0251,100] [-epochs 0] [-status-addr 127.0.0.1:9343] \
-//	    [-period 10s] [-period-jitter 0.2] [-probe-period 2s] [-retain 8] \
+//	    [-period 10s] [-period-jitter 0.2] [-retain 8] \
 //	    [-tenants 8] [-k 20] [-tmax 50ms] [-window 2] [-timeout 5s] [-retries 1] [-j 8]
 package main
 
@@ -71,7 +72,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.StringVar(&o.statusAddr, "status-addr", "127.0.0.1:9343", "status API listen address")
 	fs.DurationVar(&o.period, "period", 10*time.Second, "base per-device re-audit period")
 	fs.Float64Var(&o.periodJitter, "period-jitter", 0.2, "fraction of the period to jitter each cycle by, in [0,1]")
-	fs.DurationVar(&o.probePeriod, "probe-period", 2*time.Second, "liveness-probe interval between full audits, 0 = off")
 	fs.Uint64Var(&o.retain, "retain", 8, "epochs of per-epoch ledger detail to keep; older epochs fold into archive cells, 0 = keep all")
 	fs.IntVar(&o.tenants, "tenants", 8, "simulated tenants sharing the file")
 	fs.Uint64Var(&o.epochs, "epochs", 0, "audit cycles per device before it leaves and, once none is left, the command exits; 0 = run until signalled")
@@ -159,23 +159,6 @@ func parseSLA(s string) (cloud.SLA, error) {
 	return cloud.SLA{Center: geo.Position{LatDeg: v[0], LonDeg: v[1]}, RadiusKm: v[2]}, nil
 }
 
-// deviceRunner ships each audit to one verifier device over the pool's
-// warm connection to it; the device times the rounds.
-type deviceRunner struct {
-	pool *core.ProverPool
-	addr string
-}
-
-func (r deviceRunner) RunAudit(ctx context.Context, req core.AuditRequest) (core.SignedTranscript, error) {
-	conn, release, err := r.pool.Get(r.addr)
-	if err != nil {
-		return core.SignedTranscript{}, fmt.Errorf("device conn: %w", err)
-	}
-	st, err := conn.RunAudit(ctx, req)
-	release(err)
-	return st, err
-}
-
 type schedOpts struct {
 	metaPath string
 	devices  []device
@@ -193,18 +176,17 @@ type schedOpts struct {
 	statusAddr   string
 	period       time.Duration
 	periodJitter float64
-	probePeriod  time.Duration
 	pprofOn      bool
 	traceRetain  int
 }
 
 // runController makes the process the fleet's self-driving control
-// plane. Every device is continuously re-audited on a jittered period and
-// pinged between audits; failing devices are escalated, quarantined and
-// rehabilitated by the core.FleetController state machine; and the whole
-// health matrix is served as JSON over HTTP. With o.epochs > 0 it stops
-// once every device has run that many cycles, prints the ledger, and
-// fails if any audit was not accepted.
+// plane. Every device is continuously re-audited on a jittered period;
+// failing devices are escalated, quarantined and rehabilitated by the
+// core.FleetController state machine; and the whole health matrix is
+// served as JSON over HTTP. With o.epochs > 0 it stops once every device
+// has run that many cycles, prints the ledger, and fails if any audit was
+// not accepted.
 func runController(o schedOpts, stdout io.Writer) error {
 	if o.tenants < 1 {
 		return fmt.Errorf("-tenants %d: want at least 1", o.tenants)
@@ -262,8 +244,6 @@ func runController(o schedOpts, stdout io.Writer) error {
 		},
 		AuditPeriod:  o.period,
 		AuditJitter:  o.periodJitter,
-		ProbePeriod:  o.probePeriod,
-		ProbeTimeout: o.timeout,
 		RetainEpochs: o.retain,
 		Pool:         pool,
 		OnTransition: func(device string, from, to core.Health, reason string) {
@@ -290,8 +270,7 @@ func runController(o schedOpts, stdout io.Writer) error {
 			})
 		}
 		err = ctl.Register(dev.addr, core.ProverSpec{
-			Runner: deviceRunner{pool: pool, addr: dev.addr},
-			Probe:  core.PoolProbe(pool, dev.addr),
+			Runner: core.DeviceRunner{Pool: pool, Addr: dev.addr},
 			Addr:   dev.addr,
 			Tasks:  tasks,
 		})
@@ -335,7 +314,6 @@ func runController(o schedOpts, stdout io.Writer) error {
 	slog.Info("fleet controller starting",
 		"devices", len(o.devices), "tenants", o.tenants, "epochs", o.epochs,
 		"period", o.period, "jitter", o.periodJitter,
-		"probePeriod", o.probePeriod,
 		"statusAPI", "http://"+lis.Addr().String()+"/status",
 		"pprof", o.pprofOn)
 	if err := runFleet(ctx, ctl, o.epochs); err != nil && !errors.Is(err, context.Canceled) {

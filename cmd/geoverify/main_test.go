@@ -300,3 +300,36 @@ func TestRefusesUnrunnableFleet(t *testing.T) {
 		}
 	}
 }
+
+// TestDeadProverBehindLiveDevice: the device answers, but the prover
+// behind it is gone. The TPA sees that the one way it sees any prover,
+// through its audits: each fails at the device's refused dial, the run
+// ends, and the exit counts the failed audits.
+func TestDeadProverBehindLiveDevice(t *testing.T) {
+	metaPath, _, _ := prepared(t)
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := lis.Addr().String()
+	lis.Close()
+	addr, key := startDevice(t, dead, geo.Brisbane)
+	ledger, logs, err := runTPA(t, "-meta", metaPath, "-devices", addr+"="+key,
+		"-sla", brisbaneSLA, "-epochs", "1", "-tenants", "2", "-k", "4")
+	if err == nil || !strings.Contains(err.Error(), "2 of 2 audits not accepted") {
+		t.Fatalf("error %v, want 2 of 2 audits not accepted; ledger:\n%s", err, ledger)
+	}
+	failed := 0
+	for _, line := range strings.Split(logs, "\n") {
+		if !strings.Contains(line, "audit failed") {
+			continue
+		}
+		failed++
+		if !strings.Contains(line, "connection refused") {
+			t.Fatalf("failed audit without the refused dial: %s", line)
+		}
+	}
+	if failed != 2 {
+		t.Fatalf("%d failed-audit log lines, want 2:\n%s", failed, logs)
+	}
+}

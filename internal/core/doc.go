@@ -64,9 +64,9 @@
 // ProverPool keeps one connection warm per address. The third leg — a
 // TPA (cmd/geoverify) talking to the verifier device beside each prover
 // (cmd/geoverifierd), which makes the deployment fully distributed as
-// in the paper's Fig. 4 — rides the same transport: the TPA borrows the
-// device's connection from a ProverPool and calls
-// MuxProverConn.RunAudit, one stream per audit, so concurrent audits
+// in the paper's Fig. 4 — rides the same transport: the TPA's
+// DeviceRunner borrows the device's connection from a ProverPool and
+// calls MuxProverConn.RunAudit, one stream per audit, so concurrent audits
 // share one connection and cancelling one abandons only its stream;
 // VerifierServer answers each request on its own goroutine through the
 // AuditRunner it was given (a PooledRunner in the daemon) and cancels
@@ -130,13 +130,12 @@
 // controller owns a dynamic prover registry (Register/Deregister at
 // runtime, graceful draining of in-flight audits before a prover's
 // state is torn down) and reconciles desired state against observed
-// health. Between full audits it runs cheap liveness probes (PoolProbe
-// borrows a warm pooled conn and pings), and it re-audits every prover
-// continuously on a per-prover jittered period. Each prover walks a
-// health state machine:
+// health. It re-audits every prover continuously on a per-prover
+// jittered period and sees a prover only through those audits: a dead
+// prover, or a dead device in front of it, fails its cycle. Each prover
+// walks a health state machine:
 //
-//	          1 failed cycle,
-//	          or 3 failed probes in a row
+//	                   1 failed cycle
 //	Healthy ────────────────────────────────────▶ Suspect
 //	  ▲                                             │
 //	  │ cycle passes                                │ 2 failed cycles
@@ -150,12 +149,12 @@
 //
 // A suspect prover is audited under an escalated ProverPolicy (window
 // 1, half the per-attempt timeout with a 1 ms floor, 2 retries backing
-// off from 10 ms) with twice the rounds per audit; a quarantined prover
-// receives no audits at all until its quarantine delay — AuditPeriod,
-// doubling with each quarantine, capped at 8·AuditPeriod — re-admits it
-// to probation, where single rotating-task audits decide between full
-// recovery and re-quarantine. These thresholds are constants
-// (fleet.go), not FleetConfig knobs.
+// off from 10 ms) with twice the rounds per audit, at most the file's
+// segments; a quarantined prover receives no audits at all until its
+// quarantine delay — AuditPeriod, doubling with each quarantine, capped
+// at 8·AuditPeriod — re-admits it to probation, where single
+// rotating-task audits decide between full recovery and re-quarantine.
+// These thresholds are constants (fleet.go), not FleetConfig knobs.
 // Every decision runs on the vclock.Clock seam with per-prover seeded
 // AuditJitter draws, so a controller scenario on the
 // virtual clock replays bit-identically — the Synchronous mode runs

@@ -6,11 +6,12 @@ package core
 // react without an operator"). A FleetController owns a dynamic prover
 // registry (join and leave at runtime, with in-flight audit draining),
 // schedules continuous per-prover re-audit cycles on jittered periods,
-// runs cheap liveness probes between full audits, and drives a
-// per-prover health state machine with automatic policy escalation:
+// and drives a per-prover health state machine with automatic policy
+// escalation. A prover is observed only through its audits: a dead
+// prover, or a dead verifier device in front of it, fails its cycle like
+// any other failed audit.
 //
-//	            1 failed cycle,
-//	            or 3 failed probes in a row
+//	                     1 failed cycle
 //	  Healthy ────────────────────────────────────▶ Suspect
 //	    ▲                                             │
 //	    │ cycle passes                                │ 2 failed cycles
@@ -24,16 +25,16 @@ package core
 //
 // A Suspect prover is audited under an escalated ProverPolicy — window
 // 1, half the per-attempt timeout (at least 1 ms; a prover with no
-// deadline keeps none), twice the challenge rounds, and 2 retries
-// backing off from 10 ms — so the controller reaches a confident verdict
-// quickly instead of letting a degraded prover linger at the fleet
-// defaults. A Quarantined prover receives no full audits at all; after a
-// delay that starts at AuditPeriod, doubles with each quarantine and is
-// capped at 8·AuditPeriod, it earns probation audits, and only a clean
-// probation streak restores it to Healthy with the fleet's base policy.
-// Repeat offenders are evicted: deregistered from the scheduler, their
-// warm pooled connections closed. These thresholds are the constants
-// below, not FleetConfig knobs.
+// deadline keeps none), twice the challenge rounds (at most the file's
+// segments), and 2 retries backing off from 10 ms — so the controller
+// reaches a confident verdict quickly instead of letting a degraded
+// prover linger at the fleet defaults. A Quarantined prover receives no
+// full audits at all; after a delay that starts at AuditPeriod, doubles
+// with each quarantine and is capped at 8·AuditPeriod, it earns
+// probation audits, and only a clean probation streak restores it to
+// Healthy with the fleet's base policy. Repeat offenders are evicted:
+// deregistered from the scheduler, their warm pooled connections closed.
+// These thresholds are the constants below, not FleetConfig knobs.
 //
 // Determinism: the controller never calls time.Now or the global rand —
 // it is handed a vclock.Clock and derives one seeded rand.Rand per
@@ -41,7 +42,7 @@ package core
 // In Synchronous mode every due cycle runs inline on Tick in sorted
 // prover order, so a scenario on a virtual clock replays bit-identically
 // run after run. Production uses Run, which ticks on the wall clock with
-// cycles and probes dispatched concurrently.
+// cycles dispatched concurrently.
 
 import (
 	"context"
@@ -104,11 +105,9 @@ var (
 
 // ProverSpec describes one prover joining the fleet.
 type ProverSpec struct {
-	// Runner executes this prover's audits (required).
+	// Runner executes this prover's audits (required): a DeviceRunner
+	// for a TPA auditing through the verifier device beside the prover.
 	Runner AuditRunner
-	// Probe, when non-nil, is the cheap liveness check run between full
-	// audits — typically PoolProbe (a pooled conn's Ping) for TCP fleets.
-	Probe func(ctx context.Context) (time.Duration, error)
 	// Addr, when set together with FleetConfig.Pool, has the prover's
 	// warm pooled connections evicted on leave/eviction.
 	Addr string
@@ -120,10 +119,8 @@ type ProverSpec struct {
 // The health machine's thresholds and the escalated policy. Periods are
 // fractions or multiples of FleetConfig.AuditPeriod.
 const (
-	// suspectAfter failed cycles, or probeSuspectAfter failed probes in a
-	// row, demote Healthy to Suspect.
-	suspectAfter      = 1
-	probeSuspectAfter = 3
+	// suspectAfter failed cycles demote Healthy to Suspect.
+	suspectAfter = 1
 	// quarantineAfter failed cycles while Suspect enter Quarantine.
 	quarantineAfter = 2
 	// probationAudits clean probation audits in a row, spaced
@@ -134,8 +131,9 @@ const (
 	// quarantine, capped at quarantineCap·AuditPeriod.
 	quarantineCap = 8
 	// While escalated: window 1, the per-attempt timeout halved and
-	// floored at escalatedMinTimeout, escalatedRounds× challenge rounds,
-	// and escalatedRetries retries backing off from escalatedRetryBackoff.
+	// floored at escalatedMinTimeout, escalatedRounds× challenge rounds
+	// (at most the file's segments), and escalatedRetries retries backing
+	// off from escalatedRetryBackoff.
 	escalatedMinTimeout   = time.Millisecond
 	escalatedRounds       = 2
 	escalatedRetries      = 2
@@ -155,11 +153,6 @@ type FleetConfig struct {
 	// ±AuditJitter·period (default 0: fixed periods), decorrelating
 	// provers that joined together.
 	AuditJitter float64
-	// ProbePeriod is the liveness-probe interval for provers with a
-	// Probe (0 = no probes).
-	ProbePeriod time.Duration
-	// ProbeTimeout bounds each probe via context deadline (0 = none).
-	ProbeTimeout time.Duration
 	// EvictAfter evicts a prover entering quarantine for the N-th time
 	// (0 = never evict).
 	EvictAfter int
@@ -172,10 +165,10 @@ type FleetConfig struct {
 	// Seed derives each prover's private AuditJitter rand (Seed ⊕
 	// FNV(name)), so scenario runs replay identically.
 	Seed int64
-	// Synchronous runs due cycles and probes inline on Tick, in sorted
-	// prover order — the deterministic-replay mode. Production leaves it
-	// false: work is dispatched on goroutines so one hung prover cannot
-	// stall the fleet's reconcile loop.
+	// Synchronous runs due cycles inline on Tick, in sorted prover order
+	// — the deterministic-replay mode. Production leaves it false: work is
+	// dispatched on goroutines so one hung prover cannot stall the fleet's
+	// reconcile loop.
 	Synchronous bool
 	// Pool, when set, has a departing or evicted prover's warm
 	// connections (at ProverSpec.Addr) closed promptly.
@@ -193,31 +186,27 @@ type fleetProver struct {
 
 	ctx    context.Context
 	cancel context.CancelFunc
-	// inflight counts this prover's dispatched cycles and probes, so a
-	// leave can drain to zero before deregistering.
+	// inflight counts this prover's dispatched cycles, so a leave can
+	// drain to zero before deregistering.
 	inflight sync.WaitGroup
 
 	health   Health
 	since    time.Time
 	draining bool
 	busy     bool // audit cycle in flight
-	probing  bool // probe in flight
 
-	consecFail      int // consecutive failed cycles in the current state
-	consecProbeFail int
-	probationPass   int
-	probationSeq    int // rotates which task probation audits use
-	quarantines     int
+	consecFail    int // consecutive failed cycles in the current state
+	probationPass int
+	probationSeq  int // rotates which task probation audits use
+	quarantines   int
 
 	nextAudit time.Time
-	nextProbe time.Time
 
-	cycles       uint64
-	cycleFails   uint64
-	lastEpoch    uint64
-	lastOutcome  string
-	lastReason   string
-	lastProbeRTT time.Duration
+	cycles      uint64
+	cycleFails  uint64
+	lastEpoch   uint64
+	lastOutcome string
+	lastReason  string
 }
 
 // transitionEvent is a queued OnTransition callback, fired outside the
@@ -229,8 +218,8 @@ type transitionEvent struct {
 }
 
 // FleetController reconciles desired state ("every registered prover is
-// continuously audited and healthy") with observed state (verdicts and
-// probe results). See the file comment for the state machine. Construct
+// continuously audited and healthy") with observed state (audit
+// verdicts). See the file comment for the state machine. Construct
 // with NewFleetController; drive with Run (production) or Tick + Wait +
 // a virtual clock (deterministic scenarios).
 type FleetController struct {
@@ -248,7 +237,7 @@ type FleetController struct {
 	provers map[string]*fleetProver
 	epoch   uint64
 	closed  bool
-	wg      sync.WaitGroup // all in-flight cycles and probes
+	wg      sync.WaitGroup // all in-flight cycles
 }
 
 // NewFleetController builds a controller and its inner scheduler from
@@ -301,9 +290,8 @@ func (c *FleetController) RegisterTenant(name string, tpa *TPA) {
 }
 
 // Register joins a prover to the fleet: it enters Healthy with its first
-// full audit due immediately (the admission check) and its first probe
-// due one jittered probe period out. Safe at runtime — the next tick
-// picks the prover up; no epoch is disturbed.
+// full audit due immediately (the admission check). Safe at runtime —
+// the next tick picks the prover up; no epoch is disturbed.
 func (c *FleetController) Register(name string, spec ProverSpec) error {
 	if name == "" || spec.Runner == nil {
 		return fmt.Errorf("core: fleet Register needs a name and a runner")
@@ -336,18 +324,17 @@ func (c *FleetController) Register(name string, spec ProverSpec) error {
 		since:     now,
 		nextAudit: now,
 	}
-	p.nextProbe = now.Add(c.jittered(p, c.cfg.ProbePeriod))
 	c.sched.RegisterProver(name, spec.Runner)
 	c.provers[name] = p
 	return nil
 }
 
 // Deregister removes a prover. Graceful leave (graceful=true) stops
-// scheduling new work, lets in-flight audits and probes finish, then
-// deregisters; forced leave cancels them first and drains the
-// cancellations. Either way, once Deregister returns no further verdict
-// for this prover can land in the ledger, and its warm pooled
-// connections (FleetConfig.Pool + ProverSpec.Addr) are closed.
+// scheduling new work, lets in-flight audits finish, then deregisters;
+// forced leave cancels them first and drains the cancellations. Either
+// way, once Deregister returns no further verdict for this prover can
+// land in the ledger, and its warm pooled connections (FleetConfig.Pool +
+// ProverSpec.Addr) are closed.
 func (c *FleetController) Deregister(name string, graceful bool) error {
 	c.mu.Lock()
 	p, ok := c.provers[name]
@@ -387,7 +374,7 @@ func (c *FleetController) Close() error {
 	return nil
 }
 
-// Wait blocks until every dispatched cycle and probe has finished — the
+// Wait blocks until every dispatched cycle has finished — the
 // barrier deterministic tests use between Tick and advancing the clock.
 func (c *FleetController) Wait() { c.wg.Wait() }
 
@@ -416,6 +403,7 @@ func (c *FleetController) jittered(p *fleetProver, d time.Duration) time.Duratio
 // cycleTasks returns the audit batch for the prover's current state: the
 // full task list when Healthy, the full list at escalatedRounds× rounds
 // when Suspect, and a single rotating escalatedRounds× task in Probation.
+// Escalated rounds are capped at the file's segments.
 func (c *FleetController) cycleTasks(p *fleetProver) []AuditTask {
 	if len(p.spec.Tasks) == 0 {
 		return nil
@@ -426,23 +414,23 @@ func (c *FleetController) cycleTasks(p *fleetProver) []AuditTask {
 	case HealthProbation:
 		t := p.spec.Tasks[p.probationSeq%len(p.spec.Tasks)]
 		p.probationSeq++
-		t.K *= escalatedRounds
+		t.K = min(t.K*escalatedRounds, int(t.Layout.Segments))
 		return []AuditTask{t}
 	default: // Suspect
 		tasks := make([]AuditTask, len(p.spec.Tasks))
 		copy(tasks, p.spec.Tasks)
 		for i := range tasks {
-			tasks[i].K *= escalatedRounds
+			tasks[i].K = min(tasks[i].K*escalatedRounds, int(tasks[i].Layout.Segments))
 		}
 		return tasks
 	}
 }
 
 // Tick runs one reconcile pass at the controller clock's current
-// instant: every prover whose audit cycle or probe is due gets it
+// instant: every prover whose audit cycle is due gets it
 // dispatched (inline in sorted order when Synchronous, on goroutines
 // otherwise), and the ledger is compacted to the retention window. It
-// returns how many pieces of work were dispatched. Quarantined provers
+// returns how many cycles were dispatched. Quarantined provers
 // whose quarantine delay has expired transition to Probation here.
 func (c *FleetController) Tick() int {
 	c.mu.Lock()
@@ -464,14 +452,6 @@ func (c *FleetController) Tick() int {
 		p := c.provers[name]
 		if p.draining || p.health == HealthEvicted {
 			continue
-		}
-		if p.spec.Probe != nil && c.cfg.ProbePeriod > 0 && !p.probing &&
-			p.health != HealthQuarantined && !now.Before(p.nextProbe) {
-			p.probing = true
-			p.nextProbe = now.Add(c.jittered(p, c.cfg.ProbePeriod))
-			p.inflight.Add(1)
-			c.wg.Add(1)
-			work = append(work, func() { c.runProbe(p) })
 		}
 		if p.busy || now.Before(p.nextAudit) {
 			continue
@@ -527,8 +507,8 @@ func (c *FleetController) Run(ctx context.Context) error {
 	}
 }
 
-// untilNextDue computes the sleep to the earliest pending audit or
-// probe, clamped to [5ms, 500ms] so the loop neither spins nor sleeps
+// untilNextDue computes the sleep to the earliest pending audit,
+// clamped to [5ms, 500ms] so the loop neither spins nor sleeps
 // through a runtime Register.
 func (c *FleetController) untilNextDue() time.Duration {
 	const (
@@ -545,10 +525,6 @@ func (c *FleetController) untilNextDue() time.Duration {
 		if !p.busy && p.nextAudit.Before(next) {
 			next = p.nextAudit
 		}
-		if p.spec.Probe != nil && c.cfg.ProbePeriod > 0 && !p.probing &&
-			p.health != HealthQuarantined && p.nextProbe.Before(next) {
-			next = p.nextProbe
-		}
 	}
 	c.mu.Unlock()
 	d := next.Sub(now)
@@ -559,47 +535,6 @@ func (c *FleetController) untilNextDue() time.Duration {
 		return ceiling
 	}
 	return d
-}
-
-// runProbe executes one liveness probe and folds the result into the
-// health model: successes reset the failure streak and record the RTT;
-// probeSuspectAfter consecutive failures demote a Healthy prover to
-// Suspect with an immediate full audit.
-func (c *FleetController) runProbe(p *fleetProver) {
-	defer c.wg.Done()
-	defer p.inflight.Done()
-	ctx := p.ctx
-	if c.cfg.ProbeTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.cfg.ProbeTimeout)
-		defer cancel()
-	}
-	rtt, err := p.spec.Probe(ctx)
-	if err == nil {
-		metricFleetProbeSeconds.ObserveDuration(rtt)
-	} else {
-		metricFleetProbeFailures.Inc()
-	}
-	c.mu.Lock()
-	p.probing = false
-	now := c.clock.Now()
-	var events []transitionEvent
-	if err == nil {
-		p.consecProbeFail = 0
-		p.lastProbeRTT = rtt
-	} else if !p.draining {
-		p.consecProbeFail++
-		p.lastReason = fmt.Sprintf("probe: %v", err)
-		if p.health == HealthHealthy && p.consecProbeFail >= probeSuspectAfter {
-			events = append(events, c.transition(p, HealthSuspect,
-				fmt.Sprintf("%d consecutive probe failures", p.consecProbeFail), now))
-			c.escalate(p)
-			p.consecFail = 0
-			p.nextAudit = now // confirm or clear with a full audit immediately
-		}
-	}
-	c.mu.Unlock()
-	c.fire(events)
 }
 
 // runCycle executes one audit cycle (a numbered mini-epoch of this
@@ -753,21 +688,6 @@ func (c *FleetController) fire(events []transitionEvent) {
 	}
 }
 
-// PoolProbe returns a liveness probe that borrows a pooled connection to
-// addr and round-trips a Ping — the cheap RTT sample the controller runs
-// between full audits on TCP fleets.
-func PoolProbe(pool *ProverPool, addr string) func(context.Context) (time.Duration, error) {
-	return func(ctx context.Context) (time.Duration, error) {
-		conn, release, err := pool.Get(addr)
-		if err != nil {
-			return 0, err
-		}
-		rtt, err := conn.Ping(ctx)
-		release(err)
-		return rtt, err
-	}
-}
-
 // ProverStatus is one prover's row in the status API.
 type ProverStatus struct {
 	Name   string    `json:"name"`
@@ -779,20 +699,17 @@ type ProverStatus struct {
 	// defaults) or the escalated one.
 	Policy ProverPolicy `json:"policy"`
 	// Rounds is the challenge-round multiplier the next cycle will use.
-	Rounds              int           `json:"roundsFactor"`
-	ConsecutiveFailures int           `json:"consecutiveFailures"`
-	ProbeFailures       int           `json:"probeFailures"`
-	Quarantines         int           `json:"quarantines"`
-	ProbationPasses     int           `json:"probationPasses"`
-	Cycles              uint64        `json:"cycles"`
-	CycleFailures       uint64        `json:"cycleFailures"`
-	LastEpoch           uint64        `json:"lastEpoch"`
-	LastOutcome         string        `json:"lastOutcome,omitempty"`
-	LastReason          string        `json:"lastReason,omitempty"`
-	LastProbeRTT        time.Duration `json:"lastProbeRTTNs"`
-	NextAudit           time.Time     `json:"nextAudit"`
-	NextProbe           time.Time     `json:"nextProbe"`
-	Draining            bool          `json:"draining,omitempty"`
+	Rounds              int       `json:"roundsFactor"`
+	ConsecutiveFailures int       `json:"consecutiveFailures"`
+	Quarantines         int       `json:"quarantines"`
+	ProbationPasses     int       `json:"probationPasses"`
+	Cycles              uint64    `json:"cycles"`
+	CycleFailures       uint64    `json:"cycleFailures"`
+	LastEpoch           uint64    `json:"lastEpoch"`
+	LastOutcome         string    `json:"lastOutcome,omitempty"`
+	LastReason          string    `json:"lastReason,omitempty"`
+	NextAudit           time.Time `json:"nextAudit"`
+	Draining            bool      `json:"draining,omitempty"`
 }
 
 // FleetStatus is the controller's full observable state: the health
@@ -827,7 +744,6 @@ func (c *FleetController) Status() FleetStatus {
 			Policy:              policy,
 			Rounds:              rounds,
 			ConsecutiveFailures: p.consecFail,
-			ProbeFailures:       p.consecProbeFail,
 			Quarantines:         p.quarantines,
 			ProbationPasses:     p.probationPass,
 			Cycles:              p.cycles,
@@ -835,9 +751,7 @@ func (c *FleetController) Status() FleetStatus {
 			LastEpoch:           p.lastEpoch,
 			LastOutcome:         p.lastOutcome,
 			LastReason:          p.lastReason,
-			LastProbeRTT:        p.lastProbeRTT,
 			NextAudit:           p.nextAudit,
-			NextProbe:           p.nextProbe,
 			Draining:            p.draining,
 		})
 	}

@@ -241,9 +241,6 @@ func runEscalationScenario(t *testing.T, seed int64) string {
 		x.step(dt)
 	}
 	final := x.ctl.Status()
-	for i := range final.Provers {
-		final.Provers[i].LastProbeRTT = 0
-	}
 	for i := range final.Ledger {
 		final.Ledger[i].MaxRTT = 0
 	}
@@ -278,58 +275,37 @@ func TestFleetEscalationScenarioDeterministic(t *testing.T) {
 	runEscalationScenario(t, 7)
 }
 
-// TestFleetProbeFailuresDemote: consecutive liveness-probe failures are
-// enough to demote a healthy prover to suspect — the controller must not
-// wait a full audit period to notice a dead prover — and a passing full
-// audit immediately clears the suspicion.
-func TestFleetProbeFailuresDemote(t *testing.T) {
-	var probeFail atomic.Bool
-	cfg := FleetConfig{
+// TestFleetEscalatedRoundsCapped: a prover audited at more than half its
+// file's segments is re-checked at all of them once suspect, not failed
+// with an invalid request, so one failed cycle followed by honest
+// service restores it to healthy.
+func TestFleetEscalatedRoundsCapped(t *testing.T) {
+	x := newFleetFixture(t, FleetConfig{
 		Scheduler:   SchedulerConfig{Workers: 1, Timeout: 2 * time.Second},
-		AuditPeriod: time.Hour, // audits far apart: probes drive this test
-		ProbePeriod: time.Second,
-	}
-	x := newFleetFixture(t, cfg)
-	err := x.ctl.Register("p", ProverSpec{
-		Runner: x.honestRunner(),
-		Probe: func(context.Context) (time.Duration, error) {
-			if probeFail.Load() {
-				return 0, errors.New("ping refused")
-			}
-			return 3 * time.Millisecond, nil
-		},
-		Tasks: []AuditTask{x.f.task("acme", "p", 4)},
+		AuditPeriod: 10 * time.Second,
 	})
-	if err != nil {
+	segments := x.f.ef.Layout.Segments
+	p := &switchRunner{inner: x.honestRunner()}
+	p.mode.Store(1)
+	if err := x.ctl.Register("p", ProverSpec{
+		Runner: p,
+		Tasks:  []AuditTask{x.f.task("acme", "p", int(segments/2+1))},
+	}); err != nil {
 		t.Fatal(err)
 	}
-	// Admission audit + healthy probes.
-	for i := 0; i < 5; i++ {
-		x.step(time.Second)
-	}
-	st := x.ctl.Status()
-	if h := health(st, "p"); h != "healthy" {
-		t.Fatalf("health %q, want healthy", h)
-	}
-	if rtt := proverRow(t, st, "p").LastProbeRTT; rtt != 3*time.Millisecond {
-		t.Fatalf("probe RTT %v not recorded", rtt)
-	}
-
-	// Probes start failing: three misses demote to suspect and schedule an
-	// immediate full audit — which passes (the audit path still works) and
-	// restores healthy.
-	probeFail.Store(true)
-	st = x.stepUntil(t, time.Second, 10, "suspect via probes", func(st FleetStatus) bool {
-		return proverRow(t, st, "p").ProbeFailures >= 3 || health(st, "p") != "healthy"
+	x.stepUntil(t, time.Second, 10, "p suspect", func(st FleetStatus) bool {
+		return health(st, "p") == "suspect"
 	})
-	// The demotion and the clearing full audit may land in the same tick;
-	// drive one more tick and require the pass to have cleared it.
-	probeFail.Store(false)
-	st = x.stepUntil(t, time.Second, 10, "healthy after clearing audit", func(st FleetStatus) bool {
-		return health(st, "p") == "healthy" && !proverRow(t, st, "p").Escalated
+	p.mode.Store(0)
+	st := x.stepUntil(t, time.Second, 20, "p out of suspect", func(st FleetStatus) bool {
+		return health(st, "p") != "suspect"
 	})
-	if n := auditsOf(x.ctl.Ledger(), "p"); n < 2 {
-		t.Fatalf("expected the probe demotion to trigger a confirming audit; audits=%d", n)
+	if row := proverRow(t, st, "p"); row.Health != "healthy" || row.LastOutcome != "accepted" {
+		t.Fatalf("honest prover went %s after its escalated audit (%s: %s), want healthy",
+			row.Health, row.LastOutcome, row.LastReason)
+	}
+	if k := p.lastK.Load(); k != segments {
+		t.Fatalf("escalated audit ran K=%d, want the file's %d segments", k, segments)
 	}
 }
 

@@ -72,12 +72,6 @@ var (
 	metricFleetTransitions = telemetry.Default.CounterVec(
 		"geoproof_fleet_transitions_total",
 		"Prover health-state transitions, labeled by the state entered.", "to")
-	metricFleetProbeSeconds = telemetry.Default.DurationHistogram(
-		"geoproof_fleet_probe_rtt_seconds",
-		"Liveness-probe round-trip time for successful probes.")
-	metricFleetProbeFailures = telemetry.Default.Counter(
-		"geoproof_fleet_probe_failures_total",
-		"Liveness probes that returned an error.")
 	metricFleetQuarantineSeconds = telemetry.Default.DurationHistogram(
 		"geoproof_fleet_quarantine_seconds",
 		"Time provers spent quarantined, observed on leaving the state.")

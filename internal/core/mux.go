@@ -602,8 +602,8 @@ func (c *MuxProverConn) RunAudit(ctx context.Context, req AuditRequest) (SignedT
 	}
 }
 
-// Ping round-trips an empty frame on its own stream, for liveness checks
-// and pool health probes. Cancelling ctx abandons only the probe.
+// Ping round-trips an empty frame on its own stream, the cheapest
+// exchange the transport has. Cancelling ctx abandons only the ping.
 func (c *MuxProverConn) Ping(ctx context.Context) (time.Duration, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -199,3 +199,26 @@ func (r *PooledRunner) RunAudit(ctx context.Context, req AuditRequest) (SignedTr
 	release(err)
 	return st, err
 }
+
+// DeviceRunner ships each audit to a verifier device (a VerifierServer)
+// over the pool's warm connection to it: the device beside the prover
+// times the rounds and returns the signed transcript, and the TPA only
+// verifies it (paper Fig. 4). It is the runner a TPA gives each prover
+// of its fleet.
+type DeviceRunner struct {
+	Pool *ProverPool
+	Addr string
+}
+
+var _ AuditRunner = DeviceRunner{}
+
+// RunAudit borrows the pooled device connection for one audit.
+func (r DeviceRunner) RunAudit(ctx context.Context, req AuditRequest) (SignedTranscript, error) {
+	conn, release, err := r.Pool.Get(r.Addr)
+	if err != nil {
+		return SignedTranscript{}, fmt.Errorf("device conn: %w", err)
+	}
+	st, err := conn.RunAudit(ctx, req)
+	release(err)
+	return st, err
+}

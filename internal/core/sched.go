@@ -37,8 +37,9 @@ var ErrAuditTimeout = errors.New("core: audit attempt timed out")
 //     multiplexed prover connections, dialed over TCP or, through the
 //     pool's Dial seam, over a simulated network on virtual time — what
 //     a verifier device (geoverifierd's VerifierServer) runs,
-//   - a MuxProverConn to a verifier device, borrowed from a ProverPool
-//     per audit (geoverify): fully distributed — each audit is shipped to
+//   - DeviceRunner: a MuxProverConn to a verifier device, borrowed from
+//     a ProverPool per audit — what a TPA runs (geoverify, and the
+//     testnet's TPA node): fully distributed — each audit is shipped to
 //     the device on its own stream and the device runs the rounds beside
 //     its prover; concurrent audits share the one warm connection.
 //

@@ -45,13 +45,19 @@ type member struct {
 	truePos geo.Position
 
 	site *cloud.Site
+	// pool is the verifier device's connection pool to the site.
+	pool *core.ProverPool
 	spec core.ProverSpec
 
 	departed bool
 }
 
-// vnode names the co-located verifier endpoint of the named member.
+// vnode names the co-located verifier device of the named member.
 func vnode(member string) string { return "v:" + member }
+
+// tpaNode is the one TPA auditing the fleet through every member's
+// device.
+const tpaNode = "tpa"
 
 // buildMembers expands the spec's prover groups into concrete members,
 // resolving cities and shared collusion stores. Sites are created here;

@@ -15,9 +15,9 @@
 //     geoloc.DetectDrift — flags the moved site),
 //   - storage corruption (MAC rejects), packet loss (a lost round fails
 //     alone with an error frame) and scripted churn
-//     (kill takes the member's node down: dials are refused, live
-//     streams reset and the pool drops its warm connection;
-//     restore/leave/join).
+//     (kill takes the member's node down: its device's dials are
+//     refused, live streams reset and the device's pool drops its warm
+//     connection; restore/leave/join).
 //
 // Each spec also declares the expected outcome: a per-group verdict
 // class over the (tenant, prover) matrix, health-machine paths and final
@@ -26,21 +26,27 @@
 // scenario.
 //
 // The simulated network's link model is the one source of network delay
-// in a scenario: timed audit rounds, probes and the drift phase's
-// landmark pings all cross its links.
+// in a scenario: timed audit rounds and the drift phase's landmark pings
+// both cross its links.
 //
 // # Determinism contract
 //
-// A scenario is a pure function of its Spec (including Seed). Audits and
-// probes run on the shipped transport — each member's ProverServer
-// listens on its simnet node and one ProverPool dials them all, so every
-// round is a mux exchange over a simnet stream — and everything runs on
-// one virtual clock (vclock.Virtual) starting at a fixed epoch: a stream
-// read moves the clock to the bytes' arrival, a look-up sleeps on it.
-// Every random stream — link jitter (drift pings included), packet
-// loss, fleet audit jitter, TPA challenge nonces — is derived from Seed. The transport runs on goroutines (demux loops, prover
-// workers), but the scheduler runs Workers=1, Timeout=0 and the
-// controller Synchronous=true, so only one exchange is ever in flight:
+// A scenario is a pure function of its Spec (including Seed). Audits run
+// on the shipped topology and transport, as geoverify and geoverifierd
+// run them over TCP: one TPA node's ProverPool reaches each member's
+// verifier device (a VerifierServer on the member's device node) with a
+// core.DeviceRunner, and the device times the rounds over its own pool
+// to the member's ProverServer, so every round is a mux exchange over a
+// LAN simnet stream. The TPA's leg is a zero-delay link: it draws no
+// jitter and moves no clock. The fleet sees a prover only through these
+// audits; there is no other exchange. Everything runs on one virtual
+// clock (vclock.Virtual) starting at a fixed epoch: a stream read moves
+// the clock to the bytes' arrival, a look-up sleeps on it. Every random
+// stream — link jitter (drift pings included), packet loss, fleet audit
+// jitter, TPA challenge nonces — is derived from Seed. The transport
+// runs on goroutines (demux loops, device and prover workers), but the
+// scheduler runs Workers=1, Timeout=0 and the controller
+// Synchronous=true, so only one exchange is ever in flight:
 // each clock move and each jitter draw follows from the one before, and
 // no goroutine interleaving can reorder observations. ECDSA signatures
 // do use crypto/rand, but signature bytes never enter the trace (only

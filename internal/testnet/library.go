@@ -138,7 +138,8 @@ func regionDrift() Spec {
 }
 
 // churnStorm: kills, restores, graceful leaves and rejoins across an
-// honest fleet. Killed provers are demoted by probes and rehabilitated
+// honest fleet. Killed provers fail their audits at their devices'
+// refused dials, are demoted and quarantined, and are rehabilitated
 // through probation after restore; leavers drain cleanly and rejoin
 // healthy.
 func churnStorm() Spec {

@@ -3,8 +3,8 @@ package testnet
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
-	"net"
 	"sort"
 	"strings"
 	"sync"
@@ -21,16 +21,16 @@ import (
 )
 
 // world is the running state of one scenario: the simulated network with
-// a ProverServer listening on every member's node and one connection pool
-// dialing them, the tenant population, the instantiated members and the
-// fleet controller, plus every observation stream that ends up in the
-// trace.
+// a ProverServer on every member's node and a VerifierServer on its
+// device's node, the TPA's connection pool dialing the devices, the
+// tenant population, the instantiated members and the fleet controller,
+// plus every observation stream that ends up in the trace.
 type world struct {
 	spec    Spec
 	clk     *vclock.Virtual
 	net     *simnet.Network
 	pool    *core.ProverPool
-	servers []*core.ProverServer
+	closers []io.Closer
 	signer  *crypt.Signer
 
 	members []*member
@@ -109,12 +109,12 @@ func Run(spec Spec) (*Result, error) {
 		cells:  map[cellKey]*Cell{},
 	}
 	w.net = simnet.New(w.clk, spec.Seed)
-	// Each member's verifier device dials its own site.
-	w.pool = &core.ProverPool{Dial: func(addr string) (net.Conn, error) { return w.net.Dial(vnode(addr), addr) }}
+	// The TPA reaches every prover through the member's verifier device.
+	w.pool = &core.ProverPool{Dial: w.net.Dialer(tpaNode)}
 	defer func() {
 		w.pool.Close()
-		for _, srv := range w.servers {
-			srv.Close()
+		for _, c := range w.closers {
+			c.Close()
 		}
 	}()
 	var err error
@@ -137,8 +137,8 @@ func Run(spec Spec) (*Result, error) {
 	defer w.ctl.Close()
 
 	// The scenario proper: scripted churn, one reconcile tick, one
-	// virtual second — repeated. All audit and probe time is charged to
-	// the same virtual clock, so a saturated fleet visibly stretches its
+	// virtual second — repeated. All audit time is charged to the same
+	// virtual clock, so a saturated fleet visibly stretches its
 	// own audit cadence, exactly like a saturated TPA would.
 	for tick := 0; tick < spec.Ticks; tick++ {
 		if err := w.applyChurn(tick); err != nil {
@@ -233,7 +233,6 @@ func (w *world) setupController() {
 		},
 		AuditPeriod:  time.Duration(w.spec.AuditPeriodSec) * time.Second,
 		AuditJitter:  w.spec.AuditJitter,
-		ProbePeriod:  time.Duration(w.spec.ProbePeriodSec) * time.Second,
 		EvictAfter:   w.spec.EvictAfter,
 		RetainEpochs: w.spec.RetainEpochs,
 		Clock:        w.clk,
@@ -296,9 +295,11 @@ func (w *world) placeAndRegister() error {
 }
 
 // wireMember puts the member's site and its verifier device on the
-// simulated network, starts the site's prover server and registers the
-// member with the fleet controller: audits and probes ride the world's
-// pool to the server, as they would over TCP.
+// simulated network, starts the site's prover server and the device's
+// verifier server, and registers the member with the fleet controller:
+// each audit rides the TPA's pool to the device, which times its rounds
+// over its own pool to the prover, as geoverify and geoverifierd do over
+// TCP.
 func (w *world) wireMember(m *member, tasks []core.AuditTask) error {
 	provider, err := m.provider(w.spec.Seed)
 	if err != nil {
@@ -311,22 +312,31 @@ func (w *world) wireMember(m *member, tasks []core.AuditTask) error {
 	// The verifier device is co-located with the *claimed* site over a
 	// short LAN — for drifting provers it moved with the data, which is
 	// exactly why their timed audits keep passing.
-	w.net.SetLink(vnode(m.name), m.name, lanLink)
+	dev := vnode(m.name)
+	w.net.SetLink(dev, m.name, lanLink)
+	// The TPA's leg is untimed: it draws no jitter and moves no clock.
+	w.net.SetLink(tpaNode, dev, simnet.Fixed(0))
 	lis, err := w.net.Listen(m.name)
 	if err != nil {
 		return err
 	}
 	srv := &core.ProverServer{Provider: provider, SimulateServiceTime: true}
 	go srv.Serve(lis)
-	w.servers = append(w.servers, srv)
+	w.closers = append(w.closers, srv)
 	verifier, err := core.NewVerifier(w.signer, m.receiver(), w.clk)
 	if err != nil {
 		return err
 	}
+	if lis, err = w.net.Listen(dev); err != nil {
+		return err
+	}
+	m.pool = &core.ProverPool{Dial: w.net.Dialer(dev)}
+	vsrv := &core.VerifierServer{Runner: &core.PooledRunner{Verifier: verifier, Addr: m.name, Pool: m.pool}}
+	go vsrv.Serve(lis)
+	w.closers = append(w.closers, vsrv, m.pool)
 	m.spec = core.ProverSpec{
-		Runner: &core.PooledRunner{Verifier: verifier, Addr: m.name, Pool: w.pool},
-		Probe:  core.PoolProbe(w.pool, m.name),
-		Addr:   m.name,
+		Runner: core.DeviceRunner{Pool: w.pool, Addr: dev},
+		Addr:   dev,
 		Tasks:  tasks,
 	}
 	return w.ctl.Register(m.name, m.spec)
@@ -345,11 +355,12 @@ func (w *world) applyChurn(tick int) error {
 		}
 		switch ev.Action {
 		case "kill":
-			// The reset reaches the warm connection's reader later, on
-			// its own goroutine; evicting it now makes the next exchange
-			// dial, and be refused, however the goroutines are scheduled.
+			// The reset reaches the device's warm connection's reader
+			// later, on its own goroutine; evicting it now makes the next
+			// round dial, and be refused, however the goroutines are
+			// scheduled.
 			w.net.SetDown(m.name, true)
-			w.pool.Evict(m.name)
+			m.pool.Evict(m.name)
 		case "restore":
 			w.net.SetDown(m.name, false)
 		case "leave":

@@ -37,10 +37,9 @@ type Spec struct {
 	// Ticks is the scenario length: one fleet reconcile tick + one
 	// virtual second per tick (default 60).
 	Ticks int `json:"ticks"`
-	// AuditPeriodSec / ProbePeriodSec pace the fleet controller
-	// (defaults 10 and 2 virtual seconds).
+	// AuditPeriodSec paces the fleet controller (default 10 virtual
+	// seconds).
 	AuditPeriodSec int `json:"auditPeriodSec,omitempty"`
-	ProbePeriodSec int `json:"probePeriodSec,omitempty"`
 	// AuditJitter spreads re-audit periods (seeded; default 0.2).
 	// Negative disables jitter entirely.
 	AuditJitter float64 `json:"auditJitter,omitempty"`
@@ -102,8 +101,8 @@ type ProverGroup struct {
 type ChurnEvent struct {
 	AtTick int `json:"atTick"`
 	// Action is one of:
-	//   kill    — the prover's node goes down: dials are refused and live
-	//             streams reset, so probes and audits fail;
+	//   kill    — the prover's node goes down: its device's dials are
+	//             refused and live streams reset, so its audits fail;
 	//   restore — the node comes back up;
 	//   leave   — graceful deregistration (in-flight audits drain);
 	//   join    — re-register a previously departed member.
@@ -211,9 +210,6 @@ func (s Spec) withDefaults() Spec {
 	}
 	if s.AuditPeriodSec <= 0 {
 		s.AuditPeriodSec = 10
-	}
-	if s.ProbePeriodSec <= 0 {
-		s.ProbePeriodSec = 2
 	}
 	switch {
 	case s.AuditJitter == 0:

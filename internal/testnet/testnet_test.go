@@ -36,16 +36,18 @@ func TestLibraryScenarios(t *testing.T) {
 // runs of one build; these pin the trace across builds, so a change to
 // when the fleet controller demotes, quarantines, readmits or evicts a
 // prover — relay-attack walks healthy → suspect → quarantined → evicted,
-// churn-storm runs probation and recovery — fails here. A change that
-// moves a hash on purpose updates it and says why.
+// churn-storm's killed provers fail their audits at the device's refused
+// dial, then run probation and recovery — or to what an audit crossing
+// TPA → device → prover observes, fails here. A change that moves a hash
+// on purpose updates it and says why.
 var pinnedTraceHashes = map[string]string{
-	"baseline-honest":  "90595813e1be",
-	"relay-attack":     "cf3010c70f33",
-	"collusion":        "2a503acc557a",
-	"region-drift":     "a6b937526b48",
-	"churn-storm":      "97a19340b428",
-	"loss-degradation": "82d64be92b49",
-	"scale-fleet":      "7b41a8b0455c",
+	"baseline-honest":  "51b1d75dc82c",
+	"relay-attack":     "a7cda1bfc2f5",
+	"collusion":        "e4c29524996b",
+	"region-drift":     "40601b250b8c",
+	"churn-storm":      "2430592c6048",
+	"loss-degradation": "27f3084e6af9",
+	"scale-fleet":      "f9d81a7867ae",
 }
 
 // TestLibraryTraceHashesPinned runs every library scenario once (the
@@ -140,9 +142,11 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 	}
 	for _, bad := range []string{
 		`{"name":"x","tenants":1,"provers":[{"name":"p","count":1,"behavior":"teleport"}]}`,
-		// The bit-level distance-bounding phase, the delay behaviour and
-		// the drift phase's settings object are gone; old fixtures fail.
+		// The bit-level distance-bounding phase, the delay behaviour, the
+		// drift phase's settings object and the probe period are gone;
+		// old fixtures fail.
 		`{"name":"x","tenants":1,"provers":[{"name":"p","count":1,"behavior":"honest"}],"dbound":{}}`,
+		`{"name":"x","tenants":1,"provers":[{"name":"p","count":1,"behavior":"honest"}],"probePeriodSec":2}`,
 		`{"name":"x","tenants":1,"provers":[{"name":"p","count":1,"behavior":"delay"}]}`,
 		`{"name":"x","tenants":1,"provers":[{"name":"p","count":1,"behavior":"honest"}],"drift":{}}`,
 	} {
@@ -207,10 +211,10 @@ func TestAssertReplayPinpointsDivergence(t *testing.T) {
 	}
 }
 
-// TestKillRefusesNextExchange: the first audit or probe after a kill
-// fails at the refused dial, never on the killed member's stale warm
-// connection, whichever goroutine the scheduler runs first — the reason
-// lands in the trace, so the trace would otherwise depend on timing.
+// TestKillRefusesNextExchange: the first audit after a kill fails at the
+// device's refused dial, never on its stale warm connection to the killed
+// prover, whichever goroutine the scheduler runs first — the reason lands
+// in the trace, so the trace would otherwise depend on timing.
 func TestKillRefusesNextExchange(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	spec := Spec{
@@ -219,11 +223,10 @@ func TestKillRefusesNextExchange(t *testing.T) {
 		Tenants:  1,
 		Replicas: 1,
 		Ticks:    12,
-		// Audits every 2 s and no probe after the first: the exchange
-		// right after the kill is an audit, whose reason is traced.
+		// Audits every 2 s, the only exchange there is: the one right
+		// after the kill fails, and its reason is traced.
 		AuditPeriodSec: 2,
 		AuditJitter:    -1,
-		ProbePeriodSec: 1000,
 		Provers:        []ProverGroup{{Name: "solo", Count: 1, Behavior: BehaviorHonest, City: "Brisbane"}},
 		Churn:          []ChurnEvent{{AtTick: 4, Action: "kill", Target: "solo-00"}},
 	}
