@@ -51,12 +51,17 @@
 // that stops reading stalls the read loop); on a one-P prover the reply
 // that starts a write first yields once while another stream on its
 // connection is being served, so sibling replies that are already
-// runnable join it. The verifier's challenges take turns, each in its
-// own write and none yielding, so Δt_j starts when the challenge reaches
-// the socket and only a reply waits, for its own siblings. On the
-// two-client loopback benchmark an audit of k = 20 rounds makes about 30
-// socket writes and 40 reads (one write per frame, 40, before replies
-// shared them).
+// runnable join it. The verifier's challenges take turns — one that
+// finds a write running waits for a write of its own — and on a one-P
+// verifier the challenge that starts a write first yields once while a
+// sibling stream holds a reply the demux delivered but its owner has not
+// taken, so that owner's next challenge joins the write. A write carries
+// challenges of different audits only, and the only time added to a Δt_j
+// is what that sibling runs between taking its reply and sending its next
+// challenge or blocking (signing, after its last round). On the
+// two-client loopback benchmark an audit of k = 20 rounds makes about 20
+// socket writes and 40 reads (30 while only replies shared writes, one
+// write per frame, 40, before that).
 // ProverServer.Concurrency bounds connections served at once and, per
 // connection, streams being served at once (hence its workers); the read
 // loop takes the slot before it dispatches and the worker returns it

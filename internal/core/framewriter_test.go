@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -246,11 +247,12 @@ func TestMuxFailedBatchFailsItsStreams(t *testing.T) {
 	})
 }
 
-// TestMuxChallengesNeverWait: the verifier's writer never yields, so a
-// challenge leaves in its own Write before anything else runs — one Write
-// per GetSegment — even on one P with sibling streams in flight and
-// another goroutine runnable at the instant it is sent. Δt_j starts when
-// the challenge reaches the socket.
+// TestMuxChallengesNeverWait: the verifier's writer yields only to a
+// sibling whose reply is delivered but not yet taken, so with none — even
+// on one P with sibling streams in flight and another goroutine runnable
+// at the instant it is sent — a challenge leaves in its own Write before
+// anything else runs, one Write per GetSegment. Δt_j starts when the
+// challenge reaches the socket.
 func TestMuxChallengesNeverWait(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const withheld = 100 // the prover never answers these indices
@@ -354,6 +356,212 @@ func TestMuxChallengesTakeTurns(t *testing.T) {
 		if n != frame {
 			t.Fatalf("Write %d carried %d bytes, want one %d-byte challenge", i, n, frame)
 		}
+	}
+}
+
+// challengeLog wraps a verifier's connection and records, for every
+// Write, the indices of the segment requests it carries.
+type challengeLog struct {
+	net.Conn
+	mu      sync.Mutex
+	indices [][]uint64
+}
+
+func (c *challengeLog) Write(b []byte) (int, error) {
+	var indices []uint64
+	for r := bytes.NewReader(b); r.Len() > 0; {
+		_, _, payload, err := wire.ReadMuxFrame(r)
+		if err != nil {
+			break
+		}
+		if _, index, err := wire.SplitSegmentRequest(payload); err == nil {
+			indices = append(indices, index)
+		}
+		wire.PutBuffer(payload)
+	}
+	c.mu.Lock()
+	c.indices = append(c.indices, indices)
+	c.mu.Unlock()
+	return c.Conn.Write(b)
+}
+
+// TestMuxChallengesShareWrites: on one P, two streams whose replies
+// arrive in one read send their next challenges in one Write — the
+// challenge that starts the Write first yields once to the sibling whose
+// reply is delivered but not yet taken — and each stream still gets
+// exactly its own segment, with no Write carrying two frames of one
+// stream. The mirror of TestProverServerBatchesReadyReplies. It runs on
+// loopback TCP: a pipe's Write waits for the peer's read, so the replies
+// would arrive while the previous Write still held the writer's turn.
+func TestMuxChallengesShareWrites(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const rounds = 20 // pairs after the first, whose challenges have no reply to wait for
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	// The peer reads the challenges two at a time and answers each pair
+	// in one Write.
+	peer := make(chan error, 1)
+	go func() {
+		server, err := lis.Accept()
+		if err != nil {
+			peer <- err
+			return
+		}
+		defer server.Close()
+		br := bufio.NewReader(server)
+		for pair := 0; pair <= rounds; pair++ {
+			var replies []byte
+			for i := 0; i < 2; i++ {
+				_, stream, payload, err := wire.ReadMuxFrame(br)
+				if err != nil {
+					peer <- err
+					return
+				}
+				_, index, err := wire.SplitSegmentRequest(payload)
+				wire.PutBuffer(payload)
+				if err != nil {
+					peer <- err
+					return
+				}
+				replies, _ = wire.AppendMuxFrame(replies, wire.TypeSegmentResponse, stream, []byte{byte(index)})
+			}
+			if _, err := server.Write(replies); err != nil {
+				peer <- err
+				return
+			}
+		}
+		peer <- nil
+	}()
+	client, err := net.Dial("tcp", lis.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := &challengeLog{Conn: client}
+	conn := NewMuxProverConn(log)
+	defer conn.Close()
+	// Stream g asks for the indices of parity g.
+	errc := make(chan error, 2)
+	for g := uint64(0); g < 2; g++ {
+		go func(g uint64) {
+			for round := uint64(0); round <= rounds; round++ {
+				i := 2*round + g
+				seg, err := conn.GetSegment(context.Background(), "f", i)
+				if err == nil && (len(seg) != 1 || seg[0] != byte(i)) {
+					err = fmt.Errorf("challenge %d got segment %v", i, seg)
+				}
+				if err != nil {
+					errc <- err
+					return
+				}
+			}
+			errc <- nil
+		}(g)
+	}
+	for i := 0; i < 2; i++ {
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := <-peer; err != nil {
+		t.Fatal(err)
+	}
+	shared := 0
+	for _, w := range log.indices {
+		if len(w) > 2 || len(w) == 2 && w[0]%2 == w[1]%2 {
+			t.Fatalf("one Write carried challenges %v: two of one stream", w)
+		}
+		if len(w) == 2 {
+			shared++
+		}
+	}
+	// As for the prover's replies, the global queue a yield parks the
+	// flusher on is sometimes run first, so not every pair shares.
+	if shared < 3*rounds/4 {
+		t.Fatalf("%d of %d pairs of ready challenges shared one Write (%v)", shared, rounds, log.indices)
+	}
+}
+
+// TestMuxCancelledReplyLeavesNoYield: a round that gives up as its reply
+// is delivered drains that reply on its way out, and a failed connection
+// counts no reply as waiting, so neither leaves the writer a sibling to
+// yield to: a lone challenge then leaves in its own Write before any
+// other goroutine runs, as in TestMuxChallengesNeverWait.
+func TestMuxCancelledReplyLeavesNoYield(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const withheld = 100 // the prover never answers these indices
+	var (
+		log      *writeLog
+		runnable chan struct{} // closed by a goroutine started just before the lone challenge
+		early    bool          // the lone challenge was written after that goroutine ran
+	)
+	conn, seen := pipeProverOn(t, withheld, func(c net.Conn) net.Conn {
+		log = &writeLog{Conn: c, onWrite: func() {
+			select {
+			case <-runnable:
+				early = true
+			default:
+			}
+		}}
+		return log
+	})
+	// The round's select picks at random between its delivered reply and
+	// its cancelled context; repeat until it takes the cancel.
+	cancelled := false
+	for i := uint64(0); i < 64 && !cancelled; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		errc := make(chan error, 1)
+		go func(i uint64) {
+			_, err := conn.GetSegment(ctx, "f", withheld+i)
+			errc <- err
+		}(i)
+		id := <-seen
+		cancel()
+		// On one P the round has not run since the cancel, so its
+		// stream is still pending and takes this reply.
+		if !conn.dispatch(id, muxMsg{typ: wire.TypeSegmentResponse, payload: []byte{byte(i)}}) {
+			t.Fatal("dispatch to a live stream failed the connection")
+		}
+		err := <-errc
+		if cancelled = errors.Is(err, context.Canceled); !cancelled && err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !cancelled {
+		t.Fatal("no round took its cancel over its delivered reply")
+	}
+	before := len(log.writes())
+	ch := make(chan struct{})
+	runnable = ch
+	go close(ch)
+	if seg, err := conn.GetSegment(context.Background(), "f", 1); err != nil || len(seg) != 1 || seg[0] != 1 {
+		t.Fatalf("lone challenge: %v, %v", seg, err)
+	}
+	if early {
+		t.Fatalf("the lone challenge let another goroutine run before its Write (%d replies counted ready)", conn.ready.Load())
+	}
+	if writes := log.writes()[before:]; len(writes) != 1 || writes[0] != challengeLen() {
+		t.Fatalf("the lone challenge took Writes %v, want one %d-byte Write", writes, challengeLen())
+	}
+
+	// A reply delivered but not yet taken when the connection fails
+	// leaves nothing to yield for, before or after its owner lets it go.
+	id, reply, err := conn.issue()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !conn.dispatch(id, muxMsg{typ: wire.TypeSegmentResponse, payload: []byte{0}}) || !conn.w.yield() {
+		t.Fatal("a delivered reply does not count as waiting")
+	}
+	conn.fail(errInjected)
+	if conn.w.yield() {
+		t.Fatal("a failed connection's writer would yield")
+	}
+	conn.cancel(id, reply)
+	if n := conn.ready.Load(); n != 0 {
+		t.Fatalf("%d replies counted ready on a failed connection, want 0", n)
 	}
 }
 

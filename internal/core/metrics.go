@@ -51,6 +51,9 @@ var (
 	metricMuxFramesRead = telemetry.Default.Counter(
 		"geoproof_mux_frames_read_total",
 		"Frames read on multiplexed prover connections.")
+	metricMuxChallengeWrites = telemetry.Default.Counter(
+		"geoproof_mux_challenge_writes_total",
+		"Socket writes carrying frames on multiplexed prover connections; on one P challenges ready together share one.")
 
 	// Prover server side (geoproofd).
 	metricProverConns = telemetry.Default.Counter(

@@ -8,6 +8,7 @@ import (
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/telemetry"
@@ -58,20 +59,24 @@ const maxWriteBuf = 64 << 10
 // the first to find no flush running becomes the flusher and hands
 // everything pending to one Write. On a batching end (the two servers)
 // it does so again while frames arrived during the call, and every other
-// writer appends and returns; elsewhere (the verifier's challenges)
-// writers take turns and each sends only its own frame, so a challenge
-// never waits for a sibling's Write after its own. Frames never
-// interleave and never straddle two system calls. A failed Write is
-// latched: every later write returns it, and the frames queued behind it
-// are dropped with the connection, which the caller fails.
+// writer appends and returns. Elsewhere (the verifier's challenges)
+// writers take turns: a frame that arrives while a Write is running waits
+// for its own, so a challenge never waits for a sibling's Write after its
+// own; only the frames queued while the flusher yields, before its Write,
+// join that Write. Either end yields only where yield says so, on one P.
+// Frames never interleave and never straddle two system calls. A failed
+// Write is latched: every later write returns it, and the frames queued
+// behind it are dropped with the connection, which the caller fails.
 type frameWriter struct {
 	conn net.Conn
 	// batch lets a writer that finds a flush running queue its frame for
 	// that flush and return.
 	batch bool
-	// yield, when set (ProverServer), reports whether a flusher should
-	// let other goroutines run once before writing, so a sibling reply
-	// that is already runnable joins the batch.
+	// yield, when set, reports whether a flusher should let other
+	// goroutines run once before writing, so a sibling frame that is
+	// about to be written joins the batch: a reply being served
+	// (ProverServer), a challenge whose stream's last reply was delivered
+	// but not yet taken (MuxProverConn).
 	yield func() bool
 	// writes, when set, counts the Write calls.
 	writes *telemetry.Counter
@@ -82,7 +87,11 @@ type frameWriter struct {
 	pending  []byte // frames not yet handed to the socket; guarded by mu
 	spare    []byte // the buffer the last batch went out in, for reuse; guarded by mu
 	flushing bool   // guarded by mu
-	err      error  // the latched write failure; guarded by mu
+	// gathering is set while a turn-taking flusher yields before its
+	// Write: a writer that finds it set queues its frame for that Write
+	// and returns instead of waiting for a turn; guarded by mu.
+	gathering bool
+	err       error // the latched write failure; guarded by mu
 	// room, made by a writer that finds the batch full, is closed when
 	// the flush takes the batch or ends; guarded by mu.
 	room chan struct{}
@@ -93,11 +102,13 @@ type frameWriter struct {
 // appended straight into the frame. A frame too large to send is refused
 // with wire.ErrFrameTooLarge and leaves the connection as it was.
 func (w *frameWriter) write(typ byte, stream uint32, payload []byte, req *wire.SegmentRequest) error {
-	if !w.batch {
+	w.mu.Lock()
+	if !w.batch && !(w.gathering && len(w.pending) < maxWriteBuf) {
+		w.mu.Unlock()
 		w.turn.Lock()
 		defer w.turn.Unlock()
+		w.mu.Lock()
 	}
-	w.mu.Lock()
 	for w.flushing && w.err == nil && len(w.pending) >= maxWriteBuf {
 		if w.room == nil {
 			w.room = make(chan struct{})
@@ -131,8 +142,10 @@ func (w *frameWriter) write(typ byte, stream uint32, payload []byte, req *wire.S
 		return nil // the running flush sends it
 	}
 	w.flushing = true
+	yield := w.yield != nil && w.yield()
+	w.gathering = yield && !w.batch
 	w.mu.Unlock()
-	if w.yield != nil && w.yield() {
+	if yield {
 		runtime.Gosched()
 	}
 	return w.flush()
@@ -143,6 +156,7 @@ func (w *frameWriter) write(typ byte, stream uint32, payload []byte, req *wire.S
 func (w *frameWriter) flush() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	w.gathering = false
 	for len(w.pending) > 0 {
 		batch := w.pending
 		w.pending, w.spare = w.spare[:0], nil
@@ -217,7 +231,10 @@ type muxMsg struct {
 // audit). It is safe for concurrent use: every exchange gets its own
 // stream ID, a demux loop routes the one reply each stream is owed, and
 // cancelling one stream's context abandons only that stream — sibling
-// exchanges and the connection itself stay serviceable.
+// exchanges and the connection itself stay serviceable. Its requests take
+// turns at the socket; on one P a request that starts a write first
+// yields once to a sibling whose reply is delivered but not yet taken,
+// so requests ready together share the write (frameWriter).
 type MuxProverConn struct {
 	conn  net.Conn
 	w     frameWriter
@@ -235,6 +252,12 @@ type MuxProverConn struct {
 	// hand out again.
 	free []chan muxMsg
 	err  error
+	// ready counts the replies the demux has delivered and their streams'
+	// owners have not taken yet, while the connection is live; on one P a
+	// challenge's writer yields once while it is non-zero, so the owner's
+	// next challenge joins the Write. Written under mu, read by the writer
+	// without it.
+	ready atomic.Int32
 
 	closeOnce sync.Once
 	rdone     chan struct{}
@@ -250,12 +273,16 @@ var (
 func NewMuxProverConn(conn net.Conn) *MuxProverConn {
 	c := &MuxProverConn{
 		conn:    conn,
-		w:       frameWriter{conn: conn},
 		clock:   clockOf(conn),
 		pending: make(map[uint32]chan muxMsg),
 		tomb:    make(map[uint32]struct{}),
 		rdone:   make(chan struct{}),
 	}
+	// As on the prover, only one P needs the yield: with more, a sibling
+	// runs beside the Write, and its challenge takes the next turn.
+	oneP := runtime.GOMAXPROCS(0) == 1
+	c.w = frameWriter{conn: conn, writes: metricMuxChallengeWrites,
+		yield: func() bool { return oneP && c.ready.Load() > 0 }}
 	go c.readLoop()
 	return c
 }
@@ -398,6 +425,7 @@ func (c *MuxProverConn) failLocked(err error) {
 		return
 	}
 	c.err = err
+	c.ready.Store(0) // a dead connection writes nothing more to yield for
 	c.conn.Close()
 	for id, ch := range c.pending {
 		close(ch)
@@ -449,24 +477,45 @@ func (c *MuxProverConn) issue() (uint32, chan muxMsg, error) {
 	return c.nextID, ch, nil
 }
 
-// recycle takes back the reply channel of a stream whose reply was
-// received. Only that path may call it: after a cancel, a failed write or
-// a connection failure, dispatch or failLocked may still hold the channel.
+// recycle counts a delivered reply taken and takes back its stream's
+// reply channel. Only that path may call it: after a cancel, a failed
+// write or a connection failure, dispatch or failLocked may still hold
+// the channel.
 func (c *MuxProverConn) recycle(ch chan muxMsg) {
 	c.mu.Lock()
+	c.untake()
 	c.free = append(c.free, ch)
 	c.mu.Unlock()
+}
+
+// untake counts one delivered reply off ready. failLocked zeroed the
+// count of a failed connection, so there it counts nothing. The caller
+// holds mu.
+func (c *MuxProverConn) untake() {
+	if c.err == nil {
+		c.ready.Add(-1)
+	}
 }
 
 // cancel abandons a stream: the reply the server still owes it is
 // tombstoned so the demux loop drops it on arrival. Only this stream
 // dies — unless the prover has left maxTombstones cancelled streams
-// unanswered, which fails the connection.
-func (c *MuxProverConn) cancel(id uint32) {
+// unanswered, which fails the connection. A reply already delivered to
+// ch is drained instead, so it no longer counts as ready.
+func (c *MuxProverConn) cancel(id uint32, ch chan muxMsg) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.pending[id]; !ok {
-		return // the reply already arrived (or the conn failed); nothing to drop
+		// The reply already arrived (dispatch sent it under mu, so it is
+		// buffered now) or the conn failed and closed ch.
+		select {
+		case _, ok := <-ch:
+			if ok {
+				c.untake()
+			}
+		default:
+		}
+		return
 	}
 	delete(c.pending, id)
 	if len(c.tomb) >= maxTombstones {
@@ -536,6 +585,7 @@ func (c *MuxProverConn) dispatch(stream uint32, msg muxMsg) bool {
 	}
 	delete(c.pending, stream)
 	ch <- msg // buffered; never blocks
+	c.ready.Add(1)
 	return true
 }
 
@@ -561,7 +611,7 @@ func (c *MuxProverConn) exchange(ctx context.Context, typ byte, payload []byte, 
 		c.recycle(ch)
 		return msg, nil
 	case <-ctx.Done():
-		c.cancel(id)
+		c.cancel(id, ch)
 		return muxMsg{}, ctx.Err()
 	}
 }
