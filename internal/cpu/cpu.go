@@ -5,13 +5,19 @@
 // It holds the instructions only. Each kernel's package keeps its own pure
 // decision function from these words to "runs" or the name of the missing
 // feature, and that function's test, so a kernel's requirements are read
-// where its assembly is: gf256's GFNI column kernel, crypt's AES-NI tag
-// kernel and prp's AVX-512 Feistel kernel. Off amd64 every word reads zero.
+// where its assembly is: gf256's GFNI column kernel, crypt's VAES tag and
+// CTR kernels and prp's AVX-512 Feistel kernel. Off amd64 every word
+// reads zero.
 package cpu
 
 // OSXSAVE is CPUID leaf 1 ECX bit 27: the OS enabled XSAVE, so XGETBV may
 // run and XCR0 says which register state it saves.
 const OSXSAVE = 1 << 27
+
+// XCR0YMM is XCR0 bits 1 and 2: the OS saves XMM and the upper halves of
+// YMM across context switches, so an AVX kernel's registers survive
+// preemption.
+const XCR0YMM = 0x6
 
 // XCR0ZMM is XCR0 bits 1, 2, 5, 6 and 7: the OS saves XMM, YMM, opmask,
 // the upper halves of ZMM0–15 and ZMM16–31 across context switches, so an

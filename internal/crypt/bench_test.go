@@ -26,7 +26,7 @@ func BenchmarkSegmentTag(b *testing.B) {
 const benchSlabSegments = 4096
 
 // benchSlab times fn on a freshly stamped default slab on each slab path
-// the host has (taggerPaths): /aesni, the eight-lane kernel, and
+// the host has (taggerPaths): /vaes, the fused sixteen-lane kernel, and
 // /portable, the four lanes through cipher.Block.
 func benchSlab(b *testing.B, fn func(tg *Tagger, slab []byte, bad []bool)) {
 	for _, path := range taggerPaths(b, []byte("bench-key"), 20) {
@@ -65,5 +65,26 @@ func BenchmarkChallengeDerivation(b *testing.B) {
 		if _, err := ChallengeIndices(nonce, []byte("ctx"), 30695574, 1000); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkEncryptCTRAt times AES-256-CTR over a 256 KiB chunk group under
+// a 32-byte key, as the setup pipeline and the extractor run it, on each
+// path the host has: /vaes, the sixteen-block kernel, and /stdlib, the
+// standard library's stream.
+func BenchmarkEncryptCTRAt(b *testing.B) {
+	key := make([]byte, 32)
+	rand.New(rand.NewSource(1)).Read(key)
+	var iv [16]byte
+	buf := make([]byte, 256<<10)
+	for _, path := range ctrPaths(b, len(key)) {
+		b.Run(path.name, func(b *testing.B) {
+			b.SetBytes(int64(len(buf)))
+			for i := 0; i < b.N; i++ {
+				if err := xorCTRAt(key, &iv, buf, 0, path.kernel); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

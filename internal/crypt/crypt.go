@@ -84,11 +84,14 @@ var ErrBadOffset = errors.New("crypt: CTR offset must be non-negative")
 // (chunk-sized shards, not necessarily 16-byte aligned for custom
 // geometries) rely on.
 //
-// The stream is cipher.NewCTR seeked by hand: the counter starts at
-// IV + offset/16 and the first offset%16 keystream bytes are thrown away
+// The stream is seeked by hand: the counter starts at IV + offset/16 and
+// the first offset%16 keystream bytes are thrown away
 // (TestEncryptCTRAtMatchesStdlibCTR pins the seek against one sequential
-// pass). The standard library's AES-CTR generates several blocks per
-// assembly call, which no loop over cipher.Block.Encrypt can.
+// pass). A 32-byte key — every key DeriveKey makes — runs on the VAES
+// kernel where the host has it, sixteen blocks per pass over the whole
+// buffer in one call; other keys and hosts take the standard library's
+// CTR stream, which generates several blocks per assembly call as no loop
+// over cipher.Block.Encrypt can.
 func EncryptCTRAt(key []byte, fileID string, data []byte, offset int64) error {
 	switch len(key) {
 	case 16, 24, 32:
@@ -98,20 +101,85 @@ func EncryptCTRAt(key []byte, fileID string, data []byte, offset int64) error {
 	if offset < 0 {
 		return fmt.Errorf("%w: %d", ErrBadOffset, offset)
 	}
+	ivFull := sha256.Sum256([]byte("geoproof/iv/" + fileID))
+	return xorCTRAt(key, (*[aes.BlockSize]byte)(ivFull[:]), data, offset, len(key) == 32 && vaesMissing == "")
+}
+
+// xorCTRAt XORs data with the AES-CTR keystream under key from counter
+// block iv on, offset bytes into it: on the VAES kernel when kernel is
+// set (key is then 32 bytes), else through the standard library's
+// stream.
+func xorCTRAt(key []byte, iv *[aes.BlockSize]byte, data []byte, offset int64, kernel bool) error {
+	ctr := *iv
+	addToCounter(ctr[:], uint64(offset)/aes.BlockSize)
+	skip := int(offset % aes.BlockSize)
+	if kernel {
+		xorCTR256((*[32]byte)(key), &ctr, data, skip)
+		return nil
+	}
 	block, err := aes.NewCipher(key)
 	if err != nil {
 		return fmt.Errorf("new cipher: %w", err)
 	}
-	ivFull := sha256.Sum256([]byte("geoproof/iv/" + fileID))
-	iv := ivFull[:aes.BlockSize]
-	addToCounter(iv, uint64(offset)/aes.BlockSize)
-	stream := cipher.NewCTR(block, iv)
-	if skip := offset % aes.BlockSize; skip > 0 {
+	stream := cipher.NewCTR(block, ctr[:])
+	if skip > 0 {
 		var head [aes.BlockSize]byte
 		stream.XORKeyStream(head[:skip], head[:skip])
 	}
 	stream.XORKeyStream(data, data)
 	return nil
+}
+
+// ctrPassBytes is the keystream one pass of the CTR kernel makes: sixteen
+// blocks.
+const ctrPassBytes = 16 * aes.BlockSize
+
+// xorCTR256 XORs data with the AES-256-CTR keystream under key from
+// counter block ctr on, less its first skip bytes, on the VAES kernel.
+// Whole passes run over data in place. The rest — a skipped head, a tail
+// under a pass, and the blocks before the counter's low 64 bits wrap,
+// which the kernel does not carry — takes one pass of keystream made in
+// ks. ctr is left past the blocks used.
+func xorCTR256(key *[32]byte, ctr *[aes.BlockSize]byte, data []byte, skip int) {
+	var sched [240]byte
+	expandKey256(key, &sched)
+	var rk [15][32]byte
+	for i := range rk {
+		dup(&rk[i], sched[16*i:])
+	}
+	var ks [ctrPassBytes]byte
+	for len(data) > 0 {
+		// Blocks left before the low word wraps: 2⁶⁴ − lo, which for lo = 0
+		// is more than any slice holds.
+		lo := binary.BigEndian.Uint64(ctr[8:])
+		passes := uint64(len(data) / ctrPassBytes)
+		if lo != 0 {
+			passes = min(passes, -lo/16)
+		}
+		if skip == 0 && passes > 0 {
+			ctr256(&rk, ctr, &data[0], int(passes))
+			data = data[passes*ctrPassBytes:]
+			addToCounter(ctr[:], passes*16)
+			continue
+		}
+		clear(ks[:])
+		ctr256(&rk, ctr, &ks[0], 1)
+		use := ks[:]
+		if lo != 0 && -lo < 16 {
+			use = ks[:-lo*aes.BlockSize]
+		}
+		n := subtle.XORBytes(data, data, use[skip:])
+		data = data[n:]
+		addToCounter(ctr[:], uint64(skip+n)/aes.BlockSize)
+		skip = 0
+	}
+}
+
+// dup writes the 16 bytes at v to both halves of dst, as the YMM kernels
+// load a round key or mask.
+func dup(dst *[32]byte, v []byte) {
+	copy(dst[:16], v[:16])
+	copy(dst[16:], v[:16])
 }
 
 // addToCounter adds n to a big-endian counter in place, with carry,
@@ -171,10 +239,10 @@ func xor16(x *[aes.BlockSize]byte, y []byte) {
 // unit mostly idle; four independent chains overlap in it.
 const tagLanes = 4
 
-// kernelLanes is how many segments the amd64 kernel, cbcmac8, carries at
-// once, one chain per XMM register X0–X7: eight AESENCs in flight cover
-// the instruction's latency, and no interface call sits between rounds.
-const kernelLanes = 8
+// kernelLanes is how many segments the amd64 kernel, tagSlab16, carries
+// per pass: two per YMM register, one in each half, in Y0–Y7. Each
+// VAESENC advances two chains, and eight in flight cover its latency.
+const kernelLanes = 16
 
 // bodyLen is how many bytes of an n-byte message CMAC absorbs ahead of its
 // final block: all but the last 1..16 bytes, in whole blocks.
@@ -244,30 +312,103 @@ func (c *cmac) last(x [][aes.BlockSize]byte, slab []byte, stride, body, n int) {
 // A default segment (five 16-byte blocks) costs six AES blocks: H_i and
 // the five, and none for padding, as CMAC's subkeys cover any segment
 // length without one. The POR pipeline tags, and the extractor verifies,
-// runs of whole segments; TagSlab and VerifySlab take such a run and carry
-// eight segments through the chain at once on an amd64 host with AES-NI
-// (cbcmac8), and four through cipher.Block elsewhere and for a run's last
-// run mod 8. Tag, AppendTag and VerifyTag take the one-lane path. Scratch
-// is pooled, so every form but Tag allocates nothing, and a Tagger is safe
-// for concurrent use.
+// runs of whole segments; TagSlab and VerifySlab take such a run and, on
+// an amd64 host with VAES, hand its whole sixteen-segment groups to one
+// call of the fused kernel (tagSlab16), which builds the headers, walks
+// the chains, masks the final block, truncates and stores or compares
+// every tag. Elsewhere, and for a run's last run mod 16, segments go four
+// at a time through cipher.Block. Tag, AppendTag and VerifyTag take the
+// one-lane path. Scratch is pooled, so every form but Tag allocates
+// nothing, and a Tagger is safe for concurrent use.
 type Tagger struct {
 	mac  *cmac
 	bits int
-	// kernel is set when the slab forms run cbcmac8, under the round keys
-	// rk: the host has AES-NI (aesniMissing is empty).
+	// kernel is set when the slab forms run tagSlab16, under the round
+	// keys rk (each twice): the host has VAES (vaesMissing is empty).
 	kernel bool
-	rk     [176]byte
+	rk     [11][32]byte
 	pool   sync.Pool // of *tagScratch
 }
 
 type tagScratch struct {
-	x [kernelLanes][aes.BlockSize]byte
+	x [tagLanes][aes.BlockSize]byte
 	// The file ID half of the header block, for the last file ID seen (if
 	// seen is set): the API takes the ID on every call, one file's worth of
 	// calls in a row.
 	seen   bool
 	fileID string
 	fidSum [8]byte
+	args   tagArgs
+}
+
+// tagArgs is the fused kernel's view of one slab call, everything it
+// reads but the slab, laid out as kernel_amd64.s addresses it (A_* there;
+// TestTagArgsLayout pins the offsets). Each 32-byte field is one 16-byte
+// value twice over, for both halves of a YMM register.
+type tagArgs struct {
+	rk     [11][32]byte          // AES-128 round keys
+	hdr    [32]byte              // 0⁶⁴ ‖ file ID half ⊕ round key 0, ⊕ K1 for an empty payload
+	fin    [32]byte              // the final block's mask, K1 or K2 ⊕ the 10* pad, ⊕ round key 0
+	shuf   [32]byte              // VPSHUFB control: the final block's bytes from its load, zeros behind
+	trunc  [32]byte              // Size bytes of ones, the last cut to the tag width
+	tags   [kernelLanes][16]byte // a pass's truncated tags, in segment order
+	index  uint64                // the next pass's first segment index
+	stride int                   // bytes from one segment to the next
+	blocks int                   // body blocks per segment
+	finOff int                   // the final block's load offset in its segment; -1 for none
+	slot   int                   // the tag slot's offset in its segment: the payload length
+	width  int                   // 8, 4, 2 or 1: the widest word not above Size
+	tail   int                   // Size − width, the offset of a tag's second, overlapping word
+}
+
+// setup fills a for a run of payload-byte segments under t, the first of
+// them segment first of the file whose header half is fidSum.
+func (a *tagArgs) setup(t *Tagger, fidSum *[8]byte, payload int, first uint64) {
+	var hdr, fin, shuf, trunc [aes.BlockSize]byte
+	copy(hdr[8:], fidSum[:])
+	if payload == 0 { // the header is the whole message, so its final block
+		xor16(&hdr, t.mac.k1[:])
+	}
+	xor16(&hdr, t.rk[0][:])
+	a.finOff = -1
+	if payload > 0 {
+		// The final block is r bytes, read with one 16-byte load that ends
+		// at the payload's end, or starts at the segment's when the payload
+		// is shorter.
+		r := payload - bodyLen(payload)
+		a.finOff = max(payload-aes.BlockSize, 0)
+		from := payload - a.finOff - r
+		for i := range shuf {
+			shuf[i] = 0x80 // VPSHUFB writes a zero
+			if i < r {
+				shuf[i] = byte(from + i)
+			}
+		}
+		fin = t.mac.k1
+		if r < aes.BlockSize {
+			fin = t.mac.k2
+			fin[r] ^= 0x80
+		}
+		xor16(&fin, t.rk[0][:])
+	}
+	size := t.Size()
+	for i := 0; i < size; i++ {
+		trunc[i] = 0xFF
+	}
+	if rem := t.bits % 8; rem != 0 {
+		trunc[size-1] = byte(0xFF << (8 - rem))
+	}
+	a.rk = t.rk
+	dup(&a.hdr, hdr[:])
+	dup(&a.fin, fin[:])
+	dup(&a.shuf, shuf[:])
+	dup(&a.trunc, trunc[:])
+	a.index, a.stride, a.blocks, a.slot = first, payload+size, bodyLen(payload)/aes.BlockSize, payload
+	a.width = 8
+	for a.width > size {
+		a.width /= 2
+	}
+	a.tail = size - a.width
 }
 
 // NewTagger builds a Tagger producing bits-wide tags under key, which may
@@ -281,12 +422,21 @@ func NewTagger(key []byte, bits int) (*Tagger, error) {
 	if err != nil {
 		return nil, fmt.Errorf("crypt: tag cipher: %w", err)
 	}
-	t := &Tagger{mac: mac, bits: bits, kernel: aesniMissing == ""}
+	t := &Tagger{mac: mac, bits: bits, kernel: vaesMissing == ""}
 	if t.kernel {
-		expandKey128((*[16]byte)(kd[:16]), &t.rk)
+		t.setKernelKey((*[16]byte)(kd[:16]))
 	}
 	t.pool.New = func() any { return new(tagScratch) }
 	return t, nil
+}
+
+// setKernelKey expands key into the kernel's round keys.
+func (t *Tagger) setKernelKey(key *[16]byte) {
+	var sched [176]byte
+	expandKey128(key, &sched)
+	for i := range t.rk {
+		dup(&t.rk[i], sched[16*i:])
+	}
 }
 
 // Size returns the serialised tag size in bytes, ⌈bits/8⌉.
@@ -304,13 +454,10 @@ func (t *Tagger) scratch(fileID string) *tagScratch {
 	return s
 }
 
-// tags computes the tags of lanes consecutive segments, the first of them
-// segment index of the file: lane l's payload is the n bytes at
-// slab[l*stride:]. It leaves lane l's tag, truncated and zero-padded to
-// whole bytes, in s.x[l][:t.Size()]. lanes is at most tagLanes, or
-// exactly kernelLanes on a Tagger whose kernel is set; then cbcmac8 runs
-// the header and body blocks, Go XORs in the final block, and one more
-// call with no blocks to absorb encrypts it.
+// tags computes, on the portable path, the tags of lanes ≤ tagLanes
+// consecutive segments, the first of them segment index of the file:
+// lane l's payload is the n bytes at slab[l*stride:]. It leaves lane l's
+// tag, truncated and zero-padded to whole bytes, in s.x[l][:t.Size()].
 func (t *Tagger) tags(s *tagScratch, lanes int, slab []byte, stride, n int, index uint64) {
 	x := s.x[:lanes]
 	for l := range x {
@@ -320,21 +467,11 @@ func (t *Tagger) tags(s *tagScratch, lanes int, slab []byte, stride, n int, inde
 			xor16(&x[l], t.mac.k1[:])
 		}
 	}
-	if lanes == kernelLanes {
-		body := bodyLen(n)
-		_ = slab[(kernelLanes-1)*stride+n-1] // every byte the kernel reads
-		cbcmac8(&t.rk, &s.x, &slab[0], stride, body/aes.BlockSize)
-		if n > 0 {
-			t.mac.last(x, slab, stride, body, n)
-			cbcmac8(&t.rk, &s.x, &slab[0], stride, 0)
-		}
-	} else {
-		for l := range x {
-			t.mac.block.Encrypt(x[l][:], x[l][:])
-		}
-		if n > 0 {
-			t.mac.sum(x, slab, stride, n)
-		}
+	for l := range x {
+		t.mac.block.Encrypt(x[l][:], x[l][:])
+	}
+	if n > 0 {
+		t.mac.sum(x, slab, stride, n)
 	}
 	if rem := t.bits % 8; rem != 0 {
 		for l := range x {
@@ -371,48 +508,79 @@ func (t *Tagger) VerifyTag(segment []byte, index uint64, fileID string, tag []by
 	return ok
 }
 
-// eachTag walks slab, a run of whole stored segments — payload bytes of
-// data followed by a Size-byte tag slot — the first of which is segment
-// first of the file, kernelLanes segments at a time while the kernel runs
-// and a full group remains, tagLanes at a time otherwise, and hands do
-// every segment's position in the run, its tag slot and the tag it should
-// hold.
-func (t *Tagger) eachTag(slab []byte, payload int, first uint64, fileID string, do func(i int, slot, tag []byte)) {
-	stride := payload + t.Size()
-	if len(slab)%stride != 0 {
-		panic(fmt.Sprintf("crypt: slab of %d bytes is not a run of %d-byte segments", len(slab), stride))
-	}
+// TagSlab stamps every segment of slab with its tag: the setup pipeline's
+// form of AppendTag. slab is a run of whole stored segments — payload
+// bytes of data followed by a Size-byte tag slot — the first of which is
+// segment first of the file. It allocates nothing.
+func (t *Tagger) TagSlab(slab []byte, payload int, first uint64, fileID string) {
 	s := t.scratch(fileID)
-	for i, n := 0, len(slab)/stride; i < n; {
-		lanes := min(tagLanes, n-i)
-		if t.kernel && n-i >= kernelLanes {
-			lanes = kernelLanes
-		}
-		t.tags(s, lanes, slab[i*stride:], stride, payload, first+uint64(i))
-		for l := 0; l < lanes; l++ {
-			do(i+l, slab[(i+l)*stride+payload:(i+l+1)*stride], s.x[l][:t.Size()])
-		}
-		i += lanes
-	}
+	t.slab(s, slab, payload, first, false, nil)
 	t.pool.Put(s)
 }
 
-// TagSlab stamps every segment of slab (a run as eachTag describes) with
-// its tag: the setup pipeline's form of AppendTag. It allocates nothing.
-func (t *Tagger) TagSlab(slab []byte, payload int, first uint64, fileID string) {
-	t.eachTag(slab, payload, first, fileID, func(_ int, slot, tag []byte) { copy(slot, tag) })
-}
-
-// VerifySlab checks every segment of slab (a run as eachTag describes)
+// VerifySlab checks every segment of slab (a run as TagSlab takes)
 // against the tag stored behind it, in constant time per tag, and sets
 // bad[i] for each segment i of the run that fails; bad holds an entry per
 // segment. It is the extractor's form of VerifyTag and allocates nothing.
 func (t *Tagger) VerifySlab(slab []byte, payload int, first uint64, fileID string, bad []bool) {
-	t.eachTag(slab, payload, first, fileID, func(i int, slot, tag []byte) {
-		if subtle.ConstantTimeCompare(slot, tag) != 1 {
-			bad[i] = true
+	s := t.scratch(fileID)
+	t.slab(s, slab, payload, first, true, bad)
+	t.pool.Put(s)
+}
+
+// slab stamps (or, with verify set, checks) every tag of a run under s's
+// file ID half: its whole sixteen-segment groups on the kernel while t
+// runs it, the rest tagLanes at a time.
+func (t *Tagger) slab(s *tagScratch, slab []byte, payload int, first uint64, verify bool, bad []bool) {
+	size := t.Size()
+	stride := payload + size
+	if len(slab)%stride != 0 {
+		panic(fmt.Sprintf("crypt: slab of %d bytes is not a run of %d-byte segments", len(slab), stride))
+	}
+	n, i := len(slab)/stride, 0
+	if t.kernel {
+		i = t.kernelRun(s, slab, payload, first, verify, bad)
+	}
+	for ; i < n; i += tagLanes {
+		lanes := min(tagLanes, n-i)
+		t.tags(s, lanes, slab[i*stride:], stride, payload, first+uint64(i))
+		for l := 0; l < lanes; l++ {
+			slot, tag := slab[(i+l)*stride+payload:(i+l+1)*stride], s.x[l][:size]
+			if !verify {
+				copy(slot, tag)
+			} else if subtle.ConstantTimeCompare(slot, tag) != 1 {
+				bad[i+l] = true
+			}
 		}
-	})
+	}
+}
+
+// kernelRun hands the whole sixteen-segment groups at the start of slab
+// to one tagSlab16 call and returns how many segments they hold. Each
+// final block is one 16-byte load, which for a payload under 16 bytes
+// reads past the payload: the last group is left to the portable path
+// when that load would leave the slab.
+func (t *Tagger) kernelRun(s *tagScratch, slab []byte, payload int, first uint64, verify bool, bad []bool) int {
+	stride := payload + t.Size()
+	reach := stride // how far into its segment the kernel reads
+	if payload > 0 {
+		reach = max(stride, aes.BlockSize)
+	}
+	groups := len(slab) / stride / kernelLanes
+	for groups > 0 && (groups*kernelLanes-1)*stride+reach > len(slab) {
+		groups--
+	}
+	if groups == 0 {
+		return 0
+	}
+	s.args.setup(t, &s.fidSum, payload, first)
+	var flags *bool
+	if verify {
+		_ = bad[groups*kernelLanes-1] // every flag the kernel writes
+		flags = &bad[0]
+	}
+	tagSlab16(&s.args, &slab[0], flags, groups)
+	return groups * kernelLanes
 }
 
 // ForgeryProbability returns the per-segment probability that a random tag

@@ -559,8 +559,8 @@ func TestTaggerMatchesReferenceCMAC(t *testing.T) {
 
 // TestSlabFormsMatchSingleForm: on every slab path, TagSlab must stamp,
 // and VerifySlab accept, exactly the tag Tag computes for every segment of
-// a run, for run lengths 0 to 17 (no lane group, partial ones, one and two
-// eight-lane groups, and every tail behind them), 64 and 1000, from a
+// a run, for run lengths 0 to 33 (no lane group, partial ones, one and two
+// sixteen-segment groups, and every tail behind them), 64 and 1000, from a
 // random first segment and from one that wraps past 2⁶⁴ − 1 inside the
 // run, at payload lengths on and off the AES block size and byte-aligned
 // and ragged tag widths; and VerifySlab must flag exactly the segments
@@ -568,7 +568,7 @@ func TestTaggerMatchesReferenceCMAC(t *testing.T) {
 func TestSlabFormsMatchSingleForm(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	runs := []int{64, 1000}
-	for run := 17; run >= 0; run-- {
+	for run := 33; run >= 0; run-- {
 		runs = append([]int{run}, runs...)
 	}
 	for _, bits := range []int{8, 20, 64, MaxTagBits} {
@@ -629,7 +629,7 @@ func TestAppendTagAllocatesNothing(t *testing.T) {
 	}
 	for _, path := range taggerPaths(t, []byte("alloc-key"), 20) {
 		tg := path.tg
-		const payload, run = 80, 17 // two eight-lane groups and a tail
+		const payload, run = 80, 33 // two sixteen-segment groups and a tail
 		stride := payload + tg.Size()
 		slab := make([]byte, run*stride)
 		seg := slab[:stride]

@@ -8,34 +8,53 @@
 // private key (§V-B).
 //
 // The bulk paths are built for the concurrent encoder. EncryptCTRAt seeks
-// the standard library's CTR stream to an arbitrary (even unaligned) byte
-// offset, so shards of one stream are encrypted independently, at the
-// speed of its multi-block assembly, and bit-identically to one
+// the keystream to an arbitrary (even unaligned) byte offset, so shards of
+// one stream are encrypted independently and bit-identically to one
 // sequential pass. Tagger is AES-CMAC (RFC 4493) over a header block
 // binding segment index and file ID followed by the segment — six AES
 // blocks for the paper's five-block segment — truncated to the tag width
 // (at most MaxTagBits = 128); every form but Tag is allocation-free.
 //
-// # The segment tag kernel
+// # The VAES kernels
 //
-// The slab forms TagSlab and VerifySlab, which the setup pipeline and the
-// extractor run over every segment, carry eight segments of a run through
-// the CBC chain at once in an amd64 assembly kernel (cbcmac8, one chain
-// per XMM register), and the run's last run mod 8 segments four at a time
-// through cipher.Block. The kernel runs where CPUID reports AES-NI, read
-// once at start-up; other hosts and architectures take the four-lane path
-// for the whole run. Tag, AppendTag and VerifyTag, the TPA's audit-path
-// checks, always take the one-lane cipher.Block path. The tag format is
-// the same on every path.
+// Two amd64 assembly kernels carry the bulk AES, each handling two blocks
+// per YMM register and eight registers at a time, sixteen blocks per
+// VAESENC sweep:
 //
-// Every other primitive here is the Go standard library's. The kernel is
-// local code, and its trust argument is this: the AES rounds are the
-// CPU's AESENC/AESENCLAST instructions, and the AES-128 key schedule is
-// expanded by AESKEYGENASSIST, so no table is indexed by a secret byte and
-// the kernel runs in constant time. It is tested against crypto/aes:
-// the key schedule against FIPS-197 Appendix A.1 and random keys, whole
-// tags against RFC 4493 and a straight-line reference CMAC on both paths,
-// under the fuzzer as well.
+//   - tagSlab16, the slab forms' segment tag kernel. TagSlab and
+//     VerifySlab, which the setup pipeline and the extractor run over
+//     every segment, hand a run's whole sixteen-segment groups to one
+//     call: it builds each header block in registers, absorbs the body
+//     blocks, the K1- or K2-masked final block (one 16-byte load
+//     shuffled into place), encrypts, truncates, and stores each tag in
+//     its slot or compares it with the slot in constant time. The run's
+//     last run mod 16 segments go four at a time through cipher.Block.
+//   - ctr256, the AES-256-CTR kernel. EncryptCTRAt runs it for 32-byte
+//     keys — every key DeriveKey makes — over the whole buffer in one
+//     call; Go splits a call only where the counter's low 64 bits wrap
+//     and keystream for a ragged head or tail.
+//
+// Both run where CPUID reports AES-NI, AVX, AVX2 and VAES and XCR0 shows
+// the OS saving YMM state (vaesMissingFrom), read once at start-up. Other
+// hosts and architectures take the portable four-lane tag path and the
+// standard library's AES-CTR stream, as do 16- and 24-byte CTR keys. An
+// AES-NI host without VAES therefore runs the slab forms at the portable
+// path's speed, ≈ 3× slower than the AES-NI eight-lane kernel this one
+// replaced. Tag, AppendTag and VerifyTag, the TPA's audit-path checks,
+// always take the one-lane cipher.Block path. The tag format and the
+// ciphertext are the same on every path.
+//
+// Every other primitive here is the Go standard library's. The kernels
+// are local code, and their trust argument is this: the AES rounds are
+// the CPU's VAESENC/VAESENCLAST instructions, and the AES-128 and
+// AES-256 key schedules are expanded by AESKEYGENASSIST, so no table is
+// indexed by a secret byte and the kernels run in constant time. They are
+// tested against crypto/aes: the key schedules against FIPS-197
+// Appendices A.1 and A.3, whole tags against RFC 4493 and a straight-line
+// reference CMAC on crypto/aes for every payload length 0..97 and tag
+// size, the keystream against a hand-seeked cipher.NewCTR at every offset
+// mod 16 and across counter wraps — on both paths, under the fuzzer as
+// well.
 //
 // # Amortized transcript signing
 //

@@ -17,10 +17,10 @@ type taggerPath struct {
 	tg   *Tagger
 }
 
-// taggerPaths returns the paths the slab tests run on: the AES-NI kernel
-// where NewTagger chose it, and the portable lanes on every host — a
-// second Tagger under the same key with the kernel cleared. A host without
-// the kernel says in the test log what it lacks.
+// taggerPaths returns the paths the slab tests run on: the fused VAES
+// kernel where NewTagger chose it, and the portable lanes on every host —
+// a second Tagger under the same key with the kernel cleared. A host
+// without the kernel says in the test log what it lacks.
 func taggerPaths(t testing.TB, key []byte, bits int) []taggerPath {
 	t.Helper()
 	tg, err := NewTagger(key, bits)
@@ -33,18 +33,19 @@ func taggerPaths(t testing.TB, key []byte, bits int) []taggerPath {
 	}
 	portable.kernel = false
 	if !tg.kernel {
-		t.Logf("AES-NI tag kernel not run: host lacks %s", aesniMissing)
+		t.Logf("VAES tag kernel not run: host lacks %s", vaesMissing)
 		return []taggerPath{{"portable", portable}}
 	}
-	return []taggerPath{{"aesni", tg}, {"portable", portable}}
+	return []taggerPath{{"vaes", tg}, {"portable", portable}}
 }
 
 // TestSlabPathsMatchRFC4493 pins both slab paths to the AES-128 examples
 // of RFC 4493 §4 whose messages are a header block and a payload (16, 40
-// and 64 bytes): under the RFC's key, with lane p's header made the
-// message's first block, lane p's MAC must be the RFC's, for every lane p
-// of a full group — eight on the kernel, four on the portable path — while
-// the lanes around it carry other headers.
+// and 64 bytes): under the RFC's key, with segment p's header made the
+// message's first block, segment p's stamped tag must be the RFC's MAC,
+// for every lane p of two full groups — sixteen segments a group on the
+// kernel, four on the portable path — while the segments around it carry
+// other headers.
 func TestSlabPathsMatchRFC4493(t *testing.T) {
 	unhex := func(s string) []byte {
 		b, err := hex.DecodeString(s)
@@ -64,12 +65,12 @@ func TestSlabPathsMatchRFC4493(t *testing.T) {
 		tg := &Tagger{mac: c, bits: MaxTagBits, kernel: kernel}
 		name, lanes := "portable", tagLanes
 		if kernel {
-			if aesniMissing != "" {
-				t.Logf("AES-NI tag kernel not run: host lacks %s", aesniMissing)
+			if vaesMissing != "" {
+				t.Logf("VAES tag kernel not run: host lacks %s", vaesMissing)
 				continue
 			}
-			expandKey128((*[16]byte)(key), &tg.rk)
-			name, lanes = "aesni", kernelLanes
+			tg.setKernelKey((*[16]byte)(key))
+			name, lanes = "vaes", kernelLanes
 		}
 		for _, v := range []struct {
 			len  int
@@ -80,17 +81,17 @@ func TestSlabPathsMatchRFC4493(t *testing.T) {
 			{64, "51f0bebf7e3b9d92fc49741779363cfe"},
 		} {
 			n := v.len - 16
-			stride := n + 3 // off the block size, as a stored segment is
-			slab := make([]byte, lanes*stride)
-			for l := 0; l < lanes; l++ {
-				copy(slab[l*stride:], msg[16:v.len])
+			stride := n + MaxTagBits/8
+			slab := make([]byte, 2*lanes*stride)
+			for p := 0; p < 2*lanes; p++ {
+				copy(slab[p*stride:], msg[16:v.len])
 			}
-			for p := 0; p < lanes; p++ {
-				s := new(tagScratch)
-				copy(s.fidSum[:], msg[8:16])
-				tg.tags(s, lanes, slab, stride, n, binary.BigEndian.Uint64(msg)-uint64(p))
-				if got := hex.EncodeToString(s.x[p][:]); got != v.want {
-					t.Errorf("%s: len %d, lane %d of %d: CMAC=%s, want %s", name, v.len, p, lanes, got, v.want)
+			s := new(tagScratch)
+			copy(s.fidSum[:], msg[8:16])
+			for p := 0; p < 2*lanes; p++ {
+				tg.slab(s, slab, n, binary.BigEndian.Uint64(msg)-uint64(p), false, nil)
+				if got := hex.EncodeToString(slab[p*stride+n : (p+1)*stride]); got != v.want {
+					t.Errorf("%s: len %d, segment %d of %d: CMAC=%s, want %s", name, v.len, p, 2*lanes, got, v.want)
 				}
 			}
 		}
@@ -100,7 +101,8 @@ func TestSlabPathsMatchRFC4493(t *testing.T) {
 // TestTaggerSharedAcrossGoroutines: one Tagger, on the kernel path where
 // the host has it, serves TagSlab and VerifySlab from eight goroutines at
 // once — different file IDs, so each checks a scratch whose file ID half
-// another just replaced, and run lengths on and off the eight-lane group —
+// another just replaced, and run lengths on and off the sixteen-segment
+// group —
 // and every result equals the one a sequential pass computed first.
 func TestTaggerSharedAcrossGoroutines(t *testing.T) {
 	tg := taggerPaths(t, []byte("shared-key"), 20)[0].tg
@@ -116,7 +118,7 @@ func TestTaggerSharedAcrossGoroutines(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	jobs := make([]*job, workers)
 	for w := range jobs {
-		run := []int{1, 7, 8, 9, 16, 17, 64, 1000}[w]
+		run := []int{1, 15, 16, 17, 31, 33, 64, 1000}[w]
 		j := &job{fileID: fmt.Sprintf("file-%d", w), first: rng.Uint64()}
 		j.plain = make([]byte, run*stride)
 		rng.Read(j.plain)
@@ -173,6 +175,8 @@ func FuzzTagSlab(f *testing.F) {
 	f.Add(uint8(0), uint8(8), uint64(math.MaxUint64-3), uint8(120), int64(2), []byte{3, 0})
 	f.Add(uint8(97), uint8(40), uint64(1<<40), uint8(56), int64(3), []byte{39, 96, 8, 1, 8, 1})
 	f.Add(uint8(16), uint8(9), uint64(7), uint8(0), int64(4), []byte{})
+	f.Add(uint8(5), uint8(33), uint64(math.MaxUint64-20), uint8(7), int64(5), []byte{32, 2, 15, 5})
+	f.Add(uint8(33), uint8(32), uint64(1), uint8(100), int64(6), []byte{16, 33, 31, 0})
 	key := []byte("fuzz-key")
 	f.Fuzz(func(t *testing.T, payloadB, runB uint8, first uint64, bitsB uint8, seed int64, damage []byte) {
 		payload, run, bits := int(payloadB)%98, int(runB)%41, 8+int(bitsB)%(MaxTagBits-7)

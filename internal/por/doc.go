@@ -58,9 +58,11 @@
 //   - FlushPlacements(finish), write side, beside BlockPlacer: a placer
 //     that builds the encoded file in memory one segment-aligned image at
 //     a time hands the engine each complete image before writing it out,
-//     and the engine stamps the image's segment tags in place. Such a
-//     target gets no tag pass: each encoded byte is written once and none
-//     is read back. The store's Writer does this per shard.
+//     and the engine stamps the image's segment tags in place, every
+//     worker under the target's guard. Such a target gets no tag pass:
+//     each encoded byte is written once and none is read back. The
+//     store's Writer does this per shard, its guard turning a memory fault
+//     in a shard cut short into ErrCorrupt.
 //   - BlockGatherer, read side, the mirror of BlockPlacer: fills a group's
 //     buffer from the same permuted block indices. internal/store.Store
 //     implements it (on unix) by copying out of its mapped shards, which

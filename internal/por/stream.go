@@ -101,9 +101,12 @@ type BlockGatherer interface {
 // encoded file, images in ascending order and together covering the file
 // — before it writes the image out, and fails the flush if finish does.
 // The engine's finish stamps the segment tags, so for such a target there
-// is no tag pass and nothing is read back.
+// is no tag pass and nothing is read back. guard is the target's
+// containment for touching its images: every goroutine finish starts
+// runs its work through it, as the target's own goroutine does (the
+// store reports a memory fault in a mapped image as ErrCorrupt there).
 type placementFinisher interface {
-	FlushPlacements(finish func(img []byte, off int64) error) error
+	FlushPlacements(finish func(img []byte, off int64, guard func(func() error) error) error) error
 }
 
 // MemTarget adapts a fixed-size byte slice to the StreamTarget interface,
@@ -369,17 +372,22 @@ func (sc *streamCoder) placeBlocks(w io.WriterAt, ranger byteRanger, placer Bloc
 
 // tagImage stamps every segment tag of img, a segment-aligned piece of
 // the placed output held in memory at byte offset off of the encoded
-// file. Workers own contiguous segment ranges.
-func (sc *streamCoder) tagImage(img []byte, off int64) error {
+// file. Workers own contiguous segment ranges, each stamped through guard.
+func (sc *streamCoder) tagImage(img []byte, off int64, guard func(func() error) error) error {
 	segSize := int64(sc.layout.SegmentSize())
 	if off%segSize != 0 || int64(len(img))%segSize != 0 {
 		return fmt.Errorf("tag image [%d, %d) is not segment-aligned", off, off+int64(len(img)))
 	}
 	return parallel.ForRange(sc.workers, int(int64(len(img))/segSize), func(lo, hi int) error {
-		sc.tagger.TagSlab(img[int64(lo)*segSize:int64(hi)*segSize], sc.layout.SegmentPayloadBytes(), uint64(off/segSize)+uint64(lo), sc.fileID)
-		return nil
+		return guard(func() error {
+			sc.tagger.TagSlab(img[int64(lo)*segSize:int64(hi)*segSize], sc.layout.SegmentPayloadBytes(), uint64(off/segSize)+uint64(lo), sc.fileID)
+			return nil
+		})
 	})
 }
+
+// unguarded is the guard of memory that cannot fault: it runs fn.
+func unguarded(fn func() error) error { return fn() }
 
 // tagPass tags the already-placed output of a target that did not take
 // the tags while materialising. Backing memory is stamped in place;
@@ -388,7 +396,7 @@ func (sc *streamCoder) tagImage(img []byte, off int64) error {
 // whole slab back sequentially.
 func (sc *streamCoder) tagPass(w StreamTarget, ranger byteRanger) error {
 	if ranger != nil {
-		return sc.tagImage(ranger.Range(0, sc.layout.EncodedBytes), 0)
+		return sc.tagImage(ranger.Range(0, sc.layout.EncodedBytes), 0, unguarded)
 	}
 	segSize := int64(sc.layout.SegmentSize())
 	slabSegs := int64(streamGroupBytes) / segSize

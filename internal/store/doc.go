@@ -103,8 +103,10 @@
 // setting restored) instead of a SIGBUS that kills the prover. After
 // Close both get os.ErrClosed. Manifest validation bounds the shard size
 // (2 GiB, as Create does), which is what lets the 32-bit arithmetic
-// trust a slot in range. The writer's stores, and the tag stamping and
-// checksum on the flushing goroutine, run under the same containment; the
-// flush also refuses a shard already cut short before the encoder's tag
-// workers, whose goroutines nothing guards, touch it.
+// trust a slot in range. The writer's stores, the checksum, and the tag
+// stamping — on the flushing goroutine and on every worker goroutine the
+// encoder fans it out to, each of which runs under the guard
+// FlushPlacements hands its finisher — run under the same containment;
+// the flush also refuses a shard already cut short before any tag is
+// stamped into it.
 package store

@@ -126,11 +126,13 @@ func (w *Writer) placeLocked(buf []byte, bs int, slots []uint64) error {
 // called once on the shard's mapping — every block at its slot, tag
 // bytes zero, at byte offset off of the encoded file, both ends segment
 // boundaries — to stamp the tags in place; the mapping's CRC-32C is
-// taken and the shard unmapped. Memory faults in finish's and the
-// checksum's goroutine are ErrCorrupt, and a shard already cut short is
-// refused before finish, whose workers nothing guards, sees it. The first
+// taken and the shard unmapped. A shard already cut short is refused
+// before finish sees it. finish runs on the flushing goroutine under
+// guard, which reports a memory fault — a shard cut short after that
+// check — as ErrCorrupt and puts the goroutine's fault setting back; any
+// goroutine finish starts must run its work through guard too. The first
 // call decides: every later call returns its error, finish's included.
-func (w *Writer) FlushPlacements(finish func(img []byte, off int64) error) error {
+func (w *Writer) FlushPlacements(finish func(img []byte, off int64, guard func(func() error) error) error) error {
 	w.mu.Lock()
 	decided, err, placed := w.flushed, w.flushErr, w.placed
 	w.flushed = true
@@ -145,7 +147,7 @@ func (w *Writer) FlushPlacements(finish func(img []byte, off int64) error) error
 	return err
 }
 
-func (w *Writer) flushPlacements(placed int64, finish func(img []byte, off int64) error) error {
+func (w *Writer) flushPlacements(placed int64, finish func(img []byte, off int64, guard func(func() error) error) error) error {
 	if want := w.layout.TotalBlocks; placed != want && placed != 0 {
 		return fmt.Errorf("store: %d blocks placed, layout has %d", placed, want)
 	}
@@ -157,7 +159,7 @@ func (w *Writer) flushPlacements(placed int64, finish func(img []byte, off int64
 		}
 		err := faultsAsCorrupt(func() error {
 			if finish != nil {
-				if err := finish(m, int64(s)*w.man.ShardBytes); err != nil {
+				if err := finish(m, int64(s)*w.man.ShardBytes, faultsAsCorrupt); err != nil {
 					return fmt.Errorf("store: finish shard %d: %w", s, err)
 				}
 			}

@@ -280,7 +280,7 @@ func TestStoreFinisherSeesEveryShardOnce(t *testing.T) {
 	man := w.Manifest()
 	segSize, payload := int64(layout.SegmentSize()), layout.SegmentPayloadBytes()
 	calls := 0
-	finish := func(img []byte, off int64) error {
+	finish := func(img []byte, off int64, _ func(func() error) error) error {
 		s := calls
 		calls++
 		if s >= len(man.Shards) {
@@ -360,7 +360,7 @@ func TestStoreFinisherErrorCannotCommit(t *testing.T) {
 
 	errTag := errors.New("tagging failed")
 	calls := 0
-	finish := func([]byte, int64) error {
+	finish := func([]byte, int64, func(func() error) error) error {
 		calls++
 		if calls == 3 {
 			return errTag
@@ -455,17 +455,19 @@ func TestStoreWriteTelemetry(t *testing.T) {
 // TestPlaceSurvivesTruncatedShard plays the hostile filesystem on the
 // write path, the mirror of TestGatherSurvivesTruncatedShard: a shard cut
 // short under a live Writer — before a batch stores past the cut, before
-// the flush, or inside the finisher — comes back as ErrCorrupt from
-// PlaceBlocks or FlushPlacements, keeps Commit from publishing and leaves
-// a directory Open reports incomplete, while the process lives on and
-// the goroutine's fault setting is put back.
+// the flush, inside the finisher, or inside an encode's finisher before
+// its two tag workers stamp the shard — comes back as ErrCorrupt from
+// PlaceBlocks, FlushPlacements or EncodeStream, keeps Commit from
+// publishing and leaves a directory Open reports incomplete, while the
+// process lives on and the goroutine's fault setting is put back.
 func TestPlaceSurvivesTruncatedShard(t *testing.T) {
-	layout, err := blockfile.NewLayout(fastParams, 200000)
+	const size = 200000
+	layout, err := blockfile.NewLayout(fastParams, size)
 	if err != nil {
 		t.Fatal(err)
 	}
 	page := int64(os.Getpagesize())
-	for _, cut := range []string{"before-place", "before-flush", "inside-finish"} {
+	for _, cut := range []string{"before-place", "before-flush", "inside-finish", "encode-workers"} {
 		t.Run(cut, func(t *testing.T) {
 			dir := t.TempDir()
 			w, err := store.Create(dir, "f", layout, store.Options{ShardTargetBytes: 64 << 10})
@@ -502,13 +504,23 @@ func TestPlaceSurvivesTruncatedShard(t *testing.T) {
 				err = w.FlushPlacements(nil)
 			case "inside-finish":
 				fillStore(t, w, layout)
-				err = w.FlushPlacements(func(img []byte, off int64) error {
+				err = w.FlushPlacements(func(img []byte, off int64, _ func(func() error) error) error {
 					if off == man.ShardBytes {
 						truncate()
 						img[len(img)-1] = 1
 					}
 					return nil
 				})
+			case "encode-workers":
+				// The cut lands after the flush's size check on shard 1 and
+				// before the encoder's workers stamp its tags: each of the
+				// two faults on its own goroutine.
+				enc := por.NewEncoder([]byte("cut-master")).WithParams(fastParams).WithConcurrency(2)
+				_, err = enc.EncodeStream("f", bytes.NewReader(testData(t, size)), size, cutInFinish{w, func(off int64) {
+					if off == man.ShardBytes {
+						truncate()
+					}
+				}})
 			}
 			t.Logf("cut %s: %v", cut, err)
 			if !errors.Is(err, store.ErrCorrupt) {
@@ -528,6 +540,20 @@ func TestPlaceSurvivesTruncatedShard(t *testing.T) {
 			}
 		})
 	}
+}
+
+// cutInFinish is a Writer whose flush calls cut with each image's offset
+// before the encoder's finisher sees the image.
+type cutInFinish struct {
+	*store.Writer
+	cut func(off int64)
+}
+
+func (c cutInFinish) FlushPlacements(finish func([]byte, int64, func(func() error) error) error) error {
+	return c.Writer.FlushPlacements(func(img []byte, off int64, guard func(func() error) error) error {
+		c.cut(off)
+		return finish(img, off, guard)
+	})
 }
 
 // BenchmarkStorePlace is the placer's own budget line: Create — which
