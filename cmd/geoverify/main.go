@@ -22,7 +22,7 @@
 //
 //	geoverify -meta data.meta.json -devices host:9342=<hex>,host2:9342=<hex> \
 //	    [-sla -27.4698,153.0251,100] [-epochs 0] [-status-addr 127.0.0.1:9343] \
-//	    [-period 10s] [-period-jitter 0.2] [-retain 8] \
+//	    [-period 10s] [-period-jitter 0.2] \
 //	    [-tenants 8] [-k 20] [-tmax 50ms] [-window 2] [-timeout 5s] [-retries 1] [-j 8]
 package main
 
@@ -72,7 +72,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.StringVar(&o.statusAddr, "status-addr", "127.0.0.1:9343", "status API listen address")
 	fs.DurationVar(&o.period, "period", 10*time.Second, "base per-device re-audit period")
 	fs.Float64Var(&o.periodJitter, "period-jitter", 0.2, "fraction of the period to jitter each cycle by, in [0,1]")
-	fs.Uint64Var(&o.retain, "retain", 8, "epochs of per-epoch ledger detail to keep; older epochs fold into archive cells, 0 = keep all")
 	fs.IntVar(&o.tenants, "tenants", 8, "simulated tenants sharing the file")
 	fs.Uint64Var(&o.epochs, "epochs", 0, "audit cycles per device before it leaves and, once none is left, the command exits; 0 = run until signalled")
 	fs.IntVar(&o.k, "k", 20, "timed challenge rounds per audit")
@@ -171,7 +170,6 @@ type schedOpts struct {
 	timeout  time.Duration
 	retries  int
 	workers  int
-	retain   uint64
 
 	statusAddr   string
 	period       time.Duration
@@ -242,10 +240,8 @@ func runController(o schedOpts, stdout io.Writer) error {
 					"attempts", v.Attempts)
 			},
 		},
-		AuditPeriod:  o.period,
-		AuditJitter:  o.periodJitter,
-		RetainEpochs: o.retain,
-		Pool:         pool,
+		AuditPeriod: o.period,
+		AuditJitter: o.periodJitter,
 		OnTransition: func(device string, from, to core.Health, reason string) {
 			slog.Info("device health transition",
 				"device", device, "from", from.String(), "to", to.String(), "reason", reason)
@@ -271,7 +267,6 @@ func runController(o schedOpts, stdout io.Writer) error {
 		}
 		err = ctl.Register(dev.addr, core.ProverSpec{
 			Runner: core.DeviceRunner{Pool: pool, Addr: dev.addr},
-			Addr:   dev.addr,
 			Tasks:  tasks,
 		})
 		if err != nil {

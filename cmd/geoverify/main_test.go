@@ -54,7 +54,7 @@ func TestRunFleetRetiresAfterEpochs(t *testing.T) {
 	pool := &core.ProverPool{}
 	defer pool.Close()
 	// 200 ms between cycles leaves the 10 ms retire poll ample margin.
-	ctl := core.NewFleetController(core.FleetConfig{AuditPeriod: 200 * time.Millisecond, Pool: pool})
+	ctl := core.NewFleetController(core.FleetConfig{AuditPeriod: 200 * time.Millisecond})
 	defer ctl.Close()
 	ctl.RegisterTenant("tenant", tpa)
 	for i := 0; i < 2; i++ {
@@ -68,7 +68,6 @@ func TestRunFleetRetiresAfterEpochs(t *testing.T) {
 		addr := lis.Addr().String()
 		if err := ctl.Register(addr, core.ProverSpec{
 			Runner: &core.PooledRunner{Verifier: verifier, Addr: addr, Pool: pool},
-			Addr:   addr,
 			Tasks:  []core.AuditTask{{Tenant: "tenant", FileID: ef.FileID, Layout: ef.Layout, K: 4}},
 		}); err != nil {
 			t.Fatal(err)

@@ -32,7 +32,7 @@
 // among them — and ProverPool.Dial swaps the TCP dial for a simnet
 // stream. The transport reads its clock from the connection (clockOf): a
 // simnet stream carries the network's virtual clock, so the handshake
-// deadlines, Ping and the server's simulated look-up run on virtual time
+// deadlines and the server's simulated look-up run on virtual time
 // there and on the wall clock on TCP. An audit's k rounds are serial: the
 // next challenge leaves only after the last response arrived, so max RTT
 // ≤ Δt_max is the paper's per-round distance bound, and throughput comes
@@ -101,8 +101,10 @@
 // round-robin tenant fairness, per-attempt timeouts and bounded retries;
 // the fleet controller tightens those knobs for one prover with a
 // ProverPolicy while it escalates it. Verdicts aggregate in an AuditLedger
-// keyed by (tenant, prover, epoch). The scheduler reaches provers through
-// the AuditRunner implementations: PooledRunner (local verifier, the warm
+// with one cell per prover, so it stays as small as the fleet however
+// long the scheduler runs; a tenant's or an epoch's view of the verdicts
+// is SchedulerConfig.OnVerdict's to build. The scheduler reaches provers
+// through the AuditRunner implementations: PooledRunner (local verifier, the warm
 // multiplexed conn from a ProverPool, over TCP or a simnet network) and a
 // MuxProverConn dialed to a remote verifier daemon.
 //
@@ -165,10 +167,9 @@
 // virtual clock replays bit-identically — the Synchronous mode runs
 // due work inline on Tick in deterministic order for exactly that.
 // Status() snapshots the whole fleet (health, policies, counters,
-// ledger totals) for the JSON status API served by geoverify, and
-// RetainEpochs bounds ledger memory by folding old
-// epochs into per-pair archive cells (AuditLedger.CompactBefore) as
-// the controller ticks.
+// ledger totals) for the JSON status API served by geoverify. A prover
+// that leaves or is evicted has its DeviceRunner's warm pooled
+// connection closed, through the runner it registered with.
 //
 // # Cancellation
 //

@@ -106,11 +106,10 @@ var (
 // ProverSpec describes one prover joining the fleet.
 type ProverSpec struct {
 	// Runner executes this prover's audits (required): a DeviceRunner
-	// for a TPA auditing through the verifier device beside the prover.
+	// for a TPA auditing through the verifier device beside the prover,
+	// whose pooled connection is closed when the prover leaves or is
+	// evicted.
 	Runner AuditRunner
-	// Addr, when set together with FleetConfig.Pool, has the prover's
-	// warm pooled connections evicted on leave/eviction.
-	Addr string
 	// Tasks are the audit templates run each cycle; their Prover field
 	// is overwritten with the registered name.
 	Tasks []AuditTask
@@ -156,10 +155,6 @@ type FleetConfig struct {
 	// EvictAfter evicts a prover entering quarantine for the N-th time
 	// (0 = never evict).
 	EvictAfter int
-	// RetainEpochs bounds ledger memory: after each tick, epochs older
-	// than the newest RetainEpochs are folded into per-(tenant, prover)
-	// archive cells via AuditLedger.CompactBefore (0 = keep all).
-	RetainEpochs uint64
 	// Clock is the controller's time source (nil = wall clock).
 	Clock vclock.Clock
 	// Seed derives each prover's private AuditJitter rand (Seed ⊕
@@ -170,9 +165,6 @@ type FleetConfig struct {
 	// dispatched on goroutines so one hung prover cannot stall the fleet's
 	// reconcile loop.
 	Synchronous bool
-	// Pool, when set, has a departing or evicted prover's warm
-	// connections (at ProverSpec.Addr) closed promptly.
-	Pool *ProverPool
 	// OnTransition observes every health transition; it is called after
 	// the controller releases its lock and may call back into it.
 	OnTransition func(prover string, from, to Health, reason string)
@@ -333,8 +325,7 @@ func (c *FleetController) Register(name string, spec ProverSpec) error {
 // scheduling new work, lets in-flight audits finish, then deregisters;
 // forced leave cancels them first and drains the cancellations. Either
 // way, once Deregister returns no further verdict for this prover can
-// land in the ledger, and its warm pooled connections (FleetConfig.Pool +
-// ProverSpec.Addr) are closed.
+// land in the ledger, and its runner's warm pooled connection is closed.
 func (c *FleetController) Deregister(name string, graceful bool) error {
 	c.mu.Lock()
 	p, ok := c.provers[name]
@@ -349,9 +340,7 @@ func (c *FleetController) Deregister(name string, graceful bool) error {
 	}
 	p.inflight.Wait()
 	c.sched.DeregisterProver(name)
-	if c.cfg.Pool != nil && p.spec.Addr != "" {
-		c.cfg.Pool.Evict(p.spec.Addr)
-	}
+	evictConn(p.spec.Runner)
 	p.cancel()
 	c.mu.Lock()
 	delete(c.provers, name)
@@ -377,14 +366,6 @@ func (c *FleetController) Close() error {
 // Wait blocks until every dispatched cycle has finished — the
 // barrier deterministic tests use between Tick and advancing the clock.
 func (c *FleetController) Wait() { c.wg.Wait() }
-
-// Epoch returns the controller's reconcile-tick counter, which is also
-// the ledger epoch its cycles are stamped with.
-func (c *FleetController) Epoch() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.epoch
-}
 
 // jittered spreads d over ±cfg.AuditJitter·d using the prover's seeded
 // rand. Jitter 0 performs no draw, keeping rand streams stable for
@@ -429,9 +410,9 @@ func (c *FleetController) cycleTasks(p *fleetProver) []AuditTask {
 // Tick runs one reconcile pass at the controller clock's current
 // instant: every prover whose audit cycle is due gets it
 // dispatched (inline in sorted order when Synchronous, on goroutines
-// otherwise), and the ledger is compacted to the retention window. It
-// returns how many cycles were dispatched. Quarantined provers
-// whose quarantine delay has expired transition to Probation here.
+// otherwise). It returns how many cycles were dispatched. Quarantined
+// provers whose quarantine delay has expired transition to Probation
+// here.
 func (c *FleetController) Tick() int {
 	c.mu.Lock()
 	if c.closed {
@@ -479,9 +460,6 @@ func (c *FleetController) Tick() int {
 		} else {
 			go w()
 		}
-	}
-	if r := c.cfg.RetainEpochs; r > 0 && epoch > r {
-		c.sched.Ledger().CompactBefore(epoch - r)
 	}
 	return len(work)
 }
@@ -642,9 +620,7 @@ func (c *FleetController) quarantine(p *fleetProver, reason string, now time.Tim
 		ev := c.transition(p, HealthEvicted,
 			fmt.Sprintf("quarantined %d times: %s", p.quarantines, reason), now)
 		c.sched.DeregisterProver(p.name)
-		if c.cfg.Pool != nil && p.spec.Addr != "" {
-			c.cfg.Pool.Evict(p.spec.Addr)
-		}
+		evictConn(p.spec.Runner)
 		p.cancel()
 		return []transitionEvent{ev}
 	}
@@ -652,6 +628,15 @@ func (c *FleetController) quarantine(p *fleetProver, reason string, now time.Tim
 	b := Backoff{Base: c.cfg.AuditPeriod, Max: quarantineCap * c.cfg.AuditPeriod}
 	p.nextAudit = now.Add(b.Delay(p.quarantines - 1))
 	return []transitionEvent{ev}
+}
+
+// evictConn closes the warm pooled connection of a prover audited
+// through a DeviceRunner, so nothing lingers to a device that has left:
+// a later audit of the same address dials afresh.
+func evictConn(r AuditRunner) {
+	if d, ok := r.(DeviceRunner); ok && d.Pool != nil {
+		d.Pool.Evict(d.Addr)
+	}
 }
 
 // escalate swaps the prover's scheduler policy for the tightened one.

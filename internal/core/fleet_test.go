@@ -114,8 +114,8 @@ func auditsOf(l *AuditLedger, prover string) int {
 
 // runEscalationScenario plays the acceptance scenario on a seeded
 // deterministic controller and returns its full observable trace: the
-// status-API JSON and ledger snapshot at the end, plus every health
-// transition in order. Two runs with the same seed must return
+// status-API JSON at the end, with the ledger's per-prover totals, plus
+// every health transition in order. Two runs with the same seed must return
 // byte-identical traces.
 func runEscalationScenario(t *testing.T, seed int64) string {
 	t.Helper()
@@ -248,13 +248,7 @@ func runEscalationScenario(t *testing.T, seed int64) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := ledger.Snapshot()
-	for i := range rows {
-		rows[i].MaxRTT = 0
-	}
-	out := fmt.Sprintf("transitions:\n%v\nstatus:\n%s\nledger:\n%+v\n",
-		trace, status, rows)
-	return out
+	return fmt.Sprintf("transitions:\n%v\nstatus:\n%s\n", trace, status)
 }
 
 // TestFleetEscalationScenarioDeterministic is the PR's acceptance
@@ -411,51 +405,131 @@ func TestFleetQuarantineDelayDoubles(t *testing.T) {
 	}
 }
 
-// TestFleetLedgerRetention: continuous operation with RetainEpochs keeps
-// the per-epoch ledger bounded, folding old epochs into archive cells
-// without losing aggregate history.
-func TestFleetLedgerRetention(t *testing.T) {
-	cfg := FleetConfig{
-		Scheduler:    SchedulerConfig{Workers: 1, Timeout: 2 * time.Second},
-		AuditPeriod:  time.Second,
-		RetainEpochs: 5,
+// TestFleetLedgerOneRowPerProver: however many ticks a fleet runs, and
+// however many tenants audit each prover, the ledger holds one row per
+// prover that was audited, and each row counts exactly the verdicts the
+// OnVerdict hook delivered for that prover.
+func TestFleetLedgerOneRowPerProver(t *testing.T) {
+	// What the hook delivered, tallied per prover by outcome, and the
+	// last failure's reason.
+	var mu sync.Mutex
+	delivered := map[string]map[Outcome]int{}
+	lastErr := map[string]string{}
+	x := newFleetFixture(t, FleetConfig{
+		Scheduler: SchedulerConfig{
+			Workers: 1,
+			Timeout: 2 * time.Second,
+			OnVerdict: func(v Verdict) {
+				mu.Lock()
+				defer mu.Unlock()
+				if delivered[v.Task.Prover] == nil {
+					delivered[v.Task.Prover] = map[Outcome]int{}
+				}
+				delivered[v.Task.Prover][v.Outcome]++
+				if v.Outcome != OutcomeAccepted {
+					lastErr[v.Task.Prover] = v.Err
+				}
+			},
+		},
+		AuditPeriod: 2 * time.Second,
+	})
+	x.ctl.RegisterTenant("beta", x.f.tpa)
+	shaky := &switchRunner{inner: x.honestRunner()}
+	for name, runner := range map[string]AuditRunner{"good": x.honestRunner(), "shaky": shaky} {
+		if err := x.ctl.Register(name, ProverSpec{
+			Runner: runner,
+			Tasks:  []AuditTask{x.f.task("acme", name, 2), x.f.task("beta", name, 2)},
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	x := newFleetFixture(t, cfg)
-	if err := x.ctl.Register("p", ProverSpec{
-		Runner: x.honestRunner(),
-		Tasks:  []AuditTask{x.f.task("acme", "p", 4)},
-	}); err != nil {
+	// A prover with nothing to audit never reaches the ledger.
+	if err := x.ctl.Register("idle", ProverSpec{Runner: x.honestRunner()}); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 40; i++ {
+	for i := 0; i < 300; i++ {
+		// shaky fails for a stretch, long enough to be quarantined.
+		shaky.mode.Store(int32(i / 60 % 2))
 		x.step(time.Second)
 	}
-	epoch := x.ctl.Epoch()
-	if epoch < 30 {
-		t.Fatalf("epoch %d after 40 ticks", epoch)
+	if e := x.ctl.Status().Epoch; e != 300 {
+		t.Fatalf("epoch %d after 300 ticks", e)
 	}
-	rows := x.ctl.Ledger().Snapshot()
-	live := 0
-	archived := false
+	rows := x.ctl.Ledger().TotalsByProver()
+	if len(rows) != 2 || rows[0].Name != "good" || rows[1].Name != "shaky" {
+		t.Fatalf("ledger rows %+v, want one each for good and shaky", rows)
+	}
+	mu.Lock()
+	defer mu.Unlock()
 	for _, row := range rows {
-		if row.Epoch == 0 {
-			archived = true
-			continue
-		}
-		live++
-		if row.Epoch < epoch-5 {
-			t.Fatalf("epoch %d row survived compaction (now at %d, retain 5)", row.Epoch, epoch)
+		d := delivered[row.Name]
+		total := d[OutcomeAccepted] + d[OutcomeRejected] + d[OutcomeTimeout] + d[OutcomeError]
+		if row.Audits != total || row.Accepted != d[OutcomeAccepted] || row.Rejected != d[OutcomeRejected] ||
+			row.Timeouts != d[OutcomeTimeout] || row.Errors != d[OutcomeError] || row.LastReason != lastErr[row.Name] {
+			t.Errorf("%s: ledger %+v, the hook delivered %v (last failure %q)", row.Name, row.LedgerEntry, d, lastErr[row.Name])
 		}
 	}
-	if !archived {
-		t.Fatal("no archive cell after compaction")
+	if rows[0].Audits < 200 || rows[1].Errors == 0 || rows[1].Accepted == 0 {
+		t.Fatalf("ledger %+v: want good audited every cycle and shaky both failing and passing", rows)
 	}
-	if live > 6 {
-		t.Fatalf("%d live epoch rows, want <= 6", live)
+}
+
+// TestFleetEvictionClosesDeviceConn: a prover that leaves, and one
+// evicted at its EvictAfter-th quarantine, have the warm connection to
+// their verifier device closed through the DeviceRunner they registered
+// with — no pool is handed to the controller — so the next Get for that
+// device dials again.
+func TestFleetEvictionClosesDeviceConn(t *testing.T) {
+	x := newFleetFixture(t, FleetConfig{
+		Scheduler:   SchedulerConfig{Workers: 1, Timeout: 2 * time.Second},
+		AuditPeriod: 10 * time.Second,
+		EvictAfter:  1,
+	})
+	honest, stopHonest := startVerifierd(t, x.honestRunner())
+	defer stopHonest()
+	// This device refuses every audit on a connection that stays healthy.
+	refusing := &switchRunner{}
+	refusing.mode.Store(1)
+	failing, stopFailing := startVerifierd(t, refusing)
+	defer stopFailing()
+	// Closed before the devices, which wait for their connections to end.
+	pool := &ProverPool{}
+	defer pool.Close()
+	for _, reg := range []struct{ name, addr string }{{"leaver", honest}, {"bad", failing}} {
+		if err := x.ctl.Register(reg.name, ProverSpec{
+			Runner: DeviceRunner{Pool: pool, Addr: reg.addr},
+			Tasks:  []AuditTask{x.f.task("acme", reg.name, 4)},
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Aggregates keep the full history.
-	if n := auditsOf(x.ctl.Ledger(), "p"); n < 30 {
-		t.Fatalf("aggregate audits %d, want >= 30 (history lost in compaction?)", n)
+	x.stepUntil(t, time.Second, 120, "bad evicted", func(st FleetStatus) bool {
+		return health(st, "bad") == "evicted"
+	})
+	if n := auditsOf(x.ctl.Ledger(), "leaver"); n == 0 {
+		t.Fatal("leaver never audited")
+	}
+	dials := func(addr string) int64 {
+		t.Helper()
+		before := pool.Dials()
+		_, release, err := pool.Get(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		release(nil)
+		return pool.Dials() - before
+	}
+	if n := dials(failing); n != 1 {
+		t.Fatalf("Get of the evicted prover's device dialed %d times, want 1: its connection was left pooled", n)
+	}
+	if n := dials(honest); n != 0 {
+		t.Fatalf("Get of a registered prover's device dialed %d times, want 0", n)
+	}
+	if err := x.ctl.Deregister("leaver", true); err != nil {
+		t.Fatal(err)
+	}
+	if n := dials(honest); n != 1 {
+		t.Fatalf("Get of the departed prover's device dialed %d times, want 1: its connection was left pooled", n)
 	}
 }
 

@@ -225,7 +225,7 @@ func TestMuxFailedBatchFailsItsStreams(t *testing.T) {
 				t.Fatalf("stream error %v, want the failed write", err)
 			}
 		}
-		if err := conn.w.write(wire.TypePing, 99, nil, nil); !errors.Is(err, errInjected) {
+		if err := conn.w.write(wire.TypeSegmentRequest, 99, nil, nil); !errors.Is(err, errInjected) {
 			t.Fatalf("write after the failure returned %v, want the latched failure", err)
 		}
 		if n := len(log.writes()); n != 1 {
@@ -566,8 +566,8 @@ func TestMuxCancelledReplyLeavesNoYield(t *testing.T) {
 }
 
 // TestProverServerBoundsQueuedReplies: while a segment reply's Write is
-// stuck on a peer that reads nothing, the Pongs the read loop answers
-// queue behind it only until about maxWriteBuf is queued; then the read
+// stuck on a peer that reads nothing, the refusals the read loop answers
+// unknown frames with queue behind it only until about maxWriteBuf is queued; then the read
 // loop stops, as TCP backpressure would stop it, instead of letting the
 // queue grow with every request read.
 func TestProverServerBoundsQueuedReplies(t *testing.T) {
@@ -590,12 +590,13 @@ func TestProverServerBoundsQueuedReplies(t *testing.T) {
 	// The HelloAck went out; the segment reply's Write is the one stuck.
 	waitFor(t, "the segment reply's Write", func() bool { return len(log.writes()) == 2 })
 	start := rc.n.Load()
-	ping, _ := wire.AppendMuxFrame(nil, wire.TypePing, 2, nil)
-	pong, _ := wire.AppendMuxFrame(nil, wire.TypePong, 2, nil)
-	// The server may queue maxWriteBuf plus one Pong, answer one more and
-	// hold a read buffer of Pings not yet parsed.
-	limit := int64((maxWriteBuf/len(pong)+2)*len(ping) + muxReadBuf)
-	burst := bytes.Repeat(ping, 2*int(limit)/len(ping))
+	// Type 4 is unassigned, so each such frame is refused inline.
+	unknown, _ := wire.AppendMuxFrame(nil, 4, 2, nil)
+	refusal, _ := wire.AppendMuxFrame(nil, wire.TypeError, 2, []byte("unknown frame type"))
+	// The server may queue maxWriteBuf plus one refusal, answer one more
+	// and hold a read buffer of frames not yet parsed.
+	limit := int64((maxWriteBuf/len(refusal)+2)*len(unknown) + muxReadBuf)
+	burst := bytes.Repeat(unknown, 2*int(limit)/len(unknown))
 	go client.Write(burst) // blocks once the read loop stops; the cleanup's Close ends it
 	last := int64(-1)
 	for still := 0; still < 20; time.Sleep(10 * time.Millisecond) {
@@ -606,10 +607,10 @@ func TestProverServerBoundsQueuedReplies(t *testing.T) {
 		}
 	}
 	if last > limit {
-		t.Fatalf("the read loop took %d bytes of Pings while its replies went unread, want at most %d", last, limit)
+		t.Fatalf("the read loop took %d bytes of frames while its replies went unread, want at most %d", last, limit)
 	}
 	if n := len(log.writes()); n != 2 {
-		t.Fatalf("%d server Writes, want 2: the queued Pongs wait for the stuck one", n)
+		t.Fatalf("%d server Writes, want 2: the queued refusals wait for the stuck one", n)
 	}
 }
 

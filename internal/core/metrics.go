@@ -62,7 +62,6 @@ var (
 	metricProverRequests = telemetry.Default.CounterVec(
 		"geoproof_prover_requests_total",
 		"Requests served by the prover, by type.", "type")
-	metricProverPings       = metricProverRequests.With("ping")
 	metricProverSegments    = metricProverRequests.With("segment")
 	metricProverReplyWrites = telemetry.Default.Counter(
 		"geoproof_prover_reply_writes_total",

@@ -236,9 +236,8 @@ type muxMsg struct {
 // yields once to a sibling whose reply is delivered but not yet taken,
 // so requests ready together share the write (frameWriter).
 type MuxProverConn struct {
-	conn  net.Conn
-	w     frameWriter
-	clock vclock.Clock // Ping times on it
+	conn net.Conn
+	w    frameWriter
 
 	mu      sync.Mutex
 	nextID  uint32
@@ -273,7 +272,6 @@ var (
 func NewMuxProverConn(conn net.Conn) *MuxProverConn {
 	c := &MuxProverConn{
 		conn:    conn,
-		clock:   clockOf(conn),
 		pending: make(map[uint32]chan muxMsg),
 		tomb:    make(map[uint32]struct{}),
 		rdone:   make(chan struct{}),
@@ -650,21 +648,4 @@ func (c *MuxProverConn) RunAudit(ctx context.Context, req AuditRequest) (SignedT
 	default:
 		return SignedTranscript{}, fmt.Errorf("core: unexpected mux frame type %d", msg.typ)
 	}
-}
-
-// Ping round-trips an empty frame on its own stream, the cheapest
-// exchange the transport has. Cancelling ctx abandons only the ping.
-func (c *MuxProverConn) Ping(ctx context.Context) (time.Duration, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	start := c.clock.Now()
-	msg, err := c.exchange(ctx, wire.TypePing, nil, nil)
-	if err != nil {
-		return 0, err
-	}
-	if msg.typ != wire.TypePong {
-		return 0, errors.New("core: unexpected ping reply")
-	}
-	return c.clock.Now().Sub(start), nil
 }

@@ -5,7 +5,7 @@ package core
 // files across many providers". It owns dispatch order (per-tenant
 // fairness), back-pressure (a bounded in-flight window per prover),
 // failure policy (per-attempt timeout, bounded retries) and bookkeeping
-// (an AuditLedger of verdicts per tenant × prover × epoch). The actual
+// (an AuditLedger of verdicts per prover). The actual
 // challenge-response rounds are delegated to an AuditRunner, so the same
 // scheduler drives a local verifier device dialing provers (over TCP or a
 // simulated network) and fully remote verifier daemons.
@@ -112,14 +112,7 @@ type Verdict struct {
 	Elapsed  time.Duration
 }
 
-// LedgerKey identifies one cell of the audit ledger.
-type LedgerKey struct {
-	Tenant string
-	Prover string
-	Epoch  uint64
-}
-
-// LedgerEntry aggregates the verdicts recorded under one key.
+// LedgerEntry aggregates the verdicts recorded for one prover.
 type LedgerEntry struct {
 	Audits   int
 	Accepted int
@@ -137,24 +130,6 @@ type LedgerEntry struct {
 	MaxRTT time.Duration
 	// LastReason keeps the most recent rejection/error detail for display.
 	LastReason string
-}
-
-// merge folds another entry's aggregates into e. The caller owns reason
-// ordering: o's LastReason wins when set, so merge from oldest to newest.
-func (e *LedgerEntry) merge(o LedgerEntry) {
-	e.Audits += o.Audits
-	e.Accepted += o.Accepted
-	e.Rejected += o.Rejected
-	e.Timeouts += o.Timeouts
-	e.Errors += o.Errors
-	e.BatchAttested += o.BatchAttested
-	e.SoloAttested += o.SoloAttested
-	if o.MaxRTT > e.MaxRTT {
-		e.MaxRTT = o.MaxRTT
-	}
-	if o.LastReason != "" {
-		e.LastReason = o.LastReason
-	}
 }
 
 // add folds one verdict into the entry.
@@ -186,133 +161,43 @@ func (e *LedgerEntry) add(v Verdict) {
 	}
 }
 
-// LedgerRow is one keyed entry in a ledger snapshot.
-type LedgerRow struct {
-	LedgerKey
-	LedgerEntry
-}
-
-// AuditLedger aggregates verdicts per (tenant, prover, epoch). It is safe
-// for concurrent use; the scheduler records every verdict as it lands.
+// AuditLedger aggregates verdicts per prover: one cell each, so its size
+// follows the fleet, not how long it has run. It is safe for concurrent
+// use; the scheduler records every verdict as it lands. Per-tenant or
+// per-epoch views are the business of a SchedulerConfig.OnVerdict hook.
 type AuditLedger struct {
 	mu      sync.Mutex
-	entries map[LedgerKey]*LedgerEntry
+	entries map[string]*LedgerEntry
 }
 
-// NewAuditLedger returns an empty ledger.
-func NewAuditLedger() *AuditLedger {
-	return &AuditLedger{entries: make(map[LedgerKey]*LedgerEntry)}
-}
-
-// Record folds one verdict into the ledger.
+// Record folds one verdict into its prover's cell.
 func (l *AuditLedger) Record(v Verdict) {
-	key := LedgerKey{Tenant: v.Task.Tenant, Prover: v.Task.Prover, Epoch: v.Epoch}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	e, ok := l.entries[key]
+	e, ok := l.entries[v.Task.Prover]
 	if !ok {
 		e = &LedgerEntry{}
-		l.entries[key] = e
+		l.entries[v.Task.Prover] = e
 	}
 	e.add(v)
 }
 
-// Snapshot returns every cell sorted by (epoch, tenant, prover).
-func (l *AuditLedger) Snapshot() []LedgerRow {
-	l.mu.Lock()
-	rows := make([]LedgerRow, 0, len(l.entries))
-	for k, e := range l.entries {
-		rows = append(rows, LedgerRow{LedgerKey: k, LedgerEntry: *e})
-	}
-	l.mu.Unlock()
-	sort.Slice(rows, func(i, j int) bool {
-		a, b := rows[i], rows[j]
-		if a.Epoch != b.Epoch {
-			return a.Epoch < b.Epoch
-		}
-		if a.Tenant != b.Tenant {
-			return a.Tenant < b.Tenant
-		}
-		return a.Prover < b.Prover
-	})
-	return rows
-}
-
-// LedgerTotals is one line of an aggregated ledger view.
+// LedgerTotals is one prover's line of the ledger.
 type LedgerTotals struct {
 	Name string
 	LedgerEntry
 }
 
-// totalsBy aggregates every cell under key(k), sorted by key. Folding the
-// epoch-sorted snapshot (rather than ranging the map) keeps LastReason
-// deterministic: the surviving reason is from the latest epoch.
-func (l *AuditLedger) totalsBy(key func(LedgerKey) string) []LedgerTotals {
-	agg := make(map[string]*LedgerEntry)
-	for _, row := range l.Snapshot() {
-		name := key(row.LedgerKey)
-		t, ok := agg[name]
-		if !ok {
-			t = &LedgerEntry{}
-			agg[name] = t
-		}
-		t.merge(row.LedgerEntry)
-	}
-	names := make([]string, 0, len(agg))
-	for name := range agg {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	rows := make([]LedgerTotals, 0, len(names))
-	for _, name := range names {
-		rows = append(rows, LedgerTotals{Name: name, LedgerEntry: *agg[name]})
-	}
-	return rows
-}
-
-// CompactBefore folds every cell from an epoch below the given one into
-// its (tenant, prover) archive cell, stored under epoch 0 (real epochs
-// start at 1). Aggregate views are unchanged by compaction — only the
-// per-epoch resolution of old epochs is given up — so continuous
-// deployments can call this periodically to bound ledger memory at
-// tenants × provers × (kept epochs + 1) cells.
-func (l *AuditLedger) CompactBefore(epoch uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var old []LedgerKey
-	for k := range l.entries {
-		if k.Epoch != 0 && k.Epoch < epoch {
-			old = append(old, k)
-		}
-	}
-	// Merge oldest epoch first so an archive cell's LastReason is the
-	// most recent compacted reason, deterministically.
-	sort.Slice(old, func(i, j int) bool {
-		a, b := old[i], old[j]
-		if a.Epoch != b.Epoch {
-			return a.Epoch < b.Epoch
-		}
-		if a.Tenant != b.Tenant {
-			return a.Tenant < b.Tenant
-		}
-		return a.Prover < b.Prover
-	})
-	for _, k := range old {
-		ak := LedgerKey{Tenant: k.Tenant, Prover: k.Prover}
-		a, ok := l.entries[ak]
-		if !ok {
-			a = &LedgerEntry{}
-			l.entries[ak] = a
-		}
-		a.merge(*l.entries[k])
-		delete(l.entries, k)
-	}
-}
-
-// TotalsByProver aggregates across tenants and epochs, one line per
-// prover.
+// TotalsByProver returns every prover's cell, sorted by name.
 func (l *AuditLedger) TotalsByProver() []LedgerTotals {
-	return l.totalsBy(func(k LedgerKey) string { return k.Prover })
+	l.mu.Lock()
+	rows := make([]LedgerTotals, 0, len(l.entries))
+	for name, e := range l.entries {
+		rows = append(rows, LedgerTotals{Name: name, LedgerEntry: *e})
+	}
+	l.mu.Unlock()
+	sort.Slice(rows, func(i, j int) bool { return rows[i].Name < rows[j].Name })
+	return rows
 }
 
 // FairOrder interleaves tasks round-robin across tenants: each round every
@@ -442,7 +327,7 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler {
 		cfg:     cfg,
 		tenants: make(map[string]*TPA),
 		provers: make(map[string]*proverState),
-		ledger:  NewAuditLedger(),
+		ledger:  &AuditLedger{entries: make(map[string]*LedgerEntry)},
 	}
 }
 
@@ -522,7 +407,8 @@ func (s *Scheduler) RunEpoch(ctx context.Context, tasks []AuditTask) []Verdict {
 // RunEpochNumbered is RunEpoch with a caller-chosen epoch number instead
 // of the scheduler's own counter. The fleet controller uses it to stamp
 // every audit cycle it dispatches in one reconcile tick with the same
-// epoch, keeping ledger epochs deterministic under concurrent per-prover
+// epoch, keeping verdict epochs (Verdict.Epoch, which traces and
+// ProverStatus.LastEpoch carry) deterministic under concurrent per-prover
 // cycles. The internal counter is bumped to at least epoch so later
 // RunEpoch calls never reuse a number.
 func (s *Scheduler) RunEpochNumbered(ctx context.Context, epoch uint64, tasks []AuditTask) []Verdict {

@@ -31,10 +31,10 @@ func (c *memConn) GetSegment(_ context.Context, fileID string, index uint64) ([]
 	return append([]byte(nil), c.ef.Data[off:off+int64(c.ef.Layout.SegmentSize())]...), nil
 }
 
-// ledgerEntry returns one cell of a ledger snapshot.
-func ledgerEntry(l *AuditLedger, tenant, prover string, epoch uint64) (LedgerEntry, bool) {
-	for _, row := range l.Snapshot() {
-		if row.Tenant == tenant && row.Prover == prover && row.Epoch == epoch {
+// ledgerEntry returns a prover's ledger cell.
+func ledgerEntry(l *AuditLedger, prover string) (LedgerEntry, bool) {
+	for _, row := range l.TotalsByProver() {
+		if row.Name == prover {
 			return row.LedgerEntry, true
 		}
 	}
@@ -204,22 +204,22 @@ func TestSchedulerInFlightBoundNeverExceeded(t *testing.T) {
 		}
 	}
 
-	// The ledger has one cell per (tenant, prover, epoch), each accepted.
-	rows := sched.Ledger().Snapshot()
-	if len(rows) != tenants*provers {
-		t.Fatalf("ledger has %d cells, want %d", len(rows), tenants*provers)
+	// The ledger has one cell per prover, holding every tenant's audit.
+	rows := sched.Ledger().TotalsByProver()
+	if len(rows) != provers {
+		t.Fatalf("ledger has %d cells, want %d", len(rows), provers)
 	}
 	for _, row := range rows {
-		if row.Audits != 1 || row.Accepted != 1 {
-			t.Fatalf("ledger cell %v: %+v", row.LedgerKey, row.LedgerEntry)
+		if row.Audits != tenants || row.Accepted != tenants {
+			t.Fatalf("ledger cell %s: %+v, want %d accepted audits", row.Name, row.LedgerEntry, tenants)
 		}
 	}
 	byTenant := make(map[string]int)
-	for _, row := range rows {
-		byTenant[row.Tenant] += row.Accepted
+	for _, v := range verdicts {
+		byTenant[v.Task.Tenant]++
 	}
 	if len(byTenant) != tenants {
-		t.Fatalf("ledger covers %d tenants, want %d", len(byTenant), tenants)
+		t.Fatalf("verdicts cover %d tenants, want %d", len(byTenant), tenants)
 	}
 	for name, accepted := range byTenant {
 		if accepted != provers {
@@ -265,7 +265,7 @@ func TestSchedulerTimeoutReleasesWindow(t *testing.T) {
 			t.Errorf("verdict %d: err %q does not mention the timeout", i, v.Err)
 		}
 	}
-	entry, ok := ledgerEntry(sched.Ledger(), "t1", "dead", 1)
+	entry, ok := ledgerEntry(sched.Ledger(), "dead")
 	if !ok || entry.Timeouts != 2 || entry.Audits != 2 {
 		t.Fatalf("ledger entry = %+v, ok=%v; want 2 timeouts", entry, ok)
 	}
@@ -302,7 +302,7 @@ func TestSchedulerCorruptProverRejectedNotRetried(t *testing.T) {
 			t.Errorf("verdict %d: report %+v, want 3 bad segments", i, v.Report)
 		}
 	}
-	entry, _ := ledgerEntry(sched.Ledger(), "t1", "corrupt", 1)
+	entry, _ := ledgerEntry(sched.Ledger(), "corrupt")
 	if entry.Rejected != 2 || entry.LastReason == "" {
 		t.Fatalf("ledger entry = %+v; want 2 rejections with a reason", entry)
 	}
@@ -348,7 +348,7 @@ func TestSchedulerUnregisteredNames(t *testing.T) {
 }
 
 // TestSchedulerEpochsAccumulate: epochs number consecutively and the
-// ledger keeps every epoch's cells apart.
+// ledger folds every epoch into the prover's one cell.
 func TestSchedulerEpochsAccumulate(t *testing.T) {
 	f := newSchedFixture(t)
 	sched := NewScheduler(SchedulerConfig{Workers: 2, ProverWindow: 2})
@@ -361,46 +361,9 @@ func TestSchedulerEpochsAccumulate(t *testing.T) {
 			t.Fatalf("epoch = %d, want %d", got, epoch)
 		}
 	}
-	if rows := sched.Ledger().Snapshot(); len(rows) != 3 {
-		t.Fatalf("ledger has %d cells, want one per epoch (3)", len(rows))
-	}
 	byProver := sched.Ledger().TotalsByProver()
 	if len(byProver) != 1 || byProver[0].Audits != 3 {
 		t.Fatalf("TotalsByProver = %+v, want 3 audits on p1", byProver)
-	}
-}
-
-// TestAuditLedgerCompactBefore: old epochs fold into the epoch-0 archive
-// cell, totals are unchanged, and ledger size is bounded.
-func TestAuditLedgerCompactBefore(t *testing.T) {
-	f := newSchedFixture(t)
-	sched := NewScheduler(SchedulerConfig{Workers: 1})
-	sched.RegisterTenant("t1", f.tpa)
-	sched.RegisterProver("p1", &localRunner{Verifier: f.verifier, Conn: &memConn{ef: f.ef}})
-	for epoch := 0; epoch < 4; epoch++ {
-		sched.RunEpoch(context.Background(), []AuditTask{f.task("t1", "p1", 2)})
-	}
-
-	sched.Ledger().CompactBefore(4)
-	rows := sched.Ledger().Snapshot()
-	if len(rows) != 2 {
-		t.Fatalf("ledger has %d cells after compaction, want archive + epoch 4: %+v", len(rows), rows)
-	}
-	if rows[0].Epoch != 0 || rows[0].Audits != 3 {
-		t.Fatalf("archive cell = %+v, want epoch 0 with 3 audits", rows[0])
-	}
-	if rows[1].Epoch != 4 || rows[1].Audits != 1 {
-		t.Fatalf("live cell = %+v, want epoch 4 with 1 audit", rows[1])
-	}
-	totals := sched.Ledger().TotalsByProver()
-	if len(totals) != 1 || totals[0].Audits != 4 || totals[0].Accepted != 4 {
-		t.Fatalf("totals after compaction = %+v, want 4 accepted audits", totals)
-	}
-
-	// Compacting again with the same horizon is a no-op.
-	sched.Ledger().CompactBefore(4)
-	if again := sched.Ledger().Snapshot(); len(again) != 2 {
-		t.Fatalf("recompaction changed the ledger: %+v", again)
 	}
 }
 
@@ -490,9 +453,9 @@ func TestSchedulerOverTCP(t *testing.T) {
 			t.Fatalf("TCP verdict %d: %v (%s; %s)", i, v.Outcome, v.Err, v.Report.Reason())
 		}
 	}
-	rows := sched.Ledger().Snapshot()
-	if len(rows) != 2 || rows[0].Tenant != "t1" || rows[0].Accepted != 2 || rows[1].Accepted != 2 {
-		t.Fatalf("ledger = %+v, want 2 accepted audits for each of t1 and t2", rows)
+	rows := sched.Ledger().TotalsByProver()
+	if len(rows) != 1 || rows[0].Name != "tcp" || rows[0].Accepted != 4 {
+		t.Fatalf("ledger = %+v, want 4 accepted audits on tcp", rows)
 	}
 }
 
@@ -696,7 +659,7 @@ func TestSchedulerEpochDeadlineNotBlamedOnProver(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("epoch with an expired deadline did not drain")
 	}
-	entry, ok := ledgerEntry(sched.Ledger(), "t1", "dead", 1)
+	entry, ok := ledgerEntry(sched.Ledger(), "dead")
 	if !ok || entry.Timeouts != 0 || entry.Errors != 2 {
 		t.Fatalf("ledger entry = %+v, ok=%v; epoch deadline must not count as prover timeouts", entry, ok)
 	}

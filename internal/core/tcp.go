@@ -177,12 +177,6 @@ func (s *ProverServer) serveMux(conn net.Conn) {
 			return
 		}
 		switch typ {
-		case wire.TypePing:
-			metricProverPings.Inc()
-			wire.PutBuffer(payload)
-			if !m.w.reply(wire.TypePong, stream, nil) {
-				return
-			}
 		case wire.TypeSegmentRequest:
 			metricProverSegments.Inc()
 			id, index, derr := wire.SplitSegmentRequest(payload)

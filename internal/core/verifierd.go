@@ -34,8 +34,8 @@ const maxConnAudits = 256
 func (s *VerifierServer) Serve(lis net.Listener) error { return s.serve(lis, 0, s.handle) }
 
 // handle serves one TPA connection: the handshake, then a read loop that
-// answers pings itself and runs every audit request on its own goroutine,
-// so a TPA's concurrent audits overlap. The audits run under a context
+// runs every audit request on its own goroutine, so a TPA's concurrent
+// audits overlap. The audits run under a context
 // that ends with the connection — a TPA that has gone is owed no
 // transcript, so its rounds stop — and all of them have returned when
 // handle does.
@@ -58,9 +58,6 @@ func (s *VerifierServer) handle(conn net.Conn) {
 			return
 		}
 		switch typ {
-		case wire.TypePing:
-			wire.PutBuffer(payload)
-			w.reply(wire.TypePong, stream, nil)
 		case wire.TypeAuditRequest:
 			req, derr := DecodeAuditRequest(payload) // copies what it keeps
 			wire.PutBuffer(payload)

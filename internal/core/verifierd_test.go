@@ -447,11 +447,11 @@ func TestVerifierServerRejectsBadRequest(t *testing.T) {
 		}
 	}
 	// Exactly one each: a second reply to any of them would arrive ahead
-	// of this pong.
-	if err := wire.WriteMuxFrame(conn, wire.TypePing, 99, nil); err != nil {
+	// of this last refusal. Type 4 is unassigned.
+	if err := wire.WriteMuxFrame(conn, 4, 99, nil); err != nil {
 		t.Fatal(err)
 	}
-	if typ, stream := next(); typ != wire.TypePong || stream != 99 {
-		t.Fatalf("after the refusals: type %d on stream %d, want the pong", typ, stream)
+	if typ, stream := next(); typ != wire.TypeError || stream != 99 {
+		t.Fatalf("after the refusals: type %d on stream %d, want the last refusal", typ, stream)
 	}
 }

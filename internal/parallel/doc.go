@@ -26,8 +26,7 @@
 //
 // The entry points cover the three shapes of fan-out in the stack: For
 // (dynamic work stealing over an index range), ForRange (contiguous
-// shards for bulk byte-slice work), Pipeline (bounded producer/consumer
-// with backpressure — the memory-bounding primitive behind the streaming
-// POR engine and the audit scheduler) and Do (a fixed list of
-// heterogeneous tasks).
+// shards for bulk byte-slice work) and Pipeline (bounded
+// producer/consumer with backpressure — the memory-bounding primitive
+// behind the streaming POR engine and the audit scheduler).
 package parallel

@@ -195,11 +195,3 @@ func Pipeline[T any](workers, depth int, produce func(emit func(T) error) error,
 	}
 	return perr
 }
-
-// Do runs every task concurrently with up to workers goroutines and
-// returns the first (lowest-index) error. It is For over a fixed task
-// list, for fanning out heterogeneous jobs such as auditing several
-// provers at once.
-func Do(workers int, tasks ...func() error) error {
-	return For(workers, len(tasks), func(i int) error { return tasks[i]() })
-}

@@ -243,22 +243,3 @@ func TestPipelineProducerError(t *testing.T) {
 		t.Fatalf("got %v, want producer error", err)
 	}
 }
-
-func TestDo(t *testing.T) {
-	var a, b atomic.Bool
-	err := Do(2,
-		func() error { a.Store(true); return nil },
-		func() error { b.Store(true); return nil },
-	)
-	if err != nil || !a.Load() || !b.Load() {
-		t.Fatalf("a=%v b=%v err=%v", a.Load(), b.Load(), err)
-	}
-	wantErr := errors.New("first")
-	err = Do(2,
-		func() error { return wantErr },
-		func() error { return errors.New("second") },
-	)
-	if !errors.Is(err, wantErr) {
-		t.Fatalf("got %v, want first task's error", err)
-	}
-}

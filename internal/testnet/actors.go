@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cloud"
 	"repro/internal/core"
+	"repro/internal/crypt"
 	"repro/internal/disk"
 	"repro/internal/geo"
 	"repro/internal/gps"
@@ -45,6 +46,8 @@ type member struct {
 	truePos geo.Position
 
 	site *cloud.Site
+	// signer is the member's verifier device's key.
+	signer *crypt.Signer
 	// pool is the verifier device's connection pool to the site.
 	pool *core.ProverPool
 	spec core.ProverSpec

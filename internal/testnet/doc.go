@@ -37,13 +37,17 @@
 // verifier device (a VerifierServer on the member's device node) with a
 // core.DeviceRunner, and the device times the rounds over its own pool
 // to the member's ProverServer, so every round is a mux exchange over a
-// LAN simnet stream. The TPA's leg is a zero-delay link: it draws no
+// LAN simnet stream. Each device signs with its own key, and a tenant
+// audits each replica as "<tenant>@<member>" through a TPA that trusts
+// that device's key alone, so a transcript from any other device is
+// rejected. The TPA's leg is a zero-delay link: it draws no
 // jitter and moves no clock. The fleet sees a prover only through these
 // audits; there is no other exchange. Everything runs on one virtual
 // clock (vclock.Virtual) starting at a fixed epoch: a stream read moves
 // the clock to the bytes' arrival, a look-up sleeps on it. Every random
 // stream — link jitter (drift pings included), packet loss, fleet audit
-// jitter, TPA challenge nonces — is derived from Seed. The transport
+// jitter, TPA challenge nonces (one stream per tenant, which all its
+// device TPAs draw from) — is derived from Seed. The transport
 // runs on goroutines (demux loops, device and prover workers), but the
 // scheduler runs Workers=1, Timeout=0 and the controller
 // Synchronous=true, so only one exchange is ever in flight:

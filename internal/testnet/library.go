@@ -200,15 +200,14 @@ func lossDegradation() Spec {
 // replays it twice and requires byte-identical traces.
 func scaleFleet() Spec {
 	return Spec{
-		Name:         "scale-fleet",
-		Description:  "200 provers x 1000 tenants with relays, corruption and drift at production scale",
-		Seed:         7007,
-		Tenants:      1000,
-		Replicas:     2,
-		Rounds:       2,
-		Ticks:        12,
-		RetainEpochs: 4,
-		Drift:        true,
+		Name:        "scale-fleet",
+		Description: "200 provers x 1000 tenants with relays, corruption and drift at production scale",
+		Seed:        7007,
+		Tenants:     1000,
+		Replicas:    2,
+		Rounds:      2,
+		Ticks:       12,
+		Drift:       true,
 		Provers: []ProverGroup{
 			{Name: "bne", Count: 80, Behavior: BehaviorHonest, City: "Brisbane"},
 			{Name: "syd", Count: 60, Behavior: BehaviorHonest, City: "Sydney"},

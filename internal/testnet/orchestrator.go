@@ -31,7 +31,7 @@ type world struct {
 	net     *simnet.Network
 	pool    *core.ProverPool
 	closers []io.Closer
-	signer  *crypt.Signer
+	policy  core.Policy
 
 	members []*member
 	byName  map[string]*member
@@ -46,10 +46,13 @@ type world struct {
 	cells  map[cellKey]*Cell
 }
 
+// worldTenant is one tenant's file and the seeded nonce stream that
+// every one of its per-device TPAs draws challenges from.
 type worldTenant struct {
-	name string
-	ef   *por.EncodedFile
-	tpa  *core.TPA
+	name  string
+	enc   *por.Encoder
+	ef    *por.EncodedFile
+	nonce io.Reader
 }
 
 type cellKey struct{ tenant, prover string }
@@ -94,47 +97,19 @@ func classify(v core.Verdict) func(*Cell) {
 // Run executes one scenario deterministically and diffs the outcome
 // against the spec's expectations. Everything observable — health
 // transitions, the verdict matrix, the drift phase's results, the final
-// fleet status and ledger — lands in Result.Trace; two calls with
-// the same spec produce byte-identical traces.
+// fleet status with the ledger's per-prover totals — lands in
+// Result.Trace; two calls with the same spec produce byte-identical
+// traces.
 func Run(spec Spec) (*Result, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	spec = spec.withDefaults()
-
-	w := &world{
-		spec:   spec,
-		clk:    vclock.NewVirtual(virtualStart),
-		byName: map[string]*member{},
-		cells:  map[cellKey]*Cell{},
-	}
-	w.net = simnet.New(w.clk, spec.Seed)
-	// The TPA reaches every prover through the member's verifier device.
-	w.pool = &core.ProverPool{Dial: w.net.Dialer(tpaNode)}
-	defer func() {
-		w.pool.Close()
-		for _, c := range w.closers {
-			c.Close()
-		}
-	}()
-	var err error
-	if w.signer, err = crypt.NewSigner(); err != nil {
+	w, err := newWorld(spec)
+	if err != nil {
 		return nil, err
 	}
-	if err := w.setupTenants(); err != nil {
-		return nil, err
-	}
-	if w.members, err = buildMembers(spec); err != nil {
-		return nil, err
-	}
-	for _, m := range w.members {
-		w.byName[m.name] = m
-	}
-	w.setupController()
-	if err := w.placeAndRegister(); err != nil {
-		return nil, err
-	}
-	defer w.ctl.Close()
+	defer w.close()
 
 	// The scenario proper: scripted churn, one reconcile tick, one
 	// virtual second — repeated. All audit time is charged to the same
@@ -158,6 +133,51 @@ func Run(spec Spec) (*Result, error) {
 	return res, nil
 }
 
+// newWorld builds a defaulted spec's world up to its first tick: the
+// network, the tenants, the members and the fleet controller with every
+// member registered. The caller closes it.
+func newWorld(spec Spec) (w *world, err error) {
+	w = &world{
+		spec:   spec,
+		clk:    vclock.NewVirtual(virtualStart),
+		byName: map[string]*member{},
+		cells:  map[cellKey]*Cell{},
+	}
+	w.net = simnet.New(w.clk, spec.Seed)
+	// The TPA reaches every prover through the member's verifier device.
+	w.pool = &core.ProverPool{Dial: w.net.Dialer(tpaNode)}
+	defer func() {
+		if err != nil {
+			w.close()
+		}
+	}()
+	if err := w.setupTenants(); err != nil {
+		return nil, err
+	}
+	if w.members, err = buildMembers(spec); err != nil {
+		return nil, err
+	}
+	for _, m := range w.members {
+		w.byName[m.name] = m
+	}
+	w.setupController()
+	if err := w.placeAndRegister(); err != nil {
+		return nil, err
+	}
+	return w, nil
+}
+
+// close stops the controller, then every connection and server.
+func (w *world) close() {
+	if w.ctl != nil {
+		w.ctl.Close()
+	}
+	w.pool.Close()
+	for _, c := range w.closers {
+		c.Close()
+	}
+}
+
 // Replay runs the scenario twice with identical inputs and verifies the
 // traces are byte-identical — the orchestrator-level determinism check.
 func Replay(spec Spec) (*Result, error) {
@@ -175,14 +195,14 @@ func Replay(spec Spec) (*Result, error) {
 	return a, nil
 }
 
-// setupTenants encodes every tenant's file and builds its TPA with a
-// seeded nonce stream, so challenge indices replay.
+// setupTenants encodes every tenant's file and seeds its nonce stream,
+// so challenge indices replay.
 func (w *world) setupTenants() error {
-	policy := core.DefaultPolicy(cloud.SLA{Center: australiaCentroid, RadiusKm: w.spec.SLARadiusKm})
+	w.policy = core.DefaultPolicy(cloud.SLA{Center: australiaCentroid, RadiusKm: w.spec.SLARadiusKm})
 	if w.spec.TMaxMs > 0 {
-		policy.TMax = time.Duration(w.spec.TMaxMs * float64(time.Millisecond))
+		w.policy.TMax = time.Duration(w.spec.TMaxMs * float64(time.Millisecond))
 	}
-	policy.MaxFailedRounds = w.spec.MaxFailedRounds
+	w.policy.MaxFailedRounds = w.spec.MaxFailedRounds
 	for t := 0; t < w.spec.Tenants; t++ {
 		name := fmt.Sprintf("tenant-%04d", t)
 		enc := por.NewEncoder([]byte("master-" + name)).WithConcurrency(1)
@@ -194,14 +214,21 @@ func (w *world) setupTenants() error {
 		if err != nil {
 			return err
 		}
-		tpa, err := core.NewTPA(enc, w.signer.Public(), policy)
-		if err != nil {
-			return err
-		}
-		tpa = tpa.WithNonceReader(rand.New(rand.NewSource(seedFor(w.spec.Seed, "nonce:"+name))))
-		w.tenants = append(w.tenants, &worldTenant{name: name, ef: ef, tpa: tpa})
+		w.tenants = append(w.tenants, &worldTenant{name: name, enc: enc, ef: ef,
+			nonce: rand.New(rand.NewSource(seedFor(w.spec.Seed, "nonce:"+name)))})
 	}
 	return nil
+}
+
+// deviceTPA builds the tenant's TPA for one member's device: it trusts
+// that device's key alone, and draws from the tenant's one nonce stream,
+// so the challenges do not depend on which replica is audited.
+func (w *world) deviceTPA(tn *worldTenant, m *member) (*core.TPA, error) {
+	tpa, err := core.NewTPA(tn.enc, m.signer.Public(), w.policy)
+	if err != nil {
+		return nil, err
+	}
+	return tpa.WithNonceReader(tn.nonce), nil
 }
 
 // setupController builds the fleet controller in deterministic mode:
@@ -220,8 +247,10 @@ func (w *world) setupController() {
 			Tracer:  w.tracer,
 			OnVerdict: func(v core.Verdict) {
 				fold := classify(v)
+				// The matrix is per tenant, not per tenant's device TPA.
+				tenant, _, _ := strings.Cut(v.Task.Tenant, "@")
 				w.cellMu.Lock()
-				key := cellKey{tenant: v.Task.Tenant, prover: v.Task.Prover}
+				key := cellKey{tenant: tenant, prover: v.Task.Prover}
 				c, ok := w.cells[key]
 				if !ok {
 					c = &Cell{}
@@ -231,34 +260,43 @@ func (w *world) setupController() {
 				w.cellMu.Unlock()
 			},
 		},
-		AuditPeriod:  time.Duration(w.spec.AuditPeriodSec) * time.Second,
-		AuditJitter:  w.spec.AuditJitter,
-		EvictAfter:   w.spec.EvictAfter,
-		RetainEpochs: w.spec.RetainEpochs,
-		Clock:        w.clk,
-		Seed:         w.spec.Seed,
-		Synchronous:  true,
-		Pool:         w.pool,
+		AuditPeriod: time.Duration(w.spec.AuditPeriodSec) * time.Second,
+		AuditJitter: w.spec.AuditJitter,
+		EvictAfter:  w.spec.EvictAfter,
+		Clock:       w.clk,
+		Seed:        w.spec.Seed,
+		Synchronous: true,
 		OnTransition: func(prover string, from, to core.Health, reason string) {
 			w.transitions = append(w.transitions,
 				fmt.Sprintf("%s %s: %s -> %s (%s)", w.tickStamp(), prover, from, to, reason))
 		},
 	})
-	for _, tn := range w.tenants {
-		w.ctl.RegisterTenant(tn.name, tn.tpa)
-	}
 }
 
 // placeAndRegister assigns each tenant's file to Replicas provers round-
 // robin, stores the bytes on the owning sites, applies at-rest corruption
-// and wires + registers every member.
+// and wires + registers every member. Each member's device signs with its
+// own key, and each tenant audits it as "<tenant>@<member>" through a TPA
+// that trusts that key alone, as geoverify names its tenants per device.
 func (w *world) placeAndRegister() error {
+	for _, m := range w.members {
+		var err error
+		if m.signer, err = crypt.NewSigner(); err != nil {
+			return err
+		}
+	}
 	n := len(w.members)
 	tasksOf := make(map[string][]core.AuditTask)
 	stored := map[*cloud.Site]map[string]bool{}
 	for t, tn := range w.tenants {
 		for r := 0; r < w.spec.Replicas; r++ {
 			m := w.members[(t*w.spec.Replicas+r)%n]
+			tpa, err := w.deviceTPA(tn, m)
+			if err != nil {
+				return err
+			}
+			tenant := tn.name + "@" + m.name
+			w.ctl.RegisterTenant(tenant, tpa)
 			if stored[m.site] == nil {
 				stored[m.site] = map[string]bool{}
 			}
@@ -267,7 +305,7 @@ func (w *world) placeAndRegister() error {
 				stored[m.site][tn.ef.FileID] = true
 			}
 			tasksOf[m.name] = append(tasksOf[m.name], core.AuditTask{
-				Tenant: tn.name, FileID: tn.ef.FileID, Layout: tn.ef.Layout, K: w.spec.Rounds,
+				Tenant: tenant, FileID: tn.ef.FileID, Layout: tn.ef.Layout, K: w.spec.Rounds,
 			})
 		}
 	}
@@ -323,7 +361,7 @@ func (w *world) wireMember(m *member, tasks []core.AuditTask) error {
 	srv := &core.ProverServer{Provider: provider, SimulateServiceTime: true}
 	go srv.Serve(lis)
 	w.closers = append(w.closers, srv)
-	verifier, err := core.NewVerifier(w.signer, m.receiver(), w.clk)
+	verifier, err := core.NewVerifier(m.signer, m.receiver(), w.clk)
 	if err != nil {
 		return err
 	}
@@ -336,7 +374,6 @@ func (w *world) wireMember(m *member, tasks []core.AuditTask) error {
 	w.closers = append(w.closers, vsrv, m.pool)
 	m.spec = core.ProverSpec{
 		Runner: core.DeviceRunner{Pool: w.pool, Addr: dev},
-		Addr:   dev,
 		Tasks:  tasks,
 	}
 	return w.ctl.Register(m.name, m.spec)
@@ -499,12 +536,7 @@ func (w *world) buildTrace(res *Result, driftTrace []string) {
 		status = []byte("marshal error: " + err.Error())
 	}
 	b.Write(status)
-	b.WriteString("\nledger:\n")
-	for _, row := range w.ctl.Ledger().Snapshot() {
-		fmt.Fprintf(&b, "  e=%d %s x %s: audits=%d acc=%d rej=%d to=%d err=%d maxrtt=%v reason=%q\n",
-			row.Epoch, row.Tenant, row.Prover, row.Audits, row.Accepted, row.Rejected,
-			row.Timeouts, row.Errors, row.MaxRTT, row.LastReason)
-	}
+	b.WriteString("\n")
 
 	res.Trace = b.String()
 	res.Hash = TraceHash(res.Trace)

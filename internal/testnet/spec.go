@@ -45,9 +45,6 @@ type Spec struct {
 	AuditJitter float64 `json:"auditJitter,omitempty"`
 	// EvictAfter evicts a prover on its N-th quarantine (0 = never).
 	EvictAfter int `json:"evictAfter,omitempty"`
-	// RetainEpochs bounds ledger memory via CompactBefore (default 0:
-	// keep all epochs — scenario ledgers are the regression fixture).
-	RetainEpochs uint64 `json:"retainEpochs,omitempty"`
 
 	// SLARadiusKm is the contracted region's radius around the
 	// Australian centroid (default 2800 km — continent-wide, so the GPS
@@ -122,7 +119,7 @@ type Expect struct {
 
 // GroupExpect pins one group's outcome.
 type GroupExpect struct {
-	// Verdict classifies every member's ledger cells:
+	// Verdict classifies every member's matrix cells:
 	//   accept         — only accepted audits;
 	//   timing-reject  — only Δt_max rejections;
 	//   mac-reject     — only segment-MAC rejections;

@@ -1,10 +1,13 @@
 package testnet
 
 import (
+	"context"
 	"encoding/json"
 	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // TestLibraryScenarios runs every library scenario (the scale scenario is
@@ -41,13 +44,13 @@ func TestLibraryScenarios(t *testing.T) {
 // TPA → device → prover observes, fails here. A change that moves a hash
 // on purpose updates it and says why.
 var pinnedTraceHashes = map[string]string{
-	"baseline-honest":  "51b1d75dc82c",
-	"relay-attack":     "a7cda1bfc2f5",
-	"collusion":        "e4c29524996b",
-	"region-drift":     "40601b250b8c",
-	"churn-storm":      "2430592c6048",
-	"loss-degradation": "27f3084e6af9",
-	"scale-fleet":      "f9d81a7867ae",
+	"baseline-honest":  "5b076554e130",
+	"relay-attack":     "2a236808ee98",
+	"collusion":        "f10a9fcbbade",
+	"region-drift":     "fd6abcae3c9b",
+	"churn-storm":      "51c59e6b640c",
+	"loss-degradation": "d304eb5628df",
+	"scale-fleet":      "02f2c1a31134",
 }
 
 // TestLibraryTraceHashesPinned runs every library scenario once (the
@@ -143,10 +146,11 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 	for _, bad := range []string{
 		`{"name":"x","tenants":1,"provers":[{"name":"p","count":1,"behavior":"teleport"}]}`,
 		// The bit-level distance-bounding phase, the delay behaviour, the
-		// drift phase's settings object and the probe period are gone;
-		// old fixtures fail.
+		// drift phase's settings object, the probe period and the ledger's
+		// epoch retention are gone; old fixtures fail.
 		`{"name":"x","tenants":1,"provers":[{"name":"p","count":1,"behavior":"honest"}],"dbound":{}}`,
 		`{"name":"x","tenants":1,"provers":[{"name":"p","count":1,"behavior":"honest"}],"probePeriodSec":2}`,
+		`{"name":"x","tenants":1,"provers":[{"name":"p","count":1,"behavior":"honest"}],"retainEpochs":4}`,
 		`{"name":"x","tenants":1,"provers":[{"name":"p","count":1,"behavior":"delay"}]}`,
 		`{"name":"x","tenants":1,"provers":[{"name":"p","count":1,"behavior":"honest"}],"drift":{}}`,
 	} {
@@ -236,5 +240,51 @@ func TestKillRefusesNextExchange(t *testing.T) {
 	}
 	if res.Rejected != 0 || !strings.Contains(res.Trace, "connection refused") {
 		t.Fatalf("a killed member's audits must fail at the refused dial, not as rejects (%d):\n%s", res.Rejected, res.Trace)
+	}
+}
+
+// TestTranscriptFromAnotherDeviceRejected: each member's device signs
+// with its own key, so a transcript one device signed fails the
+// signature check of the TPA a tenant keeps for any other device, and
+// passes its own device's.
+func TestTranscriptFromAnotherDeviceRejected(t *testing.T) {
+	spec := Spec{
+		Name:     "device-keys",
+		Seed:     13,
+		Tenants:  1,
+		Replicas: 2,
+		Provers:  []ProverGroup{{Name: "p", Count: 2, Behavior: BehaviorHonest, City: "Brisbane"}},
+	}
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	w, err := newWorld(spec.withDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.close()
+	tn, a, b := w.tenants[0], w.members[0], w.members[1]
+	tpaA, err := w.deviceTPA(tn, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tpaB, err := w.deviceTPA(tn, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := tpaA.NewRequest(tn.ef.FileID, tn.ef.Layout, w.spec.Rounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// b's device runs the audit and signs its transcript.
+	st, err := core.DeviceRunner{Pool: w.pool, Addr: vnode(b.name)}.RunAudit(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := tpaA.VerifyAudit(req, tn.ef.Layout, st); rep.SignatureOK || rep.Accepted {
+		t.Fatalf("%s's TPA accepted a transcript %s's device signed: %+v", a.name, b.name, rep)
+	}
+	if rep := tpaB.VerifyAudit(req, tn.ef.Layout, st); !rep.Accepted {
+		t.Fatalf("%s's TPA rejected its own device's transcript: %s", b.name, rep.Reason())
 	}
 }

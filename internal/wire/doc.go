@@ -42,9 +42,9 @@
 //
 //   - A stream is opened by a request frame carrying its id:
 //     TypeSegmentRequest to a prover, TypeAuditRequest to a verifier
-//     daemon, TypePing to either.
+//     daemon.
 //   - Every stream receives exactly one reply frame: TypeSegmentResponse,
-//     TypeSignedTranscript, TypePong, or TypeError for a per-request
+//     TypeSignedTranscript, or TypeError for a per-request
 //     failure that leaves the connection itself healthy (a request type
 //     the server does not serve among them). On the prover leg that is
 //     one challenge, one response, one timed round trip — the verifier

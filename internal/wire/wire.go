@@ -8,14 +8,13 @@ import (
 
 // Frame types. The verifier↔prover leg carries segment requests and
 // responses; the TPA↔verifier-daemon leg carries audit requests and
-// signed transcripts; pings, errors and the Hello/HelloAck that opens a
-// connection travel on both.
+// signed transcripts; errors and the Hello/HelloAck that opens a
+// connection travel on both. Types 4 and 5 are unassigned (they were a
+// ping and its pong), so a peer refuses them as unknown.
 const (
 	TypeSegmentRequest   byte = 1
 	TypeSegmentResponse  byte = 2
 	TypeError            byte = 3
-	TypePing             byte = 4
-	TypePong             byte = 5
 	TypeAuditRequest     byte = 6
 	TypeSignedTranscript byte = 7
 	TypeHello            byte = 8

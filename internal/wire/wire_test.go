@@ -33,7 +33,7 @@ func TestFrameRoundTrip(t *testing.T) {
 // nothing else.
 func TestFrameEmptyPayload(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteMuxFrame(&buf, TypePing, 3, nil); err != nil {
+	if err := WriteMuxFrame(&buf, TypeSegmentRequest, 3, nil); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() != muxHdrLen {
@@ -44,27 +44,27 @@ func TestFrameEmptyPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	PutBuffer(got)
-	if typ != TypePing || stream != 3 || len(got) != 0 {
+	if typ != TypeSegmentRequest || stream != 3 || len(got) != 0 {
 		t.Fatalf("typ=%d stream=%d len=%d", typ, stream, len(got))
 	}
 }
 
 func TestFrameTooLargeWrite(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteMuxFrame(&buf, TypePing, 1, make([]byte, MaxFrame+1)); !errors.Is(err, ErrFrameTooLarge) {
+	if err := WriteMuxFrame(&buf, TypeSegmentRequest, 1, make([]byte, MaxFrame+1)); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("got %v", err)
 	}
 	if buf.Len() != 0 {
 		t.Fatalf("refused frame still wrote %d bytes", buf.Len())
 	}
-	if _, err := AppendMuxHeader(nil, TypePing, 1, MaxFrame+1); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := AppendMuxHeader(nil, TypeSegmentRequest, 1, MaxFrame+1); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("AppendMuxHeader: %v", err)
 	}
 }
 
 func TestFrameTooLargeRead(t *testing.T) {
 	// Header claiming a huge payload must be rejected before allocation.
-	buf := bytes.NewBuffer([]byte{0xFF, 0xFF, 0xFF, 0xFF, TypePing, 0, 0, 0, 1})
+	buf := bytes.NewBuffer([]byte{0xFF, 0xFF, 0xFF, 0xFF, TypeSegmentRequest, 0, 0, 0, 1})
 	if _, _, _, err := ReadMuxFrame(buf); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("got %v", err)
 	}

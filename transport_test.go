@@ -361,7 +361,7 @@ func signingEpoch(t *testing.T, fx *transportFixture, sched *core.Scheduler, wan
 func checkSigningLedger(t *testing.T, sched *core.Scheduler, wantMode core.AttestationMode) {
 	t.Helper()
 	var accepted, rejected, batchAtt, soloAtt int
-	for _, row := range sched.Ledger().Snapshot() {
+	for _, row := range sched.Ledger().TotalsByProver() {
 		accepted += row.Accepted
 		rejected += row.Rejected
 		batchAtt += row.BatchAttested
