@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net"
@@ -138,13 +139,6 @@ func TestMuxCancelledStreamDoesNotPoisonConn(t *testing.T) {
 	conn := dialMux(t, addr)
 	defer conn.Close()
 
-	// A stream cancelled before it is sent fails at once.
-	cancelled, cancelNow := context.WithCancel(context.Background())
-	cancelNow()
-	if _, err := conn.GetSegment(cancelled, ef.FileID, 0); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled stream returned %v", err)
-	}
-
 	// Stream A hits the stalled index and is cancelled mid-flight.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
@@ -173,6 +167,49 @@ func TestMuxCancelledStreamDoesNotPoisonConn(t *testing.T) {
 	}
 	if _, err := conn.GetSegment(context.Background(), ef.FileID, 1); err != nil {
 		t.Fatalf("exchange after late frame: %v", err)
+	}
+}
+
+// TestMuxPingAndCancel round-trips the cheapest exchange the transport
+// has, an empty frame of an unassigned type that the prover refuses
+// inline on its own stream, and checks that an exchange cancelled before
+// it is sent fails at once without poisoning the connection.
+func TestMuxPingAndCancel(t *testing.T) {
+	_, _, site := tcpFixture(t)
+	addr, stop := startServer(t, &cloud.HonestProvider{Site: site}, false)
+	defer stop()
+	conn := dialMux(t, addr)
+	defer conn.Close()
+	const unassigned = 4
+	ping := func(ctx context.Context) (time.Duration, error) {
+		start := time.Now()
+		msg, err := conn.exchange(ctx, unassigned, nil, nil)
+		if err != nil {
+			return 0, err
+		}
+		if msg.typ != wire.TypeError {
+			return 0, fmt.Errorf("unassigned frame answered with type %d", msg.typ)
+		}
+		return time.Since(start), nil
+	}
+	rtt, err := ping(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rtt <= 0 || rtt > time.Second {
+		t.Fatalf("ping rtt %v", rtt)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := ping(cancelled); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled ping: %v", err)
+	}
+	// A cancelled probe never poisons the connection.
+	if !conn.Healthy() {
+		t.Fatal("cancelled ping poisoned mux conn")
+	}
+	if _, err := ping(context.Background()); err != nil {
+		t.Fatalf("ping after cancel: %v", err)
 	}
 }
 
