@@ -42,36 +42,32 @@
 //
 // A streaming encode writes into any StreamTarget (random-access writes
 // plus read-back, sized to the whole encoded file before the encode
-// starts) and a streaming extract reads from any io.ReaderAt: *os.File,
-// MemTarget, or a type implementing one of the optional seams through
-// which the engine moves the permuted blocks of a whole chunk group in
-// one call instead of one 16-byte WriteAt/ReadAt per block:
+// starts) and a streaming extract reads from any io.ReaderAt. The engine
+// moves the permuted blocks of a whole chunk group at once, addressed by
+// block slot (block b of F‴), wherever the target allows:
 //
-//   - Range (MemTarget): direct access to the backing memory, both
-//     directions.
-//   - BlockPlacer, write side: receives the scatter as block batches with
-//     their permuted block indices (slots), which the engine has already
-//     computed — no byte offset is derived for it. The persistent sharded
-//     store (internal/store.Writer) implements it with a write-combining
-//     staged placer, which is how file-backed encodes reach in-memory
-//     throughput.
-//   - FlushPlacements(finish), write side, beside BlockPlacer: a placer
-//     that builds the encoded file in memory one segment-aligned image at
-//     a time hands the engine each complete image before writing it out,
-//     and the engine stamps the image's segment tags in place, every
-//     worker under the target's guard. Such a target gets no tag pass:
-//     each encoded byte is written once and none is read back. The
-//     store's Writer does this per shard, its guard turning a memory fault
-//     in a shard cut short into ErrCorrupt.
-//   - BlockGatherer, read side, the mirror of BlockPlacer: fills a group's
-//     buffer from the same permuted block indices. internal/store.Store
-//     implements it (on unix) by copying out of its mapped shards, which
-//     does the same for store-backed extraction.
+//   - MemTarget: its memory is taken once per call and checked against the
+//     layout's length before any work; blocks are placed and gathered
+//     through the shared slot map (blockfile.SlotGeom), one 16-byte
+//     load/store each, and tags are stamped and verified in place.
+//   - BlockPlacer, write side: receives each group's blocks and slots.
+//     The persistent sharded store (internal/store.Writer) implements it
+//     by storing every block into its shard's writable mapping through the
+//     same slot map.
+//   - FlushPlacements(finish), write side, beside BlockPlacer: the target
+//     hands the engine each segment-aligned image of the encoded file
+//     before writing it out, and the engine stamps its tags in place, every
+//     worker under the target's guard, so there is no tag pass and nothing
+//     is read back. The store's Writer does this per shard, its guard
+//     turning a memory fault in a shard cut short into ErrCorrupt.
+//   - BlockGatherer, read side, the mirror of BlockPlacer:
+//     internal/store.Store implements it (on unix) by copying out of its
+//     mapped shards through the slot map.
 //
-// A source or target with none of them — a store on a platform without
-// the placer — takes the per-block loop, and on the write side a tag pass
-// that reads the placed segments back in sequential slabs; output is
-// byte-identical on every path. On the output side an extraction gathers each chunk group's
-// recovered plaintext in place and writes it with one WriteAt (one copy
-// into a MemTarget), not one write per chunk.
+// A source or target with none of them — a plain file, or a store on a
+// platform without the seams — takes one WriteAt/ReadAt per block, and on
+// the write side a tag pass that reads the placed segments back in
+// sequential slabs; output is byte-identical on every path. An extraction
+// writes each chunk group's recovered plaintext with one WriteAt, not one
+// write per chunk.
 package por

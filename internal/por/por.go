@@ -152,12 +152,9 @@ func (e *Encoder) VerifySegments(fileID string, layout blockfile.Layout, indices
 // budget compared to blind error decoding.
 //
 // Aliasing contract: data is only ever read — never modified, copied
-// wholesale, or retained past the call. (Earlier versions copied the
-// whole input before un-permuting; the shared chunk pipeline gathers
-// blocks directly from data instead, so the defensive copy and the
-// full-size permuted/ecc staging slabs are gone.) The caller must not
-// mutate data concurrently with the call; the returned slice is freshly
-// allocated and never aliases data.
+// wholesale, or retained past the call; the pipeline gathers blocks
+// directly from it. The caller must not mutate data concurrently with the
+// call; the returned slice is freshly allocated and never aliases data.
 func (e *Encoder) Extract(fileID string, layout blockfile.Layout, data []byte) ([]byte, error) {
 	if int64(len(data)) != layout.EncodedBytes {
 		return nil, fmt.Errorf("%w: %d bytes, want %d", ErrBadEncoding, len(data), layout.EncodedBytes)

@@ -9,31 +9,16 @@ package por
 //
 // and its inverse — over a fixed ring of reusable chunk-group buffers, so
 // resident memory is O(workers × groupSize) instead of O(fileSize)
-// multiples. The block permutation is applied as a per-group write plan:
-// prp.IndexBatch precomputes every destination, and blocks are placed at
-// blockfile.Layout.StoredBlockOffset positions through an io.WriterAt.
-// Because every byte of the output is written exactly once at a
-// deterministic offset with deterministic contents, the encoded bytes are
-// identical across entry points and Concurrency settings.
+// multiples. The block permutation is applied as a per-group plan:
+// prp.IndexBatch precomputes every group's block slots. Because every
+// byte of the output is written exactly once at a deterministic offset
+// with deterministic contents, the encoded bytes are identical across
+// entry points and Concurrency settings.
 //
-// Targets that can expose their backing memory (MemTarget) implement an
-// optional Range method; the scatter/gather and tag passes then operate
-// directly on the underlying slice, which keeps the in-memory pipeline
-// free of per-block interface-call and copy overhead. Targets that cannot
-// are offered two batch seams, one per direction, each called once per
-// chunk group with the group's permuted block indices (block slots):
-// BlockPlacer for the scatter (the store's write-combining Writer), and
-// BlockGatherer for the gather (the store's mapped shards). A placer that
-// builds the encoded file in memory a piece at a time also takes the tags
-// that way: through the placementFinisher seam the engine stamps every
-// segment of a piece before the placer writes it out, so each encoded
-// byte is written once and never read back. A plain
-// io.WriterAt/io.ReaderAt — a store on a platform without the placer and
-// the gather seam — takes one 16-byte WriteAt/ReadAt per scattered block
-// and a tag pass that reads the placed segments back in large sequential
-// slabs; the verify pass runs in such slabs on every source. Extraction
-// writes each chunk group's recovered plaintext with one WriteAt (or one
-// copy into a Range target).
+// A MemTarget's memory is taken once per call and its blocks are placed
+// and gathered through the slot map (blockfile.SlotGeom), free of
+// per-block interface-call and copy overhead; the store's seams and the
+// plain io.WriterAt/io.ReaderAt path are set out in doc.go.
 
 import (
 	"errors"
@@ -60,18 +45,9 @@ type StreamTarget interface {
 	io.WriterAt
 }
 
-// byteRanger is the optional fast path a target can implement to let the
-// pipeline address its backing memory directly instead of round-tripping
-// every scattered block through ReadAt/WriteAt copies.
-type byteRanger interface {
-	// Range returns the writable backing bytes [off, off+n). Only offsets
-	// inside the target's fixed size are requested.
-	Range(off, n int64) []byte
-}
-
 // BlockPlacer is the optional batch seam for targets that can absorb the
-// permuted scatter more cleverly than one WriteAt per block — the
-// write-combining store placer (internal/store.Writer) implements it.
+// permuted scatter more cleverly than one WriteAt per block — the store's
+// mapped placer (internal/store.Writer) implements it.
 // PlaceBlocks receives len(slots) blocks of blockSize bytes packed in buf
 // and their permuted block indices — block b of F‴ belongs at
 // blockfile.Layout.StoredBlockOffset(b); calls may come concurrently from
@@ -142,8 +118,22 @@ func (m *MemTarget) WriteAt(p []byte, off int64) (int, error) {
 	return copy(m.B[off:], p), nil
 }
 
-// Range exposes the backing bytes for the pipeline's direct fast path.
-func (m *MemTarget) Range(off, n int64) []byte { return m.B[off : off+n : off+n] }
+// Range returns the backing bytes [off, off+n), sliced by length: a
+// range past len(B) panics even where B's capacity would hold it.
+func (m *MemTarget) Range(off, n int64) []byte { return slices.Clip(m.B)[off : off+n : off+n] }
+
+// memImage returns the first n bytes of t's memory when t is a MemTarget,
+// else nil; a MemTarget shorter than n is an error, found before any work.
+func memImage(t any, n int64, what string) ([]byte, error) {
+	m, ok := t.(*MemTarget)
+	if !ok {
+		return nil, nil
+	}
+	if int64(len(m.B)) < n {
+		return nil, fmt.Errorf("por: %s of %d bytes, want %d", what, len(m.B), n)
+	}
+	return m.Range(0, n), nil
+}
 
 // streamGroupBytes targets the per-pipeline-item buffer size: chunks are
 // processed in groups of roughly this many encoded bytes, so one in-flight
@@ -257,8 +247,12 @@ func readFullAt(r io.ReaderAt, p []byte, off int64) error {
 // encodeTo runs the full setup pipeline, reading size bytes from r and
 // scattering the encoded file into w.
 func (sc *streamCoder) encodeTo(r io.Reader, size int64, w StreamTarget) error {
-	ranger, _ := w.(byteRanger)
 	placer, _ := w.(BlockPlacer)
+	img, err := memImage(w, sc.layout.EncodedBytes, "encode target")
+	if err != nil {
+		return err
+	}
+	slots, views := sc.layout.Views(img)
 
 	inRing := newRing(sc.ringCap(), func() []byte { return make([]byte, sc.groupChunks*sc.chunkIn) })
 	outRing := newRing(sc.ringCap(), func() []byte { return make([]byte, sc.groupChunks*sc.chunkOut) })
@@ -312,7 +306,7 @@ func (sc *streamCoder) encodeTo(r io.Reader, size int64, w StreamTarget) error {
 		nBlocks := g.nChunks * sc.layout.ChunkTotal
 		dsts := dp[:nBlocks]
 		sc.perm.IndexBatch(uint64(g.firstChunk)*uint64(sc.layout.ChunkTotal), dsts)
-		return sc.placeBlocks(w, ranger, placer, out, dsts)
+		return sc.placeBlocks(w, placer, slots, views, out, dsts)
 	}
 
 	if err := parallel.Pipeline(sc.workers, streamPipelineDepth, produce, consume); err != nil {
@@ -330,7 +324,7 @@ func (sc *streamCoder) encodeTo(r io.Reader, size int64, w StreamTarget) error {
 		}
 		dsts := make([]uint64, pad)
 		sc.perm.IndexBatch(uint64(sc.layout.ECCBlocks), dsts)
-		if err := sc.placeBlocks(w, ranger, placer, buf, dsts); err != nil {
+		if err := sc.placeBlocks(w, placer, slots, views, buf, dsts); err != nil {
 			return err
 		}
 	}
@@ -343,12 +337,13 @@ func (sc *streamCoder) encodeTo(r io.Reader, size int64, w StreamTarget) error {
 		}
 		return nil
 	}
-	return sc.tagPass(w, ranger)
+	return sc.tagPass(w, img)
 }
 
 // placeBlocks writes each block of buf to its permuted stored position: a
-// placer target takes the whole batch and its block indices in one call.
-func (sc *streamCoder) placeBlocks(w io.WriterAt, ranger byteRanger, placer BlockPlacer, buf []byte, dsts []uint64) error {
+// placer target takes the whole batch and its block indices in one call,
+// an in-memory one (views not nil) is stored through the slot map.
+func (sc *streamCoder) placeBlocks(w io.WriterAt, placer BlockPlacer, slots blockfile.SlotGeom, views [][]byte, buf []byte, dsts []uint64) error {
 	bs := sc.layout.BlockSize
 	if placer != nil {
 		if err := placer.PlaceBlocks(buf[:len(dsts)*bs], bs, dsts); err != nil {
@@ -356,10 +351,8 @@ func (sc *streamCoder) placeBlocks(w io.WriterAt, ranger byteRanger, placer Bloc
 		}
 		return nil
 	}
-	if ranger != nil {
-		for j, d := range dsts {
-			copy(ranger.Range(sc.layout.StoredBlockOffset(int64(d)), int64(bs)), buf[j*bs:(j+1)*bs])
-		}
+	if views != nil {
+		slots.Place(views, buf[:len(dsts)*bs], dsts, nil)
 		return nil
 	}
 	for j, d := range dsts {
@@ -394,9 +387,9 @@ func unguarded(fn func() error) error { return fn() }
 // file-backed targets are processed in slab-sized pieces by workers that
 // own contiguous segment ranges: read a slab, stamp its tags, write the
 // whole slab back sequentially.
-func (sc *streamCoder) tagPass(w StreamTarget, ranger byteRanger) error {
-	if ranger != nil {
-		return sc.tagImage(ranger.Range(0, sc.layout.EncodedBytes), 0, unguarded)
+func (sc *streamCoder) tagPass(w StreamTarget, img []byte) error {
+	if img != nil {
+		return sc.tagImage(img, 0, unguarded)
 	}
 	segSize := int64(sc.layout.SegmentSize())
 	slabSegs := int64(streamGroupBytes) / segSize
@@ -428,14 +421,20 @@ func (sc *streamCoder) tagPass(w StreamTarget, ranger byteRanger) error {
 // the recovered plaintext (truncated to the original length) into w, one
 // write per chunk group.
 func (sc *streamCoder) extractTo(r io.ReaderAt, w io.WriterAt) error {
-	inRanger, _ := r.(byteRanger)
-	outRanger, _ := w.(byteRanger)
 	gatherer, _ := r.(BlockGatherer)
+	img, err := memImage(r, sc.layout.EncodedBytes, "extract source")
+	if err != nil {
+		return err
+	}
+	slots, views := sc.layout.Views(img)
+	if _, err := memImage(w, sc.layout.OrigBytes, "extract output"); err != nil {
+		return err
+	}
 
 	// Pass 1: verify every segment tag → suspect map. One bool per
 	// segment is ~1.2% of the encoded size with default geometry, the
 	// only whole-file state the extractor keeps.
-	suspectSeg, err := sc.verifyPass(r, inRanger)
+	suspectSeg, err := sc.verifyPass(r, img)
 	if err != nil {
 		return err
 	}
@@ -467,10 +466,8 @@ func (sc *streamCoder) extractTo(r io.ReaderAt, w io.WriterAt) error {
 
 		// Gather every block of the group from its stored position.
 		switch {
-		case inRanger != nil:
-			for j, s := range srcs {
-				copy(enc[j*bs:(j+1)*bs], inRanger.Range(sc.layout.StoredBlockOffset(int64(s)), int64(bs)))
-			}
+		case views != nil:
+			slots.Gather(enc, views, srcs)
 		case gatherer != nil:
 			if err := gatherer.GatherBlocks(enc, bs, srcs); err != nil {
 				return fmt.Errorf("gather blocks: %w", err)
@@ -529,9 +526,7 @@ func (sc *streamCoder) extractTo(r io.ReaderAt, w io.WriterAt) error {
 		if n <= 0 {
 			return nil
 		}
-		if outRanger != nil {
-			copy(outRanger.Range(off, n), enc[:n])
-		} else if _, err := w.WriteAt(enc[:n], off); err != nil {
+		if _, err := w.WriteAt(enc[:n], off); err != nil {
 			return fmt.Errorf("write chunks %d–%d: %w", firstChunk, firstChunk+int64(nChunks)-1, err)
 		}
 		return nil
@@ -540,7 +535,7 @@ func (sc *streamCoder) extractTo(r io.ReaderAt, w io.WriterAt) error {
 
 // verifyPass checks every segment tag, reading the encoded file in
 // sequential slabs, and returns the per-segment suspect map.
-func (sc *streamCoder) verifyPass(r io.ReaderAt, ranger byteRanger) ([]bool, error) {
+func (sc *streamCoder) verifyPass(r io.ReaderAt, img []byte) ([]bool, error) {
 	segSize := int64(sc.layout.SegmentSize())
 	segBytes := sc.layout.SegmentPayloadBytes()
 	slabSegs := int64(streamGroupBytes) / segSize
@@ -550,7 +545,7 @@ func (sc *streamCoder) verifyPass(r io.ReaderAt, ranger byteRanger) ([]bool, err
 	suspect := make([]bool, sc.layout.Segments)
 	err := parallel.ForRange(sc.workers, int(sc.layout.Segments), func(lo, hi int) error {
 		var buf []byte
-		if ranger == nil {
+		if img == nil {
 			buf = make([]byte, slabSegs*segSize)
 		}
 		for s0 := int64(lo); s0 < int64(hi); s0 += slabSegs {
@@ -559,8 +554,8 @@ func (sc *streamCoder) verifyPass(r io.ReaderAt, ranger byteRanger) ([]bool, err
 				cnt = left
 			}
 			var slab []byte
-			if ranger != nil {
-				slab = ranger.Range(s0*segSize, cnt*segSize)
+			if img != nil {
+				slab = img[s0*segSize : (s0+cnt)*segSize]
 			} else {
 				slab = buf[:cnt*segSize]
 				if err := readFullAt(r, slab, s0*segSize); err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"os"
@@ -133,9 +134,9 @@ func TestExtractStreamFailsWhenDestroyed(t *testing.T) {
 	}
 }
 
-// batchSource is an encoded file that offers the BlockGatherer seam and no
-// direct-memory Range: it records what the extractor hands it, and can be
-// told to fail.
+// batchSource is an encoded file that offers the BlockGatherer seam and is
+// no MemTarget: it records what the extractor hands it, and can be told to
+// fail.
 type batchSource struct {
 	io.ReaderAt
 	b       []byte
@@ -217,49 +218,80 @@ func TestExtractStreamBatchGatherSeam(t *testing.T) {
 // TestStreamFileToFile runs the plain-file shape: encode from a plain
 // file into an *os.File target sized to the encoded file, then extract
 // back file-to-file, comparing both the encoded bytes and the recovered
-// plaintext against the in-memory pipeline.
+// plaintext against the in-memory pipeline. A plain file takes the
+// per-block WriteAt/ReadAt path, so this checks the in-memory slot map
+// against it in both directions: on the test geometry, and on the
+// paper's 16-byte blocks clean and with every 40th segment damaged in
+// both copies, which both extractions must repair alike.
 func TestStreamFileToFile(t *testing.T) {
-	e := newTestEncoder().WithConcurrency(2)
-	file := testFile(95, 5000)
-	want, err := e.Encode("f", file)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, c := range []struct {
+		name      string
+		e         *Encoder
+		size      int
+		damageDiv int // damage every damageDiv-th segment; 0: none
+	}{
+		{"test-geometry", newTestEncoder().WithConcurrency(2), 5000, 0},
+		{"paper-geometry", NewEncoder([]byte("file-to-file-master")).WithConcurrency(2), 200000, 0},
+		{"paper-geometry-damaged", NewEncoder([]byte("file-to-file-master")).WithConcurrency(2), 200000, 40},
+	} {
+		e := c.e
+		file := testFile(95, c.size)
+		want, err := e.Encode("f", file)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-	encF, err := os.CreateTemp(t.TempDir(), "enc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer encF.Close()
-	if err := encF.Truncate(want.Layout.EncodedBytes); err != nil {
-		t.Fatal(err)
-	}
-	layout, err := e.EncodeStream("f", bytes.NewReader(file), int64(len(file)), encF)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(encF.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want.Data) {
-		t.Fatal("file-target encoding differs from in-memory encoding")
-	}
+		encF, err := os.CreateTemp(t.TempDir(), "enc")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer encF.Close()
+		if err := encF.Truncate(want.Layout.EncodedBytes); err != nil {
+			t.Fatal(err)
+		}
+		layout, err := e.EncodeStream("f", bytes.NewReader(file), int64(len(file)), encF)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(encF.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Data) {
+			t.Fatalf("%s: file-target encoding differs from in-memory encoding", c.name)
+		}
 
-	outF, err := os.CreateTemp(t.TempDir(), "out")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer outF.Close()
-	if err := e.ExtractStream("f", layout, encF, outF); err != nil {
-		t.Fatal(err)
-	}
-	back, err := os.ReadFile(outF.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(back, file) {
-		t.Fatal("file-to-file round trip mismatch")
+		mem := want.Data
+		if c.damageDiv > 0 {
+			segSize := int64(layout.SegmentSize())
+			for s := int64(3); s < layout.Segments; s += int64(c.damageDiv) {
+				got[s*segSize+1] ^= 0x5a
+			}
+			if _, err := encF.WriteAt(got, 0); err != nil {
+				t.Fatal(err)
+			}
+			mem = got
+		}
+		fromMem, err := e.Extract("f", layout, mem)
+		if err != nil {
+			t.Fatalf("%s: in-memory extract: %v", c.name, err)
+		}
+
+		outF, err := os.CreateTemp(t.TempDir(), "out")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer outF.Close()
+		if err := e.ExtractStream("f", layout, encF, outF); err != nil {
+			t.Fatal(err)
+		}
+		back, err := os.ReadFile(outF.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(back, file) || !bytes.Equal(fromMem, file) {
+			t.Fatalf("%s: file-to-file round trip mismatch (file path %v, in-memory %v)", c.name, bytes.Equal(back, file), bytes.Equal(fromMem, file))
+		}
 	}
 }
 
@@ -321,7 +353,85 @@ func TestMemTargetBounds(t *testing.T) {
 	}
 }
 
-// recordingWriter is an extraction target without the Range fast path: it
+// TestStreamRefusesUndersizedMemTarget checks that a MemTarget shorter
+// than the bytes the engine must write or read is refused with an error
+// before any work — not a panic in a pipeline worker, nor a read past
+// len(B) into the capacity behind it — on the test geometry and the
+// paper's, and that one of the exact length or longer still works.
+func TestStreamRefusesUndersizedMemTarget(t *testing.T) {
+	for _, p := range []blockfile.Params{smallParams(), blockfile.DefaultParams()} {
+		e := NewEncoder([]byte("undersized-master")).WithParams(p)
+		file := testFile(99, 500_000)
+		enc, err := e.Encode("f", file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		layout := enc.Layout
+		encode := func(n int64) func() ([]byte, error) {
+			return func() ([]byte, error) {
+				tgt := NewMemTarget(n)
+				_, err := e.EncodeStream("f", bytes.NewReader(file), int64(len(file)), tgt)
+				return tgt.B[:min(n, layout.EncodedBytes)], err
+			}
+		}
+		extract := func(src []byte, n int64) func() ([]byte, error) {
+			return func() ([]byte, error) {
+				out := NewMemTarget(n)
+				err := e.ExtractStream("f", layout, &MemTarget{B: src}, out)
+				return out.B[:min(n, layout.OrigBytes)], err
+			}
+		}
+		short := enc.Data[:len(enc.Data)-1] // the capacity still holds the last byte
+		for _, c := range []struct {
+			name string
+			run  func() ([]byte, error)
+			want []byte // nil: refused
+		}{
+			{"encode into half the target", encode(layout.EncodedBytes / 2), nil},
+			{"encode into a byte short", encode(layout.EncodedBytes - 1), nil},
+			{"encode into the exact target", encode(layout.EncodedBytes), enc.Data},
+			{"encode into a longer target", encode(layout.EncodedBytes + 100), enc.Data},
+			{"extract into half the output", extract(enc.Data, layout.OrigBytes/2), nil},
+			{"extract into a byte short", extract(enc.Data, layout.OrigBytes-1), nil},
+			{"extract from a byte short", extract(short, layout.OrigBytes), nil},
+			{"extract from a longer source", extract(append(slices.Clip(enc.Data), 0), layout.OrigBytes+1), file},
+		} {
+			var got []byte
+			err := func() (err error) {
+				defer func() {
+					if r := recover(); r != nil {
+						err = fmt.Errorf("panic: %v", r)
+					}
+				}()
+				if c.want == nil {
+					_, err = c.run()
+					if err == nil {
+						return errors.New("accepted")
+					}
+					t.Logf("%d-byte blocks, %s: %v", p.BlockSize, c.name, err)
+					return nil
+				}
+				got, err = c.run()
+				return err
+			}()
+			if err != nil {
+				t.Fatalf("%d-byte blocks, %s: %v", p.BlockSize, c.name, err)
+			}
+			if c.want != nil && !bytes.Equal(got, c.want) {
+				t.Fatalf("%d-byte blocks, %s: wrong bytes", p.BlockSize, c.name)
+			}
+		}
+	}
+	m := &MemTarget{B: make([]byte, 4, 8)}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Range past len(B) returned a slice of the capacity behind it")
+		}
+	}()
+	m.Range(2, 4)
+}
+
+// recordingWriter is an extraction target that is no MemTarget: it
 // records every WriteAt's span, and can be told to fail.
 type recordingWriter struct {
 	mu      sync.Mutex

@@ -2,6 +2,8 @@
 
 package store
 
-// GatherStrip exports the 16-byte gather's strip length, so the tests can
+import "repro/internal/blockfile"
+
+// GatherStrip is the 16-byte gather's strip length, so the tests can
 // place batch lengths and faults on the seams between strips.
-const GatherStrip = gatherStrip
+const GatherStrip = blockfile.GatherStrip

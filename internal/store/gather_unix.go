@@ -10,11 +10,6 @@ import (
 	"syscall"
 )
 
-// gatherStrip is how many 16-byte blocks GatherBlocks resolves to an
-// address before it loads any of them. The addresses live in a stack
-// array of this length; strips of 128 to 2 048 gather at the same speed.
-const gatherStrip = 256
-
 // GatherBlocks implements por.BlockGatherer: it fills buf with the
 // len(slots) blocks stored at the given block slots — block b of the
 // permuted file F‴, at blockfile.Layout.StoredBlockOffset(b) — copying
@@ -34,20 +29,8 @@ const gatherStrip = 256
 // contained to this call instead of killing the process. After Close the
 // call fails with os.ErrClosed.
 //
-// The paper's 16-byte blocks are gathered in two passes over strips of
-// gatherStrip slots. The first resolves each slot of the strip to a
-// *[16]byte into its shard's mapping: the slot arithmetic, the shard's
-// slice header and a bounds-checked conversion. The second moves the
-// blocks, each one 16-byte load/store pair that waits on nothing but its
-// pointer, so many block misses are in flight at once. Out of cache that
-// takes a block from 39–53 ns to 27–31 (-cpu 1, 8 MiB store); in cache
-// the fused loop is the faster by 1 ns. A second pass that indexed the
-// mappings from a packed (shard, offset) word, no divide left in it, read
-// 39–47: a load of the shard's slice header in each block's address
-// chain costs what the divides did. The pointers live in this call's
-// stack frame, made and dereferenced under every shard's read lock, so
-// none outlives Close's munmap; the collector ignores pointers outside
-// its heap.
+// The blocks move through blockfile.SlotGeom.Gather under every shard's
+// read lock, so no block address it resolves outlives Close's munmap.
 func (s *Store) GatherBlocks(buf []byte, blockSize int, slots []uint64) error {
 	if blockSize != s.layout.BlockSize {
 		return fmt.Errorf("store: gathering %d-byte blocks from a %d-byte-block layout", blockSize, s.layout.BlockSize)
@@ -65,30 +48,7 @@ func (s *Store) GatherBlocks(buf []byte, blockSize int, slots []uint64) error {
 		return nil
 	}
 	err := s.withMappings("gather", func(maps [][]byte) error {
-		g := s.geom
-		if blockSize == 16 {
-			// Resolve a strip's addresses, then move its blocks: a
-			// [16]byte assignment is one load/store pair, where copy
-			// calls runtime.memmove per block.
-			var at [gatherStrip]*[16]byte
-			for lo := 0; lo < len(slots); lo += gatherStrip {
-				strip := slots[lo:min(lo+gatherStrip, len(slots))]
-				for j, b := range strip {
-					sh, rel := g.shard(b)
-					at[j] = (*[16]byte)(maps[sh][g.offset(rel):])
-				}
-				out := buf[lo*16 : (lo+len(strip))*16]
-				for j := range strip {
-					*(*[16]byte)(out[j*16:]) = *at[j]
-				}
-			}
-			return nil
-		}
-		for j, b := range slots {
-			sh, rel := g.shard(b)
-			at := g.offset(rel)
-			copy(buf[j*blockSize:(j+1)*blockSize], maps[sh][at:at+g.bs])
-		}
+		s.geom.Gather(buf, maps, slots)
 		return nil
 	})
 	if err != nil {

@@ -118,7 +118,7 @@ func (m Manifest) Validate() error {
 	}
 	if m.ShardBytes > hardMaxShardBytes {
 		// No Writer makes such a shard, and the read path addresses a
-		// shard with 32-bit arithmetic (slotGeom).
+		// shard with 32-bit arithmetic (blockfile.SlotGeom).
 		return fmt.Errorf("%w: shard size %d exceeds the %d-byte limit", ErrCorrupt, m.ShardBytes, int64(hardMaxShardBytes))
 	}
 	want := shardCount(m.EncodedBytes, m.ShardBytes)

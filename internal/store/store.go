@@ -49,7 +49,7 @@ type Store struct {
 	dir      string
 	man      Manifest
 	layout   blockfile.Layout
-	geom     slotGeom
+	geom     blockfile.SlotGeom
 	shards   []*os.File
 	locks    []sync.RWMutex
 	readonly bool
@@ -84,7 +84,7 @@ func Open(dir string) (*Store, error) {
 		dir:    dir,
 		man:    man,
 		layout: layout,
-		geom:   newSlotGeom(layout, man.ShardBytes),
+		geom:   layout.SlotGeom(man.ShardBytes),
 		shards: make([]*os.File, len(man.Shards)),
 		locks:  make([]sync.RWMutex, len(man.Shards)),
 	}

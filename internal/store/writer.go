@@ -31,54 +31,12 @@ const (
 	minShardBytes = 1 << 20
 	maxShardBytes = 64 << 20
 	// hardMaxShardBytes bounds any caller-supplied ShardTargetBytes and
-	// any manifest Open accepts: the placer and the gather address a
-	// shard through a uint32 slot with 32-bit arithmetic, so a shard may
-	// never reach 4 GiB (2 GiB keeps ample margin).
-	hardMaxShardBytes = 1 << 31
+	// any manifest Open accepts: a shard is one blockfile.SlotGeom view.
+	hardMaxShardBytes = blockfile.MaxViewBytes
 	// compactChunkBytes sizes the sequential read buffer of Commit's
 	// re-checksum (and of Verify where shards are not mapped).
 	compactChunkBytes = 1 << 20
 )
-
-// slotGeom addresses a block slot — block b of the permuted file F‴, at
-// blockfile.Layout.StoredBlockOffset(b) — inside its shard with 32-bit
-// arithmetic. A shard holds fewer than 2³² bytes (hardMaxShardBytes, which
-// Create and Manifest.Validate both enforce), so a shard-relative slot and
-// its byte offset fit a uint32.
-type slotGeom struct {
-	perShard uint32 // block slots in a full shard
-	v        uint32 // blocks per segment
-	segSize  uint32 // segment bytes, tag included
-	bs       uint32 // block bytes
-}
-
-func newSlotGeom(layout blockfile.Layout, shardBytes int64) slotGeom {
-	segSize := int64(layout.SegmentSize())
-	return slotGeom{
-		perShard: uint32(shardBytes / segSize * int64(layout.SegmentBlocks)),
-		v:        uint32(layout.SegmentBlocks),
-		segSize:  uint32(segSize),
-		bs:       uint32(layout.BlockSize),
-	}
-}
-
-// shard splits slot b into its shard and shard-relative slot: one 32-bit
-// divide below 2³², a 64-bit one above.
-func (g slotGeom) shard(b uint64) (s, rel uint32) {
-	if b < 1<<32 {
-		s = uint32(b) / g.perShard
-		return s, uint32(b) - s*g.perShard
-	}
-	s64 := b / uint64(g.perShard)
-	return uint32(s64), uint32(b - s64*uint64(g.perShard))
-}
-
-// offset is the byte offset of shard-relative slot rel in its shard:
-// segment rel/v, block rel%v of it.
-func (g slotGeom) offset(rel uint32) uint32 {
-	seg := rel / g.v
-	return seg*g.segSize + (rel-seg*g.v)*g.bs
-}
 
 // shardSizeFor picks the adaptive shard size for an encoded length.
 func shardSizeFor(layout blockfile.Layout, target int64) int64 {
@@ -106,7 +64,7 @@ type Writer struct {
 	layout blockfile.Layout
 	opts   Options
 	shards []*os.File
-	geom   slotGeom
+	geom   blockfile.SlotGeom
 
 	// mu guards the placer's state (unix) and the dirty marks: placing a
 	// chunk group is a short store loop, so one lock per PlaceBlocks call
@@ -171,7 +129,7 @@ func Create(dir, fileID string, layout blockfile.Layout, opts Options) (*Writer,
 		layout: layout,
 		opts:   opts,
 		shards: make([]*os.File, len(man.Shards)),
-		geom:   newSlotGeom(layout, shardBytes),
+		geom:   layout.SlotGeom(shardBytes),
 		dirty:  make([]bool, len(man.Shards)),
 	}
 	for s := range man.Shards {

@@ -60,12 +60,13 @@ func (w *Writer) unmapShards() error {
 // PlaceBlocks stores len(slots) blocks of blockSize bytes from buf at
 // their block slots: slot b is block b of the permuted file F‴, stored at
 // blockfile.Layout.StoredBlockOffset(b). The slots may be scattered
-// anywhere; each block goes straight into its shard's mapping, one
-// 16-byte store for the paper's blocks. Every slot is checked against the
-// layout before anything is stored. A slot placed twice, or a shard cut
-// short underneath its mapping, is ErrCorrupt after part of the batch is
-// stored, so the writer latches failed: FlushPlacements and Commit return
-// the same error. Safe for concurrent use by the encode's workers.
+// anywhere; each block goes straight into its shard's mapping through
+// blockfile.SlotGeom.Place, one 16-byte store for the paper's blocks.
+// Every slot is checked against the layout before anything is stored. A
+// slot placed twice, or a shard cut short underneath its mapping, is
+// ErrCorrupt after part of the batch is stored, so the writer latches
+// failed: FlushPlacements and Commit return the same error. Safe for
+// concurrent use by the encode's workers.
 func (w *Writer) PlaceBlocks(buf []byte, blockSize int, slots []uint64) error {
 	if blockSize != w.layout.BlockSize {
 		return fmt.Errorf("store: placing %d-byte blocks into a %d-byte-block layout", blockSize, w.layout.BlockSize)
@@ -87,32 +88,18 @@ func (w *Writer) PlaceBlocks(buf []byte, blockSize int, slots []uint64) error {
 		}
 		return errors.New("store: PlaceBlocks after FlushPlacements")
 	}
-	if err := faultsAsCorrupt(func() error { return w.placeLocked(buf, blockSize, slots) }); err != nil {
+	err := faultsAsCorrupt(func() error {
+		if j := w.geom.Place(w.maps, buf, slots, w.seen); j >= 0 {
+			return fmt.Errorf("%w: block slot %d placed twice", ErrCorrupt, slots[j])
+		}
+		return nil
+	})
+	if err != nil {
 		w.flushed, w.flushErr = true, err
 		return err
 	}
 	w.placed += int64(len(slots))
 	metricStorePlacedBlocks.Add(uint64(len(slots)))
-	return nil
-}
-
-// placeLocked marks each slot placed and stores its block. Caller holds
-// w.mu.
-func (w *Writer) placeLocked(buf []byte, bs int, slots []uint64) error {
-	g, seen, maps := w.geom, w.seen, w.maps
-	for j, b := range slots {
-		if seen[b/64]&(1<<(b%64)) != 0 {
-			return fmt.Errorf("%w: block slot %d placed twice", ErrCorrupt, b)
-		}
-		seen[b/64] |= 1 << (b % 64)
-		s, rel := g.shard(b)
-		at := g.offset(rel)
-		if bs == 16 {
-			*(*[16]byte)(maps[s][at:]) = *(*[16]byte)(buf[j*16:])
-		} else {
-			copy(maps[s][at:at+g.bs], buf[j*bs:(j+1)*bs])
-		}
-	}
 	return nil
 }
 
