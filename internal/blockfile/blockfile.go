@@ -172,9 +172,9 @@ func (l Layout) SegmentPayloadBytes() int { return l.SegmentBlocks * l.BlockSize
 // StoredBlockOffset returns the byte offset in the encoded file F̃ at which
 // permuted block d lives: blocks are grouped v per segment, and every
 // segment carries its trailing tag, so consecutive permuted positions are
-// contiguous bytes except across segment boundaries. This is the write
-// plan of the streaming encoder's scatter placer and the read plan of the
-// streaming extractor's gather.
+// contiguous bytes except across segment boundaries. It places and
+// gathers blocks where the streaming engine reaches the file through
+// WriteAt and ReadAt, and is the reference for SlotGeom's 32-bit map.
 func (l Layout) StoredBlockOffset(d int64) int64 {
 	v := int64(l.SegmentBlocks)
 	return (d/v)*int64(l.SegmentSize()) + (d%v)*int64(l.BlockSize)

@@ -5,20 +5,13 @@
 // SLA region.
 package gps
 
-import (
-	"math/rand"
+import "repro/internal/geo"
 
-	"repro/internal/geo"
-)
-
-// Receiver is a simulated GPS unit. NoiseKm models ordinary fix error;
-// Spoof, when set, replaces the fix entirely (a satellite-simulator
-// attack).
+// Receiver is a simulated GPS unit. Spoof, when set, replaces the fix
+// entirely (a satellite-simulator attack).
 type Receiver struct {
-	True    geo.Position
-	NoiseKm float64
-	Spoof   *geo.Position
-	Rng     *rand.Rand
+	True  geo.Position
+	Spoof *geo.Position
 }
 
 // Fix returns the receiver's position reading.
@@ -26,11 +19,5 @@ func (r *Receiver) Fix() geo.Position {
 	if r.Spoof != nil {
 		return *r.Spoof
 	}
-	if r.NoiseKm <= 0 || r.Rng == nil {
-		return r.True
-	}
-	// Jitter the fix within a NoiseKm disc (small-angle approximation).
-	dLat := (r.Rng.Float64()*2 - 1) * r.NoiseKm / 111.0
-	dLon := (r.Rng.Float64()*2 - 1) * r.NoiseKm / 111.0
-	return geo.Position{LatDeg: r.True.LatDeg + dLat, LonDeg: r.True.LonDeg + dLon}
+	return r.True
 }

@@ -43,31 +43,25 @@
 // A streaming encode writes into any StreamTarget (random-access writes
 // plus read-back, sized to the whole encoded file before the encode
 // starts) and a streaming extract reads from any io.ReaderAt. The engine
-// moves the permuted blocks of a whole chunk group at once, addressed by
-// block slot (block b of F‴), wherever the target allows:
+// reaches the encoded file one of two ways:
 //
-//   - MemTarget: its memory is taken once per call and checked against the
-//     layout's length before any work; blocks are placed and gathered
-//     through the shared slot map (blockfile.SlotGeom), one 16-byte
-//     load/store each, and tags are stamped and verified in place.
-//   - BlockPlacer, write side: receives each group's blocks and slots.
-//     The persistent sharded store (internal/store.Writer) implements it
-//     by storing every block into its shard's writable mapping through the
-//     same slot map.
-//   - FlushPlacements(finish), write side, beside BlockPlacer: the target
-//     hands the engine each segment-aligned image of the encoded file
-//     before writing it out, and the engine stamps its tags in place, every
-//     worker under the target's guard, so there is no tag pass and nothing
-//     is read back. The store's Writer does this per shard, its guard
-//     turning a memory fault in a shard cut short into ErrCorrupt.
-//   - BlockGatherer, read side, the mirror of BlockPlacer:
-//     internal/store.Store implements it (on unix) by copying out of its
-//     mapped shards through the slot map.
+//   - In memory: a MemTarget's slice, checked against the layout's length
+//     before any work, or the segment-aligned views a target or source
+//     lends through an Images method for the length of the call — a
+//     persistent store (internal/store's Writer and Store, on unix) lends
+//     its shard mappings, after the engine has checked that the store's
+//     Layout is the call's. Blocks are placed and gathered through the
+//     shared slot map (blockfile.SlotGeom), one 16-byte load/store each,
+//     under one lock per chunk group and a bitmap that refuses a slot
+//     placed twice; tags are stamped and verified in place. Every worker
+//     touches the views through the lender's guard, which the store uses
+//     to report a memory fault in a shard cut short as ErrCorrupt.
+//   - Through the interface: one WriteAt/ReadAt per block, and on the
+//     write side a tag pass that reads the placed segments back in
+//     sequential slabs — a plain file, or a store where the platform
+//     has no mappings.
 //
-// A source or target with none of them — a plain file, or a store on a
-// platform without the seams — takes one WriteAt/ReadAt per block, and on
-// the write side a tag pass that reads the placed segments back in
-// sequential slabs; output is byte-identical on every path. An extraction
-// writes each chunk group's recovered plaintext with one WriteAt, not one
-// write per chunk.
+// Output is byte-identical on both paths. An extraction writes each
+// chunk group's recovered plaintext with one WriteAt, not one write per
+// chunk.
 package por

@@ -15,16 +15,18 @@ package por
 // with deterministic contents, the encoded bytes are identical across
 // entry points and Concurrency settings.
 //
-// A MemTarget's memory is taken once per call and its blocks are placed
-// and gathered through the slot map (blockfile.SlotGeom), free of
-// per-block interface-call and copy overhead; the store's seams and the
-// plain io.WriterAt/io.ReaderAt path are set out in doc.go.
+// The engine has two paths, set out in doc.go: in memory — a MemTarget's
+// slice, or the views an image lender such as a store lends for the call
+// — where blocks are placed and gathered through the slot map
+// (blockfile.SlotGeom) and tags stamped and verified in place; and one
+// WriteAt/ReadAt per block through the interface.
 
 import (
 	"errors"
 	"fmt"
 	"io"
 	"slices"
+	"sync"
 
 	"repro/internal/blockfile"
 	"repro/internal/crypt"
@@ -43,46 +45,6 @@ import (
 type StreamTarget interface {
 	io.ReaderAt
 	io.WriterAt
-}
-
-// BlockPlacer is the optional batch seam for targets that can absorb the
-// permuted scatter more cleverly than one WriteAt per block — the store's
-// mapped placer (internal/store.Writer) implements it.
-// PlaceBlocks receives len(slots) blocks of blockSize bytes packed in buf
-// and their permuted block indices — block b of F‴ belongs at
-// blockfile.Layout.StoredBlockOffset(b); calls may come concurrently from
-// pipeline workers, and buf and slots are only valid for the duration of
-// the call.
-type BlockPlacer interface {
-	PlaceBlocks(buf []byte, blockSize int, slots []uint64) error
-}
-
-// BlockGatherer is the read-side mirror of BlockPlacer, for sources that
-// can collect the permuted blocks of a chunk group more cheaply than one
-// ReadAt per block — a committed store (internal/store.Store) copies them
-// out of its mapped shards. GatherBlocks fills buf with the len(slots)
-// blocks of blockSize bytes at the given permuted block indices — block b
-// of F‴ lies at blockfile.Layout.StoredBlockOffset(b) — in order; calls
-// may come concurrently from pipeline workers, and buf and slots are only
-// valid for the duration of the call.
-type BlockGatherer interface {
-	GatherBlocks(buf []byte, blockSize int, slots []uint64) error
-}
-
-// placementFinisher is the companion seam to BlockPlacer for targets that
-// materialise the encoded file from their staged placements in memory,
-// one segment-aligned image at a time. After the last placement the
-// engine calls FlushPlacements once; the target calls finish on every
-// image — complete but for its tag bytes, at byte offset off of the
-// encoded file, images in ascending order and together covering the file
-// — before it writes the image out, and fails the flush if finish does.
-// The engine's finish stamps the segment tags, so for such a target there
-// is no tag pass and nothing is read back. guard is the target's
-// containment for touching its images: every goroutine finish starts
-// runs its work through it, as the target's own goroutine does (the
-// store reports a memory fault in a mapped image as ErrCorrupt there).
-type placementFinisher interface {
-	FlushPlacements(finish func(img []byte, off int64, guard func(func() error) error) error) error
 }
 
 // MemTarget adapts a fixed-size byte slice to the StreamTarget interface,
@@ -122,17 +84,80 @@ func (m *MemTarget) WriteAt(p []byte, off int64) (int, error) {
 // range past len(B) panics even where B's capacity would hold it.
 func (m *MemTarget) Range(off, n int64) []byte { return slices.Clip(m.B)[off : off+n : off+n] }
 
-// memImage returns the first n bytes of t's memory when t is a MemTarget,
-// else nil; a MemTarget shorter than n is an error, found before any work.
-func memImage(t any, n int64, what string) ([]byte, error) {
-	m, ok := t.(*MemTarget)
-	if !ok {
-		return nil, nil
+// checkLen refuses a MemTarget shorter than the n bytes a call reads or
+// writes, before any work; any other target is sized by its owner.
+func checkLen(t any, n int64, what string) error {
+	if m, ok := t.(*MemTarget); ok && int64(len(m.B)) < n {
+		return fmt.Errorf("por: %s of %d bytes, want %d", what, len(m.B), n)
 	}
-	if int64(len(m.B)) < n {
-		return nil, fmt.Errorf("por: %s of %d bytes, want %d", what, len(m.B), n)
+	return nil
+}
+
+// imageLender is a target or source that lends the memory of the encoded
+// file it holds for the length of one call: on unix, a store Writer (its
+// writable shard mappings, once) and a committed Store (its read-only
+// ones). Images runs fn over segment-aligned views of the file — in
+// order, together covering it, every view but the last as long as the
+// first — and guard, the lender's containment for touching them (the
+// store reports a memory fault in a shard cut short as ErrCorrupt): every
+// goroutine that touches a view does that work through guard. Layout is
+// the layout the lender was made for.
+type imageLender interface {
+	Images(fn func(views [][]byte, guard func(func() error) error) error) error
+	Layout() blockfile.Layout
+}
+
+// image is the encoded file's memory as a call holds it: views with their
+// slot map, and the guard every access runs through.
+type image struct {
+	views [][]byte
+	geom  blockfile.SlotGeom
+	guard func(func() error) error
+}
+
+// unguarded is the guard of memory that cannot fault: it runs fn.
+func unguarded(fn func() error) error { return fn() }
+
+// lend returns how the call reaches the memory of t, of which it needs n
+// bytes: a MemTarget's slice cut into views, or an image lender's loan,
+// whose layout is checked inside it. Any other t lends a nil image: the
+// engine reaches it one block per ReadAt or WriteAt.
+func (sc *streamCoder) lend(t any, n int64, what string) (func(fn func(*image) error) error, error) {
+	switch t := t.(type) {
+	case *MemTarget:
+		if err := checkLen(t, n, what); err != nil {
+			return nil, err
+		}
+		geom, views := sc.layout.Views(t.Range(0, n))
+		return func(fn func(*image) error) error { return fn(&image{views, geom, unguarded}) }, nil
+	case imageLender:
+		return func(fn func(*image) error) error {
+			return t.Images(func(views [][]byte, guard func(func() error) error) error {
+				if err := sc.sameLayout(t, what); err != nil {
+					return err
+				}
+				return fn(&image{views, sc.layout.SlotGeom(int64(len(views[0]))), guard})
+			})
+		}, nil
 	}
-	return m.Range(0, n), nil
+	if err := sc.sameLayout(t, what); err != nil {
+		return nil, err
+	}
+	return func(fn func(*image) error) error { return fn(nil) }, nil
+}
+
+// sameLayout refuses a target or source made for another layout than the
+// call's, a store of another file size above all: the encode's slots
+// would not be the store's, and an extraction would write the wrong
+// length. For an image lender it is also what keeps every slot the
+// permutation yields inside the lent views.
+func (sc *streamCoder) sameLayout(t any, what string) error {
+	if h, ok := t.(interface{ Layout() blockfile.Layout }); ok {
+		if l := h.Layout(); l != sc.layout {
+			return fmt.Errorf("por: %s holds a %d-byte file (%+v), the call's layout is of %d bytes (%+v)", what, l.OrigBytes, l.Params, sc.layout.OrigBytes, sc.layout.Params)
+		}
+	}
+	return nil
 }
 
 // streamGroupBytes targets the per-pipeline-item buffer size: chunks are
@@ -245,15 +270,66 @@ func readFullAt(r io.ReaderAt, p []byte, off int64) error {
 }
 
 // encodeTo runs the full setup pipeline, reading size bytes from r and
-// scattering the encoded file into w.
+// scattering the encoded file into w: into its memory where the engine
+// can reach it, stamping the tags in place, else one WriteAt per block
+// and a tag pass over the placed output.
 func (sc *streamCoder) encodeTo(r io.Reader, size int64, w StreamTarget) error {
-	placer, _ := w.(BlockPlacer)
-	img, err := memImage(w, sc.layout.EncodedBytes, "encode target")
+	lend, err := sc.lend(w, sc.layout.EncodedBytes, "encode target")
 	if err != nil {
 		return err
 	}
-	slots, views := sc.layout.Views(img)
+	return lend(func(img *image) error {
+		if img == nil {
+			if err := sc.scatter(r, size, w, nil); err != nil {
+				return err
+			}
+			return sc.tagPass(w)
+		}
+		p := &placement{image: img, seen: make([]uint64, (sc.layout.TotalBlocks+63)/64)}
+		if err := sc.scatter(r, size, w, p); err != nil {
+			return err
+		}
+		if p.placed != sc.layout.TotalBlocks {
+			return fmt.Errorf("por: %d blocks placed, layout has %d", p.placed, sc.layout.TotalBlocks)
+		}
+		// F‴ → F̃: stamp every segment tag in place, view by view.
+		for i, v := range img.views {
+			if err := sc.tagImage(v, int64(i)*int64(len(img.views[0])), img.guard); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
 
+// placement is an encode's store into an image, with the duplicate-slot
+// bitmap and the placed count that together prove every block slot of
+// the layout placed exactly once.
+type placement struct {
+	*image
+	mu     sync.Mutex
+	seen   []uint64 // one bit per block slot, set when it is placed
+	placed int64
+}
+
+// place stores a batch of blocks at their slots under one lock per batch
+// and the image's guard; a slot placed twice fails the encode.
+func (p *placement) place(buf []byte, slots []uint64) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.guard(func() error {
+		if j := p.geom.Place(p.views, buf, slots, p.seen); j >= 0 {
+			return fmt.Errorf("por: block slot %d placed twice", slots[j])
+		}
+		p.placed += int64(len(slots))
+		return nil
+	})
+}
+
+// scatter runs the pipeline up to the tags — read, RS-encode, encrypt,
+// permute — and places every block, the segment padding's included,
+// through p, or through w.WriteAt when p is nil.
+func (sc *streamCoder) scatter(r io.Reader, size int64, w io.WriterAt, p *placement) error {
 	inRing := newRing(sc.ringCap(), func() []byte { return make([]byte, sc.groupChunks*sc.chunkIn) })
 	outRing := newRing(sc.ringCap(), func() []byte { return make([]byte, sc.groupChunks*sc.chunkOut) })
 	dstRing := newRing(sc.ringCap(), func() []uint64 { return make([]uint64, sc.groupChunks*sc.layout.ChunkTotal) })
@@ -306,7 +382,7 @@ func (sc *streamCoder) encodeTo(r io.Reader, size int64, w StreamTarget) error {
 		nBlocks := g.nChunks * sc.layout.ChunkTotal
 		dsts := dp[:nBlocks]
 		sc.perm.IndexBatch(uint64(g.firstChunk)*uint64(sc.layout.ChunkTotal), dsts)
-		return sc.placeBlocks(w, placer, slots, views, out, dsts)
+		return sc.placeBlocks(w, p, out, dsts)
 	}
 
 	if err := parallel.Pipeline(sc.workers, streamPipelineDepth, produce, consume); err != nil {
@@ -324,36 +400,17 @@ func (sc *streamCoder) encodeTo(r io.Reader, size int64, w StreamTarget) error {
 		}
 		dsts := make([]uint64, pad)
 		sc.perm.IndexBatch(uint64(sc.layout.ECCBlocks), dsts)
-		if err := sc.placeBlocks(w, placer, slots, views, buf, dsts); err != nil {
-			return err
-		}
+		return sc.placeBlocks(w, p, buf, dsts)
 	}
-
-	// F‴ → F̃: compute and embed every segment tag — in the images a staged
-	// placer materialises as it drains, or over the placed output.
-	if fin, ok := w.(placementFinisher); ok && placer != nil {
-		if err := fin.FlushPlacements(sc.tagImage); err != nil {
-			return fmt.Errorf("flush placements: %w", err)
-		}
-		return nil
-	}
-	return sc.tagPass(w, img)
+	return nil
 }
 
-// placeBlocks writes each block of buf to its permuted stored position: a
-// placer target takes the whole batch and its block indices in one call,
-// an in-memory one (views not nil) is stored through the slot map.
-func (sc *streamCoder) placeBlocks(w io.WriterAt, placer BlockPlacer, slots blockfile.SlotGeom, views [][]byte, buf []byte, dsts []uint64) error {
+// placeBlocks writes each block of buf to its permuted stored position:
+// through p's slot map, or one WriteAt per block when p is nil.
+func (sc *streamCoder) placeBlocks(w io.WriterAt, p *placement, buf []byte, dsts []uint64) error {
 	bs := sc.layout.BlockSize
-	if placer != nil {
-		if err := placer.PlaceBlocks(buf[:len(dsts)*bs], bs, dsts); err != nil {
-			return fmt.Errorf("place blocks: %w", err)
-		}
-		return nil
-	}
-	if views != nil {
-		slots.Place(views, buf[:len(dsts)*bs], dsts, nil)
-		return nil
+	if p != nil {
+		return p.place(buf[:len(dsts)*bs], dsts)
 	}
 	for j, d := range dsts {
 		if _, err := w.WriteAt(buf[j*bs:(j+1)*bs], sc.layout.StoredBlockOffset(int64(d))); err != nil {
@@ -379,18 +436,11 @@ func (sc *streamCoder) tagImage(img []byte, off int64, guard func(func() error) 
 	})
 }
 
-// unguarded is the guard of memory that cannot fault: it runs fn.
-func unguarded(fn func() error) error { return fn() }
-
-// tagPass tags the already-placed output of a target that did not take
-// the tags while materialising. Backing memory is stamped in place;
-// file-backed targets are processed in slab-sized pieces by workers that
-// own contiguous segment ranges: read a slab, stamp its tags, write the
-// whole slab back sequentially.
-func (sc *streamCoder) tagPass(w StreamTarget, img []byte) error {
-	if img != nil {
-		return sc.tagImage(img, 0, unguarded)
-	}
+// tagPass tags the placed output of a target the engine reaches only
+// through ReadAt and WriteAt, in slab-sized pieces by workers that own
+// contiguous segment ranges: read a slab, stamp its tags, write the whole
+// slab back sequentially.
+func (sc *streamCoder) tagPass(w StreamTarget) error {
 	segSize := int64(sc.layout.SegmentSize())
 	slabSegs := int64(streamGroupBytes) / segSize
 	if slabSegs < 1 {
@@ -419,18 +469,21 @@ func (sc *streamCoder) tagPass(w StreamTarget, img []byte) error {
 // extractTo inverts the pipeline: verify tags, gather and decrypt each
 // chunk, error-correct it with suspect segments as erasures, and write
 // the recovered plaintext (truncated to the original length) into w, one
-// write per chunk group.
+// write per chunk group. It reads the encoded file in memory where the
+// engine can reach it, else through r.ReadAt.
 func (sc *streamCoder) extractTo(r io.ReaderAt, w io.WriterAt) error {
-	gatherer, _ := r.(BlockGatherer)
-	img, err := memImage(r, sc.layout.EncodedBytes, "extract source")
+	if err := checkLen(w, sc.layout.OrigBytes, "extract output"); err != nil {
+		return err
+	}
+	lend, err := sc.lend(r, sc.layout.EncodedBytes, "extract source")
 	if err != nil {
 		return err
 	}
-	slots, views := sc.layout.Views(img)
-	if _, err := memImage(w, sc.layout.OrigBytes, "extract output"); err != nil {
-		return err
-	}
+	return lend(func(img *image) error { return sc.extractFrom(r, img, w) })
+}
 
+// extractFrom is extractTo over img, or over r when img is nil.
+func (sc *streamCoder) extractFrom(r io.ReaderAt, img *image, w io.WriterAt) error {
 	// Pass 1: verify every segment tag → suspect map. One bool per
 	// segment is ~1.2% of the encoded size with default geometry, the
 	// only whole-file state the extractor keeps.
@@ -444,7 +497,6 @@ func (sc *streamCoder) extractTo(r io.ReaderAt, w io.WriterAt) error {
 
 	// Pass 2: per chunk group — gather blocks from their permuted stored
 	// positions, decrypt, decode with erasure hints, place plaintext.
-	bs := sc.layout.BlockSize
 	v := uint64(sc.layout.SegmentBlocks)
 	encRing := newRing(sc.ringCap(), func() []byte { return make([]byte, sc.groupChunks*sc.chunkOut) })
 	plainRing := newRing(sc.ringCap(), func() []byte { return make([]byte, sc.chunkIn) })
@@ -460,24 +512,9 @@ func (sc *streamCoder) extractTo(r io.ReaderAt, w io.WriterAt) error {
 		defer encRing.put(enc[:cap(enc)])
 		sp := srcRing.get()
 		defer srcRing.put(sp)
-		nBlocks := nChunks * sc.layout.ChunkTotal
-		srcs := sp[:nBlocks]
-		sc.perm.IndexBatch(uint64(firstChunk)*uint64(sc.layout.ChunkTotal), srcs)
-
-		// Gather every block of the group from its stored position.
-		switch {
-		case views != nil:
-			slots.Gather(enc, views, srcs)
-		case gatherer != nil:
-			if err := gatherer.GatherBlocks(enc, bs, srcs); err != nil {
-				return fmt.Errorf("gather blocks: %w", err)
-			}
-		default:
-			for j, s := range srcs {
-				if err := readFullAt(r, enc[j*bs:(j+1)*bs], sc.layout.StoredBlockOffset(int64(s))); err != nil {
-					return fmt.Errorf("gather block %d: %w", s, err)
-				}
-			}
+		srcs := sp[:nChunks*sc.layout.ChunkTotal]
+		if err := sc.gatherGroup(r, img, firstChunk, enc, srcs); err != nil {
+			return err
 		}
 		// Decrypt F″ → F′ at the group's keystream offset.
 		if err := crypt.EncryptCTRAt(sc.keys.Enc, sc.fileID, enc, firstChunk*int64(sc.chunkOut)); err != nil {
@@ -533,38 +570,65 @@ func (sc *streamCoder) extractTo(r io.ReaderAt, w io.WriterAt) error {
 	})
 }
 
-// verifyPass checks every segment tag, reading the encoded file in
-// sequential slabs, and returns the per-segment suspect map.
-func (sc *streamCoder) verifyPass(r io.ReaderAt, img []byte) ([]bool, error) {
+// gatherGroup fills enc with the permuted blocks of the chunk group that
+// starts at firstChunk, in F″ order, and srcs with their block slots:
+// out of img through the slot map, or one ReadAt per block from r when
+// img is nil.
+func (sc *streamCoder) gatherGroup(r io.ReaderAt, img *image, firstChunk int64, enc []byte, srcs []uint64) error {
+	sc.perm.IndexBatch(uint64(firstChunk)*uint64(sc.layout.ChunkTotal), srcs)
+	if img != nil {
+		return img.guard(func() error {
+			img.geom.Gather(enc, img.views, srcs)
+			return nil
+		})
+	}
+	bs := sc.layout.BlockSize
+	for j, s := range srcs {
+		if err := readFullAt(r, enc[j*bs:(j+1)*bs], sc.layout.StoredBlockOffset(int64(s))); err != nil {
+			return fmt.Errorf("gather block %d: %w", s, err)
+		}
+	}
+	return nil
+}
+
+// verifyPass checks every segment tag, in sequential slabs of img's views
+// or read from r, and returns the per-segment suspect map.
+func (sc *streamCoder) verifyPass(r io.ReaderAt, img *image) ([]bool, error) {
 	segSize := int64(sc.layout.SegmentSize())
 	segBytes := sc.layout.SegmentPayloadBytes()
 	slabSegs := int64(streamGroupBytes) / segSize
 	if slabSegs < 1 {
 		slabSegs = 1
 	}
+	guard, viewSegs := unguarded, int64(0)
+	if img != nil {
+		guard, viewSegs = img.guard, int64(len(img.views[0]))/segSize
+	}
 	suspect := make([]bool, sc.layout.Segments)
 	err := parallel.ForRange(sc.workers, int(sc.layout.Segments), func(lo, hi int) error {
-		var buf []byte
-		if img == nil {
-			buf = make([]byte, slabSegs*segSize)
-		}
-		for s0 := int64(lo); s0 < int64(hi); s0 += slabSegs {
-			cnt := slabSegs
-			if left := int64(hi) - s0; cnt > left {
-				cnt = left
+		return guard(func() error {
+			var buf []byte
+			if img == nil {
+				buf = make([]byte, slabSegs*segSize)
 			}
-			var slab []byte
-			if img != nil {
-				slab = img[s0*segSize : (s0+cnt)*segSize]
-			} else {
-				slab = buf[:cnt*segSize]
-				if err := readFullAt(r, slab, s0*segSize); err != nil {
-					return fmt.Errorf("verify pass read at segment %d: %w", s0, err)
+			for s0 := int64(lo); s0 < int64(hi); {
+				cnt := min(slabSegs, int64(hi)-s0)
+				var slab []byte
+				if img != nil {
+					rel := s0 % viewSegs
+					cnt = min(cnt, viewSegs-rel) // a slab stays in its view
+					slab = img.views[s0/viewSegs][rel*segSize : (rel+cnt)*segSize]
+				} else {
+					slab = buf[:cnt*segSize]
+					if err := readFullAt(r, slab, s0*segSize); err != nil {
+						return fmt.Errorf("verify pass read at segment %d: %w", s0, err)
+					}
 				}
+				sc.tagger.VerifySlab(slab, segBytes, uint64(s0), sc.fileID, suspect[s0:s0+cnt])
+				s0 += cnt
 			}
-			sc.tagger.VerifySlab(slab, segBytes, uint64(s0), sc.fileID, suspect[s0:s0+cnt])
-		}
-		return nil
+			return nil
+		})
 	})
 	if err != nil {
 		return nil, err

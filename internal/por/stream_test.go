@@ -5,7 +5,6 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
 	"slices"
@@ -134,39 +133,42 @@ func TestExtractStreamFailsWhenDestroyed(t *testing.T) {
 	}
 }
 
-// batchSource is an encoded file that offers the BlockGatherer seam and is
-// no MemTarget: it records what the extractor hands it, and can be told to
-// fail.
-type batchSource struct {
-	io.ReaderAt
-	b       []byte
+// lentFile is an encoded file that lends its memory, as a store does, in
+// views of view bytes, and is no MemTarget. It counts its loans and the
+// guard calls made under them, and can be told to fail the loan.
+type lentFile struct {
+	*MemTarget
 	layout  blockfile.Layout
-	calls   atomic.Int64
-	blocks  atomic.Int64
+	view    int
+	loans   atomic.Int64
+	guarded atomic.Int64
 	failure error
 }
 
-func (s *batchSource) GatherBlocks(buf []byte, blockSize int, slots []uint64) error {
-	s.calls.Add(1)
-	s.blocks.Add(int64(len(slots)))
-	if s.failure != nil {
-		return s.failure
+func (f *lentFile) Layout() blockfile.Layout { return f.layout }
+
+func (f *lentFile) Images(fn func(views [][]byte, guard func(func() error) error) error) error {
+	f.loans.Add(1)
+	if f.failure != nil {
+		return f.failure
 	}
-	if len(buf) != len(slots)*blockSize {
-		return errors.New("batch buffer and slots disagree")
+	var views [][]byte
+	for b := f.B; len(b) > 0; b = b[min(f.view, len(b)):] {
+		views = append(views, b[:min(f.view, len(b))])
 	}
-	for j, b := range slots {
-		off := s.layout.StoredBlockOffset(int64(b))
-		copy(buf[j*blockSize:(j+1)*blockSize], s.b[off:off+int64(blockSize)])
-	}
-	return nil
+	return fn(views, func(work func() error) error {
+		f.guarded.Add(1)
+		return work()
+	})
 }
 
-// TestExtractStreamBatchGatherSeam pins the read-side seam's contract: a
-// source that implements BlockGatherer is asked for each chunk group's
-// blocks in exactly one call (never block by block through ReadAt), clean
-// or damaged the output is what the plain io.ReaderAt loop produces, and
-// a gather failure is the extraction's error.
+// TestExtractStreamBatchGatherSeam pins the read side of the image seam:
+// a source that lends its memory — here in views of seven segments, so
+// chunk groups and verify slabs straddle many — is borrowed once per
+// extraction, each chunk group is gathered in one batch under the
+// lender's guard, clean or damaged the output is what the plain
+// io.ReaderAt loop produces, a failed loan is the extraction's error, and
+// a lender of another layout is refused before any work.
 func TestExtractStreamBatchGatherSeam(t *testing.T) {
 	// Large enough for several chunk groups of smallParams' 60-byte chunks.
 	file := testFile(95, 3*streamGroupBytes)
@@ -177,9 +179,9 @@ func TestExtractStreamBatchGatherSeam(t *testing.T) {
 	}
 	layout := enc.Layout
 	groupChunks := int64(streamGroupBytes / layout.ChunkTotalBytes())
-	wantCalls := (layout.Chunks + groupChunks - 1) / groupChunks
-	if wantCalls < 3 {
-		t.Fatalf("only %d chunk groups", wantCalls)
+	groups := (layout.Chunks + groupChunks - 1) / groupChunks
+	if groups < 3 {
+		t.Fatalf("only %d chunk groups", groups)
 	}
 	damaged := append([]byte(nil), enc.Data...)
 	rng := rand.New(rand.NewSource(96))
@@ -195,22 +197,56 @@ func TestExtractStreamBatchGatherSeam(t *testing.T) {
 			if err := e.ExtractStream("f", layout, bytes.NewReader(data), want); err != nil {
 				t.Fatalf("conc=%d %s: ReadAt loop: %v", conc, name, err)
 			}
-			src := &batchSource{ReaderAt: bytes.NewReader(data), b: data, layout: layout}
+			src := &lentFile{MemTarget: &MemTarget{B: data}, layout: layout, view: 7 * segSize}
 			got := NewMemTarget(layout.OrigBytes)
 			if err := e.ExtractStream("f", layout, src, got); err != nil {
-				t.Fatalf("conc=%d %s: batch seam: %v", conc, name, err)
+				t.Fatalf("conc=%d %s: lent views: %v", conc, name, err)
 			}
 			if !bytes.Equal(got.B, want.B) || !bytes.Equal(got.B, file) {
-				t.Fatalf("conc=%d %s: batch-gathered extraction differs", conc, name)
+				t.Fatalf("conc=%d %s: extraction from lent views differs", conc, name)
 			}
-			if c, b := src.calls.Load(), src.blocks.Load(); c != wantCalls || b != layout.Chunks*int64(layout.ChunkTotal) {
-				t.Fatalf("conc=%d %s: %d gather calls for %d blocks, want %d calls for %d", conc, name, c, b, wantCalls, layout.Chunks*int64(layout.ChunkTotal))
+			if l, g := src.loans.Load(), src.guarded.Load(); l != 1 || g <= groups {
+				t.Fatalf("conc=%d %s: %d loans and %d guarded calls, want one loan and a guarded gather per chunk group (%d) besides the verify pass", conc, name, l, g, groups)
 			}
 		}
 		boom := errors.New("boom")
-		src := &batchSource{ReaderAt: bytes.NewReader(enc.Data), b: enc.Data, layout: layout, failure: boom}
+		src := &lentFile{MemTarget: &MemTarget{B: enc.Data}, layout: layout, view: 7 * segSize, failure: boom}
 		if err := e.ExtractStream("f", layout, src, NewMemTarget(layout.OrigBytes)); !errors.Is(err, boom) {
-			t.Fatalf("conc=%d: gather failure surfaced as %v", conc, err)
+			t.Fatalf("conc=%d: loan failure surfaced as %v", conc, err)
+		}
+	}
+	other, err := blockfile.NewLayout(layout.Params, layout.OrigBytes+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &lentFile{MemTarget: &MemTarget{B: enc.Data}, layout: other, view: 7 * segSize}
+	if err := master.ExtractStream("f", layout, src, NewMemTarget(layout.OrigBytes)); err == nil || src.guarded.Load() != 0 {
+		t.Fatalf("a lender of another layout: err = %v after %d guarded calls, want refused before any", err, src.guarded.Load())
+	}
+}
+
+// TestEncodeStreamIntoLentViews is the write side: an encode into a
+// target that lends its memory in views of seven segments borrows it
+// once, places and tags under the lender's guard, and writes the bytes
+// Encode does.
+func TestEncodeStreamIntoLentViews(t *testing.T) {
+	file := testFile(97, 2*streamGroupBytes+77)
+	for _, conc := range []int{1, 8} {
+		e := newTestEncoder().WithConcurrency(conc)
+		want, err := e.Encode("f", file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		layout := want.Layout
+		tgt := &lentFile{MemTarget: NewMemTarget(layout.EncodedBytes), layout: layout, view: 7 * layout.SegmentSize()}
+		if _, err := e.EncodeStream("f", bytes.NewReader(file), int64(len(file)), tgt); err != nil {
+			t.Fatalf("conc=%d: %v", conc, err)
+		}
+		if !bytes.Equal(tgt.B, want.Data) {
+			t.Fatalf("conc=%d: bytes placed in lent views differ from Encode", conc)
+		}
+		if l, g := tgt.loans.Load(), tgt.guarded.Load(); l != 1 || g == 0 {
+			t.Fatalf("conc=%d: %d loans, %d guarded calls; want one loan, its work guarded", conc, l, g)
 		}
 	}
 }

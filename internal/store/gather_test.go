@@ -37,9 +37,10 @@ func damageSegments(t *testing.T, st *store.Store, layout blockfile.Layout, seed
 }
 
 // TestExtractStreamSeamEquivalence extracts every store twice — handed
-// over as itself, so the extractor finds the batch gather seam where the
-// platform has one, and wrapped as a bare io.ReaderAt, which hides it and
-// forces the per-block ReadAt loop — and requires byte-identical output
+// over as itself, so the extractor borrows its shard mappings through
+// Images where the platform has them, and wrapped as a bare io.ReaderAt,
+// which hides Images and forces the per-block ReadAt loop and a verify
+// pass of preads — and requires byte-identical output
 // and identical errors: on a clean store, one damaged inside the
 // Reed-Solomon budget and one damaged beyond it, sequential and parallel.
 // The tiny shards make every chunk group straddle dozens of them, so the
@@ -92,7 +93,7 @@ func TestExtractStreamSeamEquivalence(t *testing.T) {
 					continue
 				}
 				if !bytes.Equal(seam.B, plain.B) {
-					t.Fatalf("concurrency %d: output differs between the gather seam and the ReadAt loop", conc)
+					t.Fatalf("concurrency %d: output differs between the lent mappings and the ReadAt loop", conc)
 				}
 				if !bytes.Equal(seam.B, data) {
 					t.Fatalf("concurrency %d: extraction does not reproduce the input", conc)

@@ -10,74 +10,22 @@ import (
 	"syscall"
 )
 
-// GatherBlocks implements por.BlockGatherer: it fills buf with the
-// len(slots) blocks stored at the given block slots — block b of the
-// permuted file F‴, at blockfile.Layout.StoredBlockOffset(b) — copying
-// them out of read-only shard mappings: no system call per block, and no
-// Go heap behind the mappings. blockSize must be the layout's, buf must
-// hold exactly the batch, and every slot must be below TotalBlocks; all
-// of it is checked before buf is touched, so a bad batch is refused
-// whole. Shards are segment-aligned, so a slot in range lies inside its
-// shard's mapping.
+// Images lends the store's read-only shard mappings to fn, for an
+// extraction to verify the tags and gather the blocks in place: views[s]
+// is shard s, every shard but the last ShardBytes long — the page cache
+// itself, so no system call per block and nothing added to the Go heap.
+// The shards are mapped on first use and unmapped by Close.
 //
-// The call holds every shard's read lock (a permuted chunk group touches
-// them all), so WriteAt and Close wait for it; writes that complete
-// between two calls are seen by the second, the mappings being shared
-// with the page cache the writes land in. A shard cut short underneath
-// its mapping — what a hostile or failing filesystem can do to a served
-// store — comes back as an error wrapping ErrCorrupt: the memory fault is
-// contained to this call instead of killing the process. After Close the
-// call fails with os.ErrClosed.
-//
-// The blocks move through blockfile.SlotGeom.Gather under every shard's
-// read lock, so no block address it resolves outlives Close's munmap.
-func (s *Store) GatherBlocks(buf []byte, blockSize int, slots []uint64) error {
-	if blockSize != s.layout.BlockSize {
-		return fmt.Errorf("store: gathering %d-byte blocks from a %d-byte-block layout", blockSize, s.layout.BlockSize)
-	}
-	if len(buf) != len(slots)*blockSize {
-		return fmt.Errorf("store: gather buffer is %d bytes, want %d blocks of %d", len(buf), len(slots), blockSize)
-	}
-	total := uint64(s.layout.TotalBlocks)
-	for _, b := range slots {
-		if b >= total {
-			return fmt.Errorf("store: gather block slot %d outside the layout's %d", b, total)
-		}
-	}
-	if len(slots) == 0 {
-		return nil
-	}
-	err := s.withMappings("gather", func(maps [][]byte) error {
-		s.geom.Gather(buf, maps, slots)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	metricStoreGatherBlocks.Add(uint64(len(slots)))
-	metricStoreGatherBytes.Add(uint64(len(buf)))
-	return nil
-}
-
-// Verify checks every shard against its committed CRC-32C, catching
-// silent on-disk damage before the store is served. It checksums the
-// shard mappings the gather reads, so no buffer is allocated and no pread
-// issued; a shard cut short underneath its mapping is ErrCorrupt.
-func (s *Store) Verify() error {
-	return s.withMappings("verify", func(maps [][]byte) error {
-		for i, m := range maps {
-			if err := s.checkShardCRC(i, crc32.Checksum(m, castagnoli)); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// withMappings runs fn over the shard mappings under every shard's read
-// lock, mapping the shards on first use, with memory faults reported as
-// corruption (faultsAsCorrupt). After Close it returns os.ErrClosed.
-func (s *Store) withMappings(op string, fn func(maps [][]byte) error) error {
+// The loan holds every shard's read lock (a permuted chunk group touches
+// them all), so WriteAt and Close wait for it, and no address fn takes
+// into a view outlives Close's munmap; writes that complete between two
+// loans are seen by the second, the mappings being shared with the page
+// cache the writes land in. fn, and guard for every goroutine fn starts,
+// run with a memory fault — a shard cut short underneath its mapping,
+// what a hostile or failing filesystem can do to a served store —
+// reported as an error wrapping ErrCorrupt, instead of killing the
+// process. After Close the loan fails with os.ErrClosed.
+func (s *Store) Images(fn func(views [][]byte, guard func(func() error) error) error) error {
 	for i := range s.locks {
 		s.locks[i].RLock()
 	}
@@ -89,13 +37,28 @@ func (s *Store) withMappings(op string, fn func(maps [][]byte) error) error {
 	// closed and the mappings only change under every write lock (Close)
 	// or inside mapOnce, so the read locks make them stable.
 	if s.closed {
-		return fmt.Errorf("store: %s: %w", op, os.ErrClosed)
+		return fmt.Errorf("store: %w", os.ErrClosed)
 	}
 	s.mapOnce.Do(s.mapShards)
 	if s.mapErr != nil {
 		return s.mapErr
 	}
-	return faultsAsCorrupt(func() error { return fn(s.maps) })
+	return faultsAsCorrupt(func() error { return fn(s.maps, faultsAsCorrupt) })
+}
+
+// Verify checks every shard against its committed CRC-32C, catching
+// silent on-disk damage before the store is served. It checksums the
+// shard mappings an extraction reads, so no buffer is allocated and no
+// pread issued; a shard cut short underneath its mapping is ErrCorrupt.
+func (s *Store) Verify() error {
+	return s.Images(func(maps [][]byte, _ func(func() error) error) error {
+		for i, m := range maps {
+			if err := s.checkShardCRC(i, crc32.Checksum(m, castagnoli)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 // faultsAsCorrupt runs fn, reporting a memory fault on this goroutine as
@@ -121,7 +84,7 @@ func faultsAsCorrupt(fn func() error) (err error) {
 
 // mapShards maps every shard read-only and shared, so the mappings are
 // the page cache itself: coherent with WriteAt, and never copied into
-// the Go heap. It runs once, from the first gather or Verify.
+// the Go heap. It runs once, from the first loan.
 func (s *Store) mapShards() {
 	maps := make([][]byte, len(s.shards))
 	unmap := func() error {

@@ -85,17 +85,26 @@ var gatherParams = []struct {
 }
 
 // groupSlots is one chunk group of the paper's geometry: 64 chunks of 255
-// blocks, the batch the extractor hands GatherBlocks.
+// blocks, the batch an extraction gathers at once.
 const groupSlots = 64 * 255
 
-// TestGatherBlocksMatchesReadAt is the seam's defining property, on both
-// gather paths: whatever slots a batch names — in any order, with
-// repeats, the first and last of every shard, the short last shard's, in
-// batches that end on either side of a strip seam or span a whole chunk
-// group — GatherBlocks returns the bytes per-block ReadAt returns at
-// StoredBlockOffset; and a batch with a slot past the layout, the wrong
-// block size or a wrongly sized buffer is refused whole, before buf is
-// written.
+// gather fills buf with the blocks at slots as an extraction gathers
+// them: out of the store's lent shard mappings, through the slot map.
+func gather(st *store.Store, buf []byte, slots []uint64) error {
+	layout := st.Layout()
+	return st.Images(func(views [][]byte, _ func(func() error) error) error {
+		layout.SlotGeom(int64(len(views[0]))).Gather(buf, views, slots)
+		return nil
+	})
+}
+
+// TestGatherBlocksMatchesReadAt is the read-side loan's defining
+// property, on both gather paths: Images lends one view per shard, each
+// its shard's length, and whatever slots a batch names — in any order,
+// with repeats, the first and last of every shard, the short last
+// shard's, in batches that end on either side of a strip seam or span a
+// whole chunk group — gathering them from the views returns the bytes
+// per-block ReadAt returns at StoredBlockOffset.
 func TestGatherBlocksMatchesReadAt(t *testing.T) {
 	for _, tc := range gatherParams {
 		t.Run(tc.name, func(t *testing.T) {
@@ -104,11 +113,25 @@ func TestGatherBlocksMatchesReadAt(t *testing.T) {
 			if last := man.Shards[len(man.Shards)-1].Bytes; last >= man.ShardBytes || len(man.Shards) < 8 {
 				t.Fatalf("%d shards, the last of %d bytes: want many, and a short last one", len(man.Shards), last)
 			}
+			err := st.Images(func(views [][]byte, _ func(func() error) error) error {
+				if len(views) != len(man.Shards) {
+					return fmt.Errorf("%d views for %d shards", len(views), len(man.Shards))
+				}
+				for s, v := range views {
+					if int64(len(v)) != man.Shards[s].Bytes {
+						return fmt.Errorf("view %d is %d bytes, shard %d is %d", s, len(v), s, man.Shards[s].Bytes)
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
 			bs, total := layout.BlockSize, uint64(layout.TotalBlocks)
 			check := func(what string, slots []uint64) {
 				t.Helper()
 				got := make([]byte, len(slots)*bs)
-				if err := st.GatherBlocks(got, bs, slots); err != nil {
+				if err := gather(st, got, slots); err != nil {
 					t.Fatalf("%s: %v", what, err)
 				}
 				if !bytes.Equal(got, readSlots(t, st, layout, slots)) {
@@ -136,44 +159,14 @@ func TestGatherBlocksMatchesReadAt(t *testing.T) {
 				}
 				check(fmt.Sprintf("round %d", round), slots)
 			}
-
-			refused := func(what string, buf []byte, blockSize int, slots []uint64) {
-				t.Helper()
-				for i := range buf {
-					buf[i] = 0xa5
-				}
-				if err := st.GatherBlocks(buf, blockSize, slots); err == nil {
-					t.Errorf("%s: accepted", what)
-				}
-				if !bytes.Equal(buf, bytes.Repeat([]byte{0xa5}, len(buf))) {
-					t.Errorf("%s: buf written before the batch was refused", what)
-				}
-			}
-			for name, bad := range map[string]uint64{
-				"TotalBlocks":       total,
-				"2³² past the last": total + 1<<32,
-				"far past":          1 << 63,
-			} {
-				slots := []uint64{0, total - 1, bad, edges[2]}
-				refused("slot "+name, make([]byte, len(slots)*bs), bs, slots)
-			}
-			slots := []uint64{0, total - 1}
-			refused("twice the block size", make([]byte, 2*len(slots)*bs), 2*bs, slots)
-			refused("zero block size", nil, 0, nil)
-			for _, n := range []int{0, bs - 1, 3 * bs} {
-				refused(fmt.Sprintf("%d-byte buffer for two blocks", n), make([]byte, n), bs, slots)
-			}
-			if err := st.GatherBlocks(nil, bs, nil); err != nil {
-				t.Errorf("empty batch: %v", err)
-			}
 		})
 	}
 }
 
 // TestGatherSeesWriteAt is the coherence contract: once an extraction has
 // made the mappings live, damage written through Store.WriteAt is what
-// the next gather returns — the mapping is the page cache, not a copy —
-// and the next extraction still recovers the plaintext from it.
+// the next loan sees — the mapping is the page cache, not a copy — and
+// the next extraction still recovers the plaintext from it.
 func TestGatherSeesWriteAt(t *testing.T) {
 	st, enc, layout, data, _ := openGatherStore(t, fastParams, 120000, 4096)
 	extract := func() {
@@ -191,7 +184,7 @@ func TestGatherSeesWriteAt(t *testing.T) {
 	bs := layout.BlockSize
 	slots := randomSlots(layout, 9, 40)
 	before := make([]byte, len(slots)*bs)
-	if err := st.GatherBlocks(before, bs, slots); err != nil {
+	if err := gather(st, before, slots); err != nil {
 		t.Fatal(err)
 	}
 	for j, b := range slots {
@@ -204,7 +197,7 @@ func TestGatherSeesWriteAt(t *testing.T) {
 		}
 	}
 	after := make([]byte, len(slots)*bs)
-	if err := st.GatherBlocks(after, bs, slots); err != nil {
+	if err := gather(st, after, slots); err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Equal(after, before) {
@@ -235,38 +228,47 @@ func truncatedStore(t *testing.T, params blockfile.Params) (*store.Store, blockf
 }
 
 // TestGatherSurvivesTruncatedShard plays the hostile filesystem: a shard
-// cut short underneath an open store must come back from GatherBlocks as
-// ErrCorrupt — with the mapping made before the cut and after it, and
-// with the faulting block in a strip after the first, once earlier
-// strips have been copied — while the process lives on, the goroutine's
+// cut short underneath an open store must come back from an extraction
+// as ErrCorrupt — cut before the first loan maps it, so the verify pass
+// faults, or after an extraction mapped it and the next one's verify
+// pass read it whole, so its first chunk group's gather faults — and from
+// a gather whose faulting block is in a strip after the first, once
+// earlier strips have been copied; the process lives on, the goroutine's
 // fault setting is put back, and blocks that are still backed keep being
 // served.
 func TestGatherSurvivesTruncatedShard(t *testing.T) {
 	for _, mapFirst := range []bool{true, false} {
 		t.Run(fmt.Sprintf("mapped-before-cut=%v", mapFirst), func(t *testing.T) {
-			st, layout, shard1, first, last := truncatedStore(t, fastParams)
-			bs := layout.BlockSize
-			buf := make([]byte, 2*bs)
-			if mapFirst {
-				if err := st.GatherBlocks(buf, bs, []uint64{first, last}); err != nil {
+			st, layout, shard1, first, _ := truncatedStore(t, fastParams)
+			enc := por.NewEncoder([]byte("gather-master")).WithParams(fastParams).WithConcurrency(1)
+			cut := func() {
+				if err := os.Truncate(shard1, int64(os.Getpagesize())); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if err := os.Truncate(shard1, int64(os.Getpagesize())); err != nil {
-				t.Fatal(err)
+			var src io.ReaderAt = st
+			if mapFirst {
+				if err := enc.ExtractStream("f", layout, st, por.NewMemTarget(layout.OrigBytes)); err != nil {
+					t.Fatal(err)
+				}
+				// At Concurrency 1 the verify pass is the loan's first
+				// guarded piece of work, the first group's gather its second.
+				src = &cutInLoan{imageFile: st, at: 2, cut: cut}
+			} else {
+				cut()
 			}
 
 			prev := debug.SetPanicOnFault(false)
 			defer debug.SetPanicOnFault(prev)
-			err := st.GatherBlocks(buf, bs, []uint64{first, last})
+			err := enc.ExtractStream("f", layout, src, por.NewMemTarget(layout.OrigBytes))
 			if !errors.Is(err, store.ErrCorrupt) {
-				t.Fatalf("gather from the truncated shard: %v, want ErrCorrupt", err)
+				t.Fatalf("extraction from the truncated shard: %v, want ErrCorrupt", err)
 			}
 			if debug.SetPanicOnFault(false) {
-				t.Error("GatherBlocks left SetPanicOnFault on")
+				t.Error("the extraction left SetPanicOnFault on")
 			}
 			// Shard 0 and the surviving page of shard 1 are untouched.
-			if err := st.GatherBlocks(buf, bs, []uint64{0, first}); err != nil {
+			if err := gather(st, make([]byte, 2*layout.BlockSize), []uint64{0, first}); err != nil {
 				t.Fatalf("gather of still-backed blocks: %v", err)
 			}
 		})
@@ -292,11 +294,11 @@ func TestGatherSurvivesTruncatedShard(t *testing.T) {
 			prev := debug.SetPanicOnFault(false)
 			defer debug.SetPanicOnFault(prev)
 			buf := make([]byte, len(slots)*layout.BlockSize)
-			if err := st.GatherBlocks(buf, layout.BlockSize, slots); !errors.Is(err, store.ErrCorrupt) {
+			if err := gather(st, buf, slots); !errors.Is(err, store.ErrCorrupt) {
 				t.Fatalf("gather faulting in its third strip: %v, want ErrCorrupt", err)
 			}
 			if debug.SetPanicOnFault(false) {
-				t.Error("GatherBlocks left SetPanicOnFault on")
+				t.Error("the loan left SetPanicOnFault on")
 			}
 			// The strips before the fault were copied: the fault was
 			// taken mid-batch, not before the first move.
@@ -343,9 +345,9 @@ func TestVerifySurvivesTruncatedShard(t *testing.T) {
 	}
 }
 
-// TestGatherAllocatesNothing: a whole chunk group's gather allocates
-// nothing on either path — the 16-byte path's resolved addresses stay in
-// the call's stack frame.
+// TestGatherAllocatesNothing: a loan and a whole chunk group's gather
+// allocate nothing on either path — the 16-byte path's resolved
+// addresses stay in the gather's stack frame.
 func TestGatherAllocatesNothing(t *testing.T) {
 	for _, tc := range gatherParams {
 		t.Run(tc.name, func(t *testing.T) {
@@ -353,7 +355,7 @@ func TestGatherAllocatesNothing(t *testing.T) {
 			slots := randomSlots(layout, 7, groupSlots)
 			buf := make([]byte, len(slots)*layout.BlockSize)
 			if n := testing.AllocsPerRun(20, func() {
-				if err := st.GatherBlocks(buf, layout.BlockSize, slots); err != nil {
+				if err := gather(st, buf, slots); err != nil {
 					t.Fatal(err)
 				}
 			}); n != 0 {
@@ -363,115 +365,127 @@ func TestGatherAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestGatherAfterClose: Close unmaps under every write lock, so a late
-// gather gets os.ErrClosed, and gathers racing Close and WriteAt either
-// finish on live mappings or get that error — never a fault.
+// TestGatherAfterClose: Close takes every write lock before it unmaps, so
+// it waits out the extractions in flight on the lent mappings, and a
+// later extraction gets os.ErrClosed; extractions racing Close and
+// WriteAt either recover the plaintext from live mappings or get that
+// error — never a fault.
 func TestGatherAfterClose(t *testing.T) {
-	st, _, layout, _, _ := openGatherStore(t, fastParams, 60000, 4096)
-	bs := layout.BlockSize
-	slots := randomSlots(layout, 3, 512)
+	st, enc, layout, data, _ := openGatherStore(t, fastParams, 60000, 4096)
+	enc = enc.WithConcurrency(2)
+	slots := randomSlots(layout, 3, 64)
 
 	var wg sync.WaitGroup
-	started := make(chan struct{}, 8)
-	for g := 0; g < 8; g++ {
+	started := make(chan struct{}, 4)
+	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			buf := make([]byte, len(slots)*bs)
+			block := make([]byte, layout.BlockSize)
 			for i := 0; ; i++ {
 				if i == 1 {
 					started <- struct{}{}
 				}
-				if g == 0 { // one goroutine plays the fault injector
-					if _, err := st.WriteAt(buf[:bs], layout.StoredBlockOffset(int64(slots[i%len(slots)]))); err != nil {
+				if g == 0 { // one goroutine plays the fault injector, rewriting a block's own bytes
+					off := layout.StoredBlockOffset(int64(slots[i%len(slots)]))
+					if _, err := st.ReadAt(block, off); err != nil {
 						return // shard handles closed
 					}
-				}
-				if err := st.GatherBlocks(buf, bs, slots); err != nil {
-					if !errors.Is(err, os.ErrClosed) {
-						t.Errorf("gather racing Close: %v", err)
+					if _, err := st.WriteAt(block, off); err != nil {
+						return
 					}
+				}
+				out := por.NewMemTarget(layout.OrigBytes)
+				if err := enc.ExtractStream("f", layout, st, out); err != nil {
+					if !errors.Is(err, os.ErrClosed) {
+						t.Errorf("extraction racing Close: %v", err)
+					}
+					return
+				}
+				if !bytes.Equal(out.B, data) {
+					t.Error("an extraction racing Close recovered other bytes")
 					return
 				}
 			}
 		}(g)
 	}
-	for g := 0; g < 8; g++ {
+	for g := 0; g < 4; g++ {
 		<-started
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
-	if err := st.GatherBlocks(make([]byte, len(slots)*bs), bs, slots); !errors.Is(err, os.ErrClosed) {
-		t.Fatalf("gather after Close: %v, want os.ErrClosed", err)
+	if err := enc.ExtractStream("f", layout, st, por.NewMemTarget(layout.OrigBytes)); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("extraction after Close: %v, want os.ErrClosed", err)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
 }
 
-// TestGatherTelemetry: an extraction through the seam adds its blocks and
-// bytes to the gather counters once per call and leaves the pread
-// counters to the sequential verify pass; hidden behind a bare
-// io.ReaderAt the same extraction moves only the pread counters.
+// TestGatherTelemetry: Verify and an extraction through the lent
+// mappings — its verify pass and its gather — issue no pread; hidden
+// behind a bare io.ReaderAt the same extraction issues at least one per
+// block.
 func TestGatherTelemetry(t *testing.T) {
 	st, enc, layout, _, _ := openGatherStore(t, fastParams, 120000, 4096)
 	blocks := float64(layout.Chunks * int64(layout.ChunkTotal))
 
 	c0 := counters()
+	if err := st.Verify(); err != nil {
+		t.Fatal(err)
+	}
 	if err := enc.ExtractStream("f", layout, st, por.NewMemTarget(layout.OrigBytes)); err != nil {
 		t.Fatal(err)
 	}
 	c1 := counters()
-	if d := c1["geoproof_store_gather_blocks_total"] - c0["geoproof_store_gather_blocks_total"]; d != blocks {
-		t.Errorf("gather_blocks_total moved by %v, want %v", d, blocks)
-	}
-	if d := c1["geoproof_store_gather_bytes_total"] - c0["geoproof_store_gather_bytes_total"]; d != blocks*float64(layout.BlockSize) {
-		t.Errorf("gather_bytes_total moved by %v, want %v", d, blocks*float64(layout.BlockSize))
-	}
-	seamPreads := c1["geoproof_store_preads_total"] - c0["geoproof_store_preads_total"]
-	if seamPreads == 0 || seamPreads > float64(2*len(st.Manifest().Shards)) {
-		t.Errorf("%v preads with the seam, want only the verify pass's slabs over %d shards", seamPreads, len(st.Manifest().Shards))
+	for _, name := range []string{"geoproof_store_preads_total", "geoproof_store_pread_bytes_total"} {
+		if d := c1[name] - c0[name]; d != 0 {
+			t.Errorf("%s moved by %v over Verify and a lent extraction, want 0", name, d)
+		}
 	}
 
 	if err := enc.ExtractStream("f", layout, struct{ io.ReaderAt }{st}, por.NewMemTarget(layout.OrigBytes)); err != nil {
 		t.Fatal(err)
 	}
-	c2 := counters()
-	if c2["geoproof_store_gather_blocks_total"] != c1["geoproof_store_gather_blocks_total"] {
-		t.Error("gather_blocks_total moved without the seam")
-	}
-	if d := c2["geoproof_store_preads_total"] - c1["geoproof_store_preads_total"]; d < blocks {
-		t.Errorf("%v preads without the seam, want at least one per block (%v)", d, blocks)
+	if d := counters()["geoproof_store_preads_total"] - c1["geoproof_store_preads_total"]; d < blocks {
+		t.Errorf("%v preads without the loan, want at least one per block (%v)", d, blocks)
 	}
 }
 
-// FuzzGatherBlocks drives the gather with slots from the fuzzer — in
-// range, on shard edges and at or past TotalBlocks, up to a whole chunk
-// group of them, so batches span many strips — against a store of the
-// paper's 16-byte blocks and one of fastParams' 4-byte blocks. Every
-// batch must come back equal to per-block ReadAt, or, when a slot is out
-// of range, be refused with buf untouched.
+// FuzzGatherBlocks drives store-backed extraction — its verify pass and
+// block gather reading the lent shard mappings — against the per-block
+// ReadAt path, on a store of the paper's 16-byte blocks and one of
+// fastParams' 4-byte blocks: the fuzzer flips bytes anywhere in the
+// encoded file, payloads, tags and shard edges alike, up to 64 of them,
+// and the two extractions must recover the same plaintext or fail with
+// the same error. The store is restored after every input.
 func FuzzGatherBlocks(f *testing.F) {
 	type fixture struct {
 		st     *store.Store
+		enc    *por.Encoder
 		layout blockfile.Layout
-		edges  []uint64
+		edges  []int64 // the first and last byte of every shard
 	}
 	var fx [2]fixture
 	for i, p := range []blockfile.Params{blockfile.DefaultParams(), fastParams} {
-		st, _, layout, _, _ := openGatherStore(f, p, 60000, 4096)
-		fx[i] = fixture{st, layout, shardEdges(layout, st.Manifest())}
+		st, enc, layout, _, _ := openGatherStore(f, p, 60000, 4096)
+		man := st.Manifest()
+		var edges []int64
+		for s, sh := range man.Shards {
+			edges = append(edges, int64(s)*man.ShardBytes, int64(s)*man.ShardBytes+sh.Bytes-1)
+		}
+		fx[i] = fixture{st, enc.WithConcurrency(1), layout, edges}
 	}
 	f.Add(false, []byte{0, 1, 2, 3, 4, 2, 9, 0, 0, 0})
-	f.Add(true, []byte{2, 7, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff})
+	f.Add(true, []byte{3, 7, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff})
 	f.Add(false, []byte{3, 0, 0, 0, 0})
 	f.Add(true, []byte{0x7f, 1, 0, 0, 0, 2, 1, 0, 0, 0})
-	// Three strips and a bit of in-range and shard-edge slots.
-	long := make([]byte, 5*(3*store.GatherStrip+7))
+	// Sixty-four flips, every third on a shard edge.
+	long := make([]byte, 5*64)
 	for i := 0; i < len(long); i += 5 {
-		long[i] = byte(i / 5 % 3)
+		long[i] = byte(i/5%3) & 1
 		binary.LittleEndian.PutUint32(long[i+1:], uint32(i)*2654435761)
 	}
 	f.Add(false, long)
@@ -480,49 +494,50 @@ func FuzzGatherBlocks(f *testing.F) {
 		if fast {
 			x = fx[1]
 		}
-		total := uint64(x.layout.TotalBlocks)
-		var slots []uint64
-		bad := false
-		// Five bytes per slot: a selector, then a 32-bit value.
-		for i := 0; i+5 <= len(data) && len(slots) < groupSlots; i += 5 {
-			v := uint64(binary.LittleEndian.Uint32(data[i+1:]))
-			switch data[i] & 3 {
-			case 0, 1:
-				slots = append(slots, v%total)
-			case 2:
-				slots = append(slots, x.edges[v%uint64(len(x.edges))])
-			case 3: // at or past TotalBlocks, by up to 2⁶²
-				slots = append(slots, total+v<<(data[i]>>2&31))
-				bad = true
+		// Five bytes per flip: a selector (bit 0 picks a shard edge, the
+		// rest the mask), then a 32-bit position.
+		one := make([]byte, 1)
+		var offs []int64
+		var olds []byte
+		defer func() {
+			for i := len(offs) - 1; i >= 0; i-- {
+				if _, err := x.st.WriteAt([]byte{olds[i]}, offs[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}()
+		for i := 0; i+5 <= len(data) && len(offs) < 64; i += 5 {
+			v := int64(binary.LittleEndian.Uint32(data[i+1:]))
+			off := v % x.layout.EncodedBytes
+			if data[i]&1 == 1 {
+				off = x.edges[v%int64(len(x.edges))]
+			}
+			if _, err := x.st.ReadAt(one, off); err != nil {
+				t.Fatal(err)
+			}
+			offs, olds = append(offs, off), append(olds, one[0])
+			if _, err := x.st.WriteAt([]byte{one[0] ^ (data[i]>>1 | 1)}, off); err != nil {
+				t.Fatal(err)
 			}
 		}
-		bs := x.layout.BlockSize
-		buf := bytes.Repeat([]byte{0xa5}, len(slots)*bs)
-		err := x.st.GatherBlocks(buf, bs, slots)
-		if bad {
-			if err == nil {
-				t.Fatal("a batch with a slot past the layout was accepted")
-			}
-			if !bytes.Equal(buf, bytes.Repeat([]byte{0xa5}, len(buf))) {
-				t.Fatal("buf written before the batch was refused")
-			}
-			return
+		lent, plain := por.NewMemTarget(x.layout.OrigBytes), por.NewMemTarget(x.layout.OrigBytes)
+		lentErr := x.enc.ExtractStream("f", x.layout, x.st, lent)
+		plainErr := x.enc.ExtractStream("f", x.layout, struct{ io.ReaderAt }{x.st}, plain)
+		if fmt.Sprint(lentErr) != fmt.Sprint(plainErr) {
+			t.Fatalf("lent mappings: %v; per-block ReadAt: %v", lentErr, plainErr)
 		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf, readSlots(t, x.st, x.layout, slots)) {
-			t.Fatal("gathered bytes differ from per-block ReadAt")
+		if !bytes.Equal(lent.B, plain.B) {
+			t.Fatal("the lent mappings and per-block ReadAt recovered different bytes")
 		}
 	})
 }
 
 // BenchmarkStoreGather is the gather's own budget line, the mirror of
-// BenchmarkStorePlace: GatherBlocks of an 8 MiB file's permuted blocks out
-// of a committed store, in chunk-group batches as the extraction pipeline
-// asks for them — without the extraction's verify pass, CTR, RS and
-// output writes. Reported per block gathered. It sits in this file, not
-// beside BenchmarkStorePlace, because the gather exists on unix only.
+// BenchmarkStorePlace: in one loan of a committed store's mappings, an
+// 8 MiB file's permuted blocks gathered through the slot map in
+// chunk-group batches as the extraction pipeline asks for them — without
+// the extraction's verify pass, CTR, RS and output writes. Reported per
+// block gathered.
 func BenchmarkStoreGather(b *testing.B) {
 	layout, err := blockfile.NewLayout(blockfile.DefaultParams(), 8<<20)
 	if err != nil {
@@ -542,7 +557,10 @@ func BenchmarkStoreGather(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer w.Close()
-	if err := w.PlaceBlocks(blocks, bs, slots); err != nil {
+	if err := w.Images(func(views [][]byte, _ func(func() error) error) error {
+		layout.SlotGeom(int64(len(views[0]))).Place(views, blocks, slots, nil)
+		return nil
+	}); err != nil {
 		b.Fatal(err)
 	}
 	if _, err := w.Commit(); err != nil {
@@ -557,11 +575,16 @@ func BenchmarkStoreGather(b *testing.B) {
 	buf := make([]byte, group*bs)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for lo := 0; lo < n; lo += group {
-			hi := min(lo+group, n)
-			if err := st.GatherBlocks(buf[:(hi-lo)*bs], bs, slots[lo:hi]); err != nil {
-				b.Fatal(err)
+		err := st.Images(func(views [][]byte, _ func(func() error) error) error {
+			geom := layout.SlotGeom(int64(len(views[0])))
+			for lo := 0; lo < n; lo += group {
+				hi := min(lo+group, n)
+				geom.Gather(buf[:(hi-lo)*bs], views, slots[lo:hi])
 			}
+			return nil
+		})
+		if err != nil {
+			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/block")

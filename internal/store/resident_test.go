@@ -15,11 +15,11 @@ import (
 // TestStoreEncodeResidentMemory is the store-backed allocation gate: a
 // 64 MiB file encoded into a store and committed must keep no more than a
 // ninth of the file's size live in the heap — the encode pipeline's
-// chunk-group buffers and the placer's one-bit-per-block bitmap. Ten
+// chunk-group buffers and the engine's one-bit-per-block bitmap. Ten
 // runs read 3.14–3.76 MiB of live-heap growth; the bound (≈ 7.1 MiB) is
 // about twice the highest. The shards themselves are mapped page cache,
-// not heap: the placer stores blocks and the tags are stamped through
-// the mappings, so the process's resident set grows to the encoded size
+// not heap: the encode stores blocks and stamps the tags through the
+// mappings, so the process's resident set grows to the encoded size
 // while the heap does not. Concurrency is pinned to 4 so the budget is
 // machine-independent; the input lives on disk, not in the heap.
 func TestStoreEncodeResidentMemory(t *testing.T) {

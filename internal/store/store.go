@@ -3,7 +3,6 @@ package store
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -13,10 +12,9 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Observability. Read path: one pread per shard touched, byte volume,
-// checksum mismatches caught by Verify, and the blocks and bytes the
-// extractor's mapped gather copied without a pread. Write path: the
-// blocks the placer accepted.
+// Observability: one pread per shard touched and its byte volume — the
+// audit path's reads, since extraction reads the shard mappings — and
+// the checksum mismatches Verify catches.
 var (
 	metricStorePreads = telemetry.Default.Counter(
 		"geoproof_store_preads_total",
@@ -27,36 +25,25 @@ var (
 	metricStoreChecksumFailures = telemetry.Default.Counter(
 		"geoproof_store_checksum_failures_total",
 		"Shard CRC-32C mismatches found by Verify.")
-	metricStoreGatherBlocks = telemetry.Default.Counter(
-		"geoproof_store_gather_blocks_total",
-		"Blocks copied out of mapped shards by GatherBlocks.")
-	metricStoreGatherBytes = telemetry.Default.Counter(
-		"geoproof_store_gather_bytes_total",
-		"Bytes copied out of mapped shards by GatherBlocks.")
-	metricStorePlacedBlocks = telemetry.Default.Counter(
-		"geoproof_store_placed_blocks_total",
-		"Blocks stored by the write path's PlaceBlocks.")
 )
 
 // Store is a committed store directory opened for serving: the prover's
 // persistent backend. Reads are positioned (pread) against per-shard file
 // handles under per-shard read locks, so any number of audit reads
 // proceed concurrently; the only writers are corruption injection
-// (experiments) which take the shard's write lock. On unix the extractor's
-// block gather (GatherBlocks) and Verify read read-only shard mappings
-// under every shard's read lock instead of issuing preads.
+// (experiments) which take the shard's write lock. On unix an extraction
+// (through Images) and Verify read read-only shard mappings under every
+// shard's read lock instead of issuing preads.
 type Store struct {
 	dir      string
 	man      Manifest
 	layout   blockfile.Layout
-	geom     blockfile.SlotGeom
 	shards   []*os.File
 	locks    []sync.RWMutex
 	readonly bool
 
-	// Shard mappings behind GatherBlocks and Verify: made by the first
-	// call, released (through unmap) by Close, which holds every write
-	// lock.
+	// Shard mappings behind Images and Verify: made by the first loan,
+	// released (through unmap) by Close, which holds every write lock.
 	mapOnce sync.Once
 	mapErr  error
 	maps    [][]byte
@@ -84,7 +71,6 @@ func Open(dir string) (*Store, error) {
 		dir:    dir,
 		man:    man,
 		layout: layout,
-		geom:   layout.SlotGeom(man.ShardBytes),
 		shards: make([]*os.File, len(man.Shards)),
 		locks:  make([]sync.RWMutex, len(man.Shards)),
 	}
@@ -140,16 +126,6 @@ func (s *Store) checkShardCRC(i int, got uint32) error {
 	return nil
 }
 
-// shardCRC streams the first n bytes of a shard file through CRC-32C,
-// reading through buf.
-func shardCRC(f *os.File, n int64, buf []byte) (uint32, error) {
-	crc := crc32.New(castagnoli)
-	if _, err := io.CopyBuffer(crc, io.NewSectionReader(f, 0, n), buf); err != nil {
-		return 0, err
-	}
-	return crc.Sum32(), nil
-}
-
 // readShards is the shared positioned-read walk over shard files: locks
 // may be nil (Writer) or per-shard (Store). Implements io.ReaderAt
 // semantics: io.EOF only for a read that runs past the end of the encoded
@@ -192,9 +168,8 @@ func readShards(man Manifest, shards []*os.File, locks []sync.RWMutex, p []byte,
 }
 
 // ReadAt implements io.ReaderAt over the whole encoded payload; it is
-// what the disk backend and the POR extractor's sequential verify pass
-// read through (its scattered block gather goes to GatherBlocks where the
-// platform has it).
+// what the disk backend reads through, and an extraction where the
+// platform has no Images.
 func (s *Store) ReadAt(p []byte, off int64) (int, error) {
 	return readShards(s.man, s.shards, s.locks, p, off)
 }
@@ -238,7 +213,7 @@ func (s *Store) ReadSegment(i int64) ([]byte, error) {
 }
 
 // Close releases the shard mappings and handles. It takes every shard's
-// write lock first, so it waits out reads, gathers and Verify in flight;
+// write lock first, so it waits out reads, loans and Verify in flight;
 // one that arrives later gets an error, never an unmapped page.
 func (s *Store) Close() error {
 	for i := range s.locks {

@@ -50,7 +50,7 @@ func encodeToStore(t testing.TB, dir string, enc *por.Encoder, fileID string, da
 	return layout, man
 }
 
-// TestStoreByteIdentity pins the central placer property: the bytes a
+// TestStoreByteIdentity pins the central write-path property: the bytes a
 // store-backed encode materialises — blocks stored through the shard
 // mappings, tags stamped in each mapping in place — are identical to the
 // in-memory encode's, at sequential, NumCPU and parallel concurrency, in
@@ -381,18 +381,17 @@ func TestStoreGiantBlockSize(t *testing.T) {
 	}
 }
 
-// placerHidden exposes a Writer as a plain StreamTarget: the encode sees
-// neither PlaceBlocks nor FlushPlacements, as on platforms where the
-// Writer has no placer.
+// placerHidden exposes a Writer as a plain StreamTarget: the encode does
+// not see Images, as on platforms where the Writer lends no mappings.
 type placerHidden struct{ w *store.Writer }
 
 func (p placerHidden) ReadAt(b []byte, off int64) (int, error)  { return p.w.ReadAt(b, off) }
 func (p placerHidden) WriteAt(b []byte, off int64) (int, error) { return p.w.WriteAt(b, off) }
 
-// TestStoreEncodeWithoutPlacer runs the write path a build without the
-// placer takes — one WriteAt per block, a tag pass over ReadAt and
-// WriteAt, every shard checksummed at Commit — and requires the shard
-// bytes and committed CRCs the placer commits.
+// TestStoreEncodeWithoutPlacer runs the write path a build without
+// Images takes — one WriteAt per block, a tag pass over ReadAt and
+// WriteAt — and requires the shard bytes and committed CRCs the encode
+// through the lent mappings commits.
 func TestStoreEncodeWithoutPlacer(t *testing.T) {
 	data := testData(t, 40000)
 	for _, params := range []blockfile.Params{fastParams, blockfile.DefaultParams()} {
@@ -417,7 +416,7 @@ func TestStoreEncodeWithoutPlacer(t *testing.T) {
 		}
 		for s := range want.Shards {
 			if got.Shards[s] != want.Shards[s] {
-				t.Fatalf("block size %d, shard %d: %+v without the placer, %+v with it", params.BlockSize, s, got.Shards[s], want.Shards[s])
+				t.Fatalf("block size %d, shard %d: %+v without the loan, %+v with it", params.BlockSize, s, got.Shards[s], want.Shards[s])
 			}
 		}
 		var imgs [2][]byte
@@ -436,7 +435,7 @@ func TestStoreEncodeWithoutPlacer(t *testing.T) {
 			st.Close()
 		}
 		if !bytes.Equal(imgs[1], imgs[0]) {
-			t.Fatalf("block size %d: shard bytes differ without the placer", params.BlockSize)
+			t.Fatalf("block size %d: shard bytes differ without the loan", params.BlockSize)
 		}
 	}
 }

@@ -4,6 +4,8 @@ package store
 
 import (
 	"fmt"
+	"hash/crc32"
+	"io"
 	"os"
 )
 
@@ -28,4 +30,14 @@ func (s *Store) Verify() error {
 		}
 	}
 	return nil
+}
+
+// shardCRC streams the first n bytes of a shard file through CRC-32C,
+// reading through buf.
+func shardCRC(f *os.File, n int64, buf []byte) (uint32, error) {
+	crc := crc32.New(castagnoli)
+	if _, err := io.CopyBuffer(crc, io.NewSectionReader(f, 0, n), buf); err != nil {
+		return 0, err
+	}
+	return crc.Sum32(), nil
 }

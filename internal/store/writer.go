@@ -16,9 +16,8 @@ import (
 type Options struct {
 	// ShardTargetBytes is the desired shard size; the writer aligns it to
 	// a whole number of segments. 0 picks an adaptive default:
-	// encoded/16 clamped to [1 MiB, 64 MiB], so small files stay
-	// many-sharded enough to exercise the placer while huge files never
-	// need more than a 64 MiB shard.
+	// encoded/16 clamped to [1 MiB, 64 MiB], so small files still span
+	// many shards while huge files never need more than a 64 MiB shard.
 	ShardTargetBytes int64
 	// Sync, when true, fsyncs every shard file at Commit before the
 	// manifest rename, making the committed store power-loss durable.
@@ -33,8 +32,8 @@ const (
 	// hardMaxShardBytes bounds any caller-supplied ShardTargetBytes and
 	// any manifest Open accepts: a shard is one blockfile.SlotGeom view.
 	hardMaxShardBytes = blockfile.MaxViewBytes
-	// compactChunkBytes sizes the sequential read buffer of Commit's
-	// re-checksum (and of Verify where shards are not mapped).
+	// compactChunkBytes sizes the sequential read buffer of the checksums
+	// taken where shards are not mapped (Commit's and Verify's).
 	compactChunkBytes = 1 << 20
 )
 
@@ -47,12 +46,12 @@ func shardSizeFor(layout blockfile.Layout, target int64) int64 {
 }
 
 // Writer materialises one encoded file into a store directory: the
-// por.StreamTarget of a streaming encode and, on unix, the placer the POR
-// scatter stage uses (writer_unix.go). Create maps every shard writable
-// and shared; PlaceBlocks stores each block at its slot through the
-// mappings; FlushPlacements stamps the tags and takes the checksums in
-// place and unmaps the shards; Commit fsyncs them (under Options.Sync)
-// and publishes the manifest by atomic rename.
+// por.StreamTarget of a streaming encode. Create maps every shard
+// writable and shared (on unix); the encode borrows the mappings through
+// Images (writer_unix.go), placing every block at its slot and stamping
+// the tags in place; Commit checksums the mappings and unmaps them,
+// fsyncs the shards (under Options.Sync) and publishes the manifest by
+// atomic rename.
 //
 // WriteAt and ReadAt address the shard files directly, for callers that
 // patch or inspect a materialised store and, off unix, for the encode
@@ -64,19 +63,14 @@ type Writer struct {
 	layout blockfile.Layout
 	opts   Options
 	shards []*os.File
-	geom   blockfile.SlotGeom
 
-	// mu guards the placer's state (unix) and the dirty marks: placing a
-	// chunk group is a short store loop, so one lock per PlaceBlocks call
-	// is all the exclusion the placer needs.
-	mu       sync.Mutex
-	maps     [][]byte // per shard: its writable mapping until the flush
-	seen     []uint64 // one bit per block slot, set when it is placed
-	placed   int64
-	flushed  bool
-	flushErr error
-	dirty    []bool // shards whose CRC-32C Commit must take afresh
-	done     bool
+	// mu guards the loan of the mappings and their seal (unix).
+	mu     sync.Mutex
+	maps   [][]byte // per shard: its writable mapping until seal
+	lent   bool     // Images has run
+	sealed bool     // seal has run: the checksums are taken
+	err    error    // latched: a failed loan or seal keeps Commit from publishing
+	done   bool
 }
 
 // Create initialises a store directory for one encoded file and returns
@@ -129,8 +123,6 @@ func Create(dir, fileID string, layout blockfile.Layout, opts Options) (*Writer,
 		layout: layout,
 		opts:   opts,
 		shards: make([]*os.File, len(man.Shards)),
-		geom:   layout.SlotGeom(shardBytes),
-		dirty:  make([]bool, len(man.Shards)),
 	}
 	for s := range man.Shards {
 		f, err := os.OpenFile(w.shardPath(s), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -180,6 +172,9 @@ func removeStaleShardFiles(dir string, keep int) error {
 // Manifest returns the (still uncommitted) manifest being built.
 func (w *Writer) Manifest() Manifest { return w.man }
 
+// Layout returns the layout the writer was created for.
+func (w *Writer) Layout() blockfile.Layout { return w.layout }
+
 // forShards walks the shard spans covering [off, off+n) and calls fn with
 // (shard, shard-relative offset, slice of p covering the span).
 func forShards(man Manifest, p []byte, off int64, fn func(s int, rel int64, part []byte) error) error {
@@ -200,20 +195,14 @@ func forShards(man Manifest, p []byte, off int64, fn func(s int, rel int64, part
 }
 
 // WriteAt writes into the shard files at an absolute encoded-file offset,
-// spanning shard boundaries as needed. The files and the placer's
-// mappings share one page cache, so placements and writes land in the
-// same bytes, the later one winning; a shard written after
-// FlushPlacements is checksummed afresh at Commit.
+// spanning shard boundaries as needed. The files and the mappings share
+// one page cache, so an encode's stores and writes land in the same
+// bytes, the later one winning, and Commit checksums what they hold.
 func (w *Writer) WriteAt(p []byte, off int64) (int, error) {
 	if off < 0 || off+int64(len(p)) > w.man.EncodedBytes {
 		return 0, fmt.Errorf("store: write [%d, %d) outside encoded size %d", off, off+int64(len(p)), w.man.EncodedBytes)
 	}
 	err := forShards(w.man, p, off, func(s int, rel int64, part []byte) error {
-		w.mu.Lock()
-		if w.flushed {
-			w.dirty[s] = true
-		}
-		w.mu.Unlock()
 		_, werr := w.shards[s].WriteAt(part, rel)
 		return werr
 	})
@@ -224,17 +213,17 @@ func (w *Writer) WriteAt(p []byte, off int64) (int, error) {
 }
 
 // ReadAt reads from the shard files at an absolute encoded-file offset.
-// Placed blocks are visible as soon as PlaceBlocks returns, the files
-// sharing the placer's page cache; their segments' tags are zero until
-// FlushPlacements stamps them.
+// Blocks an encode stores through the mappings are visible at once, the
+// files sharing their page cache.
 func (w *Writer) ReadAt(p []byte, off int64) (int, error) {
 	return readShards(w.man, w.shards, nil, p, off)
 }
 
-// Commit flushes the placements if that has not happened yet,
-// re-checksums any shard WriteAt touched since (every shard, off unix),
-// optionally fsyncs the shards, and publishes the completed manifest by
-// atomic rename. After Commit the directory opens as a consistent Store.
+// Commit refuses an encode that failed inside Images, takes every shard's
+// CRC-32C (seal: over the mappings, which it then unmaps; off unix, from
+// the files), optionally fsyncs the shards, and publishes the completed
+// manifest by atomic rename. After Commit the directory opens as a
+// consistent Store.
 func (w *Writer) Commit() (Manifest, error) {
 	if w.done {
 		return Manifest{}, errors.New("store: already committed")
@@ -242,18 +231,7 @@ func (w *Writer) Commit() (Manifest, error) {
 	if err := w.seal(); err != nil {
 		return Manifest{}, err
 	}
-	var buf []byte
 	for s, f := range w.shards {
-		if w.dirty[s] {
-			if buf == nil {
-				buf = make([]byte, compactChunkBytes)
-			}
-			crc, err := shardCRC(f, w.man.Shards[s].Bytes, buf)
-			if err != nil {
-				return Manifest{}, fmt.Errorf("store: checksum shard %d: %w", s, err)
-			}
-			w.man.Shards[s].CRC32C = crc
-		}
 		if w.opts.Sync {
 			if err := f.Sync(); err != nil {
 				return Manifest{}, fmt.Errorf("store: sync shard %d: %w", s, err)

@@ -14,10 +14,10 @@ import (
 const zeroFillBytes = 1 << 20
 
 // mapShards fills every shard's page cache with zeroFillBytes writes of
-// zeros, then maps the shard writable and shared, and allocates the
-// placement bitmap. Stores into pages that large writes brought in take
-// about one write fault per large folio; into an unfilled file they fault
-// in page by page. The zeros come from an anonymous mapping, not the heap.
+// zeros, then maps the shard writable and shared. Stores into pages that
+// large writes brought in take about one write fault per large folio;
+// into an unfilled file they fault in page by page. The zeros come from
+// an anonymous mapping, not the heap.
 func (w *Writer) mapShards() error {
 	z, err := syscall.Mmap(-1, 0, zeroFillBytes, syscall.PROT_READ, syscall.MAP_PRIVATE|syscall.MAP_ANON)
 	if err != nil {
@@ -39,11 +39,10 @@ func (w *Writer) mapShards() error {
 			return fmt.Errorf("store: map shard %d: %w", s, err)
 		}
 	}
-	w.seen = make([]uint64, (w.layout.TotalBlocks+63)/64)
 	return nil
 }
 
-// unmapShards releases every shard mapping the flush has not.
+// unmapShards releases every shard mapping seal has not.
 func (w *Writer) unmapShards() error {
 	var first error
 	for s, m := range w.maps {
@@ -57,114 +56,64 @@ func (w *Writer) unmapShards() error {
 	return first
 }
 
-// PlaceBlocks stores len(slots) blocks of blockSize bytes from buf at
-// their block slots: slot b is block b of the permuted file F‴, stored at
-// blockfile.Layout.StoredBlockOffset(b). The slots may be scattered
-// anywhere; each block goes straight into its shard's mapping through
-// blockfile.SlotGeom.Place, one 16-byte store for the paper's blocks.
-// Every slot is checked against the layout before anything is stored. A
-// slot placed twice, or a shard cut short underneath its mapping, is
-// ErrCorrupt after part of the batch is stored, so the writer latches
-// failed: FlushPlacements and Commit return the same error. Safe for
-// concurrent use by the encode's workers.
-func (w *Writer) PlaceBlocks(buf []byte, blockSize int, slots []uint64) error {
-	if blockSize != w.layout.BlockSize {
-		return fmt.Errorf("store: placing %d-byte blocks into a %d-byte-block layout", blockSize, w.layout.BlockSize)
-	}
-	if len(buf) != len(slots)*blockSize {
-		return fmt.Errorf("store: %d bytes for %d placements", len(buf), len(slots))
-	}
-	total := uint64(w.layout.TotalBlocks)
-	for _, b := range slots {
-		if b >= total {
-			return fmt.Errorf("store: block slot %d outside the layout's %d", b, total)
-		}
-	}
+// Images lends the writer's writable shard mappings to fn, once, for an
+// encode to place its blocks and stamp its tags in: views[s] is shard s,
+// every shard but the last ShardBytes long. It holds the writer's lock
+// for the whole loan, refuses a shard already cut short, and runs fn —
+// and guard, for every goroutine fn starts — with a memory fault (a
+// shard cut short during the loan) reported as ErrCorrupt. Any error,
+// fn's included, latches: Commit returns it. The mappings stay the
+// writer's; Commit checksums them and unmaps them.
+func (w *Writer) Images(fn func(views [][]byte, guard func(func() error) error) error) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.flushed {
-		if w.flushErr != nil {
-			return w.flushErr
-		}
-		return errors.New("store: PlaceBlocks after FlushPlacements")
+	if w.err != nil {
+		return w.err
 	}
-	err := faultsAsCorrupt(func() error {
-		if j := w.geom.Place(w.maps, buf, slots, w.seen); j >= 0 {
-			return fmt.Errorf("%w: block slot %d placed twice", ErrCorrupt, slots[j])
-		}
-		return nil
-	})
-	if err != nil {
-		w.flushed, w.flushErr = true, err
-		return err
+	if w.lent || w.sealed {
+		return errors.New("store: the shard images are lent once, before Commit")
 	}
-	w.placed += int64(len(slots))
-	metricStorePlacedBlocks.Add(uint64(len(slots)))
-	return nil
+	w.lent = true
+	w.err = w.checkShardSizes()
+	if w.err == nil {
+		w.err = faultsAsCorrupt(func() error { return fn(w.maps, faultsAsCorrupt) })
+	}
+	return w.err
 }
 
-// FlushPlacements seals the shards. It checks that every block slot of
-// the layout was placed: PlaceBlocks refused every slot outside the
-// layout or placed twice, so a count equal to TotalBlocks pins the
-// bijection, and a duplicate-plus-missing pair cannot commit a
-// zero-filled block. (A writer with nothing placed was filled through
-// WriteAt, by a caller that hid the placer; its shards are only
-// checksummed.) Then, in ascending shard order, finish (when not nil) is
-// called once on the shard's mapping — every block at its slot, tag
-// bytes zero, at byte offset off of the encoded file, both ends segment
-// boundaries — to stamp the tags in place; the mapping's CRC-32C is
-// taken and the shard unmapped. A shard already cut short is refused
-// before finish sees it. finish runs on the flushing goroutine under
-// guard, which reports a memory fault — a shard cut short after that
-// check — as ErrCorrupt and puts the goroutine's fault setting back; any
-// goroutine finish starts must run its work through guard too. The first
-// call decides: every later call returns its error, finish's included.
-func (w *Writer) FlushPlacements(finish func(img []byte, off int64, guard func(func() error) error) error) error {
-	w.mu.Lock()
-	decided, err, placed := w.flushed, w.flushErr, w.placed
-	w.flushed = true
-	w.mu.Unlock()
-	if decided {
-		return err // a failed flush stays failed: Commit must not publish
-	}
-	err = w.flushPlacements(placed, finish)
-	w.mu.Lock()
-	w.flushErr = err
-	w.mu.Unlock()
-	return err
-}
-
-func (w *Writer) flushPlacements(placed int64, finish func(img []byte, off int64, guard func(func() error) error) error) error {
-	if want := w.layout.TotalBlocks; placed != want && placed != 0 {
-		return fmt.Errorf("store: %d blocks placed, layout has %d", placed, want)
-	}
-	for s, m := range w.maps {
-		if st, err := w.shards[s].Stat(); err != nil {
+// checkShardSizes refuses a shard file shorter than its manifest length,
+// before its mapping is touched.
+func (w *Writer) checkShardSizes() error {
+	for s, f := range w.shards {
+		if st, err := f.Stat(); err != nil {
 			return fmt.Errorf("store: stat shard %d: %w", s, err)
 		} else if st.Size() < w.man.Shards[s].Bytes {
 			return fmt.Errorf("%w: shard %d is %d bytes, want %d", ErrCorrupt, s, st.Size(), w.man.Shards[s].Bytes)
 		}
-		err := faultsAsCorrupt(func() error {
-			if finish != nil {
-				if err := finish(m, int64(s)*w.man.ShardBytes, faultsAsCorrupt); err != nil {
-					return fmt.Errorf("store: finish shard %d: %w", s, err)
-				}
-			}
-			w.man.Shards[s].CRC32C = crc32.Checksum(m, castagnoli)
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		if m != nil {
-			if err := syscall.Munmap(m); err != nil {
-				return fmt.Errorf("store: unmap shard %d: %w", s, err)
-			}
-			w.maps[s] = nil
-		}
 	}
 	return nil
 }
 
-// seal completes the encode's writes before Commit: the flush.
-func (w *Writer) seal() error { return w.FlushPlacements(nil) }
+// seal takes every shard's CRC-32C over its mapping and unmaps it, once;
+// a failure, or an earlier one latched by Images, is returned by every
+// later call.
+func (w *Writer) seal() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.err != nil || w.sealed {
+		return w.err
+	}
+	w.sealed = true
+	if w.err = w.checkShardSizes(); w.err == nil {
+		w.err = faultsAsCorrupt(func() error {
+			for s, m := range w.maps {
+				w.man.Shards[s].CRC32C = crc32.Checksum(m, castagnoli)
+			}
+			return nil
+		})
+	}
+	if w.err == nil {
+		w.err = w.unmapShards()
+	}
+	return w.err
+}

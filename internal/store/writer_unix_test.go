@@ -5,10 +5,12 @@ package store_test
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime/debug"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/blockfile"
@@ -17,7 +19,7 @@ import (
 	"repro/internal/telemetry"
 )
 
-// The placer's tests: PlaceBlocks and FlushPlacements exist on unix only.
+// The tests of the writer's loan: Images exists on unix only.
 
 // TestStoreCrashMidEncodeDetectedAndRecovered is the crash-recovery
 // contract: an encode that dies partway (here: the writer is abandoned
@@ -33,18 +35,16 @@ func TestStoreCrashMidEncodeDetectedAndRecovered(t *testing.T) {
 	}
 	dir := t.TempDir()
 
-	// Simulate the crash: place a prefix of the file, never flush or
-	// commit, drop the writer.
+	// Simulate the crash: store a prefix of the file through the loan,
+	// never commit, drop the writer.
 	w, err := store.Create(dir, "f", layout, store.Options{ShardTargetBytes: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocks := make([]byte, 8*layout.BlockSize)
-	slots := make([]uint64, 8)
-	for i := range slots {
-		slots[i] = uint64(i * layout.SegmentBlocks) // arbitrary valid block slots
-	}
-	if err := w.PlaceBlocks(blocks, layout.BlockSize, slots); err != nil {
+	if err := w.Images(func(views [][]byte, _ func(func() error) error) error {
+		copy(views[0], data)
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
@@ -75,139 +75,79 @@ func TestStoreCrashMidEncodeDetectedAndRecovered(t *testing.T) {
 	}
 }
 
-// TestStoreFailedFlushCannotCommit: a bad placement set must fail, stay
-// failed, and keep Commit from publishing a checksum-"valid" manifest
-// over unfinished shards. A slot placed twice — inside one batch or
-// across two — is refused by PlaceBlocks itself and latches the writer:
-// placing the slot it left missing, flushing and committing all return
-// the same ErrCorrupt. A slot outside the layout is refused by
-// PlaceBlocks before any block of its batch is stored, and latches
-// nothing.
+// TestStoreFailedFlushCannotCommit: a failed loan must stay failed and
+// keep Commit from publishing a checksum-"valid" manifest over unfinished
+// shards. Here the loan's fn places slot 0 a second time, which the
+// bitmap it keeps refuses, and returns that error: Images returns it, a
+// second loan returns it without running fn, Commit returns it, and Open
+// reports an incomplete encode. The engine's own bitmap is pinned by
+// por's TestPlaceSlotTwiceFails, and a refused encode by
+// TestStreamRefusesAnotherLayout.
 func TestStoreFailedFlushCannotCommit(t *testing.T) {
-	data := testData(t, 9000)
-	layout, err := blockfile.NewLayout(fastParams, int64(len(data)))
+	layout, err := blockfile.NewLayout(fastParams, 9000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := int(layout.TotalBlocks)
-	blocks := make([]byte, n*layout.BlockSize)
-	every := func() []uint64 {
-		slots := make([]uint64, n)
-		for i := range slots {
-			slots[i] = uint64(i)
-		}
-		return slots
-	}
-	opts := store.Options{ShardTargetBytes: 4096}
 	t.Run("duplicate", func(t *testing.T) {
-		for _, split := range []int{n, n / 2} {
-			dir := t.TempDir()
-			w, err := store.Create(dir, "f", layout, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer w.Close()
-			// Slot 0 again where slot split-1 belongs: the last block of
-			// the first batch, or the first of the second.
-			slots := every()
-			dup := split - 1
-			if split < n {
-				dup = split
-			}
-			missing := slots[dup]
-			slots[dup] = 0
-			bs := layout.BlockSize
-			if split < n {
-				if err := w.PlaceBlocks(blocks[:split*bs], bs, slots[:split]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := w.PlaceBlocks(blocks[(split%n)*bs:], bs, slots[split%n:]); !errors.Is(err, store.ErrCorrupt) {
-				t.Fatalf("split %d: placing slot 0 twice: err = %v, want ErrCorrupt", split, err)
-			}
-			if err := w.PlaceBlocks(blocks[:bs], bs, []uint64{missing}); !errors.Is(err, store.ErrCorrupt) {
-				t.Fatalf("split %d: placing the missing slot: err = %v, want the latched ErrCorrupt", split, err)
-			}
-			for i := 0; i < 2; i++ {
-				if err := w.FlushPlacements(nil); !errors.Is(err, store.ErrCorrupt) {
-					t.Fatalf("split %d: flush call %d: err = %v, want the latched ErrCorrupt", split, i+1, err)
-				}
-			}
-			if _, err := w.Commit(); !errors.Is(err, store.ErrCorrupt) {
-				t.Fatalf("split %d: commit after a refused duplicate: err = %v, want ErrCorrupt", split, err)
-			}
-			if _, err := store.Open(dir); !errors.Is(err, store.ErrIncomplete) {
-				t.Fatalf("split %d: Open: err = %v, want ErrIncomplete", split, err)
-			}
-		}
-	})
-
-	// A slot at TotalBlocks fails its whole batch: nothing of it is
-	// stored, so placing the good slots afterwards completes the set.
-	w, err := store.Create(t.TempDir(), "f", layout, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	bad := every()
-	bad[n/2] = uint64(n)
-	if err := w.PlaceBlocks(blocks, layout.BlockSize, bad); err == nil {
-		t.Fatal("PlaceBlocks accepted a slot at TotalBlocks")
-	}
-	if err := w.PlaceBlocks(blocks, layout.BlockSize, every()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Commit(); err != nil {
-		t.Fatalf("commit after a refused batch and a complete one: %v", err)
-	}
-}
-
-// fillStore places every block of the layout through PlaceBlocks, in a
-// shuffled order and several calls; block i carries byte(i) + 1 throughout,
-// so a materialised image says which block sits where and a zero byte can
-// only be a tag byte.
-func fillStore(t *testing.T, w *store.Writer, layout blockfile.Layout) {
-	t.Helper()
-	bs := layout.BlockSize
-	order := rand.New(rand.NewSource(3)).Perm(int(layout.TotalBlocks))
-	for len(order) > 0 {
-		n := min(len(order), 97)
-		blocks := make([]byte, n*bs)
-		slots := make([]uint64, n)
-		for j, i := range order[:n] {
-			slots[j] = uint64(i)
-			for k := 0; k < bs; k++ {
-				blocks[j*bs+k] = byte(i) + 1
-			}
-		}
-		if err := w.PlaceBlocks(blocks, bs, slots); err != nil {
-			t.Fatal(err)
-		}
-		order = order[n:]
-	}
-}
-
-// TestStorePlaceConcurrent: PlaceBlocks from 8 goroutines at once, over
-// some thirty shards, materialises the same bytes and checksums as one
-// goroutine placing every block.
-func TestStorePlaceConcurrent(t *testing.T) {
-	layout, err := blockfile.NewLayout(fastParams, 20000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := store.Options{ShardTargetBytes: 1000}
-	commit := func(place func(w *store.Writer)) ([]byte, store.Manifest) {
 		dir := t.TempDir()
-		w, err := store.Create(dir, "f", layout, opts)
+		w, err := store.Create(dir, "f", layout, store.Options{ShardTargetBytes: 4096})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer w.Close()
-		place(w)
-		man, err := w.Commit()
-		if err != nil {
-			t.Fatal(err)
+		errTwice := errors.New("block slot 0 placed twice")
+		calls := 0
+		place := func(views [][]byte, _ func(func() error) error) error {
+			calls++
+			seen := make([]uint64, (layout.TotalBlocks+63)/64)
+			slots := []uint64{0, 5, uint64(layout.TotalBlocks) - 1, 0}
+			if j := layout.SlotGeom(int64(len(views[0]))).Place(views, make([]byte, len(slots)*layout.BlockSize), slots, seen); j != 3 {
+				t.Fatalf("Place stopped at %d, want 3", j)
+			}
+			return errTwice
 		}
+		if err := w.Images(place); !errors.Is(err, errTwice) {
+			t.Fatalf("loan: err = %v, want %v", err, errTwice)
+		}
+		if err := w.Images(place); !errors.Is(err, errTwice) || calls != 1 {
+			t.Fatalf("second loan: err = %v after %d calls, want the latched error and no further call", err, calls)
+		}
+		for i := 0; i < 2; i++ {
+			if _, err := w.Commit(); !errors.Is(err, errTwice) {
+				t.Fatalf("commit %d after the failed loan: err = %v, want %v", i+1, err, errTwice)
+			}
+		}
+		if _, err := store.Open(dir); !errors.Is(err, store.ErrIncomplete) {
+			t.Fatalf("Open: err = %v, want ErrIncomplete", err)
+		}
+	})
+}
+
+// placeAll stores every block of the layout into views through the slot
+// map; block i carries byte(i) + 1 throughout, so a materialised image
+// says which block sits where and a zero byte can only be a tag byte.
+func placeAll(views [][]byte, layout blockfile.Layout) {
+	bs, n := layout.BlockSize, int(layout.TotalBlocks)
+	blocks, slots := make([]byte, n*bs), make([]uint64, n)
+	for i := range slots {
+		slots[i] = uint64(i)
+		for k := 0; k < bs; k++ {
+			blocks[i*bs+k] = byte(i) + 1
+		}
+	}
+	layout.SlotGeom(int64(len(views[0]))).Place(views, blocks, slots, nil)
+}
+
+// TestStorePlaceConcurrent: an encode at Concurrency 8, its workers
+// placing and tagging over some thirty shards at once, commits the same
+// bytes and checksums as one at Concurrency 1.
+func TestStorePlaceConcurrent(t *testing.T) {
+	data := testData(t, 20000)
+	master := por.NewEncoder([]byte("concurrent-master")).WithParams(fastParams)
+	opts := store.Options{ShardTargetBytes: 1000}
+	commit := func(conc int) ([]byte, store.Manifest) {
+		dir := t.TempDir()
+		layout, man := encodeToStore(t, dir, master.WithConcurrency(conc), "f", data, opts)
 		st, err := store.Open(dir)
 		if err != nil {
 			t.Fatal(err)
@@ -219,35 +159,11 @@ func TestStorePlaceConcurrent(t *testing.T) {
 		}
 		return img, man
 	}
-	want, wantMan := commit(func(w *store.Writer) { fillStore(t, w, layout) })
-	got, gotMan := commit(func(w *store.Writer) {
-		bs := layout.BlockSize
-		order := rand.New(rand.NewSource(5)).Perm(int(layout.TotalBlocks))
-		errs := make(chan error, 8)
-		for g := 0; g < 8; g++ {
-			go func(g int) {
-				var err error
-				for lo := g * 64; lo < len(order) && err == nil; lo += 8 * 64 {
-					part := order[lo:min(lo+64, len(order))]
-					blocks := make([]byte, len(part)*bs)
-					slots := make([]uint64, len(part))
-					for j, i := range part {
-						slots[j] = uint64(i)
-						for k := 0; k < bs; k++ {
-							blocks[j*bs+k] = byte(i) + 1
-						}
-					}
-					err = w.PlaceBlocks(blocks, bs, slots)
-				}
-				errs <- err
-			}(g)
-		}
-		for g := 0; g < 8; g++ {
-			if err := <-errs; err != nil {
-				t.Fatal(err)
-			}
-		}
-	})
+	want, wantMan := commit(1)
+	got, gotMan := commit(8)
+	if len(wantMan.Shards) < 20 {
+		t.Fatalf("%d shards, want some thirty", len(wantMan.Shards))
+	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("concurrent placement materialised different bytes")
 	}
@@ -258,13 +174,13 @@ func TestStorePlaceConcurrent(t *testing.T) {
 	}
 }
 
-// TestStoreFinisherSeesEveryShardOnce is the contract of the flush seam
-// the encoder's tag stamping rides on: finish runs exactly once per
-// shard, in shard order, on the complete segment-aligned image at its
-// byte offset in the encoded file — every placed block at its slot, every
-// tag byte still zero — and what it writes into the image is what the
-// committed shard holds.
-func TestStoreFinisherSeesEveryShardOnce(t *testing.T) {
+// TestStoreImagesAreTheShards is the contract of the write-side loan:
+// Images lends every shard once, in shard order, each view its shard's
+// length and segment-aligned; blocks stored through the slot map and tag
+// bytes stamped into the views are what the committed shards hold, at
+// the offsets pread finds them; and the images are lent once, never
+// after Commit.
+func TestStoreImagesAreTheShards(t *testing.T) {
 	layout, err := blockfile.NewLayout(fastParams, 9000)
 	if err != nil {
 		t.Fatal(err)
@@ -275,51 +191,39 @@ func TestStoreFinisherSeesEveryShardOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	fillStore(t, w, layout)
-
 	man := w.Manifest()
 	segSize, payload := int64(layout.SegmentSize()), layout.SegmentPayloadBytes()
-	calls := 0
-	finish := func(img []byte, off int64, _ func(func() error) error) error {
-		s := calls
-		calls++
-		if s >= len(man.Shards) {
-			t.Fatalf("finish call %d for %d shards", calls, len(man.Shards))
+	err = w.Images(func(views [][]byte, _ func(func() error) error) error {
+		if len(views) != len(man.Shards) || len(views) < 10 {
+			t.Fatalf("%d views for %d shards (want one each, ten shards or more)", len(views), len(man.Shards))
 		}
-		if off != int64(s)*man.ShardBytes || int64(len(img)) != man.Shards[s].Bytes {
-			t.Fatalf("call %d: image [%d, +%d), want shard %d at [%d, +%d)", calls, off, len(img), s, int64(s)*man.ShardBytes, man.Shards[s].Bytes)
-		}
-		if off%segSize != 0 || int64(len(img))%segSize != 0 {
-			t.Fatalf("shard %d image [%d, +%d) is not segment-aligned (%d-byte segments)", s, off, len(img), segSize)
-		}
-		for i := int64(0); i < int64(len(img))/segSize; i++ {
-			seg := img[i*segSize : (i+1)*segSize]
-			for k, b := range seg {
-				want := byte(0) // tag slot
-				if k < payload {
-					want = byte((off/segSize+i)*int64(layout.SegmentBlocks)+int64(k/layout.BlockSize)) + 1
-				}
-				if b != want {
-					t.Fatalf("shard %d segment %d byte %d = %#x, want %#x", s, i, k, b, want)
-				}
+		for s, v := range views {
+			if int64(len(v)) != man.Shards[s].Bytes || int64(len(v))%segSize != 0 {
+				t.Fatalf("view %d is %d bytes, want shard %d's %d, segment-aligned", s, len(v), s, man.Shards[s].Bytes)
 			}
-			for k := payload; k < len(seg); k++ {
-				seg[k] = 0xA0 | byte(s)&0xf
+		}
+		// Each segment's tag bytes say which view stamped them.
+		placeAll(views, layout)
+		for s, v := range views {
+			for i := int64(0); i < int64(len(v))/segSize; i++ {
+				for k := payload; k < int(segSize); k++ {
+					v[i*segSize+int64(k)] = 0xA0 | byte(s)&0xf
+				}
 			}
 		}
 		return nil
-	}
-	if err := w.FlushPlacements(finish); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if calls != len(man.Shards) || calls < 10 {
-		t.Fatalf("finish ran %d times over %d shards (want one each, ten shards or more)", calls, len(man.Shards))
-	}
-	if err := w.FlushPlacements(finish); err != nil || calls != len(man.Shards) {
-		t.Fatalf("second flush: err = %v, finish calls %d → want nil and no further call", err, calls)
+	if err := w.Images(func([][]byte, func(func() error) error) error { return nil }); err == nil {
+		t.Fatal("a second loan was granted")
 	}
 	if _, err := w.Commit(); err != nil {
 		t.Fatal(err)
+	}
+	if err := w.Images(func([][]byte, func(func() error) error) error { return nil }); err == nil {
+		t.Fatal("a loan was granted after Commit")
 	}
 	st, err := store.Open(dir)
 	if err != nil {
@@ -329,63 +233,29 @@ func TestStoreFinisherSeesEveryShardOnce(t *testing.T) {
 	if err := st.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	for _, i := range []int64{0, layout.Segments / 2, layout.Segments - 1} {
+	for i := int64(0); i < layout.Segments; i++ {
 		seg, err := st.ReadSegment(i)
 		if err != nil {
 			t.Fatal(err)
 		}
 		s := i * segSize / man.ShardBytes
-		if seg[0] != byte(i*int64(layout.SegmentBlocks))+1 || seg[payload] != 0xA0|byte(s)&0xf {
-			t.Fatalf("committed segment %d = %x: not the finished image of shard %d", i, seg, s)
+		for k, b := range seg {
+			want := 0xA0 | byte(s)&0xf // tag slot
+			if k < payload {
+				want = byte(i*int64(layout.SegmentBlocks)+int64(k/layout.BlockSize)) + 1
+			}
+			if b != want {
+				t.Fatalf("committed segment %d byte %d = %#x, want %#x: not what the loan stored in shard %d", i, k, b, want, s)
+			}
 		}
-	}
-}
-
-// TestStoreFinisherErrorCannotCommit: an error from finish is a flush
-// error like any other — it fails the flush, stays latched (finish is not
-// given a second try), keeps Commit from publishing, and leaves a
-// directory Open reports as an incomplete encode.
-func TestStoreFinisherErrorCannotCommit(t *testing.T) {
-	layout, err := blockfile.NewLayout(fastParams, 9000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	w, err := store.Create(dir, "f", layout, store.Options{ShardTargetBytes: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	fillStore(t, w, layout)
-
-	errTag := errors.New("tagging failed")
-	calls := 0
-	finish := func([]byte, int64, func(func() error) error) error {
-		calls++
-		if calls == 3 {
-			return errTag
-		}
-		return nil
-	}
-	if err := w.FlushPlacements(finish); !errors.Is(err, errTag) {
-		t.Fatalf("flush with a failing finish: err = %v, want it to wrap %v", err, errTag)
-	}
-	if err := w.FlushPlacements(finish); !errors.Is(err, errTag) || calls != 3 {
-		t.Fatalf("second flush: err = %v after %d finish calls, want the latched error and no further call", err, calls)
-	}
-	if _, err := w.Commit(); !errors.Is(err, errTag) {
-		t.Fatalf("commit after a failed finish: err = %v, want %v", err, errTag)
-	}
-	if _, err := store.Open(dir); !errors.Is(err, store.ErrIncomplete) {
-		t.Fatalf("Open after a failed finish: err = %v, want ErrIncomplete", err)
 	}
 }
 
 // TestStoreCommitChecksums: the shard CRCs are taken over the mappings at
-// the flush, so Commit reads nothing back — and a shard patched
-// through Writer.WriteAt after the flush is checksummed afresh. Either
-// way the committed manifest must agree with a fresh Verify, and the
-// patch must be what the store serves.
+// Commit, so Commit reads nothing back, and a shard patched through
+// Writer.WriteAt after the loan is checksummed with the patch. Either way
+// the committed manifest must agree with a fresh Verify, and the patch
+// must be what the store serves.
 func TestStoreCommitChecksums(t *testing.T) {
 	layout, err := blockfile.NewLayout(fastParams, 9000)
 	if err != nil {
@@ -397,8 +267,10 @@ func TestStoreCommitChecksums(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fillStore(t, w, layout)
-		if err := w.FlushPlacements(nil); err != nil {
+		if err := w.Images(func(views [][]byte, _ func(func() error) error) error {
+			placeAll(views, layout)
+			return nil
+		}); err != nil {
 			t.Fatal(err)
 		}
 		off := w.Manifest().ShardBytes*2 - 2 // spans shards 1 and 2
@@ -407,8 +279,12 @@ func TestStoreCommitChecksums(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		c0 := counters()
 		if _, err := w.Commit(); err != nil {
 			t.Fatal(err)
+		}
+		if d := counters()["geoproof_store_preads_total"] - c0["geoproof_store_preads_total"]; d != 0 {
+			t.Errorf("patch=%v: Commit issued %v preads, want none", patch, d)
 		}
 		w.Close()
 		st, err := store.Open(dir)
@@ -438,39 +314,102 @@ func counters() map[string]float64 {
 	return m
 }
 
-// TestStoreWriteTelemetry: one encode moves the placer's counter by
-// exactly the layout's block count.
+// TestStoreWriteTelemetry: an encode into a store and its Commit read
+// nothing back — blocks and tags go into the mappings, the checksums are
+// taken over them — so the pread counters do not move; the same encode
+// with the loan hidden reads every segment back for its tag pass.
 func TestStoreWriteTelemetry(t *testing.T) {
 	data := testData(t, 40000)
 	enc := por.NewEncoder([]byte("count-master")).WithParams(fastParams).WithConcurrency(4)
 	c0 := counters()
 	layout, _ := encodeToStore(t, t.TempDir(), enc, "f", data, store.Options{ShardTargetBytes: 4096})
 	c1 := counters()
-	blocks := float64(layout.TotalBlocks)
-	if d := c1["geoproof_store_placed_blocks_total"] - c0["geoproof_store_placed_blocks_total"]; d != blocks {
-		t.Errorf("placed_blocks_total moved by %v, want %v", d, blocks)
+	for _, name := range []string{"geoproof_store_preads_total", "geoproof_store_pread_bytes_total"} {
+		if d := c1[name] - c0[name]; d != 0 {
+			t.Errorf("%s moved by %v over a store encode, want 0", name, d)
+		}
 	}
+	w, err := store.Create(t.TempDir(), "f", layout, store.Options{ShardTargetBytes: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if _, err := enc.EncodeStream("f", bytes.NewReader(data), int64(len(data)), placerHidden{w}); err != nil {
+		t.Fatal(err)
+	}
+	if d := counters()["geoproof_store_pread_bytes_total"] - c1["geoproof_store_pread_bytes_total"]; d != float64(layout.EncodedBytes) {
+		t.Errorf("the hidden loan's tag pass read %v bytes back, want the encoded %d", d, layout.EncodedBytes)
+	}
+}
+
+// imageFile is what both store types offer the POR engine on unix.
+type imageFile interface {
+	io.ReaderAt
+	io.WriterAt
+	Images(fn func(views [][]byte, guard func(func() error) error) error) error
+	Layout() blockfile.Layout
+}
+
+// cutInLoan lends f's images with a guard that calls cut just before the
+// at-th guarded piece of work runs (counting from 1), and counts them.
+type cutInLoan struct {
+	imageFile
+	at    int64
+	cut   func()
+	calls atomic.Int64
+}
+
+func (c *cutInLoan) Images(fn func(views [][]byte, guard func(func() error) error) error) error {
+	return c.imageFile.Images(func(views [][]byte, guard func(func() error) error) error {
+		return fn(views, func(work func() error) error {
+			if c.calls.Add(1) == c.at {
+				c.cut()
+			}
+			return guard(work)
+		})
+	})
 }
 
 // TestPlaceSurvivesTruncatedShard plays the hostile filesystem on the
 // write path, the mirror of TestGatherSurvivesTruncatedShard: a shard cut
-// short under a live Writer — before a batch stores past the cut, before
-// the flush, inside the finisher, or inside an encode's finisher before
-// its two tag workers stamp the shard — comes back as ErrCorrupt from
-// PlaceBlocks, FlushPlacements or EncodeStream, keeps Commit from
-// publishing and leaves a directory Open reports incomplete, while the
-// process lives on and the goroutine's fault setting is put back.
+// short under a live Writer comes back as ErrCorrupt from EncodeStream,
+// Images or Commit, keeps Commit from publishing and leaves a directory
+// Open reports incomplete, while the process lives on and the
+// goroutine's fault setting is put back. The cut lands before the encode
+// (the loan's size check refuses it), after the encode and before Commit
+// (Commit's), inside a loan whose fn stores past it on the lending
+// goroutine, at the encode's first placement on a pipeline worker, and
+// after placement, before the encoder's two tag workers stamp shard 1 —
+// each of the two faults on its own goroutine.
 func TestPlaceSurvivesTruncatedShard(t *testing.T) {
 	const size = 200000
 	layout, err := blockfile.NewLayout(fastParams, size)
 	if err != nil {
 		t.Fatal(err)
 	}
+	data := testData(t, size)
+	enc := por.NewEncoder([]byte("cut-master")).WithParams(fastParams).WithConcurrency(2)
+	opts := store.Options{ShardTargetBytes: 64 << 10}
 	page := int64(os.Getpagesize())
-	for _, cut := range []string{"before-place", "before-flush", "inside-finish", "encode-workers"} {
+
+	// A clean encode counts the guarded pieces of work: the placements,
+	// then two tag workers per shard.
+	count := &cutInLoan{at: -1}
+	w0, err := store.Create(t.TempDir(), "f", layout, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	count.imageFile = w0
+	if _, err := enc.EncodeStream("f", bytes.NewReader(data), size, count); err != nil {
+		t.Fatal(err)
+	}
+	firstTag := count.calls.Load() - 2*int64(len(w0.Manifest().Shards)) + 1
+	w0.Close()
+
+	for _, cut := range []string{"before-place", "before-flush", "inside-finish", "mid-placement", "encode-workers"} {
 		t.Run(cut, func(t *testing.T) {
 			dir := t.TempDir()
-			w, err := store.Create(dir, "f", layout, store.Options{ShardTargetBytes: 64 << 10})
+			w, err := store.Create(dir, "f", layout, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -487,40 +426,30 @@ func TestPlaceSurvivesTruncatedShard(t *testing.T) {
 			prev := debug.SetPanicOnFault(false)
 			defer debug.SetPanicOnFault(prev)
 
-			bs := layout.BlockSize
-			per := uint64(man.ShardBytes / int64(layout.SegmentSize()) * int64(layout.SegmentBlocks))
+			encode := func(tgt por.StreamTarget) error {
+				_, err := enc.EncodeStream("f", bytes.NewReader(data), size, tgt)
+				return err
+			}
 			switch cut {
 			case "before-place":
-				// Shard 1's first block is inside the page the cut keeps,
-				// its last past it.
-				if err := w.PlaceBlocks(make([]byte, 2*bs), bs, []uint64{0, per}); err != nil {
+				truncate()
+				err = encode(w)
+			case "before-flush":
+				if err := encode(w); err != nil {
 					t.Fatal(err)
 				}
 				truncate()
-				err = w.PlaceBlocks(make([]byte, 3*bs), bs, []uint64{1, per + 1, 2*per - 1})
-			case "before-flush":
-				fillStore(t, w, layout)
-				truncate()
-				err = w.FlushPlacements(nil)
+				_, err = w.Commit()
 			case "inside-finish":
-				fillStore(t, w, layout)
-				err = w.FlushPlacements(func(img []byte, off int64, _ func(func() error) error) error {
-					if off == man.ShardBytes {
-						truncate()
-						img[len(img)-1] = 1
-					}
+				err = w.Images(func(views [][]byte, _ func(func() error) error) error {
+					truncate()
+					views[1][len(views[1])-1] = 1
 					return nil
 				})
+			case "mid-placement":
+				err = encode(&cutInLoan{imageFile: w, at: 1, cut: truncate})
 			case "encode-workers":
-				// The cut lands after the flush's size check on shard 1 and
-				// before the encoder's workers stamp its tags: each of the
-				// two faults on its own goroutine.
-				enc := por.NewEncoder([]byte("cut-master")).WithParams(fastParams).WithConcurrency(2)
-				_, err = enc.EncodeStream("f", bytes.NewReader(testData(t, size)), size, cutInFinish{w, func(off int64) {
-					if off == man.ShardBytes {
-						truncate()
-					}
-				}})
+				err = encode(&cutInLoan{imageFile: w, at: firstTag, cut: truncate})
 			}
 			t.Logf("cut %s: %v", cut, err)
 			if !errors.Is(err, store.ErrCorrupt) {
@@ -528,9 +457,6 @@ func TestPlaceSurvivesTruncatedShard(t *testing.T) {
 			}
 			if debug.SetPanicOnFault(false) {
 				t.Error("the writer left SetPanicOnFault on")
-			}
-			if err := w.FlushPlacements(nil); !errors.Is(err, store.ErrCorrupt) {
-				t.Fatalf("flush after the cut: err = %v, want the latched ErrCorrupt", err)
 			}
 			if _, err := w.Commit(); !errors.Is(err, store.ErrCorrupt) {
 				t.Fatalf("commit after the cut: err = %v, want ErrCorrupt", err)
@@ -542,26 +468,78 @@ func TestPlaceSurvivesTruncatedShard(t *testing.T) {
 	}
 }
 
-// cutInFinish is a Writer whose flush calls cut with each image's offset
-// before the encoder's finisher sees the image.
-type cutInFinish struct {
-	*store.Writer
-	cut func(off int64)
-}
-
-func (c cutInFinish) FlushPlacements(finish func([]byte, int64, func(func() error) error) error) error {
-	return c.Writer.FlushPlacements(func(img []byte, off int64, guard func(func() error) error) error {
-		c.cut(off)
-		return finish(img, off, guard)
+// TestStreamRefusesAnotherLayout: a store made for one file size is
+// refused by an encode or an extraction of another before any work, and
+// a refused encode leaves nothing Commit will publish. Each row passed
+// silently before the layouts were compared: the 100 001-byte encode into
+// a 100 000-byte writer (the same 7 395 blocks) committed a store that
+// extracted one byte short; the 100 000-byte encode into a 50 000-byte
+// writer failed, yet Commit published an all-zero store that Open and
+// Verify accepted; and an extraction under a 100 001-byte layout from the
+// 100 000-byte store wrote 100 001 bytes.
+func TestStreamRefusesAnotherLayout(t *testing.T) {
+	enc := por.NewEncoder([]byte("layout-master"))
+	layoutOf := func(n int64) blockfile.Layout {
+		l, err := blockfile.NewLayout(enc.Params(), n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	data := testData(t, 100001)
+	for _, c := range []struct {
+		name         string
+		store, input int64
+	}{
+		{"encode-one-byte-more", 100000, 100001},
+		{"encode-twice-the-size", 50000, 100000},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			w, err := store.Create(dir, "f", layoutOf(c.store), store.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			if _, err := enc.EncodeStream("f", bytes.NewReader(data), c.input, w); err == nil {
+				t.Fatalf("a %d-byte encode into a %d-byte store was accepted", c.input, c.store)
+			} else {
+				t.Log(err)
+			}
+			if _, err := w.Commit(); err == nil {
+				t.Fatal("Commit published the refused encode")
+			}
+			if _, err := store.Open(dir); !errors.Is(err, store.ErrIncomplete) {
+				t.Fatalf("Open: err = %v, want ErrIncomplete", err)
+			}
+		})
+	}
+	t.Run("extract-one-byte-more", func(t *testing.T) {
+		dir := t.TempDir()
+		encodeToStore(t, dir, enc, "f", data[:100000], store.Options{})
+		st, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		out := por.NewMemTarget(100001)
+		if err := enc.ExtractStream("f", layoutOf(100001), st, out); err == nil {
+			t.Fatal("an extraction under a 100 001-byte layout from a 100 000-byte store was accepted")
+		} else {
+			t.Log(err)
+		}
+		if !bytes.Equal(out.B, make([]byte, len(out.B))) {
+			t.Fatal("the refused extraction wrote output")
+		}
 	})
 }
 
-// BenchmarkStorePlace is the placer's own budget line: Create — which
-// fills the shards' page cache and maps them — then PlaceBlocks of an
-// 8 MiB file's permuted blocks in chunk-group batches, as the encode
-// pipeline hands them over, then FlushPlacements and Close — the stores,
-// the checksums and the unmaps, without the encode's RS, CTR, PRP and
-// tags. Reported per block placed.
+// BenchmarkStorePlace is the store's own write budget line: Create —
+// which fills the shards' page cache and maps them — then, in one loan,
+// an 8 MiB file's permuted blocks stored through the slot map in
+// chunk-group batches as the encode pipeline places them, then Commit
+// (the checksums, the unmaps and the manifest) and Close — without the
+// encode's RS, CTR, PRP and tags. Reported per block placed.
 func BenchmarkStorePlace(b *testing.B) {
 	layout, err := blockfile.NewLayout(blockfile.DefaultParams(), 8<<20)
 	if err != nil {
@@ -583,13 +561,18 @@ func BenchmarkStorePlace(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for lo := 0; lo < n; lo += group {
-			hi := min(lo+group, n)
-			if err := w.PlaceBlocks(blocks[lo*bs:hi*bs], bs, slots[lo:hi]); err != nil {
-				b.Fatal(err)
+		err = w.Images(func(views [][]byte, _ func(func() error) error) error {
+			geom, seen := layout.SlotGeom(int64(len(views[0]))), make([]uint64, (n+63)/64)
+			for lo := 0; lo < n; lo += group {
+				hi := min(lo+group, n)
+				geom.Place(views, blocks[lo*bs:hi*bs], slots[lo:hi], seen)
 			}
+			return nil
+		})
+		if err != nil {
+			b.Fatal(err)
 		}
-		if err := w.FlushPlacements(nil); err != nil {
+		if _, err := w.Commit(); err != nil {
 			b.Fatal(err)
 		}
 		if err := w.Close(); err != nil {
