@@ -123,6 +123,58 @@ func TestStoreFailedFlushCannotCommit(t *testing.T) {
 	})
 }
 
+// TestStoreFinisherErrorCannotCommit: an error from the per-shard work
+// an encode does inside the loan after placing its blocks (stamping a
+// shard's tags, through the guard) fails the loan like any other — it
+// stays latched (the loan is not given a second try), keeps Commit from
+// publishing, and leaves a directory Open reports as an incomplete encode.
+func TestStoreFinisherErrorCannotCommit(t *testing.T) {
+	layout, err := blockfile.NewLayout(fastParams, 9000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	w, err := store.Create(dir, "f", layout, store.Options{ShardTargetBytes: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+
+	errTag := errors.New("tagging failed")
+	calls, finished := 0, 0
+	finish := func(views [][]byte, guard func(func() error) error) error {
+		calls++
+		if len(views) < 4 {
+			t.Fatalf("%d shards, want at least 4 so the failure falls mid-encode", len(views))
+		}
+		placeAll(views, layout)
+		for s := range views {
+			if err := guard(func() error {
+				if s == 2 {
+					return errTag
+				}
+				finished++
+				return nil
+			}); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := w.Images(finish); !errors.Is(err, errTag) || finished != 2 {
+		t.Fatalf("loan with a failing finish: err = %v after %d finished shards, want it to wrap %v after 2", err, finished, errTag)
+	}
+	if err := w.Images(finish); !errors.Is(err, errTag) || calls != 1 {
+		t.Fatalf("second loan: err = %v after %d calls, want the latched error and no further call", err, calls)
+	}
+	if _, err := w.Commit(); !errors.Is(err, errTag) {
+		t.Fatalf("commit after a failed finish: err = %v, want %v", err, errTag)
+	}
+	if _, err := store.Open(dir); !errors.Is(err, store.ErrIncomplete) {
+		t.Fatalf("Open after a failed finish: err = %v, want ErrIncomplete", err)
+	}
+}
+
 // placeAll stores every block of the layout into views through the slot
 // map; block i carries byte(i) + 1 throughout, so a materialised image
 // says which block sits where and a zero byte can only be a tag byte.
