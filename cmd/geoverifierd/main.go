@@ -6,7 +6,7 @@
 // with its GPS position — each TPA connection multiplexed, so its
 // concurrent audits overlap, and an audit whose TPA has gone is
 // cancelled. With -batchsign the transcripts are batch-attested instead
-// of signed one by one; the TPA accepts either form. Its ECDSA public
+// of signed one by one; the TPA accepts either form. Its Ed25519 public
 // key is printed at startup for registration with the TPA.
 //
 // Usage:
@@ -21,8 +21,6 @@
 package main
 
 import (
-	"crypto/elliptic"
-	"encoding/hex"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -80,11 +78,9 @@ func run() error {
 		verifier = verifier.WithBatchSigner(batcher)
 	}
 
-	pub := signer.Public()
 	// The key line stays on stdout: operators pipe it into TPA
 	// registration, so it is data output, not a log event.
-	fmt.Printf("verifier public key (register with TPA): %s\n",
-		hex.EncodeToString(elliptic.MarshalCompressed(pub.Curve, pub.X, pub.Y)))
+	fmt.Printf("verifier public key (register with TPA): %s\n", signer.Public())
 	// One warm pooled connection: however many audits the TPAs send, the
 	// prover is dialed once.
 	pool := &core.ProverPool{}

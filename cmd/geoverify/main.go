@@ -28,9 +28,6 @@ package main
 
 import (
 	"context"
-	"crypto/ecdsa"
-	"crypto/elliptic"
-	"encoding/hex"
 	"errors"
 	"flag"
 	"fmt"
@@ -48,6 +45,7 @@ import (
 
 	"repro/internal/cloud"
 	"repro/internal/core"
+	"repro/internal/crypt"
 	"repro/internal/geo"
 	"repro/internal/meta"
 	"repro/internal/por"
@@ -105,7 +103,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 // key its transcripts must verify under.
 type device struct {
 	addr string
-	key  *ecdsa.PublicKey
+	key  crypt.PublicKey
 }
 
 // parseDevices reads -devices: addr=vkeyhex entries, comma-separated.
@@ -124,15 +122,11 @@ func parseDevices(s string) ([]device, error) {
 			return nil, fmt.Errorf("-devices lists %s twice", addr)
 		}
 		seen[addr] = true
-		raw, err := hex.DecodeString(keyHex)
+		key, err := crypt.ParsePublicKey(keyHex)
 		if err != nil {
-			return nil, fmt.Errorf("-devices entry %q: decode key: %w", entry, err)
+			return nil, fmt.Errorf("-devices entry %q: %w", entry, err)
 		}
-		x, y := elliptic.UnmarshalCompressed(elliptic.P256(), raw)
-		if x == nil {
-			return nil, fmt.Errorf("-devices entry %q: not a compressed P-256 key", entry)
-		}
-		devs = append(devs, device{addr: addr, key: &ecdsa.PublicKey{Curve: elliptic.P256(), X: x, Y: y}})
+		devs = append(devs, device{addr: addr, key: key})
 	}
 	return devs, nil
 }

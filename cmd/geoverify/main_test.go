@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"crypto/elliptic"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -154,8 +153,7 @@ func startDevice(t *testing.T, prover string, at geo.Position) (string, string) 
 	srv := &core.VerifierServer{Runner: &core.PooledRunner{Verifier: verifier, Addr: prover, Pool: pool}}
 	go srv.Serve(lis)
 	t.Cleanup(func() { srv.Close() })
-	pub := signer.Public()
-	return lis.Addr().String(), hex.EncodeToString(elliptic.MarshalCompressed(pub.Curve, pub.X, pub.Y))
+	return lis.Addr().String(), signer.Public().String()
 }
 
 // runTPA runs the command with args on a free status port and returns
@@ -297,6 +295,41 @@ func TestRefusesUnrunnableFleet(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.flag) {
 			t.Fatalf("%v: error %v, want one naming %s", tc.args, err, tc.flag)
 		}
+	}
+}
+
+// TestParseDevices: -devices takes addr=key entries, each key the 64 hex
+// digits of an Ed25519 key. Any other key is refused with an error that
+// names that form, never a panic at the first verify; that includes the
+// 66-digit compressed P-256 key a device printed before Ed25519.
+func TestParseDevices(t *testing.T) {
+	signer, err := crypt.NewSigner()
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := signer.Public().String()
+	for _, tc := range []struct {
+		name, in string
+		want     string // error substring, "" for a good entry
+	}{
+		{"good", "127.0.0.1:9342=" + good, ""},
+		{"p256", "127.0.0.1:9342=0224e91d6f78b4776dc3aec9c86af541ac62f1f24f2418e803dfb2127135d47dad", "64 hex digits, got 66"},
+		{"63 digits", "127.0.0.1:9342=" + good[:63], "64 hex digits"},
+		{"not hex", "127.0.0.1:9342=" + strings.Repeat("g", 64), "64 hex digits"},
+		{"no =", "127.0.0.1:9342", "want addr=vkeyhex"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			devs, err := parseDevices(tc.in)
+			if tc.want == "" {
+				if err != nil || len(devs) != 1 || devs[0].addr != "127.0.0.1:9342" || devs[0].key.String() != good {
+					t.Fatalf("parseDevices(%q) = %v, %v; want the one device and its key", tc.in, devs, err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("parseDevices(%q) error %v, want one containing %q", tc.in, err, tc.want)
+			}
+		})
 	}
 }
 

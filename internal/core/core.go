@@ -124,7 +124,7 @@ type BatchAttestation struct {
 }
 
 // SignedTranscript is the verifier's final message to the TPA. Exactly
-// one attestation form is populated: Signature (per-transcript ECDSA
+// one attestation form is populated: Signature (per-transcript Ed25519
 // over the canonical transcript encoding) or Batch (root signature +
 // inclusion proof). When both are somehow present, Batch wins.
 type SignedTranscript struct {
@@ -147,7 +147,7 @@ type AttestationMode uint8
 // Attestation modes recorded in reports and the scheduler's ledger.
 const (
 	AttestNone          AttestationMode = iota // no transcript (timeout/error verdicts)
-	AttestPerTranscript                        // §V-B per-transcript ECDSA signature
+	AttestPerTranscript                        // §V-B per-transcript Ed25519 signature
 	AttestBatch                                // Merkle-batched root signature + inclusion proof
 )
 
@@ -199,7 +199,7 @@ func NewVerifier(signer *crypt.Signer, receiver *gps.Receiver, clock vclock.Cloc
 
 // WithBatchSigner returns a copy of the verifier whose finishAudit
 // enqueues transcript digests into bs instead of signing each
-// transcript inline — the batch amortizes one P-256 signature over
+// transcript inline — the batch amortizes one Ed25519 signature over
 // every audit that lands inside the batcher's size/latency window. A
 // nil bs returns a copy that signs per transcript. The copy shares the
 // device's key, GPS receiver and clock, so timing semantics are

@@ -551,8 +551,10 @@ func TestNewTPAValidation(t *testing.T) {
 	if _, err := NewTPA(nil, signer.Public(), DefaultPolicy(cloud.SLA{})); err == nil {
 		t.Error("nil encoder accepted")
 	}
-	if _, err := NewTPA(enc, nil, DefaultPolicy(cloud.SLA{})); err == nil {
-		t.Error("nil key accepted")
+	for _, key := range []crypt.PublicKey{nil, make(crypt.PublicKey, 33)} {
+		if _, err := NewTPA(enc, key, DefaultPolicy(cloud.SLA{})); !errors.Is(err, crypt.ErrBadPublicKey) {
+			t.Errorf("%d-byte key: error %v, want crypt.ErrBadPublicKey", len(key), err)
+		}
 	}
 	if _, err := NewTPA(enc, signer.Public(), Policy{}); err == nil {
 		t.Error("zero TMax accepted")

@@ -111,7 +111,7 @@
 // # Transcript attestation
 //
 // A SignedTranscript carries one of two attestation forms. The
-// classic form is a per-transcript ECDSA signature over the canonical
+// classic form is a per-transcript Ed25519 signature over the canonical
 // transcript bytes. The amortized form (BatchAttestation, produced by a
 // Verifier configured WithBatchSigner) replaces it with a signature
 // over a Merkle root covering a whole window of concurrent audits plus

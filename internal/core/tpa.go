@@ -2,7 +2,6 @@ package core
 
 import (
 	"container/list"
-	"crypto/ecdsa"
 	"crypto/rand"
 	"crypto/sha256"
 	"errors"
@@ -61,7 +60,7 @@ type Report struct {
 	TimingOK    bool
 
 	// Attestation records which authentication form produced
-	// SignatureOK: the per-transcript ECDSA signature or a batch root
+	// SignatureOK: the per-transcript signature or a batch root
 	// signature plus Merkle inclusion proof.
 	Attestation AttestationMode
 
@@ -85,23 +84,26 @@ func (r Report) Reason() string { return strings.Join(r.Reasons, "; ") }
 // verify MACs), the verifier's public key, and the acceptance policy.
 type TPA struct {
 	enc    *por.Encoder
-	pub    *ecdsa.PublicKey
+	pub    crypt.PublicKey
 	policy Policy
 	// nonce supplies challenge-nonce entropy (crypto/rand by default).
 	// WithNonceReader swaps in a seeded source so deterministic scenarios
 	// draw replayable challenge indices.
 	nonce io.Reader
 	// roots caches batch roots whose signature already verified, so a
-	// batch of transcripts costs one ECDSA verify plus cheap SHA-256
+	// batch of transcripts costs one signature verify plus cheap SHA-256
 	// inclusion checks. Pointer field: WithNonceReader copies the TPA
 	// and the copy must share (and lock) the same cache.
 	roots *rootCache
 }
 
 // NewTPA constructs an auditor.
-func NewTPA(enc *por.Encoder, verifierKey *ecdsa.PublicKey, policy Policy) (*TPA, error) {
-	if enc == nil || verifierKey == nil {
-		return nil, errors.New("core: TPA needs the encoder and the verifier's public key")
+func NewTPA(enc *por.Encoder, verifierKey crypt.PublicKey, policy Policy) (*TPA, error) {
+	if enc == nil {
+		return nil, errors.New("core: TPA needs the encoder")
+	}
+	if err := verifierKey.Check(); err != nil {
+		return nil, fmt.Errorf("core: TPA: %w", err)
 	}
 	if policy.TMax <= 0 {
 		return nil, errors.New("core: policy TMax must be positive")

@@ -1,7 +1,6 @@
 package crypt
 
 import (
-	"crypto/ecdsa"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -32,12 +31,12 @@ func (s *Signer) SignBatchRoot(root merkle.Hash) ([]byte, error) {
 }
 
 // VerifyBatchRoot checks a batch-root signature under pub.
-func VerifyBatchRoot(pub *ecdsa.PublicKey, root merkle.Hash, sig []byte) error {
+func VerifyBatchRoot(pub PublicKey, root merkle.Hash, sig []byte) error {
 	return Verify(pub, batchRootMessage(root), sig)
 }
 
 // RootAttestation is what BatchSigner returns for one enqueued digest:
-// the batch root, one ECDSA signature over that root (shared by every
+// the batch root, one signature over that root (shared by every
 // digest in the batch), and the Merkle inclusion proof tying the digest
 // to the root. Proof.Index is the digest's leaf index within the batch.
 type RootAttestation struct {
@@ -72,11 +71,11 @@ type batchResult struct {
 	err error
 }
 
-// BatchSigner amortizes the verifier's per-transcript ECDSA signature
+// BatchSigner amortizes the verifier's per-transcript signature
 // over batches of transcript digests: pending digests become the leaves
 // of an internal/merkle tree and only the root is signed. A batch
 // flushes when it reaches MaxBatch digests or when its oldest digest
-// has waited MaxLatency, whichever comes first; the ECDSA operation
+// has waited MaxLatency, whichever comes first; the signing operation
 // runs outside the accumulation lock, so under concurrent audit load
 // the next batch fills while the previous one signs (group commit).
 //

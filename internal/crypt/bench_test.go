@@ -88,3 +88,40 @@ func BenchmarkEncryptCTRAt(b *testing.B) {
 		})
 	}
 }
+
+// benchSignMsg is about a transcript's size at the audit default, k = 20
+// rounds of one segment each: what the device signs and the TPA verifies
+// once per audit. Both sign its SHA-256 digest.
+var benchSignMsg = make([]byte, 2048)
+
+// BenchmarkSign times the device signing one transcript.
+func BenchmarkSign(b *testing.B) {
+	s, err := NewSigner()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Sign(benchSignMsg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkVerify times the TPA checking one transcript signature.
+func BenchmarkVerify(b *testing.B) {
+	s, err := NewSigner()
+	if err != nil {
+		b.Fatal(err)
+	}
+	sig, err := s.Sign(benchSignMsg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pub := s.Public()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := Verify(pub, benchSignMsg, sig); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

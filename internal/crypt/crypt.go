@@ -3,13 +3,13 @@ package crypt
 import (
 	"crypto/aes"
 	"crypto/cipher"
-	"crypto/ecdsa"
-	"crypto/elliptic"
+	"crypto/ed25519"
 	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
 	"crypto/subtle"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -21,6 +21,7 @@ var (
 	ErrBadTagBits   = errors.New("crypt: tag width must be in [8, 128] bits")
 	ErrBadSignature = errors.New("crypt: signature verification failed")
 	ErrBadKeyLen    = errors.New("crypt: AES key must be 16, 24 or 32 bytes")
+	ErrBadPublicKey = errors.New("crypt: verifier key must be an Ed25519 public key, 64 hex digits")
 )
 
 // KeySet holds the independent subkeys used by the POR setup pipeline, all
@@ -594,38 +595,71 @@ func (t *Tagger) ForgeryProbability() float64 {
 	return p
 }
 
-// Signer wraps an ECDSA P-256 private key used by the verifier device to
-// sign audit transcripts (§V-B: Sign_SK(R)).
-type Signer struct {
-	priv *ecdsa.PrivateKey
+// PublicKey is a verifier device's Ed25519 verification key: 32 bytes,
+// printed by the device and registered with the TPA as 64 hex digits.
+type PublicKey []byte
+
+// String returns the key's hex form.
+func (k PublicKey) String() string { return hex.EncodeToString(k) }
+
+// ParsePublicKey reads a key from its hex form.
+func ParsePublicKey(s string) (PublicKey, error) {
+	raw, err := hex.DecodeString(s)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadPublicKey, err)
+	}
+	k := PublicKey(raw)
+	if err := k.Check(); err != nil {
+		return nil, err
+	}
+	return k, nil
 }
 
-// NewSigner generates a fresh P-256 signing key.
+// Check refuses a key of the wrong length with ErrBadPublicKey. Every key
+// passes it before it is used, because ed25519.Verify panics on any
+// length but 32 bytes.
+func (k PublicKey) Check() error {
+	if len(k) != ed25519.PublicKeySize {
+		return fmt.Errorf("%w, got %d hex digits", ErrBadPublicKey, 2*len(k))
+	}
+	return nil
+}
+
+// Signer holds the Ed25519 private key the verifier device signs audit
+// transcripts with (§V-B: Sign_SK(R)).
+type Signer struct {
+	priv ed25519.PrivateKey
+	pub  PublicKey
+}
+
+// NewSigner generates a fresh signing key from crypto/rand.
 func NewSigner() (*Signer, error) {
-	priv, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
+	pub, priv, err := ed25519.GenerateKey(rand.Reader)
 	if err != nil {
 		return nil, fmt.Errorf("generate signing key: %w", err)
 	}
-	return &Signer{priv: priv}, nil
+	return &Signer{priv: priv, pub: PublicKey(pub)}, nil
 }
 
-// Public returns the verification key.
-func (s *Signer) Public() *ecdsa.PublicKey { return &s.priv.PublicKey }
+// Public returns the verification key. Callers must not modify it.
+func (s *Signer) Public() PublicKey { return s.pub }
 
-// Sign signs the SHA-256 digest of msg and returns an ASN.1 signature.
+// Sign signs the SHA-256 digest of msg and returns the 64-byte
+// signature. Ed25519 is deterministic: one key and one message always give
+// the same signature. The error is always nil.
 func (s *Signer) Sign(msg []byte) ([]byte, error) {
 	digest := sha256.Sum256(msg)
-	sig, err := ecdsa.SignASN1(rand.Reader, s.priv, digest[:])
-	if err != nil {
-		return nil, fmt.Errorf("sign transcript: %w", err)
-	}
-	return sig, nil
+	return ed25519.Sign(s.priv, digest[:]), nil
 }
 
-// Verify checks sig over msg under pub.
-func Verify(pub *ecdsa.PublicKey, msg, sig []byte) error {
+// Verify checks sig over msg under pub: ErrBadPublicKey for a key of the
+// wrong length, ErrBadSignature for a signature that does not verify.
+func Verify(pub PublicKey, msg, sig []byte) error {
+	if err := pub.Check(); err != nil {
+		return err
+	}
 	digest := sha256.Sum256(msg)
-	if !ecdsa.VerifyASN1(pub, digest[:], sig) {
+	if !ed25519.Verify(ed25519.PublicKey(pub), digest[:], sig) {
 		return ErrBadSignature
 	}
 	return nil

@@ -12,6 +12,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/merkle"
 )
 
 func TestDeriveKeysDistinctAndDeterministic(t *testing.T) {
@@ -171,8 +173,17 @@ func TestForgeryProbability(t *testing.T) {
 	}
 }
 
+// TestSignVerify: a transcript signature verifies only under its own key,
+// over its own message, in its own domain and with every byte intact; a
+// key of the wrong length is refused, never a panic; a key read back from
+// its hex form verifies what its signer signed. Signing is
+// deterministic, so the same key and message give the same signature.
 func TestSignVerify(t *testing.T) {
 	s, err := NewSigner()
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := NewSigner()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,15 +192,57 @@ func TestSignVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(s.Public(), msg, sig); err != nil {
-		t.Fatalf("valid signature rejected: %v", err)
+	if len(sig) != 64 {
+		t.Fatalf("signature is %d bytes, want Ed25519's 64", len(sig))
 	}
-	if err := Verify(s.Public(), []byte("tampered"), sig); !errors.Is(err, ErrBadSignature) {
-		t.Fatal("tampered message accepted")
+	if again, _ := s.Sign(msg); !bytes.Equal(again, sig) {
+		t.Fatalf("same key and message signed twice: %x, then %x", sig, again)
 	}
-	other, _ := NewSigner()
-	if err := Verify(other.Public(), msg, sig); !errors.Is(err, ErrBadSignature) {
-		t.Fatal("wrong key accepted")
+	root := merkle.LeafHash([]byte("root"))
+	rootSig, err := s.SignBatchRoot(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plainRootSig, err := s.Sign(root[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := ParsePublicKey(s.Public().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type row struct {
+		name   string
+		verify func() error
+		want   error
+	}
+	transcript := func(pub PublicKey, msg, sig []byte) func() error {
+		return func() error { return Verify(pub, msg, sig) }
+	}
+	rows := []row{
+		{"valid", transcript(s.Public(), msg, sig), nil},
+		{"valid under the key parsed from its hex form", transcript(parsed, msg, sig), nil},
+		{"valid batch root", func() error { return VerifyBatchRoot(s.Public(), root, rootSig) }, nil},
+		{"wrong key", transcript(other.Public(), msg, sig), ErrBadSignature},
+		{"tampered message", transcript(s.Public(), []byte("tampered"), sig), ErrBadSignature},
+		{"truncated signature", transcript(s.Public(), msg, sig[:len(sig)-1]), ErrBadSignature},
+		{"extended signature", transcript(s.Public(), msg, append(bytes.Clone(sig), 0)), ErrBadSignature},
+		{"nil signature", transcript(s.Public(), msg, nil), ErrBadSignature},
+		{"batch root as transcript", transcript(s.Public(), root[:], rootSig), ErrBadSignature},
+		{"transcript as batch root", func() error { return VerifyBatchRoot(s.Public(), root, plainRootSig) }, ErrBadSignature},
+		{"nil key", transcript(nil, msg, sig), ErrBadPublicKey},
+		{"P-256-length key", transcript(make(PublicKey, 33), msg, sig), ErrBadPublicKey},
+	}
+	for i := range sig {
+		flipped := bytes.Clone(sig)
+		flipped[i] ^= 1 << (i % 8)
+		rows = append(rows, row{fmt.Sprintf("bit %d of byte %d flipped", i%8, i), transcript(s.Public(), msg, flipped), ErrBadSignature})
+	}
+	for _, r := range rows {
+		if err := r.verify(); !errors.Is(err, r.want) {
+			t.Errorf("%s: got %v, want %v", r.name, err, r.want)
+		}
 	}
 }
 

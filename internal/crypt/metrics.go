@@ -3,7 +3,7 @@ package crypt
 import "repro/internal/telemetry"
 
 // BatchSigner observability: why batches flush, how full they are when
-// they do, and what the amortized ECDSA operation costs. Children are
+// they do, and what the amortized signing operation costs. Children are
 // resolved once so the flush path pays one atomic add per event.
 var (
 	metricBatchFlushes = telemetry.Default.CounterVec(
@@ -18,5 +18,5 @@ var (
 		"Transcript digests per signed batch.")
 	metricBatchSignSeconds = telemetry.Default.DurationHistogram(
 		"geoproof_batchsign_sign_seconds",
-		"Latency of the ECDSA root signature per flushed batch.")
+		"Latency of the root signature per flushed batch.")
 )

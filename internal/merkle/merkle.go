@@ -1,7 +1,7 @@
 // Package merkle implements the static binary Merkle hash tree behind
 // batch transcript attestation: a verifier device that signs a window of
 // audit transcripts at once signs only the tree's root, and hands each
-// transcript its inclusion proof (crypt/batch.go), so one ECDSA
+// transcript its inclusion proof (crypt/batch.go), so one Ed25519
 // signature covers the whole batch and the TPA checks any transcript
 // alone against the signed root.
 //

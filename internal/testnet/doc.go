@@ -52,9 +52,10 @@
 // scheduler runs Workers=1, Timeout=0 and the controller
 // Synchronous=true, so only one exchange is ever in flight:
 // each clock move and each jitter draw follows from the one before, and
-// no goroutine interleaving can reorder observations. ECDSA signatures
-// do use crypto/rand, but signature bytes never enter the trace (only
-// SignatureOK verdicts, which are deterministic). Consequently two Runs
+// no goroutine interleaving can reorder observations. Ed25519 signatures
+// are deterministic, but each device's key comes from crypto/rand, so
+// signature bytes still never enter the trace (only SignatureOK
+// verdicts, which are deterministic). Consequently two Runs
 // of the same Spec produce byte-identical traces; TraceHash and
 // AssertReplay enforce this, and determinism_test.go lint-checks the
 // deterministic packages — the transport included — for stray

@@ -296,7 +296,7 @@ func TestTransportSmoke(t *testing.T) {
 	}
 }
 
-// The batch-signing tests' shape: k is small so the per-audit ECDSA
+// The batch-signing tests' shape: k is small so the per-audit Ed25519
 // sign/verify pair dominates, and width audits are in flight at once on
 // one pooled connection.
 const (
