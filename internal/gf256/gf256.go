@@ -36,12 +36,8 @@ func init() {
 }
 
 // Add returns a+b in GF(2^8). Addition is XOR; it is its own inverse, so
-// Sub is identical.
+// it is also subtraction.
 func Add(a, b byte) byte { return a ^ b }
-
-// Sub returns a-b in GF(2^8). In characteristic 2 subtraction equals
-// addition.
-func Sub(a, b byte) byte { return a ^ b }
 
 // Mul returns a·b in GF(2^8).
 func Mul(a, b byte) byte {
@@ -92,20 +88,4 @@ func Log(a byte) int {
 		panic("gf256: log of zero")
 	}
 	return int(_log[a])
-}
-
-// Pow returns a^n in GF(2^8) for n ≥ 0; 0^0 is defined as 1 to match the
-// usual polynomial-evaluation convention.
-func Pow(a byte, n int) byte {
-	if n == 0 {
-		return 1
-	}
-	if a == 0 {
-		return 0
-	}
-	e := (int(_log[a]) * n) % 255
-	if e < 0 {
-		e += 255
-	}
-	return _exp[e]
 }

@@ -138,24 +138,6 @@ func TestExpLog(t *testing.T) {
 	}
 }
 
-func TestPow(t *testing.T) {
-	if Pow(0, 0) != 1 {
-		t.Error("Pow(0,0) should be 1")
-	}
-	if Pow(0, 5) != 0 {
-		t.Error("Pow(0,5) should be 0")
-	}
-	for a := 1; a < 256; a++ {
-		x := byte(1)
-		for n := 0; n < 10; n++ {
-			if got := Pow(byte(a), n); got != x {
-				t.Fatalf("Pow(%#x,%d)=%#x, want %#x", a, n, got, x)
-			}
-			x = Mul(x, byte(a))
-		}
-	}
-}
-
 func TestDivByZeroPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -40,61 +40,3 @@ func PolyMul(a, b []byte) []byte {
 	}
 	return out
 }
-
-// PolyAdd adds two polynomials in descending-degree order.
-func PolyAdd(a, b []byte) []byte {
-	if len(a) < len(b) {
-		a, b = b, a
-	}
-	out := make([]byte, len(a))
-	copy(out, a)
-	off := len(a) - len(b)
-	for i, c := range b {
-		out[off+i] ^= c
-	}
-	return out
-}
-
-// PolyScale multiplies every coefficient of p by c.
-func PolyScale(p []byte, c byte) []byte {
-	out := make([]byte, len(p))
-	for i, v := range p {
-		out[i] = Mul(v, c)
-	}
-	return out
-}
-
-// PolyDivMod divides a by b (descending-degree order), returning quotient
-// and remainder. Division by the zero polynomial panics.
-func PolyDivMod(a, b []byte) (quo, rem []byte) {
-	b = trimPoly(b)
-	if len(b) == 0 {
-		panic("gf256: polynomial division by zero")
-	}
-	rem = make([]byte, len(a))
-	copy(rem, a)
-	if len(a) < len(b) {
-		return nil, trimPoly(rem)
-	}
-	quo = make([]byte, len(a)-len(b)+1)
-	inv := Inv(b[0])
-	for i := 0; i <= len(rem)-len(b); i++ {
-		c := Mul(rem[i], inv)
-		quo[i] = c
-		if c == 0 {
-			continue
-		}
-		for j, bc := range b {
-			rem[i+j] ^= Mul(c, bc)
-		}
-	}
-	return quo, trimPoly(rem[len(quo):])
-}
-
-func trimPoly(p []byte) []byte {
-	i := 0
-	for i < len(p) && p[i] == 0 {
-		i++
-	}
-	return p[i:]
-}

@@ -55,66 +55,3 @@ func TestPolyMulEmpty(t *testing.T) {
 		t.Fatal("PolyMul with empty operand should be nil")
 	}
 }
-
-func TestPolyAdd(t *testing.T) {
-	a := []byte{1, 2, 3}
-	b := []byte{5, 5}
-	got := PolyAdd(a, b)
-	want := []byte{1, 7, 6}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("PolyAdd=%v, want %v", got, want)
-	}
-	// Commutative.
-	if !bytes.Equal(PolyAdd(b, a), want) {
-		t.Fatal("PolyAdd not commutative")
-	}
-}
-
-func TestPolyDivMod(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 200; trial++ {
-		qn := 1 + rng.Intn(6)
-		bn := 1 + rng.Intn(6)
-		q := make([]byte, qn)
-		b := make([]byte, bn)
-		rng.Read(q)
-		rng.Read(b)
-		if b[0] == 0 {
-			b[0] = 1
-		}
-		if q[0] == 0 {
-			q[0] = 1
-		}
-		r := make([]byte, rng.Intn(bn)) // deg(r) < deg(b)
-		rng.Read(r)
-		a := PolyAdd(PolyMul(q, b), r)
-		gotQ, gotR := PolyDivMod(a, b)
-		// Reconstruct and compare: q*b + r must equal a.
-		recon := PolyAdd(PolyMul(gotQ, b), gotR)
-		if !bytes.Equal(trimPoly(recon), trimPoly(a)) {
-			t.Fatalf("trial %d: div/mod reconstruction mismatch", trial)
-		}
-		if len(trimPoly(gotR)) >= len(trimPoly(b)) {
-			t.Fatalf("trial %d: remainder degree too high", trial)
-		}
-	}
-}
-
-func TestPolyDivByZeroPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("PolyDivMod by zero did not panic")
-		}
-	}()
-	PolyDivMod([]byte{1, 2}, []byte{0, 0})
-}
-
-func TestPolyScale(t *testing.T) {
-	p := []byte{1, 2, 3}
-	got := PolyScale(p, 2)
-	for i := range p {
-		if got[i] != Mul(p[i], 2) {
-			t.Fatalf("PolyScale[%d] wrong", i)
-		}
-	}
-}

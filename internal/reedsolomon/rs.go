@@ -11,7 +11,6 @@ import (
 const (
 	StdN = 255 // codeword length in symbols
 	StdK = 223 // data symbols per codeword
-	StdT = 16  // correctable symbol errors: (n-k)/2
 )
 
 // Common decoder failures. ErrTooManyErrors is returned when the received
