@@ -8,6 +8,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -165,11 +167,46 @@ func prepare(t *testing.T, dir string) (storeDir, metaPath string) {
 }
 
 // startProver runs geoproofd on storeDir and returns it with its listen
-// address.
+// address. args follow the defaults, so an -addr among them overrides
+// the kernel-picked port.
 func startProver(t *testing.T, storeDir string, args ...string) (*proc, string) {
 	t.Helper()
 	p := start(t, "geoproofd", append([]string{"-store", storeDir, "-addr", "127.0.0.1:0"}, args...)...)
 	return p, p.await(t, proverAddrRe)
+}
+
+// portOutsideEphemeral returns a free loopback address whose port lies
+// outside the kernel's ephemeral range. The kernel never picks such a port
+// as the source of an outgoing connection, so a daemon stopped on it can
+// listen there again.
+func portOutsideEphemeral(t *testing.T) string {
+	t.Helper()
+	low, high := 32768, 60999 // Linux's defaults
+	if b, err := os.ReadFile("/proc/sys/net/ipv4/ip_local_port_range"); err == nil {
+		if f := strings.Fields(string(b)); len(f) == 2 {
+			l, errL := strconv.Atoi(f[0])
+			h, errH := strconv.Atoi(f[1])
+			if errL == nil && errH == nil {
+				low, high = l, h
+			}
+		}
+	}
+	var ports []int
+	for port := 1024; port <= 65535; port++ {
+		if port < low || port > high {
+			ports = append(ports, port)
+		}
+	}
+	rand.Shuffle(len(ports), func(i, j int) { ports[i], ports[j] = ports[j], ports[i] })
+	for _, port := range ports[:min(len(ports), 100)] {
+		addr := net.JoinHostPort("127.0.0.1", strconv.Itoa(port))
+		if l, err := net.Listen("tcp", addr); err == nil {
+			l.Close()
+			return addr
+		}
+	}
+	t.Fatalf("no free port outside the ephemeral range %d–%d", low, high)
+	return ""
 }
 
 // startDevice runs a geoverifierd beside prover and returns its
@@ -372,21 +409,25 @@ func TestDaemonThreeParty(t *testing.T) {
 	proverStatus := "http://" + proverProc.await(t, statusAddrRe)
 	solo := startDevice(t, prover)
 	batch := startDevice(t, prover, "-batchsign")
-	rows, log, err := geoverifyEpochs(t, "-epochs", "1", "-tenants", "2", "-k", "8", "-tmax", "200ms",
-		"-meta", metaPath, "-devices", solo+","+batch)
-	if err != nil {
-		t.Fatalf("geoverify: %v\n%s", err, log)
-	}
-	requireAccepted(t, rows, log, 2, deviceAddr(solo), deviceAddr(batch))
-	if e := rows[deviceAddr(batch)]; e.BatchAttested != 2 || e.SoloAttested != 0 {
-		t.Errorf("batch-signing device attested %d batch / %d solo, want 2 / 0:\n%s", e.BatchAttested, e.SoloAttested, log)
-	}
-	if e := rows[deviceAddr(solo)]; e.BatchAttested != 0 {
-		t.Errorf("per-transcript device's audits were batch-attested (%d):\n%s", e.BatchAttested, log)
+	// Two TPA sessions, one after the other: each device keeps its one
+	// prover connection across both.
+	for run := 1; run <= 2; run++ {
+		rows, log, err := geoverifyEpochs(t, "-epochs", "1", "-tenants", "2", "-k", "8", "-tmax", "200ms",
+			"-meta", metaPath, "-devices", solo+","+batch)
+		if err != nil {
+			t.Fatalf("geoverify run %d: %v\n%s", run, err, log)
+		}
+		requireAccepted(t, rows, log, 2, deviceAddr(solo), deviceAddr(batch))
+		if e := rows[deviceAddr(batch)]; e.BatchAttested != 2 || e.SoloAttested != 0 {
+			t.Errorf("run %d: batch-signing device attested %d batch / %d solo, want 2 / 0:\n%s", run, e.BatchAttested, e.SoloAttested, log)
+		}
+		if e := rows[deviceAddr(solo)]; e.BatchAttested != 0 {
+			t.Errorf("run %d: per-transcript device's audits were batch-attested (%d):\n%s", run, e.BatchAttested, log)
+		}
 	}
 	samples, _ := scrape(t, proverStatus)
 	if n := samples["geoproof_prover_conns_total"]; n != 2 {
-		t.Errorf("geoproof_prover_conns_total = %v, want 2: one per device", n)
+		t.Errorf("geoproof_prover_conns_total = %v after two TPA sessions, want 2: one per device", n)
 	}
 }
 
@@ -427,7 +468,13 @@ func TestDaemonFleetController(t *testing.T) {
 	for i := range stores {
 		stores[i] = filepath.Join(dir, fmt.Sprintf("store-%d", i+1))
 		copyDir(t, storeDir, stores[i])
-		p, addr := startProver(t, stores[i], "-status-addr", "127.0.0.1:0")
+		// The first prover is restarted on its address, so that port
+		// must be one no outgoing connection can take meanwhile.
+		listen := "127.0.0.1:0"
+		if i == 0 {
+			listen = portOutsideEphemeral(t)
+		}
+		p, addr := startProver(t, stores[i], "-status-addr", "127.0.0.1:0", "-addr", listen)
 		if i == 0 {
 			first, firstAddr = p, addr
 		}
