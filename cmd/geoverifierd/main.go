@@ -5,13 +5,13 @@
 // there, and returns transcripts signed with its own key and stamped
 // with its GPS position — each TPA connection multiplexed, so its
 // concurrent audits overlap, and an audit whose TPA has gone is
-// cancelled. With -batchsign the transcripts are batch-attested instead
-// of signed one by one; the TPA accepts either form. Its Ed25519 public
-// key is printed at startup for registration with the TPA.
+// cancelled. Each transcript carries its own Ed25519 signature, the
+// paper's Sign_SK(R); the public key is printed at startup for
+// registration with the TPA.
 //
 // Usage:
 //
-//	geoverifierd -addr :9342 -prover host:9341 [-lat -27.4698 -lon 153.0251] [-batchsign]
+//	geoverifierd -addr :9342 -prover host:9341 [-lat -27.4698 -lon 153.0251]
 //
 // The rounds reach the prover over one persistent multiplexed connection,
 // kept warm in a pool and shared by every audit in flight. Within an
@@ -26,7 +26,6 @@ import (
 	"log/slog"
 	"net"
 	"os"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/crypt"
@@ -47,10 +46,6 @@ func run() error {
 	prover := flag.String("prover", "127.0.0.1:9341", "prover (geoproofd) address")
 	lat := flag.Float64("lat", geo.Brisbane.LatDeg, "device GPS latitude")
 	lon := flag.Float64("lon", geo.Brisbane.LonDeg, "device GPS longitude")
-	batchSign := flag.Bool("batchsign", false,
-		"amortize transcript signing: Merkle-batch transcript digests and sign one root per batch")
-	batchMax := flag.Int("batch-max", 64, "transcripts per signed batch (-batchsign)")
-	batchLatency := flag.Duration("batch-latency", 2*time.Millisecond, "max wait before a partial batch is signed (-batchsign)")
 	logLevel := flag.String("log-level", "info", "log verbosity: debug, info, warn, error")
 	logJSON := flag.Bool("log-json", false, "emit logs as JSON instead of text")
 	flag.Parse()
@@ -69,13 +64,6 @@ func run() error {
 	verifier, err := core.NewVerifier(signer, receiver, nil)
 	if err != nil {
 		return err
-	}
-	if *batchSign {
-		batcher := crypt.NewBatchSigner(signer, crypt.BatchSignerOptions{
-			MaxBatch: *batchMax, MaxLatency: *batchLatency,
-		})
-		defer batcher.Close()
-		verifier = verifier.WithBatchSigner(batcher)
 	}
 
 	// The key line stays on stdout: operators pipe it into TPA

@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -143,6 +144,11 @@ func parseSLA(s string) (cloud.SLA, error) {
 		f, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
 		if err != nil {
 			return cloud.SLA{}, fmt.Errorf("-sla %q: %w", s, err)
+		}
+		// NaN passes every range check below: all comparisons with it
+		// are false.
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return cloud.SLA{}, fmt.Errorf("-sla %q: %v is not a finite number", s, f)
 		}
 		v[i] = f
 	}
@@ -313,7 +319,7 @@ func runController(o schedOpts, stdout io.Writer) error {
 		return nil
 	}
 	rows := ctl.Ledger().TotalsByProver()
-	printLedger(stdout, rows)
+	printLedger(stdout, rows, policy)
 	var audits, accepted int
 	for _, row := range rows {
 		audits += row.Audits
@@ -390,16 +396,14 @@ func filterStatus(st core.FleetStatus, prover string) core.FleetStatus {
 	return out
 }
 
-// printLedger renders the per-device totals over every epoch.
-func printLedger(w io.Writer, rows []core.LedgerTotals) {
+// printLedger renders the per-device totals over every epoch, each
+// with the distance its worst round trip implies under policy.
+func printLedger(w io.Writer, rows []core.LedgerTotals, policy core.Policy) {
 	fmt.Fprintln(w, "device ledger (all epochs):")
 	for _, row := range rows {
-		line := fmt.Sprintf("  %-24s audits=%d ok=%d rejected=%d timeout=%d error=%d maxRTT=%v",
+		line := fmt.Sprintf("  %-24s audits=%d ok=%d rejected=%d timeout=%d error=%d maxRTT=%v implied=%.1fkm",
 			row.Name, row.Audits, row.Accepted, row.Rejected, row.Timeouts, row.Errors,
-			row.MaxRTT.Round(time.Microsecond))
-		if row.BatchAttested > 0 {
-			line += fmt.Sprintf(" attested=%d batch/%d solo", row.BatchAttested, row.SoloAttested)
-		}
+			row.MaxRTT.Round(time.Microsecond), policy.ImpliedDistanceKm(row.MaxRTT))
 		if row.LastReason != "" {
 			line += " last: " + row.LastReason
 		}

@@ -333,6 +333,43 @@ func TestParseDevices(t *testing.T) {
 	}
 }
 
+// TestParseSLA: -sla takes a centre and a positive radius. A value that
+// is not a finite number is refused: NaN passes every range comparison,
+// and an SLA built from it would reject every audit as outside the
+// region, blaming the device for the operator's typo.
+func TestParseSLA(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want string // error substring, "" for a good SLA
+	}{
+		{"-27.4698,153.0251,100", ""},
+		{" -90 , 180 , 0.5 ", ""},
+		{"NaN,153.0251,100", "not a finite number"},
+		{"-27.4698,nan,100", "not a finite number"},
+		{"-27.4698,153.0251,NaN", "not a finite number"},
+		{"-27.4698,153.0251,+Inf", "not a finite number"},
+		{"-Inf,153.0251,100", "not a finite number"},
+		{"-91,153.0251,100", "latitude in [-90,90]"},
+		{"-27.4698,180.5,100", "latitude in [-90,90]"},
+		{"-27.4698,153.0251,0", "positive radius"},
+		{"-27.4698,153.0251", "want lat,lon,km"},
+		{"-27.4698,east,100", "invalid syntax"},
+	} {
+		t.Run(tc.in, func(t *testing.T) {
+			sla, err := parseSLA(tc.in)
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("parseSLA(%q): %v", tc.in, err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("parseSLA(%q) = %+v, %v; want an error containing %q", tc.in, sla, err, tc.want)
+			}
+		})
+	}
+}
+
 // TestDeadProverBehindLiveDevice: the device answers, but the prover
 // behind it is gone. The TPA sees that the one way it sees any prover,
 // through its audits: each fails at the device's refused dial, the run

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -218,9 +219,17 @@ func startDevice(t *testing.T, prover string, args ...string) string {
 	return p.await(t, deviceAddrRe) + "=" + key
 }
 
+// ledgerRow is one device line of the ledger geoverify -epochs prints:
+// the ledger cell it renders and the distance its worst round trip
+// implies.
+type ledgerRow struct {
+	core.LedgerEntry
+	ImpliedKm float64
+}
+
 // geoverifyEpochs runs geoverify -epochs to its end and returns the
 // ledger it printed, its log and its exit error.
-func geoverifyEpochs(t *testing.T, args ...string) (map[string]core.LedgerEntry, string, error) {
+func geoverifyEpochs(t *testing.T, args ...string) (map[string]ledgerRow, string, error) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), runLimit)
 	defer cancel()
@@ -233,27 +242,21 @@ func geoverifyEpochs(t *testing.T, args ...string) (map[string]core.LedgerEntry,
 
 // parseLedger reads the per-device lines geoverify -epochs prints back
 // into the ledger cells they render.
-func parseLedger(t *testing.T, out string) map[string]core.LedgerEntry {
+func parseLedger(t *testing.T, out string) map[string]ledgerRow {
 	t.Helper()
-	rows := make(map[string]core.LedgerEntry)
+	rows := make(map[string]ledgerRow)
 	sc := bufio.NewScanner(strings.NewReader(out))
 	for sc.Scan() {
 		line := sc.Text()
 		if !strings.Contains(line, " audits=") {
 			continue
 		}
-		var e core.LedgerEntry
+		var e ledgerRow
 		line, e.LastReason, _ = strings.Cut(line, " last: ")
-		line, attested, batched := strings.Cut(line, " attested=")
 		var name, rtt string
-		if _, err := fmt.Sscanf(line, "%s audits=%d ok=%d rejected=%d timeout=%d error=%d maxRTT=%s",
-			&name, &e.Audits, &e.Accepted, &e.Rejected, &e.Timeouts, &e.Errors, &rtt); err != nil {
+		if _, err := fmt.Sscanf(line, "%s audits=%d ok=%d rejected=%d timeout=%d error=%d maxRTT=%s implied=%fkm",
+			&name, &e.Audits, &e.Accepted, &e.Rejected, &e.Timeouts, &e.Errors, &rtt, &e.ImpliedKm); err != nil {
 			t.Fatalf("ledger line %q: %v", line, err)
-		}
-		if batched {
-			if _, err := fmt.Sscanf(attested, "%d batch/%d solo", &e.BatchAttested, &e.SoloAttested); err != nil {
-				t.Fatalf("ledger line %q: %v", line, err)
-			}
 		}
 		var err error
 		if e.MaxRTT, err = time.ParseDuration(rtt); err != nil {
@@ -266,7 +269,7 @@ func parseLedger(t *testing.T, out string) map[string]core.LedgerEntry {
 
 // requireAccepted fails unless the ledger holds exactly the devices
 // named, each with at least min audits and every one of them accepted.
-func requireAccepted(t *testing.T, rows map[string]core.LedgerEntry, log string, min int, devices ...string) {
+func requireAccepted(t *testing.T, rows map[string]ledgerRow, log string, min int, devices ...string) {
 	t.Helper()
 	if len(rows) != len(devices) {
 		t.Fatalf("ledger has %d rows, want %d:\n%s", len(rows), len(devices), log)
@@ -399,31 +402,23 @@ func copyDir(t *testing.T, src, dst string) {
 }
 
 // TestDaemonThreeParty: two geoverifierd devices beside one geoproofd,
-// one batch-attesting, audited by one geoverify over the TPA → device
-// mux hop. The TPA accepts both attestation forms, the batch device's
-// verdicts are all batch-attested and the other's none, and each device
-// costs the prover one connection.
+// each registered with its own key, audited by one geoverify over the
+// TPA → device mux hop. Every audit is accepted under its device's key,
+// and each device costs the prover one connection.
 func TestDaemonThreeParty(t *testing.T) {
 	storeDir, metaPath := prepare(t, t.TempDir())
 	proverProc, prover := startProver(t, storeDir, "-status-addr", "127.0.0.1:0")
 	proverStatus := "http://" + proverProc.await(t, statusAddrRe)
-	solo := startDevice(t, prover)
-	batch := startDevice(t, prover, "-batchsign")
+	a, b := startDevice(t, prover), startDevice(t, prover)
 	// Two TPA sessions, one after the other: each device keeps its one
 	// prover connection across both.
 	for run := 1; run <= 2; run++ {
 		rows, log, err := geoverifyEpochs(t, "-epochs", "1", "-tenants", "2", "-k", "8", "-tmax", "200ms",
-			"-meta", metaPath, "-devices", solo+","+batch)
+			"-meta", metaPath, "-devices", a+","+b)
 		if err != nil {
 			t.Fatalf("geoverify run %d: %v\n%s", run, err, log)
 		}
-		requireAccepted(t, rows, log, 2, deviceAddr(solo), deviceAddr(batch))
-		if e := rows[deviceAddr(batch)]; e.BatchAttested != 2 || e.SoloAttested != 0 {
-			t.Errorf("run %d: batch-signing device attested %d batch / %d solo, want 2 / 0:\n%s", run, e.BatchAttested, e.SoloAttested, log)
-		}
-		if e := rows[deviceAddr(solo)]; e.BatchAttested != 0 {
-			t.Errorf("run %d: per-transcript device's audits were batch-attested (%d):\n%s", run, e.BatchAttested, log)
-		}
+		requireAccepted(t, rows, log, 2, deviceAddr(a), deviceAddr(b))
 	}
 	samples, _ := scrape(t, proverStatus)
 	if n := samples["geoproof_prover_conns_total"]; n != 2 {
@@ -433,8 +428,9 @@ func TestDaemonThreeParty(t *testing.T) {
 
 // TestDaemonHonesty: geoproofd sleeps a WD2500JD look-up per round and
 // geoverify audits it through its device at the default Δt_max of
-// 50 ms; the honest prover is accepted, and its look-up lateness
-// histogram holds one sample per segment request.
+// 50 ms; the honest prover is accepted, its ledger line states a finite
+// implied distance, and its look-up lateness histogram holds one sample
+// per segment request.
 func TestDaemonHonesty(t *testing.T) {
 	storeDir, metaPath := prepare(t, t.TempDir())
 	proverProc, prover := startProver(t, storeDir, "-simulate", "-disk", "wd2500jd", "-status-addr", "127.0.0.1:0")
@@ -445,7 +441,11 @@ func TestDaemonHonesty(t *testing.T) {
 		t.Fatalf("geoverify: %v\n%s", err, log)
 	}
 	requireAccepted(t, rows, log, 2, deviceAddr(device))
-	t.Logf("max RTT %v against Δt_max 50ms", rows[deviceAddr(device)].MaxRTT)
+	row := rows[deviceAddr(device)]
+	t.Logf("max RTT %v against Δt_max 50ms implies %.1f km", row.MaxRTT, row.ImpliedKm)
+	if math.IsNaN(row.ImpliedKm) || math.IsInf(row.ImpliedKm, 0) || row.ImpliedKm < 0 {
+		t.Errorf("implied distance %v km, want finite and ≥ 0:\n%s", row.ImpliedKm, log)
+	}
 	samples, _ := scrape(t, proverStatus)
 	late, segments := samples["geoproof_prover_lookup_late_seconds_count"], samples[`geoproof_prover_requests_total{type="segment"}`]
 	if late < 1 || late != segments {
@@ -534,7 +534,7 @@ func TestDaemonFleetController(t *testing.T) {
 		"geoproof_sched_inflight_audits", "geoproof_pool_gets_total",
 		"geoproof_pool_dials_total", "geoproof_mux_frames_written_total",
 		"geoproof_mux_challenge_writes_total",
-		"geoproof_batchsign_flushes_total", "geoproof_fleet_transitions_total",
+		"geoproof_fleet_transitions_total",
 	} {
 		if !families[fam] {
 			t.Errorf("controller /metrics lacks family %s", fam)

@@ -1,14 +1,18 @@
 package core
 
 import (
-	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
 	"testing"
 	"time"
 
 	"repro/internal/cloud"
 	"repro/internal/crypt"
 )
+
+// The batch attestation is in-process only: these tests cover the path
+// bench's audit-fleet-disk drives, and that the wire never carries it.
 
 // batchFixture extends the simnet fixture with a batch-signing copy of
 // the verifier. MaxBatch 1 keeps single audits synchronous (no timer)
@@ -40,9 +44,6 @@ func TestBatchAttestedAuditAccepted(t *testing.T) {
 	if !rep.Accepted {
 		t.Fatalf("batch-attested audit rejected: %s", rep.Reason())
 	}
-	if rep.Attestation != AttestBatch {
-		t.Fatalf("attestation mode %v, want batch", rep.Attestation)
-	}
 	// The same verdict as per-transcript mode, including the timing and
 	// distance-bound numbers: only the attestation form differs.
 	st2, err := fx.verifier.RunAudit(context.Background(), req, fx.conn)
@@ -50,9 +51,6 @@ func TestBatchAttestedAuditAccepted(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep2 := fx.tpa.VerifyAudit(req, fx.ef.Layout, st2)
-	if rep2.Attestation != AttestPerTranscript {
-		t.Fatalf("attestation mode %v, want per-transcript", rep2.Attestation)
-	}
 	if rep.Accepted != rep2.Accepted || rep.SegmentsOK != rep2.SegmentsOK ||
 		rep.TimingOK != rep2.TimingOK || rep.PositionOK != rep2.PositionOK {
 		t.Fatalf("batch verdict %+v differs from per-transcript %+v", rep, rep2)
@@ -60,7 +58,7 @@ func TestBatchAttestedAuditAccepted(t *testing.T) {
 }
 
 // TestBatchAttestationAdversarial covers the forgery shapes a hostile
-// daemon could try against the batch path.
+// caller could try against the batch path.
 func TestBatchAttestationAdversarial(t *testing.T) {
 	fx, bv := batchFixture(t)
 	runOne := func() (AuditRequest, SignedTranscript) {
@@ -88,19 +86,9 @@ func TestBatchAttestationAdversarial(t *testing.T) {
 		if rep.SignatureOK || rep.Accepted {
 			t.Fatalf("foreign inclusion proof accepted: %+v", rep)
 		}
-		if rep.Attestation != AttestBatch {
-			t.Fatalf("attestation mode %v", rep.Attestation)
-		}
 	})
 
 	t.Run("root signed by the wrong key", func(t *testing.T) {
-		// A fresh TPA so the genuine root is not already in the
-		// verified-root cache (cache hits are sound only because entry
-		// requires a valid signature).
-		tpa, err := NewTPA(fx.enc, fx.signer.Public(), fx.tpa.Policy())
-		if err != nil {
-			t.Fatal(err)
-		}
 		req, st := runOne()
 		rogue, err := crypt.NewSigner()
 		if err != nil {
@@ -113,7 +101,7 @@ func TestBatchAttestationAdversarial(t *testing.T) {
 		forged := *st.Batch
 		forged.RootSig = sig
 		st.Batch = &forged
-		rep := tpa.VerifyAudit(req, fx.ef.Layout, st)
+		rep := fx.tpa.VerifyAudit(req, fx.ef.Layout, st)
 		if rep.SignatureOK || rep.Accepted {
 			t.Fatalf("wrong-key root signature accepted: %+v", rep)
 		}
@@ -139,21 +127,15 @@ func TestBatchAttestationAdversarial(t *testing.T) {
 		forged := *st.Batch
 		forged.RootSig = plain.Signature
 		st.Batch = &forged
-		tpa, err := NewTPA(fx.enc, fx.signer.Public(), fx.tpa.Policy())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep := tpa.VerifyAudit(req, fx.ef.Layout, st); rep.SignatureOK {
+		if rep := fx.tpa.VerifyAudit(req, fx.ef.Layout, st); rep.SignatureOK {
 			t.Fatalf("plain signature accepted as root signature: %+v", rep)
 		}
 	})
 }
 
 // TestVerifyAuditsMixedModes verifies, one after another, batch-attested,
-// per-transcript and tampered transcripts through one TPA: each report
-// names its attestation mode, a tampered transcript of either mode is
-// rejected, and a batch root whose signature verified once is served
-// from the verified-root cache the next time.
+// per-transcript and tampered transcripts through one TPA: each honest
+// one is accepted, and a tampered transcript of either form is rejected.
 func TestVerifyAuditsMixedModes(t *testing.T) {
 	fx, bv := batchFixture(t)
 	const nAudits = 9
@@ -162,23 +144,19 @@ func TestVerifyAuditsMixedModes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, wantMode := fx.verifier, AttestPerTranscript
+		v := fx.verifier
 		if i%2 == 0 {
-			v, wantMode = bv, AttestBatch
+			v = bv
 		}
 		st, err := v.RunAudit(context.Background(), req, fx.conn)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tampered := i == 2 || i == 3 // one of each mode
+		tampered := i == 2 || i == 3 // one of each form
 		if tampered {
 			st.Transcript.Rounds[0].Segment[0] ^= 0xFF
 		}
-		hits, misses := fx.tpa.roots.hits.Load(), fx.tpa.roots.misses.Load()
 		rep := fx.tpa.VerifyAudit(req, fx.ef.Layout, st)
-		if rep.Attestation != wantMode {
-			t.Fatalf("audit %d: attestation %v, want %v", i, rep.Attestation, wantMode)
-		}
 		if tampered {
 			if rep.Accepted || rep.SignatureOK || rep.SegmentsBad != 1 {
 				t.Fatalf("tampered audit %d: %+v", i, rep)
@@ -186,28 +164,36 @@ func TestVerifyAuditsMixedModes(t *testing.T) {
 		} else if !rep.Accepted || rep.SegmentsOK != 8 {
 			t.Fatalf("honest audit %d rejected: %s", i, rep.Reason())
 		}
-		if wantMode != AttestBatch {
-			if fx.tpa.roots.hits.Load() != hits || fx.tpa.roots.misses.Load() != misses {
-				t.Fatalf("audit %d: a per-transcript signature touched the root cache", i)
-			}
-			continue
-		}
-		// MaxBatch 1: every batch audit brings a new root, checked once...
-		if got := fx.tpa.roots.misses.Load() - misses; got != 1 {
-			t.Fatalf("audit %d: %d root-cache misses for a new root, want 1", i, got)
-		}
-		// ...and cached for the next transcript under it.
-		again := fx.tpa.VerifyAudit(req, fx.ef.Layout, st)
-		if got := fx.tpa.roots.hits.Load() - hits; got != 1 {
-			t.Fatalf("audit %d: %d root-cache hits on a verified root, want 1", i, got)
-		}
-		if again.Accepted != rep.Accepted || again.SignatureOK != rep.SignatureOK {
-			t.Fatalf("audit %d: cached-root verdict %+v differs from first %+v", i, again, rep)
-		}
 	}
 }
 
-func TestSignedTranscriptCodecBatch(t *testing.T) {
+// legacyAttestationSection is the optional section earlier versions of
+// the codec appended after the signature of a batch-attested transcript,
+// with its length prefix: root ‖ len(sig) ‖ sig ‖ leaf index ‖ step
+// count ‖ steps, each step an orientation byte and the sibling hash.
+func legacyAttestationSection(att BatchAttestation) []byte {
+	var b []byte
+	b = append(b, att.Root[:]...)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(att.RootSig)))
+	b = append(b, att.RootSig...)
+	b = binary.BigEndian.AppendUint32(b, uint32(att.Proof.Index))
+	b = binary.BigEndian.AppendUint32(b, uint32(len(att.Proof.Steps)))
+	for _, s := range att.Proof.Steps {
+		flag := byte(0)
+		if s.Left {
+			flag = 1
+		}
+		b = append(b, flag)
+		b = append(b, s.Sibling[:]...)
+	}
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(b))), b...)
+}
+
+// TestWireCarriesOnlySignatures: the wire fails closed on the batch
+// form. A batch-attested transcript encoded, decoded and verified is
+// rejected as unsigned, and an encoding that carries the attestation
+// section earlier codecs wrote is refused outright.
+func TestWireCarriesOnlySignatures(t *testing.T) {
 	fx, bv := batchFixture(t)
 	req, err := fx.tpa.NewRequest(testFileID, fx.ef.Layout, 8)
 	if err != nil {
@@ -217,65 +203,24 @@ func TestSignedTranscriptCodecBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc := EncodeSignedTranscript(st)
-	got, err := DecodeSignedTranscript(enc)
+	if rep := fx.tpa.VerifyAudit(req, fx.ef.Layout, st); !rep.Accepted {
+		t.Fatalf("batch-attested audit rejected in process: %s", rep.Reason())
+	}
+
+	got, err := DecodeSignedTranscript(EncodeSignedTranscript(st))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Batch == nil {
-		t.Fatal("attestation lost in round trip")
+	rep := fx.tpa.VerifyAudit(req, fx.ef.Layout, got)
+	if rep.Accepted || rep.SignatureOK || rep.Reason() != "transcript signature invalid" {
+		t.Fatalf("batch-attested transcript over the wire: accepted=%v signatureOK=%v reason %q, want rejected with only %q",
+			rep.Accepted, rep.SignatureOK, rep.Reason(), "transcript signature invalid")
 	}
-	if got.Batch.Root != st.Batch.Root || got.Batch.Proof.Index != st.Batch.Proof.Index ||
-		!bytes.Equal(got.Batch.RootSig, st.Batch.RootSig) ||
-		len(got.Batch.Proof.Steps) != len(st.Batch.Proof.Steps) {
-		t.Fatalf("attestation fields drifted: %+v vs %+v", got.Batch, st.Batch)
-	}
-	if !bytes.Equal(EncodeSignedTranscript(got), enc) {
-		t.Fatal("re-encode differs: codec not canonical")
-	}
-	// The decoded transcript must verify end to end.
-	if rep := fx.tpa.VerifyAudit(req, fx.ef.Layout, got); !rep.Accepted {
-		t.Fatalf("decoded batch transcript rejected: %s", rep.Reason())
-	}
-}
 
-// TestVerifierServerAttestationForms: a daemon whose verifier batch-signs
-// and one whose verifier signs each transcript are both accepted by the
-// same TPA, which was told nothing about either — the form is read off
-// the transcript, and the report names it.
-func TestVerifierServerAttestationForms(t *testing.T) {
-	f := newDaemonFixture(t, 250*time.Millisecond)
-	proverAddr, stopProver := startServer(t, &cloud.HonestProvider{Site: f.site}, false)
-	defer stopProver()
-	pool := &ProverPool{DialTimeout: time.Second}
-	defer pool.Close()
-	bs := crypt.NewBatchSigner(f.signer, crypt.BatchSignerOptions{MaxBatch: 1})
-	defer bs.Close()
-
-	daemons := map[string]struct {
-		verifier *Verifier
-		want     AttestationMode
-	}{
-		"batch daemon": {f.verifier.WithBatchSigner(bs), AttestBatch},
-		"solo daemon":  {f.verifier, AttestPerTranscript},
-	}
-	for name, d := range daemons {
-		d := d
-		t.Run(name, func(t *testing.T) {
-			addr, stop := startVerifierd(t, &PooledRunner{Verifier: d.verifier, Addr: proverAddr, Pool: pool})
-			defer stop()
-			remote := dialMux(t, addr)
-			defer remote.Close()
-			rep, err := f.audit(context.Background(), remote, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !rep.Accepted {
-				t.Fatalf("audit rejected: %s", rep.Reason())
-			}
-			if rep.Attestation != d.want {
-				t.Fatalf("report names attestation %q, want %q", rep.Attestation, d.want)
-			}
-		})
+	unsigned := st
+	unsigned.Batch = nil
+	legacy := append(EncodeSignedTranscript(unsigned), legacyAttestationSection(*st.Batch)...)
+	if _, err := DecodeSignedTranscript(legacy); !errors.Is(err, ErrBadTranscript) {
+		t.Fatalf("encoding with an attestation section decoded with error %v, want ErrBadTranscript", err)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/geo"
-	"repro/internal/merkle"
 	"time"
 )
 
@@ -128,38 +127,28 @@ func UnmarshalTranscript(b []byte) (Transcript, error) {
 	return t, nil
 }
 
-// EncodeSignedTranscript serialises transcript ‖ signature, followed by
-// an optional length-prefixed batch-attestation section when the
-// transcript is batch-attested; the decoder tells the two forms apart by
-// whether that section is there. A transcript that already carries its
-// canonical encoding (finishAudit, decode) is not re-marshaled.
+// EncodeSignedTranscript serialises transcript ‖ signature, each with
+// its length prefix. It carries the per-transcript signature only: a
+// batch attestation is never put on the wire. A transcript that already
+// carries its canonical encoding (finishAudit, decode) is not
+// re-marshaled.
 func EncodeSignedTranscript(st SignedTranscript) []byte {
 	tb := st.raw
 	if tb == nil {
 		tb = st.Transcript.Marshal()
 	}
-	var att []byte
-	if st.Batch != nil {
-		att = EncodeBatchAttestation(*st.Batch)
-	}
-	out := make([]byte, 0, 12+len(tb)+len(st.Signature)+len(att))
+	out := make([]byte, 0, 8+len(tb)+len(st.Signature))
 	var l [4]byte
 	binary.BigEndian.PutUint32(l[:], uint32(len(tb)))
 	out = append(out, l[:]...)
 	out = append(out, tb...)
 	binary.BigEndian.PutUint32(l[:], uint32(len(st.Signature)))
 	out = append(out, l[:]...)
-	out = append(out, st.Signature...)
-	if att != nil {
-		binary.BigEndian.PutUint32(l[:], uint32(len(att)))
-		out = append(out, l[:]...)
-		out = append(out, att...)
-	}
-	return out
+	return append(out, st.Signature...)
 }
 
-// DecodeSignedTranscript parses EncodeSignedTranscript's output,
-// including the optional batch-attestation section.
+// DecodeSignedTranscript parses EncodeSignedTranscript's output and
+// refuses any byte after the signature.
 func DecodeSignedTranscript(b []byte) (SignedTranscript, error) {
 	r := &byteReader{b: b}
 	tb, err := r.lenPrefixed()
@@ -174,107 +163,14 @@ func DecodeSignedTranscript(b []byte) (SignedTranscript, error) {
 	if err != nil {
 		return SignedTranscript{}, err
 	}
+	if r.off != len(b) {
+		return SignedTranscript{}, fmt.Errorf("%w: %d trailing bytes", ErrBadTranscript, len(b)-r.off)
+	}
 	st := SignedTranscript{Transcript: tr, raw: append([]byte{}, tb...)}
 	if len(sig) > 0 {
 		st.Signature = append([]byte{}, sig...)
 	}
-	if r.off != len(b) {
-		ab, err := r.lenPrefixed()
-		if err != nil {
-			return SignedTranscript{}, err
-		}
-		att, err := DecodeBatchAttestation(ab)
-		if err != nil {
-			return SignedTranscript{}, err
-		}
-		st.Batch = &att
-	}
-	if r.off != len(b) {
-		return SignedTranscript{}, fmt.Errorf("%w: trailing bytes", ErrBadTranscript)
-	}
 	return st, nil
-}
-
-// maxProofSteps bounds an attestation's Merkle path length. A path of
-// 64 steps would imply 2^64 transcripts under one root; anything longer
-// is malformed, and the bound keeps decode allocation proportional to
-// honest input.
-const maxProofSteps = 64
-
-// EncodeBatchAttestation serialises a batch attestation:
-// root ‖ len(sig) ‖ sig ‖ leaf index ‖ step count ‖ steps, each step an
-// orientation flag byte plus the 32-byte sibling hash.
-func EncodeBatchAttestation(att BatchAttestation) []byte {
-	out := make([]byte, 0, 32+4+len(att.RootSig)+8+33*len(att.Proof.Steps))
-	out = append(out, att.Root[:]...)
-	var l [4]byte
-	binary.BigEndian.PutUint32(l[:], uint32(len(att.RootSig)))
-	out = append(out, l[:]...)
-	out = append(out, att.RootSig...)
-	binary.BigEndian.PutUint32(l[:], uint32(att.Proof.Index))
-	out = append(out, l[:]...)
-	binary.BigEndian.PutUint32(l[:], uint32(len(att.Proof.Steps)))
-	out = append(out, l[:]...)
-	for _, s := range att.Proof.Steps {
-		if s.Left {
-			out = append(out, 1)
-		} else {
-			out = append(out, 0)
-		}
-		out = append(out, s.Sibling[:]...)
-	}
-	return out
-}
-
-// DecodeBatchAttestation parses EncodeBatchAttestation's output. The
-// decode is canonical: re-encoding the result yields identical bytes.
-func DecodeBatchAttestation(b []byte) (BatchAttestation, error) {
-	r := &byteReader{b: b}
-	var att BatchAttestation
-	root, err := r.take(32)
-	if err != nil {
-		return att, err
-	}
-	copy(att.Root[:], root)
-	sig, err := r.lenPrefixed()
-	if err != nil {
-		return att, err
-	}
-	att.RootSig = append([]byte{}, sig...)
-	idx, err := r.u32()
-	if err != nil {
-		return att, err
-	}
-	att.Proof.Index = int(idx)
-	nSteps, err := r.u32()
-	if err != nil {
-		return att, err
-	}
-	if nSteps > maxProofSteps {
-		return att, fmt.Errorf("%w: %d proof steps", ErrBadTranscript, nSteps)
-	}
-	if nSteps > 0 {
-		att.Proof.Steps = make([]merkle.ProofStep, nSteps)
-	}
-	for i := range att.Proof.Steps {
-		flag, err := r.take(1)
-		if err != nil {
-			return att, err
-		}
-		if flag[0] > 1 {
-			return att, fmt.Errorf("%w: step flag %#x", ErrBadTranscript, flag[0])
-		}
-		sib, err := r.take(32)
-		if err != nil {
-			return att, err
-		}
-		att.Proof.Steps[i].Left = flag[0] == 1
-		copy(att.Proof.Steps[i].Sibling[:], sib)
-	}
-	if r.off != len(b) {
-		return att, fmt.Errorf("%w: trailing attestation bytes", ErrBadTranscript)
-	}
-	return att, nil
 }
 
 // EncodeAuditRequest serialises an audit request for the TPA→verifier

@@ -115,18 +115,19 @@ func (t Transcript) Marshal() []byte {
 // Merkle root instead of a per-transcript signature: the verifier signed
 // Root (domain-separated, crypt.SignBatchRoot) and Proof ties the
 // SHA-256 of the transcript's canonical encoding to Root at leaf
-// Proof.Index. The TPA verifies the
-// root signature once per batch and one SHA-256 path per transcript.
+// Proof.Index. It is in-process only, kept for bench's audit-fleet-disk:
+// no codec carries it, so a batch-attested transcript that crosses the
+// wire arrives unsigned and is rejected.
 type BatchAttestation struct {
 	Root    merkle.Hash
 	RootSig []byte
 	Proof   merkle.Proof
 }
 
-// SignedTranscript is the verifier's final message to the TPA. Exactly
-// one attestation form is populated: Signature (per-transcript Ed25519
-// over the canonical transcript encoding) or Batch (root signature +
-// inclusion proof). When both are somehow present, Batch wins.
+// SignedTranscript is the verifier's final message to the TPA: the
+// transcript and Sign_SK(R), the device's Ed25519 signature over its
+// canonical encoding. Batch replaces the signature only in process (see
+// BatchAttestation); when it is set, the TPA checks it instead.
 type SignedTranscript struct {
 	Transcript Transcript
 	Signature  []byte
@@ -138,29 +139,6 @@ type SignedTranscript struct {
 	// may mutate Transcript after the cache was taken, and the TPA's
 	// verdict must follow the bytes it re-marshals itself.
 	raw []byte
-}
-
-// AttestationMode names which attestation form a verdict was produced
-// from.
-type AttestationMode uint8
-
-// Attestation modes recorded in reports and the scheduler's ledger.
-const (
-	AttestNone          AttestationMode = iota // no transcript (timeout/error verdicts)
-	AttestPerTranscript                        // §V-B per-transcript Ed25519 signature
-	AttestBatch                                // Merkle-batched root signature + inclusion proof
-)
-
-// String returns the ledger-facing name of the mode.
-func (m AttestationMode) String() string {
-	switch m {
-	case AttestPerTranscript:
-		return "per-transcript"
-	case AttestBatch:
-		return "batch"
-	default:
-		return "none"
-	}
 }
 
 // ProverConn is the verifier's channel to the prover; MuxProverConn, over
@@ -203,7 +181,9 @@ func NewVerifier(signer *crypt.Signer, receiver *gps.Receiver, clock vclock.Cloc
 // every audit that lands inside the batcher's size/latency window. A
 // nil bs returns a copy that signs per transcript. The copy shares the
 // device's key, GPS receiver and clock, so timing semantics are
-// untouched: only the attestation form changes.
+// untouched: only the attestation form changes. It is in-process only,
+// kept for bench's audit-fleet-disk: no command builds such a verifier,
+// and EncodeSignedTranscript drops the attestation it makes.
 func (v *Verifier) WithBatchSigner(bs *crypt.BatchSigner) *Verifier {
 	w := *v
 	w.batch = bs

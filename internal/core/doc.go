@@ -110,25 +110,18 @@
 //
 // # Transcript attestation
 //
-// A SignedTranscript carries one of two attestation forms. The
-// classic form is a per-transcript Ed25519 signature over the canonical
-// transcript bytes. The amortized form (BatchAttestation, produced by a
-// Verifier configured WithBatchSigner) replaces it with a signature
-// over a Merkle root covering a whole window of concurrent audits plus
-// this transcript's inclusion proof — same trust argument, one
-// asymmetric signature per window instead of per audit (see
-// crypt/doc.go). Verification mirrors that split: the TPA verifies each
-// distinct root's signature once (a small LRU of verified roots makes
-// the rest of the window cache hits) and then checks one SHA-256
-// inclusion path per transcript. Everything downstream of step 1 — position, MACs,
-// min-RTT timing, rejection semantics — is identical in both modes, and
-// each Report and LedgerEntry records which attestation mode vouched
-// for the verdict.
-//
-// Nothing about the form is negotiated, on any leg: a verifier daemon
-// started with -batchsign returns batch-attested transcripts, one
-// without returns signed ones, and the TPA tells which it was handed
-// from the transcript itself (verifyAttestation).
+// A transcript crosses the wire in one form: its canonical bytes and the
+// device's per-transcript Ed25519 signature, the paper's Sign_SK(R).
+// DecodeSignedTranscript refuses any byte after the signature, so
+// nothing about the form is negotiated on any leg, and geoverifierd
+// signs every transcript it returns. The Merkle-batched form
+// (BatchAttestation, made by a Verifier WithBatchSigner) lives on in
+// process only, because bench's audit-fleet-disk drives it; the TPA
+// checks its root signature and inclusion proof for each transcript
+// (signatureOK), and EncodeSignedTranscript drops it, so a
+// batch-attested transcript sent over the wire arrives unsigned and is
+// rejected. Everything after check 1 — position, MACs, timing,
+// rejection semantics — is the same for both.
 //
 // # Fleet control plane
 //

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/geo"
-	"repro/internal/merkle"
 	"repro/internal/wire"
 )
 
@@ -59,14 +58,6 @@ func FuzzDecodeSignedTranscript(f *testing.F) {
 		Signature:  []byte{9},
 	}
 	f.Add(EncodeSignedTranscript(st))
-	f.Add(EncodeSignedTranscript(SignedTranscript{
-		Transcript: st.Transcript,
-		Batch: &BatchAttestation{
-			Root:    merkle.LeafHash([]byte{1}),
-			RootSig: []byte{7, 7},
-			Proof:   merkle.Proof{Index: 1, Steps: []merkle.ProofStep{{Left: true}}},
-		},
-	}))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := DecodeSignedTranscript(data)
@@ -75,36 +66,6 @@ func FuzzDecodeSignedTranscript(f *testing.F) {
 		}
 		if !bytes.Equal(EncodeSignedTranscript(got), data) {
 			t.Fatal("signed transcript decode/encode not canonical")
-		}
-	})
-}
-
-// FuzzBatchAttestation fuzzes the inclusion-proof wire codec the batch
-// attestation rides in: anything that decodes must re-encode to the
-// identical bytes, and the decoded proof must stay within the step
-// bound the decoder promises.
-func FuzzBatchAttestation(f *testing.F) {
-	att := BatchAttestation{
-		Root:    merkle.LeafHash([]byte("root")),
-		RootSig: []byte{1, 2, 3},
-		Proof: merkle.Proof{Index: 5, Steps: []merkle.ProofStep{
-			{Sibling: merkle.LeafHash([]byte("sib")), Left: true},
-			{Sibling: merkle.LeafHash([]byte("sib2"))},
-		}},
-	}
-	f.Add(EncodeBatchAttestation(att))
-	f.Add(EncodeBatchAttestation(BatchAttestation{}))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := DecodeBatchAttestation(data)
-		if err != nil {
-			return
-		}
-		if len(got.Proof.Steps) > maxProofSteps {
-			t.Fatalf("decoder admitted %d proof steps", len(got.Proof.Steps))
-		}
-		if !bytes.Equal(EncodeBatchAttestation(got), data) {
-			t.Fatal("attestation decode/encode not canonical")
 		}
 	})
 }

@@ -119,12 +119,6 @@ type LedgerEntry struct {
 	Rejected int
 	Timeouts int
 	Errors   int
-	// BatchAttested / SoloAttested count the verified verdicts (accepted
-	// or rejected) by the attestation mode that produced them, so an
-	// operator can see whether amortized signing is actually engaged.
-	// Every verified verdict lands in exactly one of the two.
-	BatchAttested int
-	SoloAttested  int
 	// MaxRTT is the worst round-trip time any verified transcript in this
 	// cell reported.
 	MaxRTT time.Duration
@@ -147,14 +141,6 @@ func (e *LedgerEntry) add(v Verdict) {
 	case OutcomeError:
 		e.Errors++
 		e.LastReason = v.Err
-	}
-	if v.Outcome == OutcomeAccepted || v.Outcome == OutcomeRejected {
-		switch v.Report.Attestation {
-		case AttestBatch:
-			e.BatchAttested++
-		default:
-			e.SoloAttested++
-		}
 	}
 	if v.Report.MaxRTT > e.MaxRTT {
 		e.MaxRTT = v.Report.MaxRTT

@@ -1,15 +1,12 @@
 package core
 
 import (
-	"container/list"
 	"crypto/rand"
 	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/blockfile"
@@ -49,6 +46,14 @@ func DefaultPolicy(sla cloud.SLA) Policy {
 	}
 }
 
+// ImpliedDistanceKm bounds how far data answering with worst round trip
+// maxRTT can be from the verifier (§V-C b): the residual after the
+// look-up budget, at the policy's network speed, halved for the round
+// trip, and zero when nothing is left.
+func (p Policy) ImpliedDistanceKm(maxRTT time.Duration) float64 {
+	return geo.MaxDistanceKm(maxRTT-p.LookupBudget, p.NetSpeedKmPerMs)
+}
+
 // Report is the TPA's verdict with every §V-B check broken out.
 type Report struct {
 	Accepted bool
@@ -59,11 +64,6 @@ type Report struct {
 	MACsOK      bool
 	TimingOK    bool
 
-	// Attestation records which authentication form produced
-	// SignatureOK: the per-transcript signature or a batch root
-	// signature plus Merkle inclusion proof.
-	Attestation AttestationMode
-
 	SegmentsOK   int
 	SegmentsBad  int
 	FailedRounds int
@@ -71,7 +71,7 @@ type Report struct {
 	MeanRTT      time.Duration
 
 	// ImpliedMaxDistanceKm bounds how far the data can be from the
-	// verifier: (Δt' − look-up budget)·speed/2, clamped at zero.
+	// verifier: Policy.ImpliedDistanceKm of MaxRTT.
 	ImpliedMaxDistanceKm float64
 
 	Reasons []string
@@ -90,11 +90,6 @@ type TPA struct {
 	// WithNonceReader swaps in a seeded source so deterministic scenarios
 	// draw replayable challenge indices.
 	nonce io.Reader
-	// roots caches batch roots whose signature already verified, so a
-	// batch of transcripts costs one signature verify plus cheap SHA-256
-	// inclusion checks. Pointer field: WithNonceReader copies the TPA
-	// and the copy must share (and lock) the same cache.
-	roots *rootCache
 }
 
 // NewTPA constructs an auditor.
@@ -108,14 +103,13 @@ func NewTPA(enc *por.Encoder, verifierKey crypt.PublicKey, policy Policy) (*TPA,
 	if policy.TMax <= 0 {
 		return nil, errors.New("core: policy TMax must be positive")
 	}
-	return &TPA{enc: enc, pub: verifierKey, policy: policy, nonce: rand.Reader, roots: newRootCache(rootCacheSize)}, nil
+	return &TPA{enc: enc, pub: verifierKey, policy: policy, nonce: rand.Reader}, nil
 }
 
 // WithNonceReader returns a copy of the TPA drawing challenge nonces from
 // r instead of crypto/rand — the determinism seam for the scenario
 // testnet, where a seeded math/rand source makes every audit's challenged
-// indices replay bit-identically. The copy shares the verified-root
-// cache. Never use a predictable reader in production: nonce-derived
+// indices replay bit-identically. Never use a predictable reader in production: nonce-derived
 // indices are what stop a prover precomputing responses.
 func (a *TPA) WithNonceReader(r io.Reader) *TPA {
 	inner := *a
@@ -125,82 +119,21 @@ func (a *TPA) WithNonceReader(r io.Reader) *TPA {
 	return &inner
 }
 
-// rootCacheSize bounds the verified-root LRU. A root covers a whole
-// batch of transcripts, so even a fleet-wide sweep touches few distinct
-// roots; 256 keeps the cache a few KiB while making eviction churn from
-// an attacker spamming garbage roots irrelevant (garbage never enters —
-// only roots whose signature verified are cached).
-const rootCacheSize = 256
-
-// rootCache is a mutex-guarded bounded LRU of batch roots with a valid
-// verifier signature. Caching the root (not the signature bytes) is
-// sound: once any signature over root R verifies, R is known to be
-// verifier-committed, and each transcript still has to prove Merkle
-// membership in R.
-type rootCache struct {
-	mu    sync.Mutex
-	cap   int
-	ll    *list.List // front = most recent; values are merkle.Hash
-	index map[merkle.Hash]*list.Element
-
-	hits, misses atomic.Int64
-}
-
-func newRootCache(capacity int) *rootCache {
-	return &rootCache{cap: capacity, ll: list.New(), index: make(map[merkle.Hash]*list.Element, capacity)}
-}
-
-// verified reports whether root is cached as signature-checked, marking
-// it most recently used.
-func (c *rootCache) verified(root merkle.Hash) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.index[root]
-	if ok {
-		c.ll.MoveToFront(el)
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
-	return ok
-}
-
-// add records a signature-checked root, evicting the least recently
-// used entry past capacity.
-func (c *rootCache) add(root merkle.Hash) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.index[root]; ok {
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.index[root] = c.ll.PushFront(root)
-	for c.ll.Len() > c.cap {
-		last := c.ll.Back()
-		delete(c.index, last.Value.(merkle.Hash))
-		c.ll.Remove(last)
-	}
-}
-
-// verifyAttestation runs check 1 of §V-B for either attestation form
-// and returns the mode plus whether it held. raw is the canonical
-// transcript encoding, re-marshaled by the caller (never the producer's
-// cache — verification must follow the bytes presented).
-func (a *TPA) verifyAttestation(raw []byte, st SignedTranscript) (AttestationMode, bool) {
-	if st.Batch == nil {
-		return AttestPerTranscript, crypt.Verify(a.pub, raw, st.Signature) == nil
-	}
+// signatureOK runs check 1 of §V-B: the per-transcript signature, or
+// in process a batch root signature plus the transcript's inclusion
+// proof (BatchAttestation). raw is the canonical transcript encoding,
+// re-marshaled by the caller (never the producer's cache — verification
+// must follow the bytes presented).
+func (a *TPA) signatureOK(raw []byte, st SignedTranscript) bool {
 	b := st.Batch
-	if a.roots == nil || !a.roots.verified(b.Root) {
-		if crypt.VerifyBatchRoot(a.pub, b.Root, b.RootSig) != nil {
-			return AttestBatch, false
-		}
-		if a.roots != nil {
-			a.roots.add(b.Root)
-		}
+	if b == nil {
+		return crypt.Verify(a.pub, raw, st.Signature) == nil
+	}
+	if crypt.VerifyBatchRoot(a.pub, b.Root, b.RootSig) != nil {
+		return false
 	}
 	digest := sha256.Sum256(raw)
-	return AttestBatch, merkle.Verify(b.Root, digest[:], b.Proof) == nil
+	return merkle.Verify(b.Root, digest[:], b.Proof) == nil
 }
 
 // Policy returns the acceptance policy in force.
@@ -239,10 +172,8 @@ func (a *TPA) VerifyAudit(req AuditRequest, layout blockfile.Layout, st SignedTr
 	rep := Report{}
 	tr := st.Transcript
 
-	// 1. Signature — per-transcript, or batch root + inclusion proof.
-	var ok bool
-	rep.Attestation, ok = a.verifyAttestation(tr.Marshal(), st)
-	if ok {
+	// 1. Signature.
+	if a.signatureOK(tr.Marshal(), st) {
 		rep.SignatureOK = true
 	} else {
 		rep.Reasons = append(rep.Reasons, "transcript signature invalid")
@@ -335,12 +266,9 @@ func (a *TPA) VerifyAudit(req AuditRequest, layout blockfile.Layout, st SignedTr
 			fmt.Sprintf("%d rounds failed (budget %d)", rep.FailedRounds, a.policy.MaxFailedRounds))
 	}
 
-	// Distance implication (§V-C b): residual time after the look-up
-	// budget, at the configured propagation speed, halved for the round
-	// trip.
-	if timed > 0 && a.policy.NetSpeedKmPerMs > 0 {
-		residual := rep.MaxRTT - a.policy.LookupBudget
-		rep.ImpliedMaxDistanceKm = geo.MaxDistanceKm(residual, a.policy.NetSpeedKmPerMs)
+	// Distance implication (§V-C b).
+	if timed > 0 {
+		rep.ImpliedMaxDistanceKm = a.policy.ImpliedDistanceKm(rep.MaxRTT)
 	}
 
 	rep.Accepted = rep.SignatureOK && rep.PositionOK && rep.IndicesOK &&

@@ -17,9 +17,7 @@ import (
 // on their own host), matching the paper's Fig. 4 architecture.
 type VerifierServer struct {
 	// Runner runs each requested audit — in the daemon a PooledRunner
-	// over the device's warm prover connection. Whether its transcripts
-	// are signed one by one or batch-attested is the runner's verifier's
-	// business; the TPA reads the form off the transcript.
+	// over the device's warm prover connection.
 	Runner AuditRunner
 
 	acceptLoop

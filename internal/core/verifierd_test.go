@@ -133,8 +133,7 @@ func startVerifierd(t *testing.T, runner AuditRunner) (string, func()) {
 }
 
 // daemonFixture is a device (signer + verifier) and the one TPA that
-// trusts it: the TPA is built once, with nothing said about how the
-// device attests.
+// trusts it.
 type daemonFixture struct {
 	ef       *por.EncodedFile
 	site     *cloud.Site

@@ -78,6 +78,8 @@ type batchResult struct {
 // has waited MaxLatency, whichever comes first; the signing operation
 // runs outside the accumulation lock, so under concurrent audit load
 // the next batch fills while the previous one signs (group commit).
+// It is in-process only, kept for bench's audit-fleet-disk: no command
+// links it, and no codec carries its attestations.
 //
 // Sign is safe for concurrent use.
 type BatchSigner struct {
@@ -124,7 +126,6 @@ func (b *BatchSigner) Sign(digest [32]byte) (RootAttestation, error) {
 	case len(b.pending) >= b.opts.MaxBatch:
 		batch := b.takeLocked()
 		b.mu.Unlock()
-		metricBatchFlushSize.Inc()
 		b.flush(batch)
 	case len(b.pending) == 1:
 		gen := b.gen
@@ -161,7 +162,6 @@ func (b *BatchSigner) timerFlush(gen uint64) {
 	}
 	batch := b.takeLocked()
 	b.mu.Unlock()
-	metricBatchFlushLatency.Inc()
 	b.flush(batch)
 }
 
@@ -175,17 +175,12 @@ func (b *BatchSigner) flush(batch []batchEntry) {
 	for i := range batch {
 		leaves[i] = batch[i].digest[:]
 	}
-	metricBatchSize.Observe(int64(len(batch)))
 	tree, err := merkle.New(leaves)
 	var root merkle.Hash
 	var sig []byte
 	if err == nil {
 		root = tree.Root()
-		// The wall clock is fine here: sign latency is pure local compute,
-		// never part of a deterministic scenario's observable timing.
-		signStart := time.Now()
 		sig, err = b.signer.SignBatchRoot(root)
-		metricBatchSignSeconds.ObserveDuration(time.Since(signStart))
 	}
 	if err != nil {
 		for i := range batch {
@@ -215,9 +210,6 @@ func (b *BatchSigner) Close() {
 	b.closed = true
 	batch := b.takeLocked()
 	b.mu.Unlock()
-	if len(batch) > 0 {
-		metricBatchFlushClose.Inc()
-	}
 	b.flush(batch)
 }
 

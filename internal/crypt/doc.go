@@ -74,25 +74,20 @@
 // took 28–46 µs and a check 58–99 µs, against 42–65 and 100–133 µs for
 // the P-256 ECDSA it replaced.
 //
-// # Amortized transcript signing
+// # Batch signing, in process only
 //
-// BatchSigner breaks the one-signature-per-audit cap: concurrent
-// audits hand it their canonical transcript digests, it accumulates
-// them as leaves of one Merkle tree (flushing on a batch-size bound or
-// a max-latency bound, whichever comes first) and signs only the root.
-// Each audit gets back a RootAttestation — the root, one signature over
-// it, and that leaf's inclusion proof.
-//
-// The trust argument is unchanged from per-transcript signing. A
-// per-transcript signature says "the verifier device vouches for
-// exactly these transcript bytes". A RootAttestation says the same
-// through two links: the Ed25519 signature binds the verifier to the
-// root, and the Merkle inclusion proof binds the transcript digest to
-// that root through a collision-resistant hash path — so forging an
-// attestation for bytes the verifier never saw still requires either
-// forging Ed25519 or finding a SHA-256 collision. Root signatures are
-// domain-separated (SignBatchRoot/VerifyBatchRoot prefix a fixed tag)
-// so a signed root can never double as a signed transcript or vice
-// versa. What batching does give up is only a little latency: a digest
-// waits up to MaxLatency for co-travellers before its root is signed.
+// Every transcript that leaves a device carries its own signature:
+// geoverifierd signs each one, and core's codec has no room for any
+// other form. BatchSigner remains only because bench's audit-fleet-disk
+// drives it in process; it goes when that workload signs per
+// transcript. Concurrent audits hand it their transcript digests, it
+// makes them the leaves of one Merkle tree (flushing on a batch-size or
+// a latency bound) and signs only the root, under a domain prefix
+// (SignBatchRoot/VerifyBatchRoot) so a signed root never doubles as a
+// signed transcript or the reverse. Each audit gets back a
+// RootAttestation: the root, its signature and the leaf's inclusion
+// proof. Forging one for bytes the device never saw still takes an
+// Ed25519 forgery or a SHA-256 collision. At Ed25519's cost the batch
+// saves little: at audit-fleet-disk's ≈ 145 audits/s, signing each
+// transcript takes well under 1 % of a core.
 package crypt

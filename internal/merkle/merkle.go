@@ -1,9 +1,10 @@
 // Package merkle implements the static binary Merkle hash tree behind
-// batch transcript attestation: a verifier device that signs a window of
-// audit transcripts at once signs only the tree's root, and hands each
+// batch transcript attestation: a verifier that signs a window of audit
+// transcripts at once signs only the tree's root, and hands each
 // transcript its inclusion proof (crypt/batch.go), so one Ed25519
 // signature covers the whole batch and the TPA checks any transcript
-// alone against the signed root.
+// alone against the signed root. It is in-process only, kept for
+// bench's audit-fleet-disk: no shipped command and no wire codec uses it.
 //
 // The tree hashes leaves with a domain-separated SHA-256 (leaf vs node
 // prefixes prevent second-preimage splices). Odd nodes are promoted to

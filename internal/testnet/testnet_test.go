@@ -44,13 +44,13 @@ func TestLibraryScenarios(t *testing.T) {
 // TPA → device → prover observes, fails here. A change that moves a hash
 // on purpose updates it and says why.
 var pinnedTraceHashes = map[string]string{
-	"baseline-honest":  "5b076554e130",
-	"relay-attack":     "2a236808ee98",
-	"collusion":        "f10a9fcbbade",
-	"region-drift":     "fd6abcae3c9b",
-	"churn-storm":      "51c59e6b640c",
-	"loss-degradation": "d304eb5628df",
-	"scale-fleet":      "02f2c1a31134",
+	"baseline-honest":  "d6901ff038f9",
+	"relay-attack":     "2dea3d6a87c2",
+	"collusion":        "3c6de201e7fc",
+	"region-drift":     "0b96a52c5a04",
+	"churn-storm":      "691e872a242c",
+	"loss-degradation": "b5dfe3a3394f",
+	"scale-fleet":      "1868041eb0c8",
 }
 
 // TestLibraryTraceHashesPinned runs every library scenario once (the

@@ -308,35 +308,26 @@ const (
 // signingScheds assembles two schedulers whose single prover is audited
 // over pooled mux connections that dial dials (nil: TCP): solo has the
 // verifier sign each transcript, batch has it batch digests under one
-// Merkle root. Both are stopped when the test ends.
-func signingScheds(t *testing.T, fx *transportFixture, dial func(string) (net.Conn, error)) (solo, batch *core.Scheduler) {
-	newSched := func(batched bool) *core.Scheduler {
+// Merkle root through bs. Both are stopped when the test ends.
+func signingScheds(t *testing.T, fx *transportFixture, dial func(string) (net.Conn, error)) (solo, batch *core.Scheduler, bs *crypt.BatchSigner) {
+	bs = crypt.NewBatchSigner(fx.signer, crypt.BatchSignerOptions{
+		MaxBatch: signingWidth, MaxLatency: 2 * time.Millisecond,
+	})
+	t.Cleanup(bs.Close)
+	newSched := func(v *core.Verifier) *core.Scheduler {
 		pool := &core.ProverPool{DialTimeout: 5 * time.Second, Dial: dial}
-		v := fx.verifier
-		var bs *crypt.BatchSigner
-		if batched {
-			bs = crypt.NewBatchSigner(fx.signer, crypt.BatchSignerOptions{
-				MaxBatch: signingWidth, MaxLatency: 2 * time.Millisecond,
-			})
-			v = v.WithBatchSigner(bs)
-		}
 		sched := core.NewScheduler(core.SchedulerConfig{Workers: signingWidth, ProverWindow: signingWidth})
 		sched.RegisterTenant("tenant", fx.newTPA(t, 0))
 		sched.RegisterProver("prover", &core.PooledRunner{Verifier: v, Addr: fx.addr, Pool: pool})
-		t.Cleanup(func() {
-			if bs != nil {
-				bs.Close()
-			}
-			pool.Close()
-		})
+		t.Cleanup(func() { pool.Close() })
 		return sched
 	}
-	return newSched(false), newSched(true)
+	return newSched(fx.verifier), newSched(fx.verifier.WithBatchSigner(bs)), bs
 }
 
 // signingEpoch runs one epoch of signingTasks audits and requires every
-// verdict accepted under wantMode.
-func signingEpoch(t *testing.T, fx *transportFixture, sched *core.Scheduler, wantMode core.AttestationMode) {
+// verdict accepted.
+func signingEpoch(t *testing.T, fx *transportFixture, sched *core.Scheduler) {
 	t.Helper()
 	list := make([]core.AuditTask, signingTasks)
 	for i := range list {
@@ -349,41 +340,28 @@ func signingEpoch(t *testing.T, fx *transportFixture, sched *core.Scheduler, wan
 		if v.Outcome != core.OutcomeAccepted {
 			t.Fatalf("task %d: outcome %v (%s)", i, v.Outcome, v.Report.Reason())
 		}
-		if v.Report.Attestation != wantMode {
-			t.Fatalf("task %d: attestation %v, want %v", i, v.Report.Attestation, wantMode)
-		}
 	}
 }
 
-// checkSigningLedger is the attestation-accounting self-check: every
-// verified verdict (accepted or rejected) must have landed in exactly one
-// attestation counter, and all of them in the expected one.
-func checkSigningLedger(t *testing.T, sched *core.Scheduler, wantMode core.AttestationMode) {
+// checkBatchSigned requires that the batch signer signed exactly the
+// transcripts behind the batch scheduler's verified verdicts (accepted
+// or rejected), so every one of them was batch-attested.
+func checkBatchSigned(t *testing.T, batch *core.Scheduler, bs *crypt.BatchSigner) {
 	t.Helper()
-	var accepted, rejected, batchAtt, soloAtt int
-	for _, row := range sched.Ledger().TotalsByProver() {
-		accepted += row.Accepted
-		rejected += row.Rejected
-		batchAtt += row.BatchAttested
-		soloAtt += row.SoloAttested
+	verified := 0
+	for _, row := range batch.Ledger().TotalsByProver() {
+		verified += row.Accepted + row.Rejected
 	}
-	if verified := accepted + rejected; verified == 0 || verified != batchAtt+soloAtt {
-		t.Fatalf("ledger self-check: %d verified verdicts but %d+%d attested",
-			accepted+rejected, batchAtt, soloAtt)
-	}
-	if wantMode == core.AttestBatch && soloAtt != 0 {
-		t.Fatalf("batch-signing epoch recorded %d solo-attested verdicts", soloAtt)
-	}
-	if wantMode == core.AttestPerTranscript && batchAtt != 0 {
-		t.Fatalf("per-transcript epoch recorded %d batch-attested verdicts", batchAtt)
+	if verified == 0 || int64(verified) != bs.Signed() {
+		t.Fatalf("%d verified verdicts on the batch scheduler, %d transcripts batch-signed", verified, bs.Signed())
 	}
 }
 
 // TestBatchSigningSmoke checks per-transcript and Merkle-batched
 // transcript signing, driven through the scheduler the way a production
 // TPA runs epochs: one epoch per signing mode, signingWidth audits in
-// flight on one pooled connection, every verdict accepted in the expected
-// attestation mode, and the ledger self-check after each. It runs on a
+// flight on one pooled connection, every verdict accepted, and every
+// batch-mode verdict from a batch-signed transcript. It runs on a
 // simulated network with a zero-delay hop and no modelled look-up, so
 // every round trip takes no virtual time and an honest audit can be
 // rejected on timing only through a bug, never through host load.
@@ -392,11 +370,13 @@ func TestBatchSigningSmoke(t *testing.T) {
 	sim.SetLink("verifier", "prover", simnet.Fixed(0))
 	fx := newTransportFixtureOn(t, signingK, disk.WD2500JD, sim, false)
 	t.Cleanup(fx.stop)
-	solo, batch := signingScheds(t, fx, sim.Dialer("verifier"))
-	signingEpoch(t, fx, solo, core.AttestPerTranscript)
-	signingEpoch(t, fx, batch, core.AttestBatch)
-	checkSigningLedger(t, solo, core.AttestPerTranscript)
-	checkSigningLedger(t, batch, core.AttestBatch)
+	solo, batch, bs := signingScheds(t, fx, sim.Dialer("verifier"))
+	signingEpoch(t, fx, solo)
+	if bs.Signed() != 0 {
+		t.Fatalf("per-transcript epoch batch-signed %d transcripts", bs.Signed())
+	}
+	signingEpoch(t, fx, batch)
+	checkBatchSigned(t, batch, bs)
 }
 
 // TestBatchSigningRate is the CI comparison of the two signing modes'
@@ -409,25 +389,27 @@ func TestBatchSigningRate(t *testing.T) {
 	}
 	fx := newTransportFixture(t, signingK)
 	defer fx.stop()
-	solo, batch := signingScheds(t, fx, nil)
-	rate := func(sched *core.Scheduler, mode core.AttestationMode) float64 {
+	solo, batch, bs := signingScheds(t, fx, nil)
+	rate := func(sched *core.Scheduler) float64 {
 		start := time.Now()
 		n := 0
 		for time.Since(start) < 400*time.Millisecond || n < 2*signingTasks {
-			signingEpoch(t, fx, sched, mode)
+			signingEpoch(t, fx, sched)
 			n += signingTasks
 		}
 		return float64(n) / time.Since(start).Seconds()
 	}
-	soloRate := rate(solo, core.AttestPerTranscript)
-	batchRate := rate(batch, core.AttestBatch)
+	soloRate := rate(solo)
+	if bs.Signed() != 0 {
+		t.Fatalf("per-transcript epochs batch-signed %d transcripts", bs.Signed())
+	}
+	batchRate := rate(batch)
 	t.Logf("scheduled k=%d: per-transcript %.0f audits/s, batch-signed %.0f audits/s (x%.1f)",
 		signingK, soloRate, batchRate, batchRate/soloRate)
 	if batchRate < 2*soloRate {
 		t.Errorf("batch signing %.0f audits/s not ≥2x per-transcript %.0f audits/s", batchRate, soloRate)
 	}
-	checkSigningLedger(t, solo, core.AttestPerTranscript)
-	checkSigningLedger(t, batch, core.AttestBatch)
+	checkBatchSigned(t, batch, bs)
 }
 
 // delayProxy forwards TCP connections to target, delaying every byte by
